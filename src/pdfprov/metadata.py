@@ -134,9 +134,8 @@ def extract_declared(data: bytes, sections: PdfSections | None = None) -> Declar
             return DeclaredMetadata()
     declared = DeclaredMetadata()
     info_creator = xmp_creator = None
-    info_ref_num = _info_object_number(sections)
     for obj in sections.objects:
-        if info_ref_num is not None and obj.obj_num == info_ref_num and obj.is_metadata:
+        if obj.obj_num == sections.info_obj_num:
             raw_producer = obj.values.get("/Producer")
             raw_creator = obj.values.get("/Creator")
             if raw_producer is not None:
@@ -165,17 +164,6 @@ def extract_declared(data: bytes, sections: PdfSections | None = None) -> Declar
     elif has_xmp:
         declared.source = MetadataSource.XMP
     return declared
-
-
-def _info_object_number(sections: PdfSections) -> int | None:
-    num = None
-    for trailer in sections.trailers:
-        ref = trailer.values.get("/Info") or trailer.values.get("/info")
-        if ref:
-            m = re.match(rb"(\d+)\s+(\d+)\s+R", ref.strip())
-            if m:
-                num = int(m.group(1))
-    return num
 
 
 # -- Normalization -------------------------------------------------------------

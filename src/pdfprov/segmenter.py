@@ -7,6 +7,15 @@ following the cross-reference offsets: the offsets may be absent or lie,
 and the style signals this package cares about live in the raw byte
 shapes anyway.
 
+Segmentation takes time linear in the input size.  One pass lexes the
+objects, and each object's ``endobj`` search stops at the next object
+header.  The ``xref`` and ``trailer`` keywords are searched for only in
+the gaps between objects.  Line ends and ``startxref`` positions are each
+found once, and a malformed trailer's recovery stops at the next trailer
+or object.  The exception is elements that overlap: a trailer dictionary
+or xref table that runs on past the next keyword of its kind (behind an
+unclosed string or comment, say) is scanned again from that keyword.
+
 All functions here are pure; the same input bytes always produce a
 structurally identical result.
 """
@@ -14,6 +23,7 @@ structurally identical result.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import NotAPdf
@@ -30,14 +40,21 @@ _MAGIC_RE = re.compile(rb"%PDF")
 _OBJ_RE = re.compile(
     rb"(\d{1,10})[\x00\t\n\x0c\r ]+(\d{1,5})[\x00\t\n\x0c\r ]+obj(?![0-9A-Za-z])"
 )
-_XREF_KW_RE = re.compile(rb"(?<![A-Za-z])xref(?![A-Za-z])")
-_TRAILER_KW_RE = re.compile(rb"(?<![A-Za-z])trailer(?![A-Za-z0-9])")
+# The rest of an indirect reference "N G R" after its first number.
+_REF_TAIL_RE = re.compile(rb"[\x00\t\n\x0c\r ]+(\d+)[\x00\t\n\x0c\r ]+R(?![0-9A-Za-z])")
 _SUBSECTION_RE = re.compile(rb"(\d+)[ \t]+(\d+)[ \t]*(?:\r\n|\r|\n)")
 # One table entry: 10-digit offset, 5-digit generation, n/f flag, then an
 # end-of-line of 0-2 bytes (producers vary; 20 bytes is the common case).
 _ENTRY_RE = re.compile(rb"(\d{10}) (\d{5}) ([nf])( \r\n| \r| \n|\r\n|\r|\n)?")
+_EOL_RE = re.compile(rb"[\r\n]")
 _STARTXREF_RE = re.compile(rb"startxref[\x00\t\n\x0c\r ]+(\d+)")
 _REF_RE = re.compile(rb"(\d+)[\x00\t\n\x0c\r ]+(\d+)[\x00\t\n\x0c\r ]+R(?![0-9A-Za-z])")
+
+_LETTERS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+# A keyword counts when no ASCII letter precedes it and none of these
+# bytes follows it.
+_XREF_KW = (b"xref", _LETTERS)
+_TRAILER_KW = (b"trailer", _LETTERS + b"0123456789")
 
 
 @dataclass(frozen=True)
@@ -133,6 +150,9 @@ class PdfSections:
     file_len: int
     classic_xref_absent: bool
     diagnostics: list[str] = field(default_factory=list)
+    # Object number of the Info dictionary: the /Info reference of the
+    # last trailer that has one.
+    info_obj_num: int | None = None
 
     @property
     def spans(self) -> dict[str, Span]:
@@ -157,8 +177,7 @@ def _skip_ws(data: bytes, i: int) -> int:
         if b in _WHITESPACE:
             i += 1
         elif b == 0x25:  # '%' comment runs to end of line
-            while i < n and data[i] not in b"\r\n":
-                i += 1
+            i = _line_end(data, i)
         else:
             break
     return i
@@ -209,7 +228,7 @@ def _skip_value(data: bytes, i: int, depth: int = 0) -> int:
     if i >= n:
         return i
     if depth > _MAX_NESTING:
-        return _recover_dict_end(data, i + 1)
+        return _recover_dict_end(data, i + 1, n)
     b = data[i]
     if b == 0x3C:  # '<'
         if data[i + 1 : i + 2] == b"<":
@@ -234,9 +253,7 @@ def _skip_value(data: bytes, i: int, depth: int = 0) -> int:
     if b in b"+-.0123456789":
         j = _scan_number(data, i)
         # A number may open an indirect reference: "N G R".
-        m = re.compile(rb"[\x00\t\n\x0c\r ]+(\d+)[\x00\t\n\x0c\r ]+R(?![0-9A-Za-z])").match(
-            data, j
-        )
+        m = _REF_TAIL_RE.match(data, j)
         return m.end() if m else j
     if data.startswith(b"true", i):
         return i + 4
@@ -248,19 +265,21 @@ def _skip_value(data: bytes, i: int, depth: int = 0) -> int:
 
 
 def _scan_dict(
-    data: bytes, i: int, depth: int = 0
+    data: bytes, i: int, depth: int = 0, recover_stop: int | None = None
 ) -> tuple[int, list[str], dict[str, bytes], bool]:
     """Parse the dictionary opening at ``i`` (must point at ``<<``).
 
     Returns ``(end, keys, values, ok)`` where ``end`` is the index just
     past the closing ``>>``, ``keys`` lists top-level keys in source
     order and ``values`` maps each key to the raw bytes of its value.
+    When the dictionary itself is malformed, recovery looks for its end
+    no further than ``recover_stop`` (default: the end of ``data``).
     """
     n = len(data)
     keys: list[str] = []
     values: dict[str, bytes] = {}
     if depth > _MAX_NESTING:
-        return _recover_dict_end(data, i + 2), keys, values, False
+        return _recover_dict_end(data, i + 2, n), keys, values, False
     i += 2
     while i < n:
         i = _skip_ws(data, i)
@@ -270,7 +289,8 @@ def _scan_dict(
             return i + 2, keys, values, True
         if data[i] != 0x2F:
             # Malformed: recover by balancing << >> pairs from here.
-            return _recover_dict_end(data, i), keys, values, False
+            stop = n if recover_stop is None else recover_stop
+            return _recover_dict_end(data, i, stop), keys, values, False
         key_end = _scan_name(data, i)
         key = data[i:key_end].decode("latin-1")
         keys.append(key)
@@ -281,21 +301,21 @@ def _scan_dict(
     return n, keys, values, False
 
 
-def _recover_dict_end(data: bytes, i: int) -> int:
+def _recover_dict_end(data: bytes, i: int, stop: int) -> int:
+    """Index past the ``>>`` that balances an open ``<<``, or ``stop``."""
     depth = 1
-    n = len(data)
-    while i < n:
-        if data.startswith(b"<<", i):
+    while i < stop:
+        if data.startswith(b"<<", i, stop):
             depth += 1
             i += 2
-        elif data.startswith(b">>", i):
+        elif data.startswith(b">>", i, stop):
             depth -= 1
             i += 2
             if depth == 0:
                 return i
         else:
             i += 1
-    return n
+    return max(i, stop)
 
 
 def _clean_token_start(data: bytes, pos: int) -> bool:
@@ -347,10 +367,8 @@ def _parse_header_with_diags(data: bytes) -> tuple[HeaderInfo, list[str]]:
 
 
 def _line_end(data: bytes, i: int) -> int:
-    n = len(data)
-    while i < n and data[i] not in b"\r\n":
-        i += 1
-    return i
+    m = _EOL_RE.search(data, i)
+    return m.start() if m else len(data)
 
 
 def _skip_eol(data: bytes, i: int) -> int:
@@ -364,14 +382,11 @@ def _skip_eol(data: bytes, i: int) -> int:
 def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
     objects: list[IndirectObject] = []
     diags: list[str] = []
-    pos = 0
     n = len(data)
-    while True:
-        m = _OBJ_RE.search(data, pos)
-        if not m:
-            break
+    m = _OBJ_RE.search(data)
+    while m:
         if not _clean_token_start(data, m.start()):
-            pos = m.start() + 1
+            m = _OBJ_RE.search(data, m.start() + 1)
             continue
         start = m.start()
         obj_num = int(m.group(1))
@@ -402,10 +417,12 @@ def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
                 )
                 break
             i += len(b"endstream")
-        end = data.find(b"endobj", i)
-        next_header = _OBJ_RE.search(data, i)
-        if end < 0 or (next_header and next_header.start() < end):
-            stop = next_header.start() if next_header else n
+        # The object ends at its endobj, or is cut off by the next header,
+        # which is also where the following object starts.
+        m = _OBJ_RE.search(data, i)
+        stop = m.start() if m else n
+        end = data.find(b"endobj", i, stop)
+        if end < 0:
             diags.append(f"TruncatedObject obj {obj_num} {gen_num}")
             objects.append(
                 IndirectObject(
@@ -414,7 +431,6 @@ def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
                     dict_span=dict_span, values=values,
                 )
             )
-            pos = stop
             continue
         end += len(b"endobj")
         objects.append(
@@ -423,25 +439,59 @@ def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
                 Span(start, end - start), dict_span=dict_span, values=values,
             )
         )
-        pos = end
     return objects, diags
 
 
-def _inside_any(spans: list[Span], pos: int) -> bool:
-    return any(s.offset <= pos < s.end for s in spans)
+def _gaps(objects: list[IndirectObject], n: int) -> list[tuple[int, int]]:
+    """The ``[start, stop)`` ranges of ``data[:n]`` outside every object."""
+    gaps = []
+    prev = 0
+    for obj in objects:
+        gaps.append((prev, obj.span.offset))
+        prev = obj.span.end
+    gaps.append((prev, n))
+    return gaps
+
+
+def _keyword_hits(
+    data: bytes, gaps: list[tuple[int, int]], keyword: tuple[bytes, bytes]
+) -> list[tuple[int, int]]:
+    """``(offset, gap stop)`` of every keyword that starts inside a gap.
+
+    ``keyword`` is a (word, bytes that may not follow it) pair.  An object
+    starts with a digit, so a word starting in a gap also ends in it.
+    """
+    word, followers = keyword
+    size = len(word)
+    n = len(data)
+    hits = []
+    for start, stop in gaps:
+        p = data.find(word, start, stop)
+        while p >= 0:
+            if ((p == 0 or data[p - 1] not in _LETTERS)
+                    and (p + size == n or data[p + size] not in followers)):
+                hits.append((p, stop))
+            p = data.find(word, p + size, stop)
+    return hits
 
 
 def _lex_xref_tables(
-    data: bytes, object_spans: list[Span]
+    data: bytes, hits: list[tuple[int, int]]
 ) -> tuple[list[XrefTable], list[str]]:
     tables: list[XrefTable] = []
     diags: list[str] = []
-    for m in _XREF_KW_RE.finditer(data):
-        if _inside_any(object_spans, m.start()):
-            continue
-        i = _skip_eol(data, _line_end(data, m.end()))
-        if not _SUBSECTION_RE.match(data, i):
-            continue  # keyword without a subsection header: not a table
+    # The last line end found and the position searched from: no CR or LF
+    # lies between them, so a later query in that range needs no search.
+    last = (0, -1)
+
+    def line_end(i: int) -> int:
+        nonlocal last
+        if not last[0] <= i <= last[1]:
+            last = (i, _line_end(data, i))
+        return last[1]
+
+    for start, _ in hits:
+        i = _skip_eol(data, line_end(start + len(b"xref")))
         subsections: list[XrefSubsection] = []
         total = 0
         while True:
@@ -460,7 +510,7 @@ def _lex_xref_tables(
                         diags.append(f"XrefTruncatedSubsection at offset {i}")
                         break
                     diags.append(f"MalformedXrefEntry at offset {i}")
-                    nl = _skip_eol(data, _line_end(data, i))
+                    nl = _skip_eol(data, line_end(i))
                     if nl == i:
                         break
                     i = nl
@@ -476,35 +526,40 @@ def _lex_xref_tables(
             subsections.append(XrefSubsection(first_obj, count, entries))
             total += len(entries)
         if total == 0:
+            # A keyword without a subsection header is not a table, and
             # "xref 0 0" placeholders (hybrid-reference files) carry no
             # offsets and do not count as a table of their own.
             continue
-        tables.append(
-            XrefTable(subsections, m.start(), data[m.start() : i], Span(m.start(), i - m.start()))
-        )
+        tables.append(XrefTable(subsections, start, data[start:i], Span(start, i - start)))
     return tables, diags
 
 
 def _lex_trailers(
-    data: bytes, objects: list[IndirectObject]
+    data: bytes, objects: list[IndirectObject], hits: list[tuple[int, int]]
 ) -> tuple[list[TrailerDict], list[str]]:
     trailers: list[TrailerDict] = []
     diags: list[str] = []
-    object_spans = [o.span for o in objects]
-    for m in _TRAILER_KW_RE.finditer(data):
-        if _inside_any(object_spans, m.start()):
-            continue
-        i = _skip_ws(data, m.end())
+    startxrefs = list(_STARTXREF_RE.finditer(data))
+    starts = [m.start() for m in startxrefs]
+
+    def next_startxref(pos: int) -> int | None:
+        k = bisect_left(starts, pos)
+        return int(startxrefs[k].group(1)) if k < len(starts) else None
+
+    for k, (start, gap_stop) in enumerate(hits):
+        i = _skip_ws(data, start + len(b"trailer"))
         if not data.startswith(b"<<", i):
             continue
-        end, keys, values, ok = _scan_dict(data, i)
+        # A malformed dictionary ends, at the latest, where the next
+        # trailer keyword or the next object begins.
+        stop = min(hits[k + 1][0], gap_stop) if k + 1 < len(hits) else gap_stop
+        end, keys, values, ok = _scan_dict(data, i, recover_stop=stop)
         if not ok:
-            diags.append(f"MalformedTrailer at offset {m.start()}")
+            diags.append(f"MalformedTrailer at offset {start}")
             keys, values = [], {}
-        raw = data[m.start() : end]
         trailers.append(
             TrailerDict(
-                keys, raw, _next_startxref(data, end), Span(m.start(), end - m.start()),
+                keys, data[start:end], next_startxref(end), Span(start, end - start),
                 values=values,
             )
         )
@@ -515,7 +570,7 @@ def _lex_trailers(
                 TrailerDict(
                     list(obj.dict_keys),
                     data[sp.offset : sp.end],
-                    _next_startxref(data, obj.span.end),
+                    next_startxref(obj.span.end),
                     sp,
                     from_xref_stream=True,
                     values=dict(obj.values),
@@ -525,13 +580,11 @@ def _lex_trailers(
     return trailers, diags
 
 
-def _next_startxref(data: bytes, pos: int) -> int | None:
-    m = _STARTXREF_RE.search(data, pos)
-    return int(m.group(1)) if m else None
+def _flag_metadata(objects: list[IndirectObject], trailers: list[TrailerDict]) -> int | None:
+    """Mark the Info target and /Type /Metadata streams as metadata.
 
-
-def _flag_metadata(objects: list[IndirectObject], trailers: list[TrailerDict]) -> None:
-    """Mark the Info target and /Type /Metadata streams as metadata."""
+    Returns the Info object number, if a trailer names one.
+    """
     info_num: int | None = None
     for trailer in trailers:  # later revisions win
         # "/info" tolerates one producer's lowercase spelling of the key.
@@ -545,31 +598,37 @@ def _flag_metadata(objects: list[IndirectObject], trailers: list[TrailerDict]) -
             obj.is_metadata = True
         if info_num is not None and obj.obj_num == info_num:
             obj.is_metadata = True
+    return info_num
 
 
-def _lex_all(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[TrailerDict], list[str]]:
+def _lex_all(
+    data: bytes,
+) -> tuple[list[IndirectObject], list[XrefTable], list[TrailerDict], int | None, list[str]]:
     objects, diags = _lex_objects(data)
-    tables, xref_diags = _lex_xref_tables(data, [o.span for o in objects])
-    trailers, trailer_diags = _lex_trailers(data, objects)
-    _flag_metadata(objects, trailers)
-    return objects, tables, trailers, diags + xref_diags + trailer_diags
+    gaps = _gaps(objects, len(data))
+    tables, xref_diags = _lex_xref_tables(data, _keyword_hits(data, gaps, _XREF_KW))
+    trailers, trailer_diags = _lex_trailers(
+        data, objects, _keyword_hits(data, gaps, _TRAILER_KW)
+    )
+    info_num = _flag_metadata(objects, trailers)
+    return objects, tables, trailers, info_num, diags + xref_diags + trailer_diags
 
 
 def extract_objects(data: bytes) -> list[IndirectObject]:
     """Return every indirect object in file-byte order, metadata flagged."""
-    objects, _, _, _ = _lex_all(data)
+    objects, _, _, _, _ = _lex_all(data)
     return objects
 
 
 def parse_xref(data: bytes) -> list[XrefTable]:
     """Return every classic cross-reference table, in byte order."""
-    _, tables, _, _ = _lex_all(data)
+    _, tables, _, _, _ = _lex_all(data)
     return tables
 
 
 def extract_trailers(data: bytes) -> list[TrailerDict]:
     """Return classic trailers and xref-stream dictionaries, in byte order."""
-    _, _, trailers, _ = _lex_all(data)
+    _, _, trailers, _, _ = _lex_all(data)
     return trailers
 
 
@@ -579,7 +638,7 @@ def segment(data: bytes) -> PdfSections:
     Raises :class:`NotAPdf` when no %PDF magic is found near the start.
     """
     header, diags = _parse_header_with_diags(data)
-    objects, tables, trailers, lex_diags = _lex_all(data)
+    objects, tables, trailers, info_num, lex_diags = _lex_all(data)
     return PdfSections(
         header=header,
         objects=objects,
@@ -588,4 +647,5 @@ def segment(data: bytes) -> PdfSections:
         file_len=len(data),
         classic_xref_absent=not tables,
         diagnostics=diags + lex_diags,
+        info_obj_num=info_num,
     )

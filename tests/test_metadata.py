@@ -37,6 +37,14 @@ def test_absent_metadata():
     assert declared.source is None
 
 
+def test_info_reference_with_nul_separators():
+    # NUL is PDF whitespace, so "9\x000 R" is a reference to object 9.
+    data = (b"%PDF-1.4\n"
+            b"9 0 obj\n<</Producer (A)>>\nendobj\n"
+            b"trailer\n<</Size 10/Info 9\x000\x00R>>\n")
+    assert extract_declared(data).info_producer == "A"
+
+
 def _xmp_object(num: int, producer: str) -> bytes:
     xml = (f'<x:xmpmeta><rdf:Description pdf:Producer="{producer}" '
            f'xmp:CreatorTool="Tool"/></x:xmpmeta>').encode()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,11 @@ from conftest import (
 )
 from pdfprov.errors import NotAPdf
 from pdfprov.segmenter import (
+    _TRAILER_KW,
+    _XREF_KW,
+    _gaps,
+    _keyword_hits,
+    _lex_objects,
     extract_objects,
     extract_trailers,
     parse_header,
@@ -205,6 +212,14 @@ def test_xref_stream_dict_is_a_trailer():
     assert trailer.startxref_value == 9
 
 
+def test_malformed_trailer_stops_at_the_next_trailer_or_object():
+    first, second = extract_trailers(b"trailer\n<< <<x\ntrailer\n<</Size 1>>\n")
+    assert first.raw == b"trailer\n<< <<x\n"
+    assert second.keys == ["/Size"]
+    (trailer,) = extract_trailers(b"trailer\n<< <<x\n1 0 obj\n<<>>\nendobj\n")
+    assert trailer.raw == b"trailer\n<< <<x\n"
+
+
 # -- segment -------------------------------------------------------------------
 
 
@@ -249,6 +264,7 @@ def test_only_those_objects_flagged():
     sections = segment(data)
     flags = {o.obj_num: o.is_metadata for o in sections.objects}
     assert flags == {1: False, 9: True}
+    assert sections.info_obj_num == 9
 
 
 def test_span_coverage_and_determinism(corpus_bytes):
@@ -314,3 +330,28 @@ def test_key_order_preserved_for_any_permutation(keys, rng):
 
     trailer = b"trailer\n<<" + body + b">>\n"
     assert extract_trailers(trailer)[0].keys == shuffled
+
+
+# -- keyword search between objects --------------------------------------------
+
+# The whole-file keyword regexes the gap search replaced, kept as its oracle.
+_XREF_ORACLE_RE = re.compile(rb"(?<![A-Za-z])xref(?![A-Za-z])")
+_TRAILER_ORACLE_RE = re.compile(rb"(?<![A-Za-z])trailer(?![A-Za-z0-9])")
+
+_FRAGMENTS = [b"xref", b"xrefs", b"trailer", b"Atrailer", b"trailer1", b"1 0 obj",
+              b"12 0 obj", b"endobj", b"stream\n", b"endstream", b"<<", b">>", b"(",
+              b"%", b" ", b"\n", b"x", b"7"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=40))
+def test_gap_keyword_search_matches_lookbehind_regexes(parts):
+    data = b"".join(parts)
+    objects, _ = _lex_objects(data)
+    gaps = _gaps(objects, len(data))
+    for oracle, keyword in ((_XREF_ORACLE_RE, _XREF_KW), (_TRAILER_ORACLE_RE, _TRAILER_KW)):
+        expected = [
+            m.start() for m in oracle.finditer(data)
+            if not any(o.span.offset <= m.start() < o.span.end for o in objects)
+        ]
+        assert [p for p, _ in _keyword_hits(data, gaps, keyword)] == expected
