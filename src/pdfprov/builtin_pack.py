@@ -1,309 +1,24 @@
 """The builtin producer-signature pack.
 
-Every signature here is a published, verifiable fact about a producer
-tool: the binary header comments the tools emit, the order of keys in
-their trailer dictionaries, whether they write a classic xref table at
-all, and a handful of body/trailer templates.  The full signature sets
-these tools are known to have are larger but unpublished; deriving more
-rules from a labeled corpus is what :mod:`pdfprov.miner` is for.
-
-The same data is rendered into ``builtin.rules`` (shipped next to this
-module) so extension packs can be diffed against it.
+``builtin.rules``, shipped next to this module, is the pack's only
+definition: published, verifiable facts about the producer tools (header
+magic numbers, trailer key orders, classic-xref presence and a handful of
+body/trailer templates).  It is parsed, validated and compiled by
+:func:`pdfprov.rules.load_rulepack`, as user and mined packs are.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 
-from .producers import Distro, OpSys, Producer
-from .rules import Rule, RuleKind, Rulepack, SectionKind, render_rulepack
-
-_W = OpSys.WINDOWS.value
-_L = OpSys.LINUX.value
-_M = OpSys.MACOS.value
-_TL = Distro.TEXLIVE.value
-_MIK = Distro.MIKTEX.value
-
-
-@dataclass(frozen=True)
-class MagicRow:
-    """One header producer-magic-number fact."""
-
-    rule_id: str
-    producer: Producer
-    magic: bytes
-    os_tags: frozenset[str] = frozenset()
-    distro_tags: frozenset[str] = frozenset()
-    note: str = ""
-
-
-# OS/distro tags follow intersection semantics: a tag set covering every
-# possibility carries no information, so such rows stay untagged.
-MAGIC_ROWS: tuple[MagicRow, ...] = (
-    MagicRow("header-acrobat-distiller", Producer.ACROBAT_DISTILLER, bytes.fromhex("E2E3CFD3")),
-    MagicRow("header-word", Producer.MICROSOFT_OFFICE_WORD, bytes.fromhex("B5B5B5B5"),
-             frozenset({_W})),
-    MagicRow("header-pdftex", Producer.PDFTEX, bytes.fromhex("D0D4C5D8"),
-             note="all three OSs, TeX Live and MikTeX"),
-    MagicRow("header-luatex-texlive-linux", Producer.LUATEX, bytes.fromhex("D0D4C5D8"),
-             frozenset({_L}), frozenset({_TL}),
-             note="same bytes as pdfTeX; TeX Live on Linux only"),
-    MagicRow("header-luatex-miktex-linux", Producer.LUATEX,
-             bytes.fromhex("CCD5C1D4C5D8D0C4C6"), frozenset({_L}), frozenset({_MIK})),
-    MagicRow("header-luatex-macos-windows", Producer.LUATEX,
-             bytes.fromhex("CCD5C1D4C5D8D0C4C6"), frozenset({_M, _W}),
-             note="both distributions"),
-    MagicRow("header-xdvipdfmx", Producer.XDVIPDFMX, bytes.fromhex("E4F0EDF8")),
-    MagicRow("header-ghostscript", Producer.GHOSTSCRIPT, bytes.fromhex("C7EC8FA2"),
-             note="distribution-independent; left untagged"),
-    MagicRow("header-libreoffice", Producer.LIBREOFFICE, bytes.fromhex("C3A4C3BCC3B6C39F"),
-             frozenset({_L})),
-    MagicRow("header-quartz", Producer.MACOS_QUARTZ,
-             bytes.fromhex("C4E5F2E5EBA7F3A0D0C4C6"), frozenset({_M})),
-    MagicRow("header-cairo", Producer.CAIRO, bytes.fromhex("B5EDAEFB")),
-    MagicRow("header-skia", Producer.SKIA_PDF, bytes.fromhex("D3EBE9E1")),
-    MagicRow("header-pdflatex", Producer.PDFLATEX, bytes.fromhex("F6E4FCDF"),
-             note="hosted compilation service; platform unknown, left untagged"),
-)
-
-
-@dataclass(frozen=True)
-class MagicNumberEntry:
-    """One distinct magic value and every producer that emits it."""
-
-    magic: bytes
-    producers: frozenset[tuple[str, frozenset[str], frozenset[str]]]
-
-
-def magic_number_entries() -> list[MagicNumberEntry]:
-    grouped: dict[bytes, set[tuple[str, frozenset[str], frozenset[str]]]] = {}
-    for row in MAGIC_ROWS:
-        grouped.setdefault(row.magic, set()).add(
-            (row.producer.value, row.os_tags, row.distro_tags)
-        )
-    return [MagicNumberEntry(m, frozenset(p)) for m, p in grouped.items()]
-
-
-@dataclass(frozen=True)
-class TrailerKeySignature:
-    """One trailer key-order fact, with the tools that share it."""
-
-    rule_id: str
-    producer: Producer
-    key_sequence: tuple[str, ...]
-    classic: bool  # True: "trailer <<...>>"; False: xref-stream dictionary
-    distro_tags: frozenset[str] = frozenset()
-    shared_with: frozenset[str] = frozenset()
-    note: str = ""
-    info_lowercase: bool = False  # source sequence spells "/info"
-
-
-_XS_TEX = ("/Type", "/XRef", "/Index", "/Size", "/W", "/Root", "/Info", "/ID",
-           "/Length", "/Filter", "/FlateDecode")
-_CLASSIC_4 = ("/Size", "/Root", "/Info", "/ID")
-
-TRAILER_ROWS: tuple[TrailerKeySignature, ...] = (
-    TrailerKeySignature(
-        "trailer-acrobat-distiller", Producer.ACROBAT_DISTILLER,
-        ("/DecodeParms", "/Columns", "/Predictor", "/Filter", "/FlateDecode", "/ID",
-         "/Info", "/Length", "/Root", "/Size", "/Type", "/XRef", "/W"),
-        classic=False,
-    ),
-    TrailerKeySignature(
-        "trailer-luatex-texlive", Producer.LUATEX, _XS_TEX, classic=False,
-        distro_tags=frozenset({_TL}), shared_with=frozenset({Producer.PDFTEX.value}),
-    ),
-    TrailerKeySignature(
-        "trailer-pdftex-texlive", Producer.PDFTEX, _XS_TEX, classic=False,
-        distro_tags=frozenset({_TL}), shared_with=frozenset({Producer.LUATEX.value}),
-    ),
-    TrailerKeySignature(
-        "trailer-luatex-miktex", Producer.LUATEX, _CLASSIC_4, classic=True,
-        distro_tags=frozenset({_MIK}),
-        shared_with=frozenset({Producer.PDFTEX.value, Producer.GHOSTSCRIPT.value,
-                               Producer.MACOS_QUARTZ.value}),
-    ),
-    TrailerKeySignature(
-        "trailer-pdftex-miktex", Producer.PDFTEX, _CLASSIC_4, classic=True,
-        distro_tags=frozenset({_MIK}),
-        shared_with=frozenset({Producer.LUATEX.value, Producer.GHOSTSCRIPT.value,
-                               Producer.MACOS_QUARTZ.value}),
-    ),
-    TrailerKeySignature(
-        "trailer-ghostscript", Producer.GHOSTSCRIPT, _CLASSIC_4, classic=True,
-        shared_with=frozenset({Producer.LUATEX.value, Producer.PDFTEX.value,
-                               Producer.MACOS_QUARTZ.value}),
-    ),
-    TrailerKeySignature(
-        "trailer-xdvipdfmx", Producer.XDVIPDFMX,
-        ("/Type", "/XRef", "/Root", "/Info", "/ID", "/Size", "/W", "/Filter",
-         "/FlateDecode", "/Length"),
-        classic=False,
-    ),
-    TrailerKeySignature(
-        "trailer-word", Producer.MICROSOFT_OFFICE_WORD,
-        ("/Size", "/Root", "/Info", "/ID", "/Prev", "/XRefStm"), classic=True,
-    ),
-    TrailerKeySignature(
-        "trailer-libreoffice", Producer.LIBREOFFICE,
-        ("/Size", "/Root", "/Info", "/ID", "/DocChecksum"), classic=True,
-    ),
-    TrailerKeySignature(
-        "trailer-quartz", Producer.MACOS_QUARTZ, _CLASSIC_4, classic=True,
-        shared_with=frozenset({Producer.LUATEX.value, Producer.PDFTEX.value,
-                               Producer.GHOSTSCRIPT.value}),
-    ),
-    TrailerKeySignature(
-        "trailer-cairo", Producer.CAIRO, ("/Size", "/Root", "/Info"), classic=True,
-        shared_with=frozenset({Producer.SKIA_PDF.value}),
-    ),
-    TrailerKeySignature(
-        "trailer-skia", Producer.SKIA_PDF, ("/Size", "/Root", "/Info"), classic=True,
-        shared_with=frozenset({Producer.CAIRO.value}),
-    ),
-    TrailerKeySignature(
-        "trailer-pdflatex", Producer.PDFLATEX, ("/Root", "/Info", "/ID", "/Size"),
-        classic=True, info_lowercase=True,
-        note="source sequence spells '/info'; the pattern accepts either casing",
-    ),
-)
-
-
-def keyorder_pattern(sig: TrailerKeySignature) -> str:
-    """Byte-regex matching trailers with exactly this key sequence.
-
-    Values between keys are matched by ``[^/]*``, which absorbs numbers,
-    arrays, strings and nested-dictionary delimiters but can never cross
-    another name token, so extra keys make the match fail.  /DocChecksum
-    is the one key whose value is itself a (hex-digit) name; it gets an
-    explicit optional value matcher.
-    """
-    parts = ["^trailer\\s*<<\\s*" if sig.classic else "^<<\\s*"]
-    for token in sig.key_sequence:
-        if token == "/Info" and sig.info_lowercase:
-            parts.append("/[Ii]nfo")
-        else:
-            parts.append(token)
-        if token == "/DocChecksum":
-            parts.append("(\\s*/[0-9A-Fa-f]+)?")
-        parts.append("[^/]*")
-    parts.append(">>")
-    return "".join(parts)
-
-
-_KEY_TOKEN_RE = re.compile(r"/(?:\[Ii\]nfo|[A-Za-z][A-Za-z0-9]*)")
-
-
-def keyorder_key_list(pattern: str) -> list[str]:
-    """Recover the key sequence a keyorder pattern asserts."""
-    return [
-        "/Info" if tok == "/[Ii]nfo" else tok for tok in _KEY_TOKEN_RE.findall(pattern)
-    ]
-
-
-def magic_pattern(magic: bytes) -> str:
-    return "^" + "".join(f"\\x{b:02X}" for b in magic)
-
-
-def magic_pattern_bytes(pattern: str) -> bytes:
-    """Decode a header magic pattern back to its raw bytes."""
-    return bytes(int(h, 16) for h in re.findall(r"\\x([0-9A-Fa-f]{2})", pattern))
-
-
-# Body and trailer templates transcribed from published examples of the
-# tools' serialization styles.
-TEMPLATE_RULES: tuple[tuple[str, Producer, SectionKind, str], ...] = (
-    ("body-pdftex-stream", Producer.PDFTEX, SectionKind.BODY,
-     "obj\\n<</Length [0-9]+ +/Filter/FlateDecode>>\\nstream\\n"),
-    ("body-luatex-stream", Producer.LUATEX, SectionKind.BODY,
-     "obj\\n<<\\n/Length [0-9]+ +\\n/Filter /FlateDecode\\n>>\\nstream\\n"),
-    ("body-word-stream", Producer.MICROSOFT_OFFICE_WORD, SectionKind.BODY,
-     "4 0 obj\\r\\n<</Filter/FlateDecode/Length [0-9]*>>\\r\\nstream\\r\\n"),
-    ("trailer-word-double", Producer.MICROSOFT_OFFICE_WORD, SectionKind.TRAILER,
-     "/Prev [0-9]+/XRefStm [0-9]+>>"),
-)
-
-# Known sizes of the producers' full (mostly unpublished) signature sets,
-# for the coverage note in the pack manifest.
-FULL_RULE_COUNTS: dict[Producer, int] = {
-    Producer.ACROBAT_DISTILLER: 13,
-    Producer.MICROSOFT_OFFICE_WORD: 16,
-    Producer.LIBREOFFICE: 15,
-    Producer.GHOSTSCRIPT: 15,
-    Producer.MACOS_QUARTZ: 30,
-    Producer.PDFTEX: 31,
-    Producer.SKIA_PDF: 12,
-    Producer.CAIRO: 16,
-    Producer.XDVIPDFMX: 13,
-    Producer.LUATEX: 22,
-    Producer.PDFLATEX: 9,
-}
+from .rules import Rule, Rulepack, load_rulepack
 
 
 def build_rules() -> list[Rule]:
-    rules: list[Rule] = []
-    for row in MAGIC_ROWS:
-        rules.append(
-            Rule.make(row.rule_id, row.producer.value, SectionKind.HEADER,
-                      RuleKind.MAGIC, magic_pattern(row.magic),
-                      row.os_tags, row.distro_tags)
-        )
-    for rid, producer, section, pattern in TEMPLATE_RULES:
-        rules.append(Rule.make(rid, producer.value, section, RuleKind.TEMPLATE, pattern))
-    # Presence facts: only two tools omit the classic table entirely, and
-    # pdfTeX emits one only under MikTeX.  The presence rule is matched on
-    # the 'P' token and therefore advisory (see pdfprov.rules).
-    rules.append(Rule.make("xref-absent-acrobat-distiller",
-                           Producer.ACROBAT_DISTILLER.value, SectionKind.XREF,
-                           RuleKind.PRESENCE, "^A$"))
-    rules.append(Rule.make("xref-absent-xdvipdfmx", Producer.XDVIPDFMX.value,
-                           SectionKind.XREF, RuleKind.PRESENCE, "^A$"))
-    rules.append(Rule.make("xref-present-pdftex-miktex", Producer.PDFTEX.value,
-                           SectionKind.XREF, RuleKind.PRESENCE, "^P$",
-                           distro_tags=frozenset({_MIK})))
-    for sig in TRAILER_ROWS:
-        rules.append(
-            Rule.make(sig.rule_id, sig.producer.value, SectionKind.TRAILER,
-                      RuleKind.KEYORDER, keyorder_pattern(sig),
-                      distro_tags=sig.distro_tags)
-        )
-    return rules
-
-
-def _manifest_comment() -> str:
-    lines = [
-        "pdfprov builtin rulepack",
-        "",
-        "Only published, verifiable signatures are encoded here.  The",
-        "producers' full signature sets are larger; coverage per tool",
-        "(rules in this pack / known full set):",
-    ]
-    pack_counts: dict[str, int] = {}
-    for rule in build_rules():
-        pack_counts[rule.producer] = pack_counts.get(rule.producer, 0) + 1
-    for producer in Producer:
-        lines.append(
-            f"  {producer.value:<22} {pack_counts.get(producer.value, 0)}/{FULL_RULE_COUNTS[producer]}"
-        )
-    lines += [
-        "",
-        "Notes:",
-        "  - the ghostscript header magic is listed alongside TeX Live and",
-        "    MikTeX in its source, although ghostscript is not a TeX tool;",
-        "    it is kept distribution-untagged here.",
-        "  - the PDFLaTeX trailer sequence spells '/info' in lowercase in",
-        "    its source; the pattern accepts both spellings.",
-        "  - os/distro tag sets covering every possibility are encoded as",
-        "    untagged (intersection semantics).",
-    ]
-    return "\n".join(lines)
-
-
-def render_builtin_rules() -> str:
-    """The builtin pack in rule-file form (content of builtin.rules)."""
-    return render_rulepack(build_rules(), _manifest_comment())
+    """Load the rules of the shipped ``builtin.rules``."""
+    text = Path(__file__).with_name("builtin.rules").read_text(encoding="utf-8")
+    return load_rulepack(text).rules
 
 
 @lru_cache(maxsize=1)

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .builtin_pack import builtin
-from .detector import detect
+from .detector import Verdict, classify, detect
 from .errors import EmptyGroup, PdfProvError
 from .fixtures import emit_corpus
 from .metadata import (
@@ -76,11 +76,17 @@ def _error_object(path: str, exc: Exception) -> dict:
 def scan_bytes(label: str, data: bytes, pack: Rulepack,
                only: list[SectionKind] | None = None) -> ScanReport:
     """Run the full per-file pipeline and assemble a report."""
+    return _scan(label, data, pack, only)[0]
+
+
+def _scan(label: str, data: bytes, pack: Rulepack,
+          only: list[SectionKind] | None) -> tuple[ScanReport, Verdict]:
     sections = segment(data)
     verdict = detect(pack, data, sections=sections, only=only)
     declared = extract_declared(data, sections=sections)
     status, _ = consistency_status(declared, verdict)
-    return build_scan_report(label, verdict, declared, status, sections.diagnostics)
+    report = build_scan_report(label, verdict, declared, status, sections.diagnostics)
+    return report, verdict
 
 
 def _read_input(path: str) -> bytes:
@@ -166,12 +172,14 @@ def cmd_batch(args: argparse.Namespace) -> int:
     jobs = args.jobs or os.cpu_count() or 1
 
     def work(entry: tuple[str, Path, str | None]):
-        label, path, manifest_truth = entry
+        label, path, truth = entry
         try:
-            report = scan_bytes(label, path.read_bytes(), pack, only)
+            report, verdict = _scan(label, path.read_bytes(), pack, only)
         except (PdfProvError, OSError) as exc:
-            return label, None, manifest_truth, f"{type(exc).__name__}: {exc}"
-        return label, report, manifest_truth, None
+            return label, None, None, None, f"{type(exc).__name__}: {exc}"
+        if args.truth == "metadata":
+            truth = normalize_producer_string(report.declared_producer)
+        return label, report, truth, classify(verdict, truth) if truth else None, None
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -183,22 +191,13 @@ def cmd_batch(args: argparse.Namespace) -> int:
     stats = BatchStats()
     rows: list[list[str]] = []
     file_dicts: list[dict] = []
-    for label, report, manifest_truth, error in results:
+    for label, report, truth, outcome, error in results:
         if report is None:
             stats.errors.append((label, error or "error"))
             stats.total += 1
             rows.append([label, "error"] + [""] * (len(CSV_COLUMNS) - 3) + [error or ""])
             continue
-        if args.truth == "metadata":
-            truth = normalize_producer_string(report.declared_producer)
-        else:
-            truth = manifest_truth
-        outcome = None
-        file_class = ""
-        if truth:
-            # Classification needs only the candidate sets, which the
-            # report already carries; no second scan.
-            outcome, file_class = _classify_report(report, truth)
+        file_class = outcome.file_status.value if outcome else ""
         stats.add(truth, report.verdict_kind, report.producer, outcome, bool(report.os))
         rows.append(csv_row(report, truth or "", file_class))
         payload = report.to_dict()
@@ -217,35 +216,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(stats.render_tables())
     return EXIT_PRODUCER
-
-
-def _classify_report(report: ScanReport, truth: str):
-    from .detector import (  # local import keeps module load light
-        OutcomeClass,
-        Refinement,
-        SectionOutcome,
-        Status,
-    )
-
-    sections = {}
-    for s in report.sections:
-        kind = SectionKind(s.kind)
-        candidates = set(s.candidates)
-        if not candidates:
-            sections[kind] = SectionOutcome(Status.NO_RESULT)
-            continue
-        status = Status.CORRECT if candidates == {truth} else Status.WRONG
-        refinement = None
-        if len(candidates) == 2:
-            refinement = Refinement.CONFUSED if truth in candidates else Refinement.ERROR
-        sections[kind] = SectionOutcome(status, refinement)
-    if report.verdict_kind == "no_result":
-        file_status = Status.NO_RESULT
-    elif report.verdict_kind == "producer" and report.producer == truth:
-        file_status = Status.CORRECT
-    else:
-        file_status = Status.WRONG
-    return OutcomeClass(file_status, sections), file_status.value
 
 
 def _render_csv(rows: list[list[str]]) -> str:

@@ -65,6 +65,7 @@ class Verdict:
     votes: dict[str, int]
     section_verdicts: dict[SectionKind, SectionVerdict]
     os_candidates: tuple[tuple[str, str | None], ...] = ()
+    # Filled in by detect(): every matched rule id per section.
     evidence: dict[SectionKind, tuple[str, ...]] = field(default_factory=dict)
 
 
@@ -111,23 +112,19 @@ def majority_vote(section_verdicts: Mapping[SectionKind, SectionVerdict]) -> Ver
             continue
         for producer in sv.candidates:
             votes[producer] = votes.get(producer, 0) + 1
-    evidence = {
-        kind: tuple(sorted({m.rule_id for m in sv.supporting_matches}))
-        for kind, sv in section_verdicts.items()
-    }
     ordered_votes = dict(sorted(votes.items()))
     if not votes:
         return Verdict(VerdictKind.NO_RESULT, None, frozenset(), ordered_votes,
-                       dict(section_verdicts), evidence=evidence)
+                       dict(section_verdicts))
     top = max(votes.values())
     leaders = frozenset(p for p, v in votes.items() if v == top)
     if len(leaders) == 1:
         # A lone leader with a single vote can still win, but only because
         # nobody else received any vote at all: a 1-1 split is ambiguous.
         return Verdict(VerdictKind.PRODUCER, next(iter(leaders)), leaders,
-                       ordered_votes, dict(section_verdicts), evidence=evidence)
+                       ordered_votes, dict(section_verdicts))
     return Verdict(VerdictKind.AMBIGUOUS, None, leaders, ordered_votes,
-                   dict(section_verdicts), evidence=evidence)
+                   dict(section_verdicts))
 
 
 def detect_os(

@@ -23,10 +23,12 @@ from pathlib import Path
 from .errors import EmptyGroup, SectionAbsentEverywhere
 from .producers import Producer
 from .rules import (
+    Rule,
     RuleKind,
     SectionKind,
     SECTION_ORDER,
     compile_pattern,
+    render_rulepack,
     section_elements,
 )
 from .segmenter import PdfSections, segment
@@ -410,10 +412,10 @@ def emit_rulepack(candidates: dict[str, list[CandidatePattern]], name: str,
     shares a label.  The output always re-loads through ``load_rulepack``.
     """
     group_labels = group_labels or {}
-    lines = [f"# mined rulepack: {name}", "# generated by pdfprov mine"]
-    blocks = ["\n".join(lines)]
+    rules: list[Rule] = []
     for producer in sorted(candidates):
         slug = producer_slug(producer)
+        os_label, distro_label = group_labels.get(producer, ("", ""))
         per_section: dict[SectionKind, int] = {}
         for cand in sorted(
             candidates[producer],
@@ -421,20 +423,13 @@ def emit_rulepack(candidates: dict[str, list[CandidatePattern]], name: str,
         ):
             idx = per_section.get(cand.section, 0)
             per_section[cand.section] = idx + 1
-            os_label, distro_label = group_labels.get(producer, ("", ""))
-            block = [f"rule {slug}-{cand.section.value}-{idx} {{"]
-            block.append(f"  producer = {producer}")
-            block.append(f"  section  = {cand.section.value}")
-            block.append(f"  kind     = {cand.kind.value}")
-            if os_label:
-                block.append(f"  os       = [{os_label}]")
-            if distro_label:
-                block.append(f"  distro   = [{distro_label}]")
-            pattern = cand.template.replace('"', '\\"')
-            block.append(f'  pattern  = "{pattern}"')
-            block.append("}")
-            blocks.append("\n".join(block))
-    return "\n\n".join(blocks) + "\n"
+            rules.append(Rule(
+                f"{slug}-{cand.section.value}-{idx}", producer, cand.section, cand.kind,
+                cand.template,
+                frozenset({os_label}) if os_label else frozenset(),
+                frozenset({distro_label}) if distro_label else frozenset(),
+            ))
+    return render_rulepack(rules, f"mined rulepack: {name}\ngenerated by pdfprov mine")
 
 
 def uniform_group_labels(corpus: LabeledCorpus) -> dict[str, tuple[str, str]]:

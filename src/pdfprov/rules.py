@@ -83,21 +83,6 @@ class Rule:
     distro_tags: frozenset[str] = frozenset()
     regex: re.Pattern[bytes] = field(compare=False, hash=False, repr=False, default=None)  # type: ignore[assignment]
 
-    @staticmethod
-    def make(
-        id: str,
-        producer: str,
-        section: SectionKind,
-        kind: RuleKind,
-        pattern: str,
-        os_tags: frozenset[str] = frozenset(),
-        distro_tags: frozenset[str] = frozenset(),
-    ) -> "Rule":
-        return Rule(
-            id, producer_name(producer), section, kind, pattern,
-            os_tags, distro_tags, compile_pattern(pattern, id),
-        )
-
 
 @dataclass
 class Rulepack:
@@ -264,14 +249,16 @@ def _finish_rule(fields: dict[str, object], lineno: int) -> Rule:
     for required in ("producer", "section", "kind", "pattern"):
         if required not in fields:
             raise RuleParseError(lineno, f"rule {fields['id']!r} is missing {required!r}")
-    return Rule.make(
-        str(fields["id"]),
-        str(fields["producer"]),
+    rid, pattern = str(fields["id"]), str(fields["pattern"])
+    return Rule(
+        rid,
+        producer_name(str(fields["producer"])),
         fields["section"],  # type: ignore[arg-type]
         fields["kind"],  # type: ignore[arg-type]
-        str(fields["pattern"]),
+        pattern,
         fields.get("os", frozenset()),  # type: ignore[arg-type]
         fields.get("distro", frozenset()),  # type: ignore[arg-type]
+        compile_pattern(pattern, rid),
     )
 
 

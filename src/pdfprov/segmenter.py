@@ -371,6 +371,14 @@ def _line_end(data: bytes, i: int) -> int:
     return m.start() if m else len(data)
 
 
+def _to_int(digits: bytes) -> int | None:
+    """``int(digits)``, or None for a run longer than Python converts."""
+    try:
+        return int(digits)
+    except ValueError:
+        return None
+
+
 def _skip_eol(data: bytes, i: int) -> int:
     if data.startswith(b"\r\n", i):
         return i + 2
@@ -496,9 +504,10 @@ def _lex_xref_tables(
         total = 0
         while True:
             hm = _SUBSECTION_RE.match(data, i)
-            if not hm:
+            first_obj = _to_int(hm.group(1)) if hm else None
+            count = _to_int(hm.group(2)) if hm else None
+            if first_obj is None or count is None:
                 break
-            first_obj, count = int(hm.group(1)), int(hm.group(2))
             i = hm.end()
             entries: list[XrefEntry] = []
             for _ in range(count):
@@ -544,7 +553,7 @@ def _lex_trailers(
 
     def next_startxref(pos: int) -> int | None:
         k = bisect_left(starts, pos)
-        return int(startxrefs[k].group(1)) if k < len(starts) else None
+        return _to_int(startxrefs[k].group(1)) if k < len(starts) else None
 
     for k, (start, gap_stop) in enumerate(hits):
         i = _skip_ws(data, start + len(b"trailer"))
@@ -591,8 +600,9 @@ def _flag_metadata(objects: list[IndirectObject], trailers: list[TrailerDict]) -
         ref = trailer.values.get("/Info") or trailer.values.get("/info")
         if ref:
             rm = _REF_RE.match(ref.strip())
-            if rm:
-                info_num = int(rm.group(1))
+            num = _to_int(rm.group(1)) if rm else None
+            if num is not None:
+                info_num = num
     for obj in objects:
         if obj.values.get("/Type", b"").strip() == b"/Metadata":
             obj.is_metadata = True

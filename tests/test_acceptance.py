@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from pdfprov.builtin_pack import MAGIC_ROWS, builtin
+from pdfprov.builtin_pack import builtin
 from pdfprov.cli import main, scan_bytes
 from pdfprov.detector import SectionVerdict, VerdictKind, detect, majority_vote
 from pdfprov.fixtures import PROFILES, emit_corpus, generate
@@ -53,7 +53,7 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 
 
 # Expected header-section candidate set for each of the thirteen
-# transcribed magic rows (shared values name every sharer).
+# transcribed magic rules (shared values name every sharer).
 _MAGIC_EXPECT = {
     bytes.fromhex("E2E3CFD3"): {AD},
     bytes.fromhex("B5B5B5B5"): {W},
@@ -73,14 +73,18 @@ def test_criterion_1_header_magic_fidelity():
     pack = builtin()
     started = time.monotonic()
     checked = 0
-    for row in MAGIC_ROWS:
-        data = (b"%PDF-1.4\n%" + row.magic + b"\n1 0 obj\n<<>>\nendobj\n"
+    seen: set[bytes] = set()
+    for rule in pack.for_section(SectionKind.HEADER):
+        magic = bytes.fromhex(rule.pattern.removeprefix("^").replace("\\x", ""))
+        seen.add(magic)
+        data = (b"%PDF-1.4\n%" + magic + b"\n1 0 obj\n<<>>\nendobj\n"
                 b"xref\n0 1\n0000000000 65535 f \ntrailer\n<</Odd 1>>\n")
         candidates = {
             m.producer for m in match_section(pack, segment(data), SectionKind.HEADER)
         }
-        assert candidates == _MAGIC_EXPECT[row.magic], row.rule_id
+        assert candidates == _MAGIC_EXPECT[magic], rule.id
         checked += 1
+    assert seen == set(_MAGIC_EXPECT)
     elapsed = time.monotonic() - started
     _report("1 header magic fidelity",
             checked == 13 and elapsed < 1.0,

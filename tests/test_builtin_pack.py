@@ -1,23 +1,128 @@
-"""Builtin pack: transcription fidelity and liveness of every rule."""
+"""Builtin pack: transcription fidelity and liveness of every rule.
+
+``builtin.rules`` is the pack's only definition.  The transcribed facts
+are pinned here in expected tables, and the groups of producers sharing a
+signature are derived from the loaded pack's own rules.
+"""
 
 from __future__ import annotations
 
+import re
 from importlib import resources
 
-from pdfprov.builtin_pack import (
-    MAGIC_ROWS,
-    TRAILER_ROWS,
-    builtin,
-    keyorder_key_list,
-    magic_number_entries,
-    magic_pattern_bytes,
-    render_builtin_rules,
-)
+from pdfprov.builtin_pack import builtin
 from pdfprov.fixtures import PROFILES, generate
 from pdfprov.producers import Producer
-from pdfprov.rules import RuleKind, SECTION_ORDER, SectionKind, load_rulepack
+from pdfprov.rules import (
+    RuleKind,
+    SECTION_ORDER,
+    SectionKind,
+    match_section,
+    render_rulepack,
+)
 from pdfprov.segmenter import segment
-from pdfprov.rules import match_section
+
+AD = Producer.ACROBAT_DISTILLER.value
+W = Producer.MICROSOFT_OFFICE_WORD.value
+LO = Producer.LIBREOFFICE.value
+GS = Producer.GHOSTSCRIPT.value
+Q = Producer.MACOS_QUARTZ.value
+PT = Producer.PDFTEX.value
+SK = Producer.SKIA_PDF.value
+CA = Producer.CAIRO.value
+XD = Producer.XDVIPDFMX.value
+LT = Producer.LUATEX.value
+PL = Producer.PDFLATEX.value
+
+_NONE: frozenset[str] = frozenset()
+
+# rule id -> (producer, magic bytes, os tags, distro tags).  Tag sets that
+# cover every possibility are encoded as untagged (intersection semantics).
+_HEADER_RULES = {
+    "header-acrobat-distiller": (AD, "E2E3CFD3", _NONE, _NONE),
+    "header-word": (W, "B5B5B5B5", {"windows"}, _NONE),
+    "header-pdftex": (PT, "D0D4C5D8", _NONE, _NONE),
+    "header-luatex-texlive-linux": (LT, "D0D4C5D8", {"linux"}, {"texlive"}),
+    "header-luatex-miktex-linux": (LT, "CCD5C1D4C5D8D0C4C6", {"linux"}, {"miktex"}),
+    "header-luatex-macos-windows": (LT, "CCD5C1D4C5D8D0C4C6", {"macos", "windows"}, _NONE),
+    "header-xdvipdfmx": (XD, "E4F0EDF8", _NONE, _NONE),
+    "header-ghostscript": (GS, "C7EC8FA2", _NONE, _NONE),
+    "header-libreoffice": (LO, "C3A4C3BCC3B6C39F", {"linux"}, _NONE),
+    "header-quartz": (Q, "C4E5F2E5EBA7F3A0D0C4C6", {"macos"}, _NONE),
+    "header-cairo": (CA, "B5EDAEFB", _NONE, _NONE),
+    "header-skia": (SK, "D3EBE9E1", _NONE, _NONE),
+    "header-pdflatex": (PL, "F6E4FCDF", _NONE, _NONE),
+}
+
+_XS_TEX = ("/Type", "/XRef", "/Index", "/Size", "/W", "/Root", "/Info", "/ID",
+           "/Length", "/Filter", "/FlateDecode")
+_CLASSIC_4 = ("/Size", "/Root", "/Info", "/ID")
+
+# rule id -> (producer, classic "trailer <<" form, key sequence, distro tags).
+_KEYORDER_RULES = {
+    "trailer-acrobat-distiller": (
+        AD, False,
+        ("/DecodeParms", "/Columns", "/Predictor", "/Filter", "/FlateDecode", "/ID",
+         "/Info", "/Length", "/Root", "/Size", "/Type", "/XRef", "/W"),
+        _NONE),
+    "trailer-luatex-texlive": (LT, False, _XS_TEX, {"texlive"}),
+    "trailer-pdftex-texlive": (PT, False, _XS_TEX, {"texlive"}),
+    "trailer-luatex-miktex": (LT, True, _CLASSIC_4, {"miktex"}),
+    "trailer-pdftex-miktex": (PT, True, _CLASSIC_4, {"miktex"}),
+    "trailer-ghostscript": (GS, True, _CLASSIC_4, _NONE),
+    "trailer-xdvipdfmx": (
+        XD, False,
+        ("/Type", "/XRef", "/Root", "/Info", "/ID", "/Size", "/W", "/Filter",
+         "/FlateDecode", "/Length"),
+        _NONE),
+    "trailer-word": (W, True, ("/Size", "/Root", "/Info", "/ID", "/Prev", "/XRefStm"), _NONE),
+    "trailer-libreoffice": (LO, True, ("/Size", "/Root", "/Info", "/ID", "/DocChecksum"), _NONE),
+    "trailer-quartz": (Q, True, _CLASSIC_4, _NONE),
+    "trailer-cairo": (CA, True, ("/Size", "/Root", "/Info"), _NONE),
+    "trailer-skia": (SK, True, ("/Size", "/Root", "/Info"), _NONE),
+    "trailer-pdflatex": (PL, True, ("/Root", "/Info", "/ID", "/Size"), _NONE),
+}
+
+# rule id -> (producer, section, kind, pattern, distro tags).
+_OTHER_RULES = {
+    "body-pdftex-stream": (
+        PT, SectionKind.BODY, RuleKind.TEMPLATE,
+        "obj\\n<</Length [0-9]+ +/Filter/FlateDecode>>\\nstream\\n", _NONE),
+    "body-luatex-stream": (
+        LT, SectionKind.BODY, RuleKind.TEMPLATE,
+        "obj\\n<<\\n/Length [0-9]+ +\\n/Filter /FlateDecode\\n>>\\nstream\\n", _NONE),
+    "body-word-stream": (
+        W, SectionKind.BODY, RuleKind.TEMPLATE,
+        "4 0 obj\\r\\n<</Filter/FlateDecode/Length [0-9]*>>\\r\\nstream\\r\\n", _NONE),
+    "trailer-word-double": (
+        W, SectionKind.TRAILER, RuleKind.TEMPLATE, "/Prev [0-9]+/XRefStm [0-9]+>>", _NONE),
+    "xref-absent-acrobat-distiller": (AD, SectionKind.XREF, RuleKind.PRESENCE, "^A$", _NONE),
+    "xref-absent-xdvipdfmx": (XD, SectionKind.XREF, RuleKind.PRESENCE, "^A$", _NONE),
+    "xref-present-pdftex-miktex": (PT, SectionKind.XREF, RuleKind.PRESENCE, "^P$", {"miktex"}),
+}
+
+
+def _magic_bytes(pattern: str) -> bytes:
+    """Decode the ``\\xNN`` escapes of a header magic pattern."""
+    return bytes(int(h, 16) for h in re.findall(r"\\x([0-9A-Fa-f]{2})", pattern))
+
+
+_KEY_TOKEN_RE = re.compile(r"/(?:\[Ii\]nfo|[A-Za-z][A-Za-z0-9]*)")
+
+
+def _keyorder_keys(pattern: str) -> tuple[str, ...]:
+    """The key sequence a keyorder pattern asserts."""
+    return tuple(
+        "/Info" if tok == "/[Ii]nfo" else tok for tok in _KEY_TOKEN_RE.findall(pattern)
+    )
+
+
+def _rules_of(kind: RuleKind):
+    return [r for r in builtin().rules if r.kind is kind]
+
+
+def _shipped_text() -> str:
+    return resources.files("pdfprov").joinpath("builtin.rules").read_text("utf-8")
 
 
 def test_pack_composition():
@@ -34,25 +139,26 @@ def test_pack_composition():
 
 
 def test_magic_rules_decode_back_to_source_bytes():
-    pack = builtin()
-    by_id = {r.id: r for r in pack.rules}
-    for row in MAGIC_ROWS:
-        rule = by_id[row.rule_id]
-        assert magic_pattern_bytes(rule.pattern) == row.magic
-        assert rule.producer == row.producer.value
-        assert rule.os_tags == row.os_tags
-        assert rule.distro_tags == row.distro_tags
-    assert len(MAGIC_ROWS) == 13
+    rules = _rules_of(RuleKind.MAGIC)
+    assert [r.id for r in rules] == list(_HEADER_RULES)
+    for rule in rules:
+        producer, magic, os_tags, distro_tags = _HEADER_RULES[rule.id]
+        assert rule.section is SectionKind.HEADER
+        assert rule.pattern == "^" + "".join(f"\\x{b:02X}" for b in bytes.fromhex(magic))
+        assert _magic_bytes(rule.pattern) == bytes.fromhex(magic)
+        assert rule.producer == producer
+        assert rule.os_tags == os_tags
+        assert rule.distro_tags == distro_tags
+    assert len(rules) == 13
 
 
 def test_shared_magic_values():
-    entries = {e.magic: e for e in magic_number_entries()}
-    shared = entries[bytes.fromhex("D0D4C5D8")]
-    assert {p for p, _, _ in shared.producers} == {
-        Producer.PDFTEX.value, Producer.LUATEX.value,
-    }
-    # Eleven distinct values across thirteen rows.
-    assert len(entries) == 11
+    grouped: dict[bytes, set[str]] = {}
+    for rule in _rules_of(RuleKind.MAGIC):
+        grouped.setdefault(_magic_bytes(rule.pattern), set()).add(rule.producer)
+    assert grouped[bytes.fromhex("D0D4C5D8")] == {PT, LT}
+    # Eleven distinct values across thirteen rules.
+    assert len(grouped) == 11
 
 
 def test_distiller_header_rule_is_unique_and_exact():
@@ -60,48 +166,87 @@ def test_distiller_header_rule_is_unique_and_exact():
              if r.section is SectionKind.HEADER
              and r.producer == Producer.ACROBAT_DISTILLER.value]
     assert len(rules) == 1
-    assert magic_pattern_bytes(rules[0].pattern) == b"\xE2\xE3\xCF\xD3"
+    assert _magic_bytes(rules[0].pattern) == b"\xE2\xE3\xCF\xD3"
 
 
 def test_luatex_long_magic_rows_and_tags():
-    rows = [r for r in MAGIC_ROWS if r.magic == bytes.fromhex("CCD5C1D4C5D8D0C4C6")]
-    assert len(rows) == 2
-    assert all(r.producer is Producer.LUATEX for r in rows)
-    tags = {(frozenset(r.os_tags), frozenset(r.distro_tags)) for r in rows}
+    rules = [r for r in _rules_of(RuleKind.MAGIC)
+             if _magic_bytes(r.pattern) == bytes.fromhex("CCD5C1D4C5D8D0C4C6")]
+    assert len(rules) == 2
+    assert all(r.producer == LT for r in rules)
+    tags = {(r.os_tags, r.distro_tags) for r in rules}
     assert (frozenset({"linux"}), frozenset({"miktex"})) in tags
     assert (frozenset({"macos", "windows"}), frozenset()) in tags
 
 
 def test_keyorder_rules_render_their_key_sequences():
-    pack = builtin()
-    by_id = {r.id: r for r in pack.rules}
-    for sig in TRAILER_ROWS:
-        rule = by_id[sig.rule_id]
-        assert keyorder_key_list(rule.pattern) == list(sig.key_sequence)
-    assert len(TRAILER_ROWS) == 13
+    rules = _rules_of(RuleKind.KEYORDER)
+    assert [r.id for r in rules] == list(_KEYORDER_RULES)
+    for rule in rules:
+        producer, classic, keys, distro_tags = _KEYORDER_RULES[rule.id]
+        assert rule.section is SectionKind.TRAILER
+        assert rule.producer == producer
+        assert rule.pattern.startswith("^trailer\\s*<<\\s*" if classic else "^<<\\s*")
+        assert _keyorder_keys(rule.pattern) == keys
+        assert rule.os_tags == frozenset()
+        assert rule.distro_tags == distro_tags
+    assert len(rules) == 13
+    # One source spells "/info"; its pattern accepts either casing.
+    lowercase = [r.id for r in rules if "/[Ii]nfo" in r.pattern]
+    assert lowercase == ["trailer-pdflatex"]
+
+
+def _keyorder_groups() -> dict[tuple[bool, tuple[str, ...]], set[str]]:
+    grouped: dict[tuple[bool, tuple[str, ...]], set[str]] = {}
+    for rule in _rules_of(RuleKind.KEYORDER):
+        key = (rule.pattern.startswith("^trailer"), _keyorder_keys(rule.pattern))
+        grouped.setdefault(key, set()).add(rule.producer)
+    return grouped
 
 
 def test_four_way_shared_classic_sequence():
-    four = [sig for sig in TRAILER_ROWS
-            if sig.key_sequence == ("/Size", "/Root", "/Info", "/ID") and sig.classic]
-    assert {s.producer.value for s in four} == {
-        Producer.LUATEX.value, Producer.PDFTEX.value,
-        Producer.GHOSTSCRIPT.value, Producer.MACOS_QUARTZ.value,
-    }
-    for sig in four:
-        assert sig.shared_with == {s.producer.value for s in four} - {sig.producer.value}
+    assert _keyorder_groups()[(True, _CLASSIC_4)] == {LT, PT, GS, Q}
 
 
 def test_cairo_skia_share_their_sequence():
-    cairo = next(s for s in TRAILER_ROWS if s.producer is Producer.CAIRO)
-    assert cairo.key_sequence == ("/Size", "/Root", "/Info")
-    assert cairo.shared_with == {Producer.SKIA_PDF.value}
+    cairo = next(r for r in _rules_of(RuleKind.KEYORDER) if r.producer == CA)
+    key = (True, _keyorder_keys(cairo.pattern))
+    assert key[1] == ("/Size", "/Root", "/Info")
+    assert _keyorder_groups()[key] == {CA, SK}
 
 
-def test_rules_file_matches_embedded_pack():
-    shipped = resources.files("pdfprov").joinpath("builtin.rules").read_text("utf-8")
-    assert shipped == render_builtin_rules()
-    assert load_rulepack(shipped).rules == builtin().rules
+def test_presence_and_template_rules():
+    rules = [r for r in builtin().rules
+             if r.kind in (RuleKind.PRESENCE, RuleKind.TEMPLATE)]
+    assert {r.id for r in rules} == set(_OTHER_RULES)
+    for rule in rules:
+        producer, section, kind, pattern, distro_tags = _OTHER_RULES[rule.id]
+        assert (rule.producer, rule.section, rule.kind, rule.pattern) == (
+            producer, section, kind, pattern)
+        assert rule.os_tags == frozenset()
+        assert rule.distro_tags == distro_tags
+
+
+def test_rules_file_is_in_canonical_form():
+    shipped = _shipped_text()
+    comment = []
+    for line in shipped.splitlines():
+        if not line.startswith("#"):
+            break
+        comment.append(line[2:] if line.startswith("# ") else line[1:])
+    assert comment, "builtin.rules lost its leading comment"
+    assert render_rulepack(builtin().rules, "\n".join(comment)) == shipped
+
+
+def test_rules_file_coverage_lines_agree_with_pack():
+    coverage = {
+        m.group(1): int(m.group(2))
+        for m in re.finditer(r"(?m)^#\s+(\S+)\s+(\d+)/\d+$", _shipped_text())
+    }
+    counts = builtin().counts_by_producer
+    assert set(coverage) == {p.value for p in Producer}
+    for producer in Producer:
+        assert coverage[producer.value] == counts[producer.value], producer.value
 
 
 def test_no_dead_rules(corpus_bytes):
@@ -119,8 +264,8 @@ def test_no_dead_rules(corpus_bytes):
 def test_profiles_agree_with_signature_data():
     """Fixture profiles must embody the transcribed signature facts."""
     magic_by_producer: dict[str, set[bytes]] = {}
-    for row in MAGIC_ROWS:
-        magic_by_producer.setdefault(row.producer.value, set()).add(row.magic)
+    for rule in _rules_of(RuleKind.MAGIC):
+        magic_by_producer.setdefault(rule.producer, set()).add(_magic_bytes(rule.pattern))
     for producer, profile in PROFILES.items():
         assert profile.header_magic in magic_by_producer[producer.value]
         data = generate(profile, 1)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -196,6 +198,19 @@ def test_batch_records_per_file_errors(tmp_path, capsys):
     assert code == 0
     assert payload["stats"]["file_level"]["correct"] == 1
     assert payload["stats"]["errors"][0]["file"] == "bad.pdf"
+
+
+def test_batch_survives_a_digit_run_past_the_int_limit(tmp_path, capsys):
+    _write_fixture(tmp_path, Producer.CAIRO)
+    (tmp_path / "huge-startxref.pdf").write_bytes(
+        b"%PDF-1.4\n1 0 obj\n<<>>\nendobj\ntrailer\n<</Size 2>>\nstartxref\n"
+        + b"9" * 5000 + b"\n%%EOF\n")
+    code = main(["batch", str(tmp_path), "--format", "csv", "--jobs", "1"])
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert code == 0
+    assert [(r["file"], r["verdict"]) for r in rows] == [
+        ("cairo-1.pdf", "producer"), ("huge-startxref.pdf", "ambiguous"),
+    ]
 
 
 # -- audit ---------------------------------------------------------------------

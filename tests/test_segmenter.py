@@ -203,6 +203,37 @@ def test_minimal_trailer():
     assert trailer.keys == ["/Size", "/Root"]
 
 
+# A digit run longer than Python's int() accepts (4,300 digits by default).
+_HUGE = b"9" * 5000
+_TABLE = b"xref\n0 1\n0000000000 65535 f \n"
+
+
+@pytest.mark.parametrize(
+    "data, check",
+    [
+        pytest.param(
+            _TABLE + b"trailer\n<</Size 1>>\nstartxref\n" + _HUGE + b"\n%%EOF\n",
+            lambda s: s.trailers[0].startxref_value is None,
+            id="startxref",
+        ),
+        pytest.param(
+            _TABLE + _HUGE + b" 1\n0000000009 00000 n \ntrailer\n<</Size 1>>\n",
+            lambda s: [len(sub.entries) for sub in s.xref_tables[0].subsections] == [1],
+            id="xref-subsection",
+        ),
+        pytest.param(
+            b"1 0 obj\n<</Producer (x)>>\nendobj\n" + _TABLE
+            + b"trailer\n<</Size 2/Info 1 0 R>>\ntrailer\n<</Size 2/Info " + _HUGE
+            + b" 0 R>>\n",
+            lambda s: s.info_obj_num == 1 and s.objects[0].is_metadata,
+            id="info-reference",
+        ),
+    ],
+)
+def test_digit_runs_past_the_int_limit_do_not_match(data, check):
+    assert check(segment(b"%PDF-1.4\n" + data))
+
+
 def test_xref_stream_dict_is_a_trailer():
     data = (b"6 0 obj\n<</Type /XRef /Size 7 /Root 1 0 R>>\nstream\nxx\nendstream\n"
             b"endobj\nstartxref\n9\n%%EOF\n")
