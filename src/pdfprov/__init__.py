@@ -32,10 +32,8 @@ from .errors import (
 )
 from .fixtures import PROFILES, ProducerProfile, emit_corpus, generate
 from .metadata import (
-    ConsistencyReport,
     ConsistencyStatus,
     DeclaredMetadata,
-    consistency_check,
     extract_declared,
     normalize_producer_string,
 )
@@ -47,7 +45,6 @@ from .rules import (
     RuleMatch,
     Rulepack,
     SectionKind,
-    evaluate_file,
     load_rulepack,
     match_section,
 )
@@ -59,10 +56,7 @@ from .segmenter import (
     TrailerDict,
     XrefEntry,
     XrefTable,
-    extract_objects,
-    extract_trailers,
     parse_header,
-    parse_xref,
     segment,
 )
 

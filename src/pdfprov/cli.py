@@ -12,9 +12,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .builtin_pack import builtin
@@ -100,10 +98,11 @@ def _read_input(path: str) -> bytes:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     try:
+        only = _parse_sections(args.sections)
         data = _read_input(args.path)
         pack = _load_pack(args.pack)
-        report = scan_bytes(args.path, data, pack, _parse_sections(args.sections))
-    except (PdfProvError, OSError) as exc:
+        report = scan_bytes(args.path, data, pack, only)
+    except (PdfProvError, OSError, ValueError) as exc:
         print(json.dumps(_error_object(args.path, exc), indent=2))
         return EXIT_ERROR
     if args.format == "table":
@@ -165,38 +164,26 @@ def cmd_batch(args: argparse.Namespace) -> int:
     try:
         pack = _load_pack(args.pack)
         entries = _batch_inputs(args.source)
+        only = _parse_sections(args.sections)
     except (PdfProvError, OSError, ValueError) as exc:
         print(json.dumps(_error_object(args.source, exc), indent=2))
         return EXIT_ERROR
-    only = _parse_sections(args.sections)
-    jobs = args.jobs or os.cpu_count() or 1
-
-    def work(entry: tuple[str, Path, str | None]):
-        label, path, truth = entry
-        try:
-            report, verdict = _scan(label, path.read_bytes(), pack, only)
-        except (PdfProvError, OSError) as exc:
-            return label, None, None, None, f"{type(exc).__name__}: {exc}"
-        if args.truth == "metadata":
-            truth = normalize_producer_string(report.declared_producer)
-        return label, report, truth, classify(verdict, truth) if truth else None, None
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(work, entries))
-    else:
-        results = [work(entry) for entry in entries]
-    results.sort(key=lambda r: r[0])
 
     stats = BatchStats()
     rows: list[list[str]] = []
     file_dicts: list[dict] = []
-    for label, report, truth, outcome, error in results:
-        if report is None:
-            stats.errors.append((label, error or "error"))
+    for label, path, truth in entries:
+        try:
+            report, verdict = _scan(label, path.read_bytes(), pack, only)
+        except (PdfProvError, OSError) as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            stats.errors.append((label, error))
             stats.total += 1
-            rows.append([label, "error"] + [""] * (len(CSV_COLUMNS) - 3) + [error or ""])
+            rows.append([label, "error"] + [""] * (len(CSV_COLUMNS) - 3) + [error])
             continue
+        if args.truth == "metadata":
+            truth = normalize_producer_string(report.declared_producer)
+        outcome = classify(verdict, truth) if truth else None
         file_class = outcome.file_status.value if outcome else ""
         stats.add(truth, report.verdict_kind, report.producer, outcome, bool(report.os))
         rows.append(csv_row(report, truth or "", file_class))
@@ -329,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--format", choices=["table", "json", "csv"], default="table")
     batch.add_argument("--csv", help="also write the per-file CSV here")
     batch.add_argument("--jobs", type=int, default=0,
-                       help="worker count (default: logical CPUs)")
+                       help="accepted and ignored: files are scanned one at a time")
     batch.set_defaults(func=cmd_batch)
 
     audit = sub.add_parser("audit", help="compare declared metadata with detection")

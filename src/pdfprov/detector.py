@@ -167,17 +167,14 @@ def detect(pack: Rulepack, data: bytes, sections: PdfSections | None = None,
     if sections is None:
         sections = segment(data)
     matches = evaluate_sections(pack, sections)
-    wanted = set(only) if only is not None else set(SECTION_ORDER)
-    verdicts = {
-        kind: section_verdict(matches[kind] if kind in wanted else [], kind)
-        for kind in SECTION_ORDER
-    }
-    verdict = majority_vote(verdicts)
-    filtered = {k: (v if k in wanted else []) for k, v in matches.items()}
-    verdict.os_candidates = detect_os(verdict, filtered)
+    if only is not None:
+        wanted = set(only)
+        matches = {kind: found if kind in wanted else [] for kind, found in matches.items()}
+    verdict = majority_vote({kind: section_verdict(matches[kind], kind) for kind in SECTION_ORDER})
+    verdict.os_candidates = detect_os(verdict, matches)
     # Evidence lists every matched rule, advisory ones included.
     verdict.evidence = {
-        kind: tuple(sorted({m.rule_id for m in filtered[kind]})) for kind in SECTION_ORDER
+        kind: tuple(sorted({m.rule_id for m in matches[kind]})) for kind in SECTION_ORDER
     }
     return verdict
 

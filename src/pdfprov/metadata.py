@@ -10,13 +10,13 @@ says actually wrote the file.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from .detector import Verdict, VerdictKind, detect
+from .detector import Verdict, VerdictKind
+from .errors import NotAPdf
 from .producers import Producer
-from .rules import Rulepack
-from .segmenter import PdfSections, Span, segment
+from .segmenter import PdfSections, segment
 
 
 class MetadataSource(str, Enum):
@@ -40,17 +40,6 @@ class DeclaredMetadata:
     source: MetadataSource | None = None
     info_producer: str | None = None
     xmp_producer: str | None = None
-    raw_spans: list[Span] = field(default_factory=list)
-
-
-@dataclass
-class ConsistencyReport:
-    """Declared metadata vs the coding-style verdict."""
-
-    declared: DeclaredMetadata
-    detected: Verdict
-    status: ConsistencyStatus
-    normalized_declared: str | None
 
 
 # -- PDF string decoding -------------------------------------------------------
@@ -130,7 +119,7 @@ def extract_declared(data: bytes, sections: PdfSections | None = None) -> Declar
     if sections is None:
         try:
             sections = segment(data)
-        except Exception:
+        except NotAPdf:
             return DeclaredMetadata()
     declared = DeclaredMetadata()
     info_creator = xmp_creator = None
@@ -142,15 +131,13 @@ def extract_declared(data: bytes, sections: PdfSections | None = None) -> Declar
                 declared.info_producer = decode_pdf_string(raw_producer)
             if raw_creator is not None:
                 info_creator = decode_pdf_string(raw_creator)
-            declared.raw_spans.append(obj.span)
-        elif obj.values.get("/Type", b"").strip() == b"/Metadata":
+        elif obj.is_metadata:
             producer = _xmp_field(obj.raw, (b"pdf:Producer",))
             creator = _xmp_field(obj.raw, (b"xmp:CreatorTool", b"xap:CreatorTool"))
             if producer is not None:
                 declared.xmp_producer = producer
             if creator is not None:
                 xmp_creator = creator
-            declared.raw_spans.append(obj.span)
     # Info takes precedence; XMP fills gaps and disagreement stays visible
     # through the per-source fields.
     declared.producer = declared.info_producer or declared.xmp_producer or None
@@ -208,17 +195,3 @@ def consistency_status(declared: DeclaredMetadata, detected: Verdict) -> tuple[C
     if normalized == detected.producer:
         return ConsistencyStatus.CONSISTENT, normalized
     return ConsistencyStatus.INCONSISTENT, normalized
-
-
-def consistency_check(data: bytes, pack: Rulepack,
-                      sections: PdfSections | None = None) -> ConsistencyReport:
-    """Detect the producer from coding style and audit the declared one.
-
-    The detection never sees the metadata; only the comparison does.
-    """
-    if sections is None:
-        sections = segment(data)
-    detected = detect(pack, data, sections=sections)
-    declared = extract_declared(data, sections=sections)
-    status, normalized = consistency_status(declared, detected)
-    return ConsistencyReport(declared, detected, status, normalized)

@@ -257,27 +257,10 @@ class BatchStats:
         out.append(f"Files: {self.total} total, {self.labeled} with ground truth")
         out.append("")
         out.append("Per-section detection")
-        header = ["Detection"] + [k.value.capitalize() for k in SECTION_ORDER]
-        rows = []
-        for label, attr in (("Correct", "correct"), ("Wrong", "wrong"),
-                            ("No result", "no_result")):
-            row = [label]
-            for kind in SECTION_ORDER:
-                tally = self.per_section.get(kind.value, SectionTally())
-                value = getattr(tally, attr)
-                row.append(f"{value} ({100 * value // n}%)")
-            rows.append(row)
-        out.append(_format_table(header, rows))
+        out.append(self._section_table((("Correct", "correct"), ("Wrong", "wrong"),
+                                        ("No result", "no_result"))))
         out.append("Two-candidate detections")
-        rows = []
-        for label, attr in (("Confused", "confused"), ("Error", "error")):
-            row = [label]
-            for kind in SECTION_ORDER:
-                tally = self.per_section.get(kind.value, SectionTally())
-                value = getattr(tally, attr)
-                row.append(f"{value} ({100 * value // n}%)")
-            rows.append(row)
-        out.append(_format_table(header, rows))
+        out.append(self._section_table((("Confused", "confused"), ("Error", "error"))))
         out.append("File-level (majority vote)")
         out.append(_format_table(
             ["Correct", "Wrong", "No result", "(ambiguous)"],
@@ -307,6 +290,19 @@ class BatchStats:
             out.append("Errors:")
             out.extend(f"  {f}: {e}" for f, e in self.errors)
         return "\n".join(out) + "\n"
+
+    def _section_table(self, fields: tuple[tuple[str, str], ...]) -> str:
+        """One row per (label, SectionTally attribute), one column per section."""
+        n = self.labeled or 1
+        rows = []
+        for label, attr in fields:
+            row = [label]
+            for kind in SECTION_ORDER:
+                value = getattr(self.per_section.get(kind.value, SectionTally()), attr)
+                row.append(f"{value} ({100 * value // n}%)")
+            rows.append(row)
+        header = ["Detection"] + [k.value.capitalize() for k in SECTION_ORDER]
+        return _format_table(header, rows)
 
 
 def _ratio(num: int, den: int) -> float:

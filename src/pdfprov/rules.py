@@ -31,9 +31,9 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import NotAPdf, PatternCompileError, RuleParseError
+from .errors import PatternCompileError, RuleParseError
 from .producers import Distro, OpSys, producer_name
-from .segmenter import PdfSections, segment
+from .segmenter import PdfSections
 
 
 class SectionKind(str, Enum):
@@ -127,6 +127,8 @@ _VALID_DISTRO = {d.value for d in Distro}
 
 
 def _strip_comment(line: str) -> str:
+    if "#" not in line:
+        return line.strip()
     out: list[str] = []
     in_string = False
     i = 0
@@ -347,15 +349,6 @@ def match_section(
     return [match for _, match in matches]
 
 
-def evaluate_file(pack: Rulepack, data: bytes) -> dict[SectionKind, list[RuleMatch]]:
-    """Segment ``data`` and match all four sections.
-
-    Raises :class:`NotAPdf` for inputs without a PDF header.
-    """
-    sections = segment(data)
-    return evaluate_sections(pack, sections)
-
-
 def evaluate_sections(pack: Rulepack, sections: PdfSections) -> dict[SectionKind, list[RuleMatch]]:
     return {kind: match_section(pack, sections, kind) for kind in SECTION_ORDER}
 
@@ -373,7 +366,5 @@ __all__ = [
     "section_elements",
     "presence_token",
     "match_section",
-    "evaluate_file",
     "evaluate_sections",
-    "NotAPdf",
 ]

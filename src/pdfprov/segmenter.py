@@ -611,44 +611,19 @@ def _flag_metadata(objects: list[IndirectObject], trailers: list[TrailerDict]) -
     return info_num
 
 
-def _lex_all(
-    data: bytes,
-) -> tuple[list[IndirectObject], list[XrefTable], list[TrailerDict], int | None, list[str]]:
-    objects, diags = _lex_objects(data)
-    gaps = _gaps(objects, len(data))
-    tables, xref_diags = _lex_xref_tables(data, _keyword_hits(data, gaps, _XREF_KW))
-    trailers, trailer_diags = _lex_trailers(
-        data, objects, _keyword_hits(data, gaps, _TRAILER_KW)
-    )
-    info_num = _flag_metadata(objects, trailers)
-    return objects, tables, trailers, info_num, diags + xref_diags + trailer_diags
-
-
-def extract_objects(data: bytes) -> list[IndirectObject]:
-    """Return every indirect object in file-byte order, metadata flagged."""
-    objects, _, _, _, _ = _lex_all(data)
-    return objects
-
-
-def parse_xref(data: bytes) -> list[XrefTable]:
-    """Return every classic cross-reference table, in byte order."""
-    _, tables, _, _, _ = _lex_all(data)
-    return tables
-
-
-def extract_trailers(data: bytes) -> list[TrailerDict]:
-    """Return classic trailers and xref-stream dictionaries, in byte order."""
-    _, _, trailers, _, _ = _lex_all(data)
-    return trailers
-
-
 def segment(data: bytes) -> PdfSections:
     """Segment raw bytes into the four structural sections.
 
     Raises :class:`NotAPdf` when no %PDF magic is found near the start.
     """
     header, diags = _parse_header_with_diags(data)
-    objects, tables, trailers, info_num, lex_diags = _lex_all(data)
+    objects, object_diags = _lex_objects(data)
+    gaps = _gaps(objects, len(data))
+    tables, xref_diags = _lex_xref_tables(data, _keyword_hits(data, gaps, _XREF_KW))
+    trailers, trailer_diags = _lex_trailers(
+        data, objects, _keyword_hits(data, gaps, _TRAILER_KW)
+    )
+    info_num = _flag_metadata(objects, trailers)
     return PdfSections(
         header=header,
         objects=objects,
@@ -656,6 +631,6 @@ def segment(data: bytes) -> PdfSections:
         trailers=trailers,
         file_len=len(data),
         classic_xref_absent=not tables,
-        diagnostics=diags + lex_diags,
+        diagnostics=diags + object_diags + xref_diags + trailer_diags,
         info_obj_num=info_num,
     )

@@ -15,7 +15,7 @@ from pdfprov.builtin_pack import builtin
 from pdfprov.cli import main, scan_bytes
 from pdfprov.detector import SectionVerdict, VerdictKind, detect, majority_vote
 from pdfprov.fixtures import PROFILES, emit_corpus, generate
-from pdfprov.metadata import ConsistencyStatus, consistency_check
+from pdfprov.metadata import ConsistencyStatus
 from pdfprov.miner import (
     CorpusFile,
     LabeledCorpus,
@@ -26,7 +26,7 @@ from pdfprov.miner import (
 )
 from pdfprov.producers import Producer
 from pdfprov.rules import SECTION_ORDER, SectionKind, load_rulepack, match_section
-from pdfprov.segmenter import parse_xref, segment
+from pdfprov.segmenter import segment
 
 AD = Producer.ACROBAT_DISTILLER.value
 W = Producer.MICROSOFT_OFFICE_WORD.value
@@ -180,7 +180,7 @@ def test_criterion_3_xref_grammar():
                    b"0000000166 00000 n \n"
                    b"0000000222 00000 n \n"
                    b"0000000486 00000 n \n")
-    (table,) = parse_xref(table_bytes)
+    (table,) = segment(b"%PDF-1.4\n" + table_bytes).xref_tables
     (sub,) = table.subsections
     ok = (sub.first_obj, sub.count) == (0, 5)
     entry = sub.entries[0]
@@ -356,7 +356,7 @@ def test_criterion_8_consistency_audit():
     mismatched = generate(PROFILES[Producer.GHOSTSCRIPT], 5,
                           producer_string="LibreOffice 6.1")
     stripped = _mutate_metadata(generate(PROFILES[Producer.GHOSTSCRIPT], 6), 0x00)
-    statuses = [consistency_check(data, pack).status
+    statuses = [ConsistencyStatus(scan_bytes("audit.pdf", data, pack).consistency)
                 for data in (matching, mismatched, stripped)]
     ok = statuses == [ConsistencyStatus.CONSISTENT, ConsistencyStatus.INCONSISTENT,
                       ConsistencyStatus.UNVERIFIABLE]

@@ -5,10 +5,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from pdfprov import cli, detector, metadata
 from pdfprov.cli import main
 from pdfprov.fixtures import PROFILES, emit_corpus, generate
 from pdfprov.producers import Producer
@@ -76,6 +78,16 @@ def test_scan_sections_restriction(tmp_path, capsys):
     assert payload["votes"] == {"MicrosoftOfficeWord": 1}
     body = next(s for s in payload["sections"] if s["kind"] == "body")
     assert body["candidates"] == []
+
+
+def test_scan_unknown_section_is_an_error_object(tmp_path, capsys):
+    path = _write_fixture(tmp_path, Producer.MICROSOFT_OFFICE_WORD)
+    code = main(["scan", str(path), "--sections", "hdr"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert payload["file"] == str(path)
+    assert payload["error"]["type"] == "ValueError"
+    assert "hdr" in payload["error"]["message"]
 
 
 # A one-entry classic table: keeps the xref-absence rules quiet without
@@ -177,6 +189,49 @@ def test_batch_header_confused_accounting(tmp_path, capsys):
     assert header["wrong"] == 3  # two-candidate sections count as wrong
     level = payload["stats"]["file_level"]
     assert level["correct"] + level["wrong"] + level["no_result"] == payload["stats"]["labeled"]
+    assert main(["batch", str(manifest), "--jobs", "1"]) == 0
+    assert capsys.readouterr().out == _PDFTEX_TABLES
+
+
+# The whole table output for the three pdfTeX files above (cells are padded).
+_PDFTEX_TABLES = "\n".join([
+    "Files: 3 total, 3 with ground truth",
+    "",
+    "Per-section detection",
+    "Detection  Header    Body      Xref      Trailer ",
+    "---------  --------  --------  --------  --------",
+    "Correct    0 (0%)    3 (100%)  0 (0%)    0 (0%)  ",
+    "Wrong      3 (100%)  0 (0%)    3 (100%)  3 (100%)",
+    "No result  0 (0%)    0 (0%)    0 (0%)    0 (0%)  ",
+    "",
+    "Two-candidate detections",
+    "Detection  Header    Body    Xref      Trailer ",
+    "---------  --------  ------  --------  --------",
+    "Confused   3 (100%)  0 (0%)  0 (0%)    3 (100%)",
+    "Error      0 (0%)    0 (0%)  3 (100%)  0 (0%)  ",
+    "",
+    "File-level (majority vote)",
+    "Correct   Wrong   No result  (ambiguous)",
+    "--------  ------  ---------  -----------",
+    "3 (100%)  0 (0%)  0 (0%)     0          ",
+    "",
+    "Per-producer detection",
+    "Producer  Files  Detected  Rate",
+    "--------  -----  --------  ----",
+    "PdfTeX    3      3         100%",
+    "",
+    "OS detected for 0 files (0% of all, 0% of correctly detected)",
+    "",
+])
+
+
+def test_batch_unknown_section_is_an_error_object(corpus_dir, capsys):
+    code = main(["batch", str(corpus_dir), "--format", "csv", "--sections", "header,hdr"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert payload["file"] == str(corpus_dir)
+    assert payload["error"]["type"] == "ValueError"
+    assert "hdr" in payload["error"]["message"]
 
 
 def test_batch_empty_corpus(tmp_path, capsys):
@@ -240,6 +295,39 @@ def test_audit_single_file_table(tmp_path, capsys):
     path = _write_fixture(tmp_path, Producer.SKIA_PDF)
     assert main(["audit", str(path), "--format", "table"]) == 0
     assert "consistent" in capsys.readouterr().out
+
+
+# -- one scan path ------------------------------------------------------------
+
+
+def test_every_command_segments_each_file_once(corpus_dir, monkeypatch, capsys):
+    calls: Counter[bytes] = Counter()
+    real_segment = cli.segment
+
+    def counting_segment(data: bytes):
+        calls[data] += 1
+        return real_segment(data)
+
+    for module in (cli, detector, metadata):
+        monkeypatch.setattr(module, "segment", counting_segment)
+    paths = sorted(corpus_dir.rglob("*.pdf"))
+    every_file = Counter(path.read_bytes() for path in paths)
+    manifest = str(corpus_dir / "manifest.tsv")
+    runs = [
+        ["batch", manifest, "--format", "csv", "--jobs", "1"],
+        ["batch", manifest, "--format", "csv", "--jobs", "2"],
+        ["audit", str(corpus_dir)],
+    ]
+    for argv in runs:
+        calls.clear()
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+        assert calls == every_file, argv
+    calls.clear()
+    for path in paths:
+        assert main(["scan", str(path)]) == 0
+        capsys.readouterr()
+    assert calls == every_file
 
 
 # -- mine / fixtures ---------------------------------------------------------

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import itertools
 
+from pdfprov.cli import scan_bytes
 from pdfprov.detector import VerdictKind, detect
 from pdfprov.fixtures import PROFILES, generate
 from pdfprov.metadata import (
     ConsistencyStatus,
+    DeclaredMetadata,
     MetadataSource,
-    consistency_check,
     consistency_status,
     decode_pdf_string,
     extract_declared,
@@ -103,6 +104,10 @@ def test_normalize_known_strings():
     assert normalize_producer_string("macOS ... Quartz PDFContext") == "MacOSXQuartz"
 
 
+def test_non_pdf_input_gives_empty_metadata():
+    assert extract_declared(b"plain text, no header") == DeclaredMetadata()
+
+
 def test_normalize_unknown_strings():
     assert normalize_producer_string("Online2PDF.com") is None
     assert normalize_producer_string("") is None
@@ -115,29 +120,29 @@ def test_normalize_idempotent_over_display_names():
         assert normalize_producer_string(display) == producer.value
 
 
-# -- consistency_check -------------------------------------------------------
+# -- consistency, through the scan that audit runs -----------------------------
 
 
 def test_consistent_when_declared_matches_detection(pack):
     data = generate(PROFILES[Producer.LIBREOFFICE], 2, producer_string="LibreOffice 6.1")
-    report = consistency_check(data, pack)
-    assert report.status is ConsistencyStatus.CONSISTENT
-    assert report.normalized_declared == Producer.LIBREOFFICE.value
+    report = scan_bytes("lo.pdf", data, pack)
+    assert ConsistencyStatus(report.consistency) is ConsistencyStatus.CONSISTENT
+    assert normalize_producer_string(report.declared_producer) == Producer.LIBREOFFICE.value
 
 
 def test_inconsistent_when_declared_is_another_tool(pack):
     # Ghostscript coding style, LibreOffice claim.
     data = generate(PROFILES[GS], 2, producer_string="LibreOffice 6.1")
-    report = consistency_check(data, pack)
-    assert report.detected.producer == GS.value
-    assert report.status is ConsistencyStatus.INCONSISTENT
+    report = scan_bytes("gs.pdf", data, pack)
+    assert report.producer == GS.value
+    assert ConsistencyStatus(report.consistency) is ConsistencyStatus.INCONSISTENT
 
 
 def test_unverifiable_when_declared_unmappable(pack):
     data = generate(PROFILES[GS], 2, producer_string="VeryPDF")
-    report = consistency_check(data, pack)
-    assert report.detected.producer == GS.value
-    assert report.status is ConsistencyStatus.UNVERIFIABLE
+    report = scan_bytes("gs.pdf", data, pack)
+    assert report.producer == GS.value
+    assert ConsistencyStatus(report.consistency) is ConsistencyStatus.UNVERIFIABLE
 
 
 def test_unverifiable_on_ambiguous_detection(pack):

@@ -22,7 +22,7 @@ from pdfprov.rules import (
     SECTION_ORDER,
     SectionKind,
     compile_pattern,
-    evaluate_file,
+    evaluate_sections,
     load_rulepack,
     match_section,
     render_rulepack,
@@ -159,12 +159,12 @@ def test_match_offsets_fall_inside_elements(pack, corpus_bytes):
                 assert m.section == kind
 
 
-# -- evaluate_file -----------------------------------------------------------
+# -- evaluate_sections -------------------------------------------------------
 
 
 def test_distiller_fixture_header_and_presence(pack):
     data = generate(PROFILES[Producer.ACROBAT_DISTILLER], 1)
-    matches = evaluate_file(pack, data)
+    matches = evaluate_sections(pack, segment(data))
     header_producers = {m.producer for m in matches[SectionKind.HEADER]}
     assert header_producers == {Producer.ACROBAT_DISTILLER.value}
     presence = [m for m in matches[SectionKind.XREF] if m.kind is RuleKind.PRESENCE]
@@ -177,25 +177,25 @@ def test_distiller_fixture_header_and_presence(pack):
 def test_zero_rule_pack_matches_nothing(corpus_bytes):
     empty = Rulepack("empty", "0", [])
     data = corpus_bytes[Producer.GHOSTSCRIPT][0]
-    assert all(v == [] for v in evaluate_file(empty, data).values())
+    assert all(v == [] for v in evaluate_sections(empty, segment(data)).values())
 
 
 def test_libreoffice_trailer_matched_by_keyorder(pack):
     data = b"%PDF-1.4\n%\xC3\xA4\xC3\xBC\xC3\xB6\xC3\x9F\n" + LIBREOFFICE_TRAILER
-    matches = evaluate_file(pack, data)
+    matches = evaluate_sections(pack, segment(data))
     assert {m.producer for m in matches[SectionKind.TRAILER]} == {
         Producer.LIBREOFFICE.value
     }
 
 
-def test_evaluate_file_propagates_not_a_pdf(pack):
+def test_evaluation_of_a_non_pdf_raises_not_a_pdf(pack):
     with pytest.raises(NotAPdf):
-        evaluate_file(pack, b"plain text")
+        evaluate_sections(pack, segment(b"plain text"))
 
 
 def test_section_isolation(pack, corpus_bytes):
     for blobs in corpus_bytes.values():
-        matches = evaluate_file(pack, blobs[0])
+        matches = evaluate_sections(pack, segment(blobs[0]))
         for kind, section_matches in matches.items():
             for m in section_matches:
                 assert m.section == kind
@@ -207,8 +207,8 @@ def test_section_isolation(pack, corpus_bytes):
 
 def test_match_order_is_stable(pack, corpus_bytes):
     data = corpus_bytes[Producer.MICROSOFT_OFFICE_WORD][0]
-    first = evaluate_file(pack, data)
-    second = evaluate_file(pack, data)
+    first = evaluate_sections(pack, segment(data))
+    second = evaluate_sections(pack, segment(data))
     assert first == second
 
 
@@ -216,8 +216,8 @@ def test_metadata_immunity(pack, corpus_bytes):
     """Rewriting bytes strictly inside metadata objects changes no match."""
     for producer, blobs in corpus_bytes.items():
         data = blobs[0]
-        before = evaluate_file(pack, data)
-        assert evaluate_file(pack, _zero_metadata(data)) == before
+        before = evaluate_sections(pack, segment(data))
+        assert evaluate_sections(pack, segment(_zero_metadata(data))) == before
 
 
 def _zero_metadata(data: bytes) -> bytes:
@@ -241,7 +241,7 @@ def test_monotonicity_adding_a_rule_never_removes_matches(index):
     base = builtin()
     smaller = Rulepack("sub", "0", [r for i, r in enumerate(base.rules) if i != index])
     data = generate(PROFILES[Producer.MICROSOFT_OFFICE_WORD], 3)
-    small_matches = evaluate_file(smaller, data)
-    full_matches = evaluate_file(base, data)
+    small_matches = evaluate_sections(smaller, segment(data))
+    full_matches = evaluate_sections(base, segment(data))
     for kind in SECTION_ORDER:
         assert set(small_matches[kind]) <= set(full_matches[kind])

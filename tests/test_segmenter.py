@@ -22,13 +22,16 @@ from pdfprov.segmenter import (
     _XREF_KW,
     _gaps,
     _keyword_hits,
+    PdfSections,
     _lex_objects,
-    extract_objects,
-    extract_trailers,
     parse_header,
-    parse_xref,
     segment,
 )
+
+
+def _fragment(data: bytes) -> PdfSections:
+    """Segment a header-less fragment behind a minimal %PDF header."""
+    return segment(b"%PDF-1.4\n" + data)
 
 
 # -- parse_header ----------------------------------------------------------
@@ -77,11 +80,11 @@ def test_header_short_comment_recorded_and_flagged():
     assert "ShortBinaryComment" in sections.diagnostics
 
 
-# -- extract_objects ---------------------------------------------------------
+# -- objects ---------------------------------------------------------------
 
 
 def test_pdftex_style_object():
-    objs = extract_objects(PDFTEX_STREAM_OBJECT)
+    objs = _fragment(PDFTEX_STREAM_OBJECT).objects
     assert len(objs) == 1
     obj = objs[0]
     assert (obj.obj_num, obj.gen_num) == (4, 0)
@@ -90,13 +93,13 @@ def test_pdftex_style_object():
 
 
 def test_luatex_style_object_same_keys_different_raw():
-    objs = extract_objects(LUATEX_STREAM_OBJECT)
+    objs = _fragment(LUATEX_STREAM_OBJECT).objects
     assert objs[0].dict_keys == ["/Length", "/Filter"]
-    assert objs[0].raw != extract_objects(PDFTEX_STREAM_OBJECT)[0].raw
+    assert objs[0].raw != _fragment(PDFTEX_STREAM_OBJECT).objects[0].raw
 
 
 def test_empty_body_region():
-    assert extract_objects(b"%PDF-1.4\njust a header\n") == []
+    assert segment(b"%PDF-1.4\njust a header\n").objects == []
 
 
 def test_truncated_object_recorded_not_fatal():
@@ -109,20 +112,20 @@ def test_truncated_object_recorded_not_fatal():
 
 def test_object_numbers_not_matched_inside_longer_tokens():
     data = b"110 0 obj\n<</A 1>>\nendobj\n"
-    objs = extract_objects(data)
+    objs = _fragment(data).objects
     assert [(o.obj_num, o.gen_num) for o in objs] == [(110, 0)]
 
 
 def test_nested_dict_keys_stay_out_of_top_level():
     data = b"5 0 obj\n<</A<</Inner 1>>/B 2>>\nendobj\n"
-    assert extract_objects(data)[0].dict_keys == ["/A", "/B"]
+    assert _fragment(data).objects[0].dict_keys == ["/A", "/B"]
 
 
-# -- parse_xref ---------------------------------------------------------------
+# -- xref tables --------------------------------------------------------------
 
 
 def test_word_xref_table():
-    tables = parse_xref(WORD_XREF_TABLE)
+    tables = _fragment(WORD_XREF_TABLE).xref_tables
     assert len(tables) == 1
     (sub,) = tables[0].subsections
     assert (sub.first_obj, sub.count) == (0, 5)
@@ -138,21 +141,21 @@ def test_absent_xref_sets_flag():
 
 def test_two_revisions_two_tables():
     data = WORD_XREF_TABLE + b"junk\n" + WORD_XREF_TABLE
-    tables = parse_xref(data)
+    tables = _fragment(data).xref_tables
     assert len(tables) == 2
     assert tables[0].start_offset < tables[1].start_offset
 
 
 def test_malformed_entry_skipped_with_diagnostic():
     data = b"xref\n0 2\n0000000017 00000 n \n17 0 n\n"
-    sections = segment(b"%PDF-1.4\n" + data)
+    sections = _fragment(data)
     assert any(d.startswith("MalformedXrefEntry") for d in sections.diagnostics)
     (table,) = sections.xref_tables
     assert len(table.subsections[0].entries) == 1
 
 
 def test_xref_width_law_is_render_roundtrip():
-    tables = parse_xref(WORD_XREF_TABLE)
+    tables = _fragment(WORD_XREF_TABLE).xref_tables
     cursor = WORD_XREF_TABLE.index(b"\n", WORD_XREF_TABLE.index(b"0 5")) + 1
     for entry in tables[0].subsections[0].entries:
         assert entry.render() == WORD_XREF_TABLE[cursor : cursor + 18]
@@ -160,7 +163,7 @@ def test_xref_width_law_is_render_roundtrip():
 
 
 def test_startxref_keyword_is_not_a_table():
-    assert parse_xref(b"startxref\n123\n%%EOF\n") == []
+    assert _fragment(b"startxref\n123\n%%EOF\n").xref_tables == []
 
 
 def test_understated_table_does_not_swallow_the_trailer():
@@ -183,23 +186,23 @@ def test_spans_property_covers_every_element(corpus_bytes):
         assert 0 <= span.offset <= span.end <= sections.file_len, ref
 
 
-# -- extract_trailers ---------------------------------------------------------
+# -- trailers ---------------------------------------------------------------
 
 
 def test_libreoffice_trailer_keys():
-    (trailer,) = extract_trailers(LIBREOFFICE_TRAILER)
+    (trailer,) = _fragment(LIBREOFFICE_TRAILER).trailers
     assert trailer.keys == ["/Size", "/Root", "/Info", "/ID", "/DocChecksum"]
 
 
 def test_word_double_trailer():
-    trailers = extract_trailers(WORD_DOUBLE_TRAILER)
+    trailers = _fragment(WORD_DOUBLE_TRAILER).trailers
     assert len(trailers) == 2
     assert trailers[1].keys[-2:] == ["/Prev", "/XRefStm"]
     assert trailers[0].startxref_value == 46566
 
 
 def test_minimal_trailer():
-    (trailer,) = extract_trailers(b"trailer << /Size 4 /Root 1 0 R >>")
+    (trailer,) = _fragment(b"trailer << /Size 4 /Root 1 0 R >>").trailers
     assert trailer.keys == ["/Size", "/Root"]
 
 
@@ -231,23 +234,23 @@ _TABLE = b"xref\n0 1\n0000000000 65535 f \n"
     ],
 )
 def test_digit_runs_past_the_int_limit_do_not_match(data, check):
-    assert check(segment(b"%PDF-1.4\n" + data))
+    assert check(_fragment(data))
 
 
 def test_xref_stream_dict_is_a_trailer():
     data = (b"6 0 obj\n<</Type /XRef /Size 7 /Root 1 0 R>>\nstream\nxx\nendstream\n"
             b"endobj\nstartxref\n9\n%%EOF\n")
-    (trailer,) = extract_trailers(data)
+    (trailer,) = _fragment(data).trailers
     assert trailer.from_xref_stream
     assert trailer.keys[0] == "/Type"
     assert trailer.startxref_value == 9
 
 
 def test_malformed_trailer_stops_at_the_next_trailer_or_object():
-    first, second = extract_trailers(b"trailer\n<< <<x\ntrailer\n<</Size 1>>\n")
+    first, second = _fragment(b"trailer\n<< <<x\ntrailer\n<</Size 1>>\n").trailers
     assert first.raw == b"trailer\n<< <<x\n"
     assert second.keys == ["/Size"]
-    (trailer,) = extract_trailers(b"trailer\n<< <<x\n1 0 obj\n<<>>\nendobj\n")
+    (trailer,) = _fragment(b"trailer\n<< <<x\n1 0 obj\n<<>>\nendobj\n").trailers
     assert trailer.raw == b"trailer\n<< <<x\n"
 
 
@@ -321,7 +324,7 @@ def test_object_spans_do_not_overlap(corpus_bytes):
 
 def test_deep_nesting_does_not_recurse_unboundedly():
     data = b"1 0 obj\n" + b"<<" * 5000 + b"/A 1" + b">>" * 5000 + b"\nendobj\n"
-    objs = extract_objects(data)  # must terminate, tolerantly
+    objs = _fragment(data).objects  # must terminate, tolerantly
     assert len(objs) <= 1
 
 
@@ -357,10 +360,10 @@ def test_key_order_preserved_for_any_permutation(keys, rng):
     rng.shuffle(shuffled)
     body = b"".join(k.encode() + b" %d " % i for i, k in enumerate(shuffled))
     data = b"3 0 obj\n<<" + body + b">>\nendobj\n"
-    assert extract_objects(data)[0].dict_keys == shuffled
+    assert _fragment(data).objects[0].dict_keys == shuffled
 
     trailer = b"trailer\n<<" + body + b">>\n"
-    assert extract_trailers(trailer)[0].keys == shuffled
+    assert _fragment(trailer).trailers[0].keys == shuffled
 
 
 # -- keyword search between objects --------------------------------------------
