@@ -121,6 +121,64 @@ def test_nested_dict_keys_stay_out_of_top_level():
     assert _fragment(data).objects[0].dict_keys == ["/A", "/B"]
 
 
+# What follows the dictionary in every value-grammar fragment.  A value that
+# never closes runs to the end of the input and takes this tail with it.
+_TAIL = b"\nendobj\n"
+_MALFORMED = ["MalformedDictionary obj 1 0"]
+_RUNS_OFF = _MALFORMED + ["TruncatedObject obj 1 0"]
+
+
+@pytest.mark.parametrize(
+    "body, values, dict_text, diagnostics",
+    [
+        pytest.param(b"<</Type/My#20Name/N 1>>", {"/Type": b"/My#20Name", "/N": b"1"},
+                     None, [], id="name-with-hex-escape"),
+        pytest.param(b"<</A <48 65>/B 2>>", {"/A": b"<48 65>", "/B": b"2"},
+                     None, [], id="hex-string"),
+        pytest.param(b"<</A <4F", {"/A": b"<4F" + _TAIL},
+                     b"<</A <4F" + _TAIL, _RUNS_OFF, id="unclosed-hex-string"),
+        pytest.param(b"<</A (a(b)\\)c)/B 1>>", {"/A": b"(a(b)\\)c)", "/B": b"1"},
+                     None, [], id="literal-string"),
+        pytest.param(b"<</A (a", {"/A": b"(a" + _TAIL},
+                     b"<</A (a" + _TAIL, _RUNS_OFF, id="unclosed-literal-string"),
+        pytest.param(b"<</A -1.5/B 12 0 R>>", {"/A": b"-1.5", "/B": b"12 0 R"},
+                     None, [], id="number-and-reference"),
+        pytest.param(b"<</Info +3 0 R>>", {"/Info": b"+3 0 R"},
+                     None, [], id="signed-reference"),
+        pytest.param(b"<</A true/B null>>", {"/A": b"true", "/B": b"null"},
+                     None, [], id="keywords"),
+        pytest.param(b"<</K [1 <</S /P /Q [2]>> (x)]/L 0>>",
+                     {"/K": b"[1 <</S /P /Q [2]>> (x)]", "/L": b"0"},
+                     None, [], id="array-holding-a-dictionary"),
+        pytest.param(b"<</A 1 % note >>\n/B 2>>", {"/A": b"1", "/B": b"2"},
+                     None, [], id="comment"),
+        pytest.param(b"<</A 1 x>>", {"/A": b"1"}, None, _MALFORMED, id="stray-token"),
+        # Past the nesting floor the value is recovered by balancing << >>,
+        # which here runs off the end of the input.
+        pytest.param(b"<</A " + b"[" * 70 + b"1" + b"]" * 70 + b">>",
+                     {"/A": b"[" * 70 + b"1" + b"]" * 70 + b">>" + _TAIL},
+                     b"<</A " + b"[" * 70 + b"1" + b"]" * 70 + b">>" + _TAIL,
+                     _RUNS_OFF, id="nesting-floor"),
+    ],
+)
+def test_dictionary_value_grammar(body, values, dict_text, diagnostics):
+    data = b"%PDF-1.4\n1 0 obj\n" + body + _TAIL
+    sections = segment(data)
+    (obj,) = sections.objects
+    assert obj.dict_keys == list(values)
+    assert obj.values == values
+    span = obj.dict_span
+    assert data[span.offset : span.end] == (body if dict_text is None else dict_text)
+    assert sections.diagnostics == diagnostics
+
+
+def test_signed_number_is_not_an_info_reference():
+    sections = _fragment(b"3 0 obj\n<<>>\nendobj\ntrailer\n<</Info +3 0 R>>\n")
+    assert sections.trailers[0].values == {"/Info": b"+3 0 R"}
+    assert sections.info_obj_num is None
+    assert not sections.objects[0].is_metadata
+
+
 # -- xref tables --------------------------------------------------------------
 
 
