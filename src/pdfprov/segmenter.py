@@ -32,23 +32,40 @@ from .errors import NotAPdf
 # sometimes prefixed with junk that common readers skip over.
 MAGIC_SCAN_WINDOW = 1024
 
+# The two character classes of the PDF token grammar.  Every token pattern
+# below is built from them.
 _WHITESPACE = b"\x00\t\n\x0c\r "
 _DELIMITERS = b"()<>[]{}/%"
+_WS = b"[" + _WHITESPACE + b"]"
+# Whitespace and comments; a comment runs from "%" to the end of its line.
+_SKIP = _WS + rb"*(?:%[^\r\n]*" + _WS + rb"*)*"
+_NAME = b"/[^" + _WHITESPACE + re.escape(_DELIMITERS) + b"]*"
+# The rest of an indirect reference "N G R" after its first number.
+_REF_TAIL = _WS + rb"+(\d+)" + _WS + rb"+R(?![0-9A-Za-z])"
 
+_SKIP_RE = re.compile(_SKIP)
+# A dictionary key and the whitespace after it, which ends where its value
+# starts.
+_KEY_RE = re.compile(b"(" + _NAME + b")" + _SKIP)
+# A value that is not a dictionary, array or literal string: a name, a hex
+# string up to the next ">", a number or "N G R" reference, true, false or
+# null, or else one unknown byte (none at the end of the input).
+_SCALAR_RE = re.compile(
+    _NAME + rb"|<[^>]*>?|[-+.0-9]+(?:" + _REF_TAIL + rb")?|true|false|null|.?", re.S
+)
+_ANGLES_RE = re.compile(rb"<<|>>")
+_REF_RE = re.compile(rb"(\d+)" + _REF_TAIL)
+_OBJ_RE = re.compile(
+    rb"(\d{1,10})" + _WS + rb"+(\d{1,5})" + _WS + rb"+obj(?![0-9A-Za-z])"
+)
+_STARTXREF_RE = re.compile(rb"startxref" + _WS + rb"+(\d+)")
 _HEADER_RE = re.compile(rb"%PDF-(\d+)\.(\d+)")
 _MAGIC_RE = re.compile(rb"%PDF")
-_OBJ_RE = re.compile(
-    rb"(\d{1,10})[\x00\t\n\x0c\r ]+(\d{1,5})[\x00\t\n\x0c\r ]+obj(?![0-9A-Za-z])"
-)
-# The rest of an indirect reference "N G R" after its first number.
-_REF_TAIL_RE = re.compile(rb"[\x00\t\n\x0c\r ]+(\d+)[\x00\t\n\x0c\r ]+R(?![0-9A-Za-z])")
 _SUBSECTION_RE = re.compile(rb"(\d+)[ \t]+(\d+)[ \t]*(?:\r\n|\r|\n)")
 # One table entry: 10-digit offset, 5-digit generation, n/f flag, then an
 # end-of-line of 0-2 bytes (producers vary; 20 bytes is the common case).
 _ENTRY_RE = re.compile(rb"(\d{10}) (\d{5}) ([nf])( \r\n| \r| \n|\r\n|\r|\n)?")
 _EOL_RE = re.compile(rb"[\r\n]")
-_STARTXREF_RE = re.compile(rb"startxref[\x00\t\n\x0c\r ]+(\d+)")
-_REF_RE = re.compile(rb"(\d+)[\x00\t\n\x0c\r ]+(\d+)[\x00\t\n\x0c\r ]+R(?![0-9A-Za-z])")
 
 _LETTERS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
 # A keyword counts when no ASCII letter precedes it and none of these
@@ -171,25 +188,7 @@ class PdfSections:
 
 
 def _skip_ws(data: bytes, i: int) -> int:
-    n = len(data)
-    while i < n:
-        b = data[i]
-        if b in _WHITESPACE:
-            i += 1
-        elif b == 0x25:  # '%' comment runs to end of line
-            i = _line_end(data, i)
-        else:
-            break
-    return i
-
-
-def _scan_name(data: bytes, i: int) -> int:
-    """Advance past a name token starting at the '/' at ``i``."""
-    i += 1
-    n = len(data)
-    while i < n and data[i] not in _WHITESPACE and data[i] not in _DELIMITERS:
-        i += 1
-    return i
+    return _SKIP_RE.match(data, i).end()
 
 
 def _scan_literal_string(data: bytes, i: int) -> int:
@@ -211,13 +210,6 @@ def _scan_literal_string(data: bytes, i: int) -> int:
     return n
 
 
-def _scan_number(data: bytes, i: int) -> int:
-    n = len(data)
-    while i < n and data[i] in b"+-.0123456789":
-        i += 1
-    return i
-
-
 # Dictionaries and arrays nest via recursion; hostile inputs get a floor.
 _MAX_NESTING = 64
 
@@ -229,39 +221,19 @@ def _skip_value(data: bytes, i: int, depth: int = 0) -> int:
         return i
     if depth > _MAX_NESTING:
         return _recover_dict_end(data, i + 1, n)
+    if data.startswith(b"<<", i):
+        return _scan_dict(data, i, depth + 1)[0]
     b = data[i]
-    if b == 0x3C:  # '<'
-        if data[i + 1 : i + 2] == b"<":
-            end, _, _, _ = _scan_dict(data, i, depth + 1)
-            return end
-        j = data.find(b">", i + 1)
-        return n if j < 0 else j + 1
     if b == 0x5B:  # '['
-        i += 1
+        i = _skip_ws(data, i + 1)
         while i < n:
-            i = _skip_ws(data, i)
-            if i >= n:
-                break
             if data[i] == 0x5D:
                 return i + 1
-            i = _skip_value(data, i, depth + 1)
+            i = _skip_ws(data, _skip_value(data, i, depth + 1))
         return i
     if b == 0x28:  # '('
         return _scan_literal_string(data, i)
-    if b == 0x2F:  # '/'
-        return _scan_name(data, i)
-    if b in b"+-.0123456789":
-        j = _scan_number(data, i)
-        # A number may open an indirect reference: "N G R".
-        m = _REF_TAIL_RE.match(data, j)
-        return m.end() if m else j
-    if data.startswith(b"true", i):
-        return i + 4
-    if data.startswith(b"false", i):
-        return i + 5
-    if data.startswith(b"null", i):
-        return i + 4
-    return i + 1  # tolerate unknown bytes
+    return _SCALAR_RE.match(data, i).end()
 
 
 def _scan_dict(
@@ -280,41 +252,31 @@ def _scan_dict(
     values: dict[str, bytes] = {}
     if depth > _MAX_NESTING:
         return _recover_dict_end(data, i + 2, n), keys, values, False
-    i += 2
+    i = _skip_ws(data, i + 2)
     while i < n:
-        i = _skip_ws(data, i)
-        if i >= n:
-            return n, keys, values, False
         if data.startswith(b">>", i):
             return i + 2, keys, values, True
-        if data[i] != 0x2F:
+        m = _KEY_RE.match(data, i)
+        if m is None:
             # Malformed: recover by balancing << >> pairs from here.
             stop = n if recover_stop is None else recover_stop
             return _recover_dict_end(data, i, stop), keys, values, False
-        key_end = _scan_name(data, i)
-        key = data[i:key_end].decode("latin-1")
+        key = m.group(1).decode("latin-1")
         keys.append(key)
-        i = _skip_ws(data, key_end)
-        vstart = i
-        i = _skip_value(data, i, depth)
+        vstart = m.end()
+        i = _skip_value(data, vstart, depth)
         values[key] = data[vstart:i]
+        i = _skip_ws(data, i)
     return n, keys, values, False
 
 
 def _recover_dict_end(data: bytes, i: int, stop: int) -> int:
     """Index past the ``>>`` that balances an open ``<<``, or ``stop``."""
     depth = 1
-    while i < stop:
-        if data.startswith(b"<<", i, stop):
-            depth += 1
-            i += 2
-        elif data.startswith(b">>", i, stop):
-            depth -= 1
-            i += 2
-            if depth == 0:
-                return i
-        else:
-            i += 1
+    for m in _ANGLES_RE.finditer(data, i, stop):
+        depth += 1 if m.group() == b"<<" else -1
+        if depth == 0:
+            return m.end()
     return max(i, stop)
 
 
@@ -409,42 +371,25 @@ def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
             dict_span = Span(dstart, i - dstart)
             if not ok:
                 diags.append(f"MalformedDictionary obj {obj_num} {gen_num}")
-        has_stream = False
         j = _skip_ws(data, i)
-        if data.startswith(b"stream", j):
-            has_stream = True
+        has_stream = data.startswith(b"stream", j)
+        if has_stream:
+            # A stream without endstream runs to the end of the input.
             i = data.find(b"endstream", j + 6)
-            if i < 0:
-                diags.append(f"TruncatedObject obj {obj_num} {gen_num}")
-                objects.append(
-                    IndirectObject(
-                        obj_num, gen_num, data[start:], keys, True, False,
-                        Span(start, n - start), truncated=True,
-                        dict_span=dict_span, values=values,
-                    )
-                )
-                break
-            i += len(b"endstream")
+            i = n if i < 0 else i + len(b"endstream")
         # The object ends at its endobj, or is cut off by the next header,
         # which is also where the following object starts.
         m = _OBJ_RE.search(data, i)
         stop = m.start() if m else n
         end = data.find(b"endobj", i, stop)
-        if end < 0:
+        truncated = end < 0
+        if truncated:
             diags.append(f"TruncatedObject obj {obj_num} {gen_num}")
-            objects.append(
-                IndirectObject(
-                    obj_num, gen_num, data[start:stop], keys, has_stream, False,
-                    Span(start, stop - start), truncated=True,
-                    dict_span=dict_span, values=values,
-                )
-            )
-            continue
-        end += len(b"endobj")
+        end = stop if truncated else end + len(b"endobj")
         objects.append(
             IndirectObject(
                 obj_num, gen_num, data[start:end], keys, has_stream, False,
-                Span(start, end - start), dict_span=dict_span, values=values,
+                Span(start, end - start), truncated, dict_span, values,
             )
         )
     return objects, diags
