@@ -55,9 +55,7 @@ _SCALAR_RE = re.compile(
 )
 _ANGLES_RE = re.compile(rb"<<|>>")
 _REF_RE = re.compile(rb"(\d+)" + _REF_TAIL)
-_OBJ_RE = re.compile(
-    rb"(\d{1,10})" + _WS + rb"+(\d{1,5})" + _WS + rb"+obj(?![0-9A-Za-z])"
-)
+_OBJ_RE = re.compile(rb"(\d{1,10})" + _WS + rb"+(\d{1,5})" + _WS + rb"+obj(?![0-9A-Za-z])")
 _STARTXREF_RE = re.compile(rb"startxref" + _WS + rb"+(\d+)")
 _HEADER_RE = re.compile(rb"%PDF-(\d+)\.(\d+)")
 _MAGIC_RE = re.compile(rb"%PDF")
@@ -222,7 +220,8 @@ def _skip_value(data: bytes, i: int, depth: int = 0) -> int:
     if depth > _MAX_NESTING:
         return _recover_dict_end(data, i + 1, n)
     if data.startswith(b"<<", i):
-        return _scan_dict(data, i, depth + 1)[0]
+        end, _, _, ok = _scan_dict(data, i, depth + 1)
+        return end if ok else _recover_dict_end(data, end, n)
     b = data[i]
     if b == 0x5B:  # '['
         i = _skip_ws(data, i + 1)
@@ -237,30 +236,28 @@ def _skip_value(data: bytes, i: int, depth: int = 0) -> int:
 
 
 def _scan_dict(
-    data: bytes, i: int, depth: int = 0, recover_stop: int | None = None
+    data: bytes, i: int, depth: int = 0
 ) -> tuple[int, list[str], dict[str, bytes], bool]:
     """Parse the dictionary opening at ``i`` (must point at ``<<``).
 
     Returns ``(end, keys, values, ok)`` where ``end`` is the index just
     past the closing ``>>``, ``keys`` lists top-level keys in source
     order and ``values`` maps each key to the raw bytes of its value.
-    When the dictionary itself is malformed, recovery looks for its end
-    no further than ``recover_stop`` (default: the end of ``data``).
+    A malformed dictionary gives ``ok`` False and ends where the lexer
+    stopped; the caller finds its end with :func:`_recover_dict_end`.
     """
     n = len(data)
     keys: list[str] = []
     values: dict[str, bytes] = {}
     if depth > _MAX_NESTING:
-        return _recover_dict_end(data, i + 2, n), keys, values, False
+        return i + 2, keys, values, False
     i = _skip_ws(data, i + 2)
     while i < n:
         if data.startswith(b">>", i):
             return i + 2, keys, values, True
         m = _KEY_RE.match(data, i)
         if m is None:
-            # Malformed: recover by balancing << >> pairs from here.
-            stop = n if recover_stop is None else recover_stop
-            return _recover_dict_end(data, i, stop), keys, values, False
+            return i, keys, values, False
         key = m.group(1).decode("latin-1")
         keys.append(key)
         vstart = m.end()
@@ -359,8 +356,7 @@ def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
             m = _OBJ_RE.search(data, m.start() + 1)
             continue
         start = m.start()
-        obj_num = int(m.group(1))
-        gen_num = int(m.group(2))
+        obj_num, gen_num = int(m.group(1)), int(m.group(2))
         i = _skip_ws(data, m.end())
         keys: list[str] = []
         values: dict[str, bytes] = {}
@@ -368,9 +364,13 @@ def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
         if data.startswith(b"<<", i):
             dstart = i
             i, keys, values, ok = _scan_dict(data, i)
-            dict_span = Span(dstart, i - dstart)
             if not ok:
+                # A malformed dictionary ends, at the latest, at the next
+                # object header.
+                m = _OBJ_RE.search(data, i)
+                i = _recover_dict_end(data, i, m.start() if m else n)
                 diags.append(f"MalformedDictionary obj {obj_num} {gen_num}")
+            dict_span = Span(dstart, i - dstart)
         j = _skip_ws(data, i)
         has_stream = data.startswith(b"stream", j)
         if has_stream:
@@ -507,8 +507,9 @@ def _lex_trailers(
         # A malformed dictionary ends, at the latest, where the next
         # trailer keyword or the next object begins.
         stop = min(hits[k + 1][0], gap_stop) if k + 1 < len(hits) else gap_stop
-        end, keys, values, ok = _scan_dict(data, i, recover_stop=stop)
+        end, keys, values, ok = _scan_dict(data, i)
         if not ok:
+            end = _recover_dict_end(data, end, stop)
             diags.append(f"MalformedTrailer at offset {start}")
             keys, values = [], {}
         trailers.append(

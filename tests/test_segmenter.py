@@ -17,6 +17,8 @@ from conftest import (
     header_bytes,
 )
 from pdfprov.errors import NotAPdf
+from pdfprov.fixtures import PROFILES, generate
+from pdfprov.producers import Producer
 from pdfprov.segmenter import (
     _TRAILER_KW,
     _XREF_KW,
@@ -310,6 +312,21 @@ def test_malformed_trailer_stops_at_the_next_trailer_or_object():
     assert second.keys == ["/Size"]
     (trailer,) = _fragment(b"trailer\n<< <<x\n1 0 obj\n<<>>\nendobj\n").trailers
     assert trailer.raw == b"trailer\n<< <<x\n"
+
+
+def test_malformed_object_dictionary_stops_at_the_next_object():
+    data = generate(PROFILES[Producer.LUATEX], 1)
+    broken = data.replace(b"<</Type/Catalog/Pages 2 0 R>>", b"<</Type/Catalog/Pages>>")
+    assert broken != data
+    sections = segment(broken)
+    assert [o.obj_num for o in sections.objects] == [o.obj_num for o in segment(data).objects]
+    assert len(sections.xref_tables) == 1 and len(sections.trailers) == 1
+    assert sections.info_obj_num == 5
+    first = sections.objects[0]
+    # The recovery swallows the object's endobj but not the next object.
+    assert first.raw == b"1 0 obj\n<</Type/Catalog/Pages>>\nendobj\n"
+    assert first.truncated
+    assert sections.diagnostics == ["MalformedDictionary obj 1 0", "TruncatedObject obj 1 0"]
 
 
 # -- segment -------------------------------------------------------------------
