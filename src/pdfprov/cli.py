@@ -219,7 +219,7 @@ def _render_csv(rows: list[list[str]]) -> str:
 def cmd_audit(args: argparse.Namespace) -> int:
     try:
         pack = _load_pack(args.pack)
-    except (PdfProvError, OSError) as exc:
+    except (PdfProvError, OSError, ValueError) as exc:
         print(json.dumps(_error_object(args.pack or "", exc), indent=2))
         return EXIT_ERROR
     src = Path(args.path)

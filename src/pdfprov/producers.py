@@ -60,13 +60,3 @@ class Distro(str, Enum):
     TEXLIVE = "texlive"
     MIKTEX = "miktex"
 
-
-def producer_name(name: str) -> str:
-    """Return the canonical name when ``name`` is one of the known tools.
-
-    Unknown names (extension rulepacks) pass through unchanged.
-    """
-    try:
-        return Producer(name).value
-    except ValueError:
-        return name

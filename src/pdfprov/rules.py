@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import PatternCompileError, RuleParseError
-from .producers import Distro, OpSys, producer_name
+from .producers import Distro, OpSys
 from .segmenter import PdfSections
 
 
@@ -254,7 +254,7 @@ def _finish_rule(fields: dict[str, object], lineno: int) -> Rule:
     rid, pattern = str(fields["id"]), str(fields["pattern"])
     return Rule(
         rid,
-        producer_name(str(fields["producer"])),
+        str(fields["producer"]),
         fields["section"],  # type: ignore[arg-type]
         fields["kind"],  # type: ignore[arg-type]
         pattern,

@@ -7,14 +7,19 @@ following the cross-reference offsets: the offsets may be absent or lie,
 and the style signals this package cares about live in the raw byte
 shapes anyway.
 
+Dictionaries are lexed by compiled token patterns built from one
+whitespace and one delimiter class; only literal strings and the
+``<<``/``[`` recursion are walked in Python.
+
 Segmentation takes time linear in the input size.  One pass lexes the
-objects, and each object's ``endobj`` search stops at the next object
-header.  The ``xref`` and ``trailer`` keywords are searched for only in
-the gaps between objects.  Line ends and ``startxref`` positions are each
-found once, and a malformed trailer's recovery stops at the next trailer
-or object.  The exception is elements that overlap: a trailer dictionary
-or xref table that runs on past the next keyword of its kind (behind an
-unclosed string or comment, say) is scanned again from that keyword.
+objects; each object's ``endobj`` search and malformed-dictionary
+recovery stop at the next object header.  The ``xref`` and ``trailer``
+keywords are searched for only in the gaps between objects.  Line ends
+and ``startxref`` positions are each found once, and a malformed
+trailer's recovery stops at the next trailer or object.  The exception is
+elements that overlap: a trailer dictionary or xref table that runs on
+past the next keyword of its kind (behind an unclosed string or comment,
+say) is scanned again from that keyword.
 
 All functions here are pure; the same input bytes always produce a
 structurally identical result.
@@ -278,10 +283,7 @@ def _recover_dict_end(data: bytes, i: int, stop: int) -> int:
 
 
 def _clean_token_start(data: bytes, pos: int) -> bool:
-    if pos == 0:
-        return True
-    prev = data[pos - 1]
-    return prev in _WHITESPACE or prev in _DELIMITERS
+    return pos == 0 or data[pos - 1] in _WHITESPACE or data[pos - 1] in _DELIMITERS
 
 
 # -- Section parsers -----------------------------------------------------------
@@ -367,8 +369,8 @@ def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
             if not ok:
                 # A malformed dictionary ends, at the latest, at the next
                 # object header.
-                m = _OBJ_RE.search(data, i)
-                i = _recover_dict_end(data, i, m.start() if m else n)
+                nxt = _OBJ_RE.search(data, i)
+                i = _recover_dict_end(data, i, nxt.start() if nxt else n)
                 diags.append(f"MalformedDictionary obj {obj_num} {gen_num}")
             dict_span = Span(dstart, i - dstart)
         j = _skip_ws(data, i)

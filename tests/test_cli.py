@@ -297,6 +297,17 @@ def test_audit_single_file_table(tmp_path, capsys):
     assert "consistent" in capsys.readouterr().out
 
 
+def test_audit_pack_that_is_not_utf8_is_an_error_object(tmp_path, capsys):
+    path = _write_fixture(tmp_path, Producer.SKIA_PDF)
+    pack = tmp_path / "latin1.rules"
+    pack.write_bytes(b"# caf\xe9\n")
+    code = main(["audit", str(path), "--pack", str(pack)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert payload["file"] == str(pack)
+    assert payload["error"]["type"] == "UnicodeDecodeError"
+
+
 # -- one scan path ------------------------------------------------------------
 
 
