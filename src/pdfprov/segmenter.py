@@ -37,8 +37,8 @@ from .errors import NotAPdf
 # sometimes prefixed with junk that common readers skip over.
 MAGIC_SCAN_WINDOW = 1024
 
-# The two character classes of the PDF token grammar.  Every token pattern
-# below is built from them.
+# The whitespace and delimiter classes of the PDF token grammar; the
+# dictionary, reference and object-header patterns are built from them.
 _WHITESPACE = b"\x00\t\n\x0c\r "
 _DELIMITERS = b"()<>[]{}/%"
 _WS = b"[" + _WHITESPACE + b"]"
