@@ -9,15 +9,19 @@ for support (fraction of the producer's files it matches, 1.0 by
 construction and re-verified) and discriminacy (worst-case fraction of
 any other producer's files it matches).
 
-The search is a pairwise maximal-common-substring intersection iterated
-across the group, on a token alphabet where digit/hex runs compare equal
-regardless of value.  Groups are small; auditability beats asymptotics.
+The search works on a token alphabet where digit/hex runs compare equal
+regardless of value.  One suffix automaton (Blumer et al., "The smallest
+automaton recognizing the subwords of a text", TCS 1985) is built over
+the shortest file's tokens; every other file is walked through it once,
+and the maximal runs common to all files are read off its states.  Time
+and memory are linear in the group's total token count.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
 from .errors import EmptyGroup, SectionAbsentEverywhere
@@ -162,61 +166,111 @@ def _file_tokens(haystacks: list[bytes]) -> list[int]:
 # -- Maximal common substrings ----------------------------------------------
 
 
-def _maximal_common(a: tuple[int, ...], b: list[int]) -> set[tuple[int, ...]]:
-    """All maximal token substrings of ``a`` that occur in ``b``."""
-    positions: dict[int, list[int]] = {}
-    for j, tok in enumerate(b):
-        positions.setdefault(tok, []).append(j)
-    out: set[tuple[int, ...]] = set()
-    prev: dict[int, int] = {}
-    rows: list[dict[int, int]] = []
-    for tok in a:
-        row: dict[int, int] = {}
-        for j in positions.get(tok, ()):
-            row[j] = prev.get(j - 1, 0) + 1
-        rows.append(row)
-        prev = row
-    for i, row in enumerate(rows):
-        nxt = rows[i + 1] if i + 1 < len(rows) else {}
-        for j, run in row.items():
-            if (j + 1) not in nxt:  # not extendable to the right
-                out.add(tuple(a[i - run + 1 : i + 1]))
-    return out
+def _automaton(tokens: list[int]) -> tuple[list[int], list[int], list[dict[int, int]], list[int]]:
+    """Suffix automaton of ``tokens`` (Blumer et al., TCS 1985).
+
+    Returns per state the length of its longest string, its suffix link,
+    its transitions and the end position of its first occurrence.  State
+    0 is the root; there are at most ``2 * len(tokens)`` states.
+    """
+    length, link, trans, end = [0], [-1], [{}], [-1]
+    last = 0
+    for pos, tok in enumerate(tokens):
+        cur = len(length)
+        length.append(length[last] + 1)
+        link.append(0)
+        trans.append({})
+        end.append(pos)
+        p = last
+        while p != -1 and tok not in trans[p]:
+            trans[p][tok] = cur
+            p = link[p]
+        if p != -1:
+            q = trans[p][tok]
+            if length[p] + 1 == length[q]:
+                link[cur] = q
+            else:
+                clone = len(length)
+                length.append(length[p] + 1)
+                link.append(link[q])
+                trans.append(dict(trans[q]))
+                end.append(end[q])
+                while p != -1 and trans[p].get(tok) == q:
+                    trans[p][tok] = clone
+                    p = link[p]
+                link[q] = clone
+                link[cur] = clone
+        last = cur
+    return length, link, trans, end
 
 
-def _contains(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
-    n, m = len(big), len(small)
-    if m > n:
-        return False
-    first = small[0]
-    for i in range(n - m + 1):
-        if big[i] == first and big[i : i + m] == small:
-            return True
-    return False
+def _common_across(files_tokens: list[list[int]], min_tokens: int) -> list[tuple[int, ...]]:
+    """Maximal token runs of at least ``min_tokens`` found in every file.
 
-
-def _drop_contained(cands: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    ordered = sorted(cands, key=lambda c: (-len(c), c))
-    kept: list[tuple[int, ...]] = []
-    for cand in ordered:
-        if not any(_contains(k, cand) for k in kept):
-            kept.append(cand)
-    return kept
-
-
-def _common_across(files_tokens: list[list[int]], first_haystacks: list[bytes],
-                   min_tokens: int) -> list[tuple[int, ...]]:
-    cands: list[tuple[int, ...]] = [
-        tuple(_tokenize(hay)) for hay in first_haystacks if hay
-    ]
-    for tokens in files_tokens[1:]:
-        found: set[tuple[int, ...]] = set()
-        for cand in cands:
-            found |= _maximal_common(cand, tokens)
-        cands = [c for c in _drop_contained(found) if len(c) >= min_tokens]
-        if not cands:
-            break
-    return cands
+    Each stream is one file's elements joined by separators (see
+    :func:`_file_tokens`); no run crosses a separator.  A one-file group
+    returns its elements unchanged.  Otherwise the runs come sorted by
+    (length desc, tokens).
+    """
+    if len(files_tokens) == 1:
+        parts = groupby(files_tokens[0], lambda tok: tok >= _SEP_BASE)
+        return [tuple(part) for is_separator, part in parts if not is_separator]
+    # Common runs are the same whichever file the automaton holds; the
+    # shortest keeps it smallest.
+    base_index = min(range(len(files_tokens)), key=lambda i: len(files_tokens[i]))
+    base = files_tokens[base_index]
+    length, link, trans, end = _automaton(base)
+    states = len(length)
+    by_length_desc = sorted(range(1, states), key=length.__getitem__, reverse=True)
+    common = list(length)
+    for index, tokens in enumerate(files_tokens):
+        if index == base_index:
+            continue
+        # Matching statistics: the longest match ending at each token,
+        # recorded at the state that holds it.
+        best = [0] * states
+        state = matched = 0
+        for tok in tokens:
+            if tok >= _SEP_BASE:
+                state = matched = 0
+                continue
+            nxt = trans[state].get(tok)
+            while nxt is None and state:
+                state = link[state]
+                matched = length[state]
+                nxt = trans[state].get(tok)
+            if nxt is None:
+                continue
+            state = nxt
+            matched += 1
+            if matched > best[state]:
+                best[state] = matched
+        # A match in a state also matches every string of its suffix link.
+        for v in by_length_desc:
+            run = best[v]
+            if run:
+                best[link[v]] = length[link[v]]
+            if run < common[v]:
+                common[v] = run
+    # common[v] is 0 or the length of the longest common string of state
+    # v.  That string extends left into a suffix-link child and right
+    # along a transition.
+    left_common = [False] * states
+    for w in range(1, states):
+        if common[w]:
+            left_common[link[w]] = True
+    runs: list[tuple[int, ...]] = []
+    for v in range(1, states):
+        run = common[v]
+        if run < min_tokens:
+            continue
+        if run == length[v] and left_common[v]:
+            continue
+        if any(common[u] > run for u in trans[v].values()):
+            continue
+        runs.append(tuple(base[end[v] - run + 1 : end[v] + 1]))
+    runs.sort(key=lambda r: (-len(r), r))
+    return runs
 
 
 # -- Template construction ---------------------------------------------------
@@ -357,7 +411,7 @@ def mine(corpus: LabeledCorpus, section: SectionKind, min_len: int = 8,
             results[producer] = []  # mixed presence: full support is impossible
             continue
         file_tokens = [_file_tokens(h) for h in own]
-        for tokens in _common_across(file_tokens, own[0], min_tokens=2):
+        for tokens in _common_across(file_tokens, min_tokens=2):
             template = _build_template(tokens, own)
             if template is None:
                 continue

@@ -30,22 +30,6 @@ class Producer(str, Enum):
         return self.value
 
 
-# Human-facing tool names, as commonly printed by the tools themselves.
-DISPLAY_NAMES: dict[Producer, str] = {
-    Producer.ACROBAT_DISTILLER: "Acrobat Distiller",
-    Producer.MICROSOFT_OFFICE_WORD: "Microsoft Office Word",
-    Producer.LIBREOFFICE: "LibreOffice",
-    Producer.GHOSTSCRIPT: "Ghostscript",
-    Producer.MACOS_QUARTZ: "Mac OS X Quartz",
-    Producer.PDFTEX: "pdfTeX",
-    Producer.SKIA_PDF: "Skia/PDF",
-    Producer.CAIRO: "cairo",
-    Producer.XDVIPDFMX: "xdviPDFmx",
-    Producer.LUATEX: "LuaTeX",
-    Producer.PDFLATEX: "PDFLaTeX",
-}
-
-
 class OpSys(str, Enum):
     """Operating systems a signature can be specific to."""
 

@@ -16,10 +16,12 @@ objects; each object's ``endobj`` search and malformed-dictionary
 recovery stop at the next object header.  The ``xref`` and ``trailer``
 keywords are searched for only in the gaps between objects.  Line ends
 and ``startxref`` positions are each found once, and a malformed
-trailer's recovery stops at the next trailer or object.  The exception is
-elements that overlap: a trailer dictionary or xref table that runs on
-past the next keyword of its kind (behind an unclosed string or comment,
-say) is scanned again from that keyword.
+trailer's recovery stops at the next trailer or object.  A recovery
+inside a dictionary, past a nested malformed one or the nesting floor,
+stops at the same bound, and so do the arrays and dictionaries around
+it.  The exception is elements that overlap: a trailer dictionary or
+xref table that runs on past the next keyword of its kind (behind an
+unclosed string or comment, say) is scanned again from that keyword.
 
 All functions here are pure; the same input bytes always produce a
 structurally identical result.
@@ -217,23 +219,47 @@ def _scan_literal_string(data: bytes, i: int) -> int:
 _MAX_NESTING = 64
 
 
-def _skip_value(data: bytes, i: int, depth: int = 0) -> int:
+class _Stop:
+    """Where the lexing of one top-level dictionary gives up.
+
+    ``at`` stays at the end of the input while the dictionary lexes
+    cleanly.  The first recovery, past a malformed dictionary or the
+    nesting floor, moves it to the caller's ``bound``: a fixed index, or
+    when None the next object header after the failure.  Every enclosing
+    array and dictionary then ends there too.
+    """
+
+    __slots__ = ("at", "bound")
+
+    def __init__(self, data: bytes, bound: int | None = None) -> None:
+        self.at = len(data)
+        self.bound = bound
+
+    def recover(self, data: bytes, i: int) -> int:
+        """Index past the ``>>`` that balances an open ``<<``, or ``at``."""
+        if self.bound is None:
+            m = _OBJ_RE.search(data, i)
+            self.bound = m.start() if m else len(data)
+        self.at = min(self.at, self.bound)
+        return _recover_dict_end(data, i, self.at)
+
+
+def _skip_value(data: bytes, i: int, stop: _Stop, depth: int = 0) -> int:
     """Advance past one PDF value starting at non-whitespace position ``i``."""
-    n = len(data)
-    if i >= n:
+    if i >= len(data):
         return i
     if depth > _MAX_NESTING:
-        return _recover_dict_end(data, i + 1, n)
+        return stop.recover(data, i + 1)
     if data.startswith(b"<<", i):
-        end, _, _, ok = _scan_dict(data, i, depth + 1)
-        return end if ok else _recover_dict_end(data, end, n)
+        end, _, _, ok = _scan_dict(data, i, stop, depth + 1)
+        return end if ok else stop.recover(data, end)
     b = data[i]
     if b == 0x5B:  # '['
         i = _skip_ws(data, i + 1)
-        while i < n:
+        while i < stop.at:
             if data[i] == 0x5D:
                 return i + 1
-            i = _skip_ws(data, _skip_value(data, i, depth + 1))
+            i = _skip_ws(data, _skip_value(data, i, stop, depth + 1))
         return i
     if b == 0x28:  # '('
         return _scan_literal_string(data, i)
@@ -241,23 +267,23 @@ def _skip_value(data: bytes, i: int, depth: int = 0) -> int:
 
 
 def _scan_dict(
-    data: bytes, i: int, depth: int = 0
+    data: bytes, i: int, stop: _Stop, depth: int = 0
 ) -> tuple[int, list[str], dict[str, bytes], bool]:
     """Parse the dictionary opening at ``i`` (must point at ``<<``).
 
     Returns ``(end, keys, values, ok)`` where ``end`` is the index just
     past the closing ``>>``, ``keys`` lists top-level keys in source
     order and ``values`` maps each key to the raw bytes of its value.
-    A malformed dictionary gives ``ok`` False and ends where the lexer
-    stopped; the caller finds its end with :func:`_recover_dict_end`.
+    A malformed dictionary, or one still open at ``stop.at``, gives
+    ``ok`` False and ends where the lexer stopped; the caller finds its
+    end with ``stop.recover``.
     """
-    n = len(data)
     keys: list[str] = []
     values: dict[str, bytes] = {}
     if depth > _MAX_NESTING:
         return i + 2, keys, values, False
     i = _skip_ws(data, i + 2)
-    while i < n:
+    while i < stop.at:
         if data.startswith(b">>", i):
             return i + 2, keys, values, True
         m = _KEY_RE.match(data, i)
@@ -266,10 +292,10 @@ def _scan_dict(
         key = m.group(1).decode("latin-1")
         keys.append(key)
         vstart = m.end()
-        i = _skip_value(data, vstart, depth)
+        i = _skip_value(data, vstart, stop, depth)
         values[key] = data[vstart:i]
         i = _skip_ws(data, i)
-    return n, keys, values, False
+    return i, keys, values, False
 
 
 def _recover_dict_end(data: bytes, i: int, stop: int) -> int:
@@ -365,12 +391,12 @@ def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
         dict_span: Span | None = None
         if data.startswith(b"<<", i):
             dstart = i
-            i, keys, values, ok = _scan_dict(data, i)
+            # A malformed dictionary ends, at the latest, at the next
+            # object header.
+            stop = _Stop(data)
+            i, keys, values, ok = _scan_dict(data, i, stop)
             if not ok:
-                # A malformed dictionary ends, at the latest, at the next
-                # object header.
-                nxt = _OBJ_RE.search(data, i)
-                i = _recover_dict_end(data, i, nxt.start() if nxt else n)
+                i = stop.recover(data, i)
                 diags.append(f"MalformedDictionary obj {obj_num} {gen_num}")
             dict_span = Span(dstart, i - dstart)
         j = _skip_ws(data, i)
@@ -508,10 +534,10 @@ def _lex_trailers(
             continue
         # A malformed dictionary ends, at the latest, where the next
         # trailer keyword or the next object begins.
-        stop = min(hits[k + 1][0], gap_stop) if k + 1 < len(hits) else gap_stop
-        end, keys, values, ok = _scan_dict(data, i)
+        stop = _Stop(data, min(hits[k + 1][0], gap_stop) if k + 1 < len(hits) else gap_stop)
+        end, keys, values, ok = _scan_dict(data, i, stop)
         if not ok:
-            end = _recover_dict_end(data, end, stop)
+            end = stop.recover(data, end)
             diags.append(f"MalformedTrailer at offset {start}")
             keys, values = [], {}
         trailers.append(

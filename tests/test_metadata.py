@@ -16,7 +16,7 @@ from pdfprov.metadata import (
     extract_declared,
     normalize_producer_string,
 )
-from pdfprov.producers import DISPLAY_NAMES, Producer
+from pdfprov.producers import Producer
 
 GS = Producer.GHOSTSCRIPT
 
@@ -116,7 +116,21 @@ def test_normalize_unknown_strings():
 
 
 def test_normalize_idempotent_over_display_names():
-    for producer, display in DISPLAY_NAMES.items():
+    # Human-facing tool names, as commonly printed by the tools themselves.
+    display_names = {
+        Producer.ACROBAT_DISTILLER: "Acrobat Distiller",
+        Producer.MICROSOFT_OFFICE_WORD: "Microsoft Office Word",
+        Producer.LIBREOFFICE: "LibreOffice",
+        Producer.GHOSTSCRIPT: "Ghostscript",
+        Producer.MACOS_QUARTZ: "Mac OS X Quartz",
+        Producer.PDFTEX: "pdfTeX",
+        Producer.SKIA_PDF: "Skia/PDF",
+        Producer.CAIRO: "cairo",
+        Producer.XDVIPDFMX: "xdviPDFmx",
+        Producer.LUATEX: "LuaTeX",
+        Producer.PDFLATEX: "PDFLaTeX",
+    }
+    for producer, display in display_names.items():
         assert normalize_producer_string(display) == producer.value
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pdfprov.errors import EmptyGroup
 from pdfprov.fixtures import PROFILES, generate
@@ -12,6 +14,9 @@ from pdfprov.miner import (
     CandidatePattern,
     CorpusFile,
     LabeledCorpus,
+    _common_across,
+    _file_tokens,
+    _tokenize,
     emit_rulepack,
     mine,
     mine_all,
@@ -176,3 +181,104 @@ def test_group_labels_tag_rules():
     luatex_rules = [r for r in pack.rules if r.producer == Producer.LUATEX.value]
     assert luatex_rules and all(r.os_tags == {"windows"} for r in luatex_rules)
     assert all(r.distro_tags == {"miktex"} for r in luatex_rules)
+
+
+# -- Reference search ---------------------------------------------------------
+# The pairwise search the suffix automaton replaced: intersect file 0's
+# elements with each further file in turn, keeping the maximal runs.  It
+# costs about |a|*|b|/alphabet per pair, so it only serves as the oracle.
+
+
+def _maximal_common(a: tuple[int, ...], b: list[int]) -> set[tuple[int, ...]]:
+    """All maximal token substrings of ``a`` that occur in ``b``."""
+    positions: dict[int, list[int]] = {}
+    for j, tok in enumerate(b):
+        positions.setdefault(tok, []).append(j)
+    out: set[tuple[int, ...]] = set()
+    prev: dict[int, int] = {}
+    rows: list[dict[int, int]] = []
+    for tok in a:
+        row: dict[int, int] = {}
+        for j in positions.get(tok, ()):
+            row[j] = prev.get(j - 1, 0) + 1
+        rows.append(row)
+        prev = row
+    for i, row in enumerate(rows):
+        nxt = rows[i + 1] if i + 1 < len(rows) else {}
+        for j, run in row.items():
+            if (j + 1) not in nxt:  # not extendable to the right
+                out.add(tuple(a[i - run + 1 : i + 1]))
+    return out
+
+
+def _contains(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
+    n, m = len(big), len(small)
+    if m > n:
+        return False
+    first = small[0]
+    for i in range(n - m + 1):
+        if big[i] == first and big[i : i + m] == small:
+            return True
+    return False
+
+
+def _drop_contained(cands: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    ordered = sorted(cands, key=lambda c: (-len(c), c))
+    kept: list[tuple[int, ...]] = []
+    for cand in ordered:
+        if not any(_contains(k, cand) for k in kept):
+            kept.append(cand)
+    return kept
+
+
+def _reference_common_across(files_tokens: list[list[int]], first_haystacks: list[bytes],
+                             min_tokens: int) -> list[tuple[int, ...]]:
+    cands: list[tuple[int, ...]] = [
+        tuple(_tokenize(hay)) for hay in first_haystacks if hay
+    ]
+    for tokens in files_tokens[1:]:
+        found: set[tuple[int, ...]] = set()
+        for cand in cands:
+            found |= _maximal_common(cand, tokens)
+        cands = [c for c in _drop_contained(found) if len(c) >= min_tokens]
+        if not cands:
+            break
+    return cands
+
+
+# Element bytes: a few letters and delimiters, decimal runs (one _NUM token
+# each) and 16+-digit hex strings in angle brackets (one _HEX token each).
+_PIECES = st.one_of(
+    st.sampled_from([b"a", b"b", b"/", b"<", b">"]),
+    st.integers(0, 999).map(lambda n: b"%d" % n),
+    st.text("0123456789ABCDEFabcdef", min_size=16, max_size=18).map(
+        lambda t: b"<" + t.encode() + b">"
+    ),
+)
+_CHUNK = st.lists(_PIECES, min_size=1, max_size=8).map(b"".join)
+
+
+@st.composite
+def _groups(draw) -> list[list[bytes]]:
+    # Elements are built from a shared pool of chunks, so files share long
+    # runs with varied boundaries, and elements can be empty or repeat.
+    pool = draw(st.lists(_CHUNK, min_size=1, max_size=3))
+    element = st.one_of(
+        st.sampled_from(pool),
+        st.lists(st.one_of(st.sampled_from(pool), _PIECES), max_size=3).map(b"".join),
+    )
+    file = st.integers(0, 4).flatmap(lambda n: st.lists(element, min_size=n, max_size=n))
+    return draw(st.lists(file, min_size=1, max_size=5))
+
+
+@given(_groups(), st.integers(1, 3))
+# "ab" is common but not maximal: its left extension "xab" is common too.
+@example([[b"xab", b"yab"], [b"xab", b"zzzzzzzz"]], 1)
+@example([[b"xab", b"zzzzzzzz"], [b"xab", b"yab"]], 1)
+# "ab" is common, but each file reaches it only through a longer run.
+@example([[b"xab", b"yab"], [b"xab", b"zzzzzzzz"], [b"yab", b"zzzzzzzz"]], 1)
+@settings(max_examples=300, deadline=None)
+def test_common_across_equals_pairwise_search(group, min_tokens):
+    files_tokens = [_file_tokens(elements) for elements in group]
+    expected = _reference_common_across(files_tokens, group[0], min_tokens)
+    assert _common_across(files_tokens, min_tokens) == expected

@@ -329,6 +329,29 @@ def test_malformed_object_dictionary_stops_at_the_next_object():
     assert sections.diagnostics == ["MalformedDictionary obj 1 0", "TruncatedObject obj 1 0"]
 
 
+def test_nesting_floor_recovery_stops_at_the_next_object():
+    data = generate(PROFILES[Producer.LUATEX], 1)
+    deep = b"/X" + b"[" * 70 + b"]" * 70
+    broken = data.replace(b"/Pages 2 0 R>>", b"/Pages 2 0 R" + deep + b">>", 1)
+    assert broken != data
+    sections = segment(broken)
+    assert [o.obj_num for o in sections.objects] == [1, 2, 3, 4, 5]
+    assert len(sections.xref_tables) == 1 and len(sections.trailers) == 1
+    assert sections.info_obj_num == 5
+    # The recovery runs to the next object header at the latest.
+    assert sections.objects[0].span.end == broken.index(b"2 0 obj")
+    assert sections.diagnostics == ["MalformedDictionary obj 1 0", "TruncatedObject obj 1 0"]
+
+
+def test_nesting_floor_recovery_in_a_trailer_stops_at_the_next_object():
+    deep = b"[" * 70 + b"]" * 70
+    data = b"trailer\n<</A " + deep + b">>\n1 0 obj\n<</Type/Catalog>>\nendobj\n"
+    sections = _fragment(data)
+    (trailer,) = sections.trailers
+    assert trailer.raw == b"trailer\n<</A " + deep + b">>\n"
+    assert [o.dict_keys for o in sections.objects] == [["/Type"]]
+
+
 # -- segment -------------------------------------------------------------------
 
 
