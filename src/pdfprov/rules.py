@@ -317,14 +317,14 @@ def match_section(
     pack: Rulepack, sections: PdfSections, kind: SectionKind
 ) -> list[RuleMatch]:
     """Run every rule of one section against every eligible element."""
-    elements = section_elements(sections, kind)
     token = presence_token(sections)
+    presence_targets = [("xref:presence", token, 0)]
+    element_targets = [
+        (ref, data, idx) for idx, (ref, data) in enumerate(section_elements(sections, kind))
+    ]
     matches: list[tuple[tuple[str, int, int], RuleMatch]] = []
     for rule in pack.for_section(kind):
-        if rule.kind is RuleKind.PRESENCE:
-            targets = [("xref:presence", token, 0)]
-        else:
-            targets = [(ref, data, idx) for idx, (ref, data) in enumerate(elements)]
+        targets = presence_targets if rule.kind is RuleKind.PRESENCE else element_targets
         for ref, data, idx in targets:
             for m in rule.regex.finditer(data):
                 matches.append(

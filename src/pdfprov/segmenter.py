@@ -8,8 +8,17 @@ and the style signals this package cares about live in the raw byte
 shapes anyway.
 
 Dictionaries are lexed by compiled token patterns built from one
-whitespace and one delimiter class; only literal strings and the
-``<<``/``[`` recursion are walked in Python.
+whitespace and one delimiter class.  One pattern lexes a whole entry, its
+key, value and the whitespace after each, when the value is flat: a name,
+a hex string, a number or ``N G R`` reference, ``true``, ``false`` or
+``null``, a literal string with no unescaped parenthesis inside, or an
+array of those.  Every other entry goes to the token walk: a key pattern,
+then the value walked in Python, recursing into ``<<`` and ``[`` and
+stepping through literal strings byte by byte.  That takes nested
+dictionaries and arrays, strings with inner parentheses, unclosed tokens,
+stray bytes, entries cut by a recovery bound and every entry of a
+dictionary at the nesting floor.  The two read one grammar and give the
+same keys and values for any entry the pattern lexes.
 
 Segmentation takes time linear in the input size.  One pass lexes the
 objects; each object's ``endobj`` search and malformed-dictionary
@@ -50,15 +59,33 @@ _NAME = b"/[^" + _WHITESPACE + re.escape(_DELIMITERS) + b"]*"
 # The rest of an indirect reference "N G R" after its first number.
 _REF_TAIL = _WS + rb"+(\d+)" + _WS + rb"+R(?![0-9A-Za-z])"
 
+# A value that is not a dictionary, array or literal string: a name, a hex
+# string up to the next ">" (not "<<"), a number or "N G R" reference, true,
+# false or null.  The group is atomic: it takes what the first alternative
+# that matches takes, whatever follows it.
+_SCALAR = (
+    b"(?>" + _NAME + rb"|<(?!<)[^>]*>?|[-+.0-9]+(?:" + _REF_TAIL + rb")?|true|false|null)"
+)
+# A literal string with no unescaped parenthesis inside it.
+_FLAT_STRING = rb"\((?>[^()\\]+|\\.)*+\)"
+
 _SKIP_RE = re.compile(_SKIP)
 # A dictionary key and the whitespace after it, which ends where its value
 # starts.
 _KEY_RE = re.compile(b"(" + _NAME + b")" + _SKIP)
-# A value that is not a dictionary, array or literal string: a name, a hex
-# string up to the next ">", a number or "N G R" reference, true, false or
-# null, or else one unknown byte (none at the end of the input).
-_SCALAR_RE = re.compile(
-    _NAME + rb"|<[^>]*>?|[-+.0-9]+(?:" + _REF_TAIL + rb")?|true|false|null|.?", re.S
+# A scalar, or else one unknown byte (none at the end of the input).
+_SCALAR_RE = re.compile(_SCALAR + rb"|.?", re.S)
+# One whole dictionary entry whose value holds no dictionary, no nested
+# array and no string with inner parentheses: the key (group 1), the
+# whitespace after it, the value (group 2) and the whitespace after that.
+# Every part is atomic, so each takes the same bytes as the token walk.
+_FLAT_ITEM = b"(?>" + _SCALAR + b"|" + _FLAT_STRING + b")"
+_ATOMIC_SKIP = b"(?>" + _SKIP + b")"
+_FLAT_ENTRY_RE = re.compile(
+    b"((?>" + _NAME + b"))" + _ATOMIC_SKIP
+    + b"(" + _FLAT_ITEM + rb"|\[" + _ATOMIC_SKIP + b"(?:" + _FLAT_ITEM + _ATOMIC_SKIP
+    + rb")*+\])" + _ATOMIC_SKIP,
+    re.S,
 )
 _ANGLES_RE = re.compile(rb"<<|>>")
 _REF_RE = re.compile(rb"(\d+)" + _REF_TAIL)
@@ -282,8 +309,21 @@ def _scan_dict(
     values: dict[str, bytes] = {}
     if depth > _MAX_NESTING:
         return i + 2, keys, values, False
+    # The items of an array at the floor's depth lie past it, so there the
+    # walk alone must see them.
+    flat = _FLAT_ENTRY_RE.match if depth < _MAX_NESTING else None
+    n = len(data)
     i = _skip_ws(data, i + 2)
     while i < stop.at:
+        m = flat(data, i, stop.at) if flat else None
+        # A match that ends at stop.at may have cut its last token short.
+        if m and (m.end() < stop.at or stop.at == n):
+            key, value = m.group(1, 2)
+            key = key.decode("latin-1")
+            keys.append(key)
+            values[key] = value
+            i = m.end()
+            continue
         if data.startswith(b">>", i):
             return i + 2, keys, values, True
         m = _KEY_RE.match(data, i)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import re
+from dataclasses import asdict
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -18,12 +20,19 @@ from conftest import (
 )
 from pdfprov.errors import NotAPdf
 from pdfprov.fixtures import PROFILES, generate
+from pdfprov import segmenter
 from pdfprov.producers import Producer
 from pdfprov.segmenter import (
+    _KEY_RE,
+    _MAX_NESTING,
+    _NAME,
+    _REF_TAIL,
     _TRAILER_KW,
     _XREF_KW,
     _gaps,
     _keyword_hits,
+    _scan_literal_string,
+    _skip_ws,
     PdfSections,
     _lex_objects,
     parse_header,
@@ -487,3 +496,92 @@ def test_gap_keyword_search_matches_lookbehind_regexes(parts):
             if not any(o.span.offset <= m.start() < o.span.end for o in objects)
         ]
         assert [p for p, _ in _keyword_hits(data, gaps, keyword)] == expected
+
+
+# -- the entry pattern against the token walk ----------------------------------
+
+# The walk-only dictionary lexer that the entry pattern runs ahead of, kept
+# as its oracle: each entry goes through the key pattern and the value walk.
+_WALK_SCALAR_RE = re.compile(
+    _NAME + rb"|<[^>]*>?|[-+.0-9]+(?:" + _REF_TAIL + rb")?|true|false|null|.?", re.S
+)
+
+
+def _walk_skip_value(data, i, stop, depth=0):
+    if i >= len(data):
+        return i
+    if depth > _MAX_NESTING:
+        return stop.recover(data, i + 1)
+    if data.startswith(b"<<", i):
+        end, _, _, ok = _walk_scan_dict(data, i, stop, depth + 1)
+        return end if ok else stop.recover(data, end)
+    b = data[i]
+    if b == 0x5B:  # '['
+        i = _skip_ws(data, i + 1)
+        while i < stop.at:
+            if data[i] == 0x5D:
+                return i + 1
+            i = _skip_ws(data, _walk_skip_value(data, i, stop, depth + 1))
+        return i
+    if b == 0x28:  # '('
+        return _scan_literal_string(data, i)
+    return _WALK_SCALAR_RE.match(data, i).end()
+
+
+def _walk_scan_dict(data, i, stop, depth=0):
+    keys, values = [], {}
+    if depth > _MAX_NESTING:
+        return i + 2, keys, values, False
+    i = _skip_ws(data, i + 2)
+    while i < stop.at:
+        if data.startswith(b">>", i):
+            return i + 2, keys, values, True
+        m = _KEY_RE.match(data, i)
+        if m is None:
+            return i, keys, values, False
+        key = m.group(1).decode("latin-1")
+        keys.append(key)
+        vstart = m.end()
+        i = _walk_skip_value(data, vstart, stop, depth)
+        values[key] = data[vstart:i]
+        i = _skip_ws(data, i)
+    return i, keys, values, False
+
+
+def _nested_flat_array(depth: int) -> bytes:
+    """An entry whose innermost dictionary, ``depth`` deep, holds a flat array."""
+    return b"/D <<" * depth + b"/K [1 2]" + b">>" * depth
+
+
+_ORACLE_TOKENS = [
+    # A greedy key or number that a backtracking pattern would cut short.
+    b"/Wnull(", b"/Coun1>>", b"/A", b"/Type", b"/K", b" ", b"\n",
+    b"%/A 1\n", b"1", b"-1.5", b"3 0 R", b"true", b"null", b"/N",
+    b"(a(b)c)", b"(a\\)b)", b"(", b")", b"<4F", b"<4F>", b"<<", b">>",
+    b"[", b"]", b"[1 2]", b"{", b"x",
+    # A malformed nested dictionary, then an object header that its
+    # recovery takes as the bound, inside a name.
+    b"<</B 1 x>>", b"/X1 0 obj",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(_ORACLE_TOKENS), st.integers(60, 70).map(_nested_flat_array)),
+        max_size=30,
+    ),
+    st.booleans(),
+)
+@example([b"/A ", b"<</B 1 x>>", b" /C ", b"/X1 0 obj"], False)
+@example([_nested_flat_array(64)], False)
+def test_entry_pattern_lexes_as_the_token_walk(parts, in_trailer):
+    body = b"".join(parts)
+    tail = b"\n2 0 obj\n<</Type/Catalog>>\nendobj\n"
+    if in_trailer:
+        data = b"%PDF-1.4\ntrailer\n<<" + body + b">>\n" + tail + b"trailer\n<<" + body
+    else:
+        data = b"%PDF-1.4\n1 0 obj\n<<" + body + b">>\nendobj" + tail
+    with mock.patch.object(segmenter, "_scan_dict", _walk_scan_dict):
+        expected = asdict(segment(data))
+    assert asdict(segment(data)) == expected

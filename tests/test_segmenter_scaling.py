@@ -1,7 +1,9 @@
 """Segmentation time grows linearly with input size on adversarial inputs.
 
-Each family repeats one hostile shape k times.  Every one of them made an
-earlier segmenter do work proportional to k for each repetition.  The test
+Each family repeats one hostile shape k times.  Each of the first six made
+an earlier segmenter do work proportional to k for each repetition.  In
+the last two, the dictionary entry pattern scans each entry and then
+gives it back to the token walk, which lexes it again.  The test
 times ``segment()`` at n and 2n repetitions, best of five, and requires the
 larger input to cost at most 2.5 times the smaller one; quadratic work
 costs 4 times.  Sizes keep the earlier segmenter at a few seconds or less
@@ -43,6 +45,8 @@ def _keyword_per_object(k: int) -> bytes:
     )
 
 
+_NUMBERS = b" ".join(b"%d" % j for j in range(1, 41))
+
 # family -> (n, input builder for k repetitions)
 FAMILIES = {
     # Each trailer looked for a startxref up to the end of the file.
@@ -59,6 +63,14 @@ FAMILIES = {
     "no-endobj": (4000, lambda k: _objects(k, b"<</Type/Annot/Rect [0 0 1 1]>>\n")),
     # Each keyword was tested against every object span.
     "keyword-per-object": (3000, _keyword_per_object),
+    # A flat array of 40 numbers that a stray "{" turns away at its end.
+    "rejected-flat-array": (
+        300, lambda k: _objects(k, b"<</A [" + _NUMBERS + b" {]>>\nendobj\n")
+    ),
+    # A string turned away at its inner parentheses.
+    "rejected-nested-string": (
+        1500, lambda k: _objects(k, b"<</A (" + b"x" * 40 + b"(y))>>\nendobj\n")
+    ),
 }
 
 
