@@ -8,8 +8,8 @@ and the style signals this package cares about live in the raw byte
 shapes anyway.
 
 Dictionaries are lexed by compiled token patterns built from one
-whitespace and one delimiter class.  One pattern lexes a whole entry, its
-key, value and the whitespace after each, when the value is flat: a name,
+whitespace and one delimiter class.  One pattern lexes a whole entry (its
+key, its value and the whitespace after each) when the value is flat: a name,
 a hex string, a number or ``N G R`` reference, ``true``, ``false`` or
 ``null``, a literal string with no unescaped parenthesis inside, or an
 array of those.  Every other entry goes to the token walk: a key pattern,
@@ -26,8 +26,8 @@ recovery stop at the next object header.  The ``xref`` and ``trailer``
 keywords are searched for only in the gaps between objects.  Line ends
 and ``startxref`` positions are each found once, and a malformed
 trailer's recovery stops at the next trailer or object.  A recovery
-inside a dictionary, past a nested malformed one or the nesting floor,
-stops at the same bound, and so do the arrays and dictionaries around
+inside a dictionary, past a nested malformed one, the nesting floor or an
+array still open at a ``>>``, stops at the same bound, and so do the arrays and dictionaries around
 it.  The exception is elements that overlap: a trailer dictionary or
 xref table that runs on past the next keyword of its kind (behind an
 unclosed string or comment, say) is scanned again from that keyword.
@@ -286,6 +286,10 @@ def _skip_value(data: bytes, i: int, stop: _Stop, depth: int = 0) -> int:
         while i < stop.at:
             if data[i] == 0x5D:
                 return i + 1
+            if data.startswith(b">>", i):
+                # The array was never closed: end it, and the dictionaries
+                # around it, as malformed.
+                return stop.recover(data, i)
             i = _skip_ws(data, _skip_value(data, i, stop, depth + 1))
         return i
     if b == 0x28:  # '('

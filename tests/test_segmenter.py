@@ -21,6 +21,8 @@ from conftest import (
 from pdfprov.errors import NotAPdf
 from pdfprov.fixtures import PROFILES, generate
 from pdfprov import segmenter
+from pdfprov.builtin_pack import builtin
+from pdfprov.cli import scan_bytes
 from pdfprov.producers import Producer
 from pdfprov.segmenter import (
     _KEY_RE,
@@ -352,6 +354,22 @@ def test_nesting_floor_recovery_stops_at_the_next_object():
     assert sections.diagnostics == ["MalformedDictionary obj 1 0", "TruncatedObject obj 1 0"]
 
 
+def test_unclosed_array_ends_at_the_dictionary_end():
+    data = generate(PROFILES[Producer.LUATEX], 1)
+    broken = data.replace(b"/Kids[3 0 R]", b"/Kids[3 0 R", 1)
+    assert broken != data
+    sections = segment(broken)
+    assert [o.obj_num for o in sections.objects] == [1, 2, 3, 4, 5]
+    assert len(sections.xref_tables) == 1 and len(sections.trailers) == 1
+    assert sections.info_obj_num == 5
+    kids = sections.objects[1]
+    assert kids.values["/Kids"] == b"[3 0 R/Count 1>>"
+    # The recovery runs to the next object header at the latest.
+    assert kids.span.end == broken.index(b"3 0 obj")
+    assert sections.diagnostics == ["MalformedDictionary obj 2 0", "TruncatedObject obj 2 0"]
+    assert scan_bytes("broken.pdf", broken, builtin()).consistency == "consistent"
+
+
 def test_nesting_floor_recovery_in_a_trailer_stops_at_the_next_object():
     deep = b"[" * 70 + b"]" * 70
     data = b"trailer\n<</A " + deep + b">>\n1 0 obj\n<</Type/Catalog>>\nendobj\n"
@@ -521,6 +539,8 @@ def _walk_skip_value(data, i, stop, depth=0):
         while i < stop.at:
             if data[i] == 0x5D:
                 return i + 1
+            if data.startswith(b">>", i):
+                return stop.recover(data, i)
             i = _skip_ws(data, _walk_skip_value(data, i, stop, depth + 1))
         return i
     if b == 0x28:  # '('

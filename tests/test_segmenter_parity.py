@@ -104,9 +104,9 @@ FAMILIES = {
 # sha256 of each family's segment() output.
 DIGESTS = {
     "fixtures": "13ad5dcea74130d6764487eedd6d7a3d7e6223536a17b6d7e878c83522e8c93c",
-    "token-soups": "8ecddee416f3c97d3c34b0233afbfa7af5bab246135ca0872d07d2162b05f8d5",
-    "mutants": "1c9f700386540ccb23bd5b36152f72c8b1402f4eb1a945afb2a2e57280fc3723",
-    "nesting-floor": "43658343a22f1a9577518c89ff71df2dba262e69101d4d93b8759f0bd1d37fad",
+    "token-soups": "3b5e3cc3e252bedc1b003dbb56587ed3633c46fa9fb8c5a1ca2329b2c89e3e2a",
+    "mutants": "7d51c06a2683d5c11df84418d649e2c6927cb11ba33c6d08573c1dba1a2fcf11",
+    "nesting-floor": "824a365618efce168c261a2f014a4a38b5a072e03ff34395e93eaab0927b5820",
 }
 
 
