@@ -457,7 +457,6 @@ def test_random_mutations_never_crash(corpus_bytes):
     """A forensic parser must degrade, not abort, on damaged files."""
     import random
 
-    from pdfprov.builtin_pack import builtin
     from pdfprov.rules import evaluate_sections
 
     rng = random.Random(20240811)
