@@ -18,13 +18,11 @@ from pathlib import Path
 from .builtin_pack import builtin
 from .detector import Verdict, classify, detect
 from .errors import EmptyGroup, PdfProvError
-from .fixtures import emit_corpus
 from .metadata import (
     consistency_status,
     extract_declared,
     normalize_producer_string,
 )
-from .miner import LabeledCorpus, emit_rulepack, mine, mine_all, uniform_group_labels
 from .report import (
     CSV_COLUMNS,
     SCHEMA_VERSION,
@@ -260,6 +258,8 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
+    from .miner import LabeledCorpus, emit_rulepack, mine, mine_all, uniform_group_labels
+
     try:
         corpus = LabeledCorpus.from_manifest(args.manifest)
         if not corpus.files:
@@ -285,6 +285,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def cmd_fixtures(args: argparse.Namespace) -> int:
+    from .fixtures import emit_corpus
+
     seeds = range(args.seed_start, args.seed_start + args.seeds)
     manifest = emit_corpus(args.dir, seeds=seeds)
     print(str(manifest))

@@ -5,6 +5,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -380,3 +383,25 @@ def test_mine_output_reloads_and_detects(corpus_dir, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["stats"]["file_level"]["correct"] == 33
+
+
+# -- import graph ---------------------------------------------------------
+
+
+def _modules_after(code: str) -> set[str]:
+    """The ``pdfprov`` modules a fresh interpreter holds after ``code``."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = code + "\nimport sys\nprint(' '.join(m for m in sys.modules if m.startswith('pdfprov')))"
+    result = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+                            capture_output=True, text=True, timeout=60, check=True)
+    return set(result.stdout.split())
+
+
+def test_importing_the_package_loads_only_the_builtin_pack_modules():
+    assert _modules_after("import pdfprov\npdfprov.builtin()") == {
+        "pdfprov", "pdfprov.builtin_pack", "pdfprov.rules", "pdfprov.segmenter",
+        "pdfprov.errors", "pdfprov.producers",
+    }
+    loaded = _modules_after("import pdfprov.cli")
+    assert "pdfprov.cli" in loaded
+    assert not loaded & {"pdfprov.miner", "pdfprov.fixtures"}
