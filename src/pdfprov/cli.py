@@ -185,10 +185,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
         file_class = outcome.file_status.value if outcome else ""
         stats.add(truth, report.verdict_kind, report.producer, outcome, bool(report.os))
         rows.append(csv_row(report, truth or "", file_class))
-        payload = report.to_dict()
-        payload["truth"] = truth
-        payload["file_class"] = file_class
-        file_dicts.append(payload)
+        if args.format == "json":
+            file_dicts.append({**report.to_dict(), "truth": truth, "file_class": file_class})
 
     csv_text = _render_csv(rows)
     if args.csv:

@@ -565,7 +565,15 @@ def _lex_trailers(
 ) -> tuple[list[TrailerDict], list[str]]:
     trailers: list[TrailerDict] = []
     diags: list[str] = []
-    startxrefs = list(_STARTXREF_RE.finditer(data))
+    xref_objects = [
+        obj for obj in objects
+        if obj.values.get("/Type", b"").strip() == b"/XRef" and obj.dict_span
+    ]
+    # startxref values are read only after a trailer keyword or an xref
+    # stream object, so the scan starts at the first of those.  A match
+    # cannot start inside another, so the later matches are the same.
+    firsts = [start for start, _ in hits[:1]] + [obj.span.end for obj in xref_objects[:1]]
+    startxrefs = list(_STARTXREF_RE.finditer(data, min(firsts, default=len(data))))
     starts = [m.start() for m in startxrefs]
 
     def next_startxref(pos: int) -> int | None:
@@ -590,19 +598,18 @@ def _lex_trailers(
                 values=values,
             )
         )
-    for obj in objects:
-        if obj.values.get("/Type", b"").strip() == b"/XRef" and obj.dict_span:
-            sp = obj.dict_span
-            trailers.append(
-                TrailerDict(
-                    list(obj.dict_keys),
-                    data[sp.offset : sp.end],
-                    next_startxref(obj.span.end),
-                    sp,
-                    from_xref_stream=True,
-                    values=dict(obj.values),
-                )
+    for obj in xref_objects:
+        sp = obj.dict_span
+        trailers.append(
+            TrailerDict(
+                list(obj.dict_keys),
+                data[sp.offset : sp.end],
+                next_startxref(obj.span.end),
+                sp,
+                from_xref_stream=True,
+                values=dict(obj.values),
             )
+        )
     trailers.sort(key=lambda t: t.span.offset)
     return trailers, diags
 
