@@ -264,6 +264,12 @@ class _Stop:
 
     def recover(self, data: bytes, i: int) -> int:
         """Index past the ``>>`` that balances an open ``<<``, or ``at``."""
+        end = self.balance(data, i)
+        return max(i, self.at) if end is None else end
+
+    def balance(self, data: bytes, i: int) -> int | None:
+        """Index past the ``>>`` that balances an open ``<<`` before the
+        bound, or None when none does."""
         if self.bound is None:
             m = _OBJ_RE.search(data, i)
             self.bound = m.start() if m else len(data)
@@ -342,14 +348,14 @@ def _scan_dict(
     return i, keys, values, False
 
 
-def _recover_dict_end(data: bytes, i: int, stop: int) -> int:
-    """Index past the ``>>`` that balances an open ``<<``, or ``stop``."""
+def _recover_dict_end(data: bytes, i: int, stop: int) -> int | None:
+    """Index past the ``>>`` that balances an open ``<<`` before ``stop``."""
     depth = 1
     for m in _ANGLES_RE.finditer(data, i, stop):
         depth += 1 if m.group() == b"<<" else -1
         if depth == 0:
             return m.end()
-    return max(i, stop)
+    return None
 
 
 def _clean_token_start(data: bytes, pos: int) -> bool:
@@ -440,7 +446,13 @@ def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
             stop = _Stop(data)
             i, keys, values, ok = _scan_dict(data, i, stop)
             if not ok:
-                i = stop.recover(data, i)
+                end = stop.balance(data, i)
+                if end is None:
+                    # No ">>" closes it before the next object header, so
+                    # it ends at the object's own endobj, if there is one.
+                    end = data.rfind(b"endobj", dstart, stop.at)
+                    end = max(i, stop.at) if end < 0 else end
+                i = end
                 diags.append(f"MalformedDictionary obj {obj_num} {gen_num}")
             dict_span = Span(dstart, i - dstart)
         j = _skip_ws(data, i)

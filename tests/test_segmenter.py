@@ -135,10 +135,10 @@ def test_nested_dict_keys_stay_out_of_top_level():
 
 
 # What follows the dictionary in every value-grammar fragment.  A value that
-# never closes runs to the end of the input and takes this tail with it.
+# never closes runs to the end of the input and takes this tail with it, but
+# its dictionary, with no ">>" to close it, ends at the tail's endobj.
 _TAIL = b"\nendobj\n"
 _MALFORMED = ["MalformedDictionary obj 1 0"]
-_RUNS_OFF = _MALFORMED + ["TruncatedObject obj 1 0"]
 
 
 @pytest.mark.parametrize(
@@ -149,11 +149,11 @@ _RUNS_OFF = _MALFORMED + ["TruncatedObject obj 1 0"]
         pytest.param(b"<</A <48 65>/B 2>>", {"/A": b"<48 65>", "/B": b"2"},
                      None, [], id="hex-string"),
         pytest.param(b"<</A <4F", {"/A": b"<4F" + _TAIL},
-                     b"<</A <4F" + _TAIL, _RUNS_OFF, id="unclosed-hex-string"),
+                     b"<</A <4F\n", _MALFORMED, id="unclosed-hex-string"),
         pytest.param(b"<</A (a(b)\\)c)/B 1>>", {"/A": b"(a(b)\\)c)", "/B": b"1"},
                      None, [], id="literal-string"),
         pytest.param(b"<</A (a", {"/A": b"(a" + _TAIL},
-                     b"<</A (a" + _TAIL, _RUNS_OFF, id="unclosed-literal-string"),
+                     b"<</A (a\n", _MALFORMED, id="unclosed-literal-string"),
         pytest.param(b"<</A -1.5/B 12 0 R>>", {"/A": b"-1.5", "/B": b"12 0 R"},
                      None, [], id="number-and-reference"),
         pytest.param(b"<</Info +3 0 R>>", {"/Info": b"+3 0 R"},
@@ -170,8 +170,8 @@ _RUNS_OFF = _MALFORMED + ["TruncatedObject obj 1 0"]
         # which here runs off the end of the input.
         pytest.param(b"<</A " + b"[" * 70 + b"1" + b"]" * 70 + b">>",
                      {"/A": b"[" * 70 + b"1" + b"]" * 70 + b">>" + _TAIL},
-                     b"<</A " + b"[" * 70 + b"1" + b"]" * 70 + b">>" + _TAIL,
-                     _RUNS_OFF, id="nesting-floor"),
+                     b"<</A " + b"[" * 70 + b"1" + b"]" * 70 + b">>\n",
+                     _MALFORMED, id="nesting-floor"),
     ],
 )
 def test_dictionary_value_grammar(body, values, dict_text, diagnostics):
@@ -334,10 +334,11 @@ def test_malformed_object_dictionary_stops_at_the_next_object():
     assert len(sections.xref_tables) == 1 and len(sections.trailers) == 1
     assert sections.info_obj_num == 5
     first = sections.objects[0]
-    # The recovery swallows the object's endobj but not the next object.
-    assert first.raw == b"1 0 obj\n<</Type/Catalog/Pages>>\nendobj\n"
-    assert first.truncated
-    assert sections.diagnostics == ["MalformedDictionary obj 1 0", "TruncatedObject obj 1 0"]
+    # No ">>" closes the dictionary before the next object, so it ends at the
+    # object's own endobj.
+    assert first.raw == b"1 0 obj\n<</Type/Catalog/Pages>>\nendobj"
+    assert not first.truncated
+    assert sections.diagnostics == ["MalformedDictionary obj 1 0"]
 
 
 def test_nesting_floor_recovery_stops_at_the_next_object():
@@ -349,9 +350,11 @@ def test_nesting_floor_recovery_stops_at_the_next_object():
     assert [o.obj_num for o in sections.objects] == [1, 2, 3, 4, 5]
     assert len(sections.xref_tables) == 1 and len(sections.trailers) == 1
     assert sections.info_obj_num == 5
-    # The recovery runs to the next object header at the latest.
-    assert sections.objects[0].span.end == broken.index(b"2 0 obj")
-    assert sections.diagnostics == ["MalformedDictionary obj 1 0", "TruncatedObject obj 1 0"]
+    # The recovery runs to the next object header at the latest, and the
+    # object ends at its own endobj before it.
+    assert sections.objects[0].raw.endswith(b"]>>\nendobj")
+    assert sections.objects[0].span.end < broken.index(b"2 0 obj")
+    assert sections.diagnostics == ["MalformedDictionary obj 1 0"]
 
 
 def test_unclosed_array_ends_at_the_dictionary_end():
@@ -364,9 +367,12 @@ def test_unclosed_array_ends_at_the_dictionary_end():
     assert sections.info_obj_num == 5
     kids = sections.objects[1]
     assert kids.values["/Kids"] == b"[3 0 R/Count 1>>"
-    # The recovery runs to the next object header at the latest.
-    assert kids.span.end == broken.index(b"3 0 obj")
-    assert sections.diagnostics == ["MalformedDictionary obj 2 0", "TruncatedObject obj 2 0"]
+    # No ">>" is left to close the dictionary before the next object, so it
+    # ends at the object's own endobj, which is not cut off.
+    assert not kids.truncated
+    assert kids.raw.endswith(b"endobj")
+    assert kids.span.end < broken.index(b"3 0 obj")
+    assert sections.diagnostics == ["MalformedDictionary obj 2 0"]
     assert scan_bytes("broken.pdf", broken, builtin()).consistency == "consistent"
 
 

@@ -104,9 +104,9 @@ FAMILIES = {
 # sha256 of each family's segment() output.
 DIGESTS = {
     "fixtures": "13ad5dcea74130d6764487eedd6d7a3d7e6223536a17b6d7e878c83522e8c93c",
-    "token-soups": "3b5e3cc3e252bedc1b003dbb56587ed3633c46fa9fb8c5a1ca2329b2c89e3e2a",
-    "mutants": "7d51c06a2683d5c11df84418d649e2c6927cb11ba33c6d08573c1dba1a2fcf11",
-    "nesting-floor": "824a365618efce168c261a2f014a4a38b5a072e03ff34395e93eaab0927b5820",
+    "token-soups": "58ef6d6a69772a3cfb8963921bf8abbda1620426b7bccb73c6653537badf00e5",
+    "mutants": "dd39a589f9318af66e13eb9a6c4d10e2b2c56ca9b7e0000480b89b6e670d67ed",
+    "nesting-floor": "aa17bca718d2efec976ac2cfcc22a026ece2bb7f1c95a430d17ef02341855f6f",
 }
 
 
