@@ -22,9 +22,10 @@ same keys and values for any entry the pattern lexes.
 
 Segmentation takes time linear in the input size.  One pass lexes the
 objects; each object's ``endobj`` search and malformed-dictionary
-recovery stop at the next object header.  The ``xref`` and ``trailer``
-keywords are searched for only in the gaps between objects.  Line ends
-and ``startxref`` positions are each found once, and a malformed
+recovery stop at the next object header, and a dictionary that no ``>>``
+closes before it ends at the object's own ``endobj``.  The ``xref`` and
+``trailer`` keywords are searched for only in the gaps between objects.
+Line ends and ``startxref`` positions are each found once, and a malformed
 trailer's recovery stops at the next trailer or object.  A recovery
 inside a dictionary, past a nested malformed one, the nesting floor or an
 array still open at a ``>>``, stops at the same bound, and so do the arrays and dictionaries around
