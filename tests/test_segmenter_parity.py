@@ -18,6 +18,9 @@ Families:
   ``]``.
 - ``nesting-floor``: dictionaries and arrays nested 58-71 deep around
   flat and nested values, on both sides of the nesting floor.
+
+Run this file as a script (``PYTHONPATH=src:tests python
+tests/test_segmenter_parity.py``) to print each family's current digest.
 """
 
 from __future__ import annotations
@@ -124,3 +127,8 @@ def family_digest(inputs: Iterator[bytes]) -> str:
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_segment_output_matches_its_digest(family):
     assert family_digest(FAMILIES[family]()) == DIGESTS[family]
+
+
+if __name__ == "__main__":
+    for name, family in FAMILIES.items():
+        print(f"{name}: {family_digest(family())}")
