@@ -78,7 +78,7 @@ def scan_bytes(label: str, data: bytes, pack: Rulepack,
 def _scan(label: str, data: bytes, pack: Rulepack,
           only: list[SectionKind] | None) -> tuple[ScanReport, Verdict]:
     sections = segment(data)
-    verdict = detect(pack, data, sections=sections, only=only)
+    verdict = detect(pack, sections, only)
     declared = extract_declared(data, sections=sections)
     status, _ = consistency_status(declared, verdict)
     report = build_scan_report(label, verdict, declared, status, sections.diagnostics)

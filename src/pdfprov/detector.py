@@ -9,8 +9,9 @@ how many sections nominated it:
 * a single vote wins only when no other producer received any vote;
 * four empty sections yield no result.
 
-Presence matches flagged advisory (the ubiquitous "has a classic xref
-table" fact) never nominate; they only feed OS/distribution inference.
+A section's verdict is that candidate set, a frozenset of producer
+names.  Presence matches flagged advisory (the ubiquitous "has a classic
+xref table" fact) never nominate; they only feed OS/distribution inference.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .rules import (
     SectionKind,
     evaluate_sections,
 )
-from .segmenter import PdfSections, segment
+from .segmenter import PdfSections
 
 
 class VerdictKind(str, Enum):
@@ -47,15 +48,6 @@ class Refinement(str, Enum):
 
 
 @dataclass
-class SectionVerdict:
-    """The candidate producers one section's matches imply."""
-
-    section: SectionKind
-    candidates: frozenset[str]
-    supporting_matches: list[RuleMatch] = field(default_factory=list)
-
-
-@dataclass
 class Verdict:
     """The vote-combined answer for one file."""
 
@@ -63,7 +55,7 @@ class Verdict:
     producer: str | None
     candidates: frozenset[str]
     votes: dict[str, int]
-    section_verdicts: dict[SectionKind, SectionVerdict]
+    section_verdicts: dict[SectionKind, frozenset[str]]
     os_candidates: tuple[tuple[str, str | None], ...] = ()
     # Filled in by detect(): every matched rule id per section.
     evidence: dict[SectionKind, tuple[str, ...]] = field(default_factory=dict)
@@ -83,34 +75,16 @@ class OutcomeClass:
     sections: dict[SectionKind, SectionOutcome]
 
 
-def section_verdict(matches: Iterable[RuleMatch], section: SectionKind) -> SectionVerdict:
-    """Collapse one section's matches into a candidate set.
-
-    Matches are de-duplicated by (rule, element); advisory matches are
-    recorded nowhere here, so candidates always equal the producer set of
-    the supporting matches.
-    """
-    supporting: list[RuleMatch] = []
-    seen: set[tuple[str, str]] = set()
-    for m in matches:
-        if m.section != section or m.advisory:
-            continue
-        key = (m.rule_id, m.element_ref)
-        if key in seen:
-            continue
-        seen.add(key)
-        supporting.append(m)
-    return SectionVerdict(section, frozenset(m.producer for m in supporting), supporting)
+def section_verdict(matches: Iterable[RuleMatch], section: SectionKind) -> frozenset[str]:
+    """The producers that one section's non-advisory matches nominate."""
+    return frozenset(m.producer for m in matches if m.section == section and not m.advisory)
 
 
-def majority_vote(section_verdicts: Mapping[SectionKind, SectionVerdict]) -> Verdict:
+def majority_vote(section_verdicts: Mapping[SectionKind, frozenset[str]]) -> Verdict:
     """Combine the four per-section candidate sets by majority vote."""
     votes: dict[str, int] = {}
     for kind in SECTION_ORDER:
-        sv = section_verdicts.get(kind)
-        if sv is None:
-            continue
-        for producer in sv.candidates:
+        for producer in section_verdicts.get(kind, ()):
             votes[producer] = votes.get(producer, 0) + 1
     ordered_votes = dict(sorted(votes.items()))
     if not votes:
@@ -161,11 +135,9 @@ def detect_os(
     return tuple((o, d) for o in sorted(os_common) for d in distros)
 
 
-def detect(pack: Rulepack, data: bytes, sections: PdfSections | None = None,
+def detect(pack: Rulepack, sections: PdfSections,
            only: Iterable[SectionKind] | None = None) -> Verdict:
-    """Full pipeline: segment, match, vote, infer OS."""
-    if sections is None:
-        sections = segment(data)
+    """Match, vote and infer OS on one segmented file."""
     matches = evaluate_sections(pack, sections)
     if only is not None:
         wanted = set(only)
@@ -182,15 +154,15 @@ def detect(pack: Rulepack, data: bytes, sections: PdfSections | None = None,
 def classify(verdict: Verdict, ground_truth: str) -> OutcomeClass:
     """Grade a verdict, per section and at file level, against the truth."""
     sections: dict[SectionKind, SectionOutcome] = {}
-    for kind, sv in verdict.section_verdicts.items():
-        if not sv.candidates:
+    for kind, candidates in verdict.section_verdicts.items():
+        if not candidates:
             sections[kind] = SectionOutcome(Status.NO_RESULT)
             continue
-        status = Status.CORRECT if sv.candidates == {ground_truth} else Status.WRONG
+        status = Status.CORRECT if candidates == {ground_truth} else Status.WRONG
         refinement = None
-        if len(sv.candidates) == 2:
+        if len(candidates) == 2:
             refinement = (
-                Refinement.CONFUSED if ground_truth in sv.candidates else Refinement.ERROR
+                Refinement.CONFUSED if ground_truth in candidates else Refinement.ERROR
             )
         sections[kind] = SectionOutcome(status, refinement)
     if verdict.kind is VerdictKind.NO_RESULT:

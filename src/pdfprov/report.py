@@ -119,7 +119,7 @@ def build_scan_report(path: str, verdict: Verdict, declared: DeclaredMetadata,
         sections=[
             SectionReport(
                 kind.value,
-                sorted(verdict.section_verdicts[kind].candidates),
+                sorted(verdict.section_verdicts[kind]),
                 list(verdict.evidence.get(kind, ())),
             )
             for kind in SECTION_ORDER

@@ -23,6 +23,9 @@ has none, so that presence/absence facts ride the same rule mechanism as
 byte patterns.  A presence match on the ``P`` token is flagged advisory:
 nearly every producer emits a table, so the fact isn't treated as a
 nomination by the detector, only as OS/distribution evidence.
+
+Each section's matches are reported in rule-id order, then by element and
+by offset within the element.
 """
 
 from __future__ import annotations
@@ -91,6 +94,12 @@ class Rulepack:
     name: str
     version: str
     rules: list[Rule]
+    # Each section's rules in rule-id order, the order matches are reported in.
+    _by_section: dict[SectionKind, list[Rule]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        by_id = sorted(self.rules, key=lambda r: r.id)
+        self._by_section = {kind: [r for r in by_id if r.section == kind] for kind in SectionKind}
 
     @property
     def counts_by_producer(self) -> dict[str, int]:
@@ -100,7 +109,7 @@ class Rulepack:
         return counts
 
     def for_section(self, section: SectionKind) -> list[Rule]:
-        return [r for r in self.rules if r.section == section]
+        return self._by_section[section]
 
 
 @dataclass(frozen=True)
@@ -316,37 +325,36 @@ def presence_token(sections: PdfSections) -> bytes:
 def match_section(
     pack: Rulepack, sections: PdfSections, kind: SectionKind
 ) -> list[RuleMatch]:
-    """Run every rule of one section against every eligible element."""
+    """Run every rule of one section against every eligible element.
+
+    Rules run in id order, elements in section order and ``finditer`` in
+    offset order, so the matches come out sorted by (rule id, element,
+    offset).
+    """
     token = presence_token(sections)
-    presence_targets = [("xref:presence", token, 0)]
-    element_targets = [
-        (ref, data, idx) for idx, (ref, data) in enumerate(section_elements(sections, kind))
-    ]
-    matches: list[tuple[tuple[str, int, int], RuleMatch]] = []
+    presence_targets = [("xref:presence", token)]
+    element_targets = section_elements(sections, kind)
+    matches: list[RuleMatch] = []
     for rule in pack.for_section(kind):
         targets = presence_targets if rule.kind is RuleKind.PRESENCE else element_targets
-        for ref, data, idx in targets:
+        for ref, data in targets:
             for m in rule.regex.finditer(data):
                 matches.append(
-                    (
-                        (rule.id, idx, m.start()),
-                        RuleMatch(
-                            rule_id=rule.id,
-                            producer=rule.producer,
-                            section=kind,
-                            match_offset=m.start(),
-                            element_ref=ref,
-                            kind=rule.kind,
-                            os_tags=rule.os_tags,
-                            distro_tags=rule.distro_tags,
-                            advisory=(rule.kind is RuleKind.PRESENCE and token == b"P"),
-                        ),
+                    RuleMatch(
+                        rule_id=rule.id,
+                        producer=rule.producer,
+                        section=kind,
+                        match_offset=m.start(),
+                        element_ref=ref,
+                        kind=rule.kind,
+                        os_tags=rule.os_tags,
+                        distro_tags=rule.distro_tags,
+                        advisory=(rule.kind is RuleKind.PRESENCE and token == b"P"),
                     )
                 )
                 if m.end() == m.start():  # zero-width match guard
                     break
-    matches.sort(key=lambda pair: pair[0])
-    return [match for _, match in matches]
+    return matches
 
 
 def evaluate_sections(pack: Rulepack, sections: PdfSections) -> dict[SectionKind, list[RuleMatch]]:

@@ -204,18 +204,6 @@ class PdfSections:
     # last trailer that has one.
     info_obj_num: int | None = None
 
-    @property
-    def spans(self) -> dict[str, Span]:
-        """Byte range of every parsed element, keyed by element reference."""
-        out: dict[str, Span] = {"header": self.header.span}
-        for obj in self.objects:
-            out[f"obj:{obj.obj_num}:{obj.gen_num}"] = obj.span
-        for i, table in enumerate(self.xref_tables):
-            out[f"xref:{i}"] = table.span
-        for i, trailer in enumerate(self.trailers):
-            out[f"trailer:{i}"] = trailer.span
-        return out
-
 
 # -- Low-level token scanning -------------------------------------------------
 

@@ -13,7 +13,7 @@ import pytest
 
 from pdfprov.builtin_pack import builtin
 from pdfprov.cli import main, scan_bytes
-from pdfprov.detector import SectionVerdict, VerdictKind, detect, majority_vote
+from pdfprov.detector import VerdictKind, detect, majority_vote
 from pdfprov.fixtures import PROFILES, emit_corpus, generate
 from pdfprov.metadata import ConsistencyStatus
 from pdfprov.miner import (
@@ -204,7 +204,7 @@ def test_criterion_4_fixture_self_detection(corpus_bytes):
     for producer, blobs in corpus_bytes.items():
         for seed_idx, data in enumerate(blobs):
             total += 1
-            verdict = detect(pack, data)
+            verdict = detect(pack, segment(data))
             if verdict.kind is VerdictKind.PRODUCER and verdict.producer == producer.value:
                 correct += 1
             else:
@@ -288,7 +288,7 @@ def test_criterion_6_vote_semantics():
     checked = mismatches = 0
     for config in itertools.product(options, repeat=4):
         verdicts = {
-            kind: SectionVerdict(kind, candidates)
+            kind: candidates
             for kind, candidates in zip(SECTION_ORDER, config)
         }
         verdict = majority_vote(verdicts)
@@ -303,10 +303,10 @@ def test_criterion_6_vote_semantics():
         checked += 1
     # The flagship tie: two sections each for two producers.
     tie = majority_vote({
-        SectionKind.HEADER: SectionVerdict(SectionKind.HEADER, frozenset({"A"})),
-        SectionKind.BODY: SectionVerdict(SectionKind.BODY, frozenset({"A"})),
-        SectionKind.XREF: SectionVerdict(SectionKind.XREF, frozenset({"B"})),
-        SectionKind.TRAILER: SectionVerdict(SectionKind.TRAILER, frozenset({"B"})),
+        SectionKind.HEADER: frozenset({"A"}),
+        SectionKind.BODY: frozenset({"A"}),
+        SectionKind.XREF: frozenset({"B"}),
+        SectionKind.TRAILER: frozenset({"B"}),
     })
     ok = (checked == 7 ** 4 and mismatches == 0
           and tie.kind is VerdictKind.AMBIGUOUS and tie.candidates == {"A", "B"})
@@ -339,7 +339,7 @@ def test_criterion_7_miner_rediscovery(corpus_bytes):
     for producer, profile in PROFILES.items():
         for seed in range(11, 21):  # held out: disjoint from the mined seeds
             total += 1
-            verdict = detect(pack, generate(profile, seed))
+            verdict = detect(pack, segment(generate(profile, seed)))
             if verdict.kind is VerdictKind.PRODUCER and verdict.producer == producer.value:
                 correct += 1
     _report("7 miner rediscovery", rediscovered and total == 110 and correct == total,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from pdfprov import cli, detector, metadata
+from pdfprov import cli, metadata
 from pdfprov.cli import main
 from pdfprov.fixtures import PROFILES, emit_corpus, generate
 from pdfprov.producers import Producer
@@ -322,7 +322,7 @@ def test_every_command_segments_each_file_once(corpus_dir, monkeypatch, capsys):
         calls[data] += 1
         return real_segment(data)
 
-    for module in (cli, detector, metadata):
+    for module in (cli, metadata):
         monkeypatch.setattr(module, "segment", counting_segment)
     paths = sorted(corpus_dir.rglob("*.pdf"))
     every_file = Counter(path.read_bytes() for path in paths)

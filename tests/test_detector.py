@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from pdfprov.detector import (
     Refinement,
-    SectionVerdict,
     Status,
     VerdictKind,
     classify,
@@ -22,6 +21,7 @@ from pdfprov.builtin_pack import builtin
 from pdfprov.fixtures import PROFILES, generate
 from pdfprov.producers import Producer
 from pdfprov.rules import RuleKind, RuleMatch, SECTION_ORDER, SectionKind
+from pdfprov.segmenter import segment
 
 W = Producer.MICROSOFT_OFFICE_WORD.value
 LO = Producer.LIBREOFFICE.value
@@ -41,7 +41,7 @@ def _verdicts(header=(), body=(), xref=(), trailer=()):
     sets = {SectionKind.HEADER: header, SectionKind.BODY: body,
             SectionKind.XREF: xref, SectionKind.TRAILER: trailer}
     return {
-        kind: SectionVerdict(kind, frozenset(candidates))
+        kind: frozenset(candidates)
         for kind, candidates in sets.items()
     }
 
@@ -50,8 +50,7 @@ def _verdicts(header=(), body=(), xref=(), trailer=()):
 
 
 def test_singleton_candidates():
-    sv = section_verdict([_match(W, rule_id="word-body-1")], SectionKind.BODY)
-    assert sv.candidates == {W}
+    assert section_verdict([_match(W, rule_id="word-body-1")], SectionKind.BODY) == {W}
 
 
 def test_shared_magic_yields_both_producers():
@@ -59,26 +58,17 @@ def test_shared_magic_yields_both_producers():
         _match(PT, SectionKind.HEADER, "header-pdftex", "header"),
         _match(LT, SectionKind.HEADER, "header-luatex-texlive-linux", "header"),
     ]
-    sv = section_verdict(matches, SectionKind.HEADER)
-    assert sv.candidates == {PT, LT}
+    assert section_verdict(matches, SectionKind.HEADER) == {PT, LT}
 
 
 def test_no_matches_no_candidates():
-    assert section_verdict([], SectionKind.XREF).candidates == frozenset()
-
-
-def test_duplicate_rule_element_pairs_deduplicated():
-    matches = [_match(W, rule_id="r1"), _match(W, rule_id="r1")]
-    sv = section_verdict(matches, SectionKind.BODY)
-    assert len(sv.supporting_matches) == 1
+    assert section_verdict([], SectionKind.XREF) == frozenset()
 
 
 def test_advisory_matches_do_not_nominate():
     matches = [_match(PT, SectionKind.XREF, "xref-present-pdftex-miktex",
                       "xref:presence", advisory=True)]
-    sv = section_verdict(matches, SectionKind.XREF)
-    assert sv.candidates == frozenset()
-    assert sv.supporting_matches == []
+    assert section_verdict(matches, SectionKind.XREF) == frozenset()
 
 
 # -- majority_vote -----------------------------------------------------------
@@ -121,7 +111,7 @@ def test_single_vote_wins_only_alone():
 def test_vote_conservation(corpus_bytes):
     pack = builtin()
     for blobs in corpus_bytes.values():
-        verdict = detect(pack, blobs[0])
+        verdict = detect(pack, segment(blobs[0]))
         assert all(v <= 4 for v in verdict.votes.values())
 
 
@@ -131,12 +121,10 @@ def test_vote_conservation(corpus_bytes):
                 min_size=4, max_size=4))
 def test_vote_is_permutation_stable(order, candidate_sets):
     base = {
-        kind: SectionVerdict(kind, frozenset(cands))
+        kind: frozenset(cands)
         for kind, cands in zip(SECTION_ORDER, candidate_sets)
     }
-    shuffled = {
-        kind: SectionVerdict(kind, base[kind].candidates) for kind in order
-    }
+    shuffled = {kind: base[kind] for kind in order}
     a, b = majority_vote(base), majority_vote(shuffled)
     assert (a.kind, a.producer, a.candidates, a.votes) == (
         b.kind, b.producer, b.candidates, b.votes
@@ -150,7 +138,7 @@ def test_outcome_trichotomy_exhaustive():
     ]
     for config in itertools.product(options, repeat=4):
         verdict = majority_vote({
-            kind: SectionVerdict(kind, cands)
+            kind: cands
             for kind, cands in zip(SECTION_ORDER, config)
         })
         kinds = [verdict.kind is VerdictKind.PRODUCER,
@@ -212,13 +200,13 @@ def test_classify_pure_function():
 
 def test_word_windows_tag():
     data = generate(PROFILES[Producer.MICROSOFT_OFFICE_WORD], 1)
-    verdict = detect(builtin(), data)
+    verdict = detect(builtin(), segment(data))
     assert verdict.os_candidates == (("windows", None),)
 
 
 def test_agnostic_matches_make_no_claim():
     data = generate(PROFILES[Producer.PDFTEX], 1)
-    verdict = detect(builtin(), data)
+    verdict = detect(builtin(), segment(data))
     assert verdict.producer == PT
     assert verdict.os_candidates == ()
 
@@ -227,7 +215,7 @@ def test_conflicting_tags_make_no_claim():
     # The long LuaTeX magic has two readings (linux/miktex vs mac+win);
     # their intersection is empty, so no OS is claimed.
     data = generate(PROFILES[Producer.LUATEX], 1)
-    verdict = detect(builtin(), data)
+    verdict = detect(builtin(), segment(data))
     assert verdict.producer == LT
     assert verdict.os_candidates == ()
 

@@ -60,7 +60,7 @@ def test_all_fixtures_segment_cleanly(corpus_bytes):
 def test_self_detection_across_seeds(corpus_bytes, pack):
     for producer, blobs in corpus_bytes.items():
         for data in blobs:
-            verdict = detect(pack, data)
+            verdict = detect(pack, segment(data))
             assert verdict.kind is VerdictKind.PRODUCER
             assert verdict.producer == producer.value
 

@@ -17,6 +17,7 @@ from pdfprov.metadata import (
     normalize_producer_string,
 )
 from pdfprov.producers import Producer
+from pdfprov.segmenter import segment
 
 GS = Producer.GHOSTSCRIPT
 
@@ -160,14 +161,14 @@ def test_unverifiable_when_declared_unmappable(pack):
 
 
 def test_unverifiable_on_ambiguous_detection(pack):
-    from pdfprov.detector import SectionVerdict, majority_vote
+    from pdfprov.detector import majority_vote
     from pdfprov.rules import SectionKind
 
     ambiguous = majority_vote({
-        SectionKind.HEADER: SectionVerdict(SectionKind.HEADER, frozenset({"Cairo"})),
-        SectionKind.BODY: SectionVerdict(SectionKind.BODY, frozenset({"SkiaPDF"})),
-        SectionKind.XREF: SectionVerdict(SectionKind.XREF, frozenset()),
-        SectionKind.TRAILER: SectionVerdict(SectionKind.TRAILER, frozenset()),
+        SectionKind.HEADER: frozenset({"Cairo"}),
+        SectionKind.BODY: frozenset({"SkiaPDF"}),
+        SectionKind.XREF: frozenset(),
+        SectionKind.TRAILER: frozenset(),
     })
     assert ambiguous.kind is VerdictKind.AMBIGUOUS
     declared = extract_declared(generate(PROFILES[GS], 1))
@@ -177,11 +178,11 @@ def test_unverifiable_on_ambiguous_detection(pack):
 
 def test_status_totality(pack):
     """Every (declared, detected) combination maps to exactly one status."""
-    detected_producer = detect(pack, generate(PROFILES[GS], 1))
-    from pdfprov.detector import SectionVerdict, majority_vote
+    detected_producer = detect(pack, segment(generate(PROFILES[GS], 1)))
+    from pdfprov.detector import majority_vote
     from pdfprov.rules import SectionKind
 
-    empty = {k: SectionVerdict(k, frozenset()) for k in
+    empty = {k: frozenset() for k in
              (SectionKind.HEADER, SectionKind.BODY, SectionKind.XREF, SectionKind.TRAILER)}
     no_result = majority_vote(empty)
     declared_options = [None, "GPL Ghostscript 9.26", "LibreOffice 6.1", "mystery tool"]
@@ -200,10 +201,8 @@ def test_detection_is_independent_of_declared_metadata(pack):
     base = generate(PROFILES[GS], 3, producer_string="GPL Ghostscript 9.26")
     renamed = generate(PROFILES[GS], 3, producer_string="NotGhostscript 1.0")
     assert len(base) != 0
-    verdict_a = detect(pack, base)
-    verdict_b = detect(pack, renamed)
+    verdict_a = detect(pack, segment(base))
+    verdict_b = detect(pack, segment(renamed))
     assert verdict_a.votes == verdict_b.votes
     assert verdict_a.producer == verdict_b.producer
-    assert {k: v.candidates for k, v in verdict_a.section_verdicts.items()} == {
-        k: v.candidates for k, v in verdict_b.section_verdicts.items()
-    }
+    assert verdict_a.section_verdicts == verdict_b.section_verdicts

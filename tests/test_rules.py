@@ -26,6 +26,7 @@ from pdfprov.rules import (
     load_rulepack,
     match_section,
     render_rulepack,
+    section_elements,
 )
 from pdfprov.segmenter import segment
 
@@ -210,6 +211,35 @@ def test_match_order_is_stable(pack, corpus_bytes):
     first = evaluate_sections(pack, segment(data))
     second = evaluate_sections(pack, segment(data))
     assert first == second
+
+
+_ZZ_BEFORE_AA = (
+    'rule zz-obj-keyword {\n  producer = Zed\n  section = body\n'
+    '  kind = template\n  pattern = "obj"\n}\n'
+    'rule aa-type-key {\n  producer = Ay\n  section = body\n'
+    '  kind = template\n  pattern = "/Type"\n}\n'
+)
+
+
+def test_matches_come_out_by_rule_id_element_and_offset():
+    pack = load_rulepack(_ZZ_BEFORE_AA)
+    assert [r.id for r in pack.rules] == ["zz-obj-keyword", "aa-type-key"]
+    data = (b"%PDF-1.4\n1 0 obj\n<</Type/Catalog/Pages 2 0 R>>\nendobj\n"
+            b"2 0 obj\n<</Type/Pages/Kids[3 0 R]/Count 1>>\nendobj\n"
+            b"3 0 obj\n<</Type/Page/Parent 2 0 R>>\nendobj\n"
+            b"trailer\n<</Root 1 0 R>>\n")
+    sections = segment(data)
+    element_index = {ref: i for i, (ref, _) in
+                     enumerate(section_elements(sections, SectionKind.BODY))}
+    matches = match_section(pack, sections, SectionKind.BODY)
+    keys = [(m.rule_id, element_index[m.element_ref], m.match_offset) for m in matches]
+    assert keys == sorted(keys)
+    # Both rules fire on every object; "obj" fires twice in each.
+    assert [(rule, element) for rule, element, _ in keys] == [
+        ("aa-type-key", 0), ("aa-type-key", 1), ("aa-type-key", 2),
+        ("zz-obj-keyword", 0), ("zz-obj-keyword", 0), ("zz-obj-keyword", 1),
+        ("zz-obj-keyword", 1), ("zz-obj-keyword", 2), ("zz-obj-keyword", 2),
+    ]
 
 
 def test_metadata_immunity(pack, corpus_bytes):

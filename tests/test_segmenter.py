@@ -247,14 +247,13 @@ def test_understated_table_does_not_swallow_the_trailer():
     assert sections.trailers[0].keys == ["/Size", "/Root"]
 
 
-def test_spans_property_covers_every_element(corpus_bytes):
-    blobs = corpus_bytes[next(iter(corpus_bytes))]
-    data = blobs[0]
-    sections = segment(data)
-    spans = sections.spans
-    assert "header" in spans
-    for ref, span in spans.items():
-        assert 0 <= span.offset <= span.end <= sections.file_len, ref
+def test_element_spans_lie_within_the_file(corpus_bytes):
+    for blobs in corpus_bytes.values():
+        sections = segment(blobs[0])
+        assert sections.objects and sections.trailers
+        for element in (sections.header, *sections.objects, *sections.xref_tables,
+                        *sections.trailers):
+            assert 0 <= element.span.offset <= element.span.end <= sections.file_len
 
 
 # -- trailers ---------------------------------------------------------------
