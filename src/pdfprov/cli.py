@@ -18,11 +18,7 @@ from pathlib import Path
 from .builtin_pack import builtin
 from .detector import Verdict, classify, detect
 from .errors import EmptyGroup, PdfProvError
-from .metadata import (
-    consistency_status,
-    extract_declared,
-    normalize_producer_string,
-)
+from .metadata import consistency_status, extract_declared
 from .report import (
     CSV_COLUMNS,
     SCHEMA_VERSION,
@@ -75,14 +71,15 @@ def scan_bytes(label: str, data: bytes, pack: Rulepack,
     return _scan(label, data, pack, only)[0]
 
 
-def _scan(label: str, data: bytes, pack: Rulepack,
-          only: list[SectionKind] | None) -> tuple[ScanReport, Verdict]:
+def _scan(label: str, data: bytes, pack: Rulepack, only: list[SectionKind] | None
+          ) -> tuple[ScanReport, Verdict, str | None]:
+    """The report, the verdict and the declared tool the audit graded against."""
     sections = segment(data)
     verdict = detect(pack, sections, only)
     declared = extract_declared(data, sections=sections)
-    status, _ = consistency_status(declared, verdict)
+    status, declared_tool = consistency_status(declared, verdict)
     report = build_scan_report(label, verdict, declared, status, sections.diagnostics)
-    return report, verdict
+    return report, verdict, declared_tool
 
 
 def _read_input(path: str) -> bytes:
@@ -172,7 +169,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     file_dicts: list[dict] = []
     for label, path, truth in entries:
         try:
-            report, verdict = _scan(label, path.read_bytes(), pack, only)
+            report, verdict, declared_tool = _scan(label, path.read_bytes(), pack, only)
         except (PdfProvError, OSError) as exc:
             error = f"{type(exc).__name__}: {exc}"
             stats.errors.append((label, error))
@@ -180,7 +177,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
             rows.append([label, "error"] + [""] * (len(CSV_COLUMNS) - 3) + [error])
             continue
         if args.truth == "metadata":
-            truth = normalize_producer_string(report.declared_producer)
+            truth = declared_tool
         outcome = classify(verdict, truth) if truth else None
         file_class = outcome.file_status.value if outcome else ""
         stats.add(truth, report.verdict_kind, report.producer, outcome, bool(report.os))
@@ -225,7 +222,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     for path in paths:
         label = str(path.relative_to(src)) if src.is_dir() else str(path)
         try:
-            report = scan_bytes(label, path.read_bytes(), pack)
+            report, _, declared_tool = _scan(label, path.read_bytes(), pack, None)
         except (PdfProvError, OSError) as exc:
             counts["error"] += 1
             reports.append(_error_object(label, exc))
@@ -234,7 +231,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         reports.append({
             "file": label,
             "declared_producer": report.declared_producer,
-            "normalized": normalize_producer_string(report.declared_producer),
+            "normalized": declared_tool,
             "detected": report.producer,
             "status": report.consistency,
         })

@@ -294,6 +294,29 @@ def test_audit_three_statuses(tmp_path, capsys):
                                   "unverifiable": 1, "error": 0}
 
 
+def _xmp_object(num: int, producer: str) -> bytes:
+    xml = f'<x:xmpmeta><rdf:Description pdf:Producer="{producer}"/></x:xmpmeta>'.encode()
+    return (b"%d 0 obj\n<</Type /Metadata /Subtype /XML /Length %d>>\nstream\n"
+            % (num, len(xml)) + xml + b"\nendstream\nendobj\n")
+
+
+def test_audit_and_metadata_truth_use_the_tool_the_audit_graded(tmp_path, capsys):
+    # Info names no known tool, so the audit grades against the XMP one.
+    data = generate(PROFILES[Producer.GHOSTSCRIPT], 1, producer_string="Acme Converter 2.0")
+    data = data.replace(b"5 0 obj", _xmp_object(9, "GPL Ghostscript 9.26") + b"5 0 obj", 1)
+    (tmp_path / "gs-xmp.pdf").write_bytes(data)
+    assert main(["audit", str(tmp_path), "--format", "json"]) == 0
+    (entry,) = json.loads(capsys.readouterr().out)["files"]
+    assert entry["declared_producer"] == "Acme Converter 2.0"
+    assert entry["status"] == "consistent"
+    assert entry["normalized"] == "Ghostscript"
+    assert main(["batch", str(tmp_path), "--truth", "metadata", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["files"][0]["truth"] == "Ghostscript"
+    assert payload["files"][0]["file_class"] == "correct"
+    assert payload["stats"]["labeled"] == 1
+
+
 def test_audit_single_file_table(tmp_path, capsys):
     path = _write_fixture(tmp_path, Producer.SKIA_PDF)
     assert main(["audit", str(path), "--format", "table"]) == 0
