@@ -212,8 +212,9 @@ def _skip_ws(data: bytes, i: int) -> int:
     return _SKIP_RE.match(data, i).end()
 
 
-def _scan_literal_string(data: bytes, i: int) -> int:
-    """Advance past a ``(...)`` string, honouring escapes and nesting."""
+def _scan_literal_string(data: bytes, i: int) -> int | None:
+    """Index past a ``(...)`` string, honouring escapes and nesting, or
+    None when the input ends inside it."""
     depth = 0
     n = len(data)
     while i < n:
@@ -228,7 +229,7 @@ def _scan_literal_string(data: bytes, i: int) -> int:
             if depth == 0:
                 return i + 1
         i += 1
-    return n
+    return None
 
 
 # Dictionaries and arrays nest via recursion; hostile inputs get a floor.
@@ -288,7 +289,10 @@ def _skip_value(data: bytes, i: int, stop: _Stop, depth: int = 0) -> int:
             i = _skip_ws(data, _skip_value(data, i, stop, depth + 1))
         return i
     if b == 0x28:  # '('
-        return _scan_literal_string(data, i)
+        end = _scan_literal_string(data, i)
+        # A string never closed ends, with the dictionaries around it, as
+        # malformed.
+        return stop.recover(data, i + 1) if end is None else end
     return _SCALAR_RE.match(data, i).end()
 
 

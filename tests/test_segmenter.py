@@ -375,6 +375,25 @@ def test_unclosed_array_ends_at_the_dictionary_end():
     assert scan_bytes("broken.pdf", broken, builtin()).consistency == "consistent"
 
 
+def test_unclosed_literal_string_ends_at_the_dictionary_end():
+    data = generate(PROFILES[Producer.LUATEX], 1)
+    broken = data.replace(b"/Type/Pages", b"/Type/Pages/T (a", 1)
+    assert broken != data
+    sections = segment(broken)
+    assert [o.obj_num for o in sections.objects] == [1, 2, 3, 4, 5]
+    assert len(sections.xref_tables) == 1 and len(sections.trailers) == 1
+    assert sections.info_obj_num == 5
+    pages = sections.objects[1]
+    # The string runs on to the ">>" that balances its dictionary, short of
+    # the next object header.
+    assert pages.values["/T"] == b"(a/Kids[3 0 R]/Count 1>>"
+    assert not pages.truncated
+    assert pages.raw.endswith(b"endobj")
+    assert pages.span.end < broken.index(b"3 0 obj")
+    assert sections.diagnostics == ["MalformedDictionary obj 2 0"]
+    assert scan_bytes("broken.pdf", broken, builtin()).consistency == "consistent"
+
+
 def test_nesting_floor_recovery_in_a_trailer_stops_at_the_next_object():
     deep = b"[" * 70 + b"]" * 70
     data = b"trailer\n<</A " + deep + b">>\n1 0 obj\n<</Type/Catalog>>\nendobj\n"
@@ -548,7 +567,8 @@ def _walk_skip_value(data, i, stop, depth=0):
             i = _skip_ws(data, _walk_skip_value(data, i, stop, depth + 1))
         return i
     if b == 0x28:  # '('
-        return _scan_literal_string(data, i)
+        end = _scan_literal_string(data, i)
+        return stop.recover(data, i + 1) if end is None else end
     return _WALK_SCALAR_RE.match(data, i).end()
 
 

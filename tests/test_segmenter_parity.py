@@ -107,8 +107,8 @@ FAMILIES = {
 # sha256 of each family's segment() output.
 DIGESTS = {
     "fixtures": "13ad5dcea74130d6764487eedd6d7a3d7e6223536a17b6d7e878c83522e8c93c",
-    "token-soups": "58ef6d6a69772a3cfb8963921bf8abbda1620426b7bccb73c6653537badf00e5",
-    "mutants": "dd39a589f9318af66e13eb9a6c4d10e2b2c56ca9b7e0000480b89b6e670d67ed",
+    "token-soups": "36f0ce3c014addf217fa133897ef128d4cf3798b48826de9aa057dc45982e65b",
+    "mutants": "a0d38fc938455c683a9d85ce6fe2a6278b9e5770a0882e98759c58d265901b1c",
     "nesting-floor": "aa17bca718d2efec976ac2cfcc22a026ece2bb7f1c95a430d17ef02341855f6f",
 }
 
