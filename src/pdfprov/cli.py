@@ -71,8 +71,8 @@ def scan_bytes(label: str, data: bytes, pack: Rulepack,
     return _scan(label, data, pack, only)[0]
 
 
-def _scan(label: str, data: bytes, pack: Rulepack, only: list[SectionKind] | None
-          ) -> tuple[ScanReport, Verdict, str | None]:
+def _scan(label: str, data: bytes, pack: Rulepack,
+          only: list[SectionKind] | None) -> tuple[ScanReport, Verdict, str | None]:
     """The report, the verdict and the declared tool the audit graded against."""
     sections = segment(data)
     verdict = detect(pack, sections, only)
