@@ -319,7 +319,7 @@ def section_elements(sections: PdfSections, kind: SectionKind) -> list[tuple[str
 
 
 def presence_token(sections: PdfSections) -> bytes:
-    return b"A" if sections.classic_xref_absent else b"P"
+    return b"P" if sections.xref_tables else b"A"
 
 
 def match_section(

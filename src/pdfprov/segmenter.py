@@ -25,8 +25,8 @@ objects; each object's ``endobj`` search and malformed-dictionary
 recovery stop at the next object header, and a dictionary that no ``>>``
 closes before it ends at the object's own ``endobj``.  The ``xref`` and
 ``trailer`` keywords are searched for only in the gaps between objects.
-Line ends and ``startxref`` positions are each found once, and a malformed
-trailer's recovery stops at the next trailer or object.  A recovery
+Line ends are each found once, and a malformed trailer's recovery stops at
+the next trailer or object.  A recovery
 inside a dictionary, past a nested malformed one, the nesting floor, an
 array still open at a ``>>`` or a literal string still open at the end of
 the input, stops at the same bound, and so do the arrays and dictionaries
@@ -42,7 +42,6 @@ structurally identical result.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import NotAPdf
@@ -93,13 +92,12 @@ _FLAT_ENTRY_RE = re.compile(
 _ANGLES_RE = re.compile(rb"<<|>>")
 _REF_RE = re.compile(rb"(\d+)" + _REF_TAIL)
 _OBJ_RE = re.compile(rb"(\d{1,10})" + _WS + rb"+(\d{1,5})" + _WS + rb"+obj(?![0-9A-Za-z])")
-_STARTXREF_RE = re.compile(rb"startxref" + _WS + rb"+(\d+)")
 _HEADER_RE = re.compile(rb"%PDF-(\d+)\.(\d+)")
 _MAGIC_RE = re.compile(rb"%PDF")
 _SUBSECTION_RE = re.compile(rb"(\d+)[ \t]+(\d+)[ \t]*(?:\r\n|\r|\n)")
 # One table entry: 10-digit offset, 5-digit generation, n/f flag, then an
 # end-of-line of 0-2 bytes (producers vary; 20 bytes is the common case).
-_ENTRY_RE = re.compile(rb"(\d{10}) (\d{5}) ([nf])( \r\n| \r| \n|\r\n|\r|\n)?")
+_ENTRY_RE = re.compile(rb"\d{10} \d{5} [nf](?: \r\n| \r| \n|\r\n|\r|\n)?")
 _EOL_RE = re.compile(rb"[\r\n]")
 
 _LETTERS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
@@ -149,32 +147,9 @@ class IndirectObject:
 
 
 @dataclass
-class XrefEntry:
-    """One fixed-width cross-reference entry."""
-
-    offset: int
-    generation: int
-    kind: str  # "n" (in use) or "f" (free)
-    raw_len: int
-
-    def render(self) -> bytes:
-        """Re-render the 18-byte fixed-width core of the entry."""
-        return b"%010d %05d %s" % (self.offset, self.generation, self.kind.encode())
-
-
-@dataclass
-class XrefSubsection:
-    first_obj: int
-    count: int
-    entries: list[XrefEntry]
-
-
-@dataclass
 class XrefTable:
     """One classic cross-reference table (one per file revision)."""
 
-    subsections: list[XrefSubsection]
-    start_offset: int
     raw: bytes
     span: Span
 
@@ -185,9 +160,7 @@ class TrailerDict:
 
     keys: list[str]
     raw: bytes
-    startxref_value: int | None
     span: Span
-    from_xref_stream: bool = False
     values: dict[str, bytes] = field(default_factory=dict, repr=False)
 
 
@@ -199,8 +172,6 @@ class PdfSections:
     objects: list[IndirectObject]
     xref_tables: list[XrefTable]
     trailers: list[TrailerDict]
-    file_len: int
-    classic_xref_absent: bool
     diagnostics: list[str] = field(default_factory=list)
     # Object number of the Info dictionary: the /Info reference of the
     # last trailer that has one.
@@ -524,7 +495,6 @@ def _lex_xref_tables(
 
     for start, _ in hits:
         i = _skip_eol(data, line_end(start + len(b"xref")))
-        subsections: list[XrefSubsection] = []
         total = 0
         while True:
             hm = _SUBSECTION_RE.match(data, i)
@@ -533,7 +503,6 @@ def _lex_xref_tables(
             if first_obj is None or count is None:
                 break
             i = hm.end()
-            entries: list[XrefEntry] = []
             for _ in range(count):
                 em = _ENTRY_RE.match(data, i)
                 if not em:
@@ -548,22 +517,14 @@ def _lex_xref_tables(
                         break
                     i = nl
                     continue
-                eol = em.group(4) or b""
-                entries.append(
-                    XrefEntry(
-                        int(em.group(1)), int(em.group(2)),
-                        em.group(3).decode(), 18 + len(eol),
-                    )
-                )
+                total += 1
                 i = em.end()
-            subsections.append(XrefSubsection(first_obj, count, entries))
-            total += len(entries)
         if total == 0:
             # A keyword without a subsection header is not a table, and
             # "xref 0 0" placeholders (hybrid-reference files) carry no
             # offsets and do not count as a table of their own.
             continue
-        tables.append(XrefTable(subsections, start, data[start:i], Span(start, i - start)))
+        tables.append(XrefTable(data[start:i], Span(start, i - start)))
     return tables, diags
 
 
@@ -576,17 +537,6 @@ def _lex_trailers(
         obj for obj in objects
         if obj.values.get("/Type", b"").strip() == b"/XRef" and obj.dict_span
     ]
-    # startxref values are read only after a trailer keyword or an xref
-    # stream object, so the scan starts at the first of those.  A match
-    # cannot start inside another, so the later matches are the same.
-    firsts = [start for start, _ in hits[:1]] + [obj.span.end for obj in xref_objects[:1]]
-    startxrefs = list(_STARTXREF_RE.finditer(data, min(firsts, default=len(data))))
-    starts = [m.start() for m in startxrefs]
-
-    def next_startxref(pos: int) -> int | None:
-        k = bisect_left(starts, pos)
-        return _to_int(startxrefs[k].group(1)) if k < len(starts) else None
-
     for k, (start, gap_stop) in enumerate(hits):
         i = _skip_ws(data, start + len(b"trailer"))
         if not data.startswith(b"<<", i):
@@ -599,23 +549,11 @@ def _lex_trailers(
             end = stop.recover(data, end)
             diags.append(f"MalformedTrailer at offset {start}")
             keys, values = [], {}
-        trailers.append(
-            TrailerDict(
-                keys, data[start:end], next_startxref(end), Span(start, end - start),
-                values=values,
-            )
-        )
+        trailers.append(TrailerDict(keys, data[start:end], Span(start, end - start), values))
     for obj in xref_objects:
         sp = obj.dict_span
         trailers.append(
-            TrailerDict(
-                list(obj.dict_keys),
-                data[sp.offset : sp.end],
-                next_startxref(obj.span.end),
-                sp,
-                from_xref_stream=True,
-                values=dict(obj.values),
-            )
+            TrailerDict(list(obj.dict_keys), data[sp.offset : sp.end], sp, dict(obj.values))
         )
     trailers.sort(key=lambda t: t.span.offset)
     return trailers, diags
@@ -661,8 +599,6 @@ def segment(data: bytes) -> PdfSections:
         objects=objects,
         xref_tables=tables,
         trailers=trailers,
-        file_len=len(data),
-        classic_xref_absent=not tables,
         diagnostics=diags + object_diags + xref_diags + trailer_diags,
         info_obj_num=info_num,
     )

@@ -180,16 +180,13 @@ def test_criterion_3_xref_grammar():
                    b"0000000166 00000 n \n"
                    b"0000000222 00000 n \n"
                    b"0000000486 00000 n \n")
-    (table,) = segment(b"%PDF-1.4\n" + table_bytes).xref_tables
-    (sub,) = table.subsections
-    ok = (sub.first_obj, sub.count) == (0, 5)
-    entry = sub.entries[0]
-    ok = ok and (entry.offset, entry.generation, entry.kind) == (10, 65535, "f")
-    cursor = len(b"xref\n0 5\n")
-    for entry in sub.entries:
-        ok = ok and entry.render() == table_bytes[cursor : cursor + 18]
-        ok = ok and len(entry.render()) == 18 and entry.render()[10:11] == b" "
-        cursor += entry.raw_len
+    sections = segment(b"%PDF-1.4\n" + table_bytes)
+    (table,) = sections.xref_tables
+    ok = table.raw == table_bytes and not sections.diagnostics
+    ok = ok and len(table.raw) - len(b"xref\n0 5\n") == 5 * 20
+    # A 9-digit offset breaks the fixed width.
+    short = segment(b"%PDF-1.4\n" + table_bytes.replace(b"0000000017", b"000000017"))
+    ok = ok and any(d.startswith("MalformedXrefEntry") for d in short.diagnostics)
     _report("3 xref entry grammar", ok)
 
 

@@ -13,14 +13,13 @@ def test_distiller_profile_facts():
     sections = segment(data)
     assert sections.header.binary_comment == b"\xE2\xE3\xCF\xD3"
     assert sections.xref_tables == []
-    assert sections.classic_xref_absent
 
 
 def test_word_profile_double_trailer():
     data = generate(PROFILES[Producer.MICROSOFT_OFFICE_WORD], 1)
     assert data.count(b"trailer\r\n") == 2
     sections = segment(data)
-    classic = [t for t in sections.trailers if not t.from_xref_stream]
+    classic = [t for t in sections.trailers if t.raw.startswith(b"trailer")]
     assert len(classic) == 2
     assert "/Prev" in classic[1].keys and "/XRefStm" in classic[1].keys
 

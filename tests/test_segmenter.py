@@ -24,6 +24,7 @@ from pdfprov import segmenter
 from pdfprov.builtin_pack import builtin
 from pdfprov.cli import scan_bytes
 from pdfprov.producers import Producer
+from pdfprov.rules import presence_token
 from pdfprov.segmenter import (
     _KEY_RE,
     _MAX_NESTING,
@@ -196,25 +197,24 @@ def test_signed_number_is_not_an_info_reference():
 
 
 def test_word_xref_table():
-    tables = _fragment(WORD_XREF_TABLE).xref_tables
-    assert len(tables) == 1
-    (sub,) = tables[0].subsections
-    assert (sub.first_obj, sub.count) == (0, 5)
-    entry = sub.entries[0]
-    assert (entry.offset, entry.generation, entry.kind) == (10, 65535, "f")
+    sections = _fragment(WORD_XREF_TABLE)
+    (table,) = sections.xref_tables
+    assert table.raw == WORD_XREF_TABLE
+    assert len(table.raw) - len(b"xref\n0 5\n") == 5 * 20
+    assert sections.diagnostics == []
 
 
 def test_absent_xref_sets_flag():
     sections = segment(b"%PDF-1.5\n1 0 obj\n<<>>\nendobj\n")
     assert sections.xref_tables == []
-    assert sections.classic_xref_absent
+    assert presence_token(sections) == b"A"
 
 
 def test_two_revisions_two_tables():
     data = WORD_XREF_TABLE + b"junk\n" + WORD_XREF_TABLE
     tables = _fragment(data).xref_tables
     assert len(tables) == 2
-    assert tables[0].start_offset < tables[1].start_offset
+    assert tables[0].span.offset < tables[1].span.offset
 
 
 def test_malformed_entry_skipped_with_diagnostic():
@@ -222,15 +222,8 @@ def test_malformed_entry_skipped_with_diagnostic():
     sections = _fragment(data)
     assert any(d.startswith("MalformedXrefEntry") for d in sections.diagnostics)
     (table,) = sections.xref_tables
-    assert len(table.subsections[0].entries) == 1
-
-
-def test_xref_width_law_is_render_roundtrip():
-    tables = _fragment(WORD_XREF_TABLE).xref_tables
-    cursor = WORD_XREF_TABLE.index(b"\n", WORD_XREF_TABLE.index(b"0 5")) + 1
-    for entry in tables[0].subsections[0].entries:
-        assert entry.render() == WORD_XREF_TABLE[cursor : cursor + 18]
-        cursor += entry.raw_len
+    # The skipped line stays inside the table.
+    assert table.raw == data
 
 
 def test_startxref_keyword_is_not_a_table():
@@ -243,7 +236,7 @@ def test_understated_table_does_not_swallow_the_trailer():
             b"trailer\n<</Size 5/Root 1 0 R>>\n")
     sections = segment(data)
     assert any(d.startswith("XrefTruncatedSubsection") for d in sections.diagnostics)
-    assert len(sections.xref_tables[0].subsections[0].entries) == 2
+    assert sections.xref_tables[0].raw == data[len(b"%PDF-1.4\n") : data.index(b"trailer")]
     assert sections.trailers[0].keys == ["/Size", "/Root"]
 
 
@@ -253,7 +246,7 @@ def test_element_spans_lie_within_the_file(corpus_bytes):
         assert sections.objects and sections.trailers
         for element in (sections.header, *sections.objects, *sections.xref_tables,
                         *sections.trailers):
-            assert 0 <= element.span.offset <= element.span.end <= sections.file_len
+            assert 0 <= element.span.offset <= element.span.end <= len(blobs[0])
 
 
 # -- trailers ---------------------------------------------------------------
@@ -268,7 +261,6 @@ def test_word_double_trailer():
     trailers = _fragment(WORD_DOUBLE_TRAILER).trailers
     assert len(trailers) == 2
     assert trailers[1].keys[-2:] == ["/Prev", "/XRefStm"]
-    assert trailers[0].startxref_value == 46566
 
 
 def test_minimal_trailer():
@@ -285,13 +277,8 @@ _TABLE = b"xref\n0 1\n0000000000 65535 f \n"
     "data, check",
     [
         pytest.param(
-            _TABLE + b"trailer\n<</Size 1>>\nstartxref\n" + _HUGE + b"\n%%EOF\n",
-            lambda s: s.trailers[0].startxref_value is None,
-            id="startxref",
-        ),
-        pytest.param(
             _TABLE + _HUGE + b" 1\n0000000009 00000 n \ntrailer\n<</Size 1>>\n",
-            lambda s: [len(sub.entries) for sub in s.xref_tables[0].subsections] == [1],
+            lambda s: s.xref_tables[0].raw == _TABLE,
             id="xref-subsection",
         ),
         pytest.param(
@@ -311,9 +298,8 @@ def test_xref_stream_dict_is_a_trailer():
     data = (b"6 0 obj\n<</Type /XRef /Size 7 /Root 1 0 R>>\nstream\nxx\nendstream\n"
             b"endobj\nstartxref\n9\n%%EOF\n")
     (trailer,) = _fragment(data).trailers
-    assert trailer.from_xref_stream
+    assert not trailer.raw.startswith(b"trailer")
     assert trailer.keys[0] == "/Type"
-    assert trailer.startxref_value == 9
 
 
 def test_malformed_trailer_stops_at_the_next_trailer_or_object():

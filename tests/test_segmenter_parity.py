@@ -106,10 +106,10 @@ FAMILIES = {
 
 # sha256 of each family's segment() output.
 DIGESTS = {
-    "fixtures": "13ad5dcea74130d6764487eedd6d7a3d7e6223536a17b6d7e878c83522e8c93c",
-    "token-soups": "36f0ce3c014addf217fa133897ef128d4cf3798b48826de9aa057dc45982e65b",
-    "mutants": "a0d38fc938455c683a9d85ce6fe2a6278b9e5770a0882e98759c58d265901b1c",
-    "nesting-floor": "aa17bca718d2efec976ac2cfcc22a026ece2bb7f1c95a430d17ef02341855f6f",
+    "fixtures": "e93c6e43d885d5643c870b5f0bc4f8d3ba07b2301672b351a2b2425e21e6f7a2",
+    "token-soups": "26f7b9eeb83ab56a449c736624ca5025e8bc531924ced75a86067d88eddcdcfa",
+    "mutants": "097bc29732233230f98d62c4749831c51e54db101dfa716462ab8c54f009c1fc",
+    "nesting-floor": "515a7aca799bb229dc4f189f79ac9c85e008a911a21e172812bfc40763bad3ca",
 }
 
 
