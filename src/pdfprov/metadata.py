@@ -194,4 +194,8 @@ def consistency_status(declared: DeclaredMetadata, detected: Verdict) -> tuple[C
         return ConsistencyStatus.UNVERIFIABLE, normalized
     if normalized == detected.producer:
         return ConsistencyStatus.CONSISTENT, normalized
+    # A declared tool that some section voted for was only outvoted: the
+    # style evidence does not contradict it.
+    if normalized in detected.votes:
+        return ConsistencyStatus.UNVERIFIABLE, normalized
     return ConsistencyStatus.INCONSISTENT, normalized

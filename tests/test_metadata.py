@@ -176,6 +176,27 @@ def test_unverifiable_on_ambiguous_detection(pack):
     assert status is ConsistencyStatus.UNVERIFIABLE
 
 
+def test_outvoted_declared_tool_is_unverifiable():
+    from pdfprov.detector import majority_vote
+    from pdfprov.rules import SectionKind
+
+    # LuaTeX wins 3-2, but two sections also voted for the declared pdfTeX.
+    verdict = majority_vote({
+        SectionKind.HEADER: frozenset({"LuaTeX", "PdfTeX"}),
+        SectionKind.BODY: frozenset({"LuaTeX"}),
+        SectionKind.XREF: frozenset(),
+        SectionKind.TRAILER: frozenset({"LuaTeX", "PdfTeX"}),
+    })
+    assert verdict.producer == "LuaTeX"
+    declared = DeclaredMetadata(producer="pdfTeX-1.40.22")
+    assert consistency_status(declared, verdict) == (ConsistencyStatus.UNVERIFIABLE, "PdfTeX")
+    # A declared tool no section voted for is still contradicted.
+    declared = DeclaredMetadata(producer="LibreOffice 6.1")
+    assert consistency_status(declared, verdict) == (
+        ConsistencyStatus.INCONSISTENT, "LibreOffice"
+    )
+
+
 def test_status_totality(pack):
     """Every (declared, detected) combination maps to exactly one status."""
     detected_producer = detect(pack, segment(generate(PROFILES[GS], 1)))
