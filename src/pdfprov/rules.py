@@ -15,7 +15,10 @@ and optional OS/distribution tags.  Rule files are plain UTF-8 text:
 Comments start with '#'.  Patterns operate on raw bytes and support
 literals, \\xNN escapes, \\r \\n \\t, character classes, repetition
 (``*`` ``+`` ``?`` ``{m,n}``), alternation, grouping and the ``^``/``$``
-anchors.  Lookaround and backreferences are rejected.
+anchors.  Lookaround and backreferences are rejected, and so is a repeat
+that may run its body more than once when the body holds a variable-count
+repeat (``(a+)+``, ``(?:a*){2,5}``, ``(a?)*``): a backtracking search of
+such a pattern can take time exponential in the input.
 
 Presence rules are special: they match a one-byte pseudo-input that is
 ``P`` when the file has at least one classic xref table and ``A`` when it
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from re import _constants, _parser
 from enum import Enum
 
 from .errors import PatternCompileError, RuleParseError
@@ -57,6 +61,24 @@ class RuleKind(str, Enum):
 
 
 _FORBIDDEN_CONSTRUCTS = re.compile(r"\(\?(?!:)|\\[1-9]")
+_REPEATS = (_constants.MAX_REPEAT, _constants.MIN_REPEAT, _constants.POSSESSIVE_REPEAT)
+
+
+def _nests_repeats(items: _parser.SubPattern, repeated: bool = False) -> bool:
+    """Whether a variable-count repeat lies inside a repeat that may run
+    its body more than once.  ``repeated`` says ``items`` is inside one."""
+    for op, av in items:
+        if op in _REPEATS:
+            low, high, body = av
+            if (repeated and low != high) or _nests_repeats(body, repeated or high > 1):
+                return True
+        elif op is _constants.SUBPATTERN:
+            if _nests_repeats(av[-1], repeated):
+                return True
+        elif op is _constants.BRANCH:
+            if any(_nests_repeats(branch, repeated) for branch in av[1]):
+                return True
+    return False
 
 
 def compile_pattern(source: str, rule_id: str = "<pattern>") -> re.Pattern[bytes]:
@@ -68,9 +90,15 @@ def compile_pattern(source: str, rule_id: str = "<pattern>") -> re.Pattern[bytes
     except UnicodeEncodeError as exc:
         raise PatternCompileError(rule_id, f"non-byte character in pattern: {exc}") from None
     try:
-        return re.compile(raw, re.DOTALL)
+        regex = re.compile(raw, re.DOTALL)
     except re.error as exc:
         raise PatternCompileError(rule_id, str(exc)) from None
+    # A repeat can only hold another inside a group.
+    if b"(" in raw and _nests_repeats(_parser.parse(raw, re.DOTALL)):
+        raise PatternCompileError(
+            rule_id, "a repeated group may not hold a variable-count repeat"
+        )
+    return regex
 
 
 @dataclass(frozen=True)

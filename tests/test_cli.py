@@ -137,6 +137,20 @@ def test_scan_custom_pack(tmp_path, capsys):
     assert payload["votes"] == {"Ghostscript": 1}
 
 
+def test_scan_pack_with_a_nested_repeat_is_an_error_object(tmp_path, capsys):
+    pack_path = tmp_path / "nested.rules"
+    pack_path.write_text(
+        'rule runaway {\n  producer = Ghostscript\n  section = body\n'
+        '  kind = template\n  pattern = "(a+)+b"\n}\n'
+    )
+    path = _write_fixture(tmp_path, Producer.GHOSTSCRIPT)
+    code = main(["scan", str(path), "--pack", str(pack_path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert payload["error"]["type"] == "PatternCompileError"
+    assert "runaway" in payload["error"]["message"]
+
+
 # -- batch ---------------------------------------------------------------------
 
 

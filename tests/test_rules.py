@@ -115,6 +115,23 @@ def test_dialect_rejects_lookaround_and_backrefs():
         compile_pattern(r"(a)\1")
 
 
+@pytest.mark.parametrize(
+    "pattern", ["(a+)+b", "(?:a*)*", "(a{1,2})+b", "(a+){1,1000}b", "(a?)*", "x(y|z[0-9]*)+"]
+)
+def test_dialect_rejects_a_variable_repeat_inside_a_repeated_group(pattern):
+    with pytest.raises(PatternCompileError) as err:
+        compile_pattern(pattern, "nested")
+    assert err.value.rule_id == "nested"
+    assert "variable-count repeat" in err.value.reason
+
+
+@pytest.mark.parametrize(
+    "pattern", ["(ab)+", "(a{3})*", "(/K[0-9]*)?", "(a|ab)*", "\\(a+\\)+", "[(]a+[)]+"]
+)
+def test_dialect_accepts_repeats_of_one_level(pattern):
+    compile_pattern(pattern)
+
+
 def test_dialect_accepts_classes_repetition_alternation_anchors():
     regex = compile_pattern("^(foo|ba[rz]){1,2}[0-9]*$")
     assert regex.search(b"foobaz42")
