@@ -2,12 +2,14 @@
 
 Each family repeats one hostile shape k times.  Each of the first six made
 an earlier segmenter do work proportional to k for each repetition.  In
-the last two, the dictionary entry pattern scans each entry and then
-gives it back to the token walk, which lexes it again.  The test
-times ``segment()`` at n and 2n repetitions, best of five, and requires the
-larger input to cost at most 2.5 times the smaller one; quadratic work
-costs 4 times.  Sizes keep the earlier segmenter at a few seconds or less
-at n and the n-size run at about 10 ms or more, so timer noise stays small.
+the next two, the dictionary entry pattern scans each entry and then
+gives it back to the token walk, which lexes it again.  The last is one
+classic xref table of k entries, which the table walk matches one by one.
+The test times ``segment()`` at n and 2n repetitions, best of five, and
+requires the larger input to cost at most 2.5 times the smaller one;
+quadratic work costs 4 times.  Sizes keep the earlier segmenter at a few
+seconds or less at n and the n-size run at about 10 ms or more, so timer
+noise stays small.
 Two families cannot have both: ``malformed-trailer`` and
 ``xref-without-newline`` take 5-12 ms at n, and their ratios are the
 steadiest of the six.
@@ -49,7 +51,8 @@ _NUMBERS = b" ".join(b"%d" % j for j in range(1, 41))
 
 # family -> (n, input builder for k repetitions)
 FAMILIES = {
-    # Each trailer looked for a startxref up to the end of the file.
+    # Each trailer looked for a startxref up to the end of the file, in a
+    # segmenter that still read startxref values.
     "trailer-without-startxref": (8000, lambda k: b"trailer << /Size 1 >>\n" * k),
     # Each xref-stream object did the same.
     "xref-stream-without-startxref": (
@@ -71,6 +74,7 @@ FAMILIES = {
     "rejected-nested-string": (
         1500, lambda k: _objects(k, b"<</A (" + b"x" * 40 + b"(y))>>\nendobj\n")
     ),
+    "long-xref-table": (5000, lambda k: b"xref\n0 %d\n" % k + b"0000000000 65535 f \n" * k),
 }
 
 
