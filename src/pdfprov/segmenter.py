@@ -533,10 +533,6 @@ def _lex_trailers(
 ) -> tuple[list[TrailerDict], list[str]]:
     trailers: list[TrailerDict] = []
     diags: list[str] = []
-    xref_objects = [
-        obj for obj in objects
-        if obj.values.get("/Type", b"").strip() == b"/XRef" and obj.dict_span
-    ]
     for k, (start, gap_stop) in enumerate(hits):
         i = _skip_ws(data, start + len(b"trailer"))
         if not data.startswith(b"<<", i):
@@ -550,11 +546,13 @@ def _lex_trailers(
             diags.append(f"MalformedTrailer at offset {start}")
             keys, values = [], {}
         trailers.append(TrailerDict(keys, data[start:end], Span(start, end - start), values))
-    for obj in xref_objects:
+    # An xref stream's dictionary is its revision's trailer.
+    for obj in objects:
         sp = obj.dict_span
-        trailers.append(
-            TrailerDict(list(obj.dict_keys), data[sp.offset : sp.end], sp, dict(obj.values))
-        )
+        if sp and obj.values.get("/Type", b"").strip() == b"/XRef":
+            trailers.append(
+                TrailerDict(list(obj.dict_keys), data[sp.offset : sp.end], sp, dict(obj.values))
+            )
     trailers.sort(key=lambda t: t.span.offset)
     return trailers, diags
 
