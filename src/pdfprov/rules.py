@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from re import _constants, _parser
 from enum import Enum
+from re import _constants, _parser
 
 from .errors import PatternCompileError, RuleParseError
 from .producers import Distro, OpSys

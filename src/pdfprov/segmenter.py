@@ -26,14 +26,13 @@ recovery stop at the next object header, and a dictionary that no ``>>``
 closes before it ends at the object's own ``endobj``.  The ``xref`` and
 ``trailer`` keywords are searched for only in the gaps between objects.
 Line ends are each found once, and a malformed trailer's recovery stops at
-the next trailer or object.  A recovery
-inside a dictionary, past a nested malformed one, the nesting floor, an
-array still open at a ``>>`` or a literal string still open at the end of
-the input, stops at the same bound, and so do the arrays and dictionaries
-around it.  The exception is elements that overlap: a trailer dictionary
-or xref table that runs on past the next keyword of its kind (behind a
-comment, or a string that closes past it, say) is scanned again from
-that keyword.
+the next trailer or object.  A recovery inside a dictionary, past a nested
+malformed one, the nesting floor, an array still open at a ``>>`` or a
+literal string still open at the end of the input, stops at the same
+bound, and so do the arrays and dictionaries around it.  The exception is
+elements that overlap: a trailer dictionary or xref table that runs on
+past the next keyword of its kind (behind a comment, or a string that
+closes past it, say) is scanned again from that keyword.
 
 All functions here are pure; the same input bytes always produce a
 structurally identical result.
