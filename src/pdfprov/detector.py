@@ -57,7 +57,7 @@ class Verdict:
     votes: dict[str, int]
     section_verdicts: dict[SectionKind, frozenset[str]]
     os_candidates: tuple[tuple[str, str | None], ...] = ()
-    # Filled in by detect(): every matched rule id per section.
+    # Filled in by detect(): every fired rule id per section.
     evidence: dict[SectionKind, tuple[str, ...]] = field(default_factory=dict)
 
 
@@ -144,10 +144,9 @@ def detect(pack: Rulepack, sections: PdfSections,
         matches = {kind: found if kind in wanted else [] for kind, found in matches.items()}
     verdict = majority_vote({kind: section_verdict(matches[kind], kind) for kind in SECTION_ORDER})
     verdict.os_candidates = detect_os(verdict, matches)
-    # Evidence lists every matched rule, advisory ones included.
-    verdict.evidence = {
-        kind: tuple(sorted({m.rule_id for m in matches[kind]})) for kind in SECTION_ORDER
-    }
+    # Evidence lists every fired rule, advisory ones included; each fired
+    # rule has one match, and matches come in rule-id order.
+    verdict.evidence = {kind: tuple(m.rule_id for m in matches[kind]) for kind in SECTION_ORDER}
     return verdict
 
 

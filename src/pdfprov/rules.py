@@ -27,8 +27,10 @@ byte patterns.  A presence match on the ``P`` token is flagged advisory:
 nearly every producer emits a table, so the fact isn't treated as a
 nomination by the detector, only as OS/distribution evidence.
 
-Each section's matches are reported in rule-id order, then by element and
-by offset within the element.
+A rule either fires on a section or it does not, and that is all the
+vote reads.  So each rule that fires is reported once, at its first hit:
+the first element it is found in and the leftmost offset there.  A
+section's matches come out in rule-id order.
 """
 
 from __future__ import annotations
@@ -129,20 +131,13 @@ class Rulepack:
         by_id = sorted(self.rules, key=lambda r: r.id)
         self._by_section = {kind: [r for r in by_id if r.section == kind] for kind in SectionKind}
 
-    @property
-    def counts_by_producer(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for rule in self.rules:
-            counts[rule.producer] = counts.get(rule.producer, 0) + 1
-        return counts
-
     def for_section(self, section: SectionKind) -> list[Rule]:
         return self._by_section[section]
 
 
 @dataclass(frozen=True)
 class RuleMatch:
-    """One occurrence of a rule within one section element."""
+    """A rule that fired on a section, at its first element and offset."""
 
     rule_id: str
     producer: str
@@ -353,11 +348,12 @@ def presence_token(sections: PdfSections) -> bytes:
 def match_section(
     pack: Rulepack, sections: PdfSections, kind: SectionKind
 ) -> list[RuleMatch]:
-    """Run every rule of one section against every eligible element.
+    """Report each rule of one section that fires, once, at its first hit.
 
-    Rules run in id order, elements in section order and ``finditer`` in
-    offset order, so the matches come out sorted by (rule id, element,
-    offset).
+    Rules run in id order and elements in section order; a rule stops at
+    the first element its pattern is found in, so the matches come out in
+    rule-id order, one per fired rule, each at its first element and the
+    leftmost offset within it.  The vote reads only which rules fired.
     """
     token = presence_token(sections)
     presence_targets = [("xref:presence", token)]
@@ -366,22 +362,23 @@ def match_section(
     for rule in pack.for_section(kind):
         targets = presence_targets if rule.kind is RuleKind.PRESENCE else element_targets
         for ref, data in targets:
-            for m in rule.regex.finditer(data):
-                matches.append(
-                    RuleMatch(
-                        rule_id=rule.id,
-                        producer=rule.producer,
-                        section=kind,
-                        match_offset=m.start(),
-                        element_ref=ref,
-                        kind=rule.kind,
-                        os_tags=rule.os_tags,
-                        distro_tags=rule.distro_tags,
-                        advisory=(rule.kind is RuleKind.PRESENCE and token == b"P"),
-                    )
+            m = rule.regex.search(data)
+            if m is None:
+                continue
+            matches.append(
+                RuleMatch(
+                    rule_id=rule.id,
+                    producer=rule.producer,
+                    section=kind,
+                    match_offset=m.start(),
+                    element_ref=ref,
+                    kind=rule.kind,
+                    os_tags=rule.os_tags,
+                    distro_tags=rule.distro_tags,
+                    advisory=(rule.kind is RuleKind.PRESENCE and token == b"P"),
                 )
-                if m.end() == m.start():  # zero-width match guard
-                    break
+            )
+            break
     return matches
 
 

@@ -21,7 +21,9 @@ dictionary at the nesting floor.  The two read one grammar and give the
 same keys and values for any entry the pattern lexes.
 
 Segmentation takes time linear in the input size.  One pass lexes the
-objects; each object's ``endobj`` search and malformed-dictionary
+objects: the header search is possessive, so it never backs out of an
+xref table's digit runs, and is not run where no whitespace-led ``obj``
+follows.  Each object's ``endobj`` search and malformed-dictionary
 recovery stop at the next object header, and a dictionary that no ``>>``
 closes before it ends at the object's own ``endobj``.  The ``xref`` and
 ``trailer`` keywords are searched for only in the gaps between objects.
@@ -90,7 +92,10 @@ _FLAT_ENTRY_RE = re.compile(
 )
 _ANGLES_RE = re.compile(rb"<<|>>")
 _REF_RE = re.compile(rb"(\d+)" + _REF_TAIL)
-_OBJ_RE = re.compile(rb"(\d{1,10})" + _WS + rb"+(\d{1,5})" + _WS + rb"+obj(?![0-9A-Za-z])")
+# "N G obj".  A digit run must be followed by whitespace and a whitespace run
+# by a digit or "o", so giving bytes back never makes a match: possessive.
+_OBJ_RE = re.compile(rb"(\d{1,10}+)" + _WS + rb"++(\d{1,5}+)" + _WS + rb"++obj(?![0-9A-Za-z])")
+_WS_OBJ_RE = re.compile(_WS + b"obj")
 _HEADER_RE = re.compile(rb"%PDF-(\d+)\.(\d+)")
 _MAGIC_RE = re.compile(rb"%PDF")
 _SUBSECTION_RE = re.compile(rb"(\d+)[ \t]+(\d+)[ \t]*(?:\r\n|\r|\n)")
@@ -233,7 +238,7 @@ class _Stop:
         """Index past the ``>>`` that balances an open ``<<`` before the
         bound, or None when none does."""
         if self.bound is None:
-            m = _OBJ_RE.search(data, i)
+            m = _find_header(data, i)
             self.bound = m.start() if m else len(data)
         self.at = min(self.at, self.bound)
         return _recover_dict_end(data, i, self.at)
@@ -323,6 +328,15 @@ def _recover_dict_end(data: bytes, i: int, stop: int) -> int | None:
     return None
 
 
+def _find_header(data: bytes, i: int = 0) -> re.Match[bytes] | None:
+    """The first object-header match at or after ``i``, or None.
+
+    A header's ``obj`` follows whitespace.  With none left, as past the last
+    object, the search is skipped: it would try every xref-table entry.
+    """
+    return _OBJ_RE.search(data, i) if _WS_OBJ_RE.search(data, i) else None
+
+
 def _clean_token_start(data: bytes, pos: int) -> bool:
     return pos == 0 or data[pos - 1] in _WHITESPACE or data[pos - 1] in _DELIMITERS
 
@@ -393,10 +407,13 @@ def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
     objects: list[IndirectObject] = []
     diags: list[str] = []
     n = len(data)
-    m = _OBJ_RE.search(data)
+    m = _find_header(data)
     while m:
         if not _clean_token_start(data, m.start()):
-            m = _OBJ_RE.search(data, m.start() + 1)
+            # No clean header starts inside this one: a digit precedes
+            # every later start in its object number, and a start past
+            # that leaves no room for two numbers before its "obj".
+            m = _find_header(data, m.end())
             continue
         start = m.start()
         obj_num, gen_num = int(m.group(1)), int(m.group(2))
@@ -428,7 +445,7 @@ def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
             i = n if i < 0 else i + len(b"endstream")
         # The object ends at its endobj, or is cut off by the next header,
         # which is also where the following object starts.
-        m = _OBJ_RE.search(data, i)
+        m = _find_header(data, i)
         stop = m.start() if m else n
         end = data.find(b"endobj", i, stop)
         truncated = end < 0

@@ -8,6 +8,7 @@ signature are derived from the loaded pack's own rules.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from importlib import resources
 
 from pdfprov.builtin_pack import builtin
@@ -135,7 +136,7 @@ def test_pack_composition():
     assert by_kind[RuleKind.PRESENCE] == 3
     assert by_kind[RuleKind.TEMPLATE] == 4
     assert len(pack.rules) == 33
-    assert sum(pack.counts_by_producer.values()) == 33
+    assert sum(Counter(r.producer for r in pack.rules).values()) == 33
 
 
 def test_magic_rules_decode_back_to_source_bytes():
@@ -243,7 +244,7 @@ def test_rules_file_coverage_lines_agree_with_pack():
         m.group(1): int(m.group(2))
         for m in re.finditer(r"(?m)^#\s+(\S+)\s+(\d+)/\d+$", _shipped_text())
     }
-    counts = builtin().counts_by_producer
+    counts = Counter(r.producer for r in builtin().rules)
     assert set(coverage) == {p.value for p in Producer}
     for producer in Producer:
         assert coverage[producer.value] == counts[producer.value], producer.value

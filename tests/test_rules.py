@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,7 +48,7 @@ def test_load_word_body_rule():
 def test_empty_rule_file_is_a_valid_empty_pack():
     pack = load_rulepack("# nothing here\n\n")
     assert pack.rules == []
-    assert pack.counts_by_producer == {}
+    assert Counter(r.producer for r in pack.rules) == {}
 
 
 def test_duplicate_rule_ids_rejected():
@@ -238,25 +240,49 @@ _ZZ_BEFORE_AA = (
 )
 
 
+_THREE_OBJECTS = (b"%PDF-1.4\n1 0 obj\n<</Type/Catalog/Pages 2 0 R>>\nendobj\n"
+                  b"2 0 obj\n<</Type/Pages/Kids[3 0 R]/Count 1>>\nendobj\n"
+                  b"3 0 obj\n<</Type/Page/Parent 2 0 R>>\nendobj\n"
+                  b"trailer\n<</Root 1 0 R>>\n")
+
+
 def test_matches_come_out_by_rule_id_element_and_offset():
     pack = load_rulepack(_ZZ_BEFORE_AA)
     assert [r.id for r in pack.rules] == ["zz-obj-keyword", "aa-type-key"]
-    data = (b"%PDF-1.4\n1 0 obj\n<</Type/Catalog/Pages 2 0 R>>\nendobj\n"
-            b"2 0 obj\n<</Type/Pages/Kids[3 0 R]/Count 1>>\nendobj\n"
-            b"3 0 obj\n<</Type/Page/Parent 2 0 R>>\nendobj\n"
-            b"trailer\n<</Root 1 0 R>>\n")
-    sections = segment(data)
-    element_index = {ref: i for i, (ref, _) in
-                     enumerate(section_elements(sections, SectionKind.BODY))}
-    matches = match_section(pack, sections, SectionKind.BODY)
-    keys = [(m.rule_id, element_index[m.element_ref], m.match_offset) for m in matches]
-    assert keys == sorted(keys)
-    # Both rules fire on every object; "obj" fires twice in each.
-    assert [(rule, element) for rule, element, _ in keys] == [
-        ("aa-type-key", 0), ("aa-type-key", 1), ("aa-type-key", 2),
-        ("zz-obj-keyword", 0), ("zz-obj-keyword", 0), ("zz-obj-keyword", 1),
-        ("zz-obj-keyword", 1), ("zz-obj-keyword", 2), ("zz-obj-keyword", 2),
+    matches = match_section(pack, segment(_THREE_OBJECTS), SectionKind.BODY)
+    # Both rules fire on every object, "obj" twice in each, but each rule
+    # is reported once: at the first object, at its first offset there.
+    assert [(m.rule_id, m.element_ref, m.match_offset) for m in matches] == [
+        ("aa-type-key", "obj:1:0", 10), ("zz-obj-keyword", "obj:1:0", 4),
     ]
+
+
+def _first_hits(pack, sections, kind):
+    """Each rule's first ``finditer`` hit over the section, in rule-id order."""
+    token = b"P" if sections.xref_tables else b"A"
+    hits = []
+    for rule in sorted(pack.rules, key=lambda r: r.id):
+        if rule.section is not kind:
+            continue
+        if rule.kind is RuleKind.PRESENCE:
+            targets = [("xref:presence", token)]
+        else:
+            targets = section_elements(sections, kind)
+        every = [(rule.id, ref, m.start()) for ref, data in targets
+                 for m in rule.regex.finditer(data)]
+        hits.extend(every[:1])
+    return hits
+
+
+@pytest.mark.parametrize("which", ["builtin", "two-rule"])
+def test_each_fired_rule_is_reported_once_at_its_first_hit(pack, which):
+    rules = pack if which == "builtin" else load_rulepack(_ZZ_BEFORE_AA)
+    for profile in PROFILES.values():
+        sections = segment(generate(profile, 1))
+        for kind in SECTION_ORDER:
+            found = [(m.rule_id, m.element_ref, m.match_offset)
+                     for m in match_section(rules, sections, kind)]
+            assert found == _first_hits(rules, sections, kind)
 
 
 def test_metadata_immunity(pack, corpus_bytes):

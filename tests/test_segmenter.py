@@ -37,6 +37,8 @@ from pdfprov.segmenter import (
     _scan_literal_string,
     _skip_ws,
     PdfSections,
+    _OBJ_RE,
+    _find_header,
     _lex_objects,
     parse_header,
     segment,
@@ -125,9 +127,10 @@ def test_truncated_object_recorded_not_fatal():
 
 
 def test_object_numbers_not_matched_inside_longer_tokens():
-    data = b"110 0 obj\n<</A 1>>\nendobj\n"
+    data = (b"110 0 obj\n<</A 1>>\nendobj\n12345678901 0 obj\n<<>>\nendobj\n"
+            b"x1 0 obj 3 0 obj\n<<>>\nendobj\n/X1 0 obj 7 0 obj\n<<>>\nendobj\n")
     objs = _fragment(data).objects
-    assert [(o.obj_num, o.gen_num) for o in objs] == [(110, 0)]
+    assert [(o.obj_num, o.gen_num) for o in objs] == [(110, 0), (3, 0), (7, 0)]
 
 
 def test_nested_dict_keys_stay_out_of_top_level():
@@ -523,6 +526,33 @@ def test_gap_keyword_search_matches_lookbehind_regexes(parts):
             if not any(o.span.offset <= m.start() < o.span.end for o in objects)
         ]
         assert [p for p, _ in _keyword_hits(data, gaps, keyword)] == expected
+
+
+# -- object-header search -----------------------------------------------------
+
+# The header pattern before its quantifiers were made possessive, kept as
+# the oracle of the header search.
+_OBJ_ORACLE_RE = re.compile(
+    rb"(\d{1,10})[\x00\t\n\x0c\r ]+(\d{1,5})[\x00\t\n\x0c\r ]+obj(?![0-9A-Za-z])"
+)
+_HEADER_SOUP = [b"0", b"7", b"123456", b"12345678901", b"\x00", b"\t", b"\n", b"\x0c",
+                b"\r", b" ", b"obj", b"ob", b"bj", b"objx", b"obj1", b"x", b"R", b"<<"]
+
+
+def _span_and_groups(m):
+    return None if m is None else (m.span(), m.groups())
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_HEADER_SOUP), max_size=30))
+@example([b"12345678901", b" ", b"0", b" ", b"obj"])
+@example([b"obj", b" ", b"1", b" ", b"0", b"\x00", b"obj"])
+def test_header_search_matches_the_backtracking_pattern(parts):
+    data = b"".join(parts)
+    for i in range(len(data) + 1):
+        expected = _span_and_groups(_OBJ_ORACLE_RE.search(data, i))
+        assert _span_and_groups(_OBJ_RE.search(data, i)) == expected
+        assert _span_and_groups(_find_header(data, i)) == expected
 
 
 # -- the entry pattern against the token walk ----------------------------------
