@@ -99,13 +99,32 @@ def decode_pdf_string(value: bytes) -> str | None:
 # -- Extraction ----------------------------------------------------------------
 
 _XMP_TAG_RE = re.compile(rb"<[^<>]+>")
+# The bytes that may end an element's name in its opening tag.
+_XMP_NAME_END = b"> \t\n\r\x0b\x0c"
+
+
+def _xmp_element(raw: bytes, name: bytes) -> bytes | None:
+    """The content of the first ``<name ...>...</name>`` element, as the
+    regex ``<name(?:\\s[^>]*)?>(.*?)</name>`` finds it, in linear time: no
+    later ``<name`` finds a ``>`` and ``</name>`` that the first one ending
+    at ``>`` or whitespace does not."""
+    start = b"<" + name
+    p = raw.find(start)
+    # The empty slice past the end also stops the loop; no ">" follows it.
+    while p >= 0 and raw[p + len(start) : p + len(start) + 1] not in _XMP_NAME_END:
+        p = raw.find(start, p + 1)
+    if p < 0:
+        return None
+    gt = raw.find(b">", p + len(start))
+    end = raw.find(b"</" + name + b">", gt + 1) if gt >= 0 else -1
+    return raw[gt + 1 : end] if end >= 0 else None
 
 
 def _xmp_field(raw: bytes, names: tuple[bytes, ...]) -> str | None:
     for name in names:
-        m = re.search(rb"<" + name + rb"(?:\s[^>]*)?>(.*?)</" + name + rb">", raw, re.DOTALL)
-        if m:
-            text = _XMP_TAG_RE.sub(b"", m.group(1)).strip()
+        content = _xmp_element(raw, name)
+        if content is not None:
+            text = _XMP_TAG_RE.sub(b"", content).strip()
             if text:
                 return text.decode("utf-8", "replace")
         m = re.search(name + rb'="([^"]*)"', raw)

@@ -1,7 +1,7 @@
 """Report structures for the CLI: per-file scan reports and batch stats.
 
-The JSON schema is versioned (``schema: 1``) and round-trips losslessly;
-CSV rows mirror the flat fields so batch output can feed pipelines.
+The JSON schema is versioned (``schema: 1``); CSV rows mirror the flat
+fields so batch output can feed pipelines.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from .detector import OutcomeClass, Refinement, Status, Verdict, VerdictKind
 from .metadata import ConsistencyStatus, DeclaredMetadata
-from .rules import SECTION_ORDER, SectionKind
+from .rules import SECTION_ORDER
 
 SCHEMA_VERSION = 1
 
@@ -79,33 +79,6 @@ class ScanReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
-    @staticmethod
-    def from_dict(payload: dict) -> "ScanReport":
-        verdict = payload["verdict"]
-        declared = payload.get("declared", {})
-        return ScanReport(
-            file=payload["file"],
-            verdict_kind=verdict["kind"],
-            producer=verdict.get("producer"),
-            candidates=list(verdict.get("candidates", [])),
-            votes={k: int(v) for k, v in payload.get("votes", {}).items()},
-            sections=[
-                SectionReport(s["kind"], list(s["candidates"]), list(s["rules"]))
-                for s in payload.get("sections", [])
-            ],
-            os=[dict(o) for o in payload.get("os", [])],
-            declared_producer=declared.get("producer"),
-            declared_creator=declared.get("creator"),
-            declared_source=declared.get("source"),
-            consistency=payload.get("consistency", ConsistencyStatus.UNVERIFIABLE.value),
-            diagnostics=list(payload.get("diagnostics", [])),
-            schema=int(payload.get("schema", SCHEMA_VERSION)),
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "ScanReport":
-        return ScanReport.from_dict(json.loads(text))
-
 
 def build_scan_report(path: str, verdict: Verdict, declared: DeclaredMetadata,
                       consistency: ConsistencyStatus, diagnostics: list[str]) -> ScanReport:
@@ -134,25 +107,15 @@ def build_scan_report(path: str, verdict: Verdict, declared: DeclaredMetadata,
 
 
 def csv_row(report: ScanReport, truth: str = "", file_class: str = "") -> list[str]:
-    by_kind = {s.kind: s for s in report.sections}
-
-    def sect(kind: SectionKind) -> tuple[str, str]:
-        s = by_kind.get(kind.value)
-        if not s:
-            return "", ""
-        return ";".join(s.candidates), ";".join(s.rules)
-
-    header_c, header_r = sect(SectionKind.HEADER)
-    body_c, body_r = sect(SectionKind.BODY)
-    xref_c, xref_r = sect(SectionKind.XREF)
-    trailer_c, trailer_r = sect(SectionKind.TRAILER)
+    # build_scan_report emits every section, in SECTION_ORDER, the order of
+    # the per-section columns.
     return [
         report.file,
         report.verdict_kind,
         report.producer or "",
         ";".join(report.candidates),
         ";".join(f"{k}:{v}" for k, v in sorted(report.votes.items())),
-        header_c, header_r, body_c, body_r, xref_c, xref_r, trailer_c, trailer_r,
+        *(";".join(part) for s in report.sections for part in (s.candidates, s.rules)),
         ";".join(
             o["os"] + (f"/{o['distro']}" if o.get("distro") else "") for o in report.os
         ),

@@ -62,7 +62,10 @@ class RuleKind(str, Enum):
     PRESENCE = "presence"
 
 
-_FORBIDDEN_CONSTRUCTS = re.compile(r"\(\?(?!:)|\\[1-9]")
+# An escape (group 1: the escaped character), a character class, skipped
+# since "(?" or "\1" in it is no group, or "(?" (group 2: the next character).
+# A class never closed runs to the end, so no "[" is scanned twice.
+_CONSTRUCT_RE = re.compile(r"\\(.)|\[\^?\]?(?:\\.|[^\]\\])*\]?|\(\?(.?)", re.S)
 _REPEATS = (_constants.MAX_REPEAT, _constants.MIN_REPEAT, _constants.POSSESSIVE_REPEAT)
 
 
@@ -85,7 +88,8 @@ def _nests_repeats(items: _parser.SubPattern, repeated: bool = False) -> bool:
 
 def compile_pattern(source: str, rule_id: str = "<pattern>") -> re.Pattern[bytes]:
     """Compile a byte-regex source string; '.' matches any byte."""
-    if _FORBIDDEN_CONSTRUCTS.search(source):
+    if any(m[1] in "123456789" if m[1] else m[2] not in (None, ":")
+           for m in _CONSTRUCT_RE.finditer(source)):
         raise PatternCompileError(rule_id, "lookaround and backreferences are not supported")
     try:
         raw = source.encode("latin-1")
@@ -328,7 +332,7 @@ def section_elements(sections: PdfSections, kind: SectionKind) -> list[tuple[str
     :func:`match_section` directly).
     """
     if kind is SectionKind.HEADER:
-        comment = sections.header.binary_comment
+        comment = sections.binary_comment
         return [("header", comment)] if comment else []
     if kind is SectionKind.BODY:
         return [
@@ -337,7 +341,7 @@ def section_elements(sections: PdfSections, kind: SectionKind) -> list[tuple[str
             if not obj.is_metadata
         ]
     if kind is SectionKind.XREF:
-        return [(f"xref:{i}", t.raw) for i, t in enumerate(sections.xref_tables)]
+        return [(f"xref:{i}", raw) for i, raw in enumerate(sections.xref_tables)]
     return [(f"trailer:{i}", t.raw) for i, t in enumerate(sections.trailers)]
 
 

@@ -96,7 +96,7 @@ _REF_RE = re.compile(rb"(\d+)" + _REF_TAIL)
 # by a digit or "o", so giving bytes back never makes a match: possessive.
 _OBJ_RE = re.compile(rb"(\d{1,10}+)" + _WS + rb"++(\d{1,5}+)" + _WS + rb"++obj(?![0-9A-Za-z])")
 _WS_OBJ_RE = re.compile(_WS + b"obj")
-_HEADER_RE = re.compile(rb"%PDF-(\d+)\.(\d+)")
+_HEADER_RE = re.compile(rb"%PDF-\d+\.\d+")
 _MAGIC_RE = re.compile(rb"%PDF")
 _SUBSECTION_RE = re.compile(rb"(\d+)[ \t]+(\d+)[ \t]*(?:\r\n|\r|\n)")
 # One table entry: 10-digit offset, 5-digit generation, n/f flag, then an
@@ -124,45 +124,28 @@ class Span:
 
 
 @dataclass
-class HeaderInfo:
-    """Version line plus the raw binary comment that often follows it."""
-
-    version: str
-    binary_comment: bytes | None
-    span: Span
-
-
-@dataclass
 class IndirectObject:
-    """One ``N G obj ... endobj`` span of the body."""
+    """One ``N G obj ... endobj`` span of the body.
+
+    ``values`` maps each key of the top-level dictionary, in source order,
+    to its shallow raw value (last wins); ``dict_span`` is that
+    dictionary's byte range, when one was found.
+    """
 
     obj_num: int
     gen_num: int
     raw: bytes
-    dict_keys: list[str]
-    has_stream: bool
     is_metadata: bool
     span: Span
-    truncated: bool = False
-    # Absolute byte range of the top-level dictionary, when one was found.
     dict_span: Span | None = None
-    # Shallow raw values of top-level dictionary entries (last wins).
     values: dict[str, bytes] = field(default_factory=dict, repr=False)
 
 
 @dataclass
-class XrefTable:
-    """One classic cross-reference table (one per file revision)."""
-
-    raw: bytes
-    span: Span
-
-
-@dataclass
 class TrailerDict:
-    """A trailer dictionary: classic keyword form or an xref-stream dict."""
+    """A trailer dictionary: classic keyword form or an xref-stream dict,
+    with the raw value of each top-level key."""
 
-    keys: list[str]
     raw: bytes
     span: Span
     values: dict[str, bytes] = field(default_factory=dict, repr=False)
@@ -172,9 +155,11 @@ class TrailerDict:
 class PdfSections:
     """The segmented view of one PDF file."""
 
-    header: HeaderInfo
+    # The comment line after the %PDF line, without its "%", if any.
+    binary_comment: bytes | None
     objects: list[IndirectObject]
-    xref_tables: list[XrefTable]
+    # The raw bytes of each classic cross-reference table, in file order.
+    xref_tables: list[bytes]
     trailers: list[TrailerDict]
     diagnostics: list[str] = field(default_factory=list)
     # Object number of the Info dictionary: the /Info reference of the
@@ -251,7 +236,7 @@ def _skip_value(data: bytes, i: int, stop: _Stop, depth: int = 0) -> int:
     if depth > _MAX_NESTING:
         return stop.recover(data, i + 1)
     if data.startswith(b"<<", i):
-        end, _, _, ok = _scan_dict(data, i, stop, depth + 1)
+        end, _, ok = _scan_dict(data, i, stop, depth + 1)
         return end if ok else stop.recover(data, end)
     b = data[i]
     if b == 0x5B:  # '['
@@ -275,20 +260,18 @@ def _skip_value(data: bytes, i: int, stop: _Stop, depth: int = 0) -> int:
 
 def _scan_dict(
     data: bytes, i: int, stop: _Stop, depth: int = 0
-) -> tuple[int, list[str], dict[str, bytes], bool]:
+) -> tuple[int, dict[str, bytes], bool]:
     """Parse the dictionary opening at ``i`` (must point at ``<<``).
 
-    Returns ``(end, keys, values, ok)`` where ``end`` is the index just
-    past the closing ``>>``, ``keys`` lists top-level keys in source
-    order and ``values`` maps each key to the raw bytes of its value.
-    A malformed dictionary, or one still open at ``stop.at``, gives
-    ``ok`` False and ends where the lexer stopped; the caller finds its
-    end with ``stop.recover``.
+    Returns ``(end, values, ok)`` where ``end`` is the index just past
+    the closing ``>>`` and ``values`` maps each top-level key, in source
+    order, to the raw bytes of its value.  A malformed dictionary, or one
+    still open at ``stop.at``, gives ``ok`` False and ends where the lexer
+    stopped; the caller finds its end with ``stop.recover``.
     """
-    keys: list[str] = []
     values: dict[str, bytes] = {}
     if depth > _MAX_NESTING:
-        return i + 2, keys, values, False
+        return i + 2, values, False
     # The items of an array at the floor's depth lie past it, so there the
     # walk alone must see them.
     flat = _FLAT_ENTRY_RE.match if depth < _MAX_NESTING else None
@@ -298,24 +281,19 @@ def _scan_dict(
         m = flat(data, i, stop.at) if flat else None
         # A match that ends at stop.at may have cut its last token short.
         if m and (m.end() < stop.at or stop.at == n):
-            key, value = m.group(1, 2)
-            key = key.decode("latin-1")
-            keys.append(key)
-            values[key] = value
+            values[m.group(1).decode("latin-1")] = m.group(2)
             i = m.end()
             continue
         if data.startswith(b">>", i):
-            return i + 2, keys, values, True
+            return i + 2, values, True
         m = _KEY_RE.match(data, i)
         if m is None:
-            return i, keys, values, False
-        key = m.group(1).decode("latin-1")
-        keys.append(key)
+            return i, values, False
         vstart = m.end()
         i = _skip_value(data, vstart, stop, depth)
-        values[key] = data[vstart:i]
+        values[m.group(1).decode("latin-1")] = data[vstart:i]
         i = _skip_ws(data, i)
-    return i, keys, values, False
+    return i, values, False
 
 
 def _recover_dict_end(data: bytes, i: int, stop: int) -> int | None:
@@ -344,42 +322,30 @@ def _clean_token_start(data: bytes, pos: int) -> bool:
 # -- Section parsers -----------------------------------------------------------
 
 
-def parse_header(data: bytes) -> HeaderInfo:
-    """Extract the version and the optional second-line binary comment."""
-    info, _ = _parse_header_with_diags(data)
-    return info
+def parse_header(data: bytes) -> bytes | None:
+    """The binary comment on the line after the %PDF line, if any."""
+    comment, _ = _parse_header_with_diags(data)
+    return comment
 
 
-def _parse_header_with_diags(data: bytes) -> tuple[HeaderInfo, list[str]]:
+def _parse_header_with_diags(data: bytes) -> tuple[bytes | None, list[str]]:
     if not data:
         raise NotAPdf("empty input")
     window = data[:MAGIC_SCAN_WINDOW]
     diags: list[str] = []
     m = _HEADER_RE.search(window)
-    if m:
-        version = f"{int(m.group(1))}.{int(m.group(2))}"
-        start = m.start()
-        line_end = _line_end(data, m.end())
-    else:
-        plain = _MAGIC_RE.search(window)
-        if not plain:
+    if m is None:
+        m = _MAGIC_RE.search(window)
+        if m is None:
             raise NotAPdf(f"no %PDF magic in the first {MAGIC_SCAN_WINDOW} bytes")
-        version = ""
-        start = plain.start()
-        line_end = _line_end(data, plain.end())
         diags.append("HeaderVersionMissing")
+    i = _skip_eol(data, _line_end(data, m.end()))
     comment: bytes | None = None
-    i = _skip_eol(data, line_end)
-    end = i
     if i < len(data) and data[i] == 0x25:  # '%'
-        cend = _line_end(data, i + 1)
-        raw = data[i + 1 : cend]
-        if raw:
-            comment = raw
-            if len(raw) < 4 or sum(1 for b in raw if b >= 0x80) < 4:
-                diags.append("ShortBinaryComment")
-        end = _skip_eol(data, cend)
-    return HeaderInfo(version, comment, Span(start, end - start)), diags
+        comment = data[i + 1 : _line_end(data, i + 1)] or None
+        if comment and (len(comment) < 4 or sum(1 for b in comment if b >= 0x80) < 4):
+            diags.append("ShortBinaryComment")
+    return comment, diags
 
 
 def _line_end(data: bytes, i: int) -> int:
@@ -418,7 +384,6 @@ def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
         start = m.start()
         obj_num, gen_num = int(m.group(1)), int(m.group(2))
         i = _skip_ws(data, m.end())
-        keys: list[str] = []
         values: dict[str, bytes] = {}
         dict_span: Span | None = None
         if data.startswith(b"<<", i):
@@ -426,7 +391,7 @@ def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
             # A malformed dictionary ends, at the latest, at the next
             # object header.
             stop = _Stop(data)
-            i, keys, values, ok = _scan_dict(data, i, stop)
+            i, values, ok = _scan_dict(data, i, stop)
             if not ok:
                 end = stop.balance(data, i)
                 if end is None:
@@ -438,8 +403,7 @@ def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
                 diags.append(f"MalformedDictionary obj {obj_num} {gen_num}")
             dict_span = Span(dstart, i - dstart)
         j = _skip_ws(data, i)
-        has_stream = data.startswith(b"stream", j)
-        if has_stream:
+        if data.startswith(b"stream", j):
             # A stream without endstream runs to the end of the input.
             i = data.find(b"endstream", j + 6)
             i = n if i < 0 else i + len(b"endstream")
@@ -448,14 +412,15 @@ def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
         m = _find_header(data, i)
         stop = m.start() if m else n
         end = data.find(b"endobj", i, stop)
-        truncated = end < 0
-        if truncated:
+        if end < 0:
             diags.append(f"TruncatedObject obj {obj_num} {gen_num}")
-        end = stop if truncated else end + len(b"endobj")
+            end = stop
+        else:
+            end += len(b"endobj")
         objects.append(
             IndirectObject(
-                obj_num, gen_num, data[start:end], keys, has_stream, False,
-                Span(start, end - start), truncated, dict_span, values,
+                obj_num, gen_num, data[start:end], False, Span(start, end - start),
+                dict_span, values,
             )
         )
     return objects, diags
@@ -496,8 +461,8 @@ def _keyword_hits(
 
 def _lex_xref_tables(
     data: bytes, hits: list[tuple[int, int]]
-) -> tuple[list[XrefTable], list[str]]:
-    tables: list[XrefTable] = []
+) -> tuple[list[bytes], list[str]]:
+    tables: list[bytes] = []
     diags: list[str] = []
     # The last line end found and the position searched from: no CR or LF
     # lies between them, so a later query in that range needs no search.
@@ -540,7 +505,7 @@ def _lex_xref_tables(
             # "xref 0 0" placeholders (hybrid-reference files) carry no
             # offsets and do not count as a table of their own.
             continue
-        tables.append(XrefTable(data[start:i], Span(start, i - start)))
+        tables.append(data[start:i])
     return tables, diags
 
 
@@ -556,19 +521,17 @@ def _lex_trailers(
         # A malformed dictionary ends, at the latest, where the next
         # trailer keyword or the next object begins.
         stop = _Stop(data, min(hits[k + 1][0], gap_stop) if k + 1 < len(hits) else gap_stop)
-        end, keys, values, ok = _scan_dict(data, i, stop)
+        end, values, ok = _scan_dict(data, i, stop)
         if not ok:
             end = stop.recover(data, end)
             diags.append(f"MalformedTrailer at offset {start}")
-            keys, values = [], {}
-        trailers.append(TrailerDict(keys, data[start:end], Span(start, end - start), values))
+            values = {}
+        trailers.append(TrailerDict(data[start:end], Span(start, end - start), values))
     # An xref stream's dictionary is its revision's trailer.
     for obj in objects:
         sp = obj.dict_span
         if sp and obj.values.get("/Type", b"").strip() == b"/XRef":
-            trailers.append(
-                TrailerDict(list(obj.dict_keys), data[sp.offset : sp.end], sp, dict(obj.values))
-            )
+            trailers.append(TrailerDict(data[sp.offset : sp.end], sp, dict(obj.values)))
     trailers.sort(key=lambda t: t.span.offset)
     return trailers, diags
 
@@ -600,7 +563,7 @@ def segment(data: bytes) -> PdfSections:
 
     Raises :class:`NotAPdf` when no %PDF magic is found near the start.
     """
-    header, diags = _parse_header_with_diags(data)
+    binary_comment, diags = _parse_header_with_diags(data)
     objects, object_diags = _lex_objects(data)
     gaps = _gaps(objects, len(data))
     tables, xref_diags = _lex_xref_tables(data, _keyword_hits(data, gaps, _XREF_KW))
@@ -609,7 +572,7 @@ def segment(data: bytes) -> PdfSections:
     )
     info_num = _flag_metadata(objects, trailers)
     return PdfSections(
-        header=header,
+        binary_comment=binary_comment,
         objects=objects,
         xref_tables=tables,
         trailers=trailers,

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+import math
+import time
+from collections.abc import Callable
+
 import pytest
 
 from pdfprov.builtin_pack import builtin
@@ -81,3 +86,58 @@ def corpus_bytes() -> dict[Producer, list[bytes]]:
         producer: [generate(profile, seed) for seed in range(1, 11)]
         for producer, profile in PROFILES.items()
     }
+
+
+# -- scaling tests ---------------------------------------------------------------
+
+# The largest CPU-time ratio allowed when the input doubles; quadratic work
+# costs 4 times.
+MAX_DOUBLING_RATIO = 2.5
+# Measurements per scaling test; the first within the bound passes.
+SCALING_ATTEMPTS = 3
+# Each input's best time of this many rounds makes one measurement.
+SCALING_ROUNDS = 5
+# The least CPU time of one timing of the smaller input, in seconds.
+MIN_TIMING_S = 0.01
+
+
+def _cpu_time(run: Callable[[object], object], data: object, repeats: int) -> float:
+    start = time.process_time()
+    for _ in range(repeats):
+        run(data)
+    return time.process_time() - start
+
+
+def assert_linear_time(label: str, run: Callable[[object], object], small: object,
+                       large: object) -> None:
+    """Fail unless ``run(large)``, on an input twice the size of ``small``,
+    costs at most ``MAX_DOUBLING_RATIO`` times ``run(small)``.
+
+    Each input is timed over as many calls as bring the ``small`` timing
+    to about ``MIN_TIMING_S``, so timer noise stays small; a run that
+    already takes that long is called once.  A measurement takes each
+    input's best of ``SCALING_ROUNDS``, the two timed in turn.  Times are CPU
+    time of this process, so a busy machine that takes the CPU away does
+    not count, and garbage collection is off: its passes grow with the
+    number of live objects and would add their own cost to the ratio.
+    Other load can still slow a whole measurement, so the test gets up to
+    ``SCALING_ATTEMPTS`` measurements and passes on the first one within
+    the bound.
+    """
+    repeats = max(1, math.ceil(MIN_TIMING_S / max(_cpu_time(run, small, 1), 1e-6)))
+    seen = []
+    for _ in range(SCALING_ATTEMPTS):
+        best = [math.inf, math.inf]
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(SCALING_ROUNDS):
+                for k, data in enumerate((small, large)):
+                    best[k] = min(best[k], _cpu_time(run, data, repeats))
+        finally:
+            gc.enable()
+        seen.append(f"{best[0] * 1e3:.1f} ms at n, {best[1] * 1e3:.1f} ms at 2n "
+                    f"(x{best[1] / best[0]:.2f}; {repeats} call(s) per input)")
+        if best[1] / best[0] <= MAX_DOUBLING_RATIO:
+            return
+    pytest.fail(f"{label}: " + "; ".join(seen))

@@ -11,7 +11,7 @@ from pdfprov.segmenter import segment
 def test_distiller_profile_facts():
     data = generate(PROFILES[Producer.ACROBAT_DISTILLER], 1)
     sections = segment(data)
-    assert sections.header.binary_comment == b"\xE2\xE3\xCF\xD3"
+    assert sections.binary_comment == b"\xE2\xE3\xCF\xD3"
     assert sections.xref_tables == []
 
 
@@ -21,13 +21,13 @@ def test_word_profile_double_trailer():
     sections = segment(data)
     classic = [t for t in sections.trailers if t.raw.startswith(b"trailer")]
     assert len(classic) == 2
-    assert "/Prev" in classic[1].keys and "/XRefStm" in classic[1].keys
+    assert "/Prev" in classic[1].values and "/XRefStm" in classic[1].values
 
 
 def test_libreoffice_trailer_ends_with_doc_checksum():
     data = generate(PROFILES[Producer.LIBREOFFICE], 1)
     (trailer,) = segment(data).trailers
-    assert trailer.keys[-1] == "/DocChecksum"
+    assert list(trailer.values)[-1] == "/DocChecksum"
 
 
 def test_generation_is_deterministic():
@@ -39,8 +39,8 @@ def test_generation_is_deterministic():
 def test_seed_varies_stream_length_and_id():
     a = segment(generate(PROFILES[Producer.GHOSTSCRIPT], 1))
     b = segment(generate(PROFILES[Producer.GHOSTSCRIPT], 2))
-    stream_a = next(o for o in a.objects if o.has_stream)
-    stream_b = next(o for o in b.objects if o.has_stream)
+    stream_a = next(o for o in a.objects if b"endstream" in o.raw)
+    stream_b = next(o for o in b.objects if b"endstream" in o.raw)
     assert len(stream_a.raw) != len(stream_b.raw)
     assert a.trailers[0].values["/ID"] != b.trailers[0].values["/ID"]
 
@@ -51,7 +51,7 @@ def test_all_fixtures_segment_cleanly(corpus_bytes):
             sections = segment(data)
             assert sections.diagnostics == []
             assert len(sections.objects) >= 4
-            assert any(o.has_stream for o in sections.objects)
+            assert any(b"endstream" in o.raw for o in sections.objects)
             assert any(o.is_metadata for o in sections.objects)
             assert sections.trailers
 

@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import itertools
+import re
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import assert_linear_time
 from pdfprov.cli import scan_bytes
 from pdfprov.detector import VerdictKind, detect
 from pdfprov.fixtures import PROFILES, generate
 from pdfprov.metadata import (
+    _XMP_TAG_RE,
+    _xmp_field,
     ConsistencyStatus,
     DeclaredMetadata,
     MetadataSource,
@@ -73,6 +81,52 @@ def test_xmp_element_form():
     declared = extract_declared(data)
     assert declared.producer == "Skia/PDF m85"
     assert declared.source is MetadataSource.XMP
+
+
+# The element search the find loop replaced, kept as its oracle.
+def _regex_xmp_field(raw: bytes, names: tuple[bytes, ...]) -> str | None:
+    for name in names:
+        m = re.search(rb"<" + name + rb"(?:\s[^>]*)?>(.*?)</" + name + rb">", raw, re.DOTALL)
+        if m:
+            text = _XMP_TAG_RE.sub(b"", m.group(1)).strip()
+            if text:
+                return text.decode("utf-8", "replace")
+        m = re.search(name + rb'="([^"]*)"', raw)
+        if m and m.group(1).strip():
+            return m.group(1).strip().decode("utf-8", "replace")
+    return None
+
+
+_XMP_NAMES = (b"pdf:Producer", b"xmp:CreatorTool")
+_XMP_SOUP = [
+    b"<pdf:Producer", b"</pdf:Producer>", b"</pdf:Producer", b"<pdf:ProducerX",
+    b"<xmp:CreatorTool", b"</xmp:CreatorTool>", b'xmp:CreatorTool="T"', b'pdf:Producer="P"',
+    b'pdf:Producer=" "', b"<", b">", b"/", b'"', b"<rdf:li>", b"</rdf:li>", b"a", b"Tool",
+    b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"\x00",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_XMP_SOUP), max_size=30))
+@example([b"<pdf:ProducerX", b">a", b"<pdf:Producer", b">b", b"</pdf:Producer>"])
+@example([b"<pdf:Producer", b"\x0b", b"a", b">", b"x", b"</pdf:Producer>"])
+@example([b"<pdf:Producer", b">", b"<pdf:Producer", b">", b"</pdf:Producer"])
+@example([b"<pdf:Producer"])
+@example([b"<pdf:Producer", b" ", b"</pdf:Producer>", b"a", b"</pdf:Producer>"])
+def test_xmp_element_search_matches_the_regex(parts):
+    raw = b"".join(parts)
+    assert _xmp_field(raw, _XMP_NAMES) == _regex_xmp_field(raw, _XMP_NAMES)
+
+
+@pytest.mark.parametrize("shape", [b"<pdf:Producer>", b"<pdf:Producer a"])
+def test_xmp_search_time_is_linear(shape):
+    # Every opening tag is left unclosed; the regex searched on to the end
+    # from each one.
+    n = 1000
+    assert_linear_time(
+        f"{shape!r} at n={n}", lambda raw: _xmp_field(raw, (b"pdf:Producer",)),
+        shape * n, shape * 2 * n,
+    )
 
 
 def test_pdf_string_forms():

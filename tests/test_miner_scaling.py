@@ -1,8 +1,8 @@
 """The miner's common-run search takes time linear in the group's size.
 
-``miner._common_across`` is timed on a four-file group whose body has n
-and then 2n objects, best of five, and the larger group may cost at most
-2.5 times the smaller one; quadratic work costs 4 times.  The pairwise
+``miner._common_across`` is timed by ``conftest.assert_linear_time`` on a
+four-file group whose body has n and then 2n objects, and the larger
+group may cost at most 2.5 times the smaller one; quadratic work costs 4 times.  The pairwise
 search it replaced took 3.9-4.9 times on this group, and 5.0 and 7.0
 times per doubling on grown four-file pdfTeX groups.  At these sizes the
 group still fits in the CPU caches; larger groups add cache misses that
@@ -12,24 +12,15 @@ Every file fills its stream payloads from its own set of non-ASCII
 bytes, disjoint from the other files' sets.  The common runs are then the
 object scaffolding alone, so their number does not grow with n and the
 ratio measures the search, not the size of its output.
-
-Times are CPU time of this process, with garbage collection off.  Other
-load can still slow a whole measurement, so the test gets up to three
-measurements and passes on the first one within the bound.
 """
 
 from __future__ import annotations
 
-import gc
 import random
-import time
 
+from conftest import assert_linear_time
 from pdfprov.miner import _common_across, _file_tokens
 
-# The largest time ratio allowed when the group doubles.
-MAX_DOUBLING_RATIO = 2.5
-# Measurements; the first within the bound passes.
-ATTEMPTS = 3
 FILES = 4
 # Objects per file at n.
 N = 30
@@ -53,36 +44,13 @@ def _group(objects: int) -> list[list[int]]:
     return [_file_tokens(_body(k, objects)) for k in range(FILES)]
 
 
-def _best_times(small: list[list[int]], large: list[list[int]],
-                rounds: int = 5) -> tuple[float, float]:
-    """Fastest search time of each group, the two timed in turn."""
-    best = [float("inf"), float("inf")]
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(rounds):
-            for k, group in enumerate((small, large)):
-                start = time.process_time()
-                _common_across(group, 2)
-                best[k] = min(best[k], time.process_time() - start)
-    finally:
-        gc.enable()
-    return best[0], best[1]
-
-
 def test_common_runs_do_not_grow_with_the_group():
     small, large = _common_across(_group(N), 2), _common_across(_group(2 * N), 2)
     assert small and small == large
 
 
 def test_common_run_search_time_is_linear():
-    groups = (_group(N), _group(2 * N))
-    seen = []
-    for _ in range(ATTEMPTS):
-        small, large = _best_times(*groups)
-        seen.append(
-            f"{small * 1e3:.1f} ms at n={N}, {large * 1e3:.1f} ms at 2n (x{large / small:.2f})"
-        )
-        if large / small <= MAX_DOUBLING_RATIO:
-            return
-    raise AssertionError("; ".join(seen))
+    assert_linear_time(
+        f"groups of {FILES} files at n={N}", lambda group: _common_across(group, 2),
+        _group(N), _group(2 * N),
+    )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from collections import Counter
 
 import pytest
@@ -12,6 +13,7 @@ from conftest import (
     LIBREOFFICE_TRAILER,
     TABLE_RULE_WORD_BODY,
     WORD_STREAM_OBJECT,
+    assert_linear_time,
     header_bytes,
 )
 from pdfprov.errors import NotAPdf, PatternCompileError, RuleParseError
@@ -111,10 +113,32 @@ def test_hex_escapes_are_literal_bytes():
 
 
 def test_dialect_rejects_lookaround_and_backrefs():
-    with pytest.raises(PatternCompileError):
-        compile_pattern("a(?=b)")
-    with pytest.raises(PatternCompileError):
-        compile_pattern(r"(a)\1")
+    for pattern in ["a(?=b)", "(?=a)", "a(?<=b)", r"(a)\1", "(?P<n>a)", "(?i)a", "(?#c)a",
+                    r"x\9", r"\((?!a)"]:
+        with pytest.raises(PatternCompileError) as err:
+            compile_pattern(pattern)
+        assert "lookaround and backreferences" in err.value.reason, pattern
+
+
+@pytest.mark.parametrize(
+    "pattern, data",
+    [(r"/Title \(?[A-Z]", b"/Title (X"), ("[(?]x", b"?x"), (r"\\1", b"\\1"), (r"[\](?]", b"?")],
+)
+def test_dialect_accepts_group_syntax_that_is_escaped_or_in_a_class(pattern, data):
+    assert compile_pattern(pattern).fullmatch(data)
+
+
+def _reject_unclosed(source: str) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FutureWarning)  # "Possible nested set"
+        with pytest.raises(PatternCompileError, match="unterminated character set"):
+            compile_pattern(source)
+
+
+def test_dialect_check_time_is_linear():
+    # No "[" closes, so a check that sought each one's "]" would rescan the
+    # rest of the pattern from every one.
+    assert_linear_time("unclosed classes at n=5000", _reject_unclosed, "[a" * 5000, "[a" * 10000)
 
 
 @pytest.mark.parametrize(

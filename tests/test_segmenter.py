@@ -54,21 +54,34 @@ def _fragment(data: bytes) -> PdfSections:
 
 
 def test_header_distiller_magic():
-    info = parse_header(b"%PDF-1.4\n%\xE2\xE3\xCF\xD3\n rest")
-    assert info.version == "1.4"
-    assert info.binary_comment == b"\xE2\xE3\xCF\xD3"
+    assert parse_header(b"%PDF-1.4\n%\xE2\xE3\xCF\xD3\n rest") == b"\xE2\xE3\xCF\xD3"
 
 
 def test_header_without_second_comment():
-    info = parse_header(b"%PDF-1.7\n1 0 obj\n<<>>\nendobj\n")
-    assert info.version == "1.7"
-    assert info.binary_comment is None
+    assert parse_header(b"%PDF-1.7\n1 0 obj\n<<>>\nendobj\n") is None
 
 
 def test_header_word_magic_crlf():
-    info = parse_header(b"%PDF-1.5\n%\xB5\xB5\xB5\xB5\r\nrest")
-    assert info.version == "1.5"
-    assert info.binary_comment == b"\xB5\xB5\xB5\xB5"
+    assert parse_header(b"%PDF-1.5\n%\xB5\xB5\xB5\xB5\r\nrest") == b"\xB5\xB5\xB5\xB5"
+
+
+@pytest.mark.parametrize(
+    "data, comment, diagnostics",
+    [
+        pytest.param(b"%PDF-1.4\n%\xE2\xE3\xCF\xD3\n", b"\xE2\xE3\xCF\xD3", [], id="versioned"),
+        pytest.param(b"%PDF\n%\xE2\xE3\xCF\xD3\n", b"\xE2\xE3\xCF\xD3",
+                     ["HeaderVersionMissing"], id="no-version"),
+        pytest.param(b"%PDF-x %PDF-1.4\n%\xE2\xE3\xCF\xD3\n", b"\xE2\xE3\xCF\xD3", [],
+                     id="versioned-after-plain"),
+        pytest.param(b"%PDF-1.\n%\xE2\n", b"\xE2", ["HeaderVersionMissing", "ShortBinaryComment"],
+                     id="cut-version-short-comment"),
+        pytest.param(b"%PDF-1.4\n%\n1 0 obj\n<<>>\nendobj\n", None, [], id="empty-comment"),
+    ],
+)
+def test_header_version_diagnostic(data, comment, diagnostics):
+    sections = segment(data)
+    assert sections.binary_comment == comment
+    assert sections.diagnostics == diagnostics
 
 
 def test_header_not_a_pdf():
@@ -79,9 +92,7 @@ def test_header_not_a_pdf():
 
 
 def test_header_magic_tolerated_after_junk_prefix():
-    info = parse_header(b"JUNK" * 10 + b"%PDF-1.6\n%\xC7\xEC\x8F\xA2\n")
-    assert info.version == "1.6"
-    assert info.binary_comment == b"\xC7\xEC\x8F\xA2"
+    assert parse_header(b"JUNK" * 10 + b"%PDF-1.6\n%\xC7\xEC\x8F\xA2\n") == b"\xC7\xEC\x8F\xA2"
 
 
 def test_header_magic_beyond_window_rejected():
@@ -92,7 +103,7 @@ def test_header_magic_beyond_window_rejected():
 def test_header_short_comment_recorded_and_flagged():
     data = b"%PDF-1.4\n%\xE2\xE3\n1 0 obj\n<<>>\nendobj\n"
     sections = segment(data)
-    assert sections.header.binary_comment == b"\xE2\xE3"
+    assert sections.binary_comment == b"\xE2\xE3"
     assert "ShortBinaryComment" in sections.diagnostics
 
 
@@ -104,13 +115,13 @@ def test_pdftex_style_object():
     assert len(objs) == 1
     obj = objs[0]
     assert (obj.obj_num, obj.gen_num) == (4, 0)
-    assert obj.dict_keys == ["/Length", "/Filter"]
-    assert obj.has_stream
+    assert list(obj.values) == ["/Length", "/Filter"]
+    assert obj.raw == PDFTEX_STREAM_OBJECT.rstrip(b"\n")
 
 
 def test_luatex_style_object_same_keys_different_raw():
     objs = _fragment(LUATEX_STREAM_OBJECT).objects
-    assert objs[0].dict_keys == ["/Length", "/Filter"]
+    assert list(objs[0].values) == ["/Length", "/Filter"]
     assert objs[0].raw != _fragment(PDFTEX_STREAM_OBJECT).objects[0].raw
 
 
@@ -121,9 +132,9 @@ def test_empty_body_region():
 def test_truncated_object_recorded_not_fatal():
     data = b"%PDF-1.4\n9 0 obj\n<</Length 3>>\nstream\nabc"
     sections = segment(data)
-    assert len(sections.objects) == 1
-    assert sections.objects[0].truncated
-    assert any(d.startswith("TruncatedObject") for d in sections.diagnostics)
+    (obj,) = sections.objects
+    assert obj.raw == data[len(b"%PDF-1.4\n"):]
+    assert sections.diagnostics == ["TruncatedObject obj 9 0"]
 
 
 def test_object_numbers_not_matched_inside_longer_tokens():
@@ -135,7 +146,7 @@ def test_object_numbers_not_matched_inside_longer_tokens():
 
 def test_nested_dict_keys_stay_out_of_top_level():
     data = b"5 0 obj\n<</A<</Inner 1>>/B 2>>\nendobj\n"
-    assert _fragment(data).objects[0].dict_keys == ["/A", "/B"]
+    assert list(_fragment(data).objects[0].values) == ["/A", "/B"]
 
 
 # What follows the dictionary in every value-grammar fragment.  A value that
@@ -182,8 +193,7 @@ def test_dictionary_value_grammar(body, values, dict_text, diagnostics):
     data = b"%PDF-1.4\n1 0 obj\n" + body + _TAIL
     sections = segment(data)
     (obj,) = sections.objects
-    assert obj.dict_keys == list(values)
-    assert obj.values == values
+    assert list(obj.values.items()) == list(values.items())
     span = obj.dict_span
     assert data[span.offset : span.end] == (body if dict_text is None else dict_text)
     assert sections.diagnostics == diagnostics
@@ -202,8 +212,8 @@ def test_signed_number_is_not_an_info_reference():
 def test_word_xref_table():
     sections = _fragment(WORD_XREF_TABLE)
     (table,) = sections.xref_tables
-    assert table.raw == WORD_XREF_TABLE
-    assert len(table.raw) - len(b"xref\n0 5\n") == 5 * 20
+    assert table == WORD_XREF_TABLE
+    assert len(table) - len(b"xref\n0 5\n") == 5 * 20
     assert sections.diagnostics == []
 
 
@@ -215,18 +225,15 @@ def test_absent_xref_sets_flag():
 
 def test_two_revisions_two_tables():
     data = WORD_XREF_TABLE + b"junk\n" + WORD_XREF_TABLE
-    tables = _fragment(data).xref_tables
-    assert len(tables) == 2
-    assert tables[0].span.offset < tables[1].span.offset
+    assert _fragment(data).xref_tables == [WORD_XREF_TABLE, WORD_XREF_TABLE]
 
 
 def test_malformed_entry_skipped_with_diagnostic():
     data = b"xref\n0 2\n0000000017 00000 n \n17 0 n\n"
     sections = _fragment(data)
     assert any(d.startswith("MalformedXrefEntry") for d in sections.diagnostics)
-    (table,) = sections.xref_tables
     # The skipped line stays inside the table.
-    assert table.raw == data
+    assert sections.xref_tables == [data]
 
 
 def test_startxref_keyword_is_not_a_table():
@@ -239,16 +246,15 @@ def test_understated_table_does_not_swallow_the_trailer():
             b"trailer\n<</Size 5/Root 1 0 R>>\n")
     sections = segment(data)
     assert any(d.startswith("XrefTruncatedSubsection") for d in sections.diagnostics)
-    assert sections.xref_tables[0].raw == data[len(b"%PDF-1.4\n") : data.index(b"trailer")]
-    assert sections.trailers[0].keys == ["/Size", "/Root"]
+    assert sections.xref_tables == [data[len(b"%PDF-1.4\n") : data.index(b"trailer")]]
+    assert list(sections.trailers[0].values) == ["/Size", "/Root"]
 
 
 def test_element_spans_lie_within_the_file(corpus_bytes):
     for blobs in corpus_bytes.values():
         sections = segment(blobs[0])
         assert sections.objects and sections.trailers
-        for element in (sections.header, *sections.objects, *sections.xref_tables,
-                        *sections.trailers):
+        for element in (*sections.objects, *sections.trailers):
             assert 0 <= element.span.offset <= element.span.end <= len(blobs[0])
 
 
@@ -257,18 +263,18 @@ def test_element_spans_lie_within_the_file(corpus_bytes):
 
 def test_libreoffice_trailer_keys():
     (trailer,) = _fragment(LIBREOFFICE_TRAILER).trailers
-    assert trailer.keys == ["/Size", "/Root", "/Info", "/ID", "/DocChecksum"]
+    assert list(trailer.values) == ["/Size", "/Root", "/Info", "/ID", "/DocChecksum"]
 
 
 def test_word_double_trailer():
     trailers = _fragment(WORD_DOUBLE_TRAILER).trailers
     assert len(trailers) == 2
-    assert trailers[1].keys[-2:] == ["/Prev", "/XRefStm"]
+    assert list(trailers[1].values)[-2:] == ["/Prev", "/XRefStm"]
 
 
 def test_minimal_trailer():
     (trailer,) = _fragment(b"trailer << /Size 4 /Root 1 0 R >>").trailers
-    assert trailer.keys == ["/Size", "/Root"]
+    assert list(trailer.values) == ["/Size", "/Root"]
 
 
 # A digit run longer than Python's int() accepts (4,300 digits by default).
@@ -281,7 +287,7 @@ _TABLE = b"xref\n0 1\n0000000000 65535 f \n"
     [
         pytest.param(
             _TABLE + _HUGE + b" 1\n0000000009 00000 n \ntrailer\n<</Size 1>>\n",
-            lambda s: s.xref_tables[0].raw == _TABLE,
+            lambda s: s.xref_tables == [_TABLE],
             id="xref-subsection",
         ),
         pytest.param(
@@ -302,13 +308,13 @@ def test_xref_stream_dict_is_a_trailer():
             b"endobj\nstartxref\n9\n%%EOF\n")
     (trailer,) = _fragment(data).trailers
     assert not trailer.raw.startswith(b"trailer")
-    assert trailer.keys[0] == "/Type"
+    assert list(trailer.values)[0] == "/Type"
 
 
 def test_malformed_trailer_stops_at_the_next_trailer_or_object():
     first, second = _fragment(b"trailer\n<< <<x\ntrailer\n<</Size 1>>\n").trailers
     assert first.raw == b"trailer\n<< <<x\n"
-    assert second.keys == ["/Size"]
+    assert list(second.values) == ["/Size"]
     (trailer,) = _fragment(b"trailer\n<< <<x\n1 0 obj\n<<>>\nendobj\n").trailers
     assert trailer.raw == b"trailer\n<< <<x\n"
 
@@ -325,7 +331,6 @@ def test_malformed_object_dictionary_stops_at_the_next_object():
     # No ">>" closes the dictionary before the next object, so it ends at the
     # object's own endobj.
     assert first.raw == b"1 0 obj\n<</Type/Catalog/Pages>>\nendobj"
-    assert not first.truncated
     assert sections.diagnostics == ["MalformedDictionary obj 1 0"]
 
 
@@ -357,7 +362,6 @@ def test_unclosed_array_ends_at_the_dictionary_end():
     assert kids.values["/Kids"] == b"[3 0 R/Count 1>>"
     # No ">>" is left to close the dictionary before the next object, so it
     # ends at the object's own endobj, which is not cut off.
-    assert not kids.truncated
     assert kids.raw.endswith(b"endobj")
     assert kids.span.end < broken.index(b"3 0 obj")
     assert sections.diagnostics == ["MalformedDictionary obj 2 0"]
@@ -376,7 +380,6 @@ def test_unclosed_literal_string_ends_at_the_dictionary_end():
     # The string runs on to the ">>" that balances its dictionary, short of
     # the next object header.
     assert pages.values["/T"] == b"(a/Kids[3 0 R]/Count 1>>"
-    assert not pages.truncated
     assert pages.raw.endswith(b"endobj")
     assert pages.span.end < broken.index(b"3 0 obj")
     assert sections.diagnostics == ["MalformedDictionary obj 2 0"]
@@ -389,7 +392,7 @@ def test_nesting_floor_recovery_in_a_trailer_stops_at_the_next_object():
     sections = _fragment(data)
     (trailer,) = sections.trailers
     assert trailer.raw == b"trailer\n<</A " + deep + b">>\n"
-    assert [o.dict_keys for o in sections.objects] == [["/Type"]]
+    assert [list(o.values) for o in sections.objects] == [["/Type"]]
 
 
 # -- segment -------------------------------------------------------------------
@@ -445,8 +448,6 @@ def test_span_coverage_and_determinism(corpus_bytes):
         sections = segment(data)
         for obj in sections.objects:
             assert data[obj.span.offset : obj.span.end] == obj.raw
-        for table in sections.xref_tables:
-            assert data[table.span.offset : table.span.end] == table.raw
         for trailer in sections.trailers:
             assert data[trailer.span.offset : trailer.span.end] == trailer.raw
         assert segment(data) == sections
@@ -497,10 +498,10 @@ def test_key_order_preserved_for_any_permutation(keys, rng):
     rng.shuffle(shuffled)
     body = b"".join(k.encode() + b" %d " % i for i, k in enumerate(shuffled))
     data = b"3 0 obj\n<<" + body + b">>\nendobj\n"
-    assert _fragment(data).objects[0].dict_keys == shuffled
+    assert list(_fragment(data).objects[0].values) == shuffled
 
     trailer = b"trailer\n<<" + body + b">>\n"
-    assert _fragment(trailer).trailers[0].keys == shuffled
+    assert list(_fragment(trailer).trailers[0].values) == shuffled
 
 
 # -- keyword search between objects --------------------------------------------
@@ -570,7 +571,7 @@ def _walk_skip_value(data, i, stop, depth=0):
     if depth > _MAX_NESTING:
         return stop.recover(data, i + 1)
     if data.startswith(b"<<", i):
-        end, _, _, ok = _walk_scan_dict(data, i, stop, depth + 1)
+        end, _, ok = _walk_scan_dict(data, i, stop, depth + 1)
         return end if ok else stop.recover(data, end)
     b = data[i]
     if b == 0x5B:  # '['
@@ -589,23 +590,21 @@ def _walk_skip_value(data, i, stop, depth=0):
 
 
 def _walk_scan_dict(data, i, stop, depth=0):
-    keys, values = [], {}
+    values = {}
     if depth > _MAX_NESTING:
-        return i + 2, keys, values, False
+        return i + 2, values, False
     i = _skip_ws(data, i + 2)
     while i < stop.at:
         if data.startswith(b">>", i):
-            return i + 2, keys, values, True
+            return i + 2, values, True
         m = _KEY_RE.match(data, i)
         if m is None:
-            return i, keys, values, False
-        key = m.group(1).decode("latin-1")
-        keys.append(key)
+            return i, values, False
         vstart = m.end()
         i = _walk_skip_value(data, vstart, stop, depth)
-        values[key] = data[vstart:i]
+        values[m.group(1).decode("latin-1")] = data[vstart:i]
         i = _skip_ws(data, i)
-    return i, keys, values, False
+    return i, values, False
 
 
 def _nested_flat_array(depth: int) -> bytes:

@@ -106,10 +106,10 @@ FAMILIES = {
 
 # sha256 of each family's segment() output.
 DIGESTS = {
-    "fixtures": "e93c6e43d885d5643c870b5f0bc4f8d3ba07b2301672b351a2b2425e21e6f7a2",
-    "token-soups": "26f7b9eeb83ab56a449c736624ca5025e8bc531924ced75a86067d88eddcdcfa",
-    "mutants": "097bc29732233230f98d62c4749831c51e54db101dfa716462ab8c54f009c1fc",
-    "nesting-floor": "515a7aca799bb229dc4f189f79ac9c85e008a911a21e172812bfc40763bad3ca",
+    "fixtures": "3588962857a632aff758d677c5d9112e9ff3248300ef4fe6b7f2dc2384723208",
+    "token-soups": "d8bff590cfcb9df5c0d3d86e24b234ce6b4cb5589375f62bab68104696ce63c3",
+    "mutants": "c30ccfcabd032fb56b09bc8ccdcfc8f0b608497ba2ad891b0934e6dae8886e8f",
+    "nesting-floor": "f9b73e5922dd2eb83870d425d41b6e76ddbaaa1f65604d0681bf1aed9b90266c",
 }
 
 

@@ -5,35 +5,19 @@ an earlier segmenter do work proportional to k for each repetition.  In
 the next two, the dictionary entry pattern scans each entry and then
 gives it back to the token walk, which lexes it again.  The last is one
 classic xref table of k entries, which the table walk matches one by one.
-The test times ``segment()`` at n and 2n repetitions, best of five, and
-requires the larger input to cost at most 2.5 times the smaller one;
-quadratic work costs 4 times.  Sizes keep the earlier segmenter at a few
-seconds or less at n and the n-size run at about 10 ms or more, so timer
-noise stays small.
-Two families cannot have both: ``malformed-trailer`` and
-``xref-without-newline`` take 5-12 ms at n, and their ratios are the
-steadiest of the six.
-
-Times are CPU time of this process, so a busy machine that takes the CPU
-away does not count.  Other load can still slow a whole measurement, so a
-family gets up to three measurements and passes on the first one within
-the bound.  The earlier segmenter's ratios stayed at 2.9 or more in all
-three.
+The test times ``segment()`` at n and 2n repetitions with
+``conftest.assert_linear_time`` and requires the larger input to cost at
+most 2.5 times the smaller one; quadratic work costs 4 times.  Sizes keep
+the earlier segmenter at a few seconds or less at n.  The earlier
+segmenter's ratios stayed at 2.9 or more in all three measurements.
 """
 
 from __future__ import annotations
 
-import gc
-import time
-
 import pytest
 
+from conftest import assert_linear_time
 from pdfprov.segmenter import segment
-
-# The largest time ratio allowed when the input doubles.
-MAX_DOUBLING_RATIO = 2.5
-# Measurements per family; the first within the bound passes.
-ATTEMPTS = 3
 
 
 def _objects(k: int, body: bytes) -> bytes:
@@ -78,36 +62,9 @@ FAMILIES = {
 }
 
 
-def _best_times(small: bytes, large: bytes, rounds: int = 5) -> tuple[float, float]:
-    """Fastest ``segment()`` time of each input, the two timed in turn.
-
-    Garbage collection is off while timing: its passes grow with the
-    number of live objects and would add their own cost to the ratio.
-    """
-    best = [float("inf"), float("inf")]
-    gc.collect()
-    gc.disable()
-    try:
-        for _ in range(rounds):
-            for k, data in enumerate((small, large)):
-                start = time.process_time()
-                segment(data)
-                best[k] = min(best[k], time.process_time() - start)
-    finally:
-        gc.enable()
-    return best[0], best[1]
-
-
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_segment_time_is_linear(family):
     n, build = FAMILIES[family]
-    inputs = (b"%PDF-1.4\n" + build(n), b"%PDF-1.4\n" + build(2 * n))
-    seen = []
-    for _ in range(ATTEMPTS):
-        small, large = _best_times(*inputs)
-        seen.append(
-            f"{small * 1e3:.1f} ms at n={n}, {large * 1e3:.1f} ms at 2n (x{large / small:.2f})"
-        )
-        if large / small <= MAX_DOUBLING_RATIO:
-            return
-    pytest.fail(f"{family}: " + "; ".join(seen))
+    assert_linear_time(
+        f"{family} at n={n}", segment, b"%PDF-1.4\n" + build(n), b"%PDF-1.4\n" + build(2 * n)
+    )
