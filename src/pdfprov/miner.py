@@ -1,7 +1,9 @@
 """Derive producer signatures by comparing same-source PDFs across tools.
 
 The miner looks, per producer and per section, for byte patterns shared
-by every file in the group, then generalizes the volatile parts: decimal
+by every file in the group, in the elements that rules match
+(:func:`rules.section_elements`: body objects without their stream
+payloads), then generalizes the volatile parts: decimal
 digit runs become ``[0-9]*`` and long hex strings inside angle brackets
 become ``[0-9A-F]*`` (but only where the values actually vary across the
 group; constant runs stay literal).  Every surviving candidate is scored

@@ -20,6 +20,13 @@ that may run its body more than once when the body holds a variable-count
 repeat (``(a+)+``, ``(?:a*){2,5}``, ``(a?)*``): a backtracking search of
 such a pattern can take time exponential in the input.
 
+Body rules match each non-metadata object's bytes with its stream payload
+cut out after the first two bytes: the dictionary, the ``stream`` and
+``endstream`` framing with its line ends, and the compression header
+(``x\\xDA`` for zlib at level 9) are a writer's style; the compressed data
+is not.  The miner reads the same elements, so a mined template that spans
+the cut matches in a scan.
+
 Presence rules are special: they match a one-byte pseudo-input that is
 ``P`` when the file has at least one classic xref table and ``A`` when it
 has none, so that presence/absence facts ride the same rule mechanism as
@@ -42,7 +49,7 @@ from re import _constants, _parser
 
 from .errors import PatternCompileError, RuleParseError
 from .producers import Distro, OpSys
-from .segmenter import PdfSections
+from .segmenter import IndirectObject, PdfSections
 
 
 class SectionKind(str, Enum):
@@ -324,19 +331,37 @@ def render_rulepack(rules: list[Rule], header_comment: str = "") -> str:
 # -- Matching ------------------------------------------------------------------
 
 
+# The payload bytes a body element keeps: zlib's two header bytes (``x\xDA``
+# at compression level 9) are a writer's setting; the data after them is not.
+_PAYLOAD_KEPT = 2
+
+
+def _body_element(obj: IndirectObject) -> bytes:
+    """An object's bytes with its stream payload cut out after its first
+    ``_PAYLOAD_KEPT`` bytes; the line end before ``endstream`` stays."""
+    payload = obj.payload
+    if payload is None or payload.length <= _PAYLOAD_KEPT:
+        return obj.raw
+    cut = payload.offset - obj.span.offset
+    return obj.raw[: cut + _PAYLOAD_KEPT] + obj.raw[cut + payload.length :]
+
+
 def section_elements(sections: PdfSections, kind: SectionKind) -> list[tuple[str, bytes]]:
     """Eligible (element_ref, bytes) pairs for one section.
 
-    Metadata objects never appear here; for the xref section this returns
-    the table bytes only (the presence pseudo-input is handled by
-    :func:`match_section` directly).
+    A body element is one non-metadata object's bytes with its stream
+    payload cut out past the first two bytes (see :func:`_body_element`),
+    so rules and the miner see the dictionary, the ``stream``/``endstream``
+    framing and the compression header, never the compressed data.  For
+    the xref section this returns the table bytes only (the presence
+    pseudo-input is handled by :func:`match_section` directly).
     """
     if kind is SectionKind.HEADER:
         comment = sections.binary_comment
         return [("header", comment)] if comment else []
     if kind is SectionKind.BODY:
         return [
-            (f"obj:{obj.obj_num}:{obj.gen_num}", obj.raw)
+            (f"obj:{obj.obj_num}:{obj.gen_num}", _body_element(obj))
             for obj in sections.objects
             if not obj.is_metadata
         ]

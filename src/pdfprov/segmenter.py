@@ -2,7 +2,9 @@
 
 A PDF file is split into header, body objects, classic cross-reference
 tables and trailer dictionaries without interpreting the object graph or
-decoding any stream.  Everything is located by scanning bytes, never by
+decoding any stream.  A stream object records its payload's span, from
+after the line end that follows ``stream`` to before the line end in front
+of ``endstream``, so that readers of its style can leave the data out.  Everything is located by scanning bytes, never by
 following the cross-reference offsets: the offsets may be absent or lie,
 and the style signals this package cares about live in the raw byte
 shapes anyway.
@@ -129,7 +131,11 @@ class IndirectObject:
 
     ``values`` maps each key of the top-level dictionary, in source order,
     to its shallow raw value (last wins); ``dict_span`` is that
-    dictionary's byte range, when one was found.
+    dictionary's byte range, when one was found.  ``payload`` is a stream
+    object's data: from the byte after the end of line that follows the
+    ``stream`` keyword up to, not including, the end of line in front of
+    ``endstream`` (or to the end of the input when there is none).  It is
+    None for an object without a stream.
     """
 
     obj_num: int
@@ -138,6 +144,7 @@ class IndirectObject:
     is_metadata: bool
     span: Span
     dict_span: Span | None = None
+    payload: Span | None = None
     values: dict[str, bytes] = field(default_factory=dict, repr=False)
 
 
@@ -403,9 +410,11 @@ def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
                 diags.append(f"MalformedDictionary obj {obj_num} {gen_num}")
             dict_span = Span(dstart, i - dstart)
         j = _skip_ws(data, i)
+        payload: Span | None = None
         if data.startswith(b"stream", j):
             # A stream without endstream runs to the end of the input.
             i = data.find(b"endstream", j + 6)
+            payload = _payload_span(data, j + 6, i)
             i = n if i < 0 else i + len(b"endstream")
         # The object ends at its endobj, or is cut off by the next header,
         # which is also where the following object starts.
@@ -420,10 +429,26 @@ def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
         objects.append(
             IndirectObject(
                 obj_num, gen_num, data[start:end], False, Span(start, end - start),
-                dict_span, values,
+                dict_span, payload, values,
             )
         )
     return objects, diags
+
+
+def _payload_span(data: bytes, start: int, endstream: int) -> Span:
+    """A stream's data: from the line end after ``stream``, whose keyword
+    ends at ``start``, to the line end in front of the ``endstream`` at
+    ``endstream``, or to the end of the input when that is -1."""
+    start = _skip_eol(data, start)
+    if endstream < 0:
+        return Span(start, len(data) - start)
+    end = endstream
+    if data.startswith(b"\r\n", end - 2):
+        end -= 2
+    elif data[end - 1] in b"\r\n":
+        end -= 1
+    # In "stream\nendstream" one line end ends the keyword and starts the other.
+    return Span(start, max(end - start, 0))
 
 
 def _gaps(objects: list[IndirectObject], n: int) -> list[tuple[int, int]]:

@@ -83,6 +83,21 @@ def test_xmp_element_form():
     assert declared.source is MetadataSource.XMP
 
 
+def test_xmp_fields_are_read_from_the_whole_metadata_stream():
+    """Body elements cut stream payloads after two bytes; the XMP fields
+    of a /Type /Metadata stream are still read from all of its bytes."""
+    xml = (b"<?xpacket begin='' id='W5M0MpCehiHzreSzNTczkc9d'?>" + b" " * 2000
+           + b"<pdf:Producer>Skia/PDF m85</pdf:Producer>"
+           + b"<xmp:CreatorTool>Chromium</xmp:CreatorTool>\n<?xpacket end='w'?>")
+    obj = b"7 0 obj\n<</Type /Metadata /Subtype /XML /Length %d>>\nstream\n" % len(xml)
+    data = b"%PDF-1.4\n" + obj + xml + b"\nendstream\nendobj\n"
+    (meta,) = segment(data).objects
+    assert meta.is_metadata and data[meta.payload.offset : meta.payload.end] == xml
+    declared = extract_declared(data)
+    assert (declared.producer, declared.creator) == ("Skia/PDF m85", "Chromium")
+    assert declared.source is MetadataSource.XMP
+
+
 # The element search the find loop replaced, kept as its oracle.
 def _regex_xmp_field(raw: bytes, names: tuple[bytes, ...]) -> str | None:
     for name in names:

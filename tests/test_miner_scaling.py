@@ -1,4 +1,5 @@
-"""The miner's common-run search takes time linear in the group's size.
+"""The miner's common-run search takes time linear in the group's size,
+and its body input does not grow with stream payloads.
 
 ``miner._common_across`` is timed by ``conftest.assert_linear_time`` on a
 four-file group whose body has n and then 2n objects, and the larger
@@ -12,6 +13,10 @@ Every file fills its stream payloads from its own set of non-ASCII
 bytes, disjoint from the other files' sets.  The common runs are then the
 object scaffolding alone, so their number does not grow with n and the
 ratio measures the search, not the size of its output.
+
+Body elements cut each stream payload after its first two bytes, so a
+corpus whose payloads double while the objects stay the same gives the
+miner the same body elements and the same candidates.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from __future__ import annotations
 import random
 
 from conftest import assert_linear_time
-from pdfprov.miner import _common_across, _file_tokens
+from pdfprov.miner import CorpusFile, LabeledCorpus, _common_across, _file_tokens, mine
+from pdfprov.rules import SectionKind, section_elements
 
 FILES = 4
 # Objects per file at n.
@@ -54,3 +60,42 @@ def test_common_run_search_time_is_linear():
         f"groups of {FILES} files at n={N}", lambda group: _common_across(group, 2),
         _group(N), _group(2 * N),
     )
+
+
+# A body object of each style, with its /Length an indirect reference, as
+# pdfTeX and LuaTeX write it, so the dictionary is the same whatever the
+# payload's size.
+_STYLES = {
+    "PdfTeX": b"%d 0 obj\n<</Length %d 0 R/Filter/FlateDecode>>\nstream\n",
+    "LuaTeX": b"%d 0 obj\n<<\n/Length %d 0 R\n/Filter /FlateDecode\n>>\nstream\n",
+}
+
+
+def _payload_corpus(payload_size: int) -> LabeledCorpus:
+    """Three files per style of eight stream objects, each payload
+    ``x\\xDA`` and then ``payload_size - 2`` random bytes."""
+    files = []
+    for producer, head in _STYLES.items():
+        for k in range(3):
+            rng = random.Random(f"{producer}-{k}")
+            objects = [
+                head % (num, num + 100)
+                + b"x\xda" + bytes(rng.randrange(256) for _ in range(payload_size - 2))
+                + b"\nendstream\nendobj\n"
+                for num in range(1, 9)
+            ]
+            data = b"%PDF-1.5\n%\xe2\xe3\xcf\xd3\n" + b"".join(objects) + b"trailer\n<</Size 9>>\n"
+            files.append(CorpusFile(data, producer))
+    return LabeledCorpus(files)
+
+
+def test_body_mining_does_not_read_stream_payloads():
+    small, large = _payload_corpus(2_000), _payload_corpus(4_000)
+    assert sum(map(len, (f.data for f in large.files))) > 1.9 * sum(
+        map(len, (f.data for f in small.files)))
+    for f_small, f_large in zip(small.files, large.files):
+        assert (section_elements(small.sections_of(f_small), SectionKind.BODY)
+                == section_elements(large.sections_of(f_large), SectionKind.BODY))
+    mined = mine(small, SectionKind.BODY)
+    assert all(mined.values())
+    assert mined == mine(large, SectionKind.BODY)

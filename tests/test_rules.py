@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     LIBREOFFICE_TRAILER,
+    LUATEX_STREAM_OBJECT,
+    PDFTEX_STREAM_OBJECT,
     TABLE_RULE_WORD_BODY,
     WORD_STREAM_OBJECT,
     assert_linear_time,
@@ -307,6 +309,72 @@ def test_each_fired_rule_is_reported_once_at_its_first_hit(pack, which):
             found = [(m.rule_id, m.element_ref, m.match_offset)
                      for m in match_section(rules, sections, kind)]
             assert found == _first_hits(rules, sections, kind)
+
+
+# -- body elements without stream payloads --------------------------------
+
+
+@pytest.mark.parametrize("eol_after", [b"\n", b"\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("payload", [b"", b"x", b"x\xda", b"x\xda\x01"],
+                         ids=["0-bytes", "1-byte", "2-bytes", "3-bytes"])
+@pytest.mark.parametrize("eol_before", [b"\r\n", b"\n", b""],
+                         ids=["CRLF-endstream", "LF-endstream", "bare-endstream"])
+def test_body_element_keeps_two_payload_bytes_and_the_endstream_line_end(
+        eol_after, payload, eol_before):
+    head = b"5 0 obj\n<</Length %d>>\nstream" % len(payload) + eol_after
+    tail = eol_before + b"endstream\nendobj"
+    sections = segment(b"%PDF-1.4\n" + head + payload + tail + b"\n")
+    assert section_elements(sections, SectionKind.BODY) == [("obj:5:0", head + payload[:2] + tail)]
+
+
+def test_body_element_of_a_stream_without_endstream_ends_after_two_payload_bytes():
+    head = b"%PDF-1.4\n9 0 obj\n<</Length 9>>\nstream\r\n"
+    sections = segment(head + b"x\xdaabc\n")
+    assert section_elements(sections, SectionKind.BODY) == [
+        ("obj:9:0", head[len(b"%PDF-1.4\n"):] + b"x\xda")
+    ]
+
+
+def _raw_body_elements(sections) -> list[tuple[str, bytes]]:
+    return [(f"obj:{o.obj_num}:{o.gen_num}", o.raw) for o in sections.objects
+            if not o.is_metadata]
+
+
+def _first_hit(rule: Rule, targets: list[tuple[str, bytes]]) -> tuple[str, int] | None:
+    for ref, data in targets:
+        m = rule.regex.search(data)
+        if m:
+            return ref, m.start()
+    return None
+
+
+def test_builtin_body_rules_hit_cut_elements_where_they_hit_raw_objects(pack, corpus_bytes):
+    files = [blob for blobs in corpus_bytes.values() for blob in blobs]
+    files += [b"%PDF-1.4\n" + obj for obj in
+              (PDFTEX_STREAM_OBJECT, LUATEX_STREAM_OBJECT, WORD_STREAM_OBJECT)]
+    cut_elements = hits = 0
+    for data in files:
+        sections = segment(data)
+        cut, raw = section_elements(sections, SectionKind.BODY), _raw_body_elements(sections)
+        assert [ref for ref, _ in cut] == [ref for ref, _ in raw]
+        cut_elements += sum(a != b for (_, a), (_, b) in zip(cut, raw))
+        for rule in pack.for_section(SectionKind.BODY):
+            hit = _first_hit(rule, cut)
+            assert hit == _first_hit(rule, raw), (rule.id, data[:40])
+            hits += hit is not None
+    assert cut_elements >= len(files) and hits >= len(files) // 4
+
+
+def test_a_rule_across_the_cut_fires_in_scan():
+    """A mined template may span the cut; matching reads the same cut
+    elements that mining does, so it fires."""
+    rule = load_rulepack(
+        'rule across-cut {\n  producer = PdfTeX\n  section = body\n  kind = template\n'
+        '  pattern = ">>\\nstream\\nx\\xDA\\nendstream\\nendobj"\n}\n'
+    )
+    obj = b"4 0 obj\n<</Length 6>>\nstream\nx\xda\x01\x02\x03\x04\nendstream\nendobj\n"
+    (m,) = match_section(rule, segment(b"%PDF-1.4\n" + obj), SectionKind.BODY)
+    assert (m.rule_id, m.element_ref, m.match_offset) == ("across-cut", "obj:4:0", 19)
 
 
 def test_metadata_immunity(pack, corpus_bytes):

@@ -37,6 +37,7 @@ from pdfprov.segmenter import (
     _scan_literal_string,
     _skip_ws,
     PdfSections,
+    Span,
     _OBJ_RE,
     _find_header,
     _lex_objects,
@@ -135,6 +136,40 @@ def test_truncated_object_recorded_not_fatal():
     (obj,) = sections.objects
     assert obj.raw == data[len(b"%PDF-1.4\n"):]
     assert sections.diagnostics == ["TruncatedObject obj 9 0"]
+
+
+# -- stream payloads -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("eol_after", [b"\n", b"\r\n"], ids=["LF", "CRLF"])
+@pytest.mark.parametrize("payload", [b"", b"x", b"x\xda", b"x\xda\x01"],
+                         ids=["0-bytes", "1-byte", "2-bytes", "3-bytes"])
+@pytest.mark.parametrize("eol_before", [b"\r\n", b"\n", b""],
+                         ids=["CRLF-endstream", "LF-endstream", "bare-endstream"])
+def test_payload_span_lies_between_the_stream_line_ends(eol_after, payload, eol_before):
+    head = b"5 0 obj\n<</Length %d>>\nstream" % len(payload)
+    obj = head + eol_after + payload + eol_before + b"endstream\nendobj"
+    data = b"%PDF-1.4\n" + obj + b"\n"
+    (o,) = segment(data).objects
+    assert o.raw == obj
+    start = o.span.offset + len(head + eol_after)
+    assert o.payload == Span(start, len(payload))
+    assert data[o.payload.offset : o.payload.end] == payload
+
+
+@pytest.mark.parametrize("eol_after", [b"\n", b"\r\n"], ids=["LF", "CRLF"])
+def test_payload_without_endstream_runs_to_the_end_of_the_input(eol_after):
+    head = b"%PDF-1.4\n9 0 obj\n<</Length 9>>\nstream" + eol_after
+    data = head + b"x\xdaabc\n"
+    (o,) = segment(data).objects
+    assert o.payload == Span(len(head), len(data) - len(head))
+    (o,) = segment(head).objects
+    assert o.payload == Span(len(head), 0)
+
+
+def test_objects_without_a_stream_have_no_payload():
+    objs = _fragment(b"1 0 obj\n<</Type/Catalog>>\nendobj\n2 0 obj\n42\nendobj\n").objects
+    assert [o.payload for o in objs] == [None, None]
 
 
 def test_object_numbers_not_matched_inside_longer_tokens():

@@ -106,10 +106,10 @@ FAMILIES = {
 
 # sha256 of each family's segment() output.
 DIGESTS = {
-    "fixtures": "3588962857a632aff758d677c5d9112e9ff3248300ef4fe6b7f2dc2384723208",
-    "token-soups": "d8bff590cfcb9df5c0d3d86e24b234ce6b4cb5589375f62bab68104696ce63c3",
-    "mutants": "c30ccfcabd032fb56b09bc8ccdcfc8f0b608497ba2ad891b0934e6dae8886e8f",
-    "nesting-floor": "f9b73e5922dd2eb83870d425d41b6e76ddbaaa1f65604d0681bf1aed9b90266c",
+    "fixtures": "ae6414bb648e5ad8a5c6f7b9045ab19825336c588d07cc027fadd83a8aad3a19",
+    "token-soups": "bc1e7d8d223249a84bea60a8ce44533357a87ecb376d99c8a3c0c7715f138311",
+    "mutants": "97116f00a876930615f275ff99213b7ef53960b12b52be7de7001f447bd83d2c",
+    "nesting-floor": "c8f35fb4eecc44bd2b2e8cbe15a7023ecbfc223687d716e5fb33e3c7d9db1c95",
 }
 
 
