@@ -2,24 +2,24 @@
 
 A PDF file is split into header, body objects, classic cross-reference
 tables and trailer dictionaries without interpreting the object graph or
-decoding any stream.  A stream object records its payload's span, from
-after the line end that follows ``stream`` to before the line end in front
-of ``endstream``, so that readers of its style can leave the data out.  Everything is located by scanning bytes, never by
+decoding any stream.  Everything is located by scanning bytes, never by
 following the cross-reference offsets: the offsets may be absent or lie,
 and the style signals this package cares about live in the raw byte
-shapes anyway.
+shapes anyway.  A stream object records its payload's span, from after
+the line end that follows ``stream`` to before the line end in front of
+``endstream``, so that readers of its style can leave the data out.
 
 Dictionaries are lexed by compiled token patterns built from one
 whitespace and one delimiter class.  One pattern lexes a whole entry (its
 key, its value and the whitespace after each) when the value is flat: a name,
 a hex string, a number or ``N G R`` reference, ``true``, ``false`` or
-``null``, a literal string with no unescaped parenthesis inside, or an
-array of those.  Every other entry goes to the token walk: a key pattern,
-then the value walked in Python, recursing into ``<<`` and ``[`` and
-stepping through literal strings byte by byte.  That takes nested
-dictionaries and arrays, strings with inner parentheses, unclosed tokens,
-stray bytes, entries cut by a recovery bound and every entry of a
-dictionary at the nesting floor.  The two read one grammar and give the
+``null``, a literal string with no unescaped parenthesis and no ``obj``
+inside, or an array of those.  Every other entry goes to the token walk:
+a key pattern, then the value walked in Python, recursing into ``<<`` and
+``[`` and stepping through literal strings byte by byte.  That takes
+nested dictionaries and arrays, strings with inner parentheses or an
+``obj``, unclosed tokens, stray bytes, entries cut by a recovery bound or
+a trailer's bound and every entry of a dictionary at the nesting floor.  The two read one grammar and give the
 same keys and values for any entry the pattern lexes.
 
 Segmentation takes time linear in the input size.  One pass lexes the
@@ -30,13 +30,15 @@ recovery stop at the next object header, and a dictionary that no ``>>``
 closes before it ends at the object's own ``endobj``.  The ``xref`` and
 ``trailer`` keywords are searched for only in the gaps between objects.
 Line ends are each found once, and a malformed trailer's recovery stops at
-the next trailer or object.  A recovery inside a dictionary, past a nested
-malformed one, the nesting floor, an array still open at a ``>>`` or a
-literal string still open at the end of the input, stops at the same
-bound, and so do the arrays and dictionaries around it.  The exception is
-elements that overlap: a trailer dictionary or xref table that runs on
-past the next keyword of its kind (behind a comment, or a string that
-closes past it, say) is scanned again from that keyword.
+the next trailer or object.  A literal string must close before the same
+bound: the next object header for an object, the next trailer or object
+for a trailer, so an unclosed one is scanned only that far.  A recovery
+inside a dictionary, past a nested malformed one, the nesting floor, an
+array still open at a ``>>`` or a string not closed before the bound,
+stops at that bound, and so do the arrays and dictionaries around it.
+The exception is elements that overlap: a trailer dictionary or xref
+table that runs on past the next keyword of its kind (behind a comment,
+say) is scanned again from that keyword.
 
 All functions here are pure; the same input bytes always produce a
 structurally identical result.
@@ -71,8 +73,9 @@ _REF_TAIL = _WS + rb"+(\d+)" + _WS + rb"+R(?![0-9A-Za-z])"
 _SCALAR = (
     b"(?>" + _NAME + rb"|<(?!<)[^>]*>?|[-+.0-9]+(?:" + _REF_TAIL + rb")?|true|false|null)"
 )
-# A literal string with no unescaped parenthesis inside it.
-_FLAT_STRING = rb"\((?>[^()\\]+|\\.)*+\)"
+# A literal string with no unescaped parenthesis inside it and no "obj":
+# one that holds an object header goes to the walk, which ends it there.
+_FLAT_STRING = rb"\((?>[^()\\o]+|\\.|o(?!bj))*+\)"
 
 _SKIP_RE = re.compile(_SKIP)
 # A dictionary key and the whitespace after it, which ends where its value
@@ -181,12 +184,11 @@ def _skip_ws(data: bytes, i: int) -> int:
     return _SKIP_RE.match(data, i).end()
 
 
-def _scan_literal_string(data: bytes, i: int) -> int | None:
+def _scan_literal_string(data: bytes, i: int, limit: int) -> int | None:
     """Index past a ``(...)`` string, honouring escapes and nesting, or
-    None when the input ends inside it."""
+    None when it does not close before ``limit``."""
     depth = 0
-    n = len(data)
-    while i < n:
+    while i < limit:
         b = data[i]
         if b == 0x5C:  # backslash escapes the next byte
             i += 2
@@ -212,14 +214,39 @@ class _Stop:
     cleanly.  The first recovery, past a malformed dictionary or the
     nesting floor, moves it to the caller's ``bound``: a fixed index, or
     when None the next object header after the failure.  Every enclosing
-    array and dictionary then ends there too.
+    array and dictionary then ends there too.  A literal string must close
+    before the same limit, so an unclosed one is scanned no further.
     """
 
-    __slots__ = ("at", "bound")
+    __slots__ = ("at", "bound", "flat_end", "_searched", "_header")
 
     def __init__(self, data: bytes, bound: int | None = None) -> None:
         self.at = len(data)
         self.bound = bound
+        # Where the entry pattern must stop: a string in a flat entry then
+        # closes before a fixed bound.  A string that holds an object
+        # header is never flat.
+        self.flat_end = len(data) if bound is None else bound
+        # The first object header at or after index _searched: also the
+        # first at or after any later index up to its start.
+        self._searched = len(data) + 1
+        self._header: re.Match[bytes] | None = None
+
+    def header(self, data: bytes, i: int) -> re.Match[bytes] | None:
+        """The first object header at or after ``i``; one search serves
+        every later ``i`` up to the header it found."""
+        m = self._header
+        if self._searched > i or (m is not None and m.start() < i):
+            m = self._header = _find_header(data, i)
+            self._searched = i
+        return m
+
+    def limit(self, data: bytes, i: int) -> int:
+        """The fixed bound, or else the first object header at or after ``i``."""
+        if self.bound is not None:
+            return self.bound
+        m = self.header(data, i)
+        return m.start() if m else len(data)
 
     def recover(self, data: bytes, i: int) -> int:
         """Index past the ``>>`` that balances an open ``<<``, or ``at``."""
@@ -229,10 +256,9 @@ class _Stop:
     def balance(self, data: bytes, i: int) -> int | None:
         """Index past the ``>>`` that balances an open ``<<`` before the
         bound, or None when none does."""
-        if self.bound is None:
-            m = _find_header(data, i)
-            self.bound = m.start() if m else len(data)
+        self.bound = self.limit(data, i)
         self.at = min(self.at, self.bound)
+        self.flat_end = min(self.flat_end, self.at)
         return _recover_dict_end(data, i, self.at)
 
 
@@ -258,9 +284,9 @@ def _skip_value(data: bytes, i: int, stop: _Stop, depth: int = 0) -> int:
             i = _skip_ws(data, _skip_value(data, i, stop, depth + 1))
         return i
     if b == 0x28:  # '('
-        end = _scan_literal_string(data, i)
-        # A string never closed ends, with the dictionaries around it, as
-        # malformed.
+        end = _scan_literal_string(data, i, stop.limit(data, i))
+        # A string not closed before the bound ends, with the dictionaries
+        # around it, as malformed.
         return stop.recover(data, i + 1) if end is None else end
     return _SCALAR_RE.match(data, i).end()
 
@@ -285,9 +311,9 @@ def _scan_dict(
     n = len(data)
     i = _skip_ws(data, i + 2)
     while i < stop.at:
-        m = flat(data, i, stop.at) if flat else None
-        # A match that ends at stop.at may have cut its last token short.
-        if m and (m.end() < stop.at or stop.at == n):
+        m = flat(data, i, stop.flat_end) if flat else None
+        # A match that ends at flat_end may have cut its last token short.
+        if m and (m.end() < stop.flat_end or stop.flat_end == n):
             values[m.group(1).decode("latin-1")] = m.group(2)
             i = m.end()
             continue
@@ -393,11 +419,11 @@ def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
         i = _skip_ws(data, m.end())
         values: dict[str, bytes] = {}
         dict_span: Span | None = None
+        # A malformed dictionary ends, at the latest, at the next object
+        # header, and so does the object.
+        stop = _Stop(data)
         if data.startswith(b"<<", i):
             dstart = i
-            # A malformed dictionary ends, at the latest, at the next
-            # object header.
-            stop = _Stop(data)
             i, values, ok = _scan_dict(data, i, stop)
             if not ok:
                 end = stop.balance(data, i)
@@ -418,12 +444,12 @@ def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
             i = n if i < 0 else i + len(b"endstream")
         # The object ends at its endobj, or is cut off by the next header,
         # which is also where the following object starts.
-        m = _find_header(data, i)
-        stop = m.start() if m else n
-        end = data.find(b"endobj", i, stop)
+        m = stop.header(data, i)
+        cut = m.start() if m else n
+        end = data.find(b"endobj", i, cut)
         if end < 0:
             diags.append(f"TruncatedObject obj {obj_num} {gen_num}")
-            end = stop
+            end = cut
         else:
             end += len(b"endobj")
         objects.append(

@@ -421,6 +421,30 @@ def test_unclosed_literal_string_ends_at_the_dictionary_end():
     assert scan_bytes("broken.pdf", broken, builtin()).consistency == "consistent"
 
 
+@pytest.mark.parametrize("string", [b"(x\n", b"(x (y)\n"], ids=["flat", "nested"])
+def test_a_string_does_not_run_past_the_next_object_header(string):
+    data = (b"%PDF-1.4\n1 0 obj\n<</A " + string
+            + b"endobj\n2 0 obj\n<</B /y>> ) >>\nendobj\n")
+    sections = segment(data)
+    assert [o.obj_num for o in sections.objects] == [1, 2]
+    first, second = sections.objects
+    # The dictionary ends at the object's own endobj, short of the header.
+    assert first.values == {"/A": string + b"endobj\n"}
+    assert first.raw == b"1 0 obj\n<</A " + string + b"endobj"
+    assert second.values == {"/B": b"/y"}
+    assert sections.diagnostics == ["MalformedDictionary obj 1 0"]
+
+
+@pytest.mark.parametrize("string", [b"(x\n", b"(x (y)\n"], ids=["flat", "nested"])
+def test_a_trailer_string_does_not_run_past_the_next_trailer(string):
+    data = b"%PDF-1.4\ntrailer\n<</Info " + string + b"trailer\n<</Size 3>> )>>\n"
+    sections = segment(data)
+    first, second = sections.trailers
+    assert first.raw == b"trailer\n<</Info " + string and first.values == {}
+    assert second.raw == b"trailer\n<</Size 3>>" and second.values == {"/Size": b"3"}
+    assert sections.diagnostics == ["MalformedTrailer at offset 9"]
+
+
 def test_nesting_floor_recovery_in_a_trailer_stops_at_the_next_object():
     deep = b"[" * 70 + b"]" * 70
     data = b"trailer\n<</A " + deep + b">>\n1 0 obj\n<</Type/Catalog>>\nendobj\n"
@@ -619,7 +643,7 @@ def _walk_skip_value(data, i, stop, depth=0):
             i = _skip_ws(data, _walk_skip_value(data, i, stop, depth + 1))
         return i
     if b == 0x28:  # '('
-        end = _scan_literal_string(data, i)
+        end = _scan_literal_string(data, i, stop.limit(data, i))
         return stop.recover(data, i + 1) if end is None else end
     return _WALK_SCALAR_RE.match(data, i).end()
 

@@ -107,7 +107,7 @@ FAMILIES = {
 # sha256 of each family's segment() output.
 DIGESTS = {
     "fixtures": "ae6414bb648e5ad8a5c6f7b9045ab19825336c588d07cc027fadd83a8aad3a19",
-    "token-soups": "bc1e7d8d223249a84bea60a8ce44533357a87ecb376d99c8a3c0c7715f138311",
+    "token-soups": "638dc9ebdae0b59c7279420fc7fdb9b8d36c54d901ff3df9ef7229c52c5bcd15",
     "mutants": "97116f00a876930615f275ff99213b7ef53960b12b52be7de7001f447bd83d2c",
     "nesting-floor": "c8f35fb4eecc44bd2b2e8cbe15a7023ecbfc223687d716e5fb33e3c7d9db1c95",
 }
