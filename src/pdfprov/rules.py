@@ -18,7 +18,8 @@ literals, \\xNN escapes, \\r \\n \\t, character classes, repetition
 anchors.  Lookaround and backreferences are rejected, and so is a repeat
 that may run its body more than once when the body holds a variable-count
 repeat (``(a+)+``, ``(?:a*){2,5}``, ``(a?)*``): a backtracking search of
-such a pattern can take time exponential in the input.
+such a pattern can take time exponential in the input.  Groups nested
+too deeply for the regex parser are rejected too.
 
 Body rules match each non-metadata object's bytes with its stream payload
 cut out after the first two bytes: the dictionary, the ``stream`` and
@@ -104,10 +105,14 @@ def compile_pattern(source: str, rule_id: str = "<pattern>") -> re.Pattern[bytes
         raise PatternCompileError(rule_id, f"non-byte character in pattern: {exc}") from None
     try:
         regex = re.compile(raw, re.DOTALL)
+        # A repeat can only hold another inside a group.
+        nested = b"(" in raw and _nests_repeats(_parser.parse(raw, re.DOTALL))
     except re.error as exc:
         raise PatternCompileError(rule_id, str(exc)) from None
-    # A repeat can only hold another inside a group.
-    if b"(" in raw and _nests_repeats(_parser.parse(raw, re.DOTALL)):
+    except RecursionError:
+        # The parser recurses once per group level.
+        raise PatternCompileError(rule_id, "groups nest too deeply") from None
+    if nested:
         raise PatternCompileError(
             rule_id, "a repeated group may not hold a variable-count repeat"
         )

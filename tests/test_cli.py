@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from pdfprov import builtin, cli, metadata
-from pdfprov.cli import main
+from pdfprov.cli import EXIT_ERROR, main
 from pdfprov.fixtures import PROFILES, emit_corpus, generate
 from pdfprov.producers import Producer
 
@@ -146,6 +146,22 @@ def test_scan_pack_with_a_nested_repeat_is_an_error_object(tmp_path, capsys):
     assert code == 1
     assert payload["error"]["type"] == "PatternCompileError"
     assert "runaway" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["scan", "batch", "audit"])
+def test_a_pack_nested_too_deeply_is_an_error_object(tmp_path, capsys, command):
+    pack_path = tmp_path / "deep.rules"
+    pack_path.write_text(
+        'rule deep {\n  producer = Ghostscript\n  section = body\n  kind = template\n'
+        '  pattern = "' + "(" * 1000 + "a" + ")" * 1000 + '"\n}\n'
+    )
+    path = _write_fixture(tmp_path, Producer.GHOSTSCRIPT)
+    target = str(path) if command == "scan" else str(tmp_path)
+    code = main([command, target, "--pack", str(pack_path), "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == EXIT_ERROR
+    assert payload["error"]["type"] == "PatternCompileError"
+    assert payload["error"]["message"] == "rule 'deep': groups nest too deeply"
 
 
 # -- batch ---------------------------------------------------------------------

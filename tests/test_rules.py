@@ -314,27 +314,6 @@ def test_each_fired_rule_is_reported_once_at_its_first_hit(pack, which):
 # -- body elements without stream payloads --------------------------------
 
 
-@pytest.mark.parametrize("eol_after", [b"\n", b"\r\n"], ids=["LF", "CRLF"])
-@pytest.mark.parametrize("payload", [b"", b"x", b"x\xda", b"x\xda\x01"],
-                         ids=["0-bytes", "1-byte", "2-bytes", "3-bytes"])
-@pytest.mark.parametrize("eol_before", [b"\r\n", b"\n", b""],
-                         ids=["CRLF-endstream", "LF-endstream", "bare-endstream"])
-def test_body_element_keeps_two_payload_bytes_and_the_endstream_line_end(
-        eol_after, payload, eol_before):
-    head = b"5 0 obj\n<</Length %d>>\nstream" % len(payload) + eol_after
-    tail = eol_before + b"endstream\nendobj"
-    sections = segment(b"%PDF-1.4\n" + head + payload + tail + b"\n")
-    assert section_elements(sections, SectionKind.BODY) == [("obj:5:0", head + payload[:2] + tail)]
-
-
-def test_body_element_of_a_stream_without_endstream_ends_after_two_payload_bytes():
-    head = b"%PDF-1.4\n9 0 obj\n<</Length 9>>\nstream\r\n"
-    sections = segment(head + b"x\xdaabc\n")
-    assert section_elements(sections, SectionKind.BODY) == [
-        ("obj:9:0", head[len(b"%PDF-1.4\n"):] + b"x\xda")
-    ]
-
-
 def _raw_body_elements(sections) -> list[tuple[str, bytes]]:
     return [(f"obj:{o.obj_num}:{o.gen_num}", o.raw) for o in sections.objects
             if not o.is_metadata]

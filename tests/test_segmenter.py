@@ -24,7 +24,7 @@ from pdfprov import segmenter
 from pdfprov.builtin_pack import builtin
 from pdfprov.cli import scan_bytes
 from pdfprov.producers import Producer
-from pdfprov.rules import presence_token
+from pdfprov.rules import SectionKind, presence_token, section_elements
 from pdfprov.segmenter import (
     _KEY_RE,
     _MAX_NESTING,
@@ -147,22 +147,26 @@ def test_truncated_object_recorded_not_fatal():
 @pytest.mark.parametrize("eol_before", [b"\r\n", b"\n", b""],
                          ids=["CRLF-endstream", "LF-endstream", "bare-endstream"])
 def test_payload_span_lies_between_the_stream_line_ends(eol_after, payload, eol_before):
-    head = b"5 0 obj\n<</Length %d>>\nstream" % len(payload)
-    obj = head + eol_after + payload + eol_before + b"endstream\nendobj"
-    data = b"%PDF-1.4\n" + obj + b"\n"
-    (o,) = segment(data).objects
-    assert o.raw == obj
-    start = o.span.offset + len(head + eol_after)
-    assert o.payload == Span(start, len(payload))
+    head = b"5 0 obj\n<</Length %d>>\nstream" % len(payload) + eol_after
+    tail = eol_before + b"endstream\nendobj"
+    data = b"%PDF-1.4\n" + head + payload + tail + b"\n"
+    sections = segment(data)
+    (o,) = sections.objects
+    assert o.raw == head + payload + tail
+    assert o.payload == Span(o.span.offset + len(head), len(payload))
     assert data[o.payload.offset : o.payload.end] == payload
+    # The body element keeps two payload bytes and the endstream line end.
+    assert section_elements(sections, SectionKind.BODY) == [("obj:5:0", head + payload[:2] + tail)]
 
 
 @pytest.mark.parametrize("eol_after", [b"\n", b"\r\n"], ids=["LF", "CRLF"])
 def test_payload_without_endstream_runs_to_the_end_of_the_input(eol_after):
     head = b"%PDF-1.4\n9 0 obj\n<</Length 9>>\nstream" + eol_after
     data = head + b"x\xdaabc\n"
-    (o,) = segment(data).objects
+    sections = segment(data)
+    (o,) = sections.objects
     assert o.payload == Span(len(head), len(data) - len(head))
+    assert section_elements(sections, SectionKind.BODY) == [("obj:9:0", o.raw[:-4])]
     (o,) = segment(head).objects
     assert o.payload == Span(len(head), 0)
 
