@@ -19,8 +19,9 @@ a key pattern, then the value walked in Python, recursing into ``<<`` and
 ``[`` and stepping through literal strings byte by byte.  That takes
 nested dictionaries and arrays, strings with inner parentheses or an
 ``obj``, unclosed tokens, stray bytes, entries cut by a recovery bound or
-a trailer's bound and every entry of a dictionary at the nesting floor.  The two read one grammar and give the
-same keys and values for any entry the pattern lexes.
+a trailer's bound and every entry of a dictionary at the nesting floor.
+The two read one grammar and give the same keys and values for any entry
+the pattern lexes.
 
 Segmentation takes time linear in the input size.  One pass lexes the
 objects: the header search is possessive, so it never backs out of an
