@@ -23,12 +23,20 @@ a trailer's bound and every entry of a dictionary at the nesting floor.
 The two read one grammar and give the same keys and values for any entry
 the pattern lexes.
 
-Segmentation takes time linear in the input size.  One pass lexes the
-objects: the header search is possessive, so it never backs out of an
-xref table's digit runs, and is not run where no whitespace-led ``obj``
-follows.  Each object's ``endobj`` search and malformed-dictionary
-recovery stop at the next object header, and a dictionary that no ``>>``
-closes before it ends at the object's own ``endobj``.  The ``xref`` and
+Segmentation takes time linear in the input size.  One forward pass lexes
+the objects, and a clean object costs one anchored match at each end.  The
+head pattern reads ``N G obj``, the whitespace after it and a ``<<``, whose
+entries go straight to the entry pattern; the token walk's state is built
+only for an entry that leaves it.  The tail pattern reads whitespace, an
+``endobj`` and whitespace, and the next head is matched where it ends.
+Only whitespace lies between them, so they are the header and ``endobj``
+that a search would find.  Other bytes between objects (a comment, junk, a
+digit run that is not a header) fall back to the searches.  The header
+search is possessive, so it never backs out of an xref table's digit runs,
+and is not run where no whitespace-led ``obj`` follows.  Each object's
+``endobj`` search and malformed-dictionary recovery stop at the next object
+header, and a dictionary that no ``>>`` closes before it ends at the
+object's own ``endobj``.  The ``xref`` and
 ``trailer`` keywords are searched for only in the gaps between objects.
 Line ends are each found once, and a malformed trailer's recovery stops at
 the next trailer or object.  A literal string must close before the same
@@ -98,9 +106,21 @@ _FLAT_ENTRY_RE = re.compile(
 )
 _ANGLES_RE = re.compile(rb"<<|>>")
 _REF_RE = re.compile(rb"(\d+)" + _REF_TAIL)
-# "N G obj".  A digit run must be followed by whitespace and a whitespace run
+# An object's head: "N G obj" (numbers in groups 1 and 2), the whitespace
+# after it, and a "<<" (group 3) with the whitespace after that, if one
+# follows.  A digit run must be followed by whitespace and a whitespace run
 # by a digit or "o", so giving bytes back never makes a match: possessive.
-_OBJ_RE = re.compile(rb"(\d{1,10}+)" + _WS + rb"++(\d{1,5}+)" + _WS + rb"++obj(?![0-9A-Za-z])")
+# The tail after "obj" always matches, so the pattern matches where a bare
+# "N G obj" does.
+_HEAD_RE = re.compile(
+    rb"(\d{1,10}+)" + _WS + rb"++(\d{1,5}+)" + _WS + rb"++obj(?![0-9A-Za-z])"
+    + _ATOMIC_SKIP + b"(?:(<<)" + _ATOMIC_SKIP + b")?"
+)
+# The "stream" keyword after a dictionary and the line end after it.
+_STREAM_RE = re.compile(_ATOMIC_SKIP + rb"stream(?:\r\n|[\r\n])?")
+# What may lie between an object's last token and the next object's head
+# for neither search to be needed: whitespace and at most one "endobj".
+_TAIL_RE = re.compile(_WS + b"*+(endobj)?" + _WS + b"*+")
 _WS_OBJ_RE = re.compile(_WS + b"obj")
 _HEADER_RE = re.compile(rb"%PDF-\d+\.\d+")
 _MAGIC_RE = re.compile(rb"%PDF")
@@ -272,8 +292,10 @@ def _skip_value(data: bytes, i: int, stop: _Stop, depth: int = 0) -> int:
     if depth > _MAX_NESTING:
         return stop.recover(data, i + 1)
     if data.startswith(b"<<", i):
-        end, _, ok = _scan_dict(data, i, stop, depth + 1)
-        return end if ok else stop.recover(data, end)
+        if depth == _MAX_NESTING:
+            return stop.recover(data, i + 2)
+        end, _, failed = _scan_dict(data, _skip_ws(data, i + 2), stop, depth + 1)
+        return end if failed is None else stop.recover(data, end)
     b = data[i]
     if b == 0x5B:  # '['
         i = _skip_ws(data, i + 1)
@@ -295,41 +317,44 @@ def _skip_value(data: bytes, i: int, stop: _Stop, depth: int = 0) -> int:
 
 
 def _scan_dict(
-    data: bytes, i: int, stop: _Stop, depth: int = 0
-) -> tuple[int, dict[str, bytes], bool]:
-    """Parse the dictionary opening at ``i`` (must point at ``<<``).
+    data: bytes, i: int, stop: _Stop | None, depth: int = 0
+) -> tuple[int, dict[str, bytes], _Stop | None]:
+    """Parse the entries of a dictionary from ``i``, past its ``<<`` and
+    the whitespace after it.
 
-    Returns ``(end, values, ok)`` where ``end`` is the index just past
+    Returns ``(end, values, failed)`` where ``end`` is the index just past
     the closing ``>>`` and ``values`` maps each top-level key, in source
-    order, to the raw bytes of its value.  A malformed dictionary, or one
-    still open at ``stop.at``, gives ``ok`` False and ends where the lexer
-    stopped; the caller finds its end with ``stop.recover``.
+    order, to the raw bytes of its value.  ``failed`` is None when the
+    dictionary closed.  A malformed dictionary, or one still open at
+    ``stop.at``, ends where the lexer stopped, and ``failed`` is the stop
+    the caller finds its end with (``failed.recover``).  A caller may pass
+    no stop: one is built when an entry leaves the entry pattern.
     """
     values: dict[str, bytes] = {}
-    if depth > _MAX_NESTING:
-        return i + 2, values, False
     # The items of an array at the floor's depth lie past it, so there the
     # walk alone must see them.
     flat = _FLAT_ENTRY_RE.match if depth < _MAX_NESTING else None
     n = len(data)
-    i = _skip_ws(data, i + 2)
-    while i < stop.at:
-        m = flat(data, i, stop.flat_end) if flat else None
+    at, flat_end = (n, n) if stop is None else (stop.at, stop.flat_end)
+    while i < at:
+        m = flat(data, i, flat_end) if flat else None
         # A match that ends at flat_end may have cut its last token short.
-        if m and (m.end() < stop.flat_end or stop.flat_end == n):
+        if m and (flat_end == n or m.end() < flat_end):
             values[m.group(1).decode("latin-1")] = m.group(2)
             i = m.end()
             continue
         if data.startswith(b">>", i):
-            return i + 2, values, True
+            return i + 2, values, None
+        stop = stop or _Stop(data)
         m = _KEY_RE.match(data, i)
         if m is None:
-            return i, values, False
+            return i, values, stop
         vstart = m.end()
         i = _skip_value(data, vstart, stop, depth)
         values[m.group(1).decode("latin-1")] = data[vstart:i]
         i = _skip_ws(data, i)
-    return i, values, False
+        at, flat_end = stop.at, stop.flat_end
+    return i, values, stop or _Stop(data)
 
 
 def _recover_dict_end(data: bytes, i: int, stop: int) -> int | None:
@@ -348,7 +373,7 @@ def _find_header(data: bytes, i: int = 0) -> re.Match[bytes] | None:
     A header's ``obj`` follows whitespace.  With none left, as past the last
     object, the search is skipped: it would try every xref-table entry.
     """
-    return _OBJ_RE.search(data, i) if _WS_OBJ_RE.search(data, i) else None
+    return _HEAD_RE.search(data, i) if _WS_OBJ_RE.search(data, i) else None
 
 
 def _clean_token_start(data: bytes, pos: int) -> bool:
@@ -415,20 +440,19 @@ def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
             # No clean header starts inside this one: a digit precedes
             # every later start in its object number, and a start past
             # that leaves no room for two numbers before its "obj".
-            m = _find_header(data, m.end())
+            m = _find_header(data, m.end(2))
             continue
         start = m.start()
         obj_num, gen_num = int(m.group(1)), int(m.group(2))
-        i = _skip_ws(data, m.end())
+        i = m.end()
         values: dict[str, bytes] = {}
-        dict_span: Span | None = None
-        # A malformed dictionary ends, at the latest, at the next object
-        # header, and so does the object.
-        stop = _Stop(data)
-        if data.startswith(b"<<", i):
-            dstart = i
-            i, values, ok = _scan_dict(data, i, stop)
-            if not ok:
+        dict_span = payload = stop = None
+        if m.start(3) >= 0:
+            # A malformed dictionary ends, at the latest, at the next
+            # object header, and so does the object.
+            dstart = m.start(3)
+            i, values, stop = _scan_dict(data, i, None)
+            if stop:
                 end = stop.balance(data, i)
                 if end is None:
                     # No ">>" closes it before the next object header, so
@@ -438,23 +462,38 @@ def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
                 i = end
                 diags.append(f"MalformedDictionary obj {obj_num} {gen_num}")
             dict_span = Span(dstart, i - dstart)
-        j = _skip_ws(data, i)
-        payload: Span | None = None
-        if data.startswith(b"stream", j):
-            # A stream without endstream runs to the end of the input.
-            i = data.find(b"endstream", j + 6)
-            payload = _payload_span(data, j + 6, i)
-            i = n if i < 0 else i + len(b"endstream")
+        s = _STREAM_RE.match(data, i)
+        if s:
+            # The payload runs from the line end after "stream" to the line
+            # end in front of endstream, or without one to the end of the
+            # input.  In "stream\nendstream" one line end ends the keyword
+            # and starts the other.
+            p = s.end()
+            i = data.find(b"endstream", p)
+            if i < 0:
+                payload, i = Span(p, n - p), n
+            else:
+                e = i - 2 if data.startswith(b"\r\n", i - 2) else i - (data[i - 1] in b"\r\n")
+                payload, i = Span(p, max(e - p, 0)), i + len(b"endstream")
         # The object ends at its endobj, or is cut off by the next header,
-        # which is also where the following object starts.
-        m = stop.header(data, i)
-        cut = m.start() if m else n
-        end = data.find(b"endobj", i, cut)
-        if end < 0:
-            diags.append(f"TruncatedObject obj {obj_num} {gen_num}")
-            end = cut
+        # which is also where the following object starts.  Where only
+        # whitespace and an endobj lie between, both are read in place;
+        # else the first header and endobj are searched for.
+        t = _TAIL_RE.match(data, i)
+        k = t.end()
+        m = _HEAD_RE.match(data, k) if _clean_token_start(data, k) else None
+        if m is None:
+            m = stop.header(data, k) if stop else _find_header(data, k)
+        if t.start(1) >= 0:
+            end = t.end(1)
         else:
-            end += len(b"endobj")
+            cut = m.start() if m else n
+            end = data.find(b"endobj", k, cut)
+            if end < 0:
+                diags.append(f"TruncatedObject obj {obj_num} {gen_num}")
+                end = cut
+            else:
+                end += len(b"endobj")
         objects.append(
             IndirectObject(
                 obj_num, gen_num, data[start:end], False, Span(start, end - start),
@@ -462,22 +501,6 @@ def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
             )
         )
     return objects, diags
-
-
-def _payload_span(data: bytes, start: int, endstream: int) -> Span:
-    """A stream's data: from the line end after ``stream``, whose keyword
-    ends at ``start``, to the line end in front of the ``endstream`` at
-    ``endstream``, or to the end of the input when that is -1."""
-    start = _skip_eol(data, start)
-    if endstream < 0:
-        return Span(start, len(data) - start)
-    end = endstream
-    if data.startswith(b"\r\n", end - 2):
-        end -= 2
-    elif data[end - 1] in b"\r\n":
-        end -= 1
-    # In "stream\nendstream" one line end ends the keyword and starts the other.
-    return Span(start, max(end - start, 0))
 
 
 def _gaps(objects: list[IndirectObject], n: int) -> list[tuple[int, int]]:
@@ -575,8 +598,8 @@ def _lex_trailers(
         # A malformed dictionary ends, at the latest, where the next
         # trailer keyword or the next object begins.
         stop = _Stop(data, min(hits[k + 1][0], gap_stop) if k + 1 < len(hits) else gap_stop)
-        end, values, ok = _scan_dict(data, i, stop)
-        if not ok:
+        end, values, failed = _scan_dict(data, _skip_ws(data, i + 2), stop)
+        if failed:
             end = stop.recover(data, end)
             diags.append(f"MalformedTrailer at offset {start}")
             values = {}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import asdict
 from unittest import mock
@@ -38,7 +39,8 @@ from pdfprov.segmenter import (
     _skip_ws,
     PdfSections,
     Span,
-    _OBJ_RE,
+    _HEAD_RE,
+    _Stop,
     _find_header,
     _lex_objects,
     parse_header,
@@ -603,8 +605,9 @@ _HEADER_SOUP = [b"0", b"7", b"123456", b"12345678901", b"\x00", b"\t", b"\n", b"
                 b"\r", b" ", b"obj", b"ob", b"bj", b"objx", b"obj1", b"x", b"R", b"<<"]
 
 
-def _span_and_groups(m):
-    return None if m is None else (m.span(), m.groups())
+def _numbers(m):
+    """The spans of a header's two numbers, which fix where its "obj" ends."""
+    return None if m is None else (m.span(1), m.span(2))
 
 
 @settings(max_examples=500, deadline=None)
@@ -614,9 +617,9 @@ def _span_and_groups(m):
 def test_header_search_matches_the_backtracking_pattern(parts):
     data = b"".join(parts)
     for i in range(len(data) + 1):
-        expected = _span_and_groups(_OBJ_ORACLE_RE.search(data, i))
-        assert _span_and_groups(_OBJ_RE.search(data, i)) == expected
-        assert _span_and_groups(_find_header(data, i)) == expected
+        expected = _numbers(_OBJ_ORACLE_RE.search(data, i))
+        assert _numbers(_HEAD_RE.search(data, i)) == expected
+        assert _numbers(_find_header(data, i)) == expected
 
 
 # -- the entry pattern against the token walk ----------------------------------
@@ -634,8 +637,10 @@ def _walk_skip_value(data, i, stop, depth=0):
     if depth > _MAX_NESTING:
         return stop.recover(data, i + 1)
     if data.startswith(b"<<", i):
-        end, _, ok = _walk_scan_dict(data, i, stop, depth + 1)
-        return end if ok else stop.recover(data, end)
+        if depth == _MAX_NESTING:
+            return stop.recover(data, i + 2)
+        end, _, failed = _walk_scan_dict(data, _skip_ws(data, i + 2), stop, depth + 1)
+        return end if failed is None else stop.recover(data, end)
     b = data[i]
     if b == 0x5B:  # '['
         i = _skip_ws(data, i + 1)
@@ -654,20 +659,18 @@ def _walk_skip_value(data, i, stop, depth=0):
 
 def _walk_scan_dict(data, i, stop, depth=0):
     values = {}
-    if depth > _MAX_NESTING:
-        return i + 2, values, False
-    i = _skip_ws(data, i + 2)
+    stop = stop or _Stop(data)
     while i < stop.at:
         if data.startswith(b">>", i):
-            return i + 2, values, True
+            return i + 2, values, None
         m = _KEY_RE.match(data, i)
         if m is None:
-            return i, values, False
+            return i, values, stop
         vstart = m.end()
         i = _walk_skip_value(data, vstart, stop, depth)
         values[m.group(1).decode("latin-1")] = data[vstart:i]
         i = _skip_ws(data, i)
-    return i, values, False
+    return i, values, stop
 
 
 def _nested_flat_array(depth: int) -> bytes:
@@ -697,6 +700,9 @@ _ORACLE_TOKENS = [
 )
 @example([b"/A ", b"<</B 1 x>>", b" /C ", b"/X1 0 obj"], False)
 @example([_nested_flat_array(64)], False)
+# After a recovery sets the bound, a flat entry that runs past it (a hex
+# string holding the next header) goes to the walk.
+@example([b"/A ", b"<</B 1 x>>", b" /C <4F", b" 2 0 obj", b">", b" /D 1"], False)
 def test_entry_pattern_lexes_as_the_token_walk(parts, in_trailer):
     body = b"".join(parts)
     tail = b"\n2 0 obj\n<</Type/Catalog>>\nendobj\n"
@@ -707,3 +713,105 @@ def test_entry_pattern_lexes_as_the_token_walk(parts, in_trailer):
     with mock.patch.object(segmenter, "_scan_dict", _walk_scan_dict):
         expected = asdict(segment(data))
     assert asdict(segment(data)) == expected
+
+
+# -- the anchored object loop against the searches ------------------------------
+
+
+def _searched_lex_objects(data):
+    """The object loop before it read heads and tails in place, kept as its
+    oracle: each object's end and the next header are searched for."""
+    objects, diags = [], []
+    n = len(data)
+    m = _find_header(data)
+    while m:
+        if not segmenter._clean_token_start(data, m.start()):
+            m = _find_header(data, m.end(2))
+            continue
+        start = m.start()
+        obj_num, gen_num = int(m.group(1)), int(m.group(2))
+        i = _skip_ws(data, data.index(b"obj", m.end(2)) + 3)
+        values, dict_span, payload = {}, None, None
+        stop = _Stop(data)
+        if data.startswith(b"<<", i):
+            dstart = i
+            i, values, failed = segmenter._scan_dict(data, _skip_ws(data, i + 2), stop)
+            if failed:
+                end = stop.balance(data, i)
+                if end is None:
+                    end = data.rfind(b"endobj", dstart, stop.at)
+                    end = max(i, stop.at) if end < 0 else end
+                i = end
+                diags.append(f"MalformedDictionary obj {obj_num} {gen_num}")
+            dict_span = Span(dstart, i - dstart)
+        j = _skip_ws(data, i)
+        if data.startswith(b"stream", j):
+            p = segmenter._skip_eol(data, j + 6)
+            i = data.find(b"endstream", j + 6)
+            if i < 0:
+                payload, i = Span(p, n - p), n
+            else:
+                e = i - 2 if data.startswith(b"\r\n", i - 2) else i - (data[i - 1] in b"\r\n")
+                payload, i = Span(p, max(e - p, 0)), i + 9
+        m = stop.header(data, i)
+        cut = m.start() if m else n
+        end = data.find(b"endobj", i, cut)
+        if end < 0:
+            diags.append(f"TruncatedObject obj {obj_num} {gen_num}")
+            end = cut
+        else:
+            end += 6
+        objects.append(segmenter.IndirectObject(
+            obj_num, gen_num, data[start:end], False, Span(start, end - start),
+            dict_span, payload, values,
+        ))
+    return objects, diags
+
+
+_OBJECT_PARTS = [
+    b"1 0 obj\n<</A 1>>", b"2 0 obj <</Length 3>>stream\nabc\nendstream",
+    b"3 0 obj\nstream\r\nxy\r\nendstream", b"12345678901 0 obj <<>>", b"4 0 obj 42",
+    b"5 0 obj<</A (a(b)c)/B [1 <</C 2>>]>>", b"6 0 obj<</A (x", b"7 0 obj <</A 1 x>>",
+    b"8 0 obj %c\n<</A 1>>", b"9 0 obj<<>> %c\nstream\nz\nendstream", b"10 0 obj<</B 1",
+]
+_BETWEEN_OBJECTS = [
+    b"endobj", b"endobj1 0 obj", b"%c\n", b"%endobj\n", b"%1 0 obj\n", b" ", b"\r", b"\n",
+    b"\r\n", b"\x00", b"xref", b"trailer", b"obj", b" obj", b"endstream", b"x", b"7", b">>",
+]
+
+# Named inputs for each way the bytes after an object can leave the
+# anchored path, or stay on it.
+_TAIL_CASES = {
+    "endobj-then-header": b"1 0 obj<<>>endobj\n2 0 obj<<>>endobj",
+    "endobj-glued-to-a-header": b"1 0 obj<<>>endobj1 0 obj<<>>endobj 2 0 obj 3",
+    "comment-before-endobj": b"1 0 obj<<>> %c\nendobj\n2 0 obj<<>>endobj",
+    "comment-holding-endobj": b"1 0 obj<<>> %endobj\nendobj\n2 0 obj<<>>",
+    "comment-before-the-next-header": b"1 0 obj<<>>endobj %c\n2 0 obj<<>>endobj",
+    "comment-holding-a-header": b"1 0 obj<<>>endobj %2 0 obj\n3 0 obj<<>>endobj",
+    "cr-lf-nul-whitespace": b"1 0 obj<<>>\r\n\x00endobj\x00\r2 0 obj\r<<>>\nendobj",
+    "11-digit-object-number": b"1 0 obj<<>>\n12345678901 0 obj<<>>endobj\n2 0 obj 1",
+    "stream-without-dictionary": b"1 0 obj\nstream\nab\nendstream\nendobj\n2 0 obj 3 endobj",
+    "stream-without-endstream": b"1 0 obj<</L 2>>stream\nab\n2 0 obj<<>>endobj",
+    "no-endobj": b"1 0 obj<<>>\n2 0 obj<<>>\n3 0 obj 4",
+    "no-endobj-then-comment": b"1 0 obj<<>>\n%c\n2 0 obj<<>>\n",
+    "endobj-twice": b"1 0 obj<<>>endobj endobj 2 0 obj<<>>endobj",
+    "xref-after-the-last-object": b"1 0 obj<<>>endobj\nxref\n0 1\n0000000000 65535 f \n",
+    "trailer-after-an-object": b"1 0 obj<<>>\ntrailer\n<</Size 2>>\n2 0 obj<<>>endobj",
+    "stray-obj": b"1 0 obj<<>> obj endobj\n2 0 obj<<>>\nobj\n",
+    "header-behind-a-letter": b"1 0 obj<<>>x2 0 obj<<>>endobj",
+    "malformed-dictionary": b"1 0 obj<</A 1 x>>endobj\n2 0 obj<</A (x>>\n3 0 obj 1 endobj",
+}
+
+
+@pytest.mark.parametrize("body", list(_TAIL_CASES.values()), ids=list(_TAIL_CASES))
+def test_anchored_object_loop_named_cases(body):
+    data = b"%PDF-1.4\n" + body
+    assert _lex_objects(data) == _searched_lex_objects(data)
+
+
+def test_anchored_object_loop_matches_the_searches():
+    rng = random.Random(1401)
+    alphabet = _OBJECT_PARTS + _BETWEEN_OBJECTS
+    for _ in range(3000):
+        data = b"%PDF-1.4\n" + b"".join(rng.choices(alphabet, k=rng.randrange(1, 25)))
+        assert _lex_objects(data) == _searched_lex_objects(data), data
