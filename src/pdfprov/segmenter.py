@@ -368,12 +368,21 @@ def _recover_dict_end(data: bytes, i: int, stop: int) -> int | None:
 
 
 def _find_header(data: bytes, i: int = 0) -> re.Match[bytes] | None:
-    """The first object-header match at or after ``i``, or None.
+    """The first object-header match at or after ``i`` that starts a clean
+    token, or None.
 
     A header's ``obj`` follows whitespace.  With none left, as past the last
     object, the search is skipped: it would try every xref-table entry.
     """
-    return _HEAD_RE.search(data, i) if _WS_OBJ_RE.search(data, i) else None
+    while _WS_OBJ_RE.search(data, i):
+        m = _HEAD_RE.search(data, i)
+        if m is None or _clean_token_start(data, m.start()):
+            return m
+        # No clean header starts before this one's generation number ends:
+        # a digit precedes every later start in its object number, and a
+        # start past that leaves no room for two numbers before its "obj".
+        i = m.end(2)
+    return None
 
 
 def _clean_token_start(data: bytes, pos: int) -> bool:
@@ -436,12 +445,6 @@ def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
     n = len(data)
     m = _find_header(data)
     while m:
-        if not _clean_token_start(data, m.start()):
-            # No clean header starts inside this one: a digit precedes
-            # every later start in its object number, and a start past
-            # that leaves no room for two numbers before its "obj".
-            m = _find_header(data, m.end(2))
-            continue
         start = m.start()
         obj_num, gen_num = int(m.group(1)), int(m.group(2))
         i = m.end()

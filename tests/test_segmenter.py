@@ -441,6 +441,21 @@ def test_a_string_does_not_run_past_the_next_object_header(string):
     assert sections.diagnostics == ["MalformedDictionary obj 1 0"]
 
 
+@pytest.mark.parametrize(
+    "body",
+    [b"<</A (x trailer1 0 obj y)>>\n", b"<</A (x (trailer1 0 obj) y)>>\n", b"<</A 1>> x1 0 obj "],
+    ids=["string", "nested-string", "after-the-dictionary"],
+)
+def test_a_header_that_starts_no_object_bounds_nothing(body):
+    # "1 0 obj" behind a letter starts no object, so neither the string's
+    # limit nor the object's end is there.
+    data = b"%PDF-1.4\n1 0 obj\n" + body + b"endobj\n"
+    sections = segment(data)
+    (obj,) = sections.objects
+    assert obj.raw == data[len(b"%PDF-1.4\n"):-1]
+    assert sections.diagnostics == []
+
+
 @pytest.mark.parametrize("string", [b"(x\n", b"(x (y)\n"], ids=["flat", "nested"])
 def test_a_trailer_string_does_not_run_past_the_next_trailer(string):
     data = b"%PDF-1.4\ntrailer\n<</Info " + string + b"trailer\n<</Size 3>> )>>\n"
@@ -602,7 +617,7 @@ _OBJ_ORACLE_RE = re.compile(
     rb"(\d{1,10})[\x00\t\n\x0c\r ]+(\d{1,5})[\x00\t\n\x0c\r ]+obj(?![0-9A-Za-z])"
 )
 _HEADER_SOUP = [b"0", b"7", b"123456", b"12345678901", b"\x00", b"\t", b"\n", b"\x0c",
-                b"\r", b" ", b"obj", b"ob", b"bj", b"objx", b"obj1", b"x", b"R", b"<<"]
+                b"\r", b" ", b"obj", b"ob", b"bj", b"objx", b"obj1", b"x", b"R", b"<<", b"%"]
 
 
 def _numbers(m):
@@ -614,12 +629,17 @@ def _numbers(m):
 @given(st.lists(st.sampled_from(_HEADER_SOUP), max_size=30))
 @example([b"12345678901", b" ", b"0", b" ", b"obj"])
 @example([b"obj", b" ", b"1", b" ", b"0", b"\x00", b"obj"])
+# A clean header inside the comment after a header that is not clean.
+@example([b"x", b"7", b" ", b"0", b" ", b"obj", b" ", b"%", b"7", b" ", b"0", b" ", b"obj"])
 def test_header_search_matches_the_backtracking_pattern(parts):
     data = b"".join(parts)
     for i in range(len(data) + 1):
-        expected = _numbers(_OBJ_ORACLE_RE.search(data, i))
-        assert _numbers(_HEAD_RE.search(data, i)) == expected
-        assert _numbers(_find_header(data, i)) == expected
+        m = _OBJ_ORACLE_RE.search(data, i)
+        assert _numbers(_HEAD_RE.search(data, i)) == _numbers(m)
+        # _find_header takes the first header that starts a clean token.
+        while m and not segmenter._clean_token_start(data, m.start()):
+            m = _OBJ_ORACLE_RE.search(data, m.start() + 1)
+        assert _numbers(_find_header(data, i)) == _numbers(m)
 
 
 # -- the entry pattern against the token walk ----------------------------------
@@ -725,9 +745,6 @@ def _searched_lex_objects(data):
     n = len(data)
     m = _find_header(data)
     while m:
-        if not segmenter._clean_token_start(data, m.start()):
-            m = _find_header(data, m.end(2))
-            continue
         start = m.start()
         obj_num, gen_num = int(m.group(1)), int(m.group(2))
         i = _skip_ws(data, data.index(b"obj", m.end(2)) + 3)

@@ -107,8 +107,8 @@ FAMILIES = {
 # sha256 of each family's segment() output.
 DIGESTS = {
     "fixtures": "ae6414bb648e5ad8a5c6f7b9045ab19825336c588d07cc027fadd83a8aad3a19",
-    "token-soups": "638dc9ebdae0b59c7279420fc7fdb9b8d36c54d901ff3df9ef7229c52c5bcd15",
-    "mutants": "97116f00a876930615f275ff99213b7ef53960b12b52be7de7001f447bd83d2c",
+    "token-soups": "87d2df2662809a4ad3b5a3e58ee6a81ec52021a858ce3f7f9094dd0bcb04cb82",
+    "mutants": "b760eb4bf12f168352346c429cf24e9c79ca32779e9586be208fae42fad126dc",
     "nesting-floor": "c8f35fb4eecc44bd2b2e8cbe15a7023ecbfc223687d716e5fb33e3c7d9db1c95",
 }
 
