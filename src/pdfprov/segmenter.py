@@ -70,10 +70,12 @@ _WHITESPACE = b"\x00\t\n\x0c\r "
 _DELIMITERS = b"()<>[]{}/%"
 _WS = b"[" + _WHITESPACE + b"]"
 # Whitespace and comments; a comment runs from "%" to the end of its line.
-_SKIP = _WS + rb"*(?:%[^\r\n]*" + _WS + rb"*)*"
-_NAME = b"/[^" + _WHITESPACE + re.escape(_DELIMITERS) + b"]*"
+# These three are possessive: each takes its longest run, as the token walk
+# does, and never gives bytes back.
+_SKIP = _WS + rb"*+(?:%[^\r\n]*+" + _WS + rb"*+)*+"
+_NAME = b"/[^" + _WHITESPACE + re.escape(_DELIMITERS) + b"]*+"
 # The rest of an indirect reference "N G R" after its first number.
-_REF_TAIL = _WS + rb"+(\d+)" + _WS + rb"+R(?![0-9A-Za-z])"
+_REF_TAIL = _WS + rb"++(\d++)" + _WS + rb"++R(?![0-9A-Za-z])"
 
 # A value that is not a dictionary, array or literal string: a name, a hex
 # string up to the next ">" (not "<<"), a number or "N G R" reference, true,
@@ -97,11 +99,9 @@ _SCALAR_RE = re.compile(_SCALAR + rb"|.?", re.S)
 # whitespace after it, the value (group 2) and the whitespace after that.
 # Every part is atomic, so each takes the same bytes as the token walk.
 _FLAT_ITEM = b"(?>" + _SCALAR + b"|" + _FLAT_STRING + b")"
-_ATOMIC_SKIP = b"(?>" + _SKIP + b")"
 _FLAT_ENTRY_RE = re.compile(
-    b"((?>" + _NAME + b"))" + _ATOMIC_SKIP
-    + b"(" + _FLAT_ITEM + rb"|\[" + _ATOMIC_SKIP + b"(?:" + _FLAT_ITEM + _ATOMIC_SKIP
-    + rb")*+\])" + _ATOMIC_SKIP,
+    b"(" + _NAME + b")" + _SKIP
+    + b"(" + _FLAT_ITEM + rb"|\[" + _SKIP + b"(?:" + _FLAT_ITEM + _SKIP + rb")*+\])" + _SKIP,
     re.S,
 )
 _ANGLES_RE = re.compile(rb"<<|>>")
@@ -114,10 +114,10 @@ _REF_RE = re.compile(rb"(\d+)" + _REF_TAIL)
 # "N G obj" does.
 _HEAD_RE = re.compile(
     rb"(\d{1,10}+)" + _WS + rb"++(\d{1,5}+)" + _WS + rb"++obj(?![0-9A-Za-z])"
-    + _ATOMIC_SKIP + b"(?:(<<)" + _ATOMIC_SKIP + b")?"
+    + _SKIP + b"(?:(<<)" + _SKIP + b")?"
 )
 # The "stream" keyword after a dictionary and the line end after it.
-_STREAM_RE = re.compile(_ATOMIC_SKIP + rb"stream(?:\r\n|[\r\n])?")
+_STREAM_RE = re.compile(_SKIP + rb"stream(?:\r\n|[\r\n])?")
 # What may lie between an object's last token and the next object's head
 # for neither search to be needed: whitespace and at most one "endobj".
 _TAIL_RE = re.compile(_WS + b"*+(endobj)?" + _WS + b"*+")

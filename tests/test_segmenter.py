@@ -30,7 +30,6 @@ from pdfprov.segmenter import (
     _KEY_RE,
     _MAX_NESTING,
     _NAME,
-    _REF_TAIL,
     _TRAILER_KW,
     _XREF_KW,
     _gaps,
@@ -647,7 +646,9 @@ def test_header_search_matches_the_backtracking_pattern(parts):
 # The walk-only dictionary lexer that the entry pattern runs ahead of, kept
 # as its oracle: each entry goes through the key pattern and the value walk.
 _WALK_SCALAR_RE = re.compile(
-    _NAME + rb"|<[^>]*>?|[-+.0-9]+(?:" + _REF_TAIL + rb")?|true|false|null|.?", re.S
+    _NAME + rb"|<[^>]*>?|[-+.0-9]+(?:[\x00\t\n\x0c\r ]+(\d+)[\x00\t\n\x0c\r ]+R(?![0-9A-Za-z]))?"
+    rb"|true|false|null|.?",
+    re.S,
 )
 
 
