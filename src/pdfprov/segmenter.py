@@ -24,30 +24,30 @@ The two read one grammar and give the same keys and values for any entry
 the pattern lexes.
 
 Segmentation takes time linear in the input size.  One forward pass lexes
-the objects, and a clean object costs one anchored match at each end.  The
-head pattern reads ``N G obj``, the whitespace after it and a ``<<``, whose
-entries go straight to the entry pattern; the token walk's state is built
-only for an entry that leaves it.  The tail pattern reads whitespace, an
-``endobj`` and whitespace, and the next head is matched where it ends.
-Only whitespace lies between them, so they are the header and ``endobj``
-that a search would find.  Other bytes between objects (a comment, junk, a
+the objects.  An object with only whitespace around it costs one anchored
+match at each end: the head pattern reads ``N G obj`` and a ``<<``, whose
+entries go straight to the entry pattern, and the tail pattern reads
+whitespace and an ``endobj``, after which the next head is matched in
+place.  With only whitespace skipped, these are the header and ``endobj``
+that a search finds.  Other bytes between objects (a comment, junk, a
 digit run that is not a header) fall back to the searches.  The header
-search is possessive, so it never backs out of an xref table's digit runs,
-and is not run where no whitespace-led ``obj`` follows.  Each object's
+search is possessive, so it never backs out of an xref table's digit
+runs, is not run where no whitespace-led ``obj`` follows, and takes only a
+header that starts a token, as the object pass does.  Each object's
 ``endobj`` search and malformed-dictionary recovery stop at the next object
 header, and a dictionary that no ``>>`` closes before it ends at the
-object's own ``endobj``.  The ``xref`` and
-``trailer`` keywords are searched for only in the gaps between objects.
-Line ends are each found once, and a malformed trailer's recovery stops at
-the next trailer or object.  A literal string must close before the same
-bound: the next object header for an object, the next trailer or object
-for a trailer, so an unclosed one is scanned only that far.  A recovery
-inside a dictionary, past a nested malformed one, the nesting floor, an
-array still open at a ``>>`` or a string not closed before the bound,
-stops at that bound, and so do the arrays and dictionaries around it.
-The exception is elements that overlap: a trailer dictionary or xref
-table that runs on past the next keyword of its kind (behind a comment,
-say) is scanned again from that keyword.
+object's own ``endobj``.  The ``xref`` and ``trailer`` keywords are
+searched for only in the gaps between objects.  Line ends are each found
+once, and a malformed trailer's recovery stops at the next trailer or
+object.  A literal string must close before the same bound: the next
+object header for an object, the next trailer or object for a trailer, so
+an unclosed one is scanned only that far.  A recovery inside a dictionary,
+past a nested malformed one, the nesting floor, an array still open at a
+``>>`` or a string not closed before the bound, stops at that bound, and
+so do the arrays and dictionaries around it.  The exception is elements
+that overlap: a trailer dictionary or xref table that runs on past the
+next keyword of its kind (behind a comment, say) is scanned again from
+that keyword.
 
 All functions here are pure; the same input bytes always produce a
 structurally identical result.
@@ -107,19 +107,17 @@ _FLAT_ENTRY_RE = re.compile(
 _ANGLES_RE = re.compile(rb"<<|>>")
 _REF_RE = re.compile(rb"(\d+)" + _REF_TAIL)
 # An object's head: "N G obj" (numbers in groups 1 and 2), the whitespace
-# after it, and a "<<" (group 3) with the whitespace after that, if one
-# follows.  A digit run must be followed by whitespace and a whitespace run
-# by a digit or "o", so giving bytes back never makes a match: possessive.
-# The tail after "obj" always matches, so the pattern matches where a bare
-# "N G obj" does.
+# after it, and a "<<" (group 3) and the whitespace after that, if one
+# follows; so it matches wherever "N G obj" does.  A digit run must be
+# followed by whitespace and a whitespace run by a digit or "o", so giving
+# bytes back never makes a match: possessive.
 _HEAD_RE = re.compile(
     rb"(\d{1,10}+)" + _WS + rb"++(\d{1,5}+)" + _WS + rb"++obj(?![0-9A-Za-z])"
     + _SKIP + b"(?:(<<)" + _SKIP + b")?"
 )
 # The "stream" keyword after a dictionary and the line end after it.
 _STREAM_RE = re.compile(_SKIP + rb"stream(?:\r\n|[\r\n])?")
-# What may lie between an object's last token and the next object's head
-# for neither search to be needed: whitespace and at most one "endobj".
+# Whitespace and an "endobj": what may lie between two objects unsearched.
 _TAIL_RE = re.compile(_WS + b"*+(endobj)?" + _WS + b"*+")
 _WS_OBJ_RE = re.compile(_WS + b"obj")
 _HEADER_RE = re.compile(rb"%PDF-\d+\.\d+")

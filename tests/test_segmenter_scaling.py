@@ -5,9 +5,11 @@ an earlier segmenter do work proportional to k for each repetition.  In
 the next two, the dictionary entry pattern scans each entry and then
 gives it back to the token walk, which lexes it again.  The ninth is one
 classic xref table of k entries, which the table walk matches one by one.
-In the last two, each literal string that never closes was scanned to
+In the next two, each literal string that never closes was scanned to
 the end of the input; it now stops at the next object header, or for a
-trailer at the next trailer keyword or object.
+trailer at the next trailer keyword or object.  In the last two, a comment
+before each object header keeps the object loop off its anchored path, so
+every object's end and the next header are searched for.
 The test times ``segment()`` at n and 2n repetitions with
 ``conftest.assert_linear_time`` and requires the larger input to cost at
 most 2.5 times the smaller one; quadratic work costs 4 times.  Sizes keep
@@ -64,6 +66,8 @@ FAMILIES = {
     "long-xref-table": (5000, lambda k: b"xref\n0 %d\n" % k + b"0000000000 65535 f \n" * k),
     "unclosed-string-per-object": (1000, lambda k: b"1 0 obj << /A (x >> endobj\n" * k),
     "unclosed-string-per-trailer": (1000, lambda k: b"trailer << /A (" * k),
+    "comment-after-endobj": (4000, lambda k: _objects(k, b"<</Type/Annot>>\nendobj %c\n")),
+    "comment-without-endobj": (4000, lambda k: _objects(k, b"<</Type/Annot>>\n%c\n")),
 }
 
 
