@@ -24,30 +24,28 @@ The two read one grammar and give the same keys and values for any entry
 the pattern lexes.
 
 Segmentation takes time linear in the input size.  One forward pass lexes
-the objects.  An object with only whitespace around it costs one anchored
-match at each end: the head pattern reads ``N G obj`` and a ``<<``, whose
-entries go straight to the entry pattern, and the tail pattern reads
-whitespace and an ``endobj``, after which the next head is matched in
-place.  With only whitespace skipped, these are the header and ``endobj``
-that a search finds.  Other bytes between objects (a comment, junk, a
-digit run that is not a header) fall back to the searches.  The header
-search is possessive, so it never backs out of an xref table's digit
-runs, is not run where no whitespace-led ``obj`` follows, and takes only a
-header that starts a token, as the object pass does.  Each object's
-``endobj`` search and malformed-dictionary recovery stop at the next object
-header, and a dictionary that no ``>>`` closes before it ends at the
-object's own ``endobj``.  The ``xref`` and ``trailer`` keywords are
-searched for only in the gaps between objects.  Line ends are each found
-once, and a malformed trailer's recovery stops at the next trailer or
-object.  A literal string must close before the same bound: the next
-object header for an object, the next trailer or object for a trailer, so
-an unclosed one is scanned only that far.  A recovery inside a dictionary,
-past a nested malformed one, the nesting floor, an array still open at a
-``>>`` or a string not closed before the bound, stops at that bound, and
-so do the arrays and dictionaries around it.  The exception is elements
-that overlap: a trailer dictionary or xref table that runs on past the
-next keyword of its kind (behind a comment, say) is scanned again from
-that keyword.
+the objects, and the xref tables and trailers in the gaps between them.
+An object with only whitespace around it costs one anchored match at each
+end: the head pattern reads ``N G obj`` and a ``<<``, whose entries go
+straight to the entry pattern, and the tail pattern reads whitespace and
+an ``endobj``, after which the next head is matched in place.  With only
+whitespace skipped, these are the header and ``endobj`` that a search
+finds.  Other bytes between objects (a comment, junk, a digit run that is
+not a header) fall back to the searches.  The header search is possessive,
+so it never backs out of an xref table's digit runs, is not run where no
+whitespace-led ``obj`` follows, and takes only a header that starts a
+token, as the object pass does.  Each object's ``endobj`` search and
+malformed-dictionary recovery stop at the next object header, and a
+dictionary that no ``>>`` closes before it ends at the object's own
+``endobj``.  The ``xref`` and ``trailer`` keywords are searched for only
+in the gaps that the header search stepped over.  Each table and trailer
+ends, at the latest, at the next such keyword or at the gap's end, which
+is the next object.  A literal string must close before the same bound:
+the next object header for an object, the next keyword or object for a
+trailer, so an unclosed one is scanned only that far.  A recovery inside a
+dictionary, past a nested malformed one, the nesting floor, an array still
+open at a ``>>`` or a string not closed before the bound, stops at that
+bound, and so do the arrays and dictionaries around it.
 
 All functions here are pure; the same input bytes always produce a
 structurally identical result.
@@ -127,12 +125,9 @@ _SUBSECTION_RE = re.compile(rb"(\d+)[ \t]+(\d+)[ \t]*(?:\r\n|\r|\n)")
 # end-of-line of 0-2 bytes (producers vary; 20 bytes is the common case).
 _ENTRY_RE = re.compile(rb"\d{10} \d{5} [nf](?: \r\n| \r| \n|\r\n|\r|\n)?")
 _EOL_RE = re.compile(rb"[\r\n]")
-
-_LETTERS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
-# A keyword counts when no ASCII letter precedes it and none of these
-# bytes follows it.
-_XREF_KW = (b"xref", _LETTERS)
-_TRAILER_KW = (b"trailer", _LETTERS + b"0123456789")
+# An "xref" or "trailer" keyword: no ASCII letter precedes it, and no
+# letter (or, after "trailer", digit) follows it.
+_KEYWORD_RE = re.compile(rb"(?<![A-Za-z])(?:xref(?![A-Za-z])|trailer(?![0-9A-Za-z]))")
 
 
 # Not frozen: a frozen dataclass takes over twice as long to build, and a
@@ -201,8 +196,8 @@ class PdfSections:
 # -- Low-level token scanning -------------------------------------------------
 
 
-def _skip_ws(data: bytes, i: int) -> int:
-    return _SKIP_RE.match(data, i).end()
+def _skip_ws(data: bytes, i: int, end: int) -> int:
+    return _SKIP_RE.match(data, i, end).end()
 
 
 def _scan_literal_string(data: bytes, i: int, limit: int) -> int | None:
@@ -231,23 +226,20 @@ _MAX_NESTING = 64
 class _Stop:
     """Where the lexing of one top-level dictionary gives up.
 
-    ``at`` stays at the end of the input while the dictionary lexes
-    cleanly.  The first recovery, past a malformed dictionary or the
-    nesting floor, moves it to the caller's ``bound``: a fixed index, or
-    when None the next object header after the failure.  Every enclosing
-    array and dictionary then ends there too.  A literal string must close
-    before the same limit, so an unclosed one is scanned no further.
+    No match of the lexer reads past ``at``.  With a fixed ``bound``,
+    ``at`` is that bound.  Without one, it stays at the end of the input
+    while the dictionary lexes cleanly, and the first recovery, past a
+    malformed dictionary or the nesting floor, moves it to the next object
+    header after the failure.  Every enclosing array and dictionary then
+    ends there too.  A literal string must close before the same limit, so
+    an unclosed one is scanned no further.
     """
 
-    __slots__ = ("at", "bound", "flat_end", "_searched", "_header")
+    __slots__ = ("at", "bound", "_searched", "_header")
 
     def __init__(self, data: bytes, bound: int | None = None) -> None:
-        self.at = len(data)
+        self.at = len(data) if bound is None else bound
         self.bound = bound
-        # Where the entry pattern must stop: a string in a flat entry then
-        # closes before a fixed bound.  A string that holds an object
-        # header is never flat.
-        self.flat_end = len(data) if bound is None else bound
         # The first object header at or after index _searched: also the
         # first at or after any later index up to its start.
         self._searched = len(data) + 1
@@ -279,7 +271,6 @@ class _Stop:
         bound, or None when none does."""
         self.bound = self.limit(data, i)
         self.at = min(self.at, self.bound)
-        self.flat_end = min(self.flat_end, self.at)
         return _recover_dict_end(data, i, self.at)
 
 
@@ -292,11 +283,11 @@ def _skip_value(data: bytes, i: int, stop: _Stop, depth: int = 0) -> int:
     if data.startswith(b"<<", i):
         if depth == _MAX_NESTING:
             return stop.recover(data, i + 2)
-        end, _, failed = _scan_dict(data, _skip_ws(data, i + 2), stop, depth + 1)
+        end, _, failed = _scan_dict(data, _skip_ws(data, i + 2, len(data)), stop, depth + 1)
         return end if failed is None else stop.recover(data, end)
     b = data[i]
     if b == 0x5B:  # '['
-        i = _skip_ws(data, i + 1)
+        i = _skip_ws(data, i + 1, len(data))
         while i < stop.at:
             if data[i] == 0x5D:
                 return i + 1
@@ -304,7 +295,7 @@ def _skip_value(data: bytes, i: int, stop: _Stop, depth: int = 0) -> int:
                 # The array was never closed: end it, and the dictionaries
                 # around it, as malformed.
                 return stop.recover(data, i)
-            i = _skip_ws(data, _skip_value(data, i, stop, depth + 1))
+            i = _skip_ws(data, _skip_value(data, i, stop, depth + 1), len(data))
         return i
     if b == 0x28:  # '('
         end = _scan_literal_string(data, i, stop.limit(data, i))
@@ -333,11 +324,11 @@ def _scan_dict(
     # walk alone must see them.
     flat = _FLAT_ENTRY_RE.match if depth < _MAX_NESTING else None
     n = len(data)
-    at, flat_end = (n, n) if stop is None else (stop.at, stop.flat_end)
+    at = n if stop is None else stop.at
     while i < at:
-        m = flat(data, i, flat_end) if flat else None
-        # A match that ends at flat_end may have cut its last token short.
-        if m and (flat_end == n or m.end() < flat_end):
+        m = flat(data, i, at) if flat else None
+        # A match that ends at the bound may have cut its last token short.
+        if m and (at == n or m.end() < at):
             values[m.group(1).decode("latin-1")] = m.group(2)
             i = m.end()
             continue
@@ -350,8 +341,8 @@ def _scan_dict(
         vstart = m.end()
         i = _skip_value(data, vstart, stop, depth)
         values[m.group(1).decode("latin-1")] = data[vstart:i]
-        i = _skip_ws(data, i)
-        at, flat_end = stop.at, stop.flat_end
+        i = _skip_ws(data, i, n)
+        at = stop.at
     return i, values, stop or _Stop(data)
 
 
@@ -407,18 +398,18 @@ def _parse_header_with_diags(data: bytes) -> tuple[bytes | None, list[str]]:
         if m is None:
             raise NotAPdf(f"no %PDF magic in the first {MAGIC_SCAN_WINDOW} bytes")
         diags.append("HeaderVersionMissing")
-    i = _skip_eol(data, _line_end(data, m.end()))
+    i = _skip_eol(data, _line_end(data, m.end(), len(data)))
     comment: bytes | None = None
     if i < len(data) and data[i] == 0x25:  # '%'
-        comment = data[i + 1 : _line_end(data, i + 1)] or None
+        comment = data[i + 1 : _line_end(data, i + 1, len(data))] or None
         if comment and (len(comment) < 4 or sum(1 for b in comment if b >= 0x80) < 4):
             diags.append("ShortBinaryComment")
     return comment, diags
 
 
-def _line_end(data: bytes, i: int) -> int:
-    m = _EOL_RE.search(data, i)
-    return m.start() if m else len(data)
+def _line_end(data: bytes, i: int, end: int) -> int:
+    m = _EOL_RE.search(data, i, end)
+    return m.start() if m else end
 
 
 def _to_int(digits: bytes) -> int | None:
@@ -437,12 +428,44 @@ def _skip_eol(data: bytes, i: int) -> int:
     return i
 
 
-def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
+def _lex(data: bytes) -> tuple[list[IndirectObject], list[bytes], list[TrailerDict], list[str]]:
+    """One forward pass over the body: the objects, and the xref tables and
+    trailers in the gaps between them, each in file order.
+
+    The diagnostics of the objects come first, then those of the tables,
+    then those of the trailers.
+    """
     objects: list[IndirectObject] = []
+    tables: list[bytes] = []
+    trailers: list[TrailerDict] = []
     diags: list[str] = []
+    xref_diags: list[str] = []
+    trailer_diags: list[str] = []
     n = len(data)
+    end = 0
     m = _find_header(data)
-    while m:
+    searched = True
+    while True:
+        if searched:
+            # Each table or trailer in the gap before this header ends, at
+            # the latest, at the next keyword or at the gap's end.  A
+            # header matched in place has only whitespace before it.
+            gap_end = m.start() if m else n
+            kw = _KEYWORD_RE.search(data, end, gap_end)
+            while kw:
+                nxt = _KEYWORD_RE.search(data, kw.end(), gap_end)
+                bound = nxt.start() if nxt else gap_end
+                if kw.group() == b"xref":
+                    table = _lex_xref_table(data, kw.start(), bound, xref_diags)
+                    if table:
+                        tables.append(table)
+                else:
+                    trailer = _lex_trailer(data, kw.start(), bound, trailer_diags)
+                    if trailer:
+                        trailers.append(trailer)
+                kw = nxt
+        if m is None:
+            break
         start = m.start()
         obj_num, gen_num = int(m.group(1)), int(m.group(2))
         i = m.end()
@@ -483,7 +506,8 @@ def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
         t = _TAIL_RE.match(data, i)
         k = t.end()
         m = _HEAD_RE.match(data, k) if _clean_token_start(data, k) else None
-        if m is None:
+        searched = m is None
+        if searched:
             m = stop.header(data, k) if stop else _find_header(data, k)
         if t.start(1) >= 0:
             end = t.end(1)
@@ -495,127 +519,70 @@ def _lex_objects(data: bytes) -> tuple[list[IndirectObject], list[str]]:
                 end = cut
             else:
                 end += len(b"endobj")
+        kind = values.get("/Type", b"").strip()
         objects.append(
             IndirectObject(
-                obj_num, gen_num, data[start:end], False, Span(start, end - start),
-                dict_span, payload, values,
+                obj_num, gen_num, data[start:end], kind == b"/Metadata",
+                Span(start, end - start), dict_span, payload, values,
             )
         )
-    return objects, diags
+        if dict_span and kind == b"/XRef":
+            # An xref stream's dictionary is its revision's trailer.
+            trailers.append(TrailerDict(data[dstart:dict_span.end], dict_span, dict(values)))
+    return objects, tables, trailers, diags + xref_diags + trailer_diags
 
 
-def _gaps(objects: list[IndirectObject], n: int) -> list[tuple[int, int]]:
-    """The ``[start, stop)`` ranges of ``data[:n]`` outside every object."""
-    gaps = []
-    prev = 0
-    for obj in objects:
-        gaps.append((prev, obj.span.offset))
-        prev = obj.span.end
-    gaps.append((prev, n))
-    return gaps
+def _lex_xref_table(data: bytes, start: int, bound: int, diags: list[str]) -> bytes | None:
+    """The classic xref table at the ``xref`` keyword at ``start``, which
+    ends by ``bound``; None when it holds no entry."""
+    i = _skip_eol(data, _line_end(data, start + len(b"xref"), bound))
+    total = 0
+    while True:
+        hm = _SUBSECTION_RE.match(data, i, bound)
+        first_obj = _to_int(hm.group(1)) if hm else None
+        count = _to_int(hm.group(2)) if hm else None
+        if first_obj is None or count is None:
+            break
+        i = hm.end()
+        for _ in range(count):
+            em = _ENTRY_RE.match(data, i, bound)
+            if not em:
+                # A digit-led line is a width-violating entry: skip it.
+                # Anything else means the table ended early.
+                if not data[i : min(i + 1, bound)].isdigit():
+                    diags.append(f"XrefTruncatedSubsection at offset {i}")
+                    break
+                diags.append(f"MalformedXrefEntry at offset {i}")
+                nl = _skip_eol(data, _line_end(data, i, bound))
+                if nl == i:
+                    break
+                i = nl
+                continue
+            total += 1
+            i = em.end()
+    # A keyword without a subsection header is not a table, and "xref 0 0"
+    # placeholders (hybrid-reference files) carry no offsets and do not
+    # count as a table of their own.
+    return data[start:i] if total else None
 
 
-def _keyword_hits(
-    data: bytes, gaps: list[tuple[int, int]], keyword: tuple[bytes, bytes]
-) -> list[tuple[int, int]]:
-    """``(offset, gap stop)`` of every keyword that starts inside a gap.
-
-    ``keyword`` is a (word, bytes that may not follow it) pair.  An object
-    starts with a digit, so a word starting in a gap also ends in it.
-    """
-    word, followers = keyword
-    size = len(word)
-    n = len(data)
-    hits = []
-    for start, stop in gaps:
-        p = data.find(word, start, stop)
-        while p >= 0:
-            if ((p == 0 or data[p - 1] not in _LETTERS)
-                    and (p + size == n or data[p + size] not in followers)):
-                hits.append((p, stop))
-            p = data.find(word, p + size, stop)
-    return hits
-
-
-def _lex_xref_tables(
-    data: bytes, hits: list[tuple[int, int]]
-) -> tuple[list[bytes], list[str]]:
-    tables: list[bytes] = []
-    diags: list[str] = []
-    # The last line end found and the position searched from: no CR or LF
-    # lies between them, so a later query in that range needs no search.
-    last = (0, -1)
-
-    def line_end(i: int) -> int:
-        nonlocal last
-        if not last[0] <= i <= last[1]:
-            last = (i, _line_end(data, i))
-        return last[1]
-
-    for start, _ in hits:
-        i = _skip_eol(data, line_end(start + len(b"xref")))
-        total = 0
-        while True:
-            hm = _SUBSECTION_RE.match(data, i)
-            first_obj = _to_int(hm.group(1)) if hm else None
-            count = _to_int(hm.group(2)) if hm else None
-            if first_obj is None or count is None:
-                break
-            i = hm.end()
-            for _ in range(count):
-                em = _ENTRY_RE.match(data, i)
-                if not em:
-                    # A digit-led line is a width-violating entry: skip it.
-                    # Anything else means the table ended early.
-                    if not data[i : i + 1].isdigit():
-                        diags.append(f"XrefTruncatedSubsection at offset {i}")
-                        break
-                    diags.append(f"MalformedXrefEntry at offset {i}")
-                    nl = _skip_eol(data, line_end(i))
-                    if nl == i:
-                        break
-                    i = nl
-                    continue
-                total += 1
-                i = em.end()
-        if total == 0:
-            # A keyword without a subsection header is not a table, and
-            # "xref 0 0" placeholders (hybrid-reference files) carry no
-            # offsets and do not count as a table of their own.
-            continue
-        tables.append(data[start:i])
-    return tables, diags
-
-
-def _lex_trailers(
-    data: bytes, objects: list[IndirectObject], hits: list[tuple[int, int]]
-) -> tuple[list[TrailerDict], list[str]]:
-    trailers: list[TrailerDict] = []
-    diags: list[str] = []
-    for k, (start, gap_stop) in enumerate(hits):
-        i = _skip_ws(data, start + len(b"trailer"))
-        if not data.startswith(b"<<", i):
-            continue
-        # A malformed dictionary ends, at the latest, where the next
-        # trailer keyword or the next object begins.
-        stop = _Stop(data, min(hits[k + 1][0], gap_stop) if k + 1 < len(hits) else gap_stop)
-        end, values, failed = _scan_dict(data, _skip_ws(data, i + 2), stop)
-        if failed:
-            end = stop.recover(data, end)
-            diags.append(f"MalformedTrailer at offset {start}")
-            values = {}
-        trailers.append(TrailerDict(data[start:end], Span(start, end - start), values))
-    # An xref stream's dictionary is its revision's trailer.
-    for obj in objects:
-        sp = obj.dict_span
-        if sp and obj.values.get("/Type", b"").strip() == b"/XRef":
-            trailers.append(TrailerDict(data[sp.offset : sp.end], sp, dict(obj.values)))
-    trailers.sort(key=lambda t: t.span.offset)
-    return trailers, diags
+def _lex_trailer(data: bytes, start: int, bound: int, diags: list[str]) -> TrailerDict | None:
+    """The trailer dictionary after the ``trailer`` keyword at ``start``,
+    which ends by ``bound``; None when no ``<<`` follows the keyword."""
+    i = _skip_ws(data, start + len(b"trailer"), bound)
+    if not data.startswith(b"<<", i):
+        return None
+    stop = _Stop(data, bound)
+    end, values, failed = _scan_dict(data, _skip_ws(data, i + 2, bound), stop)
+    if failed:
+        end = stop.recover(data, end)
+        diags.append(f"MalformedTrailer at offset {start}")
+        values = {}
+    return TrailerDict(data[start:end], Span(start, end - start), values)
 
 
 def _flag_metadata(objects: list[IndirectObject], trailers: list[TrailerDict]) -> int | None:
-    """Mark the Info target and /Type /Metadata streams as metadata.
+    """Mark the Info target as metadata.
 
     Returns the Info object number, if a trailer names one.
     """
@@ -628,11 +595,10 @@ def _flag_metadata(objects: list[IndirectObject], trailers: list[TrailerDict]) -
             num = _to_int(rm.group(1)) if rm else None
             if num is not None:
                 info_num = num
-    for obj in objects:
-        if obj.values.get("/Type", b"").strip() == b"/Metadata":
-            obj.is_metadata = True
-        if info_num is not None and obj.obj_num == info_num:
-            obj.is_metadata = True
+    if info_num is not None:
+        for obj in objects:
+            if obj.obj_num == info_num:
+                obj.is_metadata = True
     return info_num
 
 
@@ -642,18 +608,12 @@ def segment(data: bytes) -> PdfSections:
     Raises :class:`NotAPdf` when no %PDF magic is found near the start.
     """
     binary_comment, diags = _parse_header_with_diags(data)
-    objects, object_diags = _lex_objects(data)
-    gaps = _gaps(objects, len(data))
-    tables, xref_diags = _lex_xref_tables(data, _keyword_hits(data, gaps, _XREF_KW))
-    trailers, trailer_diags = _lex_trailers(
-        data, objects, _keyword_hits(data, gaps, _TRAILER_KW)
-    )
-    info_num = _flag_metadata(objects, trailers)
+    objects, tables, trailers, body_diags = _lex(data)
     return PdfSections(
         binary_comment=binary_comment,
         objects=objects,
         xref_tables=tables,
         trailers=trailers,
-        diagnostics=diags + object_diags + xref_diags + trailer_diags,
-        info_obj_num=info_num,
+        diagnostics=diags + body_diags,
+        info_obj_num=_flag_metadata(objects, trailers),
     )

@@ -29,11 +29,8 @@ from pdfprov.rules import SectionKind, presence_token, section_elements
 from pdfprov.segmenter import (
     _KEY_RE,
     _MAX_NESTING,
+    _KEYWORD_RE,
     _NAME,
-    _TRAILER_KW,
-    _XREF_KW,
-    _gaps,
-    _keyword_hits,
     _scan_literal_string,
     _skip_ws,
     PdfSections,
@@ -41,7 +38,7 @@ from pdfprov.segmenter import (
     _HEAD_RE,
     _Stop,
     _find_header,
-    _lex_objects,
+    _lex,
     parse_header,
     segment,
 )
@@ -585,7 +582,8 @@ def test_key_order_preserved_for_any_permutation(keys, rng):
 
 # -- keyword search between objects --------------------------------------------
 
-# The whole-file keyword regexes the gap search replaced, kept as its oracle.
+# The whole-file keyword regexes that the gap search replaced, kept as the
+# oracle of the keyword pattern.
 _XREF_ORACLE_RE = re.compile(rb"(?<![A-Za-z])xref(?![A-Za-z])")
 _TRAILER_ORACLE_RE = re.compile(rb"(?<![A-Za-z])trailer(?![A-Za-z0-9])")
 
@@ -598,14 +596,16 @@ _FRAGMENTS = [b"xref", b"xrefs", b"trailer", b"Atrailer", b"trailer1", b"1 0 obj
 @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=40))
 def test_gap_keyword_search_matches_lookbehind_regexes(parts):
     data = b"".join(parts)
-    objects, _ = _lex_objects(data)
-    gaps = _gaps(objects, len(data))
-    for oracle, keyword in ((_XREF_ORACLE_RE, _XREF_KW), (_TRAILER_ORACLE_RE, _TRAILER_KW)):
+    objects = _lex(data)[0]
+    ends = [0] + [o.span.end for o in objects]
+    starts = [o.span.offset for o in objects] + [len(data)]
+    hits = [m for start, stop in zip(ends, starts) for m in _KEYWORD_RE.finditer(data, start, stop)]
+    for oracle, word in ((_XREF_ORACLE_RE, b"xref"), (_TRAILER_ORACLE_RE, b"trailer")):
         expected = [
             m.start() for m in oracle.finditer(data)
             if not any(o.span.offset <= m.start() < o.span.end for o in objects)
         ]
-        assert [p for p, _ in _keyword_hits(data, gaps, keyword)] == expected
+        assert [m.start() for m in hits if m.group() == word] == expected
 
 
 # -- object-header search -----------------------------------------------------
@@ -660,17 +660,17 @@ def _walk_skip_value(data, i, stop, depth=0):
     if data.startswith(b"<<", i):
         if depth == _MAX_NESTING:
             return stop.recover(data, i + 2)
-        end, _, failed = _walk_scan_dict(data, _skip_ws(data, i + 2), stop, depth + 1)
+        end, _, failed = _walk_scan_dict(data, _skip_ws(data, i + 2, len(data)), stop, depth + 1)
         return end if failed is None else stop.recover(data, end)
     b = data[i]
     if b == 0x5B:  # '['
-        i = _skip_ws(data, i + 1)
+        i = _skip_ws(data, i + 1, len(data))
         while i < stop.at:
             if data[i] == 0x5D:
                 return i + 1
             if data.startswith(b">>", i):
                 return stop.recover(data, i)
-            i = _skip_ws(data, _walk_skip_value(data, i, stop, depth + 1))
+            i = _skip_ws(data, _walk_skip_value(data, i, stop, depth + 1), len(data))
         return i
     if b == 0x28:  # '('
         end = _scan_literal_string(data, i, stop.limit(data, i))
@@ -690,7 +690,7 @@ def _walk_scan_dict(data, i, stop, depth=0):
         vstart = m.end()
         i = _walk_skip_value(data, vstart, stop, depth)
         values[m.group(1).decode("latin-1")] = data[vstart:i]
-        i = _skip_ws(data, i)
+        i = _skip_ws(data, i, len(data))
     return i, values, stop
 
 
@@ -748,12 +748,12 @@ def _searched_lex_objects(data):
     while m:
         start = m.start()
         obj_num, gen_num = int(m.group(1)), int(m.group(2))
-        i = _skip_ws(data, data.index(b"obj", m.end(2)) + 3)
+        i = _skip_ws(data, data.index(b"obj", m.end(2)) + 3, n)
         values, dict_span, payload = {}, None, None
         stop = _Stop(data)
         if data.startswith(b"<<", i):
             dstart = i
-            i, values, failed = segmenter._scan_dict(data, _skip_ws(data, i + 2), stop)
+            i, values, failed = segmenter._scan_dict(data, _skip_ws(data, i + 2, n), stop)
             if failed:
                 end = stop.balance(data, i)
                 if end is None:
@@ -762,7 +762,7 @@ def _searched_lex_objects(data):
                 i = end
                 diags.append(f"MalformedDictionary obj {obj_num} {gen_num}")
             dict_span = Span(dstart, i - dstart)
-        j = _skip_ws(data, i)
+        j = _skip_ws(data, i, n)
         if data.startswith(b"stream", j):
             p = segmenter._skip_eol(data, j + 6)
             i = data.find(b"endstream", j + 6)
@@ -780,10 +780,16 @@ def _searched_lex_objects(data):
         else:
             end += 6
         objects.append(segmenter.IndirectObject(
-            obj_num, gen_num, data[start:end], False, Span(start, end - start),
-            dict_span, payload, values,
+            obj_num, gen_num, data[start:end], values.get("/Type", b"").strip() == b"/Metadata",
+            Span(start, end - start), dict_span, payload, values,
         ))
     return objects, diags
+
+
+def _lexed_objects(data):
+    """The objects of the one-pass lexer and their diagnostics."""
+    objects, _, _, diags = _lex(data)
+    return objects, [d for d in diags if " obj " in d]
 
 
 _OBJECT_PARTS = [
@@ -824,7 +830,7 @@ _TAIL_CASES = {
 @pytest.mark.parametrize("body", list(_TAIL_CASES.values()), ids=list(_TAIL_CASES))
 def test_anchored_object_loop_named_cases(body):
     data = b"%PDF-1.4\n" + body
-    assert _lex_objects(data) == _searched_lex_objects(data)
+    assert _lexed_objects(data) == _searched_lex_objects(data)
 
 
 def test_anchored_object_loop_matches_the_searches():
@@ -832,4 +838,4 @@ def test_anchored_object_loop_matches_the_searches():
     alphabet = _OBJECT_PARTS + _BETWEEN_OBJECTS
     for _ in range(3000):
         data = b"%PDF-1.4\n" + b"".join(rng.choices(alphabet, k=rng.randrange(1, 25)))
-        assert _lex_objects(data) == _searched_lex_objects(data), data
+        assert _lexed_objects(data) == _searched_lex_objects(data), data

@@ -107,8 +107,8 @@ FAMILIES = {
 # sha256 of each family's segment() output.
 DIGESTS = {
     "fixtures": "ae6414bb648e5ad8a5c6f7b9045ab19825336c588d07cc027fadd83a8aad3a19",
-    "token-soups": "87d2df2662809a4ad3b5a3e58ee6a81ec52021a858ce3f7f9094dd0bcb04cb82",
-    "mutants": "b760eb4bf12f168352346c429cf24e9c79ca32779e9586be208fae42fad126dc",
+    "token-soups": "b05f4fcb0d5297a0897ff84ae77cdeb3cd759de30cc7b19eb9a7e7d2b5043137",
+    "mutants": "c29023b1bec7b8cd484d913e08b1dafea0716ac4728750df9368004a224793a7",
     "nesting-floor": "c8f35fb4eecc44bd2b2e8cbe15a7023ecbfc223687d716e5fb33e3c7d9db1c95",
 }
 
