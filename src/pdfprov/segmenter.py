@@ -40,12 +40,13 @@ dictionary that no ``>>`` closes before it ends at the object's own
 ``endobj``.  The ``xref`` and ``trailer`` keywords are searched for only
 in the gaps that the header search stepped over.  Each table and trailer
 ends, at the latest, at the next such keyword or at the gap's end, which
-is the next object.  A literal string must close before the same bound:
-the next object header for an object, the next keyword or object for a
-trailer, so an unclosed one is scanned only that far.  A recovery inside a
-dictionary, past a nested malformed one, the nesting floor, an array still
-open at a ``>>`` or a string not closed before the bound, stops at that
-bound, and so do the arrays and dictionaries around it.
+is the next object, so no two elements share a byte.  A literal or hex
+string must close before the same bound: the next object header for an
+object, the next keyword or object for a trailer, so an unclosed one is
+scanned only that far.  A recovery inside a dictionary, past a nested
+malformed one, the nesting floor, an array still open at a ``>>`` or a
+string not closed before the bound, stops at that bound, and so do the
+arrays and dictionaries around it.
 
 All functions here are pure; the same input bytes always produce a
 structurally identical result.
@@ -75,16 +76,17 @@ _NAME = b"/[^" + _WHITESPACE + re.escape(_DELIMITERS) + b"]*+"
 # The rest of an indirect reference "N G R" after its first number.
 _REF_TAIL = _WS + rb"++(\d++)" + _WS + rb"++R(?![0-9A-Za-z])"
 
-# A value that is not a dictionary, array or literal string: a name, a hex
-# string up to the next ">" (not "<<"), a number or "N G R" reference, true,
-# false or null.  The group is atomic: it takes what the first alternative
-# that matches takes, whatever follows it.
-_SCALAR = (
-    b"(?>" + _NAME + rb"|<(?!<)[^>]*>?|[-+.0-9]+(?:" + _REF_TAIL + rb")?|true|false|null)"
-)
-# A literal string with no unescaped parenthesis inside it and no "obj":
-# one that holds an object header goes to the walk, which ends it there.
+# A name, a number or "N G R" reference, true, false or null.
+_ATOM = _NAME + rb"|[-+.0-9]+(?:" + _REF_TAIL + rb")?|true|false|null"
+# A value that is not a dictionary, array or literal string: an atom or a
+# hex string up to the next ">" (not "<<").  The group is atomic: it takes
+# what the first alternative that matches takes, whatever follows it.
+_SCALAR = b"(?>" + _ATOM + rb"|<(?!<)[^>]*>?)"
+# A literal string with no unescaped parenthesis inside it and no "obj",
+# and a hex string with no "obj": one that holds an object header goes to
+# the walk, which ends it there.
 _FLAT_STRING = rb"\((?>[^()\\o]+|\\.|o(?!bj))*+\)"
+_FLAT_HEX = rb"<(?!<)(?>[^>o]+|o(?!bj))*+(?!obj)>?"
 
 _SKIP_RE = re.compile(_SKIP)
 # A dictionary key and the whitespace after it, which ends where its value
@@ -96,7 +98,7 @@ _SCALAR_RE = re.compile(_SCALAR + rb"|.?", re.S)
 # array and no string with inner parentheses: the key (group 1), the
 # whitespace after it, the value (group 2) and the whitespace after that.
 # Every part is atomic, so each takes the same bytes as the token walk.
-_FLAT_ITEM = b"(?>" + _SCALAR + b"|" + _FLAT_STRING + b")"
+_FLAT_ITEM = b"(?>" + _ATOM + b"|" + _FLAT_HEX + b"|" + _FLAT_STRING + b")"
 _FLAT_ENTRY_RE = re.compile(
     b"(" + _NAME + b")" + _SKIP
     + b"(" + _FLAT_ITEM + rb"|\[" + _SKIP + b"(?:" + _FLAT_ITEM + _SKIP + rb")*+\])" + _SKIP,
@@ -283,11 +285,11 @@ def _skip_value(data: bytes, i: int, stop: _Stop, depth: int = 0) -> int:
     if data.startswith(b"<<", i):
         if depth == _MAX_NESTING:
             return stop.recover(data, i + 2)
-        end, _, failed = _scan_dict(data, _skip_ws(data, i + 2, len(data)), stop, depth + 1)
+        end, _, failed = _scan_dict(data, _skip_ws(data, i + 2, stop.at), stop, depth + 1)
         return end if failed is None else stop.recover(data, end)
     b = data[i]
     if b == 0x5B:  # '['
-        i = _skip_ws(data, i + 1, len(data))
+        i = _skip_ws(data, i + 1, stop.at)
         while i < stop.at:
             if data[i] == 0x5D:
                 return i + 1
@@ -295,14 +297,15 @@ def _skip_value(data: bytes, i: int, stop: _Stop, depth: int = 0) -> int:
                 # The array was never closed: end it, and the dictionaries
                 # around it, as malformed.
                 return stop.recover(data, i)
-            i = _skip_ws(data, _skip_value(data, i, stop, depth + 1), len(data))
+            i = _skip_ws(data, _skip_value(data, i, stop, depth + 1), stop.at)
         return i
     if b == 0x28:  # '('
         end = _scan_literal_string(data, i, stop.limit(data, i))
         # A string not closed before the bound ends, with the dictionaries
         # around it, as malformed.
         return stop.recover(data, i + 1) if end is None else end
-    return _SCALAR_RE.match(data, i).end()
+    # A hex string, like a literal one, ends by the bound.
+    return _SCALAR_RE.match(data, i, stop.limit(data, i) if b == 0x3C else stop.at).end()
 
 
 def _scan_dict(
@@ -335,14 +338,14 @@ def _scan_dict(
         if data.startswith(b">>", i):
             return i + 2, values, None
         stop = stop or _Stop(data)
-        m = _KEY_RE.match(data, i)
+        m = _KEY_RE.match(data, i, at)
         if m is None:
             return i, values, stop
         vstart = m.end()
         i = _skip_value(data, vstart, stop, depth)
         values[m.group(1).decode("latin-1")] = data[vstart:i]
-        i = _skip_ws(data, i, n)
         at = stop.at
+        i = _skip_ws(data, i, at)
     return i, values, stop or _Stop(data)
 
 

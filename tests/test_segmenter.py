@@ -660,22 +660,22 @@ def _walk_skip_value(data, i, stop, depth=0):
     if data.startswith(b"<<", i):
         if depth == _MAX_NESTING:
             return stop.recover(data, i + 2)
-        end, _, failed = _walk_scan_dict(data, _skip_ws(data, i + 2, len(data)), stop, depth + 1)
+        end, _, failed = _walk_scan_dict(data, _skip_ws(data, i + 2, stop.at), stop, depth + 1)
         return end if failed is None else stop.recover(data, end)
     b = data[i]
     if b == 0x5B:  # '['
-        i = _skip_ws(data, i + 1, len(data))
+        i = _skip_ws(data, i + 1, stop.at)
         while i < stop.at:
             if data[i] == 0x5D:
                 return i + 1
             if data.startswith(b">>", i):
                 return stop.recover(data, i)
-            i = _skip_ws(data, _walk_skip_value(data, i, stop, depth + 1), len(data))
+            i = _skip_ws(data, _walk_skip_value(data, i, stop, depth + 1), stop.at)
         return i
     if b == 0x28:  # '('
         end = _scan_literal_string(data, i, stop.limit(data, i))
         return stop.recover(data, i + 1) if end is None else end
-    return _WALK_SCALAR_RE.match(data, i).end()
+    return _WALK_SCALAR_RE.match(data, i, stop.limit(data, i) if b == 0x3C else stop.at).end()
 
 
 def _walk_scan_dict(data, i, stop, depth=0):
@@ -684,13 +684,13 @@ def _walk_scan_dict(data, i, stop, depth=0):
     while i < stop.at:
         if data.startswith(b">>", i):
             return i + 2, values, None
-        m = _KEY_RE.match(data, i)
+        m = _KEY_RE.match(data, i, stop.at)
         if m is None:
             return i, values, stop
         vstart = m.end()
         i = _walk_skip_value(data, vstart, stop, depth)
         values[m.group(1).decode("latin-1")] = data[vstart:i]
-        i = _skip_ws(data, i, len(data))
+        i = _skip_ws(data, i, stop.at)
     return i, values, stop
 
 
@@ -724,6 +724,10 @@ _ORACLE_TOKENS = [
 # After a recovery sets the bound, a flat entry that runs past it (a hex
 # string holding the next header) goes to the walk.
 @example([b"/A ", b"<</B 1 x>>", b" /C <4F", b" 2 0 obj", b">", b" /D 1"], False)
+# An unclosed hex string ends at the next object header, in an object as in
+# a trailer.
+@example([b"/A <4F", b" 2 0 obj", b" /D 1"], False)
+@example([b"/A <4F", b" 2 0 obj", b" /D 1"], True)
 def test_entry_pattern_lexes_as_the_token_walk(parts, in_trailer):
     body = b"".join(parts)
     tail = b"\n2 0 obj\n<</Type/Catalog>>\nendobj\n"

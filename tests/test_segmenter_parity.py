@@ -107,8 +107,8 @@ FAMILIES = {
 # sha256 of each family's segment() output.
 DIGESTS = {
     "fixtures": "ae6414bb648e5ad8a5c6f7b9045ab19825336c588d07cc027fadd83a8aad3a19",
-    "token-soups": "b05f4fcb0d5297a0897ff84ae77cdeb3cd759de30cc7b19eb9a7e7d2b5043137",
-    "mutants": "c29023b1bec7b8cd484d913e08b1dafea0716ac4728750df9368004a224793a7",
+    "token-soups": "2fde759ba3fa42189e5379fa44c15d539df020ae784d7888fb37fa16347ac64b",
+    "mutants": "cc98286e8bec5dc5b15ad01561768e6c8f50fb9f0551e6dcdec260419460f419",
     "nesting-floor": "c8f35fb4eecc44bd2b2e8cbe15a7023ecbfc223687d716e5fb33e3c7d9db1c95",
 }
 
