@@ -155,8 +155,8 @@ class IndirectObject:
     dictionary's byte range, when one was found.  ``payload`` is a stream
     object's data: from the byte after the end of line that follows the
     ``stream`` keyword up to, not including, the end of line in front of
-    ``endstream`` (or to the end of the input when there is none).  It is
-    None for an object without a stream.
+    ``endstream``; when none follows, up to the next object header or the
+    end of the input.  It is None for an object without a stream.
     """
 
     obj_num: int
@@ -448,6 +448,8 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[bytes], list[TrailerDi
     end = 0
     m = _find_header(data)
     searched = True
+    # False once a search found no endstream after some index.
+    endstreams = True
     while True:
         if searched:
             # Each table or trailer in the gap before this header ends, at
@@ -492,13 +494,16 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[bytes], list[TrailerDi
         s = _STREAM_RE.match(data, i)
         if s:
             # The payload runs from the line end after "stream" to the line
-            # end in front of endstream, or without one to the end of the
-            # input.  In "stream\nendstream" one line end ends the keyword
-            # and starts the other.
+            # end in front of endstream, or without one to the next object
+            # header, where the object is cut off.  In "stream\nendstream"
+            # one line end ends the keyword and starts the other.
             p = s.end()
-            i = data.find(b"endstream", p)
+            i = data.find(b"endstream", p) if endstreams else -1
             if i < 0:
-                payload, i = Span(p, n - p), n
+                endstreams = False
+                h = _find_header(data, p)
+                i = h.start() if h else n
+                payload = Span(p, i - p)
             else:
                 e = i - 2 if data.startswith(b"\r\n", i - 2) else i - (data[i - 1] in b"\r\n")
                 payload, i = Span(p, max(e - p, 0)), i + len(b"endstream")

@@ -169,6 +169,20 @@ def test_payload_without_endstream_runs_to_the_end_of_the_input(eol_after):
     assert o.payload == Span(len(head), 0)
 
 
+def test_payload_without_endstream_ends_at_the_next_object_header():
+    data = (b"%PDF-1.4\n1 0 obj <</Length 2>> stream\nxx\nendobj\n"
+            b"2 0 obj <</Type/Catalog>> endobj\n3 0 obj <</Producer (x)>> endobj\n"
+            b"trailer <</Root 2 0 R/Info 3 0 R>>\n")
+    sections = segment(data)
+    assert [o.obj_num for o in sections.objects] == [1, 2, 3]
+    first = sections.objects[0]
+    assert data[first.payload.offset : first.payload.end] == b"xx\nendobj\n"
+    assert first.span.end == data.index(b"2 0 obj")
+    assert [t.values for t in sections.trailers] == [{"/Root": b"2 0 R", "/Info": b"3 0 R"}]
+    assert sections.info_obj_num == 3
+    assert sections.diagnostics == ["TruncatedObject obj 1 0"]
+
+
 def test_objects_without_a_stream_have_no_payload():
     objs = _fragment(b"1 0 obj\n<</Type/Catalog>>\nendobj\n2 0 obj\n42\nendobj\n").objects
     assert [o.payload for o in objs] == [None, None]
@@ -771,7 +785,9 @@ def _searched_lex_objects(data):
             p = segmenter._skip_eol(data, j + 6)
             i = data.find(b"endstream", j + 6)
             if i < 0:
-                payload, i = Span(p, n - p), n
+                h = _find_header(data, p)
+                i = h.start() if h else n
+                payload = Span(p, i - p)
             else:
                 e = i - 2 if data.startswith(b"\r\n", i - 2) else i - (data[i - 1] in b"\r\n")
                 payload, i = Span(p, max(e - p, 0)), i + 9

@@ -107,7 +107,7 @@ FAMILIES = {
 # sha256 of each family's segment() output.
 DIGESTS = {
     "fixtures": "ae6414bb648e5ad8a5c6f7b9045ab19825336c588d07cc027fadd83a8aad3a19",
-    "token-soups": "2fde759ba3fa42189e5379fa44c15d539df020ae784d7888fb37fa16347ac64b",
+    "token-soups": "7cb607dc8aa81641c6778f526ee6851ca87949eb737324ef40453ffa4086e9d3",
     "mutants": "cc98286e8bec5dc5b15ad01561768e6c8f50fb9f0551e6dcdec260419460f419",
     "nesting-floor": "c8f35fb4eecc44bd2b2e8cbe15a7023ecbfc223687d716e5fb33e3c7d9db1c95",
 }
