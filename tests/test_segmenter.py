@@ -451,6 +451,17 @@ def test_a_string_does_not_run_past_the_next_object_header(string):
     assert sections.diagnostics == ["MalformedDictionary obj 1 0"]
 
 
+def test_an_unclosed_hex_string_does_not_run_past_the_next_object_header():
+    data = b"%PDF-1.4\n1 0 obj << /A <\n2 0 obj << /A <4F\n3 0 obj <</B 1>> endobj\n"
+    sections = segment(data)
+    assert [o.obj_num for o in sections.objects] == [1, 2, 3]
+    assert [o.values for o in sections.objects] == [{"/A": b"<\n"}, {"/A": b"<4F\n"}, {"/B": b"1"}]
+    assert sections.diagnostics == [
+        "MalformedDictionary obj 1 0", "TruncatedObject obj 1 0",
+        "MalformedDictionary obj 2 0", "TruncatedObject obj 2 0",
+    ]
+
+
 @pytest.mark.parametrize(
     "body",
     [b"<</A (x trailer1 0 obj y)>>\n", b"<</A (x (trailer1 0 obj) y)>>\n", b"<</A 1>> x1 0 obj "],

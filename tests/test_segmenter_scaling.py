@@ -7,9 +7,13 @@ gives it back to the token walk, which lexes it again.  The ninth is one
 classic xref table of k entries, which the table walk matches one by one.
 In the next two, each literal string that never closes was scanned to
 the end of the input; it now stops at the next object header, or for a
-trailer at the next trailer keyword or object.  In the last two, a comment
+trailer at the next trailer keyword or object.  In the next two, a comment
 before each object header keeps the object loop off its anchored path, so
-every object's end and the next header are searched for.
+every object's end and the next header are searched for.  In the last
+three, each trailer or xref table ran on past the next keyword, which was
+then lexed again: a comment after each trailer keyword was skipped to the
+end of its line, each table read every later line as a malformed entry,
+and each unclosed hex string ran to the end of the input.
 The test times ``segment()`` at n and 2n repetitions with
 ``conftest.assert_linear_time`` and requires the larger input to cost at
 most 2.5 times the smaller one; quadratic work costs 4 times.  Sizes keep
@@ -20,9 +24,12 @@ segmenter's ratios stayed at 2.9 or more in all three measurements.
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_linear_time
 from pdfprov.segmenter import segment
+from test_segmenter_parity import TOKENS
 
 
 def _objects(k: int, body: bytes) -> bytes:
@@ -68,6 +75,9 @@ FAMILIES = {
     "unclosed-string-per-trailer": (1000, lambda k: b"trailer << /A (" * k),
     "comment-after-endobj": (4000, lambda k: _objects(k, b"<</Type/Annot>>\nendobj %c\n")),
     "comment-without-endobj": (4000, lambda k: _objects(k, b"<</Type/Annot>>\n%c\n")),
+    "trailer-comment-overlap": (2000, lambda k: b"trailer %" * k),
+    "xref-overlap": (250, lambda k: b"xref\n0 1000000\n" + b"1 xref\n0 1000000\n" * k),
+    "unclosed-hex-per-trailer": (2000, lambda k: b"trailer << /A <" * k),
 }
 
 
@@ -77,3 +87,22 @@ def test_segment_time_is_linear(family):
     assert_linear_time(
         f"{family} at n={n}", segment, b"%PDF-1.4\n" + build(n), b"%PDF-1.4\n" + build(2 * n)
     )
+
+
+# -- no two elements share a byte -------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(TOKENS), min_size=1, max_size=12), st.integers(1, 4))
+# A trailer whose comment runs past the next trailer keyword.
+@example([b"trailer", b"<<", b"%"], 2)
+# A trailer whose unclosed hex string runs past the next one.
+@example([b"trailer", b"<<", b"/A", b" ", b"<"], 2)
+def test_elements_share_no_byte(parts, k):
+    data = b"%PDF-1.4\n" + b"".join(parts) * k
+    sections = segment(data)
+    # An xref stream's dictionary lies inside its object.
+    classic = [t for t in sections.trailers if t.raw.startswith(b"trailer")]
+    size = (sum(o.span.length for o in sections.objects) + sum(map(len, sections.xref_tables))
+            + sum(t.span.length for t in classic))
+    assert size <= len(data)
