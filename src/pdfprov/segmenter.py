@@ -128,8 +128,12 @@ _SUBSECTION_RE = re.compile(rb"(\d+)[ \t]+(\d+)[ \t]*(?:\r\n|\r|\n)")
 _ENTRY_RE = re.compile(rb"\d{10} \d{5} [nf](?: \r\n| \r| \n|\r\n|\r|\n)?")
 _EOL_RE = re.compile(rb"[\r\n]")
 # An "xref" or "trailer" keyword: no ASCII letter precedes it, and no
-# letter (or, after "trailer", digit) follows it.
-_KEYWORD_RE = re.compile(rb"(?<![A-Za-z])(?:xref(?![A-Za-z])|trailer(?![0-9A-Za-z]))")
+# letter (or, after "trailer", digit) follows it.  Each branch starts with
+# its first letter, which lets the search skip ahead to it: a leading
+# lookbehind made it four times slower.
+_KEYWORD_RE = re.compile(
+    rb"(?:x(?<![A-Za-z]x)ref(?![A-Za-z])|t(?<![A-Za-z]t)railer(?![0-9A-Za-z]))"
+)
 
 
 # Not frozen: a frozen dataclass takes over twice as long to build, and a
@@ -233,8 +237,8 @@ class _Stop:
     while the dictionary lexes cleanly, and the first recovery, past a
     malformed dictionary or the nesting floor, moves it to the next object
     header after the failure.  Every enclosing array and dictionary then
-    ends there too.  A literal string must close before the same limit, so
-    an unclosed one is scanned no further.
+    ends there too.  A literal or hex string must close before the same
+    limit, so an unclosed one is scanned no further.
     """
 
     __slots__ = ("at", "bound", "_searched", "_header")
