@@ -449,10 +449,10 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[bytes], list[TrailerDi
     xref_diags: list[str] = []
     trailer_diags: list[str] = []
     n = len(data)
-    end = 0
+    end = 0  # where the last object ended: the start of the next gap
     m = _find_header(data)
     searched = True
-    # False once a search found no endstream after some index.
+    # False once a search found no endstream: none follows a later index.
     endstreams = True
     while True:
         if searched:
