@@ -16,7 +16,7 @@ from enum import Enum
 from .detector import Verdict, VerdictKind
 from .errors import NotAPdf
 from .producers import Producer
-from .segmenter import PdfSections, segment
+from .segmenter import PdfSections, object_values, segment
 
 
 class MetadataSource(str, Enum):
@@ -144,8 +144,9 @@ def extract_declared(data: bytes, sections: PdfSections | None = None) -> Declar
     info_creator = xmp_creator = None
     for obj in sections.objects:
         if obj.obj_num == sections.info_obj_num:
-            raw_producer = obj.values.get("/Producer")
-            raw_creator = obj.values.get("/Creator")
+            values = object_values(data, obj)
+            raw_producer = values.get("/Producer")
+            raw_creator = values.get("/Creator")
             if raw_producer is not None:
                 declared.info_producer = decode_pdf_string(raw_producer)
             if raw_creator is not None:

@@ -99,9 +99,16 @@ _SCALAR_RE = re.compile(_SCALAR + rb"|.?", re.S)
 # whitespace after it, the value (group 2) and the whitespace after that.
 # Every part is atomic, so each takes the same bytes as the token walk.
 _FLAT_ITEM = b"(?>" + _ATOM + b"|" + _FLAT_HEX + b"|" + _FLAT_STRING + b")"
-_FLAT_ENTRY_RE = re.compile(
-    b"(" + _NAME + b")" + _SKIP
-    + b"(" + _FLAT_ITEM + rb"|\[" + _SKIP + b"(?:" + _FLAT_ITEM + _SKIP + rb")*+\])" + _SKIP,
+_FLAT_VALUE = _FLAT_ITEM + rb"|\[" + _SKIP + b"(?:" + _FLAT_ITEM + _SKIP + rb")*+\]"
+_FLAT_ENTRY_RE = re.compile(b"(" + _NAME + b")" + _SKIP + b"(" + _FLAT_VALUE + b")" + _SKIP, re.S)
+# A run of flat entries, as many as _FLAT_ENTRY_RE matches one after the
+# other; group 1 is the value of the last "/Type" key among them.  The
+# repeat is greedy, not possessive: Python 3.11 loses a capture inside a
+# possessive repeat.  Nothing follows it, so it never backtracks.
+_FLAT_RUN_RE = re.compile(
+    b"(?:/Type(?![^" + _WHITESPACE + re.escape(_DELIMITERS) + b"])" + _SKIP
+    + b"(" + _FLAT_VALUE + b")" + _SKIP + b"|" + _NAME + _SKIP + b"(?:" + _FLAT_VALUE + b")" + _SKIP
+    + b")*",
     re.S,
 )
 _ANGLES_RE = re.compile(rb"<<|>>")
@@ -154,9 +161,10 @@ class Span:
 class IndirectObject:
     """One ``N G obj ... endobj`` span of the body.
 
-    ``values`` maps each key of the top-level dictionary, in source order,
-    to its shallow raw value (last wins); ``dict_span`` is that
-    dictionary's byte range, when one was found.  ``payload`` is a stream
+    ``dict_span`` is the byte range of the dictionary after ``obj``, when
+    one was found; :func:`object_values` lexes its entries on demand, and
+    ``is_metadata`` says whether its ``/Type`` is ``/Metadata`` or the
+    object is the trailer's ``/Info`` target.  ``payload`` is a stream
     object's data: from the byte after the end of line that follows the
     ``stream`` keyword up to, not including, the end of line in front of
     ``endstream``; when none follows, up to the next object header or the
@@ -170,7 +178,6 @@ class IndirectObject:
     span: Span
     dict_span: Span | None = None
     payload: Span | None = None
-    values: dict[str, bytes] = field(default_factory=dict, repr=False)
 
 
 @dataclass
@@ -478,22 +485,30 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[bytes], list[TrailerDi
         start = m.start()
         obj_num, gen_num = int(m.group(1)), int(m.group(2))
         i = m.end()
-        values: dict[str, bytes] = {}
-        dict_span = payload = stop = None
+        kind = dict_span = payload = stop = None
         if m.start(3) >= 0:
-            # A malformed dictionary ends, at the latest, at the next
-            # object header, and so does the object.
+            # A run of flat entries and a ">>" is a closed dictionary.
             dstart = m.start(3)
-            i, values, stop = _scan_dict(data, i, None)
-            if stop:
-                end = stop.balance(data, i)
-                if end is None:
-                    # No ">>" closes it before the next object header, so
-                    # it ends at the object's own endobj, if there is one.
-                    end = data.rfind(b"endobj", dstart, stop.at)
-                    end = max(i, stop.at) if end < 0 else end
-                i = end
-                diags.append(f"MalformedDictionary obj {obj_num} {gen_num}")
+            run = _FLAT_RUN_RE.match(data, i)
+            kind, i = run.group(1), run.end()
+            if data.startswith(b">>", i):
+                i += 2
+            else:
+                # The walk resumes where the run stopped: with no stop built
+                # yet, it lexes the rest as it would from the "<<".  A
+                # malformed dictionary ends, at the latest, at the next
+                # object header, and so does the object.
+                i, values, stop = _scan_dict(data, i, None)
+                kind = values.get("/Type", kind)
+                if stop:
+                    end = stop.balance(data, i)
+                    if end is None:
+                        # No ">>" closes it before the next object header, so
+                        # it ends at the object's own endobj, if there is one.
+                        end = data.rfind(b"endobj", dstart, stop.at)
+                        end = max(i, stop.at) if end < 0 else end
+                    i = end
+                    diags.append(f"MalformedDictionary obj {obj_num} {gen_num}")
             dict_span = Span(dstart, i - dstart)
         s = _STREAM_RE.match(data, i)
         if s:
@@ -531,17 +546,28 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[bytes], list[TrailerDi
                 end = cut
             else:
                 end += len(b"endobj")
-        kind = values.get("/Type", b"").strip()
-        objects.append(
-            IndirectObject(
-                obj_num, gen_num, data[start:end], kind == b"/Metadata",
-                Span(start, end - start), dict_span, payload, values,
-            )
+        kind = kind.strip() if kind else b""
+        obj = IndirectObject(
+            obj_num, gen_num, data[start:end], kind == b"/Metadata",
+            Span(start, end - start), dict_span, payload,
         )
-        if dict_span and kind == b"/XRef":
+        objects.append(obj)
+        if kind == b"/XRef":
             # An xref stream's dictionary is its revision's trailer.
-            trailers.append(TrailerDict(data[dstart:dict_span.end], dict_span, dict(values)))
+            trailers.append(TrailerDict(data[dstart:dict_span.end], dict_span, object_values(data, obj)))
     return objects, tables, trailers, diags + xref_diags + trailer_diags
+
+
+def object_values(data: bytes, obj: IndirectObject) -> dict[str, bytes]:
+    """Each top-level key of ``obj``'s dictionary in ``data``, in source
+    order, and the raw bytes of its value (last wins).
+
+    A malformed dictionary gives the entries lexed before it failed, and
+    an object without a dictionary gives none.
+    """
+    if obj.dict_span is None:
+        return {}
+    return _scan_dict(data, _skip_ws(data, obj.dict_span.offset + 2, len(data)), None)[1]
 
 
 def _lex_xref_table(data: bytes, start: int, bound: int, diags: list[str]) -> bytes | None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 import re
 from dataclasses import asdict
@@ -39,6 +40,7 @@ from pdfprov.segmenter import (
     _Stop,
     _find_header,
     _lex,
+    object_values,
     parse_header,
     segment,
 )
@@ -47,6 +49,11 @@ from pdfprov.segmenter import (
 def _fragment(data: bytes) -> PdfSections:
     """Segment a header-less fragment behind a minimal %PDF header."""
     return segment(b"%PDF-1.4\n" + data)
+
+
+def _object_values(data: bytes) -> list[dict[str, bytes]]:
+    """The dictionary values of each object of ``data``, lexed on demand."""
+    return [object_values(data, o) for o in segment(data).objects]
 
 
 # -- parse_header ----------------------------------------------------------
@@ -114,13 +121,17 @@ def test_pdftex_style_object():
     assert len(objs) == 1
     obj = objs[0]
     assert (obj.obj_num, obj.gen_num) == (4, 0)
-    assert list(obj.values) == ["/Length", "/Filter"]
+    assert [list(v) for v in _object_values(b"%PDF-1.4\n" + PDFTEX_STREAM_OBJECT)] == [
+        ["/Length", "/Filter"]
+    ]
     assert obj.raw == PDFTEX_STREAM_OBJECT.rstrip(b"\n")
 
 
 def test_luatex_style_object_same_keys_different_raw():
     objs = _fragment(LUATEX_STREAM_OBJECT).objects
-    assert list(objs[0].values) == ["/Length", "/Filter"]
+    assert [list(v) for v in _object_values(b"%PDF-1.4\n" + LUATEX_STREAM_OBJECT)] == [
+        ["/Length", "/Filter"]
+    ]
     assert objs[0].raw != _fragment(PDFTEX_STREAM_OBJECT).objects[0].raw
 
 
@@ -196,8 +207,8 @@ def test_object_numbers_not_matched_inside_longer_tokens():
 
 
 def test_nested_dict_keys_stay_out_of_top_level():
-    data = b"5 0 obj\n<</A<</Inner 1>>/B 2>>\nendobj\n"
-    assert list(_fragment(data).objects[0].values) == ["/A", "/B"]
+    data = b"%PDF-1.4\n5 0 obj\n<</A<</Inner 1>>/B 2>>\nendobj\n"
+    assert [list(v) for v in _object_values(data)] == [["/A", "/B"]]
 
 
 # What follows the dictionary in every value-grammar fragment.  A value that
@@ -244,7 +255,7 @@ def test_dictionary_value_grammar(body, values, dict_text, diagnostics):
     data = b"%PDF-1.4\n1 0 obj\n" + body + _TAIL
     sections = segment(data)
     (obj,) = sections.objects
-    assert list(obj.values.items()) == list(values.items())
+    assert list(object_values(data, obj).items()) == list(values.items())
     span = obj.dict_span
     assert data[span.offset : span.end] == (body if dict_text is None else dict_text)
     assert sections.diagnostics == diagnostics
@@ -410,7 +421,7 @@ def test_unclosed_array_ends_at_the_dictionary_end():
     assert len(sections.xref_tables) == 1 and len(sections.trailers) == 1
     assert sections.info_obj_num == 5
     kids = sections.objects[1]
-    assert kids.values["/Kids"] == b"[3 0 R/Count 1>>"
+    assert object_values(broken, kids)["/Kids"] == b"[3 0 R/Count 1>>"
     # No ">>" is left to close the dictionary before the next object, so it
     # ends at the object's own endobj, which is not cut off.
     assert kids.raw.endswith(b"endobj")
@@ -430,7 +441,7 @@ def test_unclosed_literal_string_ends_at_the_dictionary_end():
     pages = sections.objects[1]
     # The string runs on to the ">>" that balances its dictionary, short of
     # the next object header.
-    assert pages.values["/T"] == b"(a/Kids[3 0 R]/Count 1>>"
+    assert object_values(broken, pages)["/T"] == b"(a/Kids[3 0 R]/Count 1>>"
     assert pages.raw.endswith(b"endobj")
     assert pages.span.end < broken.index(b"3 0 obj")
     assert sections.diagnostics == ["MalformedDictionary obj 2 0"]
@@ -443,11 +454,10 @@ def test_a_string_does_not_run_past_the_next_object_header(string):
             + b"endobj\n2 0 obj\n<</B /y>> ) >>\nendobj\n")
     sections = segment(data)
     assert [o.obj_num for o in sections.objects] == [1, 2]
-    first, second = sections.objects
+    first = sections.objects[0]
     # The dictionary ends at the object's own endobj, short of the header.
-    assert first.values == {"/A": string + b"endobj\n"}
+    assert _object_values(data) == [{"/A": string + b"endobj\n"}, {"/B": b"/y"}]
     assert first.raw == b"1 0 obj\n<</A " + string + b"endobj"
-    assert second.values == {"/B": b"/y"}
     assert sections.diagnostics == ["MalformedDictionary obj 1 0"]
 
 
@@ -455,7 +465,7 @@ def test_an_unclosed_hex_string_does_not_run_past_the_next_object_header():
     data = b"%PDF-1.4\n1 0 obj << /A <\n2 0 obj << /A <4F\n3 0 obj <</B 1>> endobj\n"
     sections = segment(data)
     assert [o.obj_num for o in sections.objects] == [1, 2, 3]
-    assert [o.values for o in sections.objects] == [{"/A": b"<\n"}, {"/A": b"<4F\n"}, {"/B": b"1"}]
+    assert _object_values(data) == [{"/A": b"<\n"}, {"/A": b"<4F\n"}, {"/B": b"1"}]
     assert sections.diagnostics == [
         "MalformedDictionary obj 1 0", "TruncatedObject obj 1 0",
         "MalformedDictionary obj 2 0", "TruncatedObject obj 2 0",
@@ -493,7 +503,7 @@ def test_nesting_floor_recovery_in_a_trailer_stops_at_the_next_object():
     sections = _fragment(data)
     (trailer,) = sections.trailers
     assert trailer.raw == b"trailer\n<</A " + deep + b">>\n"
-    assert [list(o.values) for o in sections.objects] == [["/Type"]]
+    assert [list(object_values(b"%PDF-1.4\n" + data, o)) for o in sections.objects] == [["/Type"]]
 
 
 # -- segment -------------------------------------------------------------------
@@ -598,8 +608,8 @@ def test_key_order_preserved_for_any_permutation(keys, rng):
     shuffled = list(keys)
     rng.shuffle(shuffled)
     body = b"".join(k.encode() + b" %d " % i for i, k in enumerate(shuffled))
-    data = b"3 0 obj\n<<" + body + b">>\nendobj\n"
-    assert list(_fragment(data).objects[0].values) == shuffled
+    data = b"%PDF-1.4\n3 0 obj\n<<" + body + b">>\nendobj\n"
+    assert [list(v) for v in _object_values(data)] == [shuffled]
 
     trailer = b"trailer\n<<" + body + b">>\n"
     assert list(_fragment(trailer).trailers[0].values) == shuffled
@@ -719,6 +729,15 @@ def _walk_scan_dict(data, i, stop, depth=0):
     return i, values, stop
 
 
+def _walk_only():
+    """Patch the segmenter to lex every dictionary entry with the walk: a
+    run of no flat entries, and the walk-only dictionary lexer."""
+    patches = contextlib.ExitStack()
+    patches.enter_context(mock.patch.object(segmenter, "_scan_dict", _walk_scan_dict))
+    patches.enter_context(mock.patch.object(segmenter, "_FLAT_RUN_RE", re.compile(b"(?!)(.)|")))
+    return patches
+
+
 def _nested_flat_array(depth: int) -> bytes:
     """An entry whose innermost dictionary, ``depth`` deep, holds a flat array."""
     return b"/D <<" * depth + b"/K [1 2]" + b">>" * depth
@@ -753,6 +772,8 @@ _ORACLE_TOKENS = [
 # a trailer.
 @example([b"/A <4F", b" 2 0 obj", b" /D 1"], False)
 @example([b"/A <4F", b" 2 0 obj", b" /D 1"], True)
+# A run of flat entries with whitespace and a comment between them.
+@example([b"/A", b" ", b"1", b"\n", b"%/A 1\n", b"/K", b"[1 2]", b" ", b"/Type", b"/N", b" "], False)
 def test_entry_pattern_lexes_as_the_token_walk(parts, in_trailer):
     body = b"".join(parts)
     tail = b"\n2 0 obj\n<</Type/Catalog>>\nendobj\n"
@@ -760,9 +781,49 @@ def test_entry_pattern_lexes_as_the_token_walk(parts, in_trailer):
         data = b"%PDF-1.4\ntrailer\n<<" + body + b">>\n" + tail + b"trailer\n<<" + body
     else:
         data = b"%PDF-1.4\n1 0 obj\n<<" + body + b">>\nendobj" + tail
-    with mock.patch.object(segmenter, "_scan_dict", _walk_scan_dict):
+    with _walk_only():
         expected = asdict(segment(data))
     assert asdict(segment(data)) == expected
+
+
+def _read_fields(data):
+    """What the pipeline reads of each object's dictionary: whether it is
+    metadata, its span, its values lexed on demand, and the trailers."""
+    sections = segment(data)
+    objects = [(o.is_metadata, o.dict_span, object_values(data, o)) for o in sections.objects]
+    return objects, sections.trailers
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_ORACLE_TOKENS + [b"/Metadata", b"/XRef", b"/Types"]), max_size=30))
+# The last /Type wins, in the run as in the walk.
+@example([b"/Type", b"/Metadata", b"/Type", b"/XRef"])
+@example([b"/Type", b"/XRef", b"/Type", b"/Metadata"])
+@example([b"/Types", b"/Metadata"])
+@example([b"/A", b" ", b"(/Type /Metadata)"])
+# A nested value after a flat run: the walk resumes, and the /Type inside
+# the nested dictionary is not the object's.
+@example([b"/Type", b"/XRef", b"/K", b"<<", b"/Type", b"/Metadata", b">>"])
+@example([b"/Type", b"/XRef", b"/K", b"(a(b)c)", b"/Type", b"/Metadata"])
+def test_flat_run_reads_what_the_walk_reads(parts):
+    body = b"".join(parts)
+    data = b"%PDF-1.4\n1 0 obj\n<<" + body + b">>\nendobj\n2 0 obj <</Type/Metadata>> endobj\n"
+    with _walk_only():
+        expected = _read_fields(data)
+    assert _read_fields(data) == expected
+
+
+def test_flat_objects_take_no_dictionary_walk():
+    def scan_dict_calls(count):
+        data = b"%PDF-1.4\n" + b"".join(
+            b"%d 0 obj\n<</Length 3/Filter/FlateDecode/Type/XObject/BBox [0 0 1 1]>>\n"
+            b"stream\nabc\nendstream\nendobj\n" % (n + 1) for n in range(count)
+        )
+        with mock.patch.object(segmenter, "_scan_dict", wraps=segmenter._scan_dict) as scan:
+            assert len(segment(data).objects) == count
+        return scan.call_count
+
+    assert scan_dict_calls(50) == scan_dict_calls(1)
 
 
 # -- the anchored object loop against the searches ------------------------------
@@ -812,7 +873,7 @@ def _searched_lex_objects(data):
             end += 6
         objects.append(segmenter.IndirectObject(
             obj_num, gen_num, data[start:end], values.get("/Type", b"").strip() == b"/Metadata",
-            Span(start, end - start), dict_span, payload, values,
+            Span(start, end - start), dict_span, payload,
         ))
     return objects, diags
 

@@ -106,10 +106,10 @@ FAMILIES = {
 
 # sha256 of each family's segment() output.
 DIGESTS = {
-    "fixtures": "ae6414bb648e5ad8a5c6f7b9045ab19825336c588d07cc027fadd83a8aad3a19",
-    "token-soups": "7cb607dc8aa81641c6778f526ee6851ca87949eb737324ef40453ffa4086e9d3",
-    "mutants": "cc98286e8bec5dc5b15ad01561768e6c8f50fb9f0551e6dcdec260419460f419",
-    "nesting-floor": "c8f35fb4eecc44bd2b2e8cbe15a7023ecbfc223687d716e5fb33e3c7d9db1c95",
+    "fixtures": "866291e9d68bcd6c5ae26ca8dea21a0f50223915f9ff24f290f509141fb3267b",
+    "token-soups": "eca381213b41e185e73be9f62c2c9ae350ffebf2e16e78cb048465f98e0b106e",
+    "mutants": "e0352a9798f2d1bb1ba763211c8c3cc1c5d1e9d861a4662fb49a277eb5117e65",
+    "nesting-floor": "e29a2a7738a04e10a34f38b90c87103c18b710a31aede5ecc64b4776fb3127ae",
 }
 
 
