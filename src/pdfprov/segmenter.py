@@ -43,10 +43,10 @@ ends, at the latest, at the next such keyword or at the gap's end, which
 is the next object, so no two elements share a byte.  A literal or hex
 string must close before the same bound: the next object header for an
 object, the next keyword or object for a trailer, so an unclosed one is
-scanned only that far.  A recovery inside a dictionary, past a nested
-malformed one, the nesting floor, an array still open at a ``>>`` or a
-string not closed before the bound, stops at that bound, and so do the
-arrays and dictionaries around it.
+scanned only that far, and so is an unclosed array.  A recovery inside a
+dictionary, past a nested malformed one, the nesting floor, an array still
+open at a ``>>`` or at the bound or a string not closed before it, stops
+at that bound, and so do the arrays and dictionaries around it.
 
 All functions here are pure; the same input bytes always produce a
 structurally identical result.
@@ -300,13 +300,14 @@ def _skip_value(data: bytes, i: int, stop: _Stop, depth: int = 0) -> int:
         return end if failed is None else stop.recover(data, end)
     b = data[i]
     if b == 0x5B:  # '['
+        # An array still open at a ">>" or at the bound ends, with the
+        # dictionaries around it, as malformed.
+        limit = stop.limit(data, i)
         i = _skip_ws(data, i + 1, stop.at)
         while i < stop.at:
             if data[i] == 0x5D:
                 return i + 1
-            if data.startswith(b">>", i):
-                # The array was never closed: end it, and the dictionaries
-                # around it, as malformed.
+            if i >= limit or data.startswith(b">>", i):
                 return stop.recover(data, i)
             i = _skip_ws(data, _skip_value(data, i, stop, depth + 1), stop.at)
         return i

@@ -55,6 +55,15 @@ def test_info_reference_with_nul_separators():
     assert extract_declared(data).info_producer == "A"
 
 
+def test_info_after_an_unclosed_array_is_read():
+    # The array ends at the next object header, so the Info object is one
+    # of its own.
+    data = (b"%PDF-1.4\n1 0 obj\n<</A [1 2\nendobj\n2 0 obj <</Producer (x)>> endobj\n"
+            b"3 0 obj <<>> endobj\ntrailer\n<</Info 2 0 R>>")
+    assert [o.obj_num for o in segment(data).objects] == [1, 2, 3]
+    assert extract_declared(data).producer == "x"
+
+
 def _xmp_object(num: int, producer: str) -> bytes:
     xml = (f'<x:xmpmeta><rdf:Description pdf:Producer="{producer}" '
            f'xmp:CreatorTool="Tool"/></x:xmpmeta>').encode()

@@ -461,6 +461,14 @@ def test_a_string_does_not_run_past_the_next_object_header(string):
     assert sections.diagnostics == ["MalformedDictionary obj 1 0"]
 
 
+def test_an_unclosed_array_ends_at_the_next_object_header():
+    data = b"%PDF-1.4\n" + b"".join(b"%d 0 obj <</A [1 endobj\n" % (n + 1) for n in range(2000))
+    sections = segment(data)
+    assert [o.obj_num for o in sections.objects] == list(range(1, 2001))
+    assert _object_values(data)[:2] == [{"/A": b"[1 endobj\n"}] * 2
+    assert sections.diagnostics[:2] == ["MalformedDictionary obj 1 0", "MalformedDictionary obj 2 0"]
+
+
 def test_an_unclosed_hex_string_does_not_run_past_the_next_object_header():
     data = b"%PDF-1.4\n1 0 obj << /A <\n2 0 obj << /A <4F\n3 0 obj <</B 1>> endobj\n"
     sections = segment(data)
@@ -699,11 +707,12 @@ def _walk_skip_value(data, i, stop, depth=0):
         return end if failed is None else stop.recover(data, end)
     b = data[i]
     if b == 0x5B:  # '['
+        limit = stop.limit(data, i)
         i = _skip_ws(data, i + 1, stop.at)
         while i < stop.at:
             if data[i] == 0x5D:
                 return i + 1
-            if data.startswith(b">>", i):
+            if i >= limit or data.startswith(b">>", i):
                 return stop.recover(data, i)
             i = _skip_ws(data, _walk_skip_value(data, i, stop, depth + 1), stop.at)
         return i

@@ -107,8 +107,8 @@ FAMILIES = {
 # sha256 of each family's segment() output.
 DIGESTS = {
     "fixtures": "866291e9d68bcd6c5ae26ca8dea21a0f50223915f9ff24f290f509141fb3267b",
-    "token-soups": "eca381213b41e185e73be9f62c2c9ae350ffebf2e16e78cb048465f98e0b106e",
-    "mutants": "e0352a9798f2d1bb1ba763211c8c3cc1c5d1e9d861a4662fb49a277eb5117e65",
+    "token-soups": "8616f52cb4060844cce2300d391b7aa688157ac0839b0a208859fda67cb548ba",
+    "mutants": "13e8bfc0edff3e13942cee2d4a86a0fb2e4b51db31491a5a6457ca9e84244ada",
     "nesting-floor": "e29a2a7738a04e10a34f38b90c87103c18b710a31aede5ecc64b4776fb3127ae",
 }
 
