@@ -11,42 +11,42 @@ the line end that follows ``stream`` to before the line end in front of
 
 Dictionaries are lexed by compiled token patterns built from one
 whitespace and one delimiter class.  One pattern lexes a whole entry (its
-key, its value and the whitespace after each) when the value is flat: a name,
-a hex string, a number or ``N G R`` reference, ``true``, ``false`` or
-``null``, a literal string with no unescaped parenthesis and no ``obj``
+key, its value and the whitespace after each) when the value is flat: a
+name, a hex string, a number or ``N G R`` reference, ``true``, ``false``
+or ``null``, a literal string with no unescaped parenthesis and no ``obj``
 inside, or an array of those.  Every other entry goes to the token walk:
 a key pattern, then the value walked in Python, recursing into ``<<`` and
-``[`` and stepping through literal strings byte by byte.  That takes
-nested dictionaries and arrays, strings with inner parentheses or an
-``obj``, unclosed tokens, stray bytes, entries cut by a recovery bound or
-a trailer's bound and every entry of a dictionary at the nesting floor.
-The two read one grammar and give the same keys and values for any entry
-the pattern lexes.
+``[`` and stepping through literal strings byte by byte.  The two read one
+grammar and give the same keys and values for any entry the pattern lexes.
+An object's dictionary is first matched as one run of flat entries, which
+also reads the value of its last ``/Type`` key.  A ``>>`` after the run
+closes the dictionary in that one match; else the walk resumes where the
+run stopped, and with no bound set yet it lexes the rest as from the
+``<<``.  Objects keep no values: :func:`object_values` lexes a dictionary
+on demand, and an xref stream's dictionary is lexed whole for its trailer.
 
 Segmentation takes time linear in the input size.  One forward pass lexes
 the objects, and the xref tables and trailers in the gaps between them.
 An object with only whitespace around it costs one anchored match at each
-end: the head pattern reads ``N G obj`` and a ``<<``, whose entries go
-straight to the entry pattern, and the tail pattern reads whitespace and
-an ``endobj``, after which the next head is matched in place.  With only
-whitespace skipped, these are the header and ``endobj`` that a search
-finds.  Other bytes between objects (a comment, junk, a digit run that is
-not a header) fall back to the searches.  The header search is possessive,
-so it never backs out of an xref table's digit runs, is not run where no
-whitespace-led ``obj`` follows, and takes only a header that starts a
-token, as the object pass does.  Each object's ``endobj`` search and
-malformed-dictionary recovery stop at the next object header, and a
-dictionary that no ``>>`` closes before it ends at the object's own
-``endobj``.  The ``xref`` and ``trailer`` keywords are searched for only
-in the gaps that the header search stepped over.  Each table and trailer
-ends, at the latest, at the next such keyword or at the gap's end, which
-is the next object, so no two elements share a byte.  A literal or hex
-string must close before the same bound: the next object header for an
-object, the next keyword or object for a trailer, so an unclosed one is
-scanned only that far, and so is an unclosed array.  A recovery inside a
-dictionary, past a nested malformed one, the nesting floor, an array still
-open at a ``>>`` or at the bound or a string not closed before it, stops
-at that bound, and so do the arrays and dictionaries around it.
+end and the run: the head pattern reads ``N G obj`` and a ``<<``, and the
+tail pattern whitespace and an ``endobj``, after which the next head is
+matched in place.  Other bytes between objects (a comment, junk, a digit
+run that is not a header) fall back to the searches.  The header search is
+possessive, so it never backs out of an xref table's digit runs, is not
+run where no whitespace-led ``obj`` follows, and takes only a header that
+starts a token.  The ``xref`` and ``trailer`` keywords are searched for
+only in the gaps that the header search stepped over.  Each table and
+trailer ends, at the latest, at the next such keyword or at the gap's end,
+which is the next object, so no two elements share a byte.
+
+Each object's ``endobj`` search stops at the next object header, and so
+does every token of its dictionary: a literal or hex string or an array
+not closed before it ends there, as malformed (a trailer's bound is the
+next keyword or object).  A recovery inside a dictionary, past a nested
+malformed one, the nesting floor, an unclosed token or an array still open
+at a ``>>``, stops at that bound, and so do the arrays and dictionaries
+around it.  A dictionary that no ``>>`` closes before the bound ends at
+the object's own ``endobj``.
 
 All functions here are pure; the same input bytes always produce a
 structurally identical result.
@@ -488,28 +488,28 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[bytes], list[TrailerDi
         i = m.end()
         kind = dict_span = payload = stop = None
         if m.start(3) >= 0:
-            # A run of flat entries and a ">>" is a closed dictionary.
+            # A run of flat entries and a ">>" is a closed dictionary.  Else
+            # the walk resumes where the run stopped: with no stop built yet,
+            # it lexes the rest as it would from the "<<".
             dstart = m.start(3)
             run = _FLAT_RUN_RE.match(data, i)
             kind, i = run.group(1), run.end()
             if data.startswith(b">>", i):
                 i += 2
             else:
-                # The walk resumes where the run stopped: with no stop built
-                # yet, it lexes the rest as it would from the "<<".  A
-                # malformed dictionary ends, at the latest, at the next
-                # object header, and so does the object.
                 i, values, stop = _scan_dict(data, i, None)
                 kind = values.get("/Type", kind)
-                if stop:
-                    end = stop.balance(data, i)
-                    if end is None:
-                        # No ">>" closes it before the next object header, so
-                        # it ends at the object's own endobj, if there is one.
-                        end = data.rfind(b"endobj", dstart, stop.at)
-                        end = max(i, stop.at) if end < 0 else end
-                    i = end
-                    diags.append(f"MalformedDictionary obj {obj_num} {gen_num}")
+            if stop:
+                # A malformed dictionary ends, at the latest, at the next
+                # object header, and so does the object.  With no ">>" to
+                # close it before that header, it ends at the object's own
+                # endobj, if there is one.
+                end = stop.balance(data, i)
+                if end is None:
+                    end = data.rfind(b"endobj", dstart, stop.at)
+                    end = max(i, stop.at) if end < 0 else end
+                i = end
+                diags.append(f"MalformedDictionary obj {obj_num} {gen_num}")
             dict_span = Span(dstart, i - dstart)
         s = _STREAM_RE.match(data, i)
         if s:
