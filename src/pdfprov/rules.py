@@ -371,7 +371,7 @@ def section_elements(sections: PdfSections, kind: SectionKind) -> list[tuple[str
             if not obj.is_metadata
         ]
     if kind is SectionKind.XREF:
-        return [(f"xref:{i}", raw) for i, raw in enumerate(sections.xref_tables)]
+        return [(f"xref:{i}", t.raw) for i, t in enumerate(sections.xref_tables)]
     return [(f"trailer:{i}", t.raw) for i, t in enumerate(sections.trailers)]
 
 

@@ -181,6 +181,14 @@ class IndirectObject:
 
 
 @dataclass
+class XrefTable:
+    """A classic cross-reference table: its bytes and their span."""
+
+    raw: bytes
+    span: Span
+
+
+@dataclass
 class TrailerDict:
     """A trailer dictionary: classic keyword form or an xref-stream dict,
     with the raw value of each top-level key."""
@@ -197,8 +205,8 @@ class PdfSections:
     # The comment line after the %PDF line, without its "%", if any.
     binary_comment: bytes | None
     objects: list[IndirectObject]
-    # The raw bytes of each classic cross-reference table, in file order.
-    xref_tables: list[bytes]
+    # Each classic cross-reference table, in file order.
+    xref_tables: list[XrefTable]
     trailers: list[TrailerDict]
     diagnostics: list[str] = field(default_factory=list)
     # Object number of the Info dictionary: the /Info reference of the
@@ -443,7 +451,7 @@ def _skip_eol(data: bytes, i: int) -> int:
     return i
 
 
-def _lex(data: bytes) -> tuple[list[IndirectObject], list[bytes], list[TrailerDict], list[str]]:
+def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[TrailerDict], list[str]]:
     """One forward pass over the body: the objects, and the xref tables and
     trailers in the gaps between them, each in file order.
 
@@ -451,7 +459,7 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[bytes], list[TrailerDi
     then those of the trailers.
     """
     objects: list[IndirectObject] = []
-    tables: list[bytes] = []
+    tables: list[XrefTable] = []
     trailers: list[TrailerDict] = []
     diags: list[str] = []
     xref_diags: list[str] = []
@@ -571,7 +579,7 @@ def object_values(data: bytes, obj: IndirectObject) -> dict[str, bytes]:
     return _scan_dict(data, _skip_ws(data, obj.dict_span.offset + 2, len(data)), None)[1]
 
 
-def _lex_xref_table(data: bytes, start: int, bound: int, diags: list[str]) -> bytes | None:
+def _lex_xref_table(data: bytes, start: int, bound: int, diags: list[str]) -> XrefTable | None:
     """The classic xref table at the ``xref`` keyword at ``start``, which
     ends by ``bound``; None when it holds no entry."""
     i = _skip_eol(data, _line_end(data, start + len(b"xref"), bound))
@@ -602,7 +610,7 @@ def _lex_xref_table(data: bytes, start: int, bound: int, diags: list[str]) -> by
     # A keyword without a subsection header is not a table, and "xref 0 0"
     # placeholders (hybrid-reference files) carry no offsets and do not
     # count as a table of their own.
-    return data[start:i] if total else None
+    return XrefTable(data[start:i], Span(start, i - start)) if total else None
 
 
 def _lex_trailer(data: bytes, start: int, bound: int, diags: list[str]) -> TrailerDict | None:

@@ -182,8 +182,8 @@ def test_criterion_3_xref_grammar():
                    b"0000000486 00000 n \n")
     sections = segment(b"%PDF-1.4\n" + table_bytes)
     (table,) = sections.xref_tables
-    ok = table == table_bytes and not sections.diagnostics
-    ok = ok and len(table) - len(b"xref\n0 5\n") == 5 * 20
+    ok = table.raw == table_bytes and not sections.diagnostics
+    ok = ok and len(table.raw) - len(b"xref\n0 5\n") == 5 * 20
     # A 9-digit offset breaks the fixed width.
     short = segment(b"%PDF-1.4\n" + table_bytes.replace(b"0000000017", b"000000017"))
     ok = ok and any(d.startswith("MalformedXrefEntry") for d in short.diagnostics)

@@ -274,8 +274,9 @@ def test_signed_number_is_not_an_info_reference():
 def test_word_xref_table():
     sections = _fragment(WORD_XREF_TABLE)
     (table,) = sections.xref_tables
-    assert table == WORD_XREF_TABLE
-    assert len(table) - len(b"xref\n0 5\n") == 5 * 20
+    assert table.raw == WORD_XREF_TABLE
+    assert table.span == Span(len(b"%PDF-1.4\n"), len(WORD_XREF_TABLE))
+    assert len(table.raw) - len(b"xref\n0 5\n") == 5 * 20
     assert sections.diagnostics == []
 
 
@@ -287,7 +288,7 @@ def test_absent_xref_sets_flag():
 
 def test_two_revisions_two_tables():
     data = WORD_XREF_TABLE + b"junk\n" + WORD_XREF_TABLE
-    assert _fragment(data).xref_tables == [WORD_XREF_TABLE, WORD_XREF_TABLE]
+    assert [t.raw for t in _fragment(data).xref_tables] == [WORD_XREF_TABLE, WORD_XREF_TABLE]
 
 
 def test_malformed_entry_skipped_with_diagnostic():
@@ -295,7 +296,7 @@ def test_malformed_entry_skipped_with_diagnostic():
     sections = _fragment(data)
     assert any(d.startswith("MalformedXrefEntry") for d in sections.diagnostics)
     # The skipped line stays inside the table.
-    assert sections.xref_tables == [data]
+    assert [t.raw for t in sections.xref_tables] == [data]
 
 
 def test_startxref_keyword_is_not_a_table():
@@ -308,7 +309,7 @@ def test_understated_table_does_not_swallow_the_trailer():
             b"trailer\n<</Size 5/Root 1 0 R>>\n")
     sections = segment(data)
     assert any(d.startswith("XrefTruncatedSubsection") for d in sections.diagnostics)
-    assert sections.xref_tables == [data[len(b"%PDF-1.4\n") : data.index(b"trailer")]]
+    assert [t.raw for t in sections.xref_tables] == [data[len(b"%PDF-1.4\n") : data.index(b"trailer")]]
     assert list(sections.trailers[0].values) == ["/Size", "/Root"]
 
 
@@ -316,7 +317,7 @@ def test_element_spans_lie_within_the_file(corpus_bytes):
     for blobs in corpus_bytes.values():
         sections = segment(blobs[0])
         assert sections.objects and sections.trailers
-        for element in (*sections.objects, *sections.trailers):
+        for element in (*sections.objects, *sections.xref_tables, *sections.trailers):
             assert 0 <= element.span.offset <= element.span.end <= len(blobs[0])
 
 
@@ -349,7 +350,7 @@ _TABLE = b"xref\n0 1\n0000000000 65535 f \n"
     [
         pytest.param(
             _TABLE + _HUGE + b" 1\n0000000009 00000 n \ntrailer\n<</Size 1>>\n",
-            lambda s: s.xref_tables == [_TABLE],
+            lambda s: [t.raw for t in s.xref_tables] == [_TABLE],
             id="xref-subsection",
         ),
         pytest.param(
@@ -567,8 +568,8 @@ def test_span_coverage_and_determinism(corpus_bytes):
         sections = segment(data)
         for obj in sections.objects:
             assert data[obj.span.offset : obj.span.end] == obj.raw
-        for trailer in sections.trailers:
-            assert data[trailer.span.offset : trailer.span.end] == trailer.raw
+        for element in (*sections.xref_tables, *sections.trailers):
+            assert data[element.span.offset : element.span.end] == element.raw
         assert segment(data) == sections
 
 

@@ -106,9 +106,9 @@ FAMILIES = {
 
 # sha256 of each family's segment() output.
 DIGESTS = {
-    "fixtures": "866291e9d68bcd6c5ae26ca8dea21a0f50223915f9ff24f290f509141fb3267b",
+    "fixtures": "4689b619f3752bad09c4764c8e6575a3dde7f99dac35ac2d7e5f2d01032bd361",
     "token-soups": "8616f52cb4060844cce2300d391b7aa688157ac0839b0a208859fda67cb548ba",
-    "mutants": "13e8bfc0edff3e13942cee2d4a86a0fb2e4b51db31491a5a6457ca9e84244ada",
+    "mutants": "8d7cb6b037f864e6dd9c3486b668a0d6acee6e2f15bf1e0c8ed800da9fa7854b",
     "nesting-floor": "e29a2a7738a04e10a34f38b90c87103c18b710a31aede5ecc64b4776fb3127ae",
 }
 

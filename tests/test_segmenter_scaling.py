@@ -108,6 +108,7 @@ def test_elements_share_no_byte(parts, k):
     sections = segment(data)
     # An xref stream's dictionary lies inside its object.
     classic = [t for t in sections.trailers if t.raw.startswith(b"trailer")]
-    size = (sum(o.span.length for o in sections.objects) + sum(map(len, sections.xref_tables))
-            + sum(t.span.length for t in classic))
-    assert size <= len(data)
+    elements = (*sections.objects, *sections.xref_tables, *classic)
+    spans = sorted((e.span.offset, e.span.end) for e in elements)
+    for (_, end), (start, _) in zip(spans, spans[1:]):
+        assert end <= start
