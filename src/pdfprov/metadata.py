@@ -145,12 +145,10 @@ def extract_declared(data: bytes, sections: PdfSections | None = None) -> Declar
     for obj in sections.objects:
         if obj.obj_num == sections.info_obj_num:
             values = object_values(data, obj)
-            raw_producer = values.get("/Producer")
-            raw_creator = values.get("/Creator")
-            if raw_producer is not None:
-                declared.info_producer = decode_pdf_string(raw_producer)
-            if raw_creator is not None:
-                info_creator = decode_pdf_string(raw_creator)
+            if "/Producer" in values:
+                declared.info_producer = decode_pdf_string(values["/Producer"])
+            if "/Creator" in values:
+                info_creator = decode_pdf_string(values["/Creator"])
         elif obj.is_metadata:
             producer = _xmp_field(obj.raw, (b"pdf:Producer",))
             creator = _xmp_field(obj.raw, (b"xmp:CreatorTool", b"xap:CreatorTool"))

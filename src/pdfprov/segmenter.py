@@ -72,7 +72,8 @@ _WS = b"[" + _WHITESPACE + b"]"
 # These three are possessive: each takes its longest run, as the token walk
 # does, and never gives bytes back.
 _SKIP = _WS + rb"*+(?:%[^\r\n]*+" + _WS + rb"*+)*+"
-_NAME = b"/[^" + _WHITESPACE + re.escape(_DELIMITERS) + b"]*+"
+_REGULAR = b"[^" + _WHITESPACE + re.escape(_DELIMITERS) + b"]"
+_NAME = b"/" + _REGULAR + b"*+"
 # The rest of an indirect reference "N G R" after its first number.
 _REF_TAIL = _WS + rb"++(\d++)" + _WS + rb"++R(?![0-9A-Za-z])"
 
@@ -99,17 +100,14 @@ _SCALAR_RE = re.compile(_SCALAR + rb"|.?", re.S)
 # whitespace after it, the value (group 2) and the whitespace after that.
 # Every part is atomic, so each takes the same bytes as the token walk.
 _FLAT_ITEM = b"(?>" + _ATOM + b"|" + _FLAT_HEX + b"|" + _FLAT_STRING + b")"
-_FLAT_VALUE = _FLAT_ITEM + rb"|\[" + _SKIP + b"(?:" + _FLAT_ITEM + _SKIP + rb")*+\]"
-_FLAT_ENTRY_RE = re.compile(b"(" + _NAME + b")" + _SKIP + b"(" + _FLAT_VALUE + b")" + _SKIP, re.S)
-# A run of flat entries, as many as _FLAT_ENTRY_RE matches one after the
-# other; group 1 is the value of the last "/Type" key among them.  The
-# repeat is greedy, not possessive: Python 3.11 loses a capture inside a
-# possessive repeat.  Nothing follows it, so it never backtracks.
+_FLAT_ARRAY = rb"\[" + _SKIP + b"(?:" + _FLAT_ITEM + _SKIP + rb")*+\]"
+_FLAT_VALUE = _SKIP + b"(" + _FLAT_ITEM + b"|" + _FLAT_ARRAY + b")" + _SKIP
+_FLAT_ENTRY_RE = re.compile(b"(" + _NAME + b")" + _FLAT_VALUE, re.S)
+# A run of flat entries, as many as _FLAT_ENTRY_RE matches in turn; group 1
+# is the value of the last "/Type" key.  The repeat is greedy: Python 3.11
+# loses a capture inside a possessive one.  Nothing follows it to backtrack.
 _FLAT_RUN_RE = re.compile(
-    b"(?:/Type(?![^" + _WHITESPACE + re.escape(_DELIMITERS) + b"])" + _SKIP
-    + b"(" + _FLAT_VALUE + b")" + _SKIP + b"|" + _NAME + _SKIP + b"(?:" + _FLAT_VALUE + b")" + _SKIP
-    + b")*",
-    re.S,
+    b"(?:/Type(?!" + _REGULAR + b")" + _FLAT_VALUE + b"|" + _NAME + _FLAT_VALUE + b")*", re.S
 )
 _ANGLES_RE = re.compile(rb"<<|>>")
 _REF_RE = re.compile(rb"(\d+)" + _REF_TAIL)
@@ -252,8 +250,8 @@ class _Stop:
     while the dictionary lexes cleanly, and the first recovery, past a
     malformed dictionary or the nesting floor, moves it to the next object
     header after the failure.  Every enclosing array and dictionary then
-    ends there too.  A literal or hex string must close before the same
-    limit, so an unclosed one is scanned no further.
+    ends there too.  A literal or hex string or an array must close before
+    the same limit, so an unclosed one is scanned no further.
     """
 
     __slots__ = ("at", "bound", "_searched", "_header")
@@ -292,7 +290,12 @@ class _Stop:
         bound, or None when none does."""
         self.bound = self.limit(data, i)
         self.at = min(self.at, self.bound)
-        return _recover_dict_end(data, i, self.at)
+        depth = 1
+        for m in _ANGLES_RE.finditer(data, i, self.at):
+            depth += 1 if m.group() == b"<<" else -1
+            if depth == 0:
+                return m.end()
+        return None
 
 
 def _skip_value(data: bytes, i: int, stop: _Stop, depth: int = 0) -> int:
@@ -304,12 +307,12 @@ def _skip_value(data: bytes, i: int, stop: _Stop, depth: int = 0) -> int:
     if data.startswith(b"<<", i):
         if depth == _MAX_NESTING:
             return stop.recover(data, i + 2)
-        end, _, failed = _scan_dict(data, _skip_ws(data, i + 2, stop.at), stop, depth + 1)
-        return end if failed is None else stop.recover(data, end)
+        end, _, closed = _scan_dict(data, _skip_ws(data, i + 2, stop.at), stop, depth + 1)
+        return end if closed else stop.recover(data, end)
+    # An array, a literal or a hex string still open at the bound, or an
+    # array at a ">>", ends as malformed, and so do the dictionaries around it.
     b = data[i]
     if b == 0x5B:  # '['
-        # An array still open at a ">>" or at the bound ends, with the
-        # dictionaries around it, as malformed.
         limit = stop.limit(data, i)
         i = _skip_ws(data, i + 1, stop.at)
         while i < stop.at:
@@ -321,33 +324,26 @@ def _skip_value(data: bytes, i: int, stop: _Stop, depth: int = 0) -> int:
         return i
     if b == 0x28:  # '('
         end = _scan_literal_string(data, i, stop.limit(data, i))
-        # A string not closed before the bound ends, with the dictionaries
-        # around it, as malformed.
         return stop.recover(data, i + 1) if end is None else end
-    # A hex string, like a literal one, ends by the bound.
     return _SCALAR_RE.match(data, i, stop.limit(data, i) if b == 0x3C else stop.at).end()
 
 
-def _scan_dict(
-    data: bytes, i: int, stop: _Stop | None, depth: int = 0
-) -> tuple[int, dict[str, bytes], _Stop | None]:
+def _scan_dict(data: bytes, i: int, stop: _Stop, depth: int = 0) -> tuple[int, dict[str, bytes], bool]:
     """Parse the entries of a dictionary from ``i``, past its ``<<`` and
     the whitespace after it.
 
-    Returns ``(end, values, failed)`` where ``end`` is the index just past
+    Returns ``(end, values, closed)`` where ``end`` is the index just past
     the closing ``>>`` and ``values`` maps each top-level key, in source
-    order, to the raw bytes of its value.  ``failed`` is None when the
-    dictionary closed.  A malformed dictionary, or one still open at
-    ``stop.at``, ends where the lexer stopped, and ``failed`` is the stop
-    the caller finds its end with (``failed.recover``).  A caller may pass
-    no stop: one is built when an entry leaves the entry pattern.
+    order, to the raw bytes of its value.  A malformed dictionary, or one
+    still open at ``stop.at``, is not ``closed``: it ends where the lexer
+    stopped, and the caller finds its end with ``stop.recover``.
     """
     values: dict[str, bytes] = {}
     # The items of an array at the floor's depth lie past it, so there the
     # walk alone must see them.
     flat = _FLAT_ENTRY_RE.match if depth < _MAX_NESTING else None
     n = len(data)
-    at = n if stop is None else stop.at
+    at = stop.at
     while i < at:
         m = flat(data, i, at) if flat else None
         # A match that ends at the bound may have cut its last token short.
@@ -356,27 +352,16 @@ def _scan_dict(
             i = m.end()
             continue
         if data.startswith(b">>", i):
-            return i + 2, values, None
-        stop = stop or _Stop(data)
+            return i + 2, values, True
         m = _KEY_RE.match(data, i, at)
         if m is None:
-            return i, values, stop
+            break
         vstart = m.end()
         i = _skip_value(data, vstart, stop, depth)
         values[m.group(1).decode("latin-1")] = data[vstart:i]
         at = stop.at
         i = _skip_ws(data, i, at)
-    return i, values, stop or _Stop(data)
-
-
-def _recover_dict_end(data: bytes, i: int, stop: int) -> int | None:
-    """Index past the ``>>`` that balances an open ``<<`` before ``stop``."""
-    depth = 1
-    for m in _ANGLES_RE.finditer(data, i, stop):
-        depth += 1 if m.group() == b"<<" else -1
-        if depth == 0:
-            return m.end()
-    return None
+    return i, values, False
 
 
 def _find_header(data: bytes, i: int = 0) -> re.Match[bytes] | None:
@@ -406,8 +391,7 @@ def _clean_token_start(data: bytes, pos: int) -> bool:
 
 def parse_header(data: bytes) -> bytes | None:
     """The binary comment on the line after the %PDF line, if any."""
-    comment, _ = _parse_header_with_diags(data)
-    return comment
+    return _parse_header_with_diags(data)[0]
 
 
 def _parse_header_with_diags(data: bytes) -> tuple[bytes | None, list[str]]:
@@ -453,11 +437,8 @@ def _skip_eol(data: bytes, i: int) -> int:
 
 def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[TrailerDict], list[str]]:
     """One forward pass over the body: the objects, and the xref tables and
-    trailers in the gaps between them, each in file order.
-
-    The diagnostics of the objects come first, then those of the tables,
-    then those of the trailers.
-    """
+    trailers in the gaps between them, each in file order, and their
+    diagnostics: the objects' first, then the tables', then the trailers'."""
     objects: list[IndirectObject] = []
     tables: list[XrefTable] = []
     trailers: list[TrailerDict] = []
@@ -481,13 +462,10 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[Trail
                 nxt = _KEYWORD_RE.search(data, kw.end(), gap_end)
                 bound = nxt.start() if nxt else gap_end
                 if kw.group() == b"xref":
-                    table = _lex_xref_table(data, kw.start(), bound, xref_diags)
-                    if table:
+                    if table := _lex_xref_table(data, kw.start(), bound, xref_diags):
                         tables.append(table)
-                else:
-                    trailer = _lex_trailer(data, kw.start(), bound, trailer_diags)
-                    if trailer:
-                        trailers.append(trailer)
+                elif trailer := _lex_trailer(data, kw.start(), bound, trailer_diags):
+                    trailers.append(trailer)
                 kw = nxt
         if m is None:
             break
@@ -496,22 +474,21 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[Trail
         i = m.end()
         kind = dict_span = payload = stop = None
         if m.start(3) >= 0:
-            # A run of flat entries and a ">>" is a closed dictionary.  Else
-            # the walk resumes where the run stopped: with no stop built yet,
-            # it lexes the rest as it would from the "<<".
+            # A run of flat entries and a ">>" is a closed dictionary.  Else the
+            # walk resumes where the run stopped, as from the "<<": no entry
+            # before it could have moved the stop.
             dstart = m.start(3)
             run = _FLAT_RUN_RE.match(data, i)
             kind, i = run.group(1), run.end()
-            if data.startswith(b">>", i):
+            if closed := data.startswith(b">>", i):
                 i += 2
             else:
-                i, values, stop = _scan_dict(data, i, None)
+                i, values, closed = _scan_dict(data, i, stop := _Stop(data))
                 kind = values.get("/Type", kind)
-            if stop:
+            if not closed:
                 # A malformed dictionary ends, at the latest, at the next
-                # object header, and so does the object.  With no ">>" to
-                # close it before that header, it ends at the object's own
-                # endobj, if there is one.
+                # object header, and so does the object; with no ">>" to
+                # close it before that, at the object's own endobj.
                 end = stop.balance(data, i)
                 if end is None:
                     end = data.rfind(b"endobj", dstart, stop.at)
@@ -568,15 +545,11 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[Trail
 
 
 def object_values(data: bytes, obj: IndirectObject) -> dict[str, bytes]:
-    """Each top-level key of ``obj``'s dictionary in ``data``, in source
-    order, and the raw bytes of its value (last wins).
-
-    A malformed dictionary gives the entries lexed before it failed, and
-    an object without a dictionary gives none.
-    """
+    """The raw value of each top-level key of ``obj``'s dictionary, in source
+    order (last wins); a malformed one gives those lexed before it failed."""
     if obj.dict_span is None:
         return {}
-    return _scan_dict(data, _skip_ws(data, obj.dict_span.offset + 2, len(data)), None)[1]
+    return _scan_dict(data, _skip_ws(data, obj.dict_span.offset + 2, len(data)), _Stop(data))[1]
 
 
 def _lex_xref_table(data: bytes, start: int, bound: int, diags: list[str]) -> XrefTable | None:
@@ -586,9 +559,8 @@ def _lex_xref_table(data: bytes, start: int, bound: int, diags: list[str]) -> Xr
     total = 0
     while True:
         hm = _SUBSECTION_RE.match(data, i, bound)
-        first_obj = _to_int(hm.group(1)) if hm else None
-        count = _to_int(hm.group(2)) if hm else None
-        if first_obj is None or count is None:
+        count = _to_int(hm.group(2)) if hm and _to_int(hm.group(1)) is not None else None
+        if count is None:
             break
         i = hm.end()
         for _ in range(count):
@@ -620,8 +592,8 @@ def _lex_trailer(data: bytes, start: int, bound: int, diags: list[str]) -> Trail
     if not data.startswith(b"<<", i):
         return None
     stop = _Stop(data, bound)
-    end, values, failed = _scan_dict(data, _skip_ws(data, i + 2, bound), stop)
-    if failed:
+    end, values, closed = _scan_dict(data, _skip_ws(data, i + 2, bound), stop)
+    if not closed:
         end = stop.recover(data, end)
         diags.append(f"MalformedTrailer at offset {start}")
         values = {}
@@ -629,23 +601,16 @@ def _lex_trailer(data: bytes, start: int, bound: int, diags: list[str]) -> Trail
 
 
 def _flag_metadata(objects: list[IndirectObject], trailers: list[TrailerDict]) -> int | None:
-    """Mark the Info target as metadata.
-
-    Returns the Info object number, if a trailer names one.
-    """
+    """Mark the Info target as metadata; return its number, if any."""
     info_num: int | None = None
     for trailer in trailers:  # later revisions win
         # "/info" tolerates one producer's lowercase spelling of the key.
-        ref = trailer.values.get("/Info") or trailer.values.get("/info")
-        if ref:
-            rm = _REF_RE.match(ref.strip())
-            num = _to_int(rm.group(1)) if rm else None
-            if num is not None:
-                info_num = num
-    if info_num is not None:
-        for obj in objects:
-            if obj.obj_num == info_num:
-                obj.is_metadata = True
+        rm = _REF_RE.match((trailer.values.get("/Info") or trailer.values.get("/info") or b"").strip())
+        if rm and (num := _to_int(rm.group(1))) is not None:
+            info_num = num
+    for obj in objects:
+        if obj.obj_num == info_num:
+            obj.is_metadata = True
     return info_num
 
 

@@ -704,8 +704,8 @@ def _walk_skip_value(data, i, stop, depth=0):
     if data.startswith(b"<<", i):
         if depth == _MAX_NESTING:
             return stop.recover(data, i + 2)
-        end, _, failed = _walk_scan_dict(data, _skip_ws(data, i + 2, stop.at), stop, depth + 1)
-        return end if failed is None else stop.recover(data, end)
+        end, _, closed = _walk_scan_dict(data, _skip_ws(data, i + 2, stop.at), stop, depth + 1)
+        return end if closed else stop.recover(data, end)
     b = data[i]
     if b == 0x5B:  # '['
         limit = stop.limit(data, i)
@@ -725,18 +725,17 @@ def _walk_skip_value(data, i, stop, depth=0):
 
 def _walk_scan_dict(data, i, stop, depth=0):
     values = {}
-    stop = stop or _Stop(data)
     while i < stop.at:
         if data.startswith(b">>", i):
-            return i + 2, values, None
+            return i + 2, values, True
         m = _KEY_RE.match(data, i, stop.at)
         if m is None:
-            return i, values, stop
+            break
         vstart = m.end()
         i = _walk_skip_value(data, vstart, stop, depth)
         values[m.group(1).decode("latin-1")] = data[vstart:i]
         i = _skip_ws(data, i, stop.at)
-    return i, values, stop
+    return i, values, False
 
 
 def _walk_only():
@@ -810,6 +809,7 @@ def _read_fields(data):
 @example([b"/Type", b"/Metadata", b"/Type", b"/XRef"])
 @example([b"/Type", b"/XRef", b"/Type", b"/Metadata"])
 @example([b"/Types", b"/Metadata"])
+@example([b"/Type", b"1", b" ", b"/Metadata"])
 @example([b"/A", b" ", b"(/Type /Metadata)"])
 # A nested value after a flat run: the walk resumes, and the /Type inside
 # the nested dictionary is not the object's.
@@ -853,8 +853,8 @@ def _searched_lex_objects(data):
         stop = _Stop(data)
         if data.startswith(b"<<", i):
             dstart = i
-            i, values, failed = segmenter._scan_dict(data, _skip_ws(data, i + 2, n), stop)
-            if failed:
+            i, values, closed = segmenter._scan_dict(data, _skip_ws(data, i + 2, n), stop)
+            if not closed:
                 end = stop.balance(data, i)
                 if end is None:
                     end = data.rfind(b"endobj", dstart, stop.at)
