@@ -19,11 +19,11 @@ a key pattern, then the value walked in Python, recursing into ``<<`` and
 ``[`` and stepping through literal strings byte by byte.  The two read one
 grammar and give the same keys and values for any entry the pattern lexes.
 An object's dictionary is first matched as one run of flat entries, which
-also reads the value of its last ``/Type`` key.  A ``>>`` after the run
-closes the dictionary in that one match; else the walk resumes where the
-run stopped, and with no bound set yet it lexes the rest as from the
-``<<``.  Objects keep no values: :func:`object_values` lexes a dictionary
-on demand, and an xref stream's dictionary is lexed whole for its trailer.
+reads the value of its last ``/Type`` (a name; any other ends the run).  A
+``>>`` after the run closes the dictionary in one match; else the walk
+resumes where the run stopped, and with no bound set yet it lexes the rest
+as from the ``<<``.  Objects keep no values: :func:`object_values` lexes a
+dictionary on demand, and an xref stream's is lexed whole for its trailer.
 
 Segmentation takes time linear in the input size.  One forward pass lexes
 the objects, and the xref tables and trailers in the gaps between them.
@@ -103,11 +103,13 @@ _FLAT_ITEM = b"(?>" + _ATOM + b"|" + _FLAT_HEX + b"|" + _FLAT_STRING + b")"
 _FLAT_ARRAY = rb"\[" + _SKIP + b"(?:" + _FLAT_ITEM + _SKIP + rb")*+\]"
 _FLAT_VALUE = _SKIP + b"(" + _FLAT_ITEM + b"|" + _FLAT_ARRAY + b")" + _SKIP
 _FLAT_ENTRY_RE = re.compile(b"(" + _NAME + b")" + _FLAT_VALUE, re.S)
-# A run of flat entries, as many as _FLAT_ENTRY_RE matches in turn; group 1
-# is the value of the last "/Type" key.  The repeat is greedy: Python 3.11
-# loses a capture inside a possessive one.  Nothing follows it to backtrack.
+# The flat entries that _FLAT_ENTRY_RE matches in turn, up to a "/Type" whose
+# value is not a name; group 1 is the last "/Type" value.  Greedy: Python 3.11
+# loses a capture inside a possessive repeat.  Nothing follows to backtrack.
+_TYPE = b"/Type(?!" + _REGULAR + b")"
 _FLAT_RUN_RE = re.compile(
-    b"(?:/Type(?!" + _REGULAR + b")" + _FLAT_VALUE + b"|" + _NAME + _FLAT_VALUE + b")*", re.S
+    b"(?:" + _TYPE + _SKIP + b"(" + _NAME + b")" + _SKIP
+    + b"|(?!" + _TYPE + b")" + _NAME + _FLAT_VALUE + b")*", re.S
 )
 _ANGLES_RE = re.compile(rb"<<|>>")
 _REF_RE = re.compile(rb"(\d+)" + _REF_TAIL)
@@ -159,14 +161,13 @@ class Span:
 class IndirectObject:
     """One ``N G obj ... endobj`` span of the body.
 
-    ``dict_span`` is the byte range of the dictionary after ``obj``, when
-    one was found; :func:`object_values` lexes its entries on demand, and
-    ``is_metadata`` says whether its ``/Type`` is ``/Metadata`` or the
-    object is the trailer's ``/Info`` target.  ``payload`` is a stream
-    object's data: from the byte after the end of line that follows the
-    ``stream`` keyword up to, not including, the end of line in front of
-    ``endstream``; when none follows, up to the next object header or the
-    end of the input.  It is None for an object without a stream.
+    ``dict_span`` is the range of the dictionary after ``obj``, if any, whose
+    entries :func:`object_values` lexes on demand.  ``is_metadata`` holds for
+    a ``/Type /Metadata`` object and for the Info target.  ``payload`` is a
+    stream object's data: from the byte after the end of line that follows
+    the ``stream`` keyword up to, not including, the end of line in front of
+    ``endstream``; when none follows, up to the next object header or the end
+    of the input.  It is None for an object without a stream.
     """
 
     obj_num: int
