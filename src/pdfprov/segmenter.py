@@ -19,7 +19,7 @@ a key pattern, then the value walked in Python, recursing into ``<<`` and
 ``[`` and stepping through literal strings byte by byte.  The two read one
 grammar and give the same keys and values for any entry the pattern lexes.
 An object's dictionary is first matched as one run of flat entries, which
-reads the value of its last ``/Type`` (a name; any other ends the run).  A
+marks its last ``/Type`` key, whose value is read if it is a name.  A
 ``>>`` after the run closes the dictionary in one match; else the walk
 resumes where the run stopped, and with no bound set yet it lexes the rest
 as from the ``<<``.  Objects keep no values: :func:`object_values` lexes a
@@ -100,17 +100,16 @@ _SCALAR_RE = re.compile(_SCALAR + rb"|.?", re.S)
 # whitespace after it, the value (group 2) and the whitespace after that.
 # Every part is atomic, so each takes the same bytes as the token walk.
 _FLAT_ITEM = b"(?>" + _ATOM + b"|" + _FLAT_HEX + b"|" + _FLAT_STRING + b")"
-_FLAT_ARRAY = rb"\[" + _SKIP + b"(?:" + _FLAT_ITEM + _SKIP + rb")*+\]"
-_FLAT_VALUE = _SKIP + b"(" + _FLAT_ITEM + b"|" + _FLAT_ARRAY + b")" + _SKIP
-_FLAT_ENTRY_RE = re.compile(b"(" + _NAME + b")" + _FLAT_VALUE, re.S)
-# The flat entries that _FLAT_ENTRY_RE matches in turn, up to a "/Type" whose
-# value is not a name; group 1 is the last "/Type" value.  Greedy: Python 3.11
-# loses a capture inside a possessive repeat.  Nothing follows to backtrack.
-_TYPE = b"/Type(?!" + _REGULAR + b")"
+_FLAT_VALUE = b"(?:" + _FLAT_ITEM + rb"|\[" + _SKIP + b"(?:" + _FLAT_ITEM + _SKIP + rb")*+\])"
+_FLAT_ENTRY_RE = re.compile(b"(" + _NAME + b")" + _SKIP + b"(" + _FLAT_VALUE + b")" + _SKIP, re.S)
+# The flat entries that _FLAT_ENTRY_RE matches in turn; the empty group 1
+# lies just past the last "/Type" key.  Greedy: Python 3.11 loses a capture
+# inside a possessive repeat.  Nothing follows the repeat to backtrack.
 _FLAT_RUN_RE = re.compile(
-    b"(?:" + _TYPE + _SKIP + b"(" + _NAME + b")" + _SKIP
-    + b"|(?!" + _TYPE + b")" + _NAME + _FLAT_VALUE + b")*", re.S
+    b"(?:(?:/Type(?!" + _REGULAR + b")()|" + _NAME + b")" + _SKIP + _FLAT_VALUE + _SKIP + b")*", re.S
 )
+# A "/Type" key's value as group 1, if a name: only a name is /Metadata or /XRef.
+_TYPE_NAME_RE = re.compile(_SKIP + b"(" + _NAME + b")?")
 _ANGLES_RE = re.compile(rb"<<|>>")
 _REF_RE = re.compile(rb"(\d+)" + _REF_TAIL)
 # An object's head: "N G obj" (numbers in groups 1 and 2), the whitespace
@@ -480,7 +479,8 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[Trail
             # before it could have moved the stop.
             dstart = m.start(3)
             run = _FLAT_RUN_RE.match(data, i)
-            kind, i = run.group(1), run.end()
+            t, i = run.start(1), run.end()
+            kind = _TYPE_NAME_RE.match(data, t).group(1) if t >= 0 else None
             if closed := data.startswith(b">>", i):
                 i += 2
             else:

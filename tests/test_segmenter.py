@@ -808,10 +808,11 @@ def _read_fields(data):
 # The last /Type wins, in the run as in the walk.
 @example([b"/Type", b"/Metadata", b"/Type", b"/XRef"])
 @example([b"/Type", b"/XRef", b"/Type", b"/Metadata"])
-# A /Type whose value is not a name ends the run; the walk reads it.
+# A /Type whose value is not a name.
 @example([b"/Type", b"/Metadata", b"/Type", b" ", b"1"])
 @example([b"/Type", b"(a)", b"/Type", b"/Metadata"])
 @example([b"/Types", b"/Metadata"])
+@example([b"/Type", b"%/A 1\n", b"/XRef"])
 @example([b"/Type", b"1", b" ", b"/Metadata"])
 @example([b"/A", b" ", b"(/Type /Metadata)"])
 # A nested value after a flat run: the walk resumes, and the /Type inside
