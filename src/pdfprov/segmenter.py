@@ -102,14 +102,14 @@ _SCALAR_RE = re.compile(_SCALAR + rb"|.?", re.S)
 _FLAT_ITEM = b"(?>" + _ATOM + b"|" + _FLAT_HEX + b"|" + _FLAT_STRING + b")"
 _FLAT_VALUE = b"(?:" + _FLAT_ITEM + rb"|\[" + _SKIP + b"(?:" + _FLAT_ITEM + _SKIP + rb")*+\])"
 _FLAT_ENTRY_RE = re.compile(b"(" + _NAME + b")" + _SKIP + b"(" + _FLAT_VALUE + b")" + _SKIP, re.S)
-# The flat entries that _FLAT_ENTRY_RE matches in turn; the empty group 1
-# lies just past the last "/Type" key.  Greedy: Python 3.11 loses a capture
-# inside a possessive repeat.  Nothing follows the repeat to backtrack.
+# The flat entries that _FLAT_ENTRY_RE matches in turn.  The empty group 1
+# lies just past the last "/Type" key, and group 2 is the last name value of
+# a "/Type" key: the last key's if it starts there.  Greedy: Python 3.11
+# loses a capture inside a possessive repeat.  Nothing follows to backtrack.
 _FLAT_RUN_RE = re.compile(
-    b"(?:(?:/Type(?!" + _REGULAR + b")()|" + _NAME + b")" + _SKIP + _FLAT_VALUE + _SKIP + b")*", re.S
+    b"(?:(?:/Type(?!" + _REGULAR + b")()(?:(?=" + _SKIP + b"(" + _NAME + b")))?|" + _NAME + b")"
+    + _SKIP + _FLAT_VALUE + _SKIP + b")*", re.S
 )
-# A "/Type" key's value as group 1, if a name: only a name is /Metadata or /XRef.
-_TYPE_NAME_RE = re.compile(_SKIP + b"(" + _NAME + b")?")
 _ANGLES_RE = re.compile(rb"<<|>>")
 _REF_RE = re.compile(rb"(\d+)" + _REF_TAIL)
 # An object's head: "N G obj" (numbers in groups 1 and 2), the whitespace
@@ -475,12 +475,12 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[Trail
         kind = dict_span = payload = stop = None
         if m.start(3) >= 0:
             # A run of flat entries and a ">>" is a closed dictionary.  Else the
-            # walk resumes where the run stopped, as from the "<<": no entry
-            # before it could have moved the stop.
+            # walk resumes where the run stopped, as it would from the "<<".
             dstart = m.start(3)
             run = _FLAT_RUN_RE.match(data, i)
-            t, i = run.start(1), run.end()
-            kind = _TYPE_NAME_RE.match(data, t).group(1) if t >= 0 else None
+            i = run.end()
+            if run.start(2) >= run.start(1) >= 0:  # only a name is /Metadata or /XRef
+                kind = run.group(2)
             if closed := data.startswith(b">>", i):
                 i += 2
             else:

@@ -743,7 +743,7 @@ def _walk_only():
     run of no flat entries, and the walk-only dictionary lexer."""
     patches = contextlib.ExitStack()
     patches.enter_context(mock.patch.object(segmenter, "_scan_dict", _walk_scan_dict))
-    patches.enter_context(mock.patch.object(segmenter, "_FLAT_RUN_RE", re.compile(b"(?!)(.)|")))
+    patches.enter_context(mock.patch.object(segmenter, "_FLAT_RUN_RE", re.compile(b"(?!)(.)(.)|")))
     return patches
 
 
