@@ -13,10 +13,10 @@ Dictionaries are lexed by compiled token patterns built from one
 whitespace and one delimiter class.  One pattern lexes a whole entry (its
 key, its value and the whitespace after each) when the value is flat: a
 name, a hex string, a number or ``N G R`` reference, ``true``, ``false``
-or ``null``, a literal string with no unescaped parenthesis and no ``obj``
-inside, or an array of those.  Every other entry goes to the token walk:
-a key pattern, then the value walked in Python, recursing into ``<<`` and
-``[`` and stepping through literal strings byte by byte.  The two read one
+or ``null``, a literal string with no ``obj`` whose parentheses nest one
+level at most, or an array of those.  Every other entry goes to the token
+walk: a key pattern, then the value walked in Python, recursing into
+``<<`` and ``[`` and stepping through literal strings.  The two read one
 grammar and give the same keys and values for any entry the pattern lexes.
 An object's dictionary is first matched as one run of flat entries, which
 marks its last ``/Type`` key, whose value is read if it is a name.  A
@@ -83,10 +83,11 @@ _ATOM = _NAME + rb"|[-+.0-9]+(?:" + _REF_TAIL + rb")?|true|false|null"
 # hex string up to the next ">" (not "<<").  The group is atomic: it takes
 # what the first alternative that matches takes, whatever follows it.
 _SCALAR = b"(?>" + _ATOM + rb"|<(?!<)[^>]*>?)"
-# A literal string with no unescaped parenthesis inside it and no "obj",
+# A literal string with no "obj" whose parentheses nest one level at most,
 # and a hex string with no "obj": one that holds an object header goes to
 # the walk, which ends it there.
-_FLAT_STRING = rb"\((?>[^()\\o]+|\\.|o(?!bj))*+\)"
+_STRING_BYTES = rb"[^()\\o]+|\\.|o(?!bj)"
+_FLAT_STRING = rb"\((?>" + _STRING_BYTES + rb"|\((?>" + _STRING_BYTES + rb")*+\))*+\)"
 _FLAT_HEX = rb"<(?!<)(?>[^>o]+|o(?!bj))*+(?!obj)>?"
 
 _SKIP_RE = re.compile(_SKIP)
@@ -95,10 +96,9 @@ _SKIP_RE = re.compile(_SKIP)
 _KEY_RE = re.compile(b"(" + _NAME + b")" + _SKIP)
 # A scalar, or else one unknown byte (none at the end of the input).
 _SCALAR_RE = re.compile(_SCALAR + rb"|.?", re.S)
-# One whole dictionary entry whose value holds no dictionary, no nested
-# array and no string with inner parentheses: the key (group 1), the
-# whitespace after it, the value (group 2) and the whitespace after that.
-# Every part is atomic, so each takes the same bytes as the token walk.
+# One entry with no dictionary, nested array or string nested two deep in its
+# value: the key (group 1), whitespace, the value (group 2) and whitespace.
+# Every part is atomic, so it takes the bytes that the token walk takes.
 _FLAT_ITEM = b"(?>" + _ATOM + b"|" + _FLAT_HEX + b"|" + _FLAT_STRING + b")"
 _FLAT_VALUE = b"(?:" + _FLAT_ITEM + rb"|\[" + _SKIP + b"(?:" + _FLAT_ITEM + _SKIP + rb")*+\])"
 _FLAT_ENTRY_RE = re.compile(b"(" + _NAME + b")" + _SKIP + b"(" + _FLAT_VALUE + b")" + _SKIP, re.S)

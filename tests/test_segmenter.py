@@ -783,6 +783,10 @@ _ORACLE_TOKENS = [
 @example([b"/A <4F", b" 2 0 obj", b" /D 1"], True)
 # A run of flat entries with whitespace and a comment between them.
 @example([b"/A", b" ", b"1", b"\n", b"%/A 1\n", b"/K", b"[1 2]", b" ", b"/Type", b"/N", b" "], False)
+# Strings nested two deep, or one deep around an object header, take the walk.
+@example([b"/A ", b"(", b"(a(b)c)", b")", b" /B 1"], False)
+@example([b"/A ((a(b\\)c)d)e)", b" /B 1"], False)
+@example([b"/A (x(", b" 2 0 obj", b")y)", b" /B 1"], False)
 def test_entry_pattern_lexes_as_the_token_walk(parts, in_trailer):
     body = b"".join(parts)
     tail = b"\n2 0 obj\n<</Type/Catalog>>\nendobj\n"

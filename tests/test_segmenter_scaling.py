@@ -70,9 +70,9 @@ FAMILIES = {
     "rejected-flat-array": (
         300, lambda k: _objects(k, b"<</A [" + _NUMBERS + b" {]>>\nendobj\n")
     ),
-    # A string turned away at its inner parentheses.
+    # A string turned away at its parentheses nested two deep.
     "rejected-nested-string": (
-        1500, lambda k: _objects(k, b"<</A (" + b"x" * 40 + b"(y))>>\nendobj\n")
+        1500, lambda k: _objects(k, b"<</A (" + b"x" * 40 + b"((y)))>>\nendobj\n")
     ),
     "long-xref-table": (5000, lambda k: b"xref\n0 %d\n" % k + b"0000000000 65535 f \n" * k),
     "unclosed-string-per-object": (1000, lambda k: b"1 0 obj << /A (x >> endobj\n" * k),
