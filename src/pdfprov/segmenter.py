@@ -16,14 +16,14 @@ name, a hex string, a number or ``N G R`` reference, ``true``, ``false``
 or ``null``, a literal string with no ``obj`` whose parentheses nest one
 level at most, or an array of those.  Every other entry goes to the token
 walk: a key pattern, then the value walked in Python, recursing into
-``<<`` and ``[`` and stepping through literal strings.  The two read one
-grammar and give the same keys and values for any entry the pattern lexes.
-An object's dictionary is first matched as one run of flat entries, which
-marks its last ``/Type`` key, whose value is read if it is a name.  A
-``>>`` after the run closes the dictionary in one match; else the walk
-resumes where the run stopped, and with no bound set yet it lexes the rest
-as from the ``<<``.  Objects keep no values: :func:`object_values` lexes a
-dictionary on demand, and an xref stream's is lexed whole for its trailer.
+``<<`` and ``[`` and stepping through literal strings byte by byte.  The
+two read one grammar and give the same keys and values for any entry the
+pattern lexes.  An object's dictionary is first matched as one run of flat
+entries, which marks its last ``/Type`` key, whose value is read if it is
+a name.  A ``>>`` after the run closes the dictionary in one match; else
+the walk resumes where the run stopped, with no bound set yet, as from the
+``<<``.  Objects keep no values: :func:`object_values` lexes a dictionary
+on demand, and an xref stream's is lexed whole for its trailer.
 
 Segmentation takes time linear in the input size.  One forward pass lexes
 the objects, and the xref tables and trailers in the gaps between them.
@@ -68,11 +68,11 @@ MAGIC_SCAN_WINDOW = 1024
 _WHITESPACE = b"\x00\t\n\x0c\r "
 _DELIMITERS = b"()<>[]{}/%"
 _WS = b"[" + _WHITESPACE + b"]"
+_REGULAR = b"[^" + _WHITESPACE + re.escape(_DELIMITERS) + b"]"
 # Whitespace and comments; a comment runs from "%" to the end of its line.
 # These three are possessive: each takes its longest run, as the token walk
 # does, and never gives bytes back.
 _SKIP = _WS + rb"*+(?:%[^\r\n]*+" + _WS + rb"*+)*+"
-_REGULAR = b"[^" + _WHITESPACE + re.escape(_DELIMITERS) + b"]"
 _NAME = b"/" + _REGULAR + b"*+"
 # The rest of an indirect reference "N G R" after its first number.
 _REF_TAIL = _WS + rb"++(\d++)" + _WS + rb"++R(?![0-9A-Za-z])"
