@@ -7,7 +7,10 @@ following the cross-reference offsets: the offsets may be absent or lie,
 and the style signals this package cares about live in the raw byte
 shapes anyway.  A stream object records its payload's span, from after
 the line end that follows ``stream`` to before the line end in front of
-``endstream``, so that readers of its style can leave the data out.
+``endstream``, so that readers of its style can leave the data out: the
+``endstream`` after the size that the last top-level ``/Length`` declares,
+a direct integer of at most 18 digits, and a line end of 0-2 bytes, if one
+lies there, else the first.
 
 Dictionaries are lexed by compiled token patterns built from one
 whitespace and one delimiter class.  One pattern lexes a whole entry (its
@@ -19,19 +22,22 @@ walk: a key pattern, then the value walked in Python, recursing into
 ``<<`` and ``[`` and stepping through literal strings byte by byte.  The
 two read one grammar and give the same keys and values for any entry the
 pattern lexes.  An object's dictionary is first matched as one run of flat
-entries, which marks its last ``/Type`` key, whose value is read if it is
-a name.  A ``>>`` after the run closes the dictionary in one match; else
-the walk resumes where the run stopped, with no bound set yet, as from the
-``<<``.  Objects keep no values: :func:`object_values` lexes a dictionary
-on demand, and an xref stream's is lexed whole for its trailer.
+entries, which marks its last ``/Type`` and ``/Length`` keys, whose values
+are read if they are a name and a direct integer.  A ``>>`` after the run
+closes the dictionary; else the walk resumes where the run stopped, with
+no bound set yet, as from the ``<<``, and its keys win.  Objects keep no
+values: :func:`object_values` lexes a dictionary on demand, and an xref
+stream's is lexed whole for its trailer.
 
 Segmentation takes time linear in the input size.  One forward pass lexes
 the objects, and the xref tables and trailers in the gaps between them.
-An object with only whitespace around it costs one anchored match at each
-end and the run: the head pattern reads ``N G obj`` and a ``<<``, and the
-tail pattern whitespace and an ``endobj``, after which the next head is
-matched in place.  Other bytes between objects (a comment, junk, a digit
-run that is not a header) fall back to the searches.  The header search is
+From one payload to the next, an object with only whitespace around it
+costs one anchored match (the previous ``endobj``, a clean ``N G obj``,
+``<<``, the run, ``>>`` and ``stream``) and a ``find`` bounded to 11 bytes
+at its ``/Length``; only a missing or wrong one costs the ``endstream``
+search.  Other bytes between objects (a comment, junk, a digit run that is
+not a header) fall back to the searches, and the same pattern reads the
+head of a header that a search found.  The header search is
 possessive, so it never backs out of an xref table's digit runs, is not
 run where no whitespace-led ``obj`` follows, and takes only a header that
 starts a token.  The ``xref`` and ``trailer`` keywords are searched for
@@ -75,7 +81,7 @@ _REGULAR = b"[^" + _WHITESPACE + re.escape(_DELIMITERS) + b"]"
 _SKIP = _WS + rb"*+(?:%[^\r\n]*+" + _WS + rb"*+)*+"
 _NAME = b"/" + _REGULAR + b"*+"
 # The rest of an indirect reference "N G R" after its first number.
-_REF_TAIL = _WS + rb"++(\d++)" + _WS + rb"++R(?![0-9A-Za-z])"
+_REF_TAIL = _WS + rb"++\d++" + _WS + rb"++R(?![0-9A-Za-z])"
 
 # A name, a number or "N G R" reference, true, false or null.
 _ATOM = _NAME + rb"|[-+.0-9]+(?:" + _REF_TAIL + rb")?|true|false|null"
@@ -102,29 +108,35 @@ _SCALAR_RE = re.compile(_SCALAR + rb"|.?", re.S)
 _FLAT_ITEM = b"(?>" + _ATOM + b"|" + _FLAT_HEX + b"|" + _FLAT_STRING + b")"
 _FLAT_VALUE = b"(?:" + _FLAT_ITEM + rb"|\[" + _SKIP + b"(?:" + _FLAT_ITEM + _SKIP + rb")*+\])"
 _FLAT_ENTRY_RE = re.compile(b"(" + _NAME + b")" + _SKIP + b"(" + _FLAT_VALUE + b")" + _SKIP, re.S)
-# The flat entries that _FLAT_ENTRY_RE matches in turn.  The empty group 1
-# lies just past the last "/Type" key, and group 2 is the last name value of
-# a "/Type" key: the last key's if it starts there.  Greedy: Python 3.11
-# loses a capture inside a possessive repeat.  Nothing follows to backtrack.
-_FLAT_RUN_RE = re.compile(
-    b"(?:(?:/Type(?!" + _REGULAR + b")()(?:(?=" + _SKIP + b"(" + _NAME + b")))?|" + _NAME + b")"
-    + _SKIP + _FLAT_VALUE + _SKIP + b")*", re.S
+# The flat entries that _FLAT_ENTRY_RE matches in turn.  Group 1 is the last
+# "/Length" value that is a direct integer of at most 18 digits, and the empty
+# group 4 lies past the last "/Length" key with another value.  The empty
+# group 2 lies past the last "/Type" key, and group 3 is the last name value
+# of a "/Type" key.  A value is the last key's if it starts after its mark.
+# Greedy: Python 3.11 loses a capture inside a possessive repeat.
+_FLAT_RUN = (
+    b"(?:(?:/Length(?!" + _REGULAR + b")" + _SKIP + rb"(\d{1,18}+)(?![-+.0-9]|" + _REF_TAIL + b")"
+    + b"|(?:/Type(?!" + _REGULAR + b")()(?:(?=" + _SKIP + b"(" + _NAME + b")))?|/Length(?!"
+    + _REGULAR + b")()|" + _NAME + b")" + _SKIP + _FLAT_VALUE + b")" + _SKIP + b")*"
 )
 _ANGLES_RE = re.compile(rb"<<|>>")
 _REF_RE = re.compile(rb"(\d+)" + _REF_TAIL)
-# An object's head: "N G obj" (numbers in groups 1 and 2), the whitespace
-# after it, and a "<<" (group 3) and the whitespace after that, if one
-# follows; so it matches wherever "N G obj" does.  A digit run must be
+# An object header "N G obj", numbers in groups 1 and 2.  A digit run must be
 # followed by whitespace and a whitespace run by a digit or "o", so giving
 # bytes back never makes a match: possessive.
-_HEAD_RE = re.compile(
-    rb"(\d{1,10}+)" + _WS + rb"++(\d{1,5}+)" + _WS + rb"++obj(?![0-9A-Za-z])"
-    + _SKIP + b"(?:(<<)" + _SKIP + b")?"
-)
+_HEAD = rb"(\d{1,10}+)" + _WS + rb"++(\d{1,5}+)" + _WS + rb"++obj(?![0-9A-Za-z])"
+_HEAD_RE = re.compile(_HEAD)
 # The "stream" keyword after a dictionary and the line end after it.
-_STREAM_RE = re.compile(_SKIP + rb"stream(?:\r\n|[\r\n])?")
-# Whitespace and an "endobj": what may lie between two objects unsearched.
-_TAIL_RE = re.compile(_WS + b"*+(endobj)?" + _WS + b"*+")
+_STREAM = _SKIP + rb"(stream)(?:\r\n|[\r\n])?"
+_STREAM_RE = re.compile(_STREAM)
+# From one object's dictionary or payload to the next's: whitespace, "endobj"
+# (group 1), whitespace, and where a clean token starts, "N G obj" (groups 2
+# and 3), "<<" (4), the run (5-8) and ">>" (9) or, where none ends the run, an
+# empty group 10; else "stream" (11) and its line end.
+_OBJECT_RE = re.compile(
+    _WS + b"*+(endobj)?" + _WS + b"*+(?:(?<!" + _REGULAR + b")" + _HEAD + _SKIP + b"(?:(<<)" + _SKIP
+    + _FLAT_RUN + b"(?:(>>)|()))?(?(10)|(?:" + _STREAM + b")?))?", re.S
+)
 _WS_OBJ_RE = re.compile(_WS + b"obj")
 _HEADER_RE = re.compile(rb"%PDF-\d+\.\d+")
 _MAGIC_RE = re.compile(rb"%PDF")
@@ -156,7 +168,7 @@ class Span:
         return self.offset + self.length
 
 
-@dataclass
+@dataclass(slots=True)
 class IndirectObject:
     """One ``N G obj ... endobj`` span of the body.
 
@@ -165,8 +177,8 @@ class IndirectObject:
     a ``/Type /Metadata`` object and for the Info target.  ``payload`` is a
     stream object's data: from the byte after the end of line that follows
     the ``stream`` keyword up to, not including, the end of line in front of
-    ``endstream``; when none follows, up to the next object header or the end
-    of the input.  It is None for an object without a stream.
+    ``endstream`` (the module docstring says which); else up to the next
+    object header or the end of the input.  None without a stream.
     """
 
     obj_num: int
@@ -373,17 +385,13 @@ def _find_header(data: bytes, i: int = 0) -> re.Match[bytes] | None:
     """
     while _WS_OBJ_RE.search(data, i):
         m = _HEAD_RE.search(data, i)
-        if m is None or _clean_token_start(data, m.start()):
+        if m is None or m.start() == 0 or data[m.start() - 1] in _WHITESPACE + _DELIMITERS:
             return m
         # No clean header starts before this one's generation number ends:
         # a digit precedes every later start in its object number, and a
         # start past that leaves no room for two numbers before its "obj".
         i = m.end(2)
     return None
-
-
-def _clean_token_start(data: bytes, pos: int) -> bool:
-    return pos == 0 or data[pos - 1] in _WHITESPACE or data[pos - 1] in _DELIMITERS
 
 
 # -- Section parsers -----------------------------------------------------------
@@ -447,7 +455,7 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[Trail
     trailer_diags: list[str] = []
     n = len(data)
     end = 0  # where the last object ended: the start of the next gap
-    m = _find_header(data)
+    m = (h := _find_header(data)) and _OBJECT_RE.match(data, h.start())
     searched = True
     # False once a search found no endstream: none follows a later index.
     endstreams = True
@@ -456,7 +464,7 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[Trail
             # Each table or trailer in the gap before this header ends, at
             # the latest, at the next keyword or at the gap's end.  A
             # header matched in place has only whitespace before it.
-            gap_end = m.start() if m else n
+            gap_end = m.start(2) if m else n
             kw = _KEYWORD_RE.search(data, end, gap_end)
             while kw:
                 nxt = _KEYWORD_RE.search(data, kw.end(), gap_end)
@@ -469,42 +477,45 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[Trail
                 kw = nxt
         if m is None:
             break
-        start = m.start()
-        obj_num, gen_num = int(m.group(1)), int(m.group(2))
+        start, obj_num, gen_num = m.start(2), int(m[2]), int(m[3])
         i = m.end()
-        kind = dict_span = payload = stop = None
-        if m.start(3) >= 0:
-            # A run of flat entries and a ">>" is a closed dictionary.  Else the
-            # walk resumes where the run stopped, as it would from the "<<".
-            dstart = m.start(3)
-            run = _FLAT_RUN_RE.match(data, i)
-            i = run.end()
-            if run.start(2) >= run.start(1) >= 0:  # only a name is /Metadata or /XRef
-                kind = run.group(2)
-            if closed := data.startswith(b">>", i):
-                i += 2
+        p = i if m.start(11) >= 0 else -1  # where the payload starts
+        kind = dict_span = payload = stop = length = None
+        if (dstart := m.start(4)) >= 0:
+            if m.start(7) >= m.start(6) >= 0:  # only a name is /Metadata or /XRef
+                kind = m[7]
+            if m.start(5) > m.start(8):
+                length = int(m[5])
+            if m.start(10) < 0:  # a ">>" closed the run
+                dict_span = Span(dstart, m.end(9) - dstart)
             else:
+                # The walk resumes where the run stopped, as it would from
+                # the "<<".
                 i, values, closed = _scan_dict(data, i, stop := _Stop(data))
                 kind = values.get("/Type", kind)
-            if not closed:
-                # A malformed dictionary ends, at the latest, at the next
-                # object header, and so does the object; with no ">>" to
-                # close it before that, at the object's own endobj.
-                end = stop.balance(data, i)
-                if end is None:
-                    end = data.rfind(b"endobj", dstart, stop.at)
-                    end = max(i, stop.at) if end < 0 else end
-                i = end
-                diags.append(f"MalformedDictionary obj {obj_num} {gen_num}")
-            dict_span = Span(dstart, i - dstart)
-        s = _STREAM_RE.match(data, i)
-        if s:
+                if (v := values.get("/Length")) is not None:
+                    length = int(v) if v.isdigit() and len(v) <= 18 else None
+                if not closed:
+                    # A malformed dictionary ends, at the latest, at the next
+                    # object header, and so does the object; with no ">>" to
+                    # close it before that, at the object's own endobj.
+                    end = stop.balance(data, i)
+                    if end is None:
+                        end = data.rfind(b"endobj", dstart, stop.at)
+                        end = max(i, stop.at) if end < 0 else end
+                    i = end
+                    diags.append(f"MalformedDictionary obj {obj_num} {gen_num}")
+                dict_span = Span(dstart, i - dstart)
+                p = s.end() if (s := _STREAM_RE.match(data, i)) else -1
+        if p >= 0:
             # The payload runs from the line end after "stream" to the line
-            # end in front of endstream, or without one to the next object
-            # header, where the object is cut off.  In "stream\nendstream"
-            # one line end ends the keyword and starts the other.
-            p = s.end()
-            i = data.find(b"endstream", p) if endstreams else -1
+            # end in front of the endstream at its /Length, or else the first;
+            # without one, to the next header, which cuts the object off.  In
+            # "stream\nendstream" one line end ends one keyword and starts the
+            # other.
+            i = -1 if length is None else data.find(b"endstream", p + length, p + length + 11)
+            if i < 0:
+                i = data.find(b"endstream", p) if endstreams else -1
             if i < 0:
                 endstreams = False
                 h = _find_header(data, p)
@@ -515,18 +526,17 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[Trail
                 payload, i = Span(p, max(e - p, 0)), i + len(b"endstream")
         # The object ends at its endobj, or is cut off by the next header,
         # which is also where the following object starts.  Where only
-        # whitespace and an endobj lie between, both are read in place;
-        # else the first header and endobj are searched for.
-        t = _TAIL_RE.match(data, i)
-        k = t.end()
-        m = _HEAD_RE.match(data, k) if _clean_token_start(data, k) else None
-        searched = m is None
-        if searched:
+        # whitespace and an endobj lie between, both are read in place, with
+        # the next head; else the first header and endobj are searched for.
+        m = t = _OBJECT_RE.match(data, i)
+        if searched := (k := t.start(2)) < 0:
+            k = t.end()
             m = stop.header(data, k) if stop else _find_header(data, k)
+            m = m and _OBJECT_RE.match(data, m.start())
         if t.start(1) >= 0:
             end = t.end(1)
         else:
-            cut = m.start() if m else n
+            cut = m.start(2) if m else n
             end = data.find(b"endobj", k, cut)
             if end < 0:
                 diags.append(f"TruncatedObject obj {obj_num} {gen_num}")

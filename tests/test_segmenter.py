@@ -194,6 +194,68 @@ def test_payload_without_endstream_ends_at_the_next_object_header():
     assert sections.diagnostics == ["TruncatedObject obj 1 0"]
 
 
+# A payload that holds an endstream of its own, 13 bytes long.
+_INNER = b"a\nendstream\nb"
+
+
+@pytest.mark.parametrize("entries, eol, payload", [
+    # A direct /Length with an endstream at its end, after a line end of 0-2
+    # bytes, ends the payload there.
+    (b"/Length 13", b"\n", _INNER),
+    (b"/Length 13", b"\r\n", _INNER),
+    (b"/Length 12", b"\n", _INNER),
+    (b"/Length 14", b"\n", _INNER),
+    (b"/Length 000000000000000013", b"\n", _INNER),
+    # The last top-level /Length wins, in the run and in the walk.
+    (b"/Length 2 /Length 13", b"\n", _INNER),
+    (b"/Length 13 0 R /Length 13", b"\n", _INNER),
+    (b"/DecodeParms <</Columns 4>> /Length 13", b"\n", _INNER),
+    (b"/Length 13 /DecodeParms <</Columns 4>>", b"\n", _INNER),
+    # Else the first endstream ends it: no keyword at the /Length, or no
+    # direct integer of at most 18 digits.
+    (b"/Length 12", b"\r\n", b"a"),
+    (b"/Length 15", b"\n", b"a"),
+    (b"/Length 0", b"\n", b"a"),
+    (b"/Length 13 0 R", b"\n", b"a"),
+    (b"/Length 0000000000000000013", b"\n", b"a"),
+    (b"/DecodeParms <</Columns 4>> /Length 0000000000000000013", b"\n", b"a"),
+    (b"/Length 13 /Length 13 0 R", b"\n", b"a"),
+    (b"/Length 13 /DecodeParms <</Columns 4>> /Length 2 0 R", b"\n", b"a"),
+    (b"/DecodeParms <</Length 13>>", b"\n", b"a"),
+    (b"/Title (/Length 13)", b"\n", b"a"),
+])
+def test_a_checked_length_ends_the_payload(entries, eol, payload):
+    head = b"%PDF-1.4\n5 0 obj\n<<" + entries + b">>\nstream\n"
+    data = head + _INNER + eol + b"endstream\nendobj\n"
+    sections = segment(data)
+    (o,) = sections.objects
+    assert o.payload == Span(len(head), len(payload))
+    assert o.span.end == len(data) - 1
+    assert sections.diagnostics == []
+
+
+def test_a_length_past_the_end_of_the_input_is_not_trusted():
+    tail = b"\nendstream\nendobj\n"
+    head = b"%PDF-1.4\n" + b"5 0 obj\n<</Length %d>>\nstream\n" % (len(_INNER) + len(tail) + 1)
+    (o,) = segment(head + _INNER + tail).objects
+    assert o.payload == Span(len(head), 1)
+
+
+def test_an_embedded_pdf_stays_in_its_payload():
+    inner = (b"%PDF-1.4\n1 0 obj\n<</Length 2>>\nstream\nhi\nendstream\nendobj\n"
+             b"2 0 obj\n<</Producer (Inner Tool)>>\nendobj\n"
+             b"trailer\n<</Size 3/Info 2 0 R>>\nstartxref\n9\n%%EOF\n")
+    head = b"%PDF-1.7\n" + b"1 0 obj\n<</Type/EmbeddedFile/Length %d>>\nstream\n" % len(inner)
+    data = (head + inner + b"\nendstream\nendobj\n3 0 obj\n<</Producer (Outer Tool)>>\nendobj\n"
+            b"trailer\n<</Size 4/Info 3 0 R>>\n")
+    sections = segment(data)
+    assert [o.obj_num for o in sections.objects] == [1, 3]
+    assert sections.objects[0].payload == Span(len(head), len(inner))
+    assert [t.values for t in sections.trailers] == [{"/Size": b"4", "/Info": b"3 0 R"}]
+    assert sections.info_obj_num == 3
+    assert object_values(data, sections.objects[1]) == {"/Producer": b"(Outer Tool)"}
+
+
 def test_objects_without_a_stream_have_no_payload():
     objs = _fragment(b"1 0 obj\n<</Type/Catalog>>\nendobj\n2 0 obj\n42\nendobj\n").objects
     assert [o.payload for o in objs] == [None, None]
@@ -680,7 +742,7 @@ def test_header_search_matches_the_backtracking_pattern(parts):
         m = _OBJ_ORACLE_RE.search(data, i)
         assert _numbers(_HEAD_RE.search(data, i)) == _numbers(m)
         # _find_header takes the first header that starts a clean token.
-        while m and not segmenter._clean_token_start(data, m.start()):
+        while m and m.start() and data[m.start() - 1] not in b"\x00\t\n\x0c\r ()<>[]{}/%":
             m = _OBJ_ORACLE_RE.search(data, m.start() + 1)
         assert _numbers(_find_header(data, i)) == _numbers(m)
 
@@ -739,11 +801,15 @@ def _walk_scan_dict(data, i, stop, depth=0):
 
 
 def _walk_only():
-    """Patch the segmenter to lex every dictionary entry with the walk: a
-    run of no flat entries, and the walk-only dictionary lexer."""
+    """Patch the segmenter to lex every dictionary entry with the walk: an
+    object pattern whose run takes no flat entry, with the run's groups, and
+    the walk-only dictionary lexer."""
+    pattern = segmenter._OBJECT_RE.pattern
+    no_run = pattern.replace(segmenter._FLAT_RUN, b"(?:(?!)" + b"()" * 4 + b")?")
+    assert no_run != pattern
     patches = contextlib.ExitStack()
     patches.enter_context(mock.patch.object(segmenter, "_scan_dict", _walk_scan_dict))
-    patches.enter_context(mock.patch.object(segmenter, "_FLAT_RUN_RE", re.compile(b"(?!)(.)(.)|")))
+    patches.enter_context(mock.patch.object(segmenter, "_OBJECT_RE", re.compile(no_run, re.S)))
     return patches
 
 
@@ -831,6 +897,26 @@ def test_flat_run_reads_what_the_walk_reads(parts):
     assert _read_fields(data) == expected
 
 
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_ORACLE_TOKENS + [
+    b"/Length", b"13", b"13 0 R", b"0000000000000000013", b"/L <</Length 13>>", b"(/Length 13)",
+]), max_size=30))
+@example([b"/Length", b" ", b"13"])
+@example([b"/Length", b" ", b"1", b"/Length", b" ", b"13"])
+@example([b"/Length", b" ", b"13", b"/Length", b" ", b"13 0 R"])
+@example([b"/Length", b" ", b"13", b"/L <</Length 13>>", b"/Length", b" ", b"1"])
+@example([b"/L <</Length 13>>", b"/Length", b" ", b"13"])
+@example([b"/Length", b" ", b"13", b" ", b"x"])
+@example([b"/Length", b" ", b"13", b"%/A 1\n", b"/Length", b"<<"])
+def test_length_run_reads_what_the_walk_reads(parts):
+    body = b"".join(parts)
+    data = (b"%PDF-1.4\n1 0 obj\n<<" + body + b">>\nstream\n" + _INNER + b"\nendstream\nendobj\n"
+            b"2 0 obj <</Length 2>>stream\nab\nendstream\nendobj\n")
+    with _walk_only():
+        expected = asdict(segment(data))
+    assert asdict(segment(data)) == expected
+
+
 def test_flat_objects_take_no_dictionary_walk():
     def scan_dict_calls(count):
         data = b"%PDF-1.4\n" + b"".join(
@@ -873,7 +959,13 @@ def _searched_lex_objects(data):
         j = _skip_ws(data, i, n)
         if data.startswith(b"stream", j):
             p = segmenter._skip_eol(data, j + 6)
-            i = data.find(b"endstream", j + 6)
+            # A direct /Length, the last top-level one, holds if an
+            # endstream lies after it and a line end of 0-2 bytes.
+            length = values.get("/Length", b"")
+            length = int(length) if length.isdigit() and len(length) <= 18 else None
+            i = -1 if length is None else data.find(b"endstream", p + length, p + length + 11)
+            if i < 0:
+                i = data.find(b"endstream", j + 6)
             if i < 0:
                 h = _find_header(data, p)
                 i = h.start() if h else n
@@ -907,6 +999,12 @@ _OBJECT_PARTS = [
     b"3 0 obj\nstream\r\nxy\r\nendstream", b"12345678901 0 obj <<>>", b"4 0 obj 42",
     b"5 0 obj<</A (a(b)c)/B [1 <</C 2>>]>>", b"6 0 obj<</A (x", b"7 0 obj <</A 1 x>>",
     b"8 0 obj %c\n<</A 1>>", b"9 0 obj<<>> %c\nstream\nz\nendstream", b"10 0 obj<</B 1",
+    # Payloads that hold an endstream, with a right, a wrong and an indirect
+    # /Length, in the run and in the walk.
+    b"13 0 obj <</Length 13>>stream\na\nendstream\nb\nendstream",
+    b"14 0 obj <</Length 9>>stream\r\na\nendstream\nb\r\nendstream",
+    b"15 0 obj <</Length 15 0 R>>stream\na\nendstream\nb\nendstream",
+    b"16 0 obj <</K<<>>/Length 13>>stream\na\nendstream\nb\nendstream",
 ]
 _BETWEEN_OBJECTS = [
     b"endobj", b"endobj1 0 obj", b"%c\n", b"%endobj\n", b"%1 0 obj\n", b" ", b"\r", b"\n",
@@ -934,6 +1032,8 @@ _TAIL_CASES = {
     "stray-obj": b"1 0 obj<<>> obj endobj\n2 0 obj<<>>\nobj\n",
     "header-behind-a-letter": b"1 0 obj<<>>x2 0 obj<<>>endobj",
     "malformed-dictionary": b"1 0 obj<</A 1 x>>endobj\n2 0 obj<</A (x>>\n3 0 obj 1 endobj",
+    "endstream-inside-the-length": b"1 0 obj<</Length 13>>stream\na\nendstream\nb\nendstream endobj",
+    "length-of-a-malformed-dictionary": b"1 0 obj<</Length 13 x>>stream\na\nendstream\nb\nendstream",
 }
 
 

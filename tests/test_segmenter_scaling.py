@@ -13,16 +13,19 @@ every object's end and the next header are searched for.  In the next
 three, each trailer or xref table ran on past the next keyword, which was
 then lexed again: a comment after each trailer keyword was skipped to the
 end of its line, each table read every later line as a malformed entry,
-and each unclosed hex string ran to the end of the input.  In the last,
+and each unclosed hex string ran to the end of the input.  In the next,
 each unclosed array ran on through the next objects; it now ends at the
 next object header, which each array looks up.  The segmenter before that
-was linear here, but found one object in 33.
+was linear here, but found one object in 33.  In the last, each stream's
+declared /Length is wrong, so no endstream lies at its end and each
+payload falls back to the search for the first one; it guards that
+fallback, and the segmenter before it was linear here too.
 The test times ``segment()`` at n and 2n repetitions with
 ``conftest.assert_linear_time`` and requires the larger input to cost at
 most 2.5 times the smaller one; quadratic work costs 4 times.  Sizes keep
 the earlier segmenter at a few seconds or less at n.  On every family
-but the last, the earlier segmenter's ratios stayed at 2.9 or more in all
-three measurements.
+but the last two, the earlier segmenter's ratios stayed at 2.9 or more in
+all three measurements.
 """
 
 from __future__ import annotations
@@ -83,6 +86,9 @@ FAMILIES = {
     "xref-overlap": (250, lambda k: b"xref\n0 1000000\n" + b"1 xref\n0 1000000\n" * k),
     "unclosed-hex-per-trailer": (2000, lambda k: b"trailer << /A <" * k),
     "unclosed-array-per-object": (4000, lambda k: _objects(k, b"<</A [1 endobj\n")),
+    "wrong-length-per-stream": (
+        4000, lambda k: _objects(k, b"<</Length 9>>\nstream\nab\nendstream\nendobj\n")
+    ),
 }
 
 
