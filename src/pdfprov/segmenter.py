@@ -51,8 +51,9 @@ not closed before it ends there, as malformed (a trailer's bound is the
 next keyword or object).  A recovery inside a dictionary, past a nested
 malformed one, the nesting floor, an unclosed token or an array still open
 at a ``>>``, stops at that bound, and so do the arrays and dictionaries
-around it.  A dictionary that no ``>>`` closes before the bound ends at
-the object's own ``endobj``.
+around it.  A dictionary that no ``>>`` closes before the bound, and a
+payload that no ``endstream`` ends, end at the object's own ``endobj``: the
+last before the bound.
 
 All functions here are pure; the same input bytes always produce a
 structurally identical result.
@@ -177,8 +178,9 @@ class IndirectObject:
     a ``/Type /Metadata`` object and for the Info target.  ``payload`` is a
     stream object's data: from the byte after the end of line that follows
     the ``stream`` keyword up to, not including, the end of line in front of
-    ``endstream`` (the module docstring says which); else up to the next
-    object header or the end of the input.  None without a stream.
+    ``endstream`` (the module docstring says which); with none, in front of
+    the last ``endobj`` ahead of the next object header, and else up to that
+    header or the end of the input.  None without a stream.
     """
 
     obj_num: int
@@ -489,8 +491,7 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[Trail
             if m.start(10) < 0:  # a ">>" closed the run
                 dict_span = Span(dstart, m.end(9) - dstart)
             else:
-                # The walk resumes where the run stopped, as it would from
-                # the "<<".
+                # The walk resumes where the run stopped, as from the "<<".
                 i, values, closed = _scan_dict(data, i, stop := _Stop(data))
                 kind = values.get("/Type", kind)
                 if (v := values.get("/Length")) is not None:
@@ -509,21 +510,24 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[Trail
                 p = s.end() if (s := _STREAM_RE.match(data, i)) else -1
         if p >= 0:
             # The payload runs from the line end after "stream" to the line
-            # end in front of the endstream at its /Length, or else the first;
-            # without one, to the next header, which cuts the object off.  In
-            # "stream\nendstream" one line end ends one keyword and starts the
-            # other.
+            # end in front of the endstream at its /Length, else the first,
+            # else the last endobj ahead of the next header; else it runs to
+            # that header, which cuts the object off.  In "stream\nendstream"
+            # one line end ends one keyword and starts the other.
             i = -1 if length is None else data.find(b"endstream", p + length, p + length + 11)
             if i < 0:
                 i = data.find(b"endstream", p) if endstreams else -1
             if i < 0:
                 endstreams = False
                 h = _find_header(data, p)
-                i = h.start() if h else n
-                payload = Span(p, i - p)
+                cut = h.start() if h else n
+                i = data.rfind(b"endobj", p, cut)
+            if i < 0:
+                payload, i = Span(p, cut - p), cut
             else:
                 e = i - 2 if data.startswith(b"\r\n", i - 2) else i - (data[i - 1] in b"\r\n")
-                payload, i = Span(p, max(e - p, 0)), i + len(b"endstream")
+                payload = Span(p, max(e - p, 0))
+                i += len(b"endstream") if data.startswith(b"endstream", i) else 0
         # The object ends at its endobj, or is cut off by the next header,
         # which is also where the following object starts.  Where only
         # whitespace and an endobj lie between, both are read in place, with

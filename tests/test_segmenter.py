@@ -186,12 +186,14 @@ def test_payload_without_endstream_ends_at_the_next_object_header():
             b"trailer <</Root 2 0 R/Info 3 0 R>>\n")
     sections = segment(data)
     assert [o.obj_num for o in sections.objects] == [1, 2, 3]
+    # The payload ends before the last endobj ahead of that header, and the
+    # object keeps its endobj.
     first = sections.objects[0]
-    assert data[first.payload.offset : first.payload.end] == b"xx\nendobj\n"
-    assert first.span.end == data.index(b"2 0 obj")
+    assert data[first.payload.offset : first.payload.end] == b"xx"
+    assert first.span.end == data.index(b"endobj") + len(b"endobj")
     assert [t.values for t in sections.trailers] == [{"/Root": b"2 0 R", "/Info": b"3 0 R"}]
     assert sections.info_obj_num == 3
-    assert sections.diagnostics == ["TruncatedObject obj 1 0"]
+    assert sections.diagnostics == []
 
 
 # A payload that holds an endstream of its own, 13 bytes long.
@@ -967,9 +969,16 @@ def _searched_lex_objects(data):
             if i < 0:
                 i = data.find(b"endstream", j + 6)
             if i < 0:
+                # Without one, the payload ends before the last endobj ahead
+                # of the next header, or else at that header.
                 h = _find_header(data, p)
-                i = h.start() if h else n
-                payload = Span(p, i - p)
+                cut = h.start() if h else n
+                i = data.rfind(b"endobj", p, cut)
+                if i < 0:
+                    payload, i = Span(p, cut - p), cut
+                else:
+                    e = i - 2 if data.startswith(b"\r\n", i - 2) else i - (data[i - 1] in b"\r\n")
+                    payload = Span(p, max(e - p, 0))
             else:
                 e = i - 2 if data.startswith(b"\r\n", i - 2) else i - (data[i - 1] in b"\r\n")
                 payload, i = Span(p, max(e - p, 0)), i + 9
@@ -1005,6 +1014,7 @@ _OBJECT_PARTS = [
     b"14 0 obj <</Length 9>>stream\r\na\nendstream\nb\r\nendstream",
     b"15 0 obj <</Length 15 0 R>>stream\na\nendstream\nb\nendstream",
     b"16 0 obj <</K<<>>/Length 13>>stream\na\nendstream\nb\nendstream",
+    b"17 0 obj <</Length 2>>stream\nab\n",
 ]
 _BETWEEN_OBJECTS = [
     b"endobj", b"endobj1 0 obj", b"%c\n", b"%endobj\n", b"%1 0 obj\n", b" ", b"\r", b"\n",
@@ -1024,6 +1034,10 @@ _TAIL_CASES = {
     "11-digit-object-number": b"1 0 obj<<>>\n12345678901 0 obj<<>>endobj\n2 0 obj 1",
     "stream-without-dictionary": b"1 0 obj\nstream\nab\nendstream\nendobj\n2 0 obj 3 endobj",
     "stream-without-endstream": b"1 0 obj<</L 2>>stream\nab\n2 0 obj<<>>endobj",
+    "stream-without-endstream-before-its-endobj": (
+        b"1 0 obj<</L 2>>stream\nab\r\nendobj x endobj\n2 0 obj<<>>endobj"
+    ),
+    "stream-without-endstream-at-the-end": b"1 0 obj stream\nab\nendobj\ntrailer<<>>",
     "no-endobj": b"1 0 obj<<>>\n2 0 obj<<>>\n3 0 obj 4",
     "no-endobj-then-comment": b"1 0 obj<<>>\n%c\n2 0 obj<<>>\n",
     "endobj-twice": b"1 0 obj<<>>endobj endobj 2 0 obj<<>>endobj",

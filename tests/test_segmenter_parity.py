@@ -107,8 +107,8 @@ FAMILIES = {
 # sha256 of each family's segment() output.
 DIGESTS = {
     "fixtures": "4689b619f3752bad09c4764c8e6575a3dde7f99dac35ac2d7e5f2d01032bd361",
-    "token-soups": "8616f52cb4060844cce2300d391b7aa688157ac0839b0a208859fda67cb548ba",
-    "mutants": "8d7cb6b037f864e6dd9c3486b668a0d6acee6e2f15bf1e0c8ed800da9fa7854b",
+    "token-soups": "bed8002de1c6b6f8f14f2cdda2d4385050c4ca2cbd5ca03e238f062c3a543887",
+    "mutants": "5c647a5c664d97dbe2de4f165adeb151f345a8ca1c4aaa9b723ad587424eb7c1",
     "nesting-floor": "e29a2a7738a04e10a34f38b90c87103c18b710a31aede5ecc64b4776fb3127ae",
 }
 
