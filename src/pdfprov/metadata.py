@@ -150,8 +150,9 @@ def extract_declared(data: bytes, sections: PdfSections | None = None) -> Declar
             if "/Creator" in values:
                 info_creator = decode_pdf_string(values["/Creator"])
         elif obj.is_metadata:
-            producer = _xmp_field(obj.raw, (b"pdf:Producer",))
-            creator = _xmp_field(obj.raw, (b"xmp:CreatorTool", b"xap:CreatorTool"))
+            xmp = data[obj.span.offset : obj.span.end]
+            producer = _xmp_field(xmp, (b"pdf:Producer",))
+            creator = _xmp_field(xmp, (b"xmp:CreatorTool", b"xap:CreatorTool"))
             if producer is not None:
                 declared.xmp_producer = producer
             if creator is not None:

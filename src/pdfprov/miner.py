@@ -2,7 +2,7 @@
 
 The miner looks, per producer and per section, for byte patterns shared
 by every file in the group, in the elements that rules match
-(:func:`rules.section_elements`: body objects without their stream
+(:func:`rules.element_bytes`: body objects without their stream
 payloads), then generalizes the volatile parts: decimal
 digit runs become ``[0-9]*`` and long hex strings inside angle brackets
 become ``[0-9A-F]*`` (but only where the values actually vary across the
@@ -34,8 +34,8 @@ from .rules import (
     SectionKind,
     SECTION_ORDER,
     compile_pattern,
+    element_bytes,
     render_rulepack,
-    section_elements,
 )
 from .segmenter import PdfSections, segment
 
@@ -351,10 +351,7 @@ def _build_template(tokens: tuple[int, ...], group_haystacks: list[list[bytes]])
 
 def _group_haystacks(corpus: LabeledCorpus, group: list[CorpusFile],
                      section: SectionKind) -> list[list[bytes]]:
-    return [
-        [data for _, data in section_elements(corpus.sections_of(f), section)]
-        for f in group
-    ]
+    return [element_bytes(corpus.sections_of(f), section)[0] for f in group]
 
 
 def _fraction_matching(regex: re.Pattern[bytes], haystacks_per_file: list[list[bytes]]) -> float:

@@ -44,6 +44,7 @@ section's matches come out in rule-id order.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from re import _constants, _parser
@@ -341,38 +342,43 @@ def render_rulepack(rules: list[Rule], header_comment: str = "") -> str:
 _PAYLOAD_KEPT = 2
 
 
-def _body_element(obj: IndirectObject) -> bytes:
-    """An object's bytes with its stream payload cut out after its first
-    ``_PAYLOAD_KEPT`` bytes; the line end before ``endstream`` stays."""
-    payload = obj.payload
+def _body_element(data: bytes, obj: IndirectObject) -> bytes:
+    """An object's bytes, sliced from the file's ``data``, with its stream
+    payload cut out after its first ``_PAYLOAD_KEPT`` bytes; the line end
+    before ``endstream`` stays."""
+    span, payload = obj.span, obj.payload
     if payload is None or payload.length <= _PAYLOAD_KEPT:
-        return obj.raw
-    cut = payload.offset - obj.span.offset
-    return obj.raw[: cut + _PAYLOAD_KEPT] + obj.raw[cut + payload.length :]
+        return data[span.offset : span.end]
+    return data[span.offset : payload.offset + _PAYLOAD_KEPT] + data[payload.end : span.end]
 
 
-def section_elements(sections: PdfSections, kind: SectionKind) -> list[tuple[str, bytes]]:
-    """Eligible (element_ref, bytes) pairs for one section.
+def element_bytes(sections: PdfSections, kind: SectionKind) -> tuple[list[bytes], Callable[[int], str]]:
+    """The bytes of each eligible element of one section, and a function
+    that names the element at an index; the names are built only when asked.
 
     A body element is one non-metadata object's bytes with its stream
     payload cut out past the first two bytes (see :func:`_body_element`),
     so rules and the miner see the dictionary, the ``stream``/``endstream``
     framing and the compression header, never the compressed data.  For
-    the xref section this returns the table bytes only (the presence
+    the xref section these are the table bytes only (the presence
     pseudo-input is handled by :func:`match_section` directly).
     """
     if kind is SectionKind.HEADER:
         comment = sections.binary_comment
-        return [("header", comment)] if comment else []
+        return ([comment] if comment else []), lambda _: "header"
     if kind is SectionKind.BODY:
-        return [
-            (f"obj:{obj.obj_num}:{obj.gen_num}", _body_element(obj))
-            for obj in sections.objects
-            if not obj.is_metadata
-        ]
+        objects = [obj for obj in sections.objects if not obj.is_metadata]
+        return [_body_element(sections.data, obj) for obj in objects], (
+            lambda i: f"obj:{objects[i].obj_num}:{objects[i].gen_num}")
     if kind is SectionKind.XREF:
-        return [(f"xref:{i}", t.raw) for i, t in enumerate(sections.xref_tables)]
-    return [(f"trailer:{i}", t.raw) for i, t in enumerate(sections.trailers)]
+        return [t.raw for t in sections.xref_tables], "xref:{}".format
+    return [t.raw for t in sections.trailers], "trailer:{}".format
+
+
+def section_elements(sections: PdfSections, kind: SectionKind) -> list[tuple[str, bytes]]:
+    """Eligible (element_ref, bytes) pairs: :func:`element_bytes`, named."""
+    elements, ref = element_bytes(sections, kind)
+    return [(ref(i), element) for i, element in enumerate(elements)]
 
 
 def presence_token(sections: PdfSections) -> bytes:
@@ -390,12 +396,11 @@ def match_section(
     leftmost offset within it.  The vote reads only which rules fired.
     """
     token = presence_token(sections)
-    presence_targets = [("xref:presence", token)]
-    element_targets = section_elements(sections, kind)
+    elements, ref = element_bytes(sections, kind)
     matches: list[RuleMatch] = []
     for rule in pack.for_section(kind):
-        targets = presence_targets if rule.kind is RuleKind.PRESENCE else element_targets
-        for ref, data in targets:
+        presence = rule.kind is RuleKind.PRESENCE
+        for i, data in enumerate((token,) if presence else elements):
             m = rule.regex.search(data)
             if m is None:
                 continue
@@ -405,11 +410,11 @@ def match_section(
                     producer=rule.producer,
                     section=kind,
                     match_offset=m.start(),
-                    element_ref=ref,
+                    element_ref="xref:presence" if presence else ref(i),
                     kind=rule.kind,
                     os_tags=rule.os_tags,
                     distro_tags=rule.distro_tags,
-                    advisory=(rule.kind is RuleKind.PRESENCE and token == b"P"),
+                    advisory=presence and token == b"P",
                 )
             )
             break
@@ -430,6 +435,7 @@ __all__ = [
     "compile_pattern",
     "load_rulepack",
     "render_rulepack",
+    "element_bytes",
     "section_elements",
     "presence_token",
     "match_section",

@@ -5,12 +5,14 @@ tables and trailer dictionaries without interpreting the object graph or
 decoding any stream.  Everything is located by scanning bytes, never by
 following the cross-reference offsets: the offsets may be absent or lie,
 and the style signals this package cares about live in the raw byte
-shapes anyway.  A stream object records its payload's span, from after
-the line end that follows ``stream`` to before the line end in front of
-``endstream``, so that readers of its style can leave the data out: the
-``endstream`` after the size that the last top-level ``/Length`` declares,
-a direct integer of at most 18 digits, and a line end of 0-2 bytes, if one
-lies there, else the first.
+shapes anyway.  Objects are spans into the input, which
+:class:`PdfSections` keeps as ``data``: no object's bytes are copied, and
+readers slice ``data`` by the spans.  A stream object records its
+payload's span, from after the line end that follows ``stream`` to before
+the line end in front of ``endstream``, so that readers of its style can
+leave the data out: the ``endstream`` after the size that the last
+top-level ``/Length`` declares, a direct integer of at most 18 digits, and
+a line end of 0-2 bytes, if one lies there, else the first.
 
 Dictionaries are lexed by compiled token patterns built from one
 whitespace and one delimiter class.  One pattern lexes a whole entry (its
@@ -173,19 +175,20 @@ class Span:
 class IndirectObject:
     """One ``N G obj ... endobj`` span of the body.
 
-    ``dict_span`` is the range of the dictionary after ``obj``, if any, whose
-    entries :func:`object_values` lexes on demand.  ``is_metadata`` holds for
-    a ``/Type /Metadata`` object and for the Info target.  ``payload`` is a
-    stream object's data: from the byte after the end of line that follows
-    the ``stream`` keyword up to, not including, the end of line in front of
-    ``endstream`` (the module docstring says which); with none, in front of
-    the last ``endobj`` ahead of the next object header, and else up to that
-    header or the end of the input.  None without a stream.
+    It holds spans into :attr:`PdfSections.data`, no bytes of its own:
+    ``span`` is the whole object.  ``dict_span`` is the range of the
+    dictionary after ``obj``, if any, whose entries :func:`object_values`
+    lexes on demand.  ``is_metadata`` holds for a ``/Type /Metadata``
+    object and for the Info target.  ``payload`` is a stream object's
+    data: from the byte after the end of line that follows the ``stream``
+    keyword up to, not including, the end of line in front of ``endstream``
+    (the module docstring says which); with none, in front of the last
+    ``endobj`` ahead of the next object header, and else up to that header
+    or the end of the input.  None without a stream.
     """
 
     obj_num: int
     gen_num: int
-    raw: bytes
     is_metadata: bool
     span: Span
     dict_span: Span | None = None
@@ -212,8 +215,10 @@ class TrailerDict:
 
 @dataclass
 class PdfSections:
-    """The segmented view of one PDF file."""
+    """The segmented view of one PDF file: its objects are spans into
+    ``data``, the segmented bytes object itself, not a copy."""
 
+    data: bytes = field(repr=False)
     # The comment line after the %PDF line, without its "%", if any.
     binary_comment: bytes | None
     objects: list[IndirectObject]
@@ -549,8 +554,7 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[Trail
                 end += len(b"endobj")
         kind = kind.strip() if kind else b""
         obj = IndirectObject(
-            obj_num, gen_num, data[start:end], kind == b"/Metadata",
-            Span(start, end - start), dict_span, payload,
+            obj_num, gen_num, kind == b"/Metadata", Span(start, end - start), dict_span, payload
         )
         objects.append(obj)
         if kind == b"/XRef":
@@ -637,6 +641,7 @@ def segment(data: bytes) -> PdfSections:
     binary_comment, diags = _parse_header_with_diags(data)
     objects, tables, trailers, body_diags = _lex(data)
     return PdfSections(
+        data=data,
         binary_comment=binary_comment,
         objects=objects,
         xref_tables=tables,

@@ -222,8 +222,9 @@ def _mutate_metadata(data: bytes, fill: int) -> bytes:
     for obj in sections.objects:
         if not obj.is_metadata:
             continue
-        head = obj.raw.index(b"obj") + 3
-        tail = obj.raw.rindex(b"endobj")
+        raw = data[obj.span.offset : obj.span.end]
+        head = raw.index(b"obj") + 3
+        tail = raw.rindex(b"endobj")
         start = obj.span.offset
         out[start + head : start + tail] = bytes([fill]) * (tail - head)
         mutated = True

@@ -315,8 +315,8 @@ def test_each_fired_rule_is_reported_once_at_its_first_hit(pack, which):
 
 
 def _raw_body_elements(sections) -> list[tuple[str, bytes]]:
-    return [(f"obj:{o.obj_num}:{o.gen_num}", o.raw) for o in sections.objects
-            if not o.is_metadata]
+    return [(f"obj:{o.obj_num}:{o.gen_num}", sections.data[o.span.offset : o.span.end])
+            for o in sections.objects if not o.is_metadata]
 
 
 def _first_hit(rule: Rule, targets: list[tuple[str, bytes]]) -> tuple[str, int] | None:
@@ -356,6 +356,34 @@ def test_a_rule_across_the_cut_fires_in_scan():
     assert (m.rule_id, m.element_ref, m.match_offset) == ("across-cut", "obj:4:0", 19)
 
 
+_METADATA_FIRST = (
+    b"%PDF-1.4\n1 0 obj\n<</Producer (x)>>\nendobj\n"
+    b"2 0 obj\n<</Type/Metadata/Subtype/XML/Length 9>>\nstream\n<x:xmp/>\nendstream\nendobj\n"
+    b"3 0 obj\n<</Type/Catalog/Pages 4 0 R>>\nendobj\n"
+    b"4 0 obj\n<</Type/Pages/Kids[]/Count 0>>\nendobj\n"
+    b"trailer\n<</Size 5/Root 3 0 R/Info 1 0 R>>\n"
+)
+
+
+def test_a_body_match_names_the_object_it_fired_on():
+    """Metadata objects are no body elements, so a ref built from an
+    element's index alone would name an object before the right one."""
+    pack = load_rulepack(
+        'rule catalog {\n  producer = PdfTeX\n  section = body\n  kind = template\n'
+        '  pattern = "/Type/Catalog"\n}\n'
+        'rule pages {\n  producer = PdfTeX\n  section = body\n  kind = template\n'
+        '  pattern = "/Kids"\n}\n'
+    )
+    sections = segment(_METADATA_FIRST)
+    assert [o.is_metadata for o in sections.objects] == [True, True, False, False]
+    elements = section_elements(sections, SectionKind.BODY)
+    matches = match_section(pack, sections, SectionKind.BODY)
+    assert [m.element_ref for m in matches] == ["obj:3:0", "obj:4:0"]
+    for m in matches:
+        rule = next(r for r in pack.rules if r.id == m.rule_id)
+        assert m.element_ref == next(ref for ref, data in elements if rule.regex.search(data))
+
+
 def test_metadata_immunity(pack, corpus_bytes):
     """Rewriting bytes strictly inside metadata objects changes no match."""
     for producer, blobs in corpus_bytes.items():
@@ -370,8 +398,9 @@ def _zero_metadata(data: bytes) -> bytes:
     for obj in sections.objects:
         if not obj.is_metadata:
             continue
-        head = obj.raw.index(b"obj") + 3
-        tail = obj.raw.rindex(b"endobj")
+        raw = data[obj.span.offset : obj.span.end]
+        head = raw.index(b"obj") + 3
+        tail = raw.rindex(b"endobj")
         start = obj.span.offset
         mutated[start + head : start + tail] = b"\x00" * (tail - head)
     return bytes(mutated)

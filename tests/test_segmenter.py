@@ -56,6 +56,11 @@ def _object_values(data: bytes) -> list[dict[str, bytes]]:
     return [object_values(data, o) for o in segment(data).objects]
 
 
+def _raw(sections: PdfSections, obj) -> bytes:
+    """The bytes of ``obj``: its span of the segmented data."""
+    return sections.data[obj.span.offset : obj.span.end]
+
+
 # -- parse_header ----------------------------------------------------------
 
 
@@ -117,22 +122,23 @@ def test_header_short_comment_recorded_and_flagged():
 
 
 def test_pdftex_style_object():
-    objs = _fragment(PDFTEX_STREAM_OBJECT).objects
+    sections = _fragment(PDFTEX_STREAM_OBJECT)
+    objs = sections.objects
     assert len(objs) == 1
     obj = objs[0]
     assert (obj.obj_num, obj.gen_num) == (4, 0)
     assert [list(v) for v in _object_values(b"%PDF-1.4\n" + PDFTEX_STREAM_OBJECT)] == [
         ["/Length", "/Filter"]
     ]
-    assert obj.raw == PDFTEX_STREAM_OBJECT.rstrip(b"\n")
+    assert _raw(sections, obj) == PDFTEX_STREAM_OBJECT.rstrip(b"\n")
 
 
 def test_luatex_style_object_same_keys_different_raw():
-    objs = _fragment(LUATEX_STREAM_OBJECT).objects
+    luatex, pdftex = _fragment(LUATEX_STREAM_OBJECT), _fragment(PDFTEX_STREAM_OBJECT)
     assert [list(v) for v in _object_values(b"%PDF-1.4\n" + LUATEX_STREAM_OBJECT)] == [
         ["/Length", "/Filter"]
     ]
-    assert objs[0].raw != _fragment(PDFTEX_STREAM_OBJECT).objects[0].raw
+    assert _raw(luatex, luatex.objects[0]) != _raw(pdftex, pdftex.objects[0])
 
 
 def test_empty_body_region():
@@ -143,7 +149,7 @@ def test_truncated_object_recorded_not_fatal():
     data = b"%PDF-1.4\n9 0 obj\n<</Length 3>>\nstream\nabc"
     sections = segment(data)
     (obj,) = sections.objects
-    assert obj.raw == data[len(b"%PDF-1.4\n"):]
+    assert _raw(sections, obj) == data[len(b"%PDF-1.4\n"):]
     assert sections.diagnostics == ["TruncatedObject obj 9 0"]
 
 
@@ -161,7 +167,7 @@ def test_payload_span_lies_between_the_stream_line_ends(eol_after, payload, eol_
     data = b"%PDF-1.4\n" + head + payload + tail + b"\n"
     sections = segment(data)
     (o,) = sections.objects
-    assert o.raw == head + payload + tail
+    assert _raw(sections, o) == head + payload + tail
     assert o.payload == Span(o.span.offset + len(head), len(payload))
     assert data[o.payload.offset : o.payload.end] == payload
     # The body element keeps two payload bytes and the endstream line end.
@@ -175,7 +181,7 @@ def test_payload_without_endstream_runs_to_the_end_of_the_input(eol_after):
     sections = segment(data)
     (o,) = sections.objects
     assert o.payload == Span(len(head), len(data) - len(head))
-    assert section_elements(sections, SectionKind.BODY) == [("obj:9:0", o.raw[:-4])]
+    assert section_elements(sections, SectionKind.BODY) == [("obj:9:0", _raw(sections, o)[:-4])]
     (o,) = segment(head).objects
     assert o.payload == Span(len(head), 0)
 
@@ -457,7 +463,7 @@ def test_malformed_object_dictionary_stops_at_the_next_object():
     first = sections.objects[0]
     # No ">>" closes the dictionary before the next object, so it ends at the
     # object's own endobj.
-    assert first.raw == b"1 0 obj\n<</Type/Catalog/Pages>>\nendobj"
+    assert _raw(sections, first) == b"1 0 obj\n<</Type/Catalog/Pages>>\nendobj"
     assert sections.diagnostics == ["MalformedDictionary obj 1 0"]
 
 
@@ -472,7 +478,7 @@ def test_nesting_floor_recovery_stops_at_the_next_object():
     assert sections.info_obj_num == 5
     # The recovery runs to the next object header at the latest, and the
     # object ends at its own endobj before it.
-    assert sections.objects[0].raw.endswith(b"]>>\nendobj")
+    assert _raw(sections, sections.objects[0]).endswith(b"]>>\nendobj")
     assert sections.objects[0].span.end < broken.index(b"2 0 obj")
     assert sections.diagnostics == ["MalformedDictionary obj 1 0"]
 
@@ -489,7 +495,7 @@ def test_unclosed_array_ends_at_the_dictionary_end():
     assert object_values(broken, kids)["/Kids"] == b"[3 0 R/Count 1>>"
     # No ">>" is left to close the dictionary before the next object, so it
     # ends at the object's own endobj, which is not cut off.
-    assert kids.raw.endswith(b"endobj")
+    assert _raw(sections, kids).endswith(b"endobj")
     assert kids.span.end < broken.index(b"3 0 obj")
     assert sections.diagnostics == ["MalformedDictionary obj 2 0"]
     assert scan_bytes("broken.pdf", broken, builtin()).consistency == "consistent"
@@ -507,7 +513,7 @@ def test_unclosed_literal_string_ends_at_the_dictionary_end():
     # The string runs on to the ">>" that balances its dictionary, short of
     # the next object header.
     assert object_values(broken, pages)["/T"] == b"(a/Kids[3 0 R]/Count 1>>"
-    assert pages.raw.endswith(b"endobj")
+    assert _raw(sections, pages).endswith(b"endobj")
     assert pages.span.end < broken.index(b"3 0 obj")
     assert sections.diagnostics == ["MalformedDictionary obj 2 0"]
     assert scan_bytes("broken.pdf", broken, builtin()).consistency == "consistent"
@@ -522,7 +528,7 @@ def test_a_string_does_not_run_past_the_next_object_header(string):
     first = sections.objects[0]
     # The dictionary ends at the object's own endobj, short of the header.
     assert _object_values(data) == [{"/A": string + b"endobj\n"}, {"/B": b"/y"}]
-    assert first.raw == b"1 0 obj\n<</A " + string + b"endobj"
+    assert _raw(sections, first) == b"1 0 obj\n<</A " + string + b"endobj"
     assert sections.diagnostics == ["MalformedDictionary obj 1 0"]
 
 
@@ -556,7 +562,7 @@ def test_a_header_that_starts_no_object_bounds_nothing(body):
     data = b"%PDF-1.4\n1 0 obj\n" + body + b"endobj\n"
     sections = segment(data)
     (obj,) = sections.objects
-    assert obj.raw == data[len(b"%PDF-1.4\n"):-1]
+    assert _raw(sections, obj) == data[len(b"%PDF-1.4\n"):-1]
     assert sections.diagnostics == []
 
 
@@ -630,8 +636,7 @@ def test_span_coverage_and_determinism(corpus_bytes):
     for blobs in corpus_bytes.values():
         data = blobs[0]
         sections = segment(data)
-        for obj in sections.objects:
-            assert data[obj.span.offset : obj.span.end] == obj.raw
+        assert sections.data is data
         for element in (*sections.xref_tables, *sections.trailers):
             assert data[element.span.offset : element.span.end] == element.raw
         assert segment(data) == sections
@@ -991,7 +996,7 @@ def _searched_lex_objects(data):
         else:
             end += 6
         objects.append(segmenter.IndirectObject(
-            obj_num, gen_num, data[start:end], values.get("/Type", b"").strip() == b"/Metadata",
+            obj_num, gen_num, values.get("/Type", b"").strip() == b"/Metadata",
             Span(start, end - start), dict_span, payload,
         ))
     return objects, diags

@@ -2,7 +2,10 @@
 
 Each family is a deterministic list of inputs.  Its digest is the sha256 of
 ``repr(dataclasses.asdict(segment(x)))`` over the whole list, so any change
-in what ``segment()`` returns for any of its inputs changes the digest.  A
+in what ``segment()`` returns for any of its inputs changes the digest.  The
+render leaves out the input that ``PdfSections.data`` holds and gives each
+object the bytes of its span, in the field position its old ``raw`` copy
+had, so the digests read the same as when objects held that copy.  A
 segmenter refactor meant to keep its output shows that it did here, in the
 tier-1 run.  A change meant to alter the output updates the digest of each
 family it moves and says in CHANGES.md why, and on how many inputs.
@@ -113,11 +116,24 @@ DIGESTS = {
 }
 
 
+def _render(sections) -> dict:
+    """``asdict(sections)`` without ``data``, each object with the bytes of
+    its span as ``raw`` after its numbers."""
+    out = asdict(sections)
+    data = out.pop("data")
+    out["objects"] = [
+        {"obj_num": o.pop("obj_num"), "gen_num": o.pop("gen_num"),
+         "raw": data[o["span"]["offset"] : o["span"]["offset"] + o["span"]["length"]], **o}
+        for o in out["objects"]
+    ]
+    return out
+
+
 def family_digest(inputs: Iterator[bytes]) -> str:
     digest = hashlib.sha256()
     for data in inputs:
         try:
-            out = repr(asdict(segment(data)))
+            out = repr(_render(segment(data)))
         except NotAPdf as exc:
             out = f"NotAPdf: {exc}"
         digest.update(out.encode("utf-8") + b"\n")

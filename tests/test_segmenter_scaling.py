@@ -30,11 +30,16 @@ all three measurements.
 
 from __future__ import annotations
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_linear_time
+from pdfprov.fixtures import PROFILES, generate
+from pdfprov.producers import Producer
 from pdfprov.segmenter import segment
 from test_segmenter_parity import TOKENS
 
@@ -98,6 +103,28 @@ def test_segment_time_is_linear(family):
     assert_linear_time(
         f"{family} at n={n}", segment, b"%PDF-1.4\n" + build(n), b"%PDF-1.4\n" + build(2 * n)
     )
+
+
+# -- memory ----------------------------------------------------------------------
+
+
+def test_segment_allocates_far_less_than_its_input():
+    """Objects are spans into the input: segmenting copies none of their
+    bytes, so the peak of what ``segment()`` allocates is a small share of
+    a many-object file whose bytes lie mostly in stream payloads."""
+    payload = random.Random(1).randbytes(2500)
+    stream = b"<</Length %d/Filter/FlateDecode>>\nstream\n%s\nendstream\nendobj\n" % (
+        len(payload), payload)
+    data = generate(PROFILES[Producer.PDFTEX], 1) + _objects(800, stream)
+    assert len(data) > 2_000_000
+    tracemalloc.start()
+    try:
+        sections = segment(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sections.objects) > 800 and not sections.diagnostics
+    assert peak < len(data) / 2, f"segment() peaked at {peak} bytes on {len(data)}"
 
 
 # -- no two elements share a byte -------------------------------------------------
