@@ -565,10 +565,11 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[Trail
 
 def object_values(data: bytes, obj: IndirectObject) -> dict[str, bytes]:
     """The raw value of each top-level key of ``obj``'s dictionary, in source
-    order (last wins); a malformed one gives those lexed before it failed."""
-    if obj.dict_span is None:
+    order (last wins); a malformed one gives those lexed before it failed,
+    and no value reads past the dictionary's span."""
+    if (span := obj.dict_span) is None:
         return {}
-    return _scan_dict(data, _skip_ws(data, obj.dict_span.offset + 2, len(data)), _Stop(data))[1]
+    return _scan_dict(data, _skip_ws(data, span.offset + 2, span.end), _Stop(data, span.end))[1]
 
 
 def _lex_xref_table(data: bytes, start: int, bound: int, diags: list[str]) -> XrefTable | None:

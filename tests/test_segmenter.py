@@ -281,9 +281,9 @@ def test_nested_dict_keys_stay_out_of_top_level():
     assert [list(v) for v in _object_values(data)] == [["/A", "/B"]]
 
 
-# What follows the dictionary in every value-grammar fragment.  A value that
-# never closes runs to the end of the input and takes this tail with it, but
-# its dictionary, with no ">>" to close it, ends at the tail's endobj.
+# What follows the dictionary in every value-grammar fragment.  A dictionary
+# that no ">>" closes ends at the tail's endobj, and so does a value in it
+# that never closes: no value reads past its dictionary.
 _TAIL = b"\nendobj\n"
 _MALFORMED = ["MalformedDictionary obj 1 0"]
 
@@ -295,11 +295,11 @@ _MALFORMED = ["MalformedDictionary obj 1 0"]
                      None, [], id="name-with-hex-escape"),
         pytest.param(b"<</A <48 65>/B 2>>", {"/A": b"<48 65>", "/B": b"2"},
                      None, [], id="hex-string"),
-        pytest.param(b"<</A <4F", {"/A": b"<4F" + _TAIL},
+        pytest.param(b"<</A <4F", {"/A": b"<4F\n"},
                      b"<</A <4F\n", _MALFORMED, id="unclosed-hex-string"),
         pytest.param(b"<</A (a(b)\\)c)/B 1>>", {"/A": b"(a(b)\\)c)", "/B": b"1"},
                      None, [], id="literal-string"),
-        pytest.param(b"<</A (a", {"/A": b"(a" + _TAIL},
+        pytest.param(b"<</A (a", {"/A": b"(a\n"},
                      b"<</A (a\n", _MALFORMED, id="unclosed-literal-string"),
         pytest.param(b"<</A -1.5/B 12 0 R>>", {"/A": b"-1.5", "/B": b"12 0 R"},
                      None, [], id="number-and-reference"),
@@ -314,9 +314,9 @@ _MALFORMED = ["MalformedDictionary obj 1 0"]
                      None, [], id="comment"),
         pytest.param(b"<</A 1 x>>", {"/A": b"1"}, None, _MALFORMED, id="stray-token"),
         # Past the nesting floor the value is recovered by balancing << >>,
-        # which here runs off the end of the input.
+        # which here runs to the end of the dictionary.
         pytest.param(b"<</A " + b"[" * 70 + b"1" + b"]" * 70 + b">>",
-                     {"/A": b"[" * 70 + b"1" + b"]" * 70 + b">>" + _TAIL},
+                     {"/A": b"[" * 70 + b"1" + b"]" * 70 + b">>\n"},
                      b"<</A " + b"[" * 70 + b"1" + b"]" * 70 + b">>\n",
                      _MALFORMED, id="nesting-floor"),
     ],
@@ -527,16 +527,33 @@ def test_a_string_does_not_run_past_the_next_object_header(string):
     assert [o.obj_num for o in sections.objects] == [1, 2]
     first = sections.objects[0]
     # The dictionary ends at the object's own endobj, short of the header.
-    assert _object_values(data) == [{"/A": string + b"endobj\n"}, {"/B": b"/y"}]
+    assert _object_values(data) == [{"/A": string}, {"/B": b"/y"}]
     assert _raw(sections, first) == b"1 0 obj\n<</A " + string + b"endobj"
     assert sections.diagnostics == ["MalformedDictionary obj 1 0"]
+
+
+def test_a_value_does_not_reach_past_its_dictionary():
+    data = b"%PDF-1.4\n1 0 obj\n<</A <4F\nendobj\n"
+    (obj,) = segment(data).objects
+    assert data[obj.dict_span.offset : obj.dict_span.end] == b"<</A <4F\n"
+    assert object_values(data, obj) == {"/A": b"<4F\n"}
+    # A broken value of an xref stream's dictionary, its revision's trailer,
+    # does not take in the classic trailer after the object.
+    data = (b"%PDF-1.5\n1 0 obj\n<</Type/XRef/Size 2/ID [<ab> (x]/W [1 2 1]/Length 2>>\n"
+            b"stream\nxx\nendstream\nendobj\ntrailer\n<</Size 2/Info 1 0 R>>\n%%EOF\n")
+    sections = segment(data)
+    (obj,) = sections.objects
+    xref_stream, classic = sections.trailers
+    assert xref_stream.values["/ID"] == b"[<ab> (x]/W [1 2 1]/Length 2>>\nstream\nxx\nendstream\n"
+    assert xref_stream.span == obj.dict_span
+    assert classic.values == {"/Size": b"2", "/Info": b"1 0 R"}
 
 
 def test_an_unclosed_array_ends_at_the_next_object_header():
     data = b"%PDF-1.4\n" + b"".join(b"%d 0 obj <</A [1 endobj\n" % (n + 1) for n in range(2000))
     sections = segment(data)
     assert [o.obj_num for o in sections.objects] == list(range(1, 2001))
-    assert _object_values(data)[:2] == [{"/A": b"[1 endobj\n"}] * 2
+    assert _object_values(data)[:2] == [{"/A": b"[1 "}] * 2
     assert sections.diagnostics[:2] == ["MalformedDictionary obj 1 0", "MalformedDictionary obj 2 0"]
 
 

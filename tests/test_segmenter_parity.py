@@ -111,7 +111,7 @@ FAMILIES = {
 DIGESTS = {
     "fixtures": "4689b619f3752bad09c4764c8e6575a3dde7f99dac35ac2d7e5f2d01032bd361",
     "token-soups": "bed8002de1c6b6f8f14f2cdda2d4385050c4ca2cbd5ca03e238f062c3a543887",
-    "mutants": "5c647a5c664d97dbe2de4f165adeb151f345a8ca1c4aaa9b723ad587424eb7c1",
+    "mutants": "2cc704b531e20a5ed9e30799c7795fa949fffd71b1f56d6d4bea0c539d578138",
     "nesting-floor": "e29a2a7738a04e10a34f38b90c87103c18b710a31aede5ecc64b4776fb3127ae",
 }
 
