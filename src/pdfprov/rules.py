@@ -343,13 +343,14 @@ _PAYLOAD_KEPT = 2
 
 
 def _body_element(data: bytes, obj: IndirectObject) -> bytes:
-    """An object's bytes, sliced from the file's ``data``, with its stream
-    payload cut out after its first ``_PAYLOAD_KEPT`` bytes; the line end
-    before ``endstream`` stays."""
+    """An object's bytes in ``data`` with its stream payload cut out after its
+    first ``_PAYLOAD_KEPT`` bytes; the line end before ``endstream`` stays."""
     span, payload = obj.span, obj.payload
+    # Not Span.end: its property call took a quarter of this function's time.
+    start, end = span.offset, span.offset + span.length
     if payload is None or payload.length <= _PAYLOAD_KEPT:
-        return data[span.offset : span.end]
-    return data[span.offset : payload.offset + _PAYLOAD_KEPT] + data[payload.end : span.end]
+        return data[start:end]
+    return data[start : payload.offset + _PAYLOAD_KEPT] + data[payload.offset + payload.length : end]
 
 
 def element_bytes(sections: PdfSections, kind: SectionKind) -> tuple[list[bytes], Callable[[int], str]]:

@@ -553,9 +553,8 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[Trail
             else:
                 end += len(b"endobj")
         kind = kind.strip() if kind else b""
-        obj = IndirectObject(
-            obj_num, gen_num, kind == b"/Metadata", Span(start, end - start), dict_span, payload
-        )
+        obj = IndirectObject(obj_num, gen_num, kind == b"/Metadata", Span(start, end - start),
+                             dict_span, payload)
         objects.append(obj)
         if kind == b"/XRef":
             # An xref stream's dictionary is its revision's trailer.

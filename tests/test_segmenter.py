@@ -532,13 +532,9 @@ def test_a_string_does_not_run_past_the_next_object_header(string):
     assert sections.diagnostics == ["MalformedDictionary obj 1 0"]
 
 
-def test_a_value_does_not_reach_past_its_dictionary():
-    data = b"%PDF-1.4\n1 0 obj\n<</A <4F\nendobj\n"
-    (obj,) = segment(data).objects
-    assert data[obj.dict_span.offset : obj.dict_span.end] == b"<</A <4F\n"
-    assert object_values(data, obj) == {"/A": b"<4F\n"}
-    # A broken value of an xref stream's dictionary, its revision's trailer,
-    # does not take in the classic trailer after the object.
+def test_a_broken_xref_stream_value_does_not_take_in_the_next_trailer():
+    # The xref stream's dictionary is its revision's trailer; a value that
+    # never closes ends with the dictionary, at the object's own endobj.
     data = (b"%PDF-1.5\n1 0 obj\n<</Type/XRef/Size 2/ID [<ab> (x]/W [1 2 1]/Length 2>>\n"
             b"stream\nxx\nendstream\nendobj\ntrailer\n<</Size 2/Info 1 0 R>>\n%%EOF\n")
     sections = segment(data)
