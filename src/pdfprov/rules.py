@@ -345,9 +345,8 @@ _PAYLOAD_KEPT = 2
 def _body_element(data: bytes, obj: IndirectObject) -> bytes:
     """An object's bytes in ``data`` with its stream payload cut out after its
     first ``_PAYLOAD_KEPT`` bytes; the line end before ``endstream`` stays."""
-    span, payload = obj.span, obj.payload
     # Not Span.end: its property call took a quarter of this function's time.
-    start, end = span.offset, span.offset + span.length
+    start, end, payload = obj.span.offset, obj.span.offset + obj.span.length, obj.payload
     if payload is None or payload.length <= _PAYLOAD_KEPT:
         return data[start:end]
     return data[start : payload.offset + _PAYLOAD_KEPT] + data[payload.offset + payload.length : end]
@@ -401,17 +400,18 @@ def match_section(
     matches: list[RuleMatch] = []
     for rule in pack.for_section(kind):
         presence = rule.kind is RuleKind.PRESENCE
-        for i, data in enumerate((token,) if presence else elements):
+        for data in (token,) if presence else elements:
             m = rule.regex.search(data)
             if m is None:
                 continue
+            # Equal bytes match alike, so no earlier element has these: index() finds this one.
             matches.append(
                 RuleMatch(
                     rule_id=rule.id,
                     producer=rule.producer,
                     section=kind,
                     match_offset=m.start(),
-                    element_ref="xref:presence" if presence else ref(i),
+                    element_ref="xref:presence" if presence else ref(elements.index(data)),
                     kind=rule.kind,
                     os_tags=rule.os_tags,
                     distro_tags=rule.distro_tags,
