@@ -150,7 +150,7 @@ def extract_declared(data: bytes, sections: PdfSections | None = None) -> Declar
             if "/Creator" in values:
                 info_creator = decode_pdf_string(values["/Creator"])
         elif obj.is_metadata:
-            xmp = data[obj.span.offset : obj.span.end]
+            xmp = data[obj.start : obj.end]
             producer = _xmp_field(xmp, (b"pdf:Producer",))
             creator = _xmp_field(xmp, (b"xmp:CreatorTool", b"xap:CreatorTool"))
             if producer is not None:

@@ -5,14 +5,14 @@ tables and trailer dictionaries without interpreting the object graph or
 decoding any stream.  Everything is located by scanning bytes, never by
 following the cross-reference offsets: the offsets may be absent or lie,
 and the style signals this package cares about live in the raw byte
-shapes anyway.  Objects are spans into the input, which
-:class:`PdfSections` keeps as ``data``: no object's bytes are copied, and
-readers slice ``data`` by the spans.  A stream object records its
-payload's span, from after the line end that follows ``stream`` to before
-the line end in front of ``endstream``, so that readers of its style can
-leave the data out: the ``endstream`` after the size that the last
-top-level ``/Length`` declares, a direct integer of at most 18 digits, and
-a line end of 0-2 bytes, if one lies there, else the first.
+shapes anyway.  Each element is a ``start``/``end`` pair of offsets into
+the input, which :class:`PdfSections` keeps as ``data``: no object's bytes
+are copied.  A stream object's payload runs from after the line end that
+follows ``stream`` to before the line end in front of ``endstream``, so
+that readers of its style can leave the data out: the ``endstream`` after
+the size that the last top-level ``/Length`` declares, a direct integer of
+at most 18 digits, and a line end of 0-2 bytes, if one lies there, else
+the first.
 
 Dictionaries are lexed by compiled token patterns built from one
 whitespace and one delimiter class.  One pattern lexes a whole entry (its
@@ -146,7 +146,10 @@ _MAGIC_RE = re.compile(rb"%PDF")
 _SUBSECTION_RE = re.compile(rb"(\d+)[ \t]+(\d+)[ \t]*(?:\r\n|\r|\n)")
 # One table entry: 10-digit offset, 5-digit generation, n/f flag, then an
 # end-of-line of 0-2 bytes (producers vary; 20 bytes is the common case).
-_ENTRY_RE = re.compile(rb"\d{10} \d{5} [nf](?: \r\n| \r| \n|\r\n|\r|\n)?")
+# Each entry holds exactly one " n" or " f".  A run of them is matched whole.
+_ENTRY = rb"\d{10} \d{5} [nf](?: \r\n| \r| \n|\r\n|\r|\n)?"
+_ENTRY_RE = re.compile(_ENTRY)
+_ENTRIES_RE = re.compile(b"(?:" + _ENTRY + b")*+")
 _EOL_RE = re.compile(rb"[\r\n]")
 # An "xref" or "trailer" keyword: no ASCII letter precedes it, and no
 # letter (or, after "trailer", digit) follows it.  Each branch starts with
@@ -157,65 +160,57 @@ _KEYWORD_RE = re.compile(
 )
 
 
-# Not frozen: a frozen dataclass takes over twice as long to build, and a
-# stream object builds three spans.
-@dataclass(slots=True)
-class Span:
-    """Byte range (offset, length) of an element within the file."""
-
-    offset: int
-    length: int
-
-    @property
-    def end(self) -> int:
-        return self.offset + self.length
-
-
+# Not frozen: a frozen dataclass takes over twice as long to build.
 @dataclass(slots=True)
 class IndirectObject:
-    """One ``N G obj ... endobj`` span of the body.
+    """One ``N G obj ... endobj`` object of the body.
 
-    It holds spans into :attr:`PdfSections.data`, no bytes of its own:
-    ``span`` is the whole object.  ``dict_span`` is the range of the
-    dictionary after ``obj``, if any, whose entries :func:`object_values`
+    It holds offsets into :attr:`PdfSections.data`, no bytes of its own:
+    ``data[start:end]`` is the whole object, and ``data[dict_start:dict_end]``
+    the dictionary after ``obj``, if any, whose entries :func:`object_values`
     lexes on demand.  ``is_metadata`` holds for a ``/Type /Metadata``
-    object and for the Info target.  ``payload`` is a stream object's
-    data: from the byte after the end of line that follows the ``stream``
-    keyword up to, not including, the end of line in front of ``endstream``
-    (the module docstring says which); with none, in front of the last
-    ``endobj`` ahead of the next object header, and else up to that header
-    or the end of the input.  None without a stream.
+    object and for the Info target.  ``data[payload_start:payload_end]`` is
+    a stream object's data: from the byte after the end of line that follows
+    the ``stream`` keyword up to, not including, the end of line in front of
+    ``endstream`` (the module docstring says which); with none, in front of
+    the last ``endobj`` ahead of the next object header, and else up to that
+    header or the end of the input.  Each pair is None when absent.
     """
 
     obj_num: int
     gen_num: int
     is_metadata: bool
-    span: Span
-    dict_span: Span | None = None
-    payload: Span | None = None
+    start: int
+    end: int
+    dict_start: int | None = None
+    dict_end: int | None = None
+    payload_start: int | None = None
+    payload_end: int | None = None
 
 
 @dataclass
 class XrefTable:
-    """A classic cross-reference table: its bytes and their span."""
+    """A classic cross-reference table: ``data[start:end]``, as ``raw``."""
 
     raw: bytes
-    span: Span
+    start: int
+    end: int
 
 
 @dataclass
 class TrailerDict:
-    """A trailer dictionary: classic keyword form or an xref-stream dict,
-    with the raw value of each top-level key."""
+    """A trailer dictionary, ``data[start:end]`` as ``raw``: classic keyword
+    form or an xref-stream dict, with the raw value of each top-level key."""
 
     raw: bytes
-    span: Span
+    start: int
+    end: int
     values: dict[str, bytes] = field(default_factory=dict, repr=False)
 
 
 @dataclass
 class PdfSections:
-    """The segmented view of one PDF file: its objects are spans into
+    """The segmented view of one PDF file: its elements are offsets into
     ``data``, the segmented bytes object itself, not a copy."""
 
     data: bytes = field(repr=False)
@@ -487,14 +482,15 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[Trail
         start, obj_num, gen_num = m.start(2), int(m[2]), int(m[3])
         i = m.end()
         p = i if m.start(11) >= 0 else -1  # where the payload starts
-        kind = dict_span = payload = stop = length = None
-        if (dstart := m.start(4)) >= 0:
+        kind = dstart = dend = pstart = pend = stop = length = None
+        if m.start(4) >= 0:
+            dstart = m.start(4)
             if m.start(7) >= m.start(6) >= 0:  # only a name is /Metadata or /XRef
                 kind = m[7]
             if m.start(5) > m.start(8):
                 length = int(m[5])
             if m.start(10) < 0:  # a ">>" closed the run
-                dict_span = Span(dstart, m.end(9) - dstart)
+                dend = m.end(9)
             else:
                 # The walk resumes where the run stopped, as from the "<<".
                 i, values, closed = _scan_dict(data, i, stop := _Stop(data))
@@ -511,7 +507,7 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[Trail
                         end = max(i, stop.at) if end < 0 else end
                     i = end
                     diags.append(f"MalformedDictionary obj {obj_num} {gen_num}")
-                dict_span = Span(dstart, i - dstart)
+                dend = i
                 p = s.end() if (s := _STREAM_RE.match(data, i)) else -1
         if p >= 0:
             # The payload runs from the line end after "stream" to the line
@@ -528,10 +524,10 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[Trail
                 cut = h.start() if h else n
                 i = data.rfind(b"endobj", p, cut)
             if i < 0:
-                payload, i = Span(p, cut - p), cut
+                pstart, pend, i = p, cut, cut
             else:
                 e = i - 2 if data.startswith(b"\r\n", i - 2) else i - (data[i - 1] in b"\r\n")
-                payload = Span(p, max(e - p, 0))
+                pstart, pend = p, max(e, p)
                 i += len(b"endstream") if data.startswith(b"endstream", i) else 0
         # The object ends at its endobj, or is cut off by the next header,
         # which is also where the following object starts.  Where only
@@ -553,22 +549,21 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[Trail
             else:
                 end += len(b"endobj")
         kind = kind.strip() if kind else b""
-        obj = IndirectObject(obj_num, gen_num, kind == b"/Metadata", Span(start, end - start),
-                             dict_span, payload)
+        obj = IndirectObject(obj_num, gen_num, kind == b"/Metadata", start, end, dstart, dend, pstart, pend)
         objects.append(obj)
         if kind == b"/XRef":
             # An xref stream's dictionary is its revision's trailer.
-            trailers.append(TrailerDict(data[dstart:dict_span.end], dict_span, object_values(data, obj)))
+            trailers.append(TrailerDict(data[dstart:dend], dstart, dend, object_values(data, obj)))
     return objects, tables, trailers, diags + xref_diags + trailer_diags
 
 
 def object_values(data: bytes, obj: IndirectObject) -> dict[str, bytes]:
     """The raw value of each top-level key of ``obj``'s dictionary, in source
     order (last wins); a malformed one gives those lexed before it failed,
-    and no value reads past the dictionary's span."""
-    if (span := obj.dict_span) is None:
+    and no value reads past the dictionary's end."""
+    if (end := obj.dict_end) is None:
         return {}
-    return _scan_dict(data, _skip_ws(data, span.offset + 2, span.end), _Stop(data, span.end))[1]
+    return _scan_dict(data, _skip_ws(data, obj.dict_start + 2, end), _Stop(data, end))[1]
 
 
 def _lex_xref_table(data: bytes, start: int, bound: int, diags: list[str]) -> XrefTable | None:
@@ -582,6 +577,11 @@ def _lex_xref_table(data: bytes, start: int, bound: int, diags: list[str]) -> Xr
         if count is None:
             break
         i = hm.end()
+        # One match takes a run of entries that the count covers; the rest,
+        # and a run the count understates, go one entry at a time.
+        e = _ENTRIES_RE.match(data, i, bound).end()
+        if (run := data.count(b" n", i, e) + data.count(b" f", i, e)) <= count:
+            total, count, i = total + run, count - run, e
         for _ in range(count):
             em = _ENTRY_RE.match(data, i, bound)
             if not em:
@@ -601,7 +601,7 @@ def _lex_xref_table(data: bytes, start: int, bound: int, diags: list[str]) -> Xr
     # A keyword without a subsection header is not a table, and "xref 0 0"
     # placeholders (hybrid-reference files) carry no offsets and do not
     # count as a table of their own.
-    return XrefTable(data[start:i], Span(start, i - start)) if total else None
+    return XrefTable(data[start:i], start, i) if total else None
 
 
 def _lex_trailer(data: bytes, start: int, bound: int, diags: list[str]) -> TrailerDict | None:
@@ -616,7 +616,7 @@ def _lex_trailer(data: bytes, start: int, bound: int, diags: list[str]) -> Trail
         end = stop.recover(data, end)
         diags.append(f"MalformedTrailer at offset {start}")
         values = {}
-    return TrailerDict(data[start:end], Span(start, end - start), values)
+    return TrailerDict(data[start:end], start, end, values)
 
 
 def _flag_metadata(objects: list[IndirectObject], trailers: list[TrailerDict]) -> int | None:

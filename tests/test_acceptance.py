@@ -222,10 +222,10 @@ def _mutate_metadata(data: bytes, fill: int) -> bytes:
     for obj in sections.objects:
         if not obj.is_metadata:
             continue
-        raw = data[obj.span.offset : obj.span.end]
+        raw = data[obj.start : obj.end]
         head = raw.index(b"obj") + 3
         tail = raw.rindex(b"endobj")
-        start = obj.span.offset
+        start = obj.start
         out[start + head : start + tail] = bytes([fill]) * (tail - head)
         mutated = True
     assert mutated

@@ -39,9 +39,9 @@ def test_generation_is_deterministic():
 def test_seed_varies_stream_length_and_id():
     a = segment(generate(PROFILES[Producer.GHOSTSCRIPT], 1))
     b = segment(generate(PROFILES[Producer.GHOSTSCRIPT], 2))
-    stream_a = next(o for o in a.objects if b"endstream" in a.data[o.span.offset : o.span.end])
-    stream_b = next(o for o in b.objects if b"endstream" in b.data[o.span.offset : o.span.end])
-    assert stream_a.span.length != stream_b.span.length
+    stream_a = next(o for o in a.objects if b"endstream" in a.data[o.start : o.end])
+    stream_b = next(o for o in b.objects if b"endstream" in b.data[o.start : o.end])
+    assert stream_a.end - stream_a.start != stream_b.end - stream_b.start
     assert a.trailers[0].values["/ID"] != b.trailers[0].values["/ID"]
 
 
@@ -51,7 +51,7 @@ def test_all_fixtures_segment_cleanly(corpus_bytes):
             sections = segment(data)
             assert sections.diagnostics == []
             assert len(sections.objects) >= 4
-            assert any(b"endstream" in data[o.span.offset : o.span.end] for o in sections.objects)
+            assert any(b"endstream" in data[o.start : o.end] for o in sections.objects)
             assert any(o.is_metadata for o in sections.objects)
             assert sections.trailers
 

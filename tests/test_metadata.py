@@ -101,7 +101,7 @@ def test_xmp_fields_are_read_from_the_whole_metadata_stream():
     obj = b"7 0 obj\n<</Type /Metadata /Subtype /XML /Length %d>>\nstream\n" % len(xml)
     data = b"%PDF-1.4\n" + obj + xml + b"\nendstream\nendobj\n"
     (meta,) = segment(data).objects
-    assert meta.is_metadata and data[meta.payload.offset : meta.payload.end] == xml
+    assert meta.is_metadata and data[meta.payload_start : meta.payload_end] == xml
     declared = extract_declared(data)
     assert (declared.producer, declared.creator) == ("Skia/PDF m85", "Chromium")
     assert declared.source is MetadataSource.XMP

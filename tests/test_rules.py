@@ -315,7 +315,7 @@ def test_each_fired_rule_is_reported_once_at_its_first_hit(pack, which):
 
 
 def _raw_body_elements(sections) -> list[tuple[str, bytes]]:
-    return [(f"obj:{o.obj_num}:{o.gen_num}", sections.data[o.span.offset : o.span.end])
+    return [(f"obj:{o.obj_num}:{o.gen_num}", sections.data[o.start : o.end])
             for o in sections.objects if not o.is_metadata]
 
 
@@ -398,10 +398,10 @@ def _zero_metadata(data: bytes) -> bytes:
     for obj in sections.objects:
         if not obj.is_metadata:
             continue
-        raw = data[obj.span.offset : obj.span.end]
+        raw = data[obj.start : obj.end]
         head = raw.index(b"obj") + 3
         tail = raw.rindex(b"endobj")
-        start = obj.span.offset
+        start = obj.start
         mutated[start + head : start + tail] = b"\x00" * (tail - head)
     return bytes(mutated)
 

@@ -1,4 +1,4 @@
-"""Segmenter: header, objects, xref tables, trailers, spans, metadata flags."""
+"""Segmenter: header, objects, xref tables, trailers, offsets, metadata flags."""
 
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ from pdfprov.segmenter import (
     _scan_literal_string,
     _skip_ws,
     PdfSections,
-    Span,
     _HEAD_RE,
     _Stop,
     _find_header,
@@ -57,8 +56,8 @@ def _object_values(data: bytes) -> list[dict[str, bytes]]:
 
 
 def _raw(sections: PdfSections, obj) -> bytes:
-    """The bytes of ``obj``: its span of the segmented data."""
-    return sections.data[obj.span.offset : obj.span.end]
+    """The bytes of ``obj``: the segmented data from its start to its end."""
+    return sections.data[obj.start : obj.end]
 
 
 # -- parse_header ----------------------------------------------------------
@@ -168,8 +167,8 @@ def test_payload_span_lies_between_the_stream_line_ends(eol_after, payload, eol_
     sections = segment(data)
     (o,) = sections.objects
     assert _raw(sections, o) == head + payload + tail
-    assert o.payload == Span(o.span.offset + len(head), len(payload))
-    assert data[o.payload.offset : o.payload.end] == payload
+    assert (o.payload_start, o.payload_end) == (o.start + len(head), o.start + len(head) + len(payload))
+    assert data[o.payload_start : o.payload_end] == payload
     # The body element keeps two payload bytes and the endstream line end.
     assert section_elements(sections, SectionKind.BODY) == [("obj:5:0", head + payload[:2] + tail)]
 
@@ -180,10 +179,10 @@ def test_payload_without_endstream_runs_to_the_end_of_the_input(eol_after):
     data = head + b"x\xdaabc\n"
     sections = segment(data)
     (o,) = sections.objects
-    assert o.payload == Span(len(head), len(data) - len(head))
+    assert (o.payload_start, o.payload_end) == (len(head), len(data))
     assert section_elements(sections, SectionKind.BODY) == [("obj:9:0", _raw(sections, o)[:-4])]
     (o,) = segment(head).objects
-    assert o.payload == Span(len(head), 0)
+    assert (o.payload_start, o.payload_end) == (len(head), len(head))
 
 
 def test_payload_without_endstream_ends_at_the_next_object_header():
@@ -195,8 +194,8 @@ def test_payload_without_endstream_ends_at_the_next_object_header():
     # The payload ends before the last endobj ahead of that header, and the
     # object keeps its endobj.
     first = sections.objects[0]
-    assert data[first.payload.offset : first.payload.end] == b"xx"
-    assert first.span.end == data.index(b"endobj") + len(b"endobj")
+    assert data[first.payload_start : first.payload_end] == b"xx"
+    assert first.end == data.index(b"endobj") + len(b"endobj")
     assert [t.values for t in sections.trailers] == [{"/Root": b"2 0 R", "/Info": b"3 0 R"}]
     assert sections.info_obj_num == 3
     assert sections.diagnostics == []
@@ -237,8 +236,8 @@ def test_a_checked_length_ends_the_payload(entries, eol, payload):
     data = head + _INNER + eol + b"endstream\nendobj\n"
     sections = segment(data)
     (o,) = sections.objects
-    assert o.payload == Span(len(head), len(payload))
-    assert o.span.end == len(data) - 1
+    assert (o.payload_start, o.payload_end) == (len(head), len(head) + len(payload))
+    assert o.end == len(data) - 1
     assert sections.diagnostics == []
 
 
@@ -246,7 +245,7 @@ def test_a_length_past_the_end_of_the_input_is_not_trusted():
     tail = b"\nendstream\nendobj\n"
     head = b"%PDF-1.4\n" + b"5 0 obj\n<</Length %d>>\nstream\n" % (len(_INNER) + len(tail) + 1)
     (o,) = segment(head + _INNER + tail).objects
-    assert o.payload == Span(len(head), 1)
+    assert (o.payload_start, o.payload_end) == (len(head), len(head) + 1)
 
 
 def test_an_embedded_pdf_stays_in_its_payload():
@@ -258,7 +257,8 @@ def test_an_embedded_pdf_stays_in_its_payload():
             b"trailer\n<</Size 4/Info 3 0 R>>\n")
     sections = segment(data)
     assert [o.obj_num for o in sections.objects] == [1, 3]
-    assert sections.objects[0].payload == Span(len(head), len(inner))
+    first = sections.objects[0]
+    assert (first.payload_start, first.payload_end) == (len(head), len(head) + len(inner))
     assert [t.values for t in sections.trailers] == [{"/Size": b"4", "/Info": b"3 0 R"}]
     assert sections.info_obj_num == 3
     assert object_values(data, sections.objects[1]) == {"/Producer": b"(Outer Tool)"}
@@ -266,7 +266,7 @@ def test_an_embedded_pdf_stays_in_its_payload():
 
 def test_objects_without_a_stream_have_no_payload():
     objs = _fragment(b"1 0 obj\n<</Type/Catalog>>\nendobj\n2 0 obj\n42\nendobj\n").objects
-    assert [o.payload for o in objs] == [None, None]
+    assert [(o.payload_start, o.payload_end) for o in objs] == [(None, None)] * 2
 
 
 def test_object_numbers_not_matched_inside_longer_tokens():
@@ -326,8 +326,7 @@ def test_dictionary_value_grammar(body, values, dict_text, diagnostics):
     sections = segment(data)
     (obj,) = sections.objects
     assert list(object_values(data, obj).items()) == list(values.items())
-    span = obj.dict_span
-    assert data[span.offset : span.end] == (body if dict_text is None else dict_text)
+    assert data[obj.dict_start : obj.dict_end] == (body if dict_text is None else dict_text)
     assert sections.diagnostics == diagnostics
 
 
@@ -345,7 +344,7 @@ def test_word_xref_table():
     sections = _fragment(WORD_XREF_TABLE)
     (table,) = sections.xref_tables
     assert table.raw == WORD_XREF_TABLE
-    assert table.span == Span(len(b"%PDF-1.4\n"), len(WORD_XREF_TABLE))
+    assert (table.start, table.end) == (len(b"%PDF-1.4\n"), len(b"%PDF-1.4\n") + len(WORD_XREF_TABLE))
     assert len(table.raw) - len(b"xref\n0 5\n") == 5 * 20
     assert sections.diagnostics == []
 
@@ -383,12 +382,66 @@ def test_understated_table_does_not_swallow_the_trailer():
     assert list(sections.trailers[0].values) == ["/Size", "/Root"]
 
 
+# -- xref entry runs -------------------------------------------------------------
+
+_FREE = b"0000000000 65535 f \n"
+_USED = b"0000000017 00000 n \n"
+# One entry with each end of line, and one with none before the next entry.
+_EOL_ENTRIES = [b"0000000017 00000 n \r\n", b"0000000018 00000 f \r", b"0000000019 00000 n \n",
+                b"0000000023 00000 n", b"0000000020 00000 n\r\n", b"0000000021 00000 f\r",
+                b"0000000022 00000 n\n"]
+
+
+def _entry_by_entry(data: bytes) -> PdfSections:
+    """``segment()`` with every xref entry matched alone, as before entries
+    were matched a run at a time: the oracle of the run."""
+    with mock.patch.object(segmenter, "_ENTRIES_RE", re.compile(b"")):
+        return segment(data)
+
+
+# case -> (the table after "xref\n", how much of it the table keeps, diagnostics)
+_RUN_CASES = {
+    "count-covers-the-run": (b"0 3\n" + _FREE + _USED * 2, None, []),
+    "count-understates-the-run": (b"0 2\n" + _FREE + _USED * 2, b"0 2\n" + _FREE + _USED, []),
+    "count-overstates-the-run": (b"0 5\n" + _FREE + _USED, None, ["XrefTruncatedSubsection"]),
+    "malformed-entry-mid-run": (b"0 4\n" + _FREE + b"17 0 n\n" + _USED * 2, None, ["MalformedXrefEntry"]),
+    "mixed-eol-widths": (b"0 7\n" + b"".join(_EOL_ENTRIES), None, []),
+    "two-subsections": (b"0 2\n" + _FREE + _USED + b"5 3\n" + _USED * 3, None, []),
+    "understated-then-a-subsection": (
+        b"0 1\n" + _FREE + b"5 1\n" + _USED * 2, b"0 1\n" + _FREE + b"5 1\n" + _USED, []
+    ),
+}
+
+
+@pytest.mark.parametrize("table, kept, diagnostics", list(_RUN_CASES.values()), ids=list(_RUN_CASES))
+def test_an_entry_run_reads_what_single_entries_read(table, kept, diagnostics):
+    data = b"%PDF-1.4\nxref\n" + table + b"trailer\n<</Size 1>>\n"
+    sections = segment(data)
+    assert asdict(sections) == asdict(_entry_by_entry(data))
+    # A count that understates its run leaves the rest of the run out.
+    assert [t.raw for t in sections.xref_tables] == [b"xref\n" + (table if kept is None else kept)]
+    assert [d.split()[0] for d in sections.diagnostics] == diagnostics
+
+
+def test_entry_runs_match_single_entries_on_random_tables():
+    rng = random.Random(1901)
+    lines = [_FREE, _USED, *_EOL_ENTRIES, b"17 0 n\n", b"0000000017 0 n\n", b"x\n", b"\n",
+             b"0 0\n", b"trailer\n<<>>\n", b"xref\n"]
+    for _ in range(3000):
+        parts = [b"xref\n"]
+        for _ in range(rng.randrange(1, 4)):
+            parts.append(b"%d %d\n" % (rng.randrange(5), rng.randrange(8)))
+            parts += rng.choices(lines, weights=[8, 8, *[2] * 7, 1, 1, 1, 1, 1, 1, 1], k=rng.randrange(8))
+        data = b"%PDF-1.4\n" + b"".join(parts)
+        assert asdict(segment(data)) == asdict(_entry_by_entry(data)), data
+
+
 def test_element_spans_lie_within_the_file(corpus_bytes):
     for blobs in corpus_bytes.values():
         sections = segment(blobs[0])
         assert sections.objects and sections.trailers
         for element in (*sections.objects, *sections.xref_tables, *sections.trailers):
-            assert 0 <= element.span.offset <= element.span.end <= len(blobs[0])
+            assert 0 <= element.start <= element.end <= len(blobs[0])
 
 
 # -- trailers ---------------------------------------------------------------
@@ -479,7 +532,7 @@ def test_nesting_floor_recovery_stops_at_the_next_object():
     # The recovery runs to the next object header at the latest, and the
     # object ends at its own endobj before it.
     assert _raw(sections, sections.objects[0]).endswith(b"]>>\nendobj")
-    assert sections.objects[0].span.end < broken.index(b"2 0 obj")
+    assert sections.objects[0].end < broken.index(b"2 0 obj")
     assert sections.diagnostics == ["MalformedDictionary obj 1 0"]
 
 
@@ -496,7 +549,7 @@ def test_unclosed_array_ends_at_the_dictionary_end():
     # No ">>" is left to close the dictionary before the next object, so it
     # ends at the object's own endobj, which is not cut off.
     assert _raw(sections, kids).endswith(b"endobj")
-    assert kids.span.end < broken.index(b"3 0 obj")
+    assert kids.end < broken.index(b"3 0 obj")
     assert sections.diagnostics == ["MalformedDictionary obj 2 0"]
     assert scan_bytes("broken.pdf", broken, builtin()).consistency == "consistent"
 
@@ -514,7 +567,7 @@ def test_unclosed_literal_string_ends_at_the_dictionary_end():
     # the next object header.
     assert object_values(broken, pages)["/T"] == b"(a/Kids[3 0 R]/Count 1>>"
     assert _raw(sections, pages).endswith(b"endobj")
-    assert pages.span.end < broken.index(b"3 0 obj")
+    assert pages.end < broken.index(b"3 0 obj")
     assert sections.diagnostics == ["MalformedDictionary obj 2 0"]
     assert scan_bytes("broken.pdf", broken, builtin()).consistency == "consistent"
 
@@ -541,7 +594,7 @@ def test_a_broken_xref_stream_value_does_not_take_in_the_next_trailer():
     (obj,) = sections.objects
     xref_stream, classic = sections.trailers
     assert xref_stream.values["/ID"] == b"[<ab> (x]/W [1 2 1]/Length 2>>\nstream\nxx\nendstream\n"
-    assert xref_stream.span == obj.dict_span
+    assert (xref_stream.start, xref_stream.end) == (obj.dict_start, obj.dict_end)
     assert classic.values == {"/Size": b"2", "/Info": b"1 0 R"}
 
 
@@ -651,14 +704,16 @@ def test_span_coverage_and_determinism(corpus_bytes):
         sections = segment(data)
         assert sections.data is data
         for element in (*sections.xref_tables, *sections.trailers):
-            assert data[element.span.offset : element.span.end] == element.raw
+            assert data[element.start : element.end] == element.raw
         assert segment(data) == sections
 
 
 def test_object_spans_do_not_overlap(corpus_bytes):
     for blobs in corpus_bytes.values():
         sections = segment(blobs[0])
-        spans = sorted((o.span.offset, o.span.end) for o in sections.objects)
+        # An xref stream's dictionary lies inside its object.
+        classic = [t for t in sections.trailers if t.raw.startswith(b"trailer")]
+        spans = sorted((e.start, e.end) for e in (*sections.objects, *sections.xref_tables, *classic))
         for (_, prev_end), (start, _) in zip(spans, spans[1:]):
             assert start >= prev_end
 
@@ -723,13 +778,13 @@ _FRAGMENTS = [b"xref", b"xrefs", b"trailer", b"Atrailer", b"trailer1", b"1 0 obj
 def test_gap_keyword_search_matches_lookbehind_regexes(parts):
     data = b"".join(parts)
     objects = _lex(data)[0]
-    ends = [0] + [o.span.end for o in objects]
-    starts = [o.span.offset for o in objects] + [len(data)]
+    ends = [0] + [o.end for o in objects]
+    starts = [o.start for o in objects] + [len(data)]
     hits = [m for start, stop in zip(ends, starts) for m in _KEYWORD_RE.finditer(data, start, stop)]
     for oracle, word in ((_XREF_ORACLE_RE, b"xref"), (_TRAILER_ORACLE_RE, b"trailer")):
         expected = [
             m.start() for m in oracle.finditer(data)
-            if not any(o.span.offset <= m.start() < o.span.end for o in objects)
+            if not any(o.start <= m.start() < o.end for o in objects)
         ]
         assert [m.start() for m in hits if m.group() == word] == expected
 
@@ -887,9 +942,10 @@ def test_entry_pattern_lexes_as_the_token_walk(parts, in_trailer):
 
 def _read_fields(data):
     """What the pipeline reads of each object's dictionary: whether it is
-    metadata, its span, its values lexed on demand, and the trailers."""
+    metadata, its offsets, its values lexed on demand, and the trailers."""
     sections = segment(data)
-    objects = [(o.is_metadata, o.dict_span, object_values(data, o)) for o in sections.objects]
+    objects = [(o.is_metadata, o.dict_start, o.dict_end, object_values(data, o))
+               for o in sections.objects]
     return objects, sections.trailers
 
 
@@ -963,7 +1019,7 @@ def _searched_lex_objects(data):
         start = m.start()
         obj_num, gen_num = int(m.group(1)), int(m.group(2))
         i = _skip_ws(data, data.index(b"obj", m.end(2)) + 3, n)
-        values, dict_span, payload = {}, None, None
+        values, dstart, dend, pstart, pend = {}, None, None, None, None
         stop = _Stop(data)
         if data.startswith(b"<<", i):
             dstart = i
@@ -975,7 +1031,7 @@ def _searched_lex_objects(data):
                     end = max(i, stop.at) if end < 0 else end
                 i = end
                 diags.append(f"MalformedDictionary obj {obj_num} {gen_num}")
-            dict_span = Span(dstart, i - dstart)
+            dend = i
         j = _skip_ws(data, i, n)
         if data.startswith(b"stream", j):
             p = segmenter._skip_eol(data, j + 6)
@@ -993,13 +1049,13 @@ def _searched_lex_objects(data):
                 cut = h.start() if h else n
                 i = data.rfind(b"endobj", p, cut)
                 if i < 0:
-                    payload, i = Span(p, cut - p), cut
+                    pstart, pend, i = p, cut, cut
                 else:
                     e = i - 2 if data.startswith(b"\r\n", i - 2) else i - (data[i - 1] in b"\r\n")
-                    payload = Span(p, max(e - p, 0))
+                    pstart, pend = p, max(e, p)
             else:
                 e = i - 2 if data.startswith(b"\r\n", i - 2) else i - (data[i - 1] in b"\r\n")
-                payload, i = Span(p, max(e - p, 0)), i + 9
+                pstart, pend, i = p, max(e, p), i + 9
         m = stop.header(data, i)
         cut = m.start() if m else n
         end = data.find(b"endobj", i, cut)
@@ -1010,7 +1066,7 @@ def _searched_lex_objects(data):
             end += 6
         objects.append(segmenter.IndirectObject(
             obj_num, gen_num, values.get("/Type", b"").strip() == b"/Metadata",
-            Span(start, end - start), dict_span, payload,
+            start, end, dstart, dend, pstart, pend,
         ))
     return objects, diags
 

@@ -3,9 +3,11 @@
 Each family is a deterministic list of inputs.  Its digest is the sha256 of
 ``repr(dataclasses.asdict(segment(x)))`` over the whole list, so any change
 in what ``segment()`` returns for any of its inputs changes the digest.  The
-render leaves out the input that ``PdfSections.data`` holds and gives each
+render leaves out the input that ``PdfSections.data`` holds, gives each
 object the bytes of its span, in the field position its old ``raw`` copy
-had, so the digests read the same as when objects held that copy.  A
+had, and writes each element's offsets as the ``span`` (and an object's
+``dict_span`` and ``payload``) of the old ``Span`` records, so the digests
+read the same as when elements held those.  A
 segmenter refactor meant to keep its output shows that it did here, in the
 tier-1 run.  A change meant to alter the output updates the digest of each
 family it moves and says in CHANGES.md why, and on how many inputs.
@@ -116,16 +118,27 @@ DIGESTS = {
 }
 
 
+def _span(start: int | None, end: int | None) -> dict | None:
+    return None if start is None else {"offset": start, "length": end - start}
+
+
 def _render(sections) -> dict:
-    """``asdict(sections)`` without ``data``, each object with the bytes of
-    its span as ``raw`` after its numbers."""
+    """``asdict(sections)`` without ``data``, each element with its offsets
+    as the ``span`` dict of the old ``Span`` record (``dict_span`` and
+    ``payload`` too for an object) and each object with the bytes of its
+    span as ``raw`` after its numbers: the fields and positions of the
+    records that the digests were taken from."""
     out = asdict(sections)
     data = out.pop("data")
     out["objects"] = [
-        {"obj_num": o.pop("obj_num"), "gen_num": o.pop("gen_num"),
-         "raw": data[o["span"]["offset"] : o["span"]["offset"] + o["span"]["length"]], **o}
-        for o in out["objects"]
+        {"obj_num": o.obj_num, "gen_num": o.gen_num, "raw": data[o.start : o.end],
+         "is_metadata": o.is_metadata, "span": _span(o.start, o.end),
+         "dict_span": _span(o.dict_start, o.dict_end), "payload": _span(o.payload_start, o.payload_end)}
+        for o in sections.objects
     ]
+    out["xref_tables"] = [{"raw": t.raw, "span": _span(t.start, t.end)} for t in sections.xref_tables]
+    out["trailers"] = [{"raw": t.raw, "span": _span(t.start, t.end), "values": t.values}
+                       for t in sections.trailers]
     return out
 
 

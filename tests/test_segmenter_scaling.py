@@ -19,7 +19,10 @@ next object header, which each array looks up.  The segmenter before that
 was linear here, but found one object in 33.  In the last, each stream's
 declared /Length is wrong, so no endstream lies at its end and each
 payload falls back to the search for the first one; it guards that
-fallback, and the segmenter before it was linear here too.
+fallback, and the segmenter before it was linear here too.  The extra
+family is one xref table whose subsection count of 1 understates its run
+of k entries: the run is matched once, and the one entry the count covers
+is matched again alone.
 The test times ``segment()`` at n and 2n repetitions with
 ``conftest.assert_linear_time`` and requires the larger input to cost at
 most 2.5 times the smaller one; quadratic work costs 4 times.  Sizes keep
@@ -30,6 +33,7 @@ all three measurements.
 
 from __future__ import annotations
 
+import gc
 import random
 import tracemalloc
 
@@ -94,6 +98,7 @@ FAMILIES = {
     "wrong-length-per-stream": (
         4000, lambda k: _objects(k, b"<</Length 9>>\nstream\nab\nendstream\nendobj\n")
     ),
+    "understated-xref-table": (20000, lambda k: b"xref\n0 1\n" + b"0000000000 65535 f \n" * k),
 }
 
 
@@ -109,7 +114,7 @@ def test_segment_time_is_linear(family):
 
 
 def test_segment_allocates_far_less_than_its_input():
-    """Objects are spans into the input: segmenting copies none of their
+    """Objects are offsets into the input: segmenting copies none of their
     bytes, so the peak of what ``segment()`` allocates is a small share of
     a many-object file whose bytes lie mostly in stream payloads."""
     payload = random.Random(1).randbytes(2500)
@@ -127,6 +132,24 @@ def test_segment_allocates_far_less_than_its_input():
     assert peak < len(data) / 2, f"segment() peaked at {peak} bytes on {len(data)}"
 
 
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_segment_builds_one_tracked_object_per_object(n):
+    """Each object is one record of ints: with the collector off,
+    ``segment()`` leaves one new GC-tracked object per stream object, and a
+    few for the sections and their lists."""
+    data = b"%PDF-1.4\n" + _objects(n, b"<</Length 2/Filter/FlateDecode>>\nstream\nxx\nendstream\nendobj\n")
+    gc.collect()
+    gc.disable()
+    try:
+        before = gc.get_count()[0]
+        sections = segment(data)
+        tracked = gc.get_count()[0] - before
+    finally:
+        gc.enable()
+    assert len(sections.objects) == n and not sections.diagnostics
+    assert tracked <= n + 64, f"segment() left {tracked} tracked objects for {n} objects"
+
+
 # -- no two elements share a byte -------------------------------------------------
 
 
@@ -142,6 +165,6 @@ def test_elements_share_no_byte(parts, k):
     # An xref stream's dictionary lies inside its object.
     classic = [t for t in sections.trailers if t.raw.startswith(b"trailer")]
     elements = (*sections.objects, *sections.xref_tables, *classic)
-    spans = sorted((e.span.offset, e.span.end) for e in elements)
+    spans = sorted((e.start, e.end) for e in elements)
     for (_, end), (start, _) in zip(spans, spans[1:]):
         assert end <= start
