@@ -2,8 +2,10 @@
 
 Exit codes for ``scan`` are a stable pipeline contract: 0 when a single
 producer was named, 2 for an ambiguous verdict, 3 when no section
-matched anything, 1 for errors (with a machine-readable error object on
-stdout).
+matched anything.  Every command returns 1, with a machine-readable error
+object on stdout, for an error it cannot record as a row: ``main()`` is
+the one place that catches it.  ``batch`` and ``audit`` record a file
+that cannot be read or scanned as a row and go on.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from .builtin_pack import builtin
@@ -71,8 +74,11 @@ def scan_bytes(label: str, data: bytes, pack: Rulepack,
     return _scan(label, data, pack, only)[0]
 
 
+_ScanResult = tuple[ScanReport, Verdict, str | None]
+
+
 def _scan(label: str, data: bytes, pack: Rulepack,
-          only: list[SectionKind] | None) -> tuple[ScanReport, Verdict, str | None]:
+          only: list[SectionKind] | None) -> _ScanResult:
     """The report, the verdict and the declared tool the audit graded against."""
     sections = segment(data)
     verdict = detect(pack, sections, only)
@@ -82,24 +88,13 @@ def _scan(label: str, data: bytes, pack: Rulepack,
     return report, verdict, declared_tool
 
 
-def _read_input(path: str) -> bytes:
-    if path == "-":
-        return sys.stdin.buffer.read()
-    return Path(path).read_bytes()
-
-
 # -- scan ----------------------------------------------------------------------
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    try:
-        only = _parse_sections(args.sections)
-        data = _read_input(args.path)
-        pack = _load_pack(args.pack)
-        report = scan_bytes(args.path, data, pack, only)
-    except (PdfProvError, OSError, ValueError) as exc:
-        print(json.dumps(_error_object(args.path, exc), indent=2))
-        return EXIT_ERROR
+    only = _parse_sections(args.sections)
+    data = sys.stdin.buffer.read() if args.path == "-" else Path(args.path).read_bytes()
+    report = scan_bytes(args.path, data, _load_pack(args.pack), only)
     if args.format == "table":
         print(_scan_table(report))
     else:
@@ -138,44 +133,51 @@ def _batch_inputs(source: str) -> list[tuple[str, Path, str | None]]:
     src = Path(source)
     entries: list[tuple[str, Path, str | None]] = []
     if src.is_dir():
-        for path in sorted(src.rglob("*.pdf")):
-            entries.append((str(path.relative_to(src)), path, None))
+        entries += ((str(path.relative_to(src)), path, None) for path in src.rglob("*.pdf"))
     else:
         base = src.parent
         for lineno, line in enumerate(src.read_text(encoding="utf-8").splitlines(), 1):
+            first_col = line.partition("\t")[0]
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            cols = line.split("\t")
-            if not cols[0]:
+            # Checked before the strip, which would make the truth the path.
+            if not first_col.strip():
                 raise ValueError(f"{src}:{lineno}: empty path")
+            cols = line.split("\t")
             truth = cols[1] if len(cols) > 1 and cols[1] else None
             entries.append((cols[0], base / cols[0], truth))
     entries.sort(key=lambda e: e[0])
     return entries
 
 
-def cmd_batch(args: argparse.Namespace) -> int:
-    try:
-        pack = _load_pack(args.pack)
-        entries = _batch_inputs(args.source)
-        only = _parse_sections(args.sections)
-    except (PdfProvError, OSError, ValueError) as exc:
-        print(json.dumps(_error_object(args.source, exc), indent=2))
-        return EXIT_ERROR
+def _scan_entries(entries: list[tuple[str, Path, str | None]], pack: Rulepack,
+                  only: list[SectionKind] | None
+                  ) -> Iterator[tuple[str, str | None, _ScanResult | Exception]]:
+    """(label, truth, ``_scan``'s result or the error that stopped it) per entry."""
+    for label, path, truth in entries:
+        try:
+            result = _scan(label, path.read_bytes(), pack, only)
+        except (PdfProvError, OSError) as exc:
+            result = exc
+        yield label, truth, result
 
+
+def cmd_batch(args: argparse.Namespace) -> int:
+    pack = _load_pack(args.pack)
+    entries = _batch_inputs(args.source)
+    only = _parse_sections(args.sections)
     stats = BatchStats()
     rows: list[list[str]] = []
     file_dicts: list[dict] = []
-    for label, path, truth in entries:
-        try:
-            report, verdict, declared_tool = _scan(label, path.read_bytes(), pack, only)
-        except (PdfProvError, OSError) as exc:
-            error = f"{type(exc).__name__}: {exc}"
+    for label, truth, result in _scan_entries(entries, pack, only):
+        if isinstance(result, Exception):
+            error = f"{type(result).__name__}: {result}"
             stats.errors.append((label, error))
             stats.total += 1
             rows.append([label, "error"] + [""] * (len(CSV_COLUMNS) - 3) + [error])
             continue
+        report, verdict, declared_tool = result
         if args.truth == "metadata":
             truth = declared_tool
         outcome = classify(verdict, truth) if truth else None
@@ -210,23 +212,17 @@ def _render_csv(rows: list[list[str]]) -> str:
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
-    try:
-        pack = _load_pack(args.pack)
-    except (PdfProvError, OSError, ValueError) as exc:
-        print(json.dumps(_error_object(args.pack or "", exc), indent=2))
-        return EXIT_ERROR
+    pack = _load_pack(args.pack)
     src = Path(args.path)
-    paths = sorted(src.rglob("*.pdf")) if src.is_dir() else [src]
+    entries = _batch_inputs(args.path) if src.is_dir() else [(str(src), src, None)]
     reports: list[dict] = []
     counts = {"consistent": 0, "inconsistent": 0, "unverifiable": 0, "error": 0}
-    for path in paths:
-        label = str(path.relative_to(src)) if src.is_dir() else str(path)
-        try:
-            report, _, declared_tool = _scan(label, path.read_bytes(), pack, None)
-        except (PdfProvError, OSError) as exc:
+    for label, _, result in _scan_entries(entries, pack, None):
+        if isinstance(result, Exception):
             counts["error"] += 1
-            reports.append(_error_object(label, exc))
+            reports.append(_error_object(label, result))
             continue
+        report, _, declared_tool = result
         counts[report.consistency] += 1
         reports.append({
             "file": label,
@@ -255,20 +251,16 @@ def cmd_audit(args: argparse.Namespace) -> int:
 def cmd_mine(args: argparse.Namespace) -> int:
     from .miner import LabeledCorpus, emit_rulepack, mine, mine_all, uniform_group_labels
 
-    try:
-        corpus = LabeledCorpus.from_manifest(args.manifest)
-        if not corpus.files:
-            raise EmptyGroup("manifest lists no files")
-        if args.section == "all":
-            candidates = mine_all(corpus, args.min_len, args.max_discriminacy)
-        else:
-            candidates = mine(corpus, SectionKind(args.section), args.min_len,
-                              args.max_discriminacy)
-        text = emit_rulepack(candidates, args.name, uniform_group_labels(corpus))
-        load_rulepack(text)  # emitted packs must always re-load
-    except (PdfProvError, OSError, ValueError) as exc:
-        print(json.dumps(_error_object(args.manifest, exc), indent=2))
-        return EXIT_ERROR
+    corpus = LabeledCorpus.from_manifest(args.manifest)
+    if not corpus.files:
+        raise EmptyGroup("manifest lists no files")
+    if args.section == "all":
+        candidates = mine_all(corpus, args.min_len, args.max_discriminacy)
+    else:
+        candidates = mine(corpus, SectionKind(args.section), args.min_len,
+                          args.max_discriminacy)
+    text = emit_rulepack(candidates, args.name, uniform_group_labels(corpus))
+    load_rulepack(text)  # emitted packs must always re-load
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -303,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--pack", help="rule file (default: builtin pack)")
     scan.add_argument("--sections", help="comma list: header,body,xref,trailer")
     scan.add_argument("--format", choices=["json", "table"], default="json")
-    scan.set_defaults(func=cmd_scan)
+    scan.set_defaults(func=cmd_scan, error_file="path")
 
     batch = sub.add_parser("batch", help="scan a manifest or directory of PDFs")
     batch.add_argument("source", help="manifest.tsv or a directory")
@@ -314,13 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--csv", help="also write the per-file CSV here")
     batch.add_argument("--jobs", type=int, default=0,
                        help="accepted and ignored: files are scanned one at a time")
-    batch.set_defaults(func=cmd_batch)
+    batch.set_defaults(func=cmd_batch, error_file="source")
 
     audit = sub.add_parser("audit", help="compare declared metadata with detection")
     audit.add_argument("path", help="PDF file or directory")
     audit.add_argument("--pack")
     audit.add_argument("--format", choices=["json", "table"], default="json")
-    audit.set_defaults(func=cmd_audit)
+    audit.set_defaults(func=cmd_audit, error_file="pack")
 
     minep = sub.add_parser("mine", help="derive a rulepack from a labeled corpus")
     minep.add_argument("manifest")
@@ -330,20 +322,26 @@ def build_parser() -> argparse.ArgumentParser:
     minep.add_argument("--max-discriminacy", type=float, default=0.0)
     minep.add_argument("--name", default="mined")
     minep.add_argument("-o", "--out")
-    minep.set_defaults(func=cmd_mine)
+    minep.set_defaults(func=cmd_mine, error_file="manifest")
 
     fixtures = sub.add_parser("fixtures", help="write the synthetic fixture corpus")
     fixtures.add_argument("--dir", required=True)
     fixtures.add_argument("--seeds", type=int, default=10)
     fixtures.add_argument("--seed-start", type=int, default=1)
-    fixtures.set_defaults(func=cmd_fixtures)
+    fixtures.set_defaults(func=cmd_fixtures, error_file="dir")
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BrokenPipeError:
+        raise  # stdout is closed: no error object can reach it
+    except (PdfProvError, OSError, ValueError) as exc:
+        print(json.dumps(_error_object(getattr(args, args.error_file) or "", exc), indent=2))
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":  # pragma: no cover

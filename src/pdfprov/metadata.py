@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .detector import Verdict, VerdictKind
-from .errors import NotAPdf
 from .producers import Producer
-from .segmenter import PdfSections, object_values, segment
+from .segmenter import PdfSections, object_values
 
 
 class MetadataSource(str, Enum):
@@ -133,13 +132,8 @@ def _xmp_field(raw: bytes, names: tuple[bytes, ...]) -> str | None:
     return None
 
 
-def extract_declared(data: bytes, sections: PdfSections | None = None) -> DeclaredMetadata:
+def extract_declared(data: bytes, sections: PdfSections) -> DeclaredMetadata:
     """Read /Producer and /Creator from the Info dictionary and XMP stream."""
-    if sections is None:
-        try:
-            sections = segment(data)
-        except NotAPdf:
-            return DeclaredMetadata()
     declared = DeclaredMetadata()
     info_creator = xmp_creator = None
     for obj in sections.objects:

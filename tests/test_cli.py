@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from pdfprov import builtin, cli, metadata
+from pdfprov import builtin, cli
 from pdfprov.cli import EXIT_ERROR, main
 from pdfprov.fixtures import PROFILES, emit_corpus, generate
 from pdfprov.producers import Producer
@@ -118,6 +118,30 @@ def test_scan_table_format(tmp_path, capsys):
     assert main(["scan", str(path), "--format", "table"]) == 0
     out = capsys.readouterr().out
     assert "producer:    Ghostscript" in out
+
+
+def test_scan_table_lines_for_each_verdict_and_diagnostics(tmp_path, capsys):
+    cases = {
+        "plain.pdf": (b"%PDF-1.4\n1 0 obj\n<</Pages 2 0 R>>\nendobj\n" + _TINY_XREF
+                      + b"trailer\n<</Weird 1/Order 2>>\n", "producer:    (no result)"),
+        "tex.pdf": (b"%PDF-1.5\n%\xD0\xD4\xC5\xD8\n1 0 obj\n<</Pages 2 0 R>>\nendobj\n"
+                    + _TINY_XREF + b"trailer\n<</Weird 1>>\n", "ambiguous:   LuaTeX, PdfTeX"),
+        "diag.pdf": (b"%PDF-1.4\n1 0 obj\n<</A (unclosed\nendobj\n",
+                     "diagnostics: MalformedDictionary obj 1 0"),
+    }
+    for name, (data, line) in cases.items():
+        (tmp_path / name).write_bytes(data)
+        main(["scan", str(tmp_path / name), "--format", "table"])
+        assert line in capsys.readouterr().out.splitlines(), name
+
+
+def test_scan_dash_reads_stdin(tmp_path, capsys, monkeypatch):
+    data = _write_fixture(tmp_path, Producer.CAIRO).read_bytes()
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    assert main(["scan", "-"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == cli.scan_bytes("-", data, builtin()).to_dict()
+    assert payload["verdict"]["producer"] == "Cairo"
 
 
 def test_scan_custom_pack(tmp_path, capsys):
@@ -298,6 +322,59 @@ def test_batch_survives_a_digit_run_past_the_int_limit(tmp_path, capsys):
     ]
 
 
+def test_batch_csv_file_holds_the_csv_format_output(corpus_dir, tmp_path, capsys):
+    manifest = str(corpus_dir / "manifest.tsv")
+    assert main(["batch", manifest, "--format", "csv"]) == 0
+    printed = capsys.readouterr().out
+    out_path = tmp_path / "out.csv"
+    assert main(["batch", manifest, "--csv", str(out_path)]) == 0
+    assert capsys.readouterr().out.startswith("Files: 33 total")
+    assert out_path.read_bytes() == printed.encode()
+
+
+def test_batch_table_lists_unreadable_files_under_errors(tmp_path, capsys):
+    good = _write_fixture(tmp_path, Producer.CAIRO)
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"{good.name}\tCairo\nmissing.pdf\tCairo\n")
+    assert main(["batch", str(manifest)]) == 0
+    assert capsys.readouterr().out.endswith(
+        "\nErrors:\n  missing.pdf: FileNotFoundError: [Errno 2] No such file or directory: "
+        f"'{tmp_path / 'missing.pdf'}'\n")
+
+
+def test_batch_manifest_skips_comments_and_blank_lines(tmp_path, capsys):
+    good = _write_fixture(tmp_path, Producer.CAIRO)
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"# path\tproducer\n\n   \n{good.name}\tCairo\n  # indented\n")
+    assert main(["batch", str(manifest), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [f["file"] for f in payload["files"]] == [good.name]
+    assert payload["stats"]["errors"] == []
+
+
+def test_batch_manifest_row_with_an_empty_path_is_an_error_object(tmp_path, capsys):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("# comment\n\tPdfTeX\n")
+    code = main(["batch", str(manifest), "--format", "csv"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == EXIT_ERROR
+    assert payload["file"] == str(manifest)
+    assert payload["error"] == {"type": "ValueError", "message": f"{manifest}:2: empty path"}
+
+
+def test_batch_and_audit_list_a_directory_in_one_order(tmp_path, capsys):
+    # Path order puts a/x.pdf first ("a" < "a-b"), label order a-b/y.pdf
+    # ("-" < "/"); both commands use label order.
+    for sub, name in (("a", "x.pdf"), ("a-b", "y.pdf")):
+        (tmp_path / sub).mkdir()
+        (tmp_path / sub / name).write_bytes(generate(PROFILES[Producer.CAIRO], 1))
+    expected = [str(Path("a-b", "y.pdf")), str(Path("a", "x.pdf"))]
+    assert main(["batch", str(tmp_path), "--format", "csv"]) == 0
+    assert [r["file"] for r in csv.DictReader(io.StringIO(capsys.readouterr().out))] == expected
+    assert main(["audit", str(tmp_path), "--format", "json"]) == 0
+    assert [r["file"] for r in json.loads(capsys.readouterr().out)["files"]] == expected
+
+
 # -- audit ---------------------------------------------------------------------
 
 
@@ -372,8 +449,7 @@ def test_every_command_segments_each_file_once(corpus_dir, monkeypatch, capsys):
         calls[data] += 1
         return real_segment(data)
 
-    for module in (cli, metadata):
-        monkeypatch.setattr(module, "segment", counting_segment)
+    monkeypatch.setattr(cli, "segment", counting_segment)
     paths = sorted(corpus_dir.rglob("*.pdf"))
     every_file = Counter(path.read_bytes() for path in paths)
     manifest = str(corpus_dir / "manifest.tsv")
@@ -433,6 +509,27 @@ def test_mine_output_reloads_and_detects(corpus_dir, tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["stats"]["file_level"]["correct"] == 33
+
+
+@pytest.mark.parametrize("command", ["batch", "mine", "fixtures"])
+def test_an_unwritable_output_is_an_error_object(corpus_dir, tmp_path, capsys, command):
+    manifest = str(corpus_dir / "manifest.tsv")
+    missing = tmp_path / "missing"
+    under_a_file = tmp_path / "a-file" / "fx"
+    (tmp_path / "a-file").write_text("")
+    argv, label, error = {
+        "batch": (["batch", manifest, "--csv", str(missing / "out.csv")], manifest,
+                  "FileNotFoundError"),
+        "mine": (["mine", manifest, "--section", "header", "-o", str(missing / "m.rules")],
+                 manifest, "FileNotFoundError"),
+        "fixtures": (["fixtures", "--dir", str(under_a_file), "--seeds", "1"], str(under_a_file),
+                     "NotADirectoryError"),
+    }[command]
+    code = main(argv)
+    payload = json.loads(capsys.readouterr().out)
+    assert code == EXIT_ERROR
+    assert payload["file"] == label
+    assert payload["error"]["type"] == error
 
 
 # -- import graph ---------------------------------------------------------

@@ -35,13 +35,14 @@ GS = Producer.GHOSTSCRIPT
 
 def test_info_producer_extracted():
     data = generate(PROFILES[GS], 1, producer_string="GPL Ghostscript 9.26")
-    declared = extract_declared(data)
+    declared = extract_declared(data, segment(data))
     assert declared.producer == "GPL Ghostscript 9.26"
     assert declared.source is MetadataSource.INFO
 
 
 def test_absent_metadata():
-    declared = extract_declared(b"%PDF-1.4\n1 0 obj\n<<>>\nendobj\n")
+    data = b"%PDF-1.4\n1 0 obj\n<<>>\nendobj\n"
+    declared = extract_declared(data, segment(data))
     assert declared.producer is None
     assert declared.creator is None
     assert declared.source is None
@@ -52,7 +53,7 @@ def test_info_reference_with_nul_separators():
     data = (b"%PDF-1.4\n"
             b"9 0 obj\n<</Producer (A)>>\nendobj\n"
             b"trailer\n<</Size 10/Info 9\x000\x00R>>\n")
-    assert extract_declared(data).info_producer == "A"
+    assert extract_declared(data, segment(data)).info_producer == "A"
 
 
 def test_info_after_an_unclosed_array_is_read():
@@ -61,7 +62,7 @@ def test_info_after_an_unclosed_array_is_read():
     data = (b"%PDF-1.4\n1 0 obj\n<</A [1 2\nendobj\n2 0 obj <</Producer (x)>> endobj\n"
             b"3 0 obj <<>> endobj\ntrailer\n<</Info 2 0 R>>")
     assert [o.obj_num for o in segment(data).objects] == [1, 2, 3]
-    assert extract_declared(data).producer == "x"
+    assert extract_declared(data, segment(data)).producer == "x"
 
 
 def _xmp_object(num: int, producer: str) -> bytes:
@@ -76,7 +77,7 @@ def test_info_and_xmp_disagreement_keeps_both():
             b"5 0 obj\n<</Producer (A)>>\nendobj\n"
             + _xmp_object(6, "B")
             + b"trailer\n<</Size 7/Root 1 0 R/Info 5 0 R>>\n")
-    declared = extract_declared(data)
+    declared = extract_declared(data, segment(data))
     assert declared.source is MetadataSource.BOTH
     assert declared.info_producer == "A"
     assert declared.xmp_producer == "B"
@@ -87,7 +88,7 @@ def test_xmp_element_form():
     xml = b"<pdf:Producer>Skia/PDF m85</pdf:Producer>"
     obj = b"7 0 obj\n<</Type /Metadata /Length %d>>\nstream\n" % len(xml)
     data = b"%PDF-1.4\n" + obj + xml + b"\nendstream\nendobj\n"
-    declared = extract_declared(data)
+    declared = extract_declared(data, segment(data))
     assert declared.producer == "Skia/PDF m85"
     assert declared.source is MetadataSource.XMP
 
@@ -102,7 +103,7 @@ def test_xmp_fields_are_read_from_the_whole_metadata_stream():
     data = b"%PDF-1.4\n" + obj + xml + b"\nendstream\nendobj\n"
     (meta,) = segment(data).objects
     assert meta.is_metadata and data[meta.payload_start : meta.payload_end] == xml
-    declared = extract_declared(data)
+    declared = extract_declared(data, segment(data))
     assert (declared.producer, declared.creator) == ("Skia/PDF m85", "Chromium")
     assert declared.source is MetadataSource.XMP
 
@@ -166,7 +167,7 @@ def test_pdf_string_forms():
 def test_hex_string_producer():
     data = (b"%PDF-1.4\n5 0 obj\n<</Producer <47686F73747363726970743E>>>\nendobj\n"
             b"trailer\n<</Size 6/Info 5 0 R>>\n")
-    declared = extract_declared(data)
+    declared = extract_declared(data, segment(data))
     assert declared.producer == "Ghostscript>"
 
 
@@ -181,10 +182,6 @@ def test_normalize_known_strings():
     assert normalize_producer_string("LuaTeX-1.10.0") == "LuaTeX"
     assert normalize_producer_string("xdvipdfmx (20200315)") == "XdviPDFmx"
     assert normalize_producer_string("macOS ... Quartz PDFContext") == "MacOSXQuartz"
-
-
-def test_non_pdf_input_gives_empty_metadata():
-    assert extract_declared(b"plain text, no header") == DeclaredMetadata()
 
 
 def test_normalize_unknown_strings():
@@ -249,7 +246,8 @@ def test_unverifiable_on_ambiguous_detection(pack):
         SectionKind.TRAILER: frozenset(),
     })
     assert ambiguous.kind is VerdictKind.AMBIGUOUS
-    declared = extract_declared(generate(PROFILES[GS], 1))
+    data = generate(PROFILES[GS], 1)
+    declared = extract_declared(data, segment(data))
     status, _ = consistency_status(declared, ambiguous)
     assert status is ConsistencyStatus.UNVERIFIABLE
 
@@ -287,9 +285,8 @@ def test_status_totality(pack):
     declared_options = [None, "GPL Ghostscript 9.26", "LibreOffice 6.1", "mystery tool"]
     for declared_str, verdict in itertools.product(declared_options,
                                                    [detected_producer, no_result]):
-        declared = extract_declared(
-            generate(PROFILES[GS], 1, producer_string=declared_str or "")
-        )
+        data = generate(PROFILES[GS], 1, producer_string=declared_str or "")
+        declared = extract_declared(data, segment(data))
         if declared_str is None:
             declared.producer = None
         status, _ = consistency_status(declared, verdict)

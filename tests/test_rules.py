@@ -72,6 +72,40 @@ def test_unknown_section_rejected():
     assert "footer" in str(err.value)
 
 
+# A valid rule; each case below replaces one piece of it.
+_RULE = 'rule r1 {\n  producer = Cairo\n  section = body\n  kind = template\n  pattern = "abc"\n}\n'
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('"abc"', "abc", "line 5: pattern value must be quoted"),
+    ('"abc"', '"abc', "line 5: unterminated pattern string"),
+    ('"abc"', '"abc" x', "line 5: unexpected trailing text 'x'"),
+    ("  kind", "  os = linux\n  kind", "line 4: os must be a [bracketed, list]"),
+    ("  kind", "  distro = [texlive, tetex]\n  kind", "line 4: unknown distro tag 'tetex'"),
+    ("rule r1 {", "# a comment\nr1 {", "line 2: expected 'rule <id> {', got 'r1 {'"),
+    ("producer = Cairo", "producer Cairo", "line 2: expected 'key = value', got 'producer Cairo'"),
+    ("template", "templat", "line 4: unknown kind 'templat'"),
+    ("  section", "  colour = red\n  section", "line 3: unknown field 'colour'"),
+    ("}\n", "}\n\nrule r2 {\n  producer = Cairo\n", "line 8: unterminated rule block"),
+])
+def test_rule_file_errors_name_their_line(old, new, message):
+    assert _RULE.count(old) == 1
+    with pytest.raises(RuleParseError) as err:
+        load_rulepack(_RULE.replace(old, new))
+    assert str(err.value) == message
+
+
+def test_quote_escape_and_non_byte_character_in_a_pattern():
+    (rule,) = load_rulepack('rule q {\n  producer = Cairo\n  section = body\n'
+                            '  kind = template\n  pattern = "a\\"b"\n}\n').rules
+    assert rule.pattern == 'a"b'
+    assert rule.regex.fullmatch(b'a"b')
+    with pytest.raises(PatternCompileError) as err:
+        load_rulepack('rule euro {\n  producer = Cairo\n  section = body\n'
+                      '  kind = template\n  pattern = "\u20ac"\n}\n')
+    assert str(err.value).startswith("rule 'euro': non-byte character in pattern: ")
+
+
 def test_bad_pattern_reports_rule_id():
     text = ('rule broken {\n  producer = Cairo\n  section = body\n'
             '  kind = template\n  pattern = "([unclosed"\n}\n')
