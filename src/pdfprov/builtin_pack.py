@@ -24,4 +24,4 @@ def build_rules() -> list[Rule]:
 @lru_cache(maxsize=1)
 def builtin() -> Rulepack:
     """The embedded builtin rulepack."""
-    return Rulepack("builtin", "1", build_rules())
+    return Rulepack("builtin", build_rules())

@@ -43,37 +43,19 @@ class DeclaredMetadata:
 
 # -- PDF string decoding -------------------------------------------------------
 
-_LITERAL_ESCAPES = {
+# A backslash and what it escapes: one to three octal digits (group 1), or a
+# line end or one character (group 2; none after a trailing backslash).
+_ESCAPE_RE = re.compile(rb"\\(?:([0-7]{1,3})|(\r\n?|.?))", re.S)
+# What group 2 stands for, where that is not its own character.
+_ESCAPES = {
     b"n": b"\n", b"r": b"\r", b"t": b"\t", b"b": b"\b", b"f": b"\x0c",
-    b"(": b"(", b")": b")", b"\\": b"\\",
+    b"\r": b"", b"\n": b"", b"\r\n": b"",  # a line continuation
 }
 
 
 def _decode_literal(value: bytes) -> bytes:
-    out = bytearray()
-    i = 0
-    n = len(value)
-    while i < n:
-        b = value[i : i + 1]
-        if b != b"\\":
-            out += b
-            i += 1
-            continue
-        nxt = value[i + 1 : i + 2]
-        if nxt in _LITERAL_ESCAPES:
-            out += _LITERAL_ESCAPES[nxt]
-            i += 2
-        elif (m := re.match(rb"[0-7]{1,3}", value[i + 1 : i + 4])) is not None:
-            out.append(int(m.group(0), 8) & 0xFF)
-            i += 1 + len(m.group(0))
-        elif nxt in (b"\r", b"\n"):  # line continuation
-            i += 2
-            if nxt == b"\r" and value[i : i + 1] == b"\n":
-                i += 1
-        else:
-            out += nxt
-            i += 2
-    return bytes(out)
+    return _ESCAPE_RE.sub(
+        lambda m: bytes([int(m[1], 8) & 0xFF]) if m[1] else _ESCAPES.get(m[2], m[2]), value)
 
 
 def _to_text(raw: bytes) -> str:

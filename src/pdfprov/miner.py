@@ -101,9 +101,13 @@ class LabeledCorpus:
         base = path.parent
         files: list[CorpusFile] = []
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            first_col = line.partition("\t")[0]
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            # Checked before the strip, which would make the producer the path.
+            if not first_col.strip():
+                raise ValueError(f"{path}:{lineno}: empty path")
             cols = line.split("\t")
             if len(cols) < 2 or not cols[1]:
                 raise ValueError(f"{path}:{lineno}: expected '<path>\\t<producer>'")

@@ -12,14 +12,17 @@ and optional OS/distribution tags.  Rule files are plain UTF-8 text:
       pattern  = "<byte-regex>"
     }
 
-Comments start with '#'.  Patterns operate on raw bytes and support
-literals, \\xNN escapes, \\r \\n \\t, character classes, repetition
-(``*`` ``+`` ``?`` ``{m,n}``), alternation, grouping and the ``^``/``$``
-anchors.  Lookaround and backreferences are rejected, and so is a repeat
-that may run its body more than once when the body holds a variable-count
-repeat (``(a+)+``, ``(?:a*){2,5}``, ``(a?)*``): a backtracking search of
-such a pattern can take time exponential in the input.  Groups nested
-too deeply for the regex parser are rejected too.
+A '#' outside a quoted value starts a comment.  The pattern is quoted, and
+only ``\\"`` in it is unescaped; the producer and the tags are bare, so
+they may hold no '#' and no leading or trailing space (:func:`render_rulepack`
+refuses such a value).  Patterns operate on raw bytes and support literals,
+\\xNN escapes, \\r \\n \\t, character classes, repetition (``*`` ``+``
+``?`` ``{m,n}``), alternation, grouping and the ``^``/``$`` anchors.
+Lookaround and backreferences are rejected, and so is a repeat that may run
+its body more than once when the body holds a variable-count repeat
+(``(a+)+``, ``(?:a*){2,5}``, ``(a?)*``): a backtracking search of such a
+pattern can take time exponential in the input.  Groups nested too deeply
+for the regex parser are rejected too.
 
 Body rules match each non-metadata object's bytes with its stream payload
 cut out after the first two bytes: the dictionary, the ``stream`` and
@@ -48,6 +51,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from re import _constants, _parser
+from typing import Any
 
 from .errors import PatternCompileError, RuleParseError
 from .producers import Distro, OpSys
@@ -139,7 +143,6 @@ class Rulepack:
     """A named, ordered collection of rules with unique ids."""
 
     name: str
-    version: str
     rules: list[Rule]
     # Each section's rules in rule-id order, the order matches are reported in.
     _by_section: dict[SectionKind, list[Rule]] = field(init=False, repr=False, compare=False)
@@ -171,82 +174,56 @@ class RuleMatch:
 
 _RULE_OPEN_RE = re.compile(r"^rule\s+([A-Za-z0-9_][A-Za-z0-9_.-]*)\s*\{\s*$")
 _FIELD_RE = re.compile(r"^([a-z]+)\s*=\s*(.*)$")
-_VALID_OS = {o.value for o in OpSys}
-_VALID_DISTRO = {d.value for d in Distro}
+# A quoted value: '"', then characters, a '\' taking the next one with it,
+# up to the closing '"' (group 2) or the end of the line.  Group 1 is the body.
+_QUOTED_RE = re.compile(r'"((?:[^"\\]++|\\.)*+)(")?', re.S)
+# A line's text before its comment, which a '#' outside a quoted value starts;
+# a line with no '#' is all text, and testing for one costs less than a match.
+_CODE_RE = re.compile(rf'(?:[^"#]++|{_QUOTED_RE.pattern})*+', re.S)
+# The fields whose value is one of a fixed set: an enum, or a list of tags.
+_ENUM_FIELDS: dict[str, type[Enum]] = {"section": SectionKind, "kind": RuleKind}
+_TAG_FIELDS = {"os": {o.value for o in OpSys}, "distro": {d.value for d in Distro}}
 
 
 def _strip_comment(line: str) -> str:
-    if "#" not in line:
-        return line.strip()
-    out: list[str] = []
-    in_string = False
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if in_string:
-            if ch == "\\":
-                out.append(line[i : i + 2])
-                i += 2
-                continue
-            if ch == '"':
-                in_string = False
-        else:
-            if ch == '"':
-                in_string = True
-            elif ch == "#":
-                break
-        out.append(ch)
-        i += 1
-    return "".join(out).strip()
+    return (_CODE_RE.match(line)[0] if "#" in line else line).strip()  # type: ignore[index]
 
 
-def _parse_quoted(value: str, lineno: int) -> str:
-    """Decode a quoted pattern value.
-
-    Only ``\\"`` is consumed at the file layer; every other escape is part
-    of the regex source and passes through verbatim.
-    """
-    if not value.startswith('"'):
-        raise RuleParseError(lineno, "pattern value must be quoted")
-    out: list[str] = []
-    i = 1
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            if nxt == '"':
-                out.append('"')
-            else:
-                out.append(ch)
-                out.append(nxt)
-            i += 2
-            continue
-        if ch == '"':
-            rest = value[i + 1 :].strip()
-            if rest:
-                raise RuleParseError(lineno, f"unexpected trailing text {rest!r}")
-            return "".join(out)
-        out.append(ch)
-        i += 1
-    raise RuleParseError(lineno, "unterminated pattern string")
-
-
-def _parse_tag_list(value: str, valid: set[str], what: str, lineno: int) -> frozenset[str]:
+def _read_field(key: str, value: str, lineno: int) -> Any:
+    """The value of one ``key = value`` line, checked against its field."""
     value = value.strip()
+    if key == "producer":
+        return value
+    if key == "pattern":
+        m = _QUOTED_RE.match(value)
+        if m is None:
+            raise RuleParseError(lineno, "pattern value must be quoted")
+        if m[2] is None:
+            raise RuleParseError(lineno, "unterminated pattern string")
+        if rest := value[m.end() :].strip():
+            raise RuleParseError(lineno, f"unexpected trailing text {rest!r}")
+        return m[1].replace('\\"', '"')
+    if key in _ENUM_FIELDS:
+        try:
+            return _ENUM_FIELDS[key](value)
+        except ValueError:
+            raise RuleParseError(lineno, f"unknown {key} {value!r}") from None
+    if key not in _TAG_FIELDS:
+        raise RuleParseError(lineno, f"unknown field {key!r}")
     if not (value.startswith("[") and value.endswith("]")):
-        raise RuleParseError(lineno, f"{what} must be a [bracketed, list]")
+        raise RuleParseError(lineno, f"{key} must be a [bracketed, list]")
     items = [item.strip() for item in value[1:-1].split(",") if item.strip()]
     for item in items:
-        if item not in valid:
-            raise RuleParseError(lineno, f"unknown {what} tag {item!r}")
+        if item not in _TAG_FIELDS[key]:
+            raise RuleParseError(lineno, f"unknown {key} tag {item!r}")
     return frozenset(items)
 
 
-def load_rulepack(text: str, name: str = "rulepack", version: str = "0") -> Rulepack:
+def load_rulepack(text: str, name: str = "rulepack") -> Rulepack:
     """Parse rule-file text into a compiled, validated :class:`Rulepack`."""
     rules: list[Rule] = []
     seen_ids: set[str] = set()
-    current: dict[str, object] | None = None
+    current: dict[str, Any] | None = None
     current_line = 0
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw_line)
@@ -256,12 +233,10 @@ def load_rulepack(text: str, name: str = "rulepack", version: str = "0") -> Rule
             m = _RULE_OPEN_RE.match(line)
             if not m:
                 raise RuleParseError(lineno, f"expected 'rule <id> {{', got {line!r}")
-            rid = m.group(1)
-            if rid in seen_ids:
-                raise RuleParseError(lineno, f"duplicate rule id {rid!r}")
-            seen_ids.add(rid)
-            current = {"id": rid}
-            current_line = lineno
+            if m[1] in seen_ids:
+                raise RuleParseError(lineno, f"duplicate rule id {m[1]!r}")
+            seen_ids.add(m[1])
+            current, current_line = {"id": m[1]}, lineno
             continue
         if line == "}":
             rules.append(_finish_rule(current, current_line))
@@ -270,66 +245,52 @@ def load_rulepack(text: str, name: str = "rulepack", version: str = "0") -> Rule
         m = _FIELD_RE.match(line)
         if not m:
             raise RuleParseError(lineno, f"expected 'key = value', got {line!r}")
-        key, value = m.group(1), m.group(2)
-        if key == "producer":
-            current["producer"] = value.strip()
-        elif key == "section":
-            try:
-                current["section"] = SectionKind(value.strip())
-            except ValueError:
-                raise RuleParseError(lineno, f"unknown section {value.strip()!r}") from None
-        elif key == "kind":
-            try:
-                current["kind"] = RuleKind(value.strip())
-            except ValueError:
-                raise RuleParseError(lineno, f"unknown kind {value.strip()!r}") from None
-        elif key == "os":
-            current["os"] = _parse_tag_list(value, _VALID_OS, "os", lineno)
-        elif key == "distro":
-            current["distro"] = _parse_tag_list(value, _VALID_DISTRO, "distro", lineno)
-        elif key == "pattern":
-            current["pattern"] = _parse_quoted(value.strip(), lineno)
-        else:
-            raise RuleParseError(lineno, f"unknown field {key!r}")
+        current[m[1]] = _read_field(m[1], m[2], lineno)
     if current is not None:
         raise RuleParseError(current_line, "unterminated rule block")
-    return Rulepack(name, version, rules)
+    return Rulepack(name, rules)
 
 
-def _finish_rule(fields: dict[str, object], lineno: int) -> Rule:
+def _finish_rule(fields: dict[str, Any], lineno: int) -> Rule:
     for required in ("producer", "section", "kind", "pattern"):
         if required not in fields:
             raise RuleParseError(lineno, f"rule {fields['id']!r} is missing {required!r}")
-    rid, pattern = str(fields["id"]), str(fields["pattern"])
-    return Rule(
-        rid,
-        str(fields["producer"]),
-        fields["section"],  # type: ignore[arg-type]
-        fields["kind"],  # type: ignore[arg-type]
-        pattern,
-        fields.get("os", frozenset()),  # type: ignore[arg-type]
-        fields.get("distro", frozenset()),  # type: ignore[arg-type]
-        compile_pattern(pattern, rid),
-    )
+    return Rule(fields["id"], fields["producer"], fields["section"], fields["kind"],
+                fields["pattern"], fields.get("os", frozenset()), fields.get("distro", frozenset()),
+                compile_pattern(fields["pattern"], fields["id"]))
+
+
+def _field_line(rule: Rule, key: str, value: object, text: str) -> str:
+    """The line ``key = text``; a ValueError if it would not read back as ``value``."""
+    try:
+        if len(text.splitlines()) <= 1 and _read_field(key, _strip_comment(text), 0) == value:
+            return f"  {key:<8} = {text}"
+    except RuleParseError:
+        pass
+    raise ValueError(f"rule {rule.id!r}: {key} {text!r} would not read back as written")
 
 
 def render_rulepack(rules: list[Rule], header_comment: str = "") -> str:
-    """Render rules back to the rule-file format (deterministic)."""
+    """Render rules back to the rule-file format (deterministic).
+
+    A value that would not read back as written, such as a producer
+    holding a ``#`` or a line break, is a ``ValueError``.
+    """
     blocks: list[str] = []
     if header_comment:
         blocks.append("\n".join(f"# {line}".rstrip() for line in header_comment.splitlines()))
     for rule in rules:
-        lines = [f"rule {rule.id} {{"]
-        lines.append(f"  producer = {rule.producer}")
-        lines.append(f"  section  = {rule.section.value}")
-        lines.append(f"  kind     = {rule.kind.value}")
-        if rule.os_tags:
-            lines.append(f"  os       = [{', '.join(sorted(rule.os_tags))}]")
-        if rule.distro_tags:
-            lines.append(f"  distro   = [{', '.join(sorted(rule.distro_tags))}]")
-        pattern = rule.pattern.replace('"', '\\"')
-        lines.append(f'  pattern  = "{pattern}"')
-        lines.append("}")
+        lines = [
+            f"rule {rule.id} {{",
+            _field_line(rule, "producer", rule.producer, rule.producer),
+            _field_line(rule, "section", rule.section, rule.section.value),
+            _field_line(rule, "kind", rule.kind, rule.kind.value),
+        ]
+        for key, tags in (("os", rule.os_tags), ("distro", rule.distro_tags)):
+            if tags:
+                lines.append(_field_line(rule, key, tags, f"[{', '.join(sorted(tags))}]"))
+        quoted = '"{}"'.format(rule.pattern.replace('"', '\\"'))
+        lines += [_field_line(rule, "pattern", rule.pattern, quoted), "}"]
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
 

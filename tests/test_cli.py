@@ -489,6 +489,31 @@ def test_mine_empty_manifest_is_an_error(tmp_path, capsys):
     assert payload["error"]["type"] == "EmptyGroup"
 
 
+def test_mine_manifest_row_with_an_empty_path_is_an_error_object(tmp_path, capsys):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("# comment\n\tPdfTeX\n")
+    code = main(["mine", str(manifest)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == EXIT_ERROR
+    assert payload["file"] == str(manifest)
+    assert payload["error"] == {"type": "ValueError", "message": f"{manifest}:2: empty path"}
+
+
+@pytest.mark.parametrize("label", ["C#Writer", " Cairo"])
+def test_mine_refuses_a_label_its_pack_would_not_read_back(corpus_dir, tmp_path, capsys, label):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"{corpus_dir / 'cairo' / 'cairo-001.pdf'}\t{label}\n"
+                        f"{corpus_dir / 'skiapdf' / 'skiapdf-001.pdf'}\tSkia\n")
+    out_path = tmp_path / "mined.rules"
+    code = main(["mine", str(manifest), "-o", str(out_path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == EXIT_ERROR
+    assert payload["file"] == str(manifest)
+    assert payload["error"]["type"] == "ValueError"
+    assert payload["error"]["message"].endswith(f"producer {label!r} would not read back as written")
+    assert not out_path.exists()
+
+
 def test_fixtures_then_batch_pipeline(tmp_path, capsys):
     code = main(["fixtures", "--dir", str(tmp_path / "fx"), "--seeds", "2"])
     manifest = capsys.readouterr().out.strip()

@@ -15,6 +15,7 @@ from pdfprov.detector import VerdictKind, detect
 from pdfprov.fixtures import PROFILES, generate
 from pdfprov.metadata import (
     _XMP_TAG_RE,
+    _decode_literal,
     _xmp_field,
     ConsistencyStatus,
     DeclaredMetadata,
@@ -162,6 +163,51 @@ def test_pdf_string_forms():
     assert decode_pdf_string(b"(not octal \\8)") == "not octal 8"
     assert decode_pdf_string(b"<414243>") == "ABC"
     assert decode_pdf_string(b"<FEFF00410042>") == "AB"
+
+
+# The escape decoder's loop before one re.sub replaced it, kept verbatim as
+# the oracle the pattern must agree with.
+_LITERAL_ESCAPES = {
+    b"n": b"\n", b"r": b"\r", b"t": b"\t", b"b": b"\b", b"f": b"\x0c",
+    b"(": b"(", b")": b")", b"\\": b"\\",
+}
+
+
+def _loop_decode_literal(value: bytes) -> bytes:
+    out = bytearray()
+    i = 0
+    n = len(value)
+    while i < n:
+        b = value[i : i + 1]
+        if b != b"\\":
+            out += b
+            i += 1
+            continue
+        nxt = value[i + 1 : i + 2]
+        if nxt in _LITERAL_ESCAPES:
+            out += _LITERAL_ESCAPES[nxt]
+            i += 2
+        elif (m := re.match(rb"[0-7]{1,3}", value[i + 1 : i + 4])) is not None:
+            out.append(int(m.group(0), 8) & 0xFF)
+            i += 1 + len(m.group(0))
+        elif nxt in (b"\r", b"\n"):  # line continuation
+            i += 2
+            if nxt == b"\r" and value[i : i + 1] == b"\n":
+                i += 1
+        else:
+            out += nxt
+            i += 2
+    return bytes(out)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.lists(st.sampled_from([b"\\", b"0", b"3", b"7", b"8", b"\r", b"\n", b"n", b"f",
+                                 b"(", b")", b"a", b"\xff", b"\\777", b"\\8", b"\\\r\n"]),
+                max_size=16).map(b"".join))
+@example(b"Acrobat Distiller 19.0 \\(Windows\\)")
+@example(b"\\1234\\\\\\")
+def test_literal_escapes_decode_as_the_loop_did(value):
+    assert _decode_literal(value) == _loop_decode_literal(value)
 
 
 def test_hex_string_producer():

@@ -6,7 +6,7 @@ import warnings
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -22,6 +22,8 @@ from pdfprov.errors import NotAPdf, PatternCompileError, RuleParseError
 from pdfprov.fixtures import PROFILES, generate
 from pdfprov.producers import Producer
 from pdfprov.rules import (
+    _read_field,
+    _strip_comment,
     Rule,
     RuleKind,
     Rulepack,
@@ -126,6 +128,138 @@ def test_render_load_roundtrip():
     pack = load_rulepack(TABLE_RULE_WORD_BODY)
     again = load_rulepack(render_rulepack(pack.rules))
     assert again.rules == pack.rules
+
+
+# The reader's character loops before the quoted-value pattern replaced
+# them, kept verbatim as the oracle the pattern must agree with.
+def _loop_strip_comment(line: str) -> str:
+    if "#" not in line:
+        return line.strip()
+    out: list[str] = []
+    in_string = False
+    i = 0
+    while i < len(line):
+        ch = line[i]
+        if in_string:
+            if ch == "\\":
+                out.append(line[i : i + 2])
+                i += 2
+                continue
+            if ch == '"':
+                in_string = False
+        else:
+            if ch == '"':
+                in_string = True
+            elif ch == "#":
+                break
+        out.append(ch)
+        i += 1
+    return "".join(out).strip()
+
+
+def _loop_parse_quoted(value: str, lineno: int) -> str:
+    """Decode a quoted pattern value.
+
+    Only ``\\"`` is consumed at the file layer; every other escape is part
+    of the regex source and passes through verbatim.
+    """
+    if not value.startswith('"'):
+        raise RuleParseError(lineno, "pattern value must be quoted")
+    out: list[str] = []
+    i = 1
+    while i < len(value):
+        ch = value[i]
+        if ch == "\\" and i + 1 < len(value):
+            nxt = value[i + 1]
+            if nxt == '"':
+                out.append('"')
+            else:
+                out.append(ch)
+                out.append(nxt)
+            i += 2
+            continue
+        if ch == '"':
+            rest = value[i + 1 :].strip()
+            if rest:
+                raise RuleParseError(lineno, f"unexpected trailing text {rest!r}")
+            return "".join(out)
+        out.append(ch)
+        i += 1
+    raise RuleParseError(lineno, "unterminated pattern string")
+
+
+def _outcome(read, *args) -> str:
+    try:
+        return "value " + read(*args)
+    except RuleParseError as exc:
+        return "error " + str(exc)
+
+
+_LINES = st.lists(st.sampled_from(['"', "\\", "#", '\\"', "=", "[", "]", " ", "\t", "a", "b"]),
+                  max_size=20).map("".join)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_LINES)
+@example('x = "a\\"#b" # c')
+@example('"a\\')
+def test_the_quoted_value_pattern_agrees_with_the_character_loops(line):
+    assert _strip_comment(line) == _loop_strip_comment(line)
+    for value in (line, '"' + line):
+        assert _outcome(_read_field, "pattern", value, 3) == _outcome(
+            _loop_parse_quoted, value.strip(), 3)
+
+
+@pytest.mark.parametrize("producer", ["C#Writer", " Skia", "Skia ", "Sk\nia", "Sk\x85ia"])
+def test_the_writer_refuses_a_producer_that_would_not_read_back(producer):
+    rules = [Rule("r", "Cairo", SectionKind.BODY, RuleKind.TEMPLATE, "a"),
+             Rule("bad", producer, SectionKind.BODY, RuleKind.TEMPLATE, "a")]
+    with pytest.raises(ValueError) as err:
+        render_rulepack(rules)
+    assert str(err.value) == f"rule 'bad': producer {producer!r} would not read back as written"
+
+
+@pytest.mark.parametrize("key, rule", [
+    ("os", Rule("r", "Cairo", SectionKind.BODY, RuleKind.TEMPLATE, "a", frozenset({"beos"}))),
+    ("os", Rule("r", "Cairo", SectionKind.BODY, RuleKind.TEMPLATE, "a", frozenset({"linux#"}))),
+    ("distro", Rule("r", "Cairo", SectionKind.BODY, RuleKind.TEMPLATE, "a",
+                    distro_tags=frozenset({"texlive, miktex"}))),
+    ("pattern", Rule("r", "Cairo", SectionKind.BODY, RuleKind.TEMPLATE, 'a\\"')),
+    ("pattern", Rule("r", "Cairo", SectionKind.BODY, RuleKind.TEMPLATE, "a\nb")),
+])
+def test_the_writer_refuses_tags_and_patterns_that_would_not_read_back(key, rule):
+    with pytest.raises(ValueError, match=f"^rule 'r': {key} .* would not read back as written$"):
+        render_rulepack([rule])
+
+
+_BARE_VALUES = st.one_of(st.sampled_from([p.value for p in Producer]),
+                         st.text(st.sampled_from('ab"\\=,[]'), max_size=6),
+                         st.text(st.sampled_from('ab #"\\=,[]\n\x85'), max_size=4))
+# Regex atoms, which any sequence of compiles; the last two cannot be written.
+_PATTERN_ATOMS = st.sampled_from(["a", '"', "\\\\", "#", "\\x41", '[#"]', " ", "b*"] * 4 + ['\\"', "\n"])
+
+
+@st.composite
+def _rule_lists(draw) -> list[Rule]:
+    def tags(valid: list[str]) -> frozenset[str]:
+        return draw(st.frozensets(st.sampled_from(valid + ["a#b", "a, b"]), max_size=2))
+    return [Rule(f"r{i}", draw(_BARE_VALUES), draw(st.sampled_from(SectionKind)),
+                 draw(st.sampled_from(RuleKind)), "".join(draw(st.lists(_PATTERN_ATOMS, max_size=6))),
+                 tags(["linux", "windows", "macos"]), tags(["texlive", "miktex"]))
+            for i in range(draw(st.integers(0, 2)))]
+
+
+@settings(max_examples=500, deadline=None)
+@given(_rule_lists())
+@example([Rule("r", 'C"Writer', SectionKind.BODY, RuleKind.TEMPLATE, 'a"b\\\\"#',
+               frozenset({"linux"}), frozenset({"texlive", "miktex"}))])
+def test_rules_the_writer_accepts_read_back_as_written(rules):
+    try:
+        text = render_rulepack(rules, "mined rulepack\nwith # in its comment")
+    except ValueError as exc:
+        assert str(exc).endswith("would not read back as written")
+        return
+    assert load_rulepack(text).rules == rules
 
 
 def test_extension_packs_may_name_unknown_producers():
@@ -255,7 +389,7 @@ def test_distiller_fixture_header_and_presence(pack):
 
 
 def test_zero_rule_pack_matches_nothing(corpus_bytes):
-    empty = Rulepack("empty", "0", [])
+    empty = Rulepack("empty", [])
     data = corpus_bytes[Producer.GHOSTSCRIPT][0]
     assert all(v == [] for v in evaluate_sections(empty, segment(data)).values())
 
@@ -446,7 +580,7 @@ def test_monotonicity_adding_a_rule_never_removes_matches(index):
     from pdfprov.builtin_pack import builtin
 
     base = builtin()
-    smaller = Rulepack("sub", "0", [r for i, r in enumerate(base.rules) if i != index])
+    smaller = Rulepack("sub", [r for i, r in enumerate(base.rules) if i != index])
     data = generate(PROFILES[Producer.MICROSOFT_OFFICE_WORD], 3)
     small_matches = evaluate_sections(smaller, segment(data))
     full_matches = evaluate_sections(base, segment(data))
