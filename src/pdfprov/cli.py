@@ -19,17 +19,10 @@ from collections.abc import Iterator
 from pathlib import Path
 
 from .builtin_pack import builtin
-from .detector import Verdict, classify, detect
+from .detector import VerdictKind, classify, detect
 from .errors import EmptyGroup, PdfProvError
-from .metadata import consistency_status, extract_declared
-from .report import (
-    CSV_COLUMNS,
-    SCHEMA_VERSION,
-    BatchStats,
-    ScanReport,
-    build_scan_report,
-    csv_row,
-)
+from .metadata import consistency_status, declared_tool, extract_declared
+from .report import CSV_COLUMNS, SCHEMA_VERSION, BatchStats, ScanReport, csv_row
 from .rules import Rulepack, SectionKind, load_rulepack
 from .segmenter import segment
 
@@ -38,8 +31,8 @@ EXIT_ERROR = 1
 EXIT_AMBIGUOUS = 2
 EXIT_NO_RESULT = 3
 
-_VERDICT_EXIT = {"producer": EXIT_PRODUCER, "ambiguous": EXIT_AMBIGUOUS,
-                 "no_result": EXIT_NO_RESULT}
+_VERDICT_EXIT = {VerdictKind.PRODUCER: EXIT_PRODUCER, VerdictKind.AMBIGUOUS: EXIT_AMBIGUOUS,
+                 VerdictKind.NO_RESULT: EXIT_NO_RESULT}
 
 
 def _load_pack(path: str | None) -> Rulepack:
@@ -71,21 +64,11 @@ def _error_object(path: str, exc: Exception) -> dict:
 def scan_bytes(label: str, data: bytes, pack: Rulepack,
                only: list[SectionKind] | None = None) -> ScanReport:
     """Run the full per-file pipeline and assemble a report."""
-    return _scan(label, data, pack, only)[0]
-
-
-_ScanResult = tuple[ScanReport, Verdict, str | None]
-
-
-def _scan(label: str, data: bytes, pack: Rulepack,
-          only: list[SectionKind] | None) -> _ScanResult:
-    """The report, the verdict and the declared tool the audit graded against."""
     sections = segment(data)
     verdict = detect(pack, sections, only)
     declared = extract_declared(data, sections=sections)
-    status, declared_tool = consistency_status(declared, verdict)
-    report = build_scan_report(label, verdict, declared, status, sections.diagnostics)
-    return report, verdict, declared_tool
+    status, _ = consistency_status(declared, verdict)
+    return ScanReport(label, verdict, declared, status, sections.diagnostics)
 
 
 # -- scan ----------------------------------------------------------------------
@@ -99,29 +82,31 @@ def cmd_scan(args: argparse.Namespace) -> int:
         print(_scan_table(report))
     else:
         print(report.to_json())
-    return _VERDICT_EXIT[report.verdict_kind]
+    return _VERDICT_EXIT[report.verdict.kind]
 
 
 def _scan_table(report: ScanReport) -> str:
-    lines = [f"file:        {report.file}"]
-    if report.verdict_kind == "producer":
-        lines.append(f"producer:    {report.producer}")
-    elif report.verdict_kind == "ambiguous":
-        lines.append(f"ambiguous:   {', '.join(report.candidates)}")
+    """The report's JSON fields, as lines for a terminal."""
+    d = report.to_dict()
+    verdict = d["verdict"]
+    lines = [f"file:        {d['file']}"]
+    if verdict["kind"] == "producer":
+        lines.append(f"producer:    {verdict['producer']}")
+    elif verdict["kind"] == "ambiguous":
+        lines.append(f"ambiguous:   {', '.join(verdict['candidates'])}")
     else:
         lines.append("producer:    (no result)")
-    lines.append("votes:       " + (", ".join(f"{k}={v}" for k, v in report.votes.items()) or "-"))
-    for section in report.sections:
-        cands = ", ".join(section.candidates) or "-"
-        lines.append(f"  {section.kind:<8} {cands}")
-    if report.os:
+    lines.append("votes:       " + (", ".join(f"{k}={v}" for k, v in d["votes"].items()) or "-"))
+    for section in d["sections"]:
+        lines.append(f"  {section['kind']:<8} {', '.join(section['candidates']) or '-'}")
+    if d["os"]:
         lines.append("os:          " + ", ".join(
-            o["os"] + (f" ({o['distro']})" if o.get("distro") else "") for o in report.os
+            o["os"] + (f" ({o['distro']})" if o["distro"] else "") for o in d["os"]
         ))
-    lines.append(f"declared:    {report.declared_producer or '-'}")
-    lines.append(f"consistency: {report.consistency}")
-    if report.diagnostics:
-        lines.append("diagnostics: " + "; ".join(report.diagnostics))
+    lines.append(f"declared:    {d['declared']['producer'] or '-'}")
+    lines.append(f"consistency: {d['consistency']}")
+    if d["diagnostics"]:
+        lines.append("diagnostics: " + "; ".join(d["diagnostics"]))
     return "\n".join(lines)
 
 
@@ -153,11 +138,11 @@ def _batch_inputs(source: str) -> list[tuple[str, Path, str | None]]:
 
 def _scan_entries(entries: list[tuple[str, Path, str | None]], pack: Rulepack,
                   only: list[SectionKind] | None
-                  ) -> Iterator[tuple[str, str | None, _ScanResult | Exception]]:
-    """(label, truth, ``_scan``'s result or the error that stopped it) per entry."""
+                  ) -> Iterator[tuple[str, str | None, ScanReport | Exception]]:
+    """(label, truth, the report or the error that stopped the scan) per entry."""
     for label, path, truth in entries:
         try:
-            result = _scan(label, path.read_bytes(), pack, only)
+            result: ScanReport | Exception = scan_bytes(label, path.read_bytes(), pack, only)
         except (PdfProvError, OSError) as exc:
             result = exc
         yield label, truth, result
@@ -170,19 +155,19 @@ def cmd_batch(args: argparse.Namespace) -> int:
     stats = BatchStats()
     rows: list[list[str]] = []
     file_dicts: list[dict] = []
-    for label, truth, result in _scan_entries(entries, pack, only):
-        if isinstance(result, Exception):
-            error = f"{type(result).__name__}: {result}"
+    for label, truth, report in _scan_entries(entries, pack, only):
+        if isinstance(report, Exception):
+            error = f"{type(report).__name__}: {report}"
             stats.errors.append((label, error))
             stats.total += 1
             rows.append([label, "error"] + [""] * (len(CSV_COLUMNS) - 3) + [error])
             continue
-        report, verdict, declared_tool = result
+        verdict = report.verdict
         if args.truth == "metadata":
-            truth = declared_tool
+            truth = declared_tool(report.declared)
         outcome = classify(verdict, truth) if truth else None
         file_class = outcome.file_status.value if outcome else ""
-        stats.add(truth, report.verdict_kind, report.producer, outcome, bool(report.os))
+        stats.add(truth, verdict.kind.value, verdict.producer, outcome, bool(verdict.os_candidates))
         rows.append(csv_row(report, truth or "", file_class))
         if args.format == "json":
             file_dicts.append({**report.to_dict(), "truth": truth, "file_class": file_class})
@@ -217,19 +202,20 @@ def cmd_audit(args: argparse.Namespace) -> int:
     entries = _batch_inputs(args.path) if src.is_dir() else [(str(src), src, None)]
     reports: list[dict] = []
     counts = {"consistent": 0, "inconsistent": 0, "unverifiable": 0, "error": 0}
-    for label, _, result in _scan_entries(entries, pack, None):
-        if isinstance(result, Exception):
+    for label, _, report in _scan_entries(entries, pack, None):
+        if isinstance(report, Exception):
             counts["error"] += 1
-            reports.append(_error_object(label, result))
+            reports.append(_error_object(label, report))
             continue
-        report, _, declared_tool = result
-        counts[report.consistency] += 1
+        # ConsistencyStatus hashes by member name, so its value is the key.
+        status = report.consistency.value
+        counts[status] += 1
         reports.append({
             "file": label,
-            "declared_producer": report.declared_producer,
-            "normalized": declared_tool,
+            "declared_producer": report.declared.producer,
+            "normalized": declared_tool(report.declared),
             "detected": report.producer,
-            "status": report.consistency,
+            "status": status,
         })
     if args.format == "table":
         for r in reports:

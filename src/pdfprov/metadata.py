@@ -181,10 +181,15 @@ def normalize_producer_string(value: str | None) -> str | None:
 # -- Consistency ---------------------------------------------------------------
 
 
-def consistency_status(declared: DeclaredMetadata, detected: Verdict) -> tuple[ConsistencyStatus, str | None]:
-    normalized = normalize_producer_string(declared.producer) or normalize_producer_string(
+def declared_tool(declared: DeclaredMetadata) -> str | None:
+    """The canonical tool the declared metadata names, if it names one."""
+    return normalize_producer_string(declared.producer) or normalize_producer_string(
         declared.xmp_producer
     )
+
+
+def consistency_status(declared: DeclaredMetadata, detected: Verdict) -> tuple[ConsistencyStatus, str | None]:
+    normalized = declared_tool(declared)
     if detected.kind is not VerdictKind.PRODUCER or normalized is None:
         return ConsistencyStatus.UNVERIFIABLE, normalized
     if normalized == detected.producer:

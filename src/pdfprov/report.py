@@ -1,7 +1,8 @@
 """Report structures for the CLI: per-file scan reports and batch stats.
 
-The JSON schema is versioned (``schema: 1``); CSV rows mirror the flat
-fields so batch output can feed pipelines.
+A scan report holds the verdict and the declared metadata it reports; its
+JSON (schema version ``SCHEMA_VERSION``), CSV row and table are renderings
+of them.
 """
 
 from __future__ import annotations
@@ -27,52 +28,43 @@ CSV_COLUMNS = [
 
 
 @dataclass
-class SectionReport:
-    kind: str
-    candidates: list[str]
-    rules: list[str]
-
-
-@dataclass
 class ScanReport:
-    """Everything one file scan produced, in serializable form."""
+    """Everything one file scan produced."""
 
     file: str
-    verdict_kind: str
-    producer: str | None
-    candidates: list[str]
-    votes: dict[str, int]
-    sections: list[SectionReport]
-    os: list[dict[str, str | None]]
-    declared_producer: str | None
-    declared_creator: str | None
-    declared_source: str | None
-    consistency: str
+    verdict: Verdict
+    declared: DeclaredMetadata
+    consistency: ConsistencyStatus
     diagnostics: list[str]
-    schema: int = SCHEMA_VERSION
+
+    @property
+    def producer(self) -> str | None:
+        return self.verdict.producer
 
     def to_dict(self) -> dict:
-        verdict: dict[str, object] = {"kind": self.verdict_kind}
-        if self.verdict_kind == VerdictKind.PRODUCER.value:
-            verdict["producer"] = self.producer
-        elif self.verdict_kind == VerdictKind.AMBIGUOUS.value:
-            verdict["candidates"] = list(self.candidates)
+        v, declared = self.verdict, self.declared
+        verdict: dict[str, object] = {"kind": v.kind.value}
+        if v.kind is VerdictKind.PRODUCER:
+            verdict["producer"] = v.producer
+        elif v.kind is VerdictKind.AMBIGUOUS:
+            verdict["candidates"] = sorted(v.candidates)
         return {
-            "schema": self.schema,
+            "schema": SCHEMA_VERSION,
             "file": self.file,
             "verdict": verdict,
-            "votes": dict(self.votes),
+            "votes": dict(sorted(v.votes.items())),
             "sections": [
-                {"kind": s.kind, "candidates": list(s.candidates), "rules": list(s.rules)}
-                for s in self.sections
+                {"kind": kind.value, "candidates": sorted(v.section_verdicts[kind]),
+                 "rules": list(v.evidence.get(kind, ()))}
+                for kind in SECTION_ORDER
             ],
-            "os": [dict(o) for o in self.os],
+            "os": [{"os": o, "distro": d} for o, d in v.os_candidates],
             "declared": {
-                "producer": self.declared_producer,
-                "creator": self.declared_creator,
-                "source": self.declared_source,
+                "producer": declared.producer,
+                "creator": declared.creator,
+                "source": declared.source.value if declared.source else None,
             },
-            "consistency": self.consistency,
+            "consistency": self.consistency.value,
             "diagnostics": list(self.diagnostics),
         }
 
@@ -80,49 +72,26 @@ class ScanReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
 
-def build_scan_report(path: str, verdict: Verdict, declared: DeclaredMetadata,
-                      consistency: ConsistencyStatus, diagnostics: list[str]) -> ScanReport:
-    candidates = sorted(verdict.candidates) if verdict.kind is VerdictKind.AMBIGUOUS else []
-    return ScanReport(
-        file=path,
-        verdict_kind=verdict.kind.value,
-        producer=verdict.producer,
-        candidates=candidates,
-        votes=dict(sorted(verdict.votes.items())),
-        sections=[
-            SectionReport(
-                kind.value,
-                sorted(verdict.section_verdicts[kind]),
-                list(verdict.evidence.get(kind, ())),
-            )
-            for kind in SECTION_ORDER
-        ],
-        os=[{"os": o, "distro": d} for o, d in verdict.os_candidates],
-        declared_producer=declared.producer,
-        declared_creator=declared.creator,
-        declared_source=declared.source.value if declared.source else None,
-        consistency=consistency.value,
-        diagnostics=list(diagnostics),
-    )
+# The name perfbench/tracing.py builds a report by, layer by layer.
+build_scan_report = ScanReport
 
 
 def csv_row(report: ScanReport, truth: str = "", file_class: str = "") -> list[str]:
-    # build_scan_report emits every section, in SECTION_ORDER, the order of
-    # the per-section columns.
+    v, declared = report.verdict, report.declared
     return [
         report.file,
-        report.verdict_kind,
-        report.producer or "",
-        ";".join(report.candidates),
-        ";".join(f"{k}:{v}" for k, v in sorted(report.votes.items())),
-        *(";".join(part) for s in report.sections for part in (s.candidates, s.rules)),
-        ";".join(
-            o["os"] + (f"/{o['distro']}" if o.get("distro") else "") for o in report.os
-        ),
-        report.declared_producer or "",
-        report.declared_creator or "",
-        report.declared_source or "",
-        report.consistency,
+        v.kind.value,
+        v.producer or "",
+        ";".join(sorted(v.candidates)) if v.kind is VerdictKind.AMBIGUOUS else "",
+        ";".join(f"{k}:{n}" for k, n in sorted(v.votes.items())),
+        # One candidates and one rules column per section, in SECTION_ORDER.
+        *(";".join(part) for kind in SECTION_ORDER
+          for part in (sorted(v.section_verdicts[kind]), v.evidence.get(kind, ()))),
+        ";".join(o + (f"/{d}" if d else "") for o, d in v.os_candidates),
+        declared.producer or "",
+        declared.creator or "",
+        declared.source.value if declared.source else "",
+        report.consistency.value,
         truth,
         file_class,
         ";".join(report.diagnostics),

@@ -274,12 +274,19 @@ def render_rulepack(rules: list[Rule], header_comment: str = "") -> str:
     """Render rules back to the rule-file format (deterministic).
 
     A value that would not read back as written, such as a producer
-    holding a ``#`` or a line break, is a ``ValueError``.
+    holding a ``#`` or a line break, is a ``ValueError``; so is an id that
+    is not a rule id, or one already written.
     """
     blocks: list[str] = []
     if header_comment:
         blocks.append("\n".join(f"# {line}".rstrip() for line in header_comment.splitlines()))
+    written: set[str] = set()
     for rule in rules:
+        m = _RULE_OPEN_RE.match(f"rule {rule.id} {{")
+        if rule.id in written or not m or m[1] != rule.id:
+            reason = "is already written" if rule.id in written else "is not a rule id"
+            raise ValueError(f"rule {rule.id!r} of producer {rule.producer!r}: the id {reason}")
+        written.add(rule.id)
         lines = [
             f"rule {rule.id} {{",
             _field_line(rule, "producer", rule.producer, rule.producer),

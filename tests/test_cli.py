@@ -9,14 +9,20 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from pdfprov import builtin, cli
 from pdfprov.cli import EXIT_ERROR, main
+from pdfprov.detector import detect_os, majority_vote, section_verdict
 from pdfprov.fixtures import PROFILES, emit_corpus, generate
+from pdfprov.metadata import consistency_status, extract_declared
 from pdfprov.producers import Producer
+from pdfprov.report import CSV_COLUMNS, build_scan_report
+from pdfprov.rules import SECTION_ORDER, match_section
+from pdfprov.segmenter import segment
 
 
 @pytest.fixture(scope="module")
@@ -470,6 +476,88 @@ def test_every_command_segments_each_file_once(corpus_dir, monkeypatch, capsys):
     assert calls == every_file
 
 
+def _write_odd_files(directory: Path) -> list[Path]:
+    """One file each whose report has an ambiguous verdict, no result, an OS
+    with a distribution, and diagnostics: the fields the fixtures leave empty."""
+    # LuaTeX with pdfTeX's header magic and xref stream: Linux with TeX Live.
+    texlive = replace(PROFILES[Producer.LUATEX], header_magic=bytes.fromhex("D0D4C5D8"),
+                      include_classic_xref=False, trailer_style="none", xref_stream_style="tex")
+    files = {
+        "tex.pdf": b"%PDF-1.5\n%\xD0\xD4\xC5\xD8\n1 0 obj\n<</Pages 2 0 R>>\nendobj\n"
+                   + _TINY_XREF + b"trailer\n<</Weird 1>>\n",
+        "plain.pdf": b"%PDF-1.4\n1 0 obj\n<</Pages 2 0 R>>\nendobj\n" + _TINY_XREF
+                     + b"trailer\n<</Weird 1/Order 2>>\n",
+        "texlive.pdf": generate(texlive, 1),
+        "diag.pdf": b"%PDF-1.4\n1 0 obj\n<</A (unclosed\nendobj\n",
+    }
+    for name, data in files.items():
+        (directory / name).write_bytes(data)
+    return [directory / name for name in files]
+
+
+def _csv_fields(report: dict) -> dict[str, str]:
+    """The CSV columns of a scan JSON report, as batch should write them."""
+    verdict, declared = report["verdict"], report["declared"]
+    fields = {
+        "file": report["file"],
+        "verdict": verdict["kind"],
+        "producer": verdict.get("producer") or "",
+        "candidates": ";".join(verdict.get("candidates", ())),
+        "votes": ";".join(f"{k}:{v}" for k, v in report["votes"].items()),
+        "os": ";".join(o["os"] + (f"/{o['distro']}" if o["distro"] else "") for o in report["os"]),
+        "declared_producer": declared["producer"] or "",
+        "declared_creator": declared["creator"] or "",
+        "declared_source": declared["source"] or "",
+        "consistency": report["consistency"],
+        "diagnostics": ";".join(report["diagnostics"]),
+    }
+    for section in report["sections"]:
+        fields[f"{section['kind']}_candidates"] = ";".join(section["candidates"])
+        fields[f"{section['kind']}_rules"] = ";".join(section["rules"])
+    return fields
+
+
+def test_batch_csv_rows_say_what_scan_json_says(corpus_dir, tmp_path, capsys):
+    paths = sorted(corpus_dir.rglob("*.pdf")) + _write_odd_files(tmp_path)
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("".join(f"{path}\n" for path in paths))
+    assert main(["batch", str(manifest), "--format", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [row["file"] for row in rows] == sorted(str(path) for path in paths)
+    for row in rows:
+        main(["scan", row["file"], "--format", "json"])
+        fields = _csv_fields(json.loads(capsys.readouterr().out))
+        assert set(fields) == set(CSV_COLUMNS) - {"truth", "file_class"}
+        assert {c: row[c] for c in fields} == fields, row["file"]
+    # The corpus reaches every kind of value a column can hold.
+    assert {row["verdict"] for row in rows} == {"producer", "ambiguous", "no_result"}
+    assert any("/" in row["os"] for row in rows)
+    assert all(any(row[c] for row in rows) for c in CSV_COLUMNS if c not in ("truth", "file_class"))
+
+
+def test_a_report_assembled_layer_by_layer_equals_scan_bytes(corpus_dir, tmp_path):
+    pack = builtin()
+    for path in sorted(corpus_dir.rglob("*.pdf")) + _write_odd_files(tmp_path):
+        data = path.read_bytes()
+        report = cli.scan_bytes(path.name, data, pack)
+        assert cli.scan_bytes(path.name, data, pack) == report
+        # The layers scan_bytes runs, called one at a time, with each
+        # section's evidence as a sorted set of fired rule ids.
+        sections = segment(data)
+        matches = {kind: match_section(pack, sections, kind) for kind in SECTION_ORDER}
+        verdict = majority_vote({kind: section_verdict(matches[kind], kind)
+                                 for kind in SECTION_ORDER})
+        verdict.os_candidates = detect_os(verdict, matches)
+        verdict.evidence = {kind: tuple(sorted({m.rule_id for m in matches[kind]}))
+                            for kind in SECTION_ORDER}
+        declared = extract_declared(data, sections=sections)
+        status, _ = consistency_status(declared, verdict)
+        assert build_scan_report(path.name, verdict, declared, status,
+                                 sections.diagnostics) == report, path.name
+        # Equality sees the verdict the report holds.
+        assert replace(report, verdict=replace(report.verdict, evidence={})) != report
+
+
 # -- mine / fixtures ---------------------------------------------------------
 
 
@@ -511,6 +599,23 @@ def test_mine_refuses_a_label_its_pack_would_not_read_back(corpus_dir, tmp_path,
     assert payload["file"] == str(manifest)
     assert payload["error"]["type"] == "ValueError"
     assert payload["error"]["message"].endswith(f"producer {label!r} would not read back as written")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("labels, message", [
+    (("!!!", "Skia"), "rule '-body-0' of producer '!!!': the id is not a rule id"),
+    (("C Writer", "C-Writer"), "rule 'c-writer-body-0' of producer 'C-Writer': the id is already written"),
+], ids=["not-an-id", "duplicate-id"])
+def test_mine_refuses_a_rule_id_its_pack_would_not_read_back(corpus_dir, tmp_path, capsys,
+                                                             labels, message):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"{corpus_dir / 'cairo' / 'cairo-001.pdf'}\t{labels[0]}\n"
+                        f"{corpus_dir / 'skiapdf' / 'skiapdf-001.pdf'}\t{labels[1]}\n")
+    out_path = tmp_path / "mined.rules"
+    code = main(["mine", str(manifest), "-o", str(out_path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == EXIT_ERROR
+    assert payload["error"] == {"type": "ValueError", "message": message}
     assert not out_path.exists()
 
 

@@ -263,7 +263,7 @@ def test_consistent_when_declared_matches_detection(pack):
     data = generate(PROFILES[Producer.LIBREOFFICE], 2, producer_string="LibreOffice 6.1")
     report = scan_bytes("lo.pdf", data, pack)
     assert ConsistencyStatus(report.consistency) is ConsistencyStatus.CONSISTENT
-    assert normalize_producer_string(report.declared_producer) == Producer.LIBREOFFICE.value
+    assert normalize_producer_string(report.declared.producer) == Producer.LIBREOFFICE.value
 
 
 def test_inconsistent_when_declared_is_another_tool(pack):

@@ -219,6 +219,18 @@ def test_the_writer_refuses_a_producer_that_would_not_read_back(producer):
     assert str(err.value) == f"rule 'bad': producer {producer!r} would not read back as written"
 
 
+@pytest.mark.parametrize("rule_id, reason", [
+    ("-body-0", "is not a rule id"), ("", "is not a rule id"), ("a b", "is not a rule id"),
+    ("a\n", "is not a rule id"), ("r", "is already written"),
+])
+def test_the_writer_refuses_an_id_that_would_not_read_back(rule_id, reason):
+    rules = [Rule("r", "Cairo", SectionKind.BODY, RuleKind.TEMPLATE, "a"),
+             Rule(rule_id, "Skia", SectionKind.BODY, RuleKind.TEMPLATE, "a")]
+    with pytest.raises(ValueError) as err:
+        render_rulepack(rules)
+    assert str(err.value) == f"rule {rule_id!r} of producer 'Skia': the id {reason}"
+
+
 @pytest.mark.parametrize("key, rule", [
     ("os", Rule("r", "Cairo", SectionKind.BODY, RuleKind.TEMPLATE, "a", frozenset({"beos"}))),
     ("os", Rule("r", "Cairo", SectionKind.BODY, RuleKind.TEMPLATE, "a", frozenset({"linux#"}))),
