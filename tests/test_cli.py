@@ -629,6 +629,25 @@ def test_fixtures_then_batch_pipeline(tmp_path, capsys):
     assert payload["stats"]["file_level"]["correct"] == payload["stats"]["total"] == 22
 
 
+def test_fixtures_seed_start_names_and_writes_those_seeds(tmp_path, capsys):
+    directory = tmp_path / "fx"
+    code = main(["fixtures", "--dir", str(directory), "--seeds", "2", "--seed-start", "5"])
+    assert code == 0
+    assert capsys.readouterr().out.strip() == str(directory / "manifest.tsv")
+    lines = (directory / "manifest.tsv").read_text().splitlines()
+    assert len(lines) == 22
+    expected = {}
+    for producer, profile in PROFILES.items():
+        slug = producer.value.lower()
+        for seed in (5, 6):
+            expected[f"{slug}/{slug}-{seed:03d}.pdf"] = generate(profile, seed)
+    assert sorted(line.split("\t")[0] for line in lines) == sorted(expected)
+    written = sorted(p.relative_to(directory).as_posix() for p in directory.rglob("*.pdf"))
+    assert written == sorted(expected)
+    for relpath, data in expected.items():
+        assert (directory / relpath).read_bytes() == data
+
+
 def test_mine_output_reloads_and_detects(corpus_dir, tmp_path, capsys):
     out_path = tmp_path / "mined.rules"
     code = main(["mine", str(corpus_dir / "manifest.tsv"), "-o", str(out_path)])

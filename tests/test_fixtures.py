@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 from pdfprov.detector import VerdictKind, detect
 from pdfprov.fixtures import PROFILES, emit_corpus, generate
 from pdfprov.producers import Producer
@@ -72,3 +74,32 @@ def test_emit_corpus_layout(tmp_path):
     first = lines[0].split("\t")
     assert first[1] == Producer.CAIRO.value
     assert (tmp_path / first[0]).is_file()
+
+
+# The producer_string overrides the tests pass to generate, and one
+# creator_string that needs escaping.
+_OVERRIDES = [
+    (Producer.GHOSTSCRIPT, {"producer_string": "LibreOffice 6.1"}),
+    (Producer.GHOSTSCRIPT, {"producer_string": ""}),
+    (Producer.GHOSTSCRIPT, {"producer_string": "Acme Converter 2.0"}),
+    (Producer.GHOSTSCRIPT, {"producer_string": "GPL Ghostscript 9.26"}),
+    (Producer.GHOSTSCRIPT, {"producer_string": "VeryPDF"}),
+    (Producer.GHOSTSCRIPT, {"producer_string": "mystery tool"}),
+    (Producer.GHOSTSCRIPT, {"producer_string": "NotGhostscript 1.0"}),
+    (Producer.LIBREOFFICE, {"producer_string": "LibreOffice 6.1"}),
+    (Producer.CAIRO, {"creator_string": "back\\slash"}),
+]
+
+
+def test_every_fixture_byte_is_pinned():
+    """One digest over every profile at seeds 1-60 and every override: a
+    change to any fixture byte, even one that keeps every offset, fails it."""
+    digest = hashlib.sha256()
+    for profile in PROFILES.values():
+        for seed in range(1, 61):
+            digest.update(generate(profile, seed))
+    for producer, overrides in _OVERRIDES:
+        for seed in (1, 2, 3):
+            digest.update(generate(PROFILES[producer], seed, **overrides))
+    assert digest.hexdigest() == (
+        "f153470dabebe2bf96ab5269e6021917a354c29a0e6cab7c53b23142afeebbba")
