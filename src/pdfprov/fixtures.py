@@ -1,10 +1,13 @@
 """Deterministic, minimal PDF fixtures exhibiting each producer's style.
 
-One profile per producer tool encodes its published habits: the binary
-header comment, whether a classic xref table exists, the trailer key
-order and layout, and the stream-object formatting where one is known.
-Producers whose body style was never published get a shared neutral body;
-their detection rests on header/xref/trailer signals alone.
+One profile per producer tool holds its published habits as bytes: the
+binary header comment and three templates.  ``content`` is object 4, the
+content stream (``NEUTRAL_CONTENT`` where the layout was never published:
+those producers are told apart by header/xref/trailer signals alone).
+``xref_stream`` is the dictionary of the xref-stream object 6, or None.
+``trailer`` is what follows the classic xref table up to the last
+``startxref``, or None; a classic table is written exactly when there is a
+trailer.  A producer's variant is ``dataclasses.replace`` with other templates.
 
 Fixtures are skeletal on purpose: a catalog, one page, one uncompressed
 content stream and an Info dictionary.  All published signals live in
@@ -16,25 +19,35 @@ runs, with the seed varying stream lengths and /ID values only.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .producers import Distro, OpSys, Producer
 
+# Object 4 of the producers whose stream layout was never published.
+NEUTRAL_CONTENT = b"4 0 obj\n<</Length {length}>>\nstream\n{content}\nendstream\nendobj\n"
+
 
 @dataclass(frozen=True)
 class ProducerProfile:
-    """Everything needed to render one producer's fixture."""
+    """Everything needed to render one producer's fixture.
+
+    ``generate`` fills each template's ``{name}`` fields with one pass and
+    writes the common ``startxref``/``%%EOF`` tail.  ``content`` (fields
+    ``length``, ``content``) is object 4.  ``xref_stream`` (``length``,
+    ``size``, ``id``) is object 6's dictionary.  ``trailer`` (``size``,
+    ``id``, ``xref``, ``xrefstm``) follows the classic table, which is
+    written exactly when there is a trailer.  No template holds another brace.
+    """
 
     producer: Producer
     header_magic: bytes
     pdf_version: bytes
     eol: bytes
-    body_style: str  # neutral | pdftex | luatex | word
-    include_classic_xref: bool
-    trailer_style: str
-    double_trailer: bool
-    xref_stream_style: str | None  # dict layout of the xref-stream object, if any
+    content: bytes
+    trailer: bytes | None
+    xref_stream: bytes | None = None
     os_label: str = ""
     distro_label: str = ""
     producer_string: str = ""
@@ -44,99 +57,114 @@ class ProducerProfile:
 PROFILES: dict[Producer, ProducerProfile] = {
     Producer.ACROBAT_DISTILLER: ProducerProfile(
         Producer.ACROBAT_DISTILLER, bytes.fromhex("E2E3CFD3"), b"1.5", b"\n",
-        "neutral", include_classic_xref=False, trailer_style="none",
-        double_trailer=False, xref_stream_style="distiller",
+        NEUTRAL_CONTENT,
+        xref_stream=b"<</DecodeParms<</Columns 5/Predictor 12>>/Filter/FlateDecode"
+                    b"/ID[<{id}><{id}>]/Info 5 0 R/Length {length}/Root 1 0 R/Size {size}"
+                    b"/Type/XRef/W[1 2 1]>>",
+        trailer=None,
         producer_string="Acrobat Distiller 19.0 (Windows)",
         creator_string="PScript5.dll Version 5.2.2",
     ),
     Producer.MICROSOFT_OFFICE_WORD: ProducerProfile(
         Producer.MICROSOFT_OFFICE_WORD, bytes.fromhex("B5B5B5B5"), b"1.7", b"\r\n",
-        "word", include_classic_xref=True, trailer_style="word",
-        double_trailer=True, xref_stream_style="word",
+        b"4 0 obj\r\n<</Filter/FlateDecode/Length {length}>>\r\nstream\r\n{content}"
+        b"\r\nendstream\r\nendobj\r\n",
+        xref_stream=b"<</Type/XRef/Size {size}/W[1 2 1]/Root 1 0 R/Info 5 0 R"
+                    b"/ID[<{id}><{id}>]/Length {length}>>",
+        # A plain trailer, then an empty xref section and a second trailer
+        # that points back at the table and at the xref stream.
+        trailer=b"trailer\r\n<</Size {size}/Root 1 0 R/Info 5 0 R/ID[<{id}><{id}>] >>\r\n"
+                b"startxref\r\n{xref}\r\nxref\r\n0 0\r\n"
+                b"trailer\r\n<</Size {size}/Root 1 0 R/Info 5 0 R/ID[<{id}><{id}>]"
+                b" /Prev {xref}/XRefStm {xrefstm}>>\r\n",
         os_label=OpSys.WINDOWS.value,
         producer_string="Microsoft® Word 2016",
         creator_string="Microsoft® Word 2016",
     ),
     Producer.LIBREOFFICE: ProducerProfile(
         Producer.LIBREOFFICE, bytes.fromhex("C3A4C3BCC3B6C39F"), b"1.4", b"\n",
-        "neutral", include_classic_xref=True, trailer_style="libreoffice",
-        double_trailer=False, xref_stream_style=None,
+        NEUTRAL_CONTENT,
+        # The checksum is a hex name token; it is not a style signal that
+        # varies per file, so fixtures keep it constant.
+        trailer=b"trailer\n<</Size {size}/Root 1 0 R\n/Info 5 0 R\n/ID [ <{id}>\n<{id}> ]\n"
+                b"/DocChecksum /7C2B6DC7F4AF6CC658C0703D8002E3D4\n>>\n",
         os_label=OpSys.LINUX.value,
         producer_string="LibreOffice 6.4",
         creator_string="Writer",
     ),
     Producer.GHOSTSCRIPT: ProducerProfile(
         Producer.GHOSTSCRIPT, bytes.fromhex("C7EC8FA2"), b"1.4", b"\n",
-        "neutral", include_classic_xref=True, trailer_style="ghostscript",
-        double_trailer=False, xref_stream_style=None,
+        NEUTRAL_CONTENT,
+        trailer=b"trailer\n<</Size {size} /Root 1 0 R /Info 5 0 R /ID [<{id}><{id}>]>>\n",
         producer_string="GPL Ghostscript 9.26",
         creator_string="dvips",
     ),
     Producer.MACOS_QUARTZ: ProducerProfile(
         Producer.MACOS_QUARTZ, bytes.fromhex("C4E5F2E5EBA7F3A0D0C4C6"), b"1.4", b"\n",
-        "neutral", include_classic_xref=True, trailer_style="quartz",
-        double_trailer=False, xref_stream_style=None,
+        NEUTRAL_CONTENT,
+        trailer=b"trailer\n<< /Size {size} /Root 1 0 R /Info 5 0 R /ID [ <{id}>\n<{id}> ] >>\n",
         os_label=OpSys.MACOS.value,
         producer_string="Mac OS X 10.15.7 Quartz PDFContext",
         creator_string="Pages",
     ),
     Producer.PDFTEX: ProducerProfile(
         Producer.PDFTEX, bytes.fromhex("D0D4C5D8"), b"1.5", b"\n",
-        "pdftex", include_classic_xref=False, trailer_style="none",
-        double_trailer=False, xref_stream_style="tex",
+        b"4 0 obj\n<</Length {length}      /Filter/FlateDecode>>\nstream\n{content}"
+        b"\nendstream\nendobj\n",
+        xref_stream=b"<</Type /XRef /Index [0 {size}] /Size {size} /W [1 2 1] /Root 1 0 R"
+                    b" /Info 5 0 R /ID [<{id}> <{id}>] /Length {length} /Filter /FlateDecode>>",
+        trailer=None,
         distro_label=Distro.TEXLIVE.value,
         producer_string="pdfTeX-1.40.21",
         creator_string="TeX",
     ),
     Producer.SKIA_PDF: ProducerProfile(
         Producer.SKIA_PDF, bytes.fromhex("D3EBE9E1"), b"1.4", b"\n",
-        "neutral", include_classic_xref=True, trailer_style="skia",
-        double_trailer=False, xref_stream_style=None,
+        NEUTRAL_CONTENT,
+        trailer=b"trailer\n<</Size {size}/Root 1 0 R/Info 5 0 R>>\n",
         producer_string="Skia/PDF m85",
         creator_string="Chromium",
     ),
     Producer.CAIRO: ProducerProfile(
         Producer.CAIRO, bytes.fromhex("B5EDAEFB"), b"1.4", b"\n",
-        "neutral", include_classic_xref=True, trailer_style="cairo",
-        double_trailer=False, xref_stream_style=None,
+        NEUTRAL_CONTENT,
+        trailer=b"trailer\n<< /Size {size}\n   /Root 1 0 R\n   /Info 5 0 R\n>>\n",
         producer_string="cairo 1.16.0 (https://cairographics.org)",
         creator_string="cairo 1.16.0 (https://cairographics.org)",
     ),
     Producer.XDVIPDFMX: ProducerProfile(
         Producer.XDVIPDFMX, bytes.fromhex("E4F0EDF8"), b"1.5", b"\n",
-        "neutral", include_classic_xref=False, trailer_style="none",
-        double_trailer=False, xref_stream_style="xdvipdfmx",
+        NEUTRAL_CONTENT,
+        xref_stream=b"<</Type /XRef /Root 1 0 R /Info 5 0 R /ID [<{id}> <{id}>] /Size {size}"
+                    b" /W [1 2 1] /Filter /FlateDecode /Length {length}>>",
+        trailer=None,
         producer_string="xdvipdfmx (20200315)",
         creator_string="LaTeX with hyperref",
     ),
     Producer.LUATEX: ProducerProfile(
         Producer.LUATEX, bytes.fromhex("CCD5C1D4C5D8D0C4C6"), b"1.4", b"\n",
-        "luatex", include_classic_xref=True, trailer_style="luatex-miktex",
-        double_trailer=False, xref_stream_style=None,
+        b"4 0 obj\n<<\n/Length {length}      \n/Filter /FlateDecode\n>>\nstream\n{content}"
+        b"\nendstream\nendobj\n",
+        trailer=b"trailer\n<< /Size {size}\n/Root 1 0 R\n/Info 5 0 R\n/ID [<{id}> <{id}>]\n>>\n",
         os_label=OpSys.WINDOWS.value, distro_label=Distro.MIKTEX.value,
         producer_string="LuaTeX-1.10.0",
         creator_string="LaTeX",
     ),
     Producer.PDFLATEX: ProducerProfile(
         Producer.PDFLATEX, bytes.fromhex("F6E4FCDF"), b"1.4", b"\n",
-        "neutral", include_classic_xref=True, trailer_style="pdflatex",
-        double_trailer=False, xref_stream_style=None,
+        NEUTRAL_CONTENT,
+        trailer=b"trailer\n<</Root 1 0 R/info 5 0 R/ID[<{id}><{id}>]/Size {size}>>\n",
         producer_string="PDFLaTeX",
         creator_string="HAL",
     ),
 }
 
-# LibreOffice writes its checksum as a hex name token; it is not a style
-# signal that varies per file, so fixtures keep it constant.
-_DOC_CHECKSUM = b"7C2B6DC7F4AF6CC658C0703D8002E3D4"
+_FIELD = re.compile(rb"\{(\w+)\}")
 
 
-def _escape_pdf_string(text: str) -> bytes:
-    return text.encode("latin-1", "replace").replace(b"\\", b"\\\\")
-
-
-def _hex_id(rnd: random.Random) -> bytes:
-    return bytes(rnd.choice(b"0123456789ABCDEF") for _ in range(32))
+def _fill(template: bytes, **fields: bytes) -> bytes:
+    """``template`` with each ``{name}`` replaced by ``fields[name]``."""
+    return _FIELD.sub(lambda match: fields[match[1].decode()], template)
 
 
 def _stream_content(rnd: random.Random, seed: int) -> bytes:
@@ -146,105 +174,35 @@ def _stream_content(rnd: random.Random, seed: int) -> bytes:
     return bytes([0x41 + seed % 26]) + bytes(rnd.randrange(0x41, 0x5B) for _ in range(length - 1))
 
 
-def _content_object(style: str, e: bytes, content: bytes) -> bytes:
-    n = str(len(content)).encode()
-    if style == "pdftex":
-        return (b"4 0 obj\n<</Length " + n + b"      /Filter/FlateDecode>>\nstream\n"
-                + content + b"\nendstream\nendobj\n")
-    if style == "luatex":
-        return (b"4 0 obj\n<<\n/Length " + n + b"      \n/Filter /FlateDecode\n>>\nstream\n"
-                + content + b"\nendstream\nendobj\n")
-    if style == "word":
-        return (b"4 0 obj\r\n<</Filter/FlateDecode/Length " + n + b">>\r\nstream\r\n"
-                + content + b"\r\nendstream\r\nendobj\r\n")
-    return (b"4 0 obj" + e + b"<</Length " + n + b">>" + e + b"stream" + e
-            + content + e + b"endstream" + e + b"endobj" + e)
-
-
-def _xref_stream_object(style: str, size: int, file_id: bytes, payload: bytes) -> bytes:
-    n = str(len(payload)).encode()
-    s = str(size).encode()
-    if style == "distiller":
-        dictionary = (b"<</DecodeParms<</Columns 5/Predictor 12>>/Filter/FlateDecode"
-                      b"/ID[<" + file_id + b"><" + file_id + b">]/Info 5 0 R/Length " + n
-                      + b"/Root 1 0 R/Size " + s + b"/Type/XRef/W[1 2 1]>>")
-        e = b"\n"
-    elif style == "tex":
-        dictionary = (b"<</Type /XRef /Index [0 " + s + b"] /Size " + s
-                      + b" /W [1 2 1] /Root 1 0 R /Info 5 0 R /ID [<" + file_id
-                      + b"> <" + file_id + b">] /Length " + n + b" /Filter /FlateDecode>>")
-        e = b"\n"
-    elif style == "xdvipdfmx":
-        dictionary = (b"<</Type /XRef /Root 1 0 R /Info 5 0 R /ID [<" + file_id
-                      + b"> <" + file_id + b">] /Size " + s
-                      + b" /W [1 2 1] /Filter /FlateDecode /Length " + n + b">>")
-        e = b"\n"
-    else:  # word
-        dictionary = (b"<</Type/XRef/Size " + s + b"/W[1 2 1]/Root 1 0 R/Info 5 0 R/ID[<"
-                      + file_id + b"><" + file_id + b">]/Length " + n + b">>")
-        e = b"\r\n"
-    return (b"6 0 obj" + e + dictionary + e + b"stream" + e + payload + e
-            + b"endstream" + e + b"endobj" + e)
-
-
-def _classic_trailer(style: str, size: int, file_id: bytes) -> bytes:
-    s = str(size).encode()
-    if style == "ghostscript":
-        return (b"trailer\n<</Size " + s + b" /Root 1 0 R /Info 5 0 R /ID [<" + file_id
-                + b"><" + file_id + b">]>>\n")
-    if style == "quartz":
-        return (b"trailer\n<< /Size " + s + b" /Root 1 0 R /Info 5 0 R /ID [ <" + file_id
-                + b">\n<" + file_id + b"> ] >>\n")
-    if style == "luatex-miktex":
-        return (b"trailer\n<< /Size " + s + b"\n/Root 1 0 R\n/Info 5 0 R\n/ID [<" + file_id
-                + b"> <" + file_id + b">]\n>>\n")
-    if style == "libreoffice":
-        return (b"trailer\n<</Size " + s + b"/Root 1 0 R\n/Info 5 0 R\n/ID [ <" + file_id
-                + b">\n<" + file_id + b"> ]\n/DocChecksum /" + _DOC_CHECKSUM + b"\n>>\n")
-    if style == "cairo":
-        return (b"trailer\n<< /Size " + s + b"\n   /Root 1 0 R\n   /Info 5 0 R\n>>\n")
-    if style == "skia":
-        return b"trailer\n<</Size " + s + b"/Root 1 0 R/Info 5 0 R>>\n"
-    if style == "pdflatex":
-        return (b"trailer\n<</Root 1 0 R/info 5 0 R/ID[<" + file_id + b"><" + file_id
-                + b">]/Size " + s + b">>\n")
-    raise ValueError(f"unknown trailer style {style!r}")
-
-
 def generate(profile: ProducerProfile, seed: int,
              producer_string: str | None = None,
              creator_string: str | None = None) -> bytes:
     """Render one fixture PDF for ``profile``, deterministic in ``seed``."""
     rnd = random.Random(f"{profile.producer.value}:{seed}")
     e = profile.eol
-    producer = _escape_pdf_string(
-        profile.producer_string if producer_string is None else producer_string
-    )
-    creator = _escape_pdf_string(
-        profile.creator_string if creator_string is None else creator_string
-    )
+    strings = (profile.producer_string if producer_string is None else producer_string,
+               profile.creator_string if creator_string is None else creator_string)
+    producer, creator = (text.encode("latin-1", "replace").replace(b"\\", b"\\\\")
+                         for text in strings)
     content = _stream_content(rnd, seed)
-    file_id = _hex_id(rnd)
+    file_id = bytes(rnd.choice(b"0123456789ABCDEF") for _ in range(32))
+    size = b"6" if profile.xref_stream is None else b"7"
 
     objects: list[bytes] = [
         b"1 0 obj" + e + b"<</Type/Catalog/Pages 2 0 R>>" + e + b"endobj" + e,
         b"2 0 obj" + e + b"<</Type/Pages/Kids[3 0 R]/Count 1>>" + e + b"endobj" + e,
         b"3 0 obj" + e + b"<</Type/Page/Parent 2 0 R/MediaBox[0 0 612 792]/Contents 4 0 R>>"
         + e + b"endobj" + e,
-        _content_object(profile.body_style, e, content),
+        _fill(profile.content, length=b"%d" % len(content), content=content),
         b"5 0 obj" + e + b"<</Producer (" + producer + b")/Creator (" + creator + b")>>"
         + e + b"endobj" + e,
     ]
-    has_obj6 = profile.xref_stream_style is not None
-    size = 7 if has_obj6 else 6
-
-    if has_obj6:
-        payload = bytes([0x61 + seed % 26]) + bytes(
-            rnd.randrange(0x61, 0x7B) for _ in range(15 + seed % 9)
-        )
-        objects.append(
-            _xref_stream_object(profile.xref_stream_style, size, file_id, payload)
-        )
+    if profile.xref_stream is not None:
+        payload = bytes([0x61 + seed % 26]) + bytes(rnd.randrange(0x61, 0x7B)
+                                                   for _ in range(15 + seed % 9))
+        dictionary = _fill(profile.xref_stream, length=b"%d" % len(payload), size=size, id=file_id)
+        objects.append(b"6 0 obj" + e + dictionary + e + b"stream" + e + payload + e
+                       + b"endstream" + e + b"endobj" + e)
 
     parts: list[bytes] = [b"%PDF-" + profile.pdf_version + e,
                           b"%" + profile.header_magic + e]
@@ -255,44 +213,23 @@ def generate(profile: ProducerProfile, seed: int,
         parts.append(obj)
         pos += len(obj)
 
-    xref_offset = pos
-    if profile.include_classic_xref:
-        entry_eol = b"\r\n" if e == b"\r\n" else b" \n"
-        table = bytearray()
-        table += b"xref" + e + b"0 " + str(size).encode() + e
-        table += b"0000000000 65535 f" + entry_eol
-        for off in offsets:
-            table += b"%010d 00000 n" % off + entry_eol
-        parts.append(bytes(table))
-        pos += len(table)
-
-    if profile.double_trailer:
-        obj6_offset = offsets[5]
-        sz = str(size).encode()
-        t1 = (b"trailer\r\n<</Size " + sz + b"/Root 1 0 R/Info 5 0 R/ID[<" + file_id
-              + b"><" + file_id + b">] >>\r\n")
-        tail = (t1 + b"startxref\r\n" + str(xref_offset).encode() + b"\r\n"
-                + b"xref\r\n0 0\r\n"
-                + b"trailer\r\n<</Size " + sz + b"/Root 1 0 R/Info 5 0 R/ID[<" + file_id
-                + b"><" + file_id + b">] /Prev " + str(xref_offset).encode()
-                + b"/XRefStm " + str(obj6_offset).encode() + b">>\r\n"
-                + b"startxref\r\n" + str(xref_offset).encode() + b"\r\n%%EOF\r\n")
-        parts.append(tail)
-    elif profile.trailer_style != "none":
-        trailer = _classic_trailer(profile.trailer_style, size, file_id)
-        parts.append(trailer + b"startxref" + e + str(xref_offset).encode() + e
-                     + b"%%EOF" + e)
-    else:
+    if profile.trailer is None:
         # No classic table: the xref-stream object is the trailer.
-        parts.append(b"startxref" + e + str(offsets[5]).encode() + e + b"%%EOF" + e)
-
+        startxref = offsets[5]
+    else:
+        startxref = pos
+        entry_eol = b"\r\n" if e == b"\r\n" else b" \n"
+        parts.append(b"xref" + e + b"0 " + size + e + b"0000000000 65535 f" + entry_eol)
+        parts.extend(b"%010d 00000 n" % off + entry_eol for off in offsets)
+        # When there is an xref stream, it is the last object.
+        parts.append(_fill(profile.trailer, size=size, id=file_id, xref=b"%d" % startxref,
+                           xrefstm=b"%d" % offsets[-1]))
+    parts.append(b"startxref" + e + b"%d" % startxref + e + b"%%EOF" + e)
     return b"".join(parts)
 
 
 def manifest_line(profile: ProducerProfile, relpath: str) -> str:
-    return "\t".join(
-        [relpath, profile.producer.value, profile.os_label, profile.distro_label]
-    )
+    return "\t".join([relpath, profile.producer.value, profile.os_label, profile.distro_label])
 
 
 def emit_corpus(directory: str | Path, seeds: range = range(1, 11),
@@ -307,8 +244,7 @@ def emit_corpus(directory: str | Path, seeds: range = range(1, 11),
     for producer in producers or list(Producer):
         profile = PROFILES[producer]
         slug = producer.value.lower()
-        subdir = directory / slug
-        subdir.mkdir(exist_ok=True)
+        (directory / slug).mkdir(exist_ok=True)
         for seed in seeds:
             relpath = f"{slug}/{slug}-{seed:03d}.pdf"
             (directory / relpath).write_bytes(generate(profile, seed))

@@ -59,8 +59,12 @@ def _decode_literal(value: bytes) -> bytes:
 
 
 def _to_text(raw: bytes) -> str:
+    # A text string is UTF-16BE or, from PDF 2.0 on, UTF-8 behind its byte
+    # order mark, and PDFDocEncoding (read as Latin-1) without one.
     if raw.startswith(b"\xfe\xff"):
         return raw[2:].decode("utf-16-be", "replace")
+    if raw.startswith(b"\xef\xbb\xbf"):
+        return raw[3:].decode("utf-8", "replace")
     return raw.decode("latin-1", "replace")
 
 

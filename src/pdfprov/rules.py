@@ -337,9 +337,10 @@ def element_bytes(sections: PdfSections, kind: SectionKind) -> tuple[list[bytes]
         objects = [obj for obj in sections.objects if not obj.is_metadata]
         return [_body_element(sections.data, obj) for obj in objects], (
             lambda i: f"obj:{objects[i].obj_num}:{objects[i].gen_num}")
+    data = sections.data
     if kind is SectionKind.XREF:
-        return [t.raw for t in sections.xref_tables], "xref:{}".format
-    return [t.raw for t in sections.trailers], "trailer:{}".format
+        return [data[t.start : t.end] for t in sections.xref_tables], "xref:{}".format
+    return [data[t.start : t.end] for t in sections.trailers], "trailer:{}".format
 
 
 def section_elements(sections: PdfSections, kind: SectionKind) -> list[tuple[str, bytes]]:

@@ -190,19 +190,17 @@ class IndirectObject:
 
 @dataclass
 class XrefTable:
-    """A classic cross-reference table: ``data[start:end]``, as ``raw``."""
+    """A classic cross-reference table: ``data[start:end]``."""
 
-    raw: bytes
     start: int
     end: int
 
 
 @dataclass
 class TrailerDict:
-    """A trailer dictionary, ``data[start:end]`` as ``raw``: classic keyword
-    form or an xref-stream dict, with the raw value of each top-level key."""
+    """A trailer dictionary, ``data[start:end]``: classic keyword form or an
+    xref-stream dict, with the raw value of each top-level key."""
 
-    raw: bytes
     start: int
     end: int
     values: dict[str, bytes] = field(default_factory=dict, repr=False)
@@ -553,7 +551,7 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[Trail
         objects.append(obj)
         if kind == b"/XRef":
             # An xref stream's dictionary is its revision's trailer.
-            trailers.append(TrailerDict(data[dstart:dend], dstart, dend, object_values(data, obj)))
+            trailers.append(TrailerDict(dstart, dend, object_values(data, obj)))
     return objects, tables, trailers, diags + xref_diags + trailer_diags
 
 
@@ -601,7 +599,7 @@ def _lex_xref_table(data: bytes, start: int, bound: int, diags: list[str]) -> Xr
     # A keyword without a subsection header is not a table, and "xref 0 0"
     # placeholders (hybrid-reference files) carry no offsets and do not
     # count as a table of their own.
-    return XrefTable(data[start:i], start, i) if total else None
+    return XrefTable(start, i) if total else None
 
 
 def _lex_trailer(data: bytes, start: int, bound: int, diags: list[str]) -> TrailerDict | None:
@@ -616,7 +614,7 @@ def _lex_trailer(data: bytes, start: int, bound: int, diags: list[str]) -> Trail
         end = stop.recover(data, end)
         diags.append(f"MalformedTrailer at offset {start}")
         values = {}
-    return TrailerDict(data[start:end], start, end, values)
+    return TrailerDict(start, end, values)
 
 
 def _flag_metadata(objects: list[IndirectObject], trailers: list[TrailerDict]) -> int | None:

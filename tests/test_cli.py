@@ -481,7 +481,7 @@ def _write_odd_files(directory: Path) -> list[Path]:
     with a distribution, and diagnostics: the fields the fixtures leave empty."""
     # LuaTeX with pdfTeX's header magic and xref stream: Linux with TeX Live.
     texlive = replace(PROFILES[Producer.LUATEX], header_magic=bytes.fromhex("D0D4C5D8"),
-                      include_classic_xref=False, trailer_style="none", xref_stream_style="tex")
+                      trailer=None, xref_stream=PROFILES[Producer.PDFTEX].xref_stream)
     files = {
         "tex.pdf": b"%PDF-1.5\n%\xD0\xD4\xC5\xD8\n1 0 obj\n<</Pages 2 0 R>>\nendobj\n"
                    + _TINY_XREF + b"trailer\n<</Weird 1>>\n",

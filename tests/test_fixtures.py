@@ -21,7 +21,7 @@ def test_word_profile_double_trailer():
     data = generate(PROFILES[Producer.MICROSOFT_OFFICE_WORD], 1)
     assert data.count(b"trailer\r\n") == 2
     sections = segment(data)
-    classic = [t for t in sections.trailers if t.raw.startswith(b"trailer")]
+    classic = [t for t in sections.trailers if data.startswith(b"trailer", t.start)]
     assert len(classic) == 2
     assert "/Prev" in classic[1].values and "/XRefStm" in classic[1].values
 

@@ -165,6 +165,16 @@ def test_pdf_string_forms():
     assert decode_pdf_string(b"<FEFF00410042>") == "AB"
 
 
+def test_utf8_text_strings_decode_behind_their_byte_order_mark():
+    """PDF 2.0 (ISO 32000-2, 7.9.2.2) lets a text string be UTF-8 behind EF BB BF."""
+    text = "LibreOffice 7.0 \u2014 Writer"
+    encoded = b"\xef\xbb\xbf" + text.encode("utf-8")
+    assert decode_pdf_string(b"(" + encoded + b")") == text
+    assert decode_pdf_string(b"<" + encoded.hex().upper().encode() + b">") == text
+    # Without the mark the same bytes stay PDFDocEncoding, read as Latin-1.
+    assert decode_pdf_string(b"(" + text.encode("utf-8") + b")") == text.encode("utf-8").decode("latin-1")
+
+
 # The escape decoder's loop before one re.sub replaced it, kept verbatim as
 # the oracle the pattern must agree with.
 _LITERAL_ESCAPES = {

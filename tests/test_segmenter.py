@@ -55,9 +55,9 @@ def _object_values(data: bytes) -> list[dict[str, bytes]]:
     return [object_values(data, o) for o in segment(data).objects]
 
 
-def _raw(sections: PdfSections, obj) -> bytes:
-    """The bytes of ``obj``: the segmented data from its start to its end."""
-    return sections.data[obj.start : obj.end]
+def _raw(sections: PdfSections, element) -> bytes:
+    """The bytes of ``element``: the segmented data from its start to its end."""
+    return sections.data[element.start : element.end]
 
 
 # -- parse_header ----------------------------------------------------------
@@ -343,9 +343,9 @@ def test_signed_number_is_not_an_info_reference():
 def test_word_xref_table():
     sections = _fragment(WORD_XREF_TABLE)
     (table,) = sections.xref_tables
-    assert table.raw == WORD_XREF_TABLE
+    assert _raw(sections, table) == WORD_XREF_TABLE
     assert (table.start, table.end) == (len(b"%PDF-1.4\n"), len(b"%PDF-1.4\n") + len(WORD_XREF_TABLE))
-    assert len(table.raw) - len(b"xref\n0 5\n") == 5 * 20
+    assert len(_raw(sections, table)) - len(b"xref\n0 5\n") == 5 * 20
     assert sections.diagnostics == []
 
 
@@ -357,7 +357,8 @@ def test_absent_xref_sets_flag():
 
 def test_two_revisions_two_tables():
     data = WORD_XREF_TABLE + b"junk\n" + WORD_XREF_TABLE
-    assert [t.raw for t in _fragment(data).xref_tables] == [WORD_XREF_TABLE, WORD_XREF_TABLE]
+    sections = _fragment(data)
+    assert [_raw(sections, t) for t in sections.xref_tables] == [WORD_XREF_TABLE, WORD_XREF_TABLE]
 
 
 def test_malformed_entry_skipped_with_diagnostic():
@@ -365,7 +366,7 @@ def test_malformed_entry_skipped_with_diagnostic():
     sections = _fragment(data)
     assert any(d.startswith("MalformedXrefEntry") for d in sections.diagnostics)
     # The skipped line stays inside the table.
-    assert [t.raw for t in sections.xref_tables] == [data]
+    assert [_raw(sections, t) for t in sections.xref_tables] == [data]
 
 
 def test_startxref_keyword_is_not_a_table():
@@ -378,7 +379,8 @@ def test_understated_table_does_not_swallow_the_trailer():
             b"trailer\n<</Size 5/Root 1 0 R>>\n")
     sections = segment(data)
     assert any(d.startswith("XrefTruncatedSubsection") for d in sections.diagnostics)
-    assert [t.raw for t in sections.xref_tables] == [data[len(b"%PDF-1.4\n") : data.index(b"trailer")]]
+    assert [_raw(sections, t) for t in sections.xref_tables] == [
+        data[len(b"%PDF-1.4\n") : data.index(b"trailer")]]
     assert list(sections.trailers[0].values) == ["/Size", "/Root"]
 
 
@@ -419,7 +421,8 @@ def test_an_entry_run_reads_what_single_entries_read(table, kept, diagnostics):
     sections = segment(data)
     assert asdict(sections) == asdict(_entry_by_entry(data))
     # A count that understates its run leaves the rest of the run out.
-    assert [t.raw for t in sections.xref_tables] == [b"xref\n" + (table if kept is None else kept)]
+    assert [_raw(sections, t) for t in sections.xref_tables] == [
+        b"xref\n" + (table if kept is None else kept)]
     assert [d.split()[0] for d in sections.diagnostics] == diagnostics
 
 
@@ -473,7 +476,7 @@ _TABLE = b"xref\n0 1\n0000000000 65535 f \n"
     [
         pytest.param(
             _TABLE + _HUGE + b" 1\n0000000009 00000 n \ntrailer\n<</Size 1>>\n",
-            lambda s: [t.raw for t in s.xref_tables] == [_TABLE],
+            lambda s: [_raw(s, t) for t in s.xref_tables] == [_TABLE],
             id="xref-subsection",
         ),
         pytest.param(
@@ -492,17 +495,20 @@ def test_digit_runs_past_the_int_limit_do_not_match(data, check):
 def test_xref_stream_dict_is_a_trailer():
     data = (b"6 0 obj\n<</Type /XRef /Size 7 /Root 1 0 R>>\nstream\nxx\nendstream\n"
             b"endobj\nstartxref\n9\n%%EOF\n")
-    (trailer,) = _fragment(data).trailers
-    assert not trailer.raw.startswith(b"trailer")
+    sections = _fragment(data)
+    (trailer,) = sections.trailers
+    assert not _raw(sections, trailer).startswith(b"trailer")
     assert list(trailer.values)[0] == "/Type"
 
 
 def test_malformed_trailer_stops_at_the_next_trailer_or_object():
-    first, second = _fragment(b"trailer\n<< <<x\ntrailer\n<</Size 1>>\n").trailers
-    assert first.raw == b"trailer\n<< <<x\n"
+    sections = _fragment(b"trailer\n<< <<x\ntrailer\n<</Size 1>>\n")
+    first, second = sections.trailers
+    assert _raw(sections, first) == b"trailer\n<< <<x\n"
     assert list(second.values) == ["/Size"]
-    (trailer,) = _fragment(b"trailer\n<< <<x\n1 0 obj\n<<>>\nendobj\n").trailers
-    assert trailer.raw == b"trailer\n<< <<x\n"
+    sections = _fragment(b"trailer\n<< <<x\n1 0 obj\n<<>>\nendobj\n")
+    (trailer,) = sections.trailers
+    assert _raw(sections, trailer) == b"trailer\n<< <<x\n"
 
 
 def test_malformed_object_dictionary_stops_at_the_next_object():
@@ -637,8 +643,8 @@ def test_a_trailer_string_does_not_run_past_the_next_trailer(string):
     data = b"%PDF-1.4\ntrailer\n<</Info " + string + b"trailer\n<</Size 3>> )>>\n"
     sections = segment(data)
     first, second = sections.trailers
-    assert first.raw == b"trailer\n<</Info " + string and first.values == {}
-    assert second.raw == b"trailer\n<</Size 3>>" and second.values == {"/Size": b"3"}
+    assert _raw(sections, first) == b"trailer\n<</Info " + string and first.values == {}
+    assert _raw(sections, second) == b"trailer\n<</Size 3>>" and second.values == {"/Size": b"3"}
     assert sections.diagnostics == ["MalformedTrailer at offset 9"]
 
 
@@ -647,7 +653,7 @@ def test_nesting_floor_recovery_in_a_trailer_stops_at_the_next_object():
     data = b"trailer\n<</A " + deep + b">>\n1 0 obj\n<</Type/Catalog>>\nendobj\n"
     sections = _fragment(data)
     (trailer,) = sections.trailers
-    assert trailer.raw == b"trailer\n<</A " + deep + b">>\n"
+    assert _raw(sections, trailer) == b"trailer\n<</A " + deep + b">>\n"
     assert [list(object_values(b"%PDF-1.4\n" + data, o)) for o in sections.objects] == [["/Type"]]
 
 
@@ -703,8 +709,6 @@ def test_span_coverage_and_determinism(corpus_bytes):
         data = blobs[0]
         sections = segment(data)
         assert sections.data is data
-        for element in (*sections.xref_tables, *sections.trailers):
-            assert data[element.start : element.end] == element.raw
         assert segment(data) == sections
 
 
@@ -712,7 +716,7 @@ def test_object_spans_do_not_overlap(corpus_bytes):
     for blobs in corpus_bytes.values():
         sections = segment(blobs[0])
         # An xref stream's dictionary lies inside its object.
-        classic = [t for t in sections.trailers if t.raw.startswith(b"trailer")]
+        classic = [t for t in sections.trailers if _raw(sections, t).startswith(b"trailer")]
         spans = sorted((e.start, e.end) for e in (*sections.objects, *sections.xref_tables, *classic))
         for (_, prev_end), (start, _) in zip(spans, spans[1:]):
             assert start >= prev_end

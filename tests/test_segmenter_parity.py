@@ -125,8 +125,8 @@ def _span(start: int | None, end: int | None) -> dict | None:
 def _render(sections) -> dict:
     """``asdict(sections)`` without ``data``, each element with its offsets
     as the ``span`` dict of the old ``Span`` record (``dict_span`` and
-    ``payload`` too for an object) and each object with the bytes of its
-    span as ``raw`` after its numbers: the fields and positions of the
+    ``payload`` too for an object) and with the bytes of its span as
+    ``raw`` (after an object's numbers): the fields and positions of the
     records that the digests were taken from."""
     out = asdict(sections)
     data = out.pop("data")
@@ -136,9 +136,10 @@ def _render(sections) -> dict:
          "dict_span": _span(o.dict_start, o.dict_end), "payload": _span(o.payload_start, o.payload_end)}
         for o in sections.objects
     ]
-    out["xref_tables"] = [{"raw": t.raw, "span": _span(t.start, t.end)} for t in sections.xref_tables]
-    out["trailers"] = [{"raw": t.raw, "span": _span(t.start, t.end), "values": t.values}
-                       for t in sections.trailers]
+    out["xref_tables"] = [{"raw": data[t.start : t.end], "span": _span(t.start, t.end)}
+                          for t in sections.xref_tables]
+    out["trailers"] = [{"raw": data[t.start : t.end], "span": _span(t.start, t.end),
+                        "values": t.values} for t in sections.trailers]
     return out
 
 
