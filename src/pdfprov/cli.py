@@ -22,6 +22,7 @@ from .builtin_pack import builtin
 from .detector import VerdictKind, classify, detect
 from .errors import EmptyGroup, PdfProvError
 from .metadata import consistency_status, declared_tool, extract_declared
+from .producers import read_manifest
 from .report import CSV_COLUMNS, SCHEMA_VERSION, BatchStats, ScanReport, csv_row
 from .rules import Rulepack, SectionKind, load_rulepack
 from .segmenter import segment
@@ -38,8 +39,7 @@ _VERDICT_EXIT = {VerdictKind.PRODUCER: EXIT_PRODUCER, VerdictKind.AMBIGUOUS: EXI
 def _load_pack(path: str | None) -> Rulepack:
     if not path:
         return builtin()
-    text = Path(path).read_text(encoding="utf-8")
-    return load_rulepack(text, name=Path(path).name)
+    return load_rulepack(Path(path).read_text(encoding="utf-8"))
 
 
 def _parse_sections(value: str | None) -> list[SectionKind] | None:
@@ -116,22 +116,11 @@ def _scan_table(report: ScanReport) -> str:
 def _batch_inputs(source: str) -> list[tuple[str, Path, str | None]]:
     """(label, path, manifest-truth) triples, sorted by label."""
     src = Path(source)
-    entries: list[tuple[str, Path, str | None]] = []
     if src.is_dir():
-        entries += ((str(path.relative_to(src)), path, None) for path in src.rglob("*.pdf"))
+        entries = [(str(path.relative_to(src)), path, None) for path in src.rglob("*.pdf")]
     else:
-        base = src.parent
-        for lineno, line in enumerate(src.read_text(encoding="utf-8").splitlines(), 1):
-            first_col = line.partition("\t")[0]
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            # Checked before the strip, which would make the truth the path.
-            if not first_col.strip():
-                raise ValueError(f"{src}:{lineno}: empty path")
-            cols = line.split("\t")
-            truth = cols[1] if len(cols) > 1 and cols[1] else None
-            entries.append((cols[0], base / cols[0], truth))
+        entries = [(cols[0], src.parent / cols[0], cols[1] if len(cols) > 1 and cols[1] else None)
+                   for _, cols in read_manifest(src)]
     entries.sort(key=lambda e: e[0])
     return entries
 

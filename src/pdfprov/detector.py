@@ -77,7 +77,8 @@ class OutcomeClass:
 
 def section_verdict(matches: Iterable[RuleMatch], section: SectionKind) -> frozenset[str]:
     """The producers that one section's non-advisory matches nominate."""
-    return frozenset(m.producer for m in matches if m.section == section and not m.advisory)
+    return frozenset(m.rule.producer for m in matches
+                     if m.rule.section == section and not m.advisory)
 
 
 def majority_vote(section_verdicts: Mapping[SectionKind, frozenset[str]]) -> Verdict:
@@ -117,12 +118,12 @@ def detect_os(
     distro_sets: list[frozenset[str]] = []
     for section_matches in matches.values():
         for m in section_matches:
-            if m.producer != verdict.producer:
+            if m.rule.producer != verdict.producer:
                 continue
-            if m.os_tags:
-                os_sets.append(m.os_tags)
-            if m.distro_tags:
-                distro_sets.append(m.distro_tags)
+            if m.rule.os_tags:
+                os_sets.append(m.rule.os_tags)
+            if m.rule.distro_tags:
+                distro_sets.append(m.rule.distro_tags)
     if not os_sets:
         return ()
     os_common = frozenset.intersection(*os_sets)
@@ -146,7 +147,7 @@ def detect(pack: Rulepack, sections: PdfSections,
     verdict.os_candidates = detect_os(verdict, matches)
     # Evidence lists every fired rule, advisory ones included; each fired
     # rule has one match, and matches come in rule-id order.
-    verdict.evidence = {kind: tuple(m.rule_id for m in matches[kind]) for kind in SECTION_ORDER}
+    verdict.evidence = {kind: tuple(m.rule.id for m in matches[kind]) for kind in SECTION_ORDER}
     return verdict
 
 

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .producers import Distro, OpSys, Producer
+from .producers import Distro, OpSys, Producer, manifest_line
 
 # Object 4 of the producers whose stream layout was never published.
 NEUTRAL_CONTENT = b"4 0 obj\n<</Length {length}>>\nstream\n{content}\nendstream\nendobj\n"
@@ -228,10 +228,6 @@ def generate(profile: ProducerProfile, seed: int,
     return b"".join(parts)
 
 
-def manifest_line(profile: ProducerProfile, relpath: str) -> str:
-    return "\t".join([relpath, profile.producer.value, profile.os_label, profile.distro_label])
-
-
 def emit_corpus(directory: str | Path, seeds: range = range(1, 11),
                 producers: list[Producer] | None = None) -> Path:
     """Write the fixture corpus plus a tab-separated manifest.
@@ -248,7 +244,8 @@ def emit_corpus(directory: str | Path, seeds: range = range(1, 11),
         for seed in seeds:
             relpath = f"{slug}/{slug}-{seed:03d}.pdf"
             (directory / relpath).write_bytes(generate(profile, seed))
-            lines.append(manifest_line(profile, relpath))
+            lines.append(manifest_line(relpath, profile.producer.value, profile.os_label,
+                                       profile.distro_label))
     manifest = directory / "manifest.tsv"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest

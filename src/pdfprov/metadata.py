@@ -9,6 +9,7 @@ says actually wrote the file.
 
 from __future__ import annotations
 
+import codecs
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -58,14 +59,25 @@ def _decode_literal(value: bytes) -> bytes:
         lambda m: bytes([int(m[1], 8) & 0xFF]) if m[1] else _ESCAPES.get(m[2], m[2]), value)
 
 
+# PDFDocEncoding (ISO 32000-1, Annex D, Table D.2) as a decoding table: Latin-1
+# except at these codes.  The codes it leaves undefined (0x7F, 0x9F, 0xAD) read
+# as Latin-1 does.
+_PDFDOC = bytes(range(256)).decode("latin-1").translate(dict(zip(
+    [*range(0x18, 0x20), *range(0x80, 0x9F), 0xA0],
+    "\u02d8\u02c7\u02c6\u02d9\u02dd\u02db\u02da\u02dc"
+    "\u2022\u2020\u2021\u2026\u2014\u2013\u0192\u2044\u2039\u203a\u2212\u2030"
+    "\u201e\u201c\u201d\u2018\u2019\u201a\u2122\ufb01\ufb02\u0141\u0152\u0160"
+    "\u0178\u017d\u0131\u0142\u0153\u0161\u017e\u20ac", strict=True)))
+
+
 def _to_text(raw: bytes) -> str:
     # A text string is UTF-16BE or, from PDF 2.0 on, UTF-8 behind its byte
-    # order mark, and PDFDocEncoding (read as Latin-1) without one.
+    # order mark, and PDFDocEncoding without one.
     if raw.startswith(b"\xfe\xff"):
         return raw[2:].decode("utf-16-be", "replace")
     if raw.startswith(b"\xef\xbb\xbf"):
         return raw[3:].decode("utf-8", "replace")
-    return raw.decode("latin-1", "replace")
+    return codecs.charmap_decode(raw, "strict", _PDFDOC)[0]
 
 
 def decode_pdf_string(value: bytes) -> str | None:

@@ -27,7 +27,7 @@ from itertools import groupby
 from pathlib import Path
 
 from .errors import EmptyGroup, SectionAbsentEverywhere
-from .producers import Producer
+from .producers import Producer, read_manifest
 from .rules import (
     Rule,
     RuleKind,
@@ -71,12 +71,12 @@ class CorpusFile:
     producer: str
     os: str = ""
     distro: str = ""
-    path: str = ""
 
 
 @dataclass
 class LabeledCorpus:
-    """PDF bytes grouped by producer, with labels from a manifest."""
+    """PDF bytes grouped by producer, with the labels of a manifest (the
+    format :func:`pdfprov.producers.read_manifest` reads)."""
 
     files: list[CorpusFile]
     _sections: dict[int, PdfSections] = field(default_factory=dict, repr=False)
@@ -96,31 +96,13 @@ class LabeledCorpus:
 
     @staticmethod
     def from_manifest(path: str | Path) -> "LabeledCorpus":
-        """Load ``<path>TAB<producer>[TAB os][TAB distro]`` manifest lines."""
+        """Load a manifest whose rows all name a producer."""
         path = Path(path)
-        base = path.parent
         files: list[CorpusFile] = []
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            first_col = line.partition("\t")[0]
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            # Checked before the strip, which would make the producer the path.
-            if not first_col.strip():
-                raise ValueError(f"{path}:{lineno}: empty path")
-            cols = line.split("\t")
+        for lineno, cols in read_manifest(path):
             if len(cols) < 2 or not cols[1]:
                 raise ValueError(f"{path}:{lineno}: expected '<path>\\t<producer>'")
-            rel = cols[0]
-            files.append(
-                CorpusFile(
-                    data=(base / rel).read_bytes(),
-                    producer=cols[1],
-                    os=cols[2] if len(cols) > 2 else "",
-                    distro=cols[3] if len(cols) > 3 else "",
-                    path=rel,
-                )
-            )
+            files.append(CorpusFile((path.parent / cols[0]).read_bytes(), *cols[1:4]))
         return LabeledCorpus(files)
 
 
@@ -380,9 +362,6 @@ def mine(corpus: LabeledCorpus, section: SectionKind, min_len: int = 8,
     groups = corpus.groups
     if not groups:
         raise EmptyGroup("corpus has no files")
-    for producer, group in groups.items():
-        if not group:
-            raise EmptyGroup(producer)
     all_haystacks = {
         producer: _group_haystacks(corpus, group, section)
         for producer, group in groups.items()

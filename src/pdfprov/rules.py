@@ -140,9 +140,8 @@ class Rule:
 
 @dataclass
 class Rulepack:
-    """A named, ordered collection of rules with unique ids."""
+    """An ordered collection of rules with unique ids."""
 
-    name: str
     rules: list[Rule]
     # Each section's rules in rule-id order, the order matches are reported in.
     _by_section: dict[SectionKind, list[Rule]] = field(init=False, repr=False, compare=False)
@@ -155,19 +154,18 @@ class Rulepack:
         return self._by_section[section]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleMatch:
     """A rule that fired on a section, at its first element and offset."""
 
-    rule_id: str
-    producer: str
-    section: SectionKind
-    match_offset: int
+    rule: Rule
     element_ref: str
-    kind: RuleKind
-    os_tags: frozenset[str] = frozenset()
-    distro_tags: frozenset[str] = frozenset()
+    match_offset: int
     advisory: bool = False
+
+    @property
+    def rule_id(self) -> str:
+        return self.rule.id
 
 
 # -- Rule-file parsing ---------------------------------------------------------
@@ -219,8 +217,10 @@ def _read_field(key: str, value: str, lineno: int) -> Any:
     return frozenset(items)
 
 
-def load_rulepack(text: str, name: str = "rulepack") -> Rulepack:
-    """Parse rule-file text into a compiled, validated :class:`Rulepack`."""
+def load_rulepack(text: str, name: str = "") -> Rulepack:
+    """Parse rule-file text into a compiled, validated :class:`Rulepack`.
+
+    ``name`` is unused; ``perfbench/`` still passes one."""
     rules: list[Rule] = []
     seen_ids: set[str] = set()
     current: dict[str, Any] | None = None
@@ -248,7 +248,7 @@ def load_rulepack(text: str, name: str = "rulepack") -> Rulepack:
         current[m[1]] = _read_field(m[1], m[2], lineno)
     if current is not None:
         raise RuleParseError(current_line, "unterminated rule block")
-    return Rulepack(name, rules)
+    return Rulepack(rules)
 
 
 def _finish_rule(fields: dict[str, Any], lineno: int) -> Rule:
@@ -373,19 +373,9 @@ def match_section(
             if m is None:
                 continue
             # Equal bytes match alike, so no earlier element has these: index() finds this one.
-            matches.append(
-                RuleMatch(
-                    rule_id=rule.id,
-                    producer=rule.producer,
-                    section=kind,
-                    match_offset=m.start(),
-                    element_ref="xref:presence" if presence else ref(elements.index(data)),
-                    kind=rule.kind,
-                    os_tags=rule.os_tags,
-                    distro_tags=rule.distro_tags,
-                    advisory=presence and token == b"P",
-                )
-            )
+            matches.append(RuleMatch(
+                rule, "xref:presence" if presence else ref(elements.index(data)), m.start(),
+                presence and token == b"P"))
             break
     return matches
 

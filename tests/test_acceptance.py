@@ -80,7 +80,7 @@ def test_criterion_1_header_magic_fidelity():
         data = (b"%PDF-1.4\n%" + magic + b"\n1 0 obj\n<<>>\nendobj\n"
                 b"xref\n0 1\n0000000000 65535 f \ntrailer\n<</Odd 1>>\n")
         candidates = {
-            m.producer for m in match_section(pack, segment(data), SectionKind.HEADER)
+            m.rule.producer for m in match_section(pack, segment(data), SectionKind.HEADER)
         }
         assert candidates == _MAGIC_EXPECT[magic], rule.id
         checked += 1
@@ -158,13 +158,13 @@ def test_criterion_2_trailer_sequence_fidelity():
     assert len(_TRAILER_CASES) == 13
     for name, data, expected in _TRAILER_CASES:
         candidates = {
-            m.producer for m in match_section(pack, segment(data), SectionKind.TRAILER)
+            m.rule.producer for m in match_section(pack, segment(data), SectionKind.TRAILER)
         }
         assert candidates == expected, f"{name}: {sorted(candidates)}"
     # The lowercase '/info' row also matches when spelled '/Info'.
     upper = _TRAILER_CASES[-1][1].replace(b"/info", b"/Info")
     candidates = {
-        m.producer for m in match_section(pack, segment(upper), SectionKind.TRAILER)
+        m.rule.producer for m in match_section(pack, segment(upper), SectionKind.TRAILER)
     }
     assert candidates == {PL}
     _report("2 trailer sequence fidelity", True)

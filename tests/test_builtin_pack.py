@@ -272,7 +272,7 @@ def test_profiles_agree_with_signature_data():
         data = generate(profile, 1)
         sections = segment(data)
         matched = {
-            m.producer
+            m.rule.producer
             for m in match_section(builtin(), sections, SectionKind.TRAILER)
         }
         assert producer.value in matched

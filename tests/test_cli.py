@@ -19,6 +19,7 @@ from pdfprov.cli import EXIT_ERROR, main
 from pdfprov.detector import detect_os, majority_vote, section_verdict
 from pdfprov.fixtures import PROFILES, emit_corpus, generate
 from pdfprov.metadata import consistency_status, extract_declared
+from pdfprov.miner import LabeledCorpus
 from pdfprov.producers import Producer
 from pdfprov.report import CSV_COLUMNS, build_scan_report
 from pdfprov.rules import SECTION_ORDER, match_section
@@ -356,6 +357,25 @@ def test_batch_manifest_skips_comments_and_blank_lines(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert [f["file"] for f in payload["files"]] == [good.name]
     assert payload["stats"]["errors"] == []
+
+
+def test_batch_and_mine_read_a_manifest_alike(tmp_path):
+    cairo = _write_fixture(tmp_path, Producer.CAIRO)
+    luatex = _write_fixture(tmp_path, Producer.LUATEX)
+    skia = _write_fixture(tmp_path, Producer.SKIA_PDF)
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_bytes(
+        b"# path\tproducer\tos\tdistro\r\n\r\n \t \r\n"
+        + f"{cairo.name}\tCairo   \r\n".encode()
+        + f"{luatex.name}\tLuaTeX\twindows\tmiktex\r\n".encode()
+        + f"  # indented\r\n{skia.name}\tSkiaPDF\r\n".encode())
+    batch = cli._batch_inputs(str(manifest))
+    corpus = LabeledCorpus.from_manifest(manifest)
+    assert batch == [(path.name, path, producer) for path, producer in
+                     ((cairo, "Cairo"), (luatex, "LuaTeX"), (skia, "SkiaPDF"))]
+    assert [(f.data, f.producer) for f in corpus.files] == [
+        (path.read_bytes(), truth) for _, path, truth in batch]
+    assert [(f.os, f.distro) for f in corpus.files] == [("", ""), ("windows", "miktex"), ("", "")]
 
 
 def test_batch_manifest_row_with_an_empty_path_is_an_error_object(tmp_path, capsys):

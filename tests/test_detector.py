@@ -20,7 +20,7 @@ from pdfprov.detector import (
 from pdfprov.builtin_pack import builtin
 from pdfprov.fixtures import PROFILES, generate
 from pdfprov.producers import Producer
-from pdfprov.rules import RuleKind, RuleMatch, SECTION_ORDER, SectionKind
+from pdfprov.rules import Rule, RuleKind, RuleMatch, SECTION_ORDER, SectionKind
 from pdfprov.segmenter import segment
 
 W = Producer.MICROSOFT_OFFICE_WORD.value
@@ -33,8 +33,9 @@ GS = Producer.GHOSTSCRIPT.value
 def _match(producer: str, section=SectionKind.BODY, rule_id: str = "r",
            element: str = "obj:1:0", advisory: bool = False,
            os_tags=frozenset(), distro_tags=frozenset()) -> RuleMatch:
-    return RuleMatch(rule_id, producer, section, 0, element, RuleKind.TEMPLATE,
-                     frozenset(os_tags), frozenset(distro_tags), advisory)
+    rule = Rule(rule_id, producer, section, RuleKind.TEMPLATE, "", frozenset(os_tags),
+                frozenset(distro_tags))
+    return RuleMatch(rule, element, 0, advisory)
 
 
 def _verdicts(header=(), body=(), xref=(), trailer=()):

@@ -171,8 +171,19 @@ def test_utf8_text_strings_decode_behind_their_byte_order_mark():
     encoded = b"\xef\xbb\xbf" + text.encode("utf-8")
     assert decode_pdf_string(b"(" + encoded + b")") == text
     assert decode_pdf_string(b"<" + encoded.hex().upper().encode() + b">") == text
-    # Without the mark the same bytes stay PDFDocEncoding, read as Latin-1.
-    assert decode_pdf_string(b"(" + text.encode("utf-8") + b")") == text.encode("utf-8").decode("latin-1")
+    # Without the mark the same bytes are PDFDocEncoding: E2 80 94 is a-circumflex,
+    # bullet and the fl ligature.
+    assert decode_pdf_string(b"(" + text.encode("utf-8") + b")") == "LibreOffice 7.0 \u00e2\u2022\ufb02 Writer"
+
+
+def test_text_strings_without_a_byte_order_mark_decode_as_pdfdocencoding():
+    """ISO 32000-1 Annex D: PDFDocEncoding differs from Latin-1 at 0x18-0x1F,
+    0x80-0x9E and 0xA0, and leaves 0x7F, 0x9F and 0xAD undefined."""
+    assert decode_pdf_string(b"(Acme\x84Writer \x92 9)") == "Acme\u2014Writer \u2122 9"
+    assert decode_pdf_string(b"<18 1F 80 9E A0>") == "\u02d8\u02dc\u2022\u017e\u20ac"
+    assert decode_pdf_string(b"(\\030\\237\\240)") == "\u02d8\x9f\u20ac"
+    # Undefined codes, and Latin-1's own letters, read as Latin-1.
+    assert decode_pdf_string(b"(\x7f\x9f\xad\xe9\xff)") == "\x7f\x9f\xad\xe9\xff"
 
 
 # The escape decoder's loop before one re.sub replaced it, kept verbatim as

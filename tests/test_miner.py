@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdfprov.errors import EmptyGroup
-from pdfprov.fixtures import PROFILES, generate
+from pdfprov.fixtures import PROFILES, emit_corpus, generate
 from pdfprov.miner import (
     CandidatePattern,
     CorpusFile,
@@ -38,6 +38,13 @@ def _corpus(seeds=range(1, 6), producers=None) -> LabeledCorpus:
             files.append(CorpusFile(generate(profile, seed), producer.value,
                                     profile.os_label, profile.distro_label))
     return LabeledCorpus(files)
+
+
+def test_a_fixture_manifest_reads_back_each_profiles_labels(tmp_path):
+    corpus = LabeledCorpus.from_manifest(emit_corpus(tmp_path, seeds=range(1, 3)))
+    expected = [(generate(PROFILES[p], seed), p.value, PROFILES[p].os_label,
+                 PROFILES[p].distro_label) for p in Producer for seed in (1, 2)]
+    assert [(f.data, f.producer, f.os, f.distro) for f in corpus.files] == expected
 
 
 def _word_pair(length_a: bytes, length_b: bytes) -> LabeledCorpus:

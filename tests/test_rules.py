@@ -281,7 +281,7 @@ def test_extension_packs_may_name_unknown_producers():
     assert pack.rules[0].producer == "SomeNewTool"
     sections = segment(b"%PDF-1.4\n%\xAA\xBB\xCC\xDD\n")
     matches = match_section(pack, sections, SectionKind.HEADER)
-    assert [m.producer for m in matches] == ["SomeNewTool"]
+    assert [m.rule.producer for m in matches] == ["SomeNewTool"]
 
 
 # -- byte-regex dialect ---------------------------------------------------
@@ -356,7 +356,7 @@ def test_word_template_matches_once():
     pack = load_rulepack(TABLE_RULE_WORD_BODY)
     matches = match_section(pack, segment(_word_fixture_bytes()), SectionKind.BODY)
     assert len(matches) == 1
-    assert matches[0].producer == Producer.MICROSOFT_OFFICE_WORD.value
+    assert matches[0].rule.producer == Producer.MICROSOFT_OFFICE_WORD.value
     assert matches[0].element_ref == "obj:4:0"
 
 
@@ -382,7 +382,7 @@ def test_match_offsets_fall_inside_elements(pack, corpus_bytes):
         for kind in SECTION_ORDER:
             for m in match_section(pack, sections, kind):
                 assert m.match_offset >= 0
-                assert m.section == kind
+                assert m.rule.section == kind
 
 
 # -- evaluate_sections -------------------------------------------------------
@@ -391,17 +391,17 @@ def test_match_offsets_fall_inside_elements(pack, corpus_bytes):
 def test_distiller_fixture_header_and_presence(pack):
     data = generate(PROFILES[Producer.ACROBAT_DISTILLER], 1)
     matches = evaluate_sections(pack, segment(data))
-    header_producers = {m.producer for m in matches[SectionKind.HEADER]}
+    header_producers = {m.rule.producer for m in matches[SectionKind.HEADER]}
     assert header_producers == {Producer.ACROBAT_DISTILLER.value}
-    presence = [m for m in matches[SectionKind.XREF] if m.kind is RuleKind.PRESENCE]
-    assert {m.producer for m in presence} == {
+    presence = [m for m in matches[SectionKind.XREF] if m.rule.kind is RuleKind.PRESENCE]
+    assert {m.rule.producer for m in presence} == {
         Producer.ACROBAT_DISTILLER.value, Producer.XDVIPDFMX.value,
     }
     assert all(not m.advisory for m in presence)  # absence is a real signal
 
 
 def test_zero_rule_pack_matches_nothing(corpus_bytes):
-    empty = Rulepack("empty", [])
+    empty = Rulepack([])
     data = corpus_bytes[Producer.GHOSTSCRIPT][0]
     assert all(v == [] for v in evaluate_sections(empty, segment(data)).values())
 
@@ -409,7 +409,7 @@ def test_zero_rule_pack_matches_nothing(corpus_bytes):
 def test_libreoffice_trailer_matched_by_keyorder(pack):
     data = b"%PDF-1.4\n%\xC3\xA4\xC3\xBC\xC3\xB6\xC3\x9F\n" + LIBREOFFICE_TRAILER
     matches = evaluate_sections(pack, segment(data))
-    assert {m.producer for m in matches[SectionKind.TRAILER]} == {
+    assert {m.rule.producer for m in matches[SectionKind.TRAILER]} == {
         Producer.LIBREOFFICE.value
     }
 
@@ -424,7 +424,7 @@ def test_section_isolation(pack, corpus_bytes):
         matches = evaluate_sections(pack, segment(blobs[0]))
         for kind, section_matches in matches.items():
             for m in section_matches:
-                assert m.section == kind
+                assert m.rule.section == kind
                 if kind is SectionKind.BODY:
                     assert m.element_ref.startswith("obj:")
                 elif kind is SectionKind.HEADER:
@@ -592,7 +592,7 @@ def test_monotonicity_adding_a_rule_never_removes_matches(index):
     from pdfprov.builtin_pack import builtin
 
     base = builtin()
-    smaller = Rulepack("sub", [r for i, r in enumerate(base.rules) if i != index])
+    smaller = Rulepack([r for i, r in enumerate(base.rules) if i != index])
     data = generate(PROFILES[Producer.MICROSOFT_OFFICE_WORD], 3)
     small_matches = evaluate_sections(smaller, segment(data))
     full_matches = evaluate_sections(base, segment(data))
