@@ -23,7 +23,7 @@ from .detector import VerdictKind, classify, detect
 from .errors import EmptyGroup, PdfProvError
 from .metadata import consistency_status, declared_tool, extract_declared
 from .producers import read_manifest
-from .report import CSV_COLUMNS, SCHEMA_VERSION, BatchStats, ScanReport, csv_row
+from .report import CSV_COLUMNS, SCHEMA_VERSION, BatchStats, ScanReport, csv_error_row, csv_row
 from .rules import Rulepack, SectionKind, load_rulepack
 from .segmenter import segment
 
@@ -147,9 +147,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
     for label, truth, report in _scan_entries(entries, pack, only):
         if isinstance(report, Exception):
             error = f"{type(report).__name__}: {report}"
-            stats.errors.append((label, error))
-            stats.total += 1
-            rows.append([label, "error"] + [""] * (len(CSV_COLUMNS) - 3) + [error])
+            stats.add_error(label, error)
+            rows.append(csv_error_row(label, error))
             continue
         verdict = report.verdict
         if args.truth == "metadata":

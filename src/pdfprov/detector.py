@@ -42,11 +42,6 @@ class Status(str, Enum):
     NO_RESULT = "no_result"
 
 
-class Refinement(str, Enum):
-    CONFUSED = "confused"  # two candidates, one of them the true producer
-    ERROR = "error"  # two candidates, neither the true producer
-
-
 @dataclass
 class Verdict:
     """The vote-combined answer for one file."""
@@ -61,18 +56,19 @@ class Verdict:
     evidence: dict[SectionKind, tuple[str, ...]] = field(default_factory=dict)
 
 
-@dataclass
-class SectionOutcome:
-    status: Status
-    refinement: Refinement | None = None
+# The table cells a file and a section count toward, in table order.
+FILE_TALLIES = ("correct", "wrong", "no_result", "ambiguous_within_wrong")
+SECTION_TALLIES = ("correct", "wrong", "no_result", "confused", "error")
 
 
 @dataclass
 class OutcomeClass:
-    """Classification of a verdict against a known ground truth."""
+    """A verdict graded against a known ground truth: the names of the cells
+    the file and each section count toward, a ``Status`` value first."""
 
     file_status: Status
-    sections: dict[SectionKind, SectionOutcome]
+    file_tallies: tuple[str, ...]
+    sections: dict[SectionKind, tuple[str, ...]]
 
 
 def section_verdict(matches: Iterable[RuleMatch], section: SectionKind) -> frozenset[str]:
@@ -87,18 +83,18 @@ def majority_vote(section_verdicts: Mapping[SectionKind, frozenset[str]]) -> Ver
     for kind in SECTION_ORDER:
         for producer in section_verdicts.get(kind, ()):
             votes[producer] = votes.get(producer, 0) + 1
-    ordered_votes = dict(sorted(votes.items()))
-    if not votes:
-        return Verdict(VerdictKind.NO_RESULT, None, frozenset(), ordered_votes,
-                       dict(section_verdicts))
-    top = max(votes.values())
+    top = max(votes.values(), default=0)
     leaders = frozenset(p for p, v in votes.items() if v == top)
-    if len(leaders) == 1:
-        # A lone leader with a single vote can still win, but only because
-        # nobody else received any vote at all: a 1-1 split is ambiguous.
-        return Verdict(VerdictKind.PRODUCER, next(iter(leaders)), leaders,
-                       ordered_votes, dict(section_verdicts))
-    return Verdict(VerdictKind.AMBIGUOUS, None, leaders, ordered_votes,
+    # A lone leader with a single vote can still win, but only because
+    # nobody else received any vote at all: a 1-1 split is ambiguous.
+    if not leaders:
+        kind = VerdictKind.NO_RESULT
+    elif len(leaders) == 1:
+        kind = VerdictKind.PRODUCER
+    else:
+        kind = VerdictKind.AMBIGUOUS
+    producer = next(iter(leaders)) if kind is VerdictKind.PRODUCER else None
+    return Verdict(kind, producer, leaders, dict(sorted(votes.items())),
                    dict(section_verdicts))
 
 
@@ -138,11 +134,8 @@ def detect_os(
 
 def detect(pack: Rulepack, sections: PdfSections,
            only: Iterable[SectionKind] | None = None) -> Verdict:
-    """Match, vote and infer OS on one segmented file."""
-    matches = evaluate_sections(pack, sections)
-    if only is not None:
-        wanted = set(only)
-        matches = {kind: found if kind in wanted else [] for kind, found in matches.items()}
+    """Match the sections in ``only`` (default: all four), vote and infer OS."""
+    matches = evaluate_sections(pack, sections, SECTION_ORDER if only is None else set(only))
     verdict = majority_vote({kind: section_verdict(matches[kind], kind) for kind in SECTION_ORDER})
     verdict.os_candidates = detect_os(verdict, matches)
     # Evidence lists every fired rule, advisory ones included; each fired
@@ -153,22 +146,22 @@ def detect(pack: Rulepack, sections: PdfSections,
 
 def classify(verdict: Verdict, ground_truth: str) -> OutcomeClass:
     """Grade a verdict, per section and at file level, against the truth."""
-    sections: dict[SectionKind, SectionOutcome] = {}
+    sections: dict[SectionKind, tuple[str, ...]] = {}
     for kind, candidates in verdict.section_verdicts.items():
         if not candidates:
-            sections[kind] = SectionOutcome(Status.NO_RESULT)
-            continue
-        status = Status.CORRECT if candidates == {ground_truth} else Status.WRONG
-        refinement = None
-        if len(candidates) == 2:
-            refinement = (
-                Refinement.CONFUSED if ground_truth in candidates else Refinement.ERROR
-            )
-        sections[kind] = SectionOutcome(status, refinement)
+            sections[kind] = ("no_result",)
+        elif candidates == {ground_truth}:
+            sections[kind] = ("correct",)
+        elif len(candidates) == 2:
+            sections[kind] = ("wrong", "confused" if ground_truth in candidates else "error")
+        else:
+            sections[kind] = ("wrong",)
     if verdict.kind is VerdictKind.NO_RESULT:
-        file_status = Status.NO_RESULT
-    elif verdict.kind is VerdictKind.PRODUCER and verdict.producer == ground_truth:
-        file_status = Status.CORRECT
+        file_tallies: tuple[str, ...] = ("no_result",)
+    elif verdict.kind is VerdictKind.AMBIGUOUS:
+        file_tallies = ("wrong", "ambiguous_within_wrong")
+    elif verdict.producer == ground_truth:
+        file_tallies = ("correct",)
     else:
-        file_status = Status.WRONG
-    return OutcomeClass(file_status, sections)
+        file_tallies = ("wrong",)
+    return OutcomeClass(Status(file_tallies[0]), file_tallies, sections)

@@ -43,8 +43,8 @@ _NUM = 256
 _HEX = 257
 _SEP_BASE = 258
 
-_HEX_ANGLE_RE = re.compile(rb"<([0-9A-Fa-f]{16,})>")
-_NUM_RE = re.compile(rb"[0-9]+")
+# A long hex run in angle brackets, or a digit run.
+_TOKEN_RE = re.compile(rb"<([0-9A-Fa-f]{16,})>|[0-9]+")
 
 _SLUGS: dict[str, str] = {
     Producer.ACROBAT_DISTILLER.value: "acrobat-distiller",
@@ -125,21 +125,18 @@ class CandidatePattern:
 def _tokenize(data: bytes) -> list[int]:
     tokens: list[int] = []
     pos = 0
-    for m in _HEX_ANGLE_RE.finditer(data):
-        _tokenize_literal(tokens, data[pos : m.start() + 1])  # keep '<'
-        tokens.append(_HEX)
-        pos = m.end() - 1  # '>' belongs to the following literal run
-    _tokenize_literal(tokens, data[pos:])
+    for m in _TOKEN_RE.finditer(data):
+        start, end = m.span()
+        if m.lastindex:  # a hex run
+            tokens.extend(data[pos : start + 1])  # keep '<'
+            tokens.append(_HEX)
+            pos = end - 1  # '>' belongs to the following literal run
+        else:
+            tokens.extend(data[pos:start])
+            tokens.append(_NUM)
+            pos = end
+    tokens.extend(data[pos:])
     return tokens
-
-
-def _tokenize_literal(tokens: list[int], chunk: bytes) -> None:
-    pos = 0
-    for m in _NUM_RE.finditer(chunk):
-        tokens.extend(chunk[pos : m.start()])
-        tokens.append(_NUM)
-        pos = m.end()
-    tokens.extend(chunk[pos:])
 
 
 def _file_tokens(haystacks: list[bytes]) -> list[int]:
@@ -354,11 +351,14 @@ def mine(corpus: LabeledCorpus, section: SectionKind, min_len: int = 8,
     """Mine one section across the whole corpus.
 
     Returns, per producer, the candidates with full support, discriminacy
-    at or below the threshold, and a concrete match of at least
-    ``min_len`` bytes, sorted by (discriminacy, length desc, template).
+    at or below the threshold (a share, 0 to 1), and a concrete match of
+    at least ``min_len`` bytes, sorted by (discriminacy, length desc,
+    template).
     """
     if min_len < 4:
         raise ValueError("min_len must be at least 4")
+    if not 0.0 <= max_discriminacy <= 1.0:
+        raise ValueError(f"max_discriminacy must be between 0 and 1, not {max_discriminacy}")
     groups = corpus.groups
     if not groups:
         raise EmptyGroup("corpus has no files")

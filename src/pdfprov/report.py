@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .detector import OutcomeClass, Refinement, Status, Verdict, VerdictKind
+from .detector import FILE_TALLIES, SECTION_TALLIES, OutcomeClass, Status, Verdict, VerdictKind
 from .metadata import ConsistencyStatus, DeclaredMetadata
 from .rules import SECTION_ORDER
 
@@ -98,13 +98,9 @@ def csv_row(report: ScanReport, truth: str = "", file_class: str = "") -> list[s
     ]
 
 
-@dataclass
-class SectionTally:
-    correct: int = 0
-    wrong: int = 0
-    no_result: int = 0
-    confused: int = 0
-    error: int = 0
+def csv_error_row(file: str, error: str) -> list[str]:
+    """The CSV row of a file that could not be read or scanned."""
+    return [file, "error"] + [""] * (len(CSV_COLUMNS) - 3) + [error]
 
 
 @dataclass
@@ -113,11 +109,8 @@ class BatchStats:
 
     total: int = 0
     labeled: int = 0
-    file_correct: int = 0
-    file_wrong: int = 0  # includes ambiguous verdicts
-    file_no_result: int = 0
-    file_ambiguous: int = 0
-    per_section: dict[str, SectionTally] = field(default_factory=dict)
+    file_level: dict[str, int] = field(default_factory=lambda: dict.fromkeys(FILE_TALLIES, 0))
+    per_section: dict[str, dict[str, int]] = field(default_factory=dict)
     per_producer: dict[str, dict[str, int]] = field(default_factory=dict)
     os_detected: int = 0
     os_detected_correct_files: int = 0
@@ -125,6 +118,8 @@ class BatchStats:
 
     def add(self, truth: str | None, verdict_kind: str, producer_detected: str | None,
             outcome: OutcomeClass | None, has_os: bool) -> None:
+        """Count one file toward the cells ``classify`` named; ``outcome`` already
+        grades the verdict, so ``verdict_kind`` and ``producer_detected`` go unread."""
         self.total += 1
         if has_os:
             self.os_detected += 1
@@ -134,50 +129,36 @@ class BatchStats:
         row = self.per_producer.setdefault(truth, {"files": 0, "detected": 0})
         row["files"] += 1
         if outcome.file_status is Status.CORRECT:
-            self.file_correct += 1
             row["detected"] += 1
             if has_os:
                 self.os_detected_correct_files += 1
-        elif outcome.file_status is Status.NO_RESULT:
-            self.file_no_result += 1
-        else:
-            self.file_wrong += 1
-            if verdict_kind == VerdictKind.AMBIGUOUS.value:
-                self.file_ambiguous += 1
-        for kind, section_outcome in outcome.sections.items():
-            tally = self.per_section.setdefault(kind.value, SectionTally())
-            if section_outcome.status is Status.CORRECT:
-                tally.correct += 1
-            elif section_outcome.status is Status.NO_RESULT:
-                tally.no_result += 1
-            else:
-                tally.wrong += 1
-            if section_outcome.refinement is Refinement.CONFUSED:
-                tally.confused += 1
-            elif section_outcome.refinement is Refinement.ERROR:
-                tally.error += 1
+        for name in outcome.file_tallies:
+            self.file_level[name] += 1
+        for kind, names in outcome.sections.items():
+            tally = self.per_section.setdefault(kind.value, dict.fromkeys(SECTION_TALLIES, 0))
+            for name in names:
+                tally[name] += 1
+
+    def add_error(self, file: str, error: str) -> None:
+        """Count a file that could not be read or scanned."""
+        self.total += 1
+        self.errors.append((file, error))
 
     def to_dict(self) -> dict:
         return {
             "schema": SCHEMA_VERSION,
             "total": self.total,
             "labeled": self.labeled,
-            "file_level": {
-                "correct": self.file_correct,
-                "wrong": self.file_wrong,
-                "no_result": self.file_no_result,
-                "ambiguous_within_wrong": self.file_ambiguous,
-            },
-            "sections": {
-                kind: vars(tally) for kind, tally in sorted(self.per_section.items())
-            },
+            "file_level": dict(self.file_level),
+            "sections": {kind: dict(tally) for kind, tally in sorted(self.per_section.items())},
             "producers": {
                 producer: dict(row) for producer, row in sorted(self.per_producer.items())
             },
             "os_detection": {
                 "detected": self.os_detected,
                 "of_all_files": _ratio(self.os_detected, self.total),
-                "of_correct_files": _ratio(self.os_detected_correct_files, self.file_correct),
+                "of_correct_files": _ratio(self.os_detected_correct_files,
+                                           self.file_level["correct"]),
             },
             "errors": [{"file": f, "error": e} for f, e in self.errors],
         }
@@ -189,19 +170,15 @@ class BatchStats:
         out.append(f"Files: {self.total} total, {self.labeled} with ground truth")
         out.append("")
         out.append("Per-section detection")
-        out.append(self._section_table((("Correct", "correct"), ("Wrong", "wrong"),
-                                        ("No result", "no_result"))))
+        out.append(self._section_table(SECTION_TALLIES[:3]))
         out.append("Two-candidate detections")
-        out.append(self._section_table((("Confused", "confused"), ("Error", "error"))))
+        out.append(self._section_table(SECTION_TALLIES[3:]))
         out.append("File-level (majority vote)")
+        level = self.file_level
         out.append(_format_table(
             ["Correct", "Wrong", "No result", "(ambiguous)"],
-            [[
-                f"{self.file_correct} ({100 * self.file_correct // n}%)",
-                f"{self.file_wrong} ({100 * self.file_wrong // n}%)",
-                f"{self.file_no_result} ({100 * self.file_no_result // n}%)",
-                str(self.file_ambiguous),
-            ]],
+            [[f"{level[name]} ({100 * level[name] // n}%)" for name in FILE_TALLIES[:3]]
+             + [str(level["ambiguous_within_wrong"])]],
         ))
         out.append("Per-producer detection")
         rows = [
@@ -214,7 +191,7 @@ class BatchStats:
             "OS detected for {} files ({:.0%} of all, {:.0%} of correctly detected)".format(
                 self.os_detected,
                 _ratio(self.os_detected, self.total),
-                _ratio(self.os_detected_correct_files, self.file_correct),
+                _ratio(self.os_detected_correct_files, self.file_level["correct"]),
             )
         )
         if self.errors:
@@ -223,14 +200,14 @@ class BatchStats:
             out.extend(f"  {f}: {e}" for f, e in self.errors)
         return "\n".join(out) + "\n"
 
-    def _section_table(self, fields: tuple[tuple[str, str], ...]) -> str:
-        """One row per (label, SectionTally attribute), one column per section."""
+    def _section_table(self, names: tuple[str, ...]) -> str:
+        """One row per tally name, one column per section."""
         n = self.labeled or 1
         rows = []
-        for label, attr in fields:
-            row = [label]
+        for name in names:
+            row = [name.replace("_", " ").capitalize()]
             for kind in SECTION_ORDER:
-                value = getattr(self.per_section.get(kind.value, SectionTally()), attr)
+                value = self.per_section.get(kind.value, {}).get(name, 0)
                 row.append(f"{value} ({100 * value // n}%)")
             rows.append(row)
         header = ["Detection"] + [k.value.capitalize() for k in SECTION_ORDER]

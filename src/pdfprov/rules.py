@@ -47,7 +47,7 @@ section's matches come out in rule-id order.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Collection
 from dataclasses import dataclass, field
 from enum import Enum
 from re import _constants, _parser
@@ -380,8 +380,12 @@ def match_section(
     return matches
 
 
-def evaluate_sections(pack: Rulepack, sections: PdfSections) -> dict[SectionKind, list[RuleMatch]]:
-    return {kind: match_section(pack, sections, kind) for kind in SECTION_ORDER}
+def evaluate_sections(pack: Rulepack, sections: PdfSections,
+                      only: Collection[SectionKind] = SECTION_ORDER
+                      ) -> dict[SectionKind, list[RuleMatch]]:
+    """Each section's matches; a section not in ``only`` is not matched and has none."""
+    return {kind: match_section(pack, sections, kind) if kind in only else []
+            for kind in SECTION_ORDER}
 
 
 __all__ = [

@@ -254,6 +254,25 @@ def test_batch_header_confused_accounting(tmp_path, capsys):
     assert capsys.readouterr().out == _PDFTEX_TABLES
 
 
+def test_batch_header_only_counts_ambiguous_and_no_result(tmp_path, capsys):
+    # With only the header matched, each pdfTeX file's {PdfTeX, LuaTeX}
+    # header is a 1-1 tie, and the other three sections name nobody.
+    for seed in (1, 2, 3):
+        _write_fixture(tmp_path, Producer.PDFTEX, seed)
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("".join(f"pdftex-{s}.pdf\tPdfTeX\n" for s in (1, 2, 3)))
+    code = main(["batch", str(manifest), "--sections", "header", "--format", "json"])
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert code == 0
+    assert stats["file_level"] == {"correct": 0, "wrong": 3, "no_result": 0,
+                                   "ambiguous_within_wrong": 3}
+    assert stats["sections"]["header"] == {"correct": 0, "wrong": 3, "no_result": 0,
+                                           "confused": 3, "error": 0}
+    for kind in ("body", "xref", "trailer"):
+        assert stats["sections"][kind] == {"correct": 0, "wrong": 0, "no_result": 3,
+                                           "confused": 0, "error": 0}
+
+
 # The whole table output for the three pdfTeX files above (cells are padded).
 _PDFTEX_TABLES = "\n".join([
     "Files: 3 total, 3 with ground truth",
@@ -595,6 +614,19 @@ def test_mine_empty_manifest_is_an_error(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert code == 1
     assert payload["error"]["type"] == "EmptyGroup"
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-1"])
+def test_mine_threshold_outside_zero_to_one_is_an_error_object(corpus_dir, tmp_path, capsys,
+                                                               threshold):
+    out_path = tmp_path / "mined.rules"
+    code = main(["mine", str(corpus_dir / "manifest.tsv"), "--max-discriminacy", threshold,
+                 "-o", str(out_path)])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == EXIT_ERROR
+    assert payload["error"]["type"] == "ValueError"
+    assert "max_discriminacy" in payload["error"]["message"]
+    assert not out_path.exists()
 
 
 def test_mine_manifest_row_with_an_empty_path_is_an_error_object(tmp_path, capsys):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdfprov.detector import (
-    Refinement,
     Status,
     VerdictKind,
     classify,
@@ -17,6 +16,7 @@ from pdfprov.detector import (
     majority_vote,
     section_verdict,
 )
+from pdfprov import rules
 from pdfprov.builtin_pack import builtin
 from pdfprov.fixtures import PROFILES, generate
 from pdfprov.producers import Producer
@@ -116,6 +116,24 @@ def test_vote_conservation(corpus_bytes):
         assert all(v <= 4 for v in verdict.votes.values())
 
 
+def test_detect_matches_only_the_requested_sections(monkeypatch):
+    pack, sections = builtin(), segment(generate(PROFILES[Producer.LIBREOFFICE], 1))
+    full = detect(pack, sections)
+    matched = []
+    match_section = rules.match_section
+    monkeypatch.setattr(rules, "match_section",
+                        lambda *args: matched.append(args[2]) or match_section(*args))
+    for only in itertools.combinations(SECTION_ORDER, 2):
+        matched.clear()
+        verdict = detect(pack, sections, only)
+        assert matched == list(only)
+        assert verdict.section_verdicts == {
+            kind: full.section_verdicts[kind] if kind in only else frozenset()
+            for kind in SECTION_ORDER}
+        assert verdict.evidence == {kind: full.evidence[kind] if kind in only else ()
+                                    for kind in SECTION_ORDER}
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.permutations(list(SECTION_ORDER)),
        st.lists(st.sets(st.sampled_from([W, LO, PT]), max_size=2),
@@ -169,26 +187,26 @@ def test_classify_correct():
 def test_classify_confused_section():
     v = majority_vote(_verdicts(header={PT, LT}, body={PT}, trailer={PT}))
     outcome = classify(v, PT)
-    assert outcome.sections[SectionKind.HEADER].refinement is Refinement.CONFUSED
-    assert outcome.sections[SectionKind.HEADER].status is Status.WRONG
+    assert outcome.sections[SectionKind.HEADER] == ("wrong", "confused")
 
 
 def test_classify_error_section():
     v = majority_vote(_verdicts(header={Producer.CAIRO.value, Producer.SKIA_PDF.value}))
     outcome = classify(v, W)
-    assert outcome.sections[SectionKind.HEADER].refinement is Refinement.ERROR
+    assert outcome.sections[SectionKind.HEADER] == ("wrong", "error")
 
 
 def test_classify_ambiguous_is_wrong_at_file_level():
     v = majority_vote(_verdicts(header={W}, body={W}, xref={LO}, trailer={LO}))
     assert classify(v, W).file_status is Status.WRONG
+    assert classify(v, W).file_tallies == ("wrong", "ambiguous_within_wrong")
 
 
 def test_classify_no_result():
     v = majority_vote(_verdicts())
     outcome = classify(v, W)
     assert outcome.file_status is Status.NO_RESULT
-    assert all(s.status is Status.NO_RESULT for s in outcome.sections.values())
+    assert all(s == ("no_result",) for s in outcome.sections.values())
 
 
 def test_classify_pure_function():

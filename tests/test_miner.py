@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +15,8 @@ from pdfprov.miner import (
     CandidatePattern,
     CorpusFile,
     LabeledCorpus,
+    _HEX,
+    _NUM,
     _common_across,
     _file_tokens,
     _tokenize,
@@ -156,6 +159,21 @@ def test_min_len_floor():
         mine(_word_pair(b"1", b"2"), SectionKind.BODY, min_len=2)
 
 
+@pytest.mark.parametrize("threshold", [-1.0, 1.5, float("nan"), float("inf")])
+def test_max_discriminacy_outside_zero_to_one_is_rejected(threshold):
+    # Every comparison with nan is false, so nan would admit every template
+    # and no presence rule; -1 would admit nothing.
+    with pytest.raises(ValueError, match="max_discriminacy"):
+        mine(_word_pair(b"1", b"2"), SectionKind.BODY, max_discriminacy=threshold)
+    with pytest.raises(ValueError, match="max_discriminacy"):
+        mine_all(_word_pair(b"1", b"2"), max_discriminacy=threshold)
+
+
+def test_max_discriminacy_bounds_are_accepted():
+    for threshold in (0.0, 1.0):
+        assert mine(_word_pair(b"1", b"2"), SectionKind.BODY, max_discriminacy=threshold)[WORD]
+
+
 def test_emit_empty_is_valid():
     text = emit_rulepack({}, "empty")
     pack = load_rulepack(text)
@@ -289,3 +307,41 @@ def test_common_across_equals_pairwise_search(group, min_tokens):
     files_tokens = [_file_tokens(elements) for elements in group]
     expected = _reference_common_across(files_tokens, group[0], min_tokens)
     assert _common_across(files_tokens, min_tokens) == expected
+
+
+def _two_pass_tokenize(data: bytes) -> list[int]:
+    """The tokenizer as two scans: hex runs in angle brackets, then digit runs."""
+    tokens: list[int] = []
+
+    def literal(chunk: bytes) -> None:
+        pos = 0
+        for m in re.finditer(rb"[0-9]+", chunk):
+            tokens.extend(chunk[pos : m.start()])
+            tokens.append(_NUM)
+            pos = m.end()
+        tokens.extend(chunk[pos:])
+
+    pos = 0
+    for m in re.finditer(rb"<([0-9A-Fa-f]{16,})>", data):
+        literal(data[pos : m.start() + 1])  # keep '<'
+        tokens.append(_HEX)
+        pos = m.end() - 1  # '>' belongs to the following literal run
+    literal(data[pos:])
+    return tokens
+
+
+# Angle brackets, digit runs and hex runs of every length around the
+# 16-digit floor, so brackets, digits and hex runs abut in every order.
+_TOKEN_PIECES = st.one_of(
+    st.sampled_from([b"<", b">", b"x"]),
+    st.text("0123456789", min_size=1, max_size=4).map(str.encode),
+    st.text("0123456789ABCDEFabcdef", min_size=1, max_size=20).map(str.encode),
+)
+
+
+@given(st.lists(_TOKEN_PIECES, max_size=12).map(b"".join))
+@example(b"<0123456789abcdef><0123456789ABCDEF>")
+@example(b"12<0123456789abcdef0>34")
+@settings(max_examples=500, deadline=None)
+def test_tokenize_equals_the_two_pass_tokenizer(data):
+    assert _tokenize(data) == _two_pass_tokenize(data)
