@@ -223,8 +223,10 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
-    from .miner import LabeledCorpus, emit_rulepack, mine, mine_all, uniform_group_labels
+    from .miner import (LabeledCorpus, check_thresholds, emit_rulepack, mine, mine_all,
+                        uniform_group_labels)
 
+    check_thresholds(args.min_len, args.max_discriminacy)  # before reading any file
     corpus = LabeledCorpus.from_manifest(args.manifest)
     if not corpus.files:
         raise EmptyGroup("manifest lists no files")

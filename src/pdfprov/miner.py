@@ -14,14 +14,24 @@ any other producer's files it matches).
 The search works on a token alphabet where digit/hex runs compare equal
 regardless of value.  One suffix automaton (Blumer et al., "The smallest
 automaton recognizing the subwords of a text", TCS 1985) is built over
-the shortest file's tokens; every other file is walked through it once,
-and the maximal runs common to all files are read off its states.  Time
-and memory are linear in the group's total token count.
+the shortest file's tokens; every other distinct token stream is walked
+through it once, and the maximal runs common to all files are read off
+its states.  Time and memory are linear in the group's total token count.
+
+Files of one producer repeat most of their elements, so each distinct
+piece of work is done once: an element's bytes are tokenized once per
+section, a template's probe scans each distinct element of the group
+once, and a candidate searches each distinct element at most once.
+Scoring stops at the first own file a candidate misses, or at the
+first other producer whose share exceeds the threshold; a kept
+candidate is always scored in full.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from itertools import groupby
 from pathlib import Path
@@ -139,12 +149,17 @@ def _tokenize(data: bytes) -> list[int]:
     return tokens
 
 
-def _file_tokens(haystacks: list[bytes]) -> list[int]:
+def _file_tokens(haystacks: list[bytes], tokenized: dict[bytes, list[int]]) -> list[int]:
+    """One file's elements as one token stream; ``tokenized`` keeps each
+    distinct element's tokens across calls."""
     tokens: list[int] = []
     for i, hay in enumerate(haystacks):
         if i:
             tokens.append(_SEP_BASE + i)  # unmatchable boundary
-        tokens.extend(_tokenize(hay))
+        hay_tokens = tokenized.get(hay)
+        if hay_tokens is None:
+            hay_tokens = tokenized[hay] = _tokenize(hay)
+        tokens.extend(hay_tokens)
     return tokens
 
 
@@ -208,9 +223,16 @@ def _common_across(files_tokens: list[list[int]], min_tokens: int) -> list[tuple
     states = len(length)
     by_length_desc = sorted(range(1, states), key=length.__getitem__, reverse=True)
     common = list(length)
+    walked: set[tuple[int, ...]] = set()
     for index, tokens in enumerate(files_tokens):
         if index == base_index:
             continue
+        # A stream equal to one already walked has the same matching
+        # statistics, so it cannot lower ``common`` any further.
+        key = tuple(tokens)
+        if key in walked:
+            continue
+        walked.add(key)
         # Matching statistics: the longest match ending at each token,
         # recorded at the state that holds it.
         best = [0] * states
@@ -294,18 +316,20 @@ def _occurrence_regex(tokens: tuple[int, ...]) -> re.Pattern[bytes]:
     return re.compile(b"".join(parts), re.DOTALL)
 
 
-def _build_template(tokens: tuple[int, ...], group_haystacks: list[list[bytes]]) -> str | None:
-    """Turn a common token run into regex source, generalizing varying runs."""
-    probe = _occurrence_regex(tokens)
+def _build_template(tokens: tuple[int, ...], haystacks: Iterable[bytes]) -> str | None:
+    """Turn a common token run into regex source, generalizing the digit
+    and hex slots whose values vary across the group's ``haystacks`` (each
+    distinct element once suffices)."""
     slots = sum(1 for t in tokens if t in (_NUM, _HEX))
     values: list[set[bytes]] = [set() for _ in range(slots)]
-    for haystacks in group_haystacks:
+    if slots:
+        probe = _occurrence_regex(tokens)
         for hay in haystacks:
             for m in probe.finditer(hay):
-                for idx in range(slots):
-                    values[idx].add(m.group(idx + 1))
-    if slots and any(not v for v in values):
-        return None  # never observed as a whole; not a real common run
+                for seen, value in zip(values, m.groups()):
+                    seen.add(value)
+        if any(not v for v in values):
+            return None  # never observed as a whole; not a real common run
     parts: list[str] = []
     literal: list[int] = []
     slot = 0
@@ -337,13 +361,36 @@ def _group_haystacks(corpus: LabeledCorpus, group: list[CorpusFile],
     return [element_bytes(corpus.sections_of(f), section)[0] for f in group]
 
 
-def _fraction_matching(regex: re.Pattern[bytes], haystacks_per_file: list[list[bytes]]) -> float:
-    if not haystacks_per_file:
-        return 0.0
-    hits = sum(
-        1 for haystacks in haystacks_per_file if any(regex.search(h) for h in haystacks)
-    )
-    return hits / len(haystacks_per_file)
+def _matcher(regex: re.Pattern[bytes]) -> Callable[[tuple[bytes, ...]], bool]:
+    """Whether any element of a file matches ``regex``; each distinct
+    element is searched at most once."""
+    found: dict[bytes, bool] = {}
+
+    def matches(elements: tuple[bytes, ...]) -> bool:
+        for hay in elements:
+            hit = found.get(hay)
+            if hit is None:
+                hit = found[hay] = regex.search(hay) is not None
+            if hit:
+                return True
+        return False
+
+    return matches
+
+
+def _fraction_matching(matches: Callable[[tuple[bytes, ...]], bool],
+                       files: Counter[tuple[bytes, ...]]) -> float:
+    """The share of ``files`` (each distinct file once, with its count)
+    that ``matches``."""
+    return sum(n for elements, n in files.items() if matches(elements)) / files.total()
+
+
+def check_thresholds(min_len: int, max_discriminacy: float) -> None:
+    """Reject mining thresholds that :func:`mine` cannot honour."""
+    if min_len < 4:
+        raise ValueError("min_len must be at least 4")
+    if not 0.0 <= max_discriminacy <= 1.0:
+        raise ValueError(f"max_discriminacy must be between 0 and 1, not {max_discriminacy}")
 
 
 def mine(corpus: LabeledCorpus, section: SectionKind, min_len: int = 8,
@@ -355,10 +402,7 @@ def mine(corpus: LabeledCorpus, section: SectionKind, min_len: int = 8,
     at least ``min_len`` bytes, sorted by (discriminacy, length desc,
     template).
     """
-    if min_len < 4:
-        raise ValueError("min_len must be at least 4")
-    if not 0.0 <= max_discriminacy <= 1.0:
-        raise ValueError(f"max_discriminacy must be between 0 and 1, not {max_discriminacy}")
+    check_thresholds(min_len, max_discriminacy)
     groups = corpus.groups
     if not groups:
         raise EmptyGroup("corpus has no files")
@@ -366,21 +410,29 @@ def mine(corpus: LabeledCorpus, section: SectionKind, min_len: int = 8,
         producer: _group_haystacks(corpus, group, section)
         for producer, group in groups.items()
     }
+    return _mine_elements(all_haystacks, section, min_len, max_discriminacy)
+
+
+def _mine_elements(all_haystacks: dict[str, list[list[bytes]]], section: SectionKind,
+                   min_len: int, max_discriminacy: float) -> dict[str, list[CandidatePattern]]:
+    """:func:`mine` over each producer's files, given as their element bytes."""
     if section is not SectionKind.XREF and all(
         not any(h) for h in all_haystacks.values()
     ):
         raise SectionAbsentEverywhere(section.value)
+    files = {producer: Counter(map(tuple, haystacks))
+             for producer, haystacks in all_haystacks.items()}
+    tokenized: dict[bytes, list[int]] = {}
 
     results: dict[str, list[CandidatePattern]] = {}
-    for producer, group in groups.items():
-        own = all_haystacks[producer]
-        others = {p: h for p, h in all_haystacks.items() if p != producer}
+    for producer, own in all_haystacks.items():
         candidates: list[CandidatePattern] = []
         if all(not h for h in own):
             if section is SectionKind.XREF:
                 # The absence of the section is itself the signature.
                 disc = max(
-                    (sum(1 for h in hs if not h) / len(hs) for hs in others.values()),
+                    (sum(1 for h in hs if not h) / len(hs)
+                     for p, hs in all_haystacks.items() if p != producer),
                     default=0.0,
                 )
                 cand = CandidatePattern(producer, section, "^A$", RuleKind.PRESENCE,
@@ -392,9 +444,10 @@ def mine(corpus: LabeledCorpus, section: SectionKind, min_len: int = 8,
         if any(not h for h in own):
             results[producer] = []  # mixed presence: full support is impossible
             continue
-        file_tokens = [_file_tokens(h) for h in own]
+        file_tokens = [_file_tokens(h, tokenized) for h in own]
+        distinct = {hay for elements in files[producer] for hay in elements}
         for tokens in _common_across(file_tokens, min_tokens=2):
-            template = _build_template(tokens, own)
+            template = _build_template(tokens, distinct)
             if template is None:
                 continue
             regex = compile_pattern(template)
@@ -408,18 +461,22 @@ def mine(corpus: LabeledCorpus, section: SectionKind, min_len: int = 8,
             byte_len = first.end() - first.start()
             if byte_len < min_len:
                 continue
-            support = _fraction_matching(regex, own)
-            if support < 1.0:
-                continue
-            disc = max(
-                (_fraction_matching(regex, hs) for hs in others.values()), default=0.0
-            )
-            if disc > max_discriminacy:
-                continue
-            candidates.append(
-                CandidatePattern(producer, section, template, RuleKind.TEMPLATE,
-                                 support, disc, byte_len)
-            )
+            matches = _matcher(regex)
+            if not all(map(matches, files[producer])):
+                continue  # support below 1.0
+            disc = 0.0
+            for other, other_files in files.items():
+                if other == producer:
+                    continue
+                share = _fraction_matching(matches, other_files)
+                if share > max_discriminacy:
+                    break
+                disc = max(disc, share)
+            else:
+                candidates.append(
+                    CandidatePattern(producer, section, template, RuleKind.TEMPLATE,
+                                     1.0, disc, byte_len)
+                )
         candidates.sort(key=lambda c: (c.discriminacy, -c.byte_len, c.template))
         results[producer] = candidates
     return results

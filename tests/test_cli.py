@@ -629,6 +629,19 @@ def test_mine_threshold_outside_zero_to_one_is_an_error_object(corpus_dir, tmp_p
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("flag, value, name", [("--min-len", "2", "min_len"),
+                                               ("--max-discriminacy", "nan", "max_discriminacy")])
+def test_mine_checks_thresholds_before_reading_the_manifests_files(tmp_path, capsys,
+                                                                    flag, value, name):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("missing.pdf\tPdfTeX\n")
+    code = main(["mine", str(manifest), flag, value])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == EXIT_ERROR
+    assert payload["error"]["type"] == "ValueError"
+    assert name in payload["error"]["message"]
+
+
 def test_mine_manifest_row_with_an_empty_path_is_an_error_object(tmp_path, capsys):
     manifest = tmp_path / "manifest.tsv"
     manifest.write_text("# comment\n\tPdfTeX\n")

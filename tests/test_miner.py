@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pdfprov.errors import EmptyGroup
+from pdfprov.errors import EmptyGroup, SectionAbsentEverywhere
 from pdfprov.fixtures import PROFILES, emit_corpus, generate
 from pdfprov.miner import (
     CandidatePattern,
@@ -17,8 +17,12 @@ from pdfprov.miner import (
     LabeledCorpus,
     _HEX,
     _NUM,
+    _SEP_BASE,
+    _build_template,
     _common_across,
     _file_tokens,
+    _group_haystacks,
+    _mine_elements,
     _tokenize,
     emit_rulepack,
     mine,
@@ -119,14 +123,36 @@ def test_soundness_and_discriminacy_of_mined_pack():
         for producer, candidates in mine(corpus, section).items():
             for cand in candidates:
                 regex = compile_pattern(cand.template)
-                from pdfprov.miner import _group_haystacks, _fraction_matching
                 own = _group_haystacks(corpus, groups[producer], section)
-                assert _fraction_matching(regex, own) == 1.0
+                assert _share_matching(regex, own) == 1.0
                 for other, files in groups.items():
                     if other == producer:
                         continue
                     hay = _group_haystacks(corpus, files, section)
-                    assert _fraction_matching(regex, hay) == 0.0
+                    assert _share_matching(regex, hay) == 0.0
+
+
+def test_the_discriminacy_threshold_only_filters():
+    # A lower threshold stops scoring a candidate early; it must drop
+    # exactly the candidates scored above it, and keep the others' scores.
+    corpus = _corpus(seeds=range(1, 4))
+    shares = set()
+    for section in (SectionKind.BODY, SectionKind.TRAILER):
+        everything = mine(corpus, section, max_discriminacy=1.0)
+        shares |= {c.discriminacy for cands in everything.values() for c in cands}
+        for threshold in (0.0, 0.25, 0.5, 1.0):
+            expected = {p: [c for c in cands if c.discriminacy <= threshold]
+                        for p, cands in everything.items()}
+            assert mine(corpus, section, max_discriminacy=threshold) == expected
+    assert shares == {0.0, 1.0}
+
+
+def test_listing_every_file_twice_changes_nothing():
+    files = _corpus(seeds=range(1, 4)).files
+    twice = LabeledCorpus([f for f in files for _ in range(2)])
+    for threshold in (0.0, 0.5):
+        assert mine_all(twice, max_discriminacy=threshold) == mine_all(
+            LabeledCorpus(files), max_discriminacy=threshold)
 
 
 def test_mining_ignores_metadata_objects():
@@ -283,17 +309,20 @@ _PIECES = st.one_of(
 _CHUNK = st.lists(_PIECES, min_size=1, max_size=8).map(b"".join)
 
 
-@st.composite
-def _groups(draw) -> list[list[bytes]]:
+def _file(pool: list[bytes]) -> st.SearchStrategy[list[bytes]]:
     # Elements are built from a shared pool of chunks, so files share long
     # runs with varied boundaries, and elements can be empty or repeat.
-    pool = draw(st.lists(_CHUNK, min_size=1, max_size=3))
     element = st.one_of(
         st.sampled_from(pool),
         st.lists(st.one_of(st.sampled_from(pool), _PIECES), max_size=3).map(b"".join),
     )
-    file = st.integers(0, 4).flatmap(lambda n: st.lists(element, min_size=n, max_size=n))
-    return draw(st.lists(file, min_size=1, max_size=5))
+    return st.integers(0, 4).flatmap(lambda n: st.lists(element, min_size=n, max_size=n))
+
+
+@st.composite
+def _groups(draw) -> list[list[bytes]]:
+    pool = draw(st.lists(_CHUNK, min_size=1, max_size=3))
+    return draw(st.lists(_file(pool), min_size=1, max_size=5))
 
 
 @given(_groups(), st.integers(1, 3))
@@ -302,9 +331,13 @@ def _groups(draw) -> list[list[bytes]]:
 @example([[b"xab", b"zzzzzzzz"], [b"xab", b"yab"]], 1)
 # "ab" is common, but each file reaches it only through a longer run.
 @example([[b"xab", b"yab"], [b"xab", b"zzzzzzzz"], [b"yab", b"zzzzzzzz"]], 1)
+# Repeated streams, the base's included: separators still end every run.
+@example([[b"ab", b"ab"], [b"ab", b"ab"], [b"ab", b"ab"]], 1)
+@example([[b"xab", b"yab"], [b"xab", b"zab"], [b"xab", b"zab"], [b"xab", b"yab"]], 1)
 @settings(max_examples=300, deadline=None)
 def test_common_across_equals_pairwise_search(group, min_tokens):
-    files_tokens = [_file_tokens(elements) for elements in group]
+    tokenized: dict[bytes, list[int]] = {}
+    files_tokens = [_file_tokens(elements, tokenized) for elements in group]
     expected = _reference_common_across(files_tokens, group[0], min_tokens)
     assert _common_across(files_tokens, min_tokens) == expected
 
@@ -345,3 +378,95 @@ _TOKEN_PIECES = st.one_of(
 @settings(max_examples=500, deadline=None)
 def test_tokenize_equals_the_two_pass_tokenizer(data):
     assert _tokenize(data) == _two_pass_tokenize(data)
+
+
+# -- Reference candidate loop ---------------------------------------------------
+# The candidate loop before it did each distinct piece of work once: every
+# element tokenized, every file searched, every haystack probed, and every
+# candidate scored in full before the thresholds.
+
+
+def _share_matching(regex: re.Pattern[bytes], haystacks_per_file: list[list[bytes]]) -> float:
+    """The share of files with an element that ``regex`` matches."""
+    if not haystacks_per_file:
+        return 0.0
+    hits = sum(
+        1 for haystacks in haystacks_per_file if any(regex.search(h) for h in haystacks)
+    )
+    return hits / len(haystacks_per_file)
+
+
+def _stream(haystacks: list[bytes]) -> list[int]:
+    tokens: list[int] = []
+    for i, hay in enumerate(haystacks):
+        if i:
+            tokens.append(_SEP_BASE + i)
+        tokens.extend(_tokenize(hay))
+    return tokens
+
+
+def _reference_mine(all_haystacks: dict[str, list[list[bytes]]], section: SectionKind,
+                    min_len: int, max_discriminacy: float) -> dict[str, list[CandidatePattern]]:
+    if section is not SectionKind.XREF and all(not any(h) for h in all_haystacks.values()):
+        raise SectionAbsentEverywhere(section.value)
+    results: dict[str, list[CandidatePattern]] = {}
+    for producer, own in all_haystacks.items():
+        others = {p: h for p, h in all_haystacks.items() if p != producer}
+        candidates: list[CandidatePattern] = []
+        if all(not h for h in own):
+            if section is SectionKind.XREF:
+                disc = max(
+                    (sum(1 for h in hs if not h) / len(hs) for hs in others.values()),
+                    default=0.0,
+                )
+                if disc <= max_discriminacy:
+                    candidates.append(CandidatePattern(producer, section, "^A$",
+                                                       RuleKind.PRESENCE, 1.0, disc, 1))
+            results[producer] = candidates
+            continue
+        if any(not h for h in own):
+            results[producer] = []
+            continue
+        every_haystack = [hay for haystacks in own for hay in haystacks]
+        for tokens in _common_across([_stream(h) for h in own], min_tokens=2):
+            template = _build_template(tokens, every_haystack)
+            if template is None:
+                continue
+            regex = compile_pattern(template)
+            first = next(filter(None, (regex.search(hay) for hay in own[0])), None)
+            if first is None or first.end() - first.start() < min_len:
+                continue
+            support = _share_matching(regex, own)
+            disc = max((_share_matching(regex, hs) for hs in others.values()), default=0.0)
+            if support < 1.0 or disc > max_discriminacy:
+                continue
+            candidates.append(CandidatePattern(producer, section, template, RuleKind.TEMPLATE,
+                                               support, disc, first.end() - first.start()))
+        candidates.sort(key=lambda c: (c.discriminacy, -c.byte_len, c.template))
+        results[producer] = candidates
+    return results
+
+
+@st.composite
+def _labeled_elements(draw) -> dict[str, list[list[bytes]]]:
+    # One chunk pool for every producer, so templates can match other
+    # producers' files; files may repeat within a producer.
+    pool = draw(st.lists(_CHUNK, min_size=1, max_size=3))
+    corpus: dict[str, list[list[bytes]]] = {}
+    for producer in ("P", "Q", "R")[: draw(st.integers(1, 3))]:
+        files = draw(st.lists(_file(pool), min_size=1, max_size=4))
+        corpus[producer] = files + draw(st.lists(st.sampled_from(files), max_size=2))
+    return corpus
+
+
+@given(_labeled_elements(), st.sampled_from([SectionKind.BODY, SectionKind.XREF]),
+       st.integers(4, 8), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+@settings(max_examples=300, deadline=None)
+def test_candidate_loop_equals_the_reference_loop(corpus, section, min_len, threshold):
+    try:
+        expected = _reference_mine(corpus, section, min_len, threshold)
+    except SectionAbsentEverywhere:
+        with pytest.raises(SectionAbsentEverywhere):
+            _mine_elements(corpus, section, min_len, threshold)
+        return
+    assert _mine_elements(corpus, section, min_len, threshold) == expected

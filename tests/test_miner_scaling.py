@@ -47,7 +47,7 @@ def _body(file_index: int, objects: int) -> list[bytes]:
 
 
 def _group(objects: int) -> list[list[int]]:
-    return [_file_tokens(_body(k, objects)) for k in range(FILES)]
+    return [_file_tokens(_body(k, objects), {}) for k in range(FILES)]
 
 
 def test_common_runs_do_not_grow_with_the_group():
