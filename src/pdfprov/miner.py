@@ -14,9 +14,19 @@ any other producer's files it matches).
 The search works on a token alphabet where digit/hex runs compare equal
 regardless of value.  One suffix automaton (Blumer et al., "The smallest
 automaton recognizing the subwords of a text", TCS 1985) is built over
-the shortest file's tokens; every other distinct token stream is walked
-through it once, and the maximal runs common to all files are read off
-its states.  Time and memory are linear in the group's total token count.
+the shortest file's tokens; other token streams are walked through it,
+and the maximal runs common to all files are read off its states.  The
+automaton and the walks take time and memory linear in the group's
+total token count.
+
+A walk only ever shortens the common runs, so a stream is not walked if
+it repeats one already seen, or if, after a walk that shortened nothing,
+its text holds every maximal common run found so far (a test scans the
+text once per run): every common string lies inside one of those runs,
+so the walk would find them all.  A stream that lacks a run does shorten
+it, so after such a walk streams are walked untested until a walk again
+shortens nothing.  Mining thus costs in proportion to the distinct
+shapes a producer writes, not to the number of its files.
 
 Files of one producer repeat most of their elements, so each distinct
 piece of work is done once: an element's bytes are tokenized once per
@@ -30,6 +40,8 @@ candidate is always scored in full.
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
@@ -165,13 +177,25 @@ def _file_tokens(haystacks: list[bytes], tokenized: dict[bytes, list[int]]) -> l
 
 # -- Maximal common substrings ----------------------------------------------
 
+_TEXT_CODEC = f"utf-32-{sys.byteorder[0]}e"
 
-def _automaton(tokens: list[int]) -> tuple[list[int], list[int], list[dict[int, int]], list[int]]:
+
+def _text(tokens: Iterable[int]) -> str:
+    """``"".join(map(chr, tokens))``: one character per token, so that a
+    string search finds token runs.  Decoding the tokens as 4-byte code
+    points is several times faster."""
+    return array("I", tokens).tobytes().decode(_TEXT_CODEC, "surrogatepass")
+
+
+# Per state: the length of its longest string, its suffix link, its
+# transitions and the end position of its first occurrence.
+_Automaton = tuple[list[int], list[int], list[dict[int, int]], list[int]]
+
+
+def _automaton(tokens: list[int]) -> _Automaton:
     """Suffix automaton of ``tokens`` (Blumer et al., TCS 1985).
 
-    Returns per state the length of its longest string, its suffix link,
-    its transitions and the end position of its first occurrence.  State
-    0 is the root; there are at most ``2 * len(tokens)`` states.
+    State 0 is the root; there are at most ``2 * len(tokens)`` states.
     """
     length, link, trans, end = [0], [-1], [{}], [-1]
     last = 0
@@ -209,30 +233,49 @@ def _common_across(files_tokens: list[list[int]], min_tokens: int) -> list[tuple
 
     Each stream is one file's elements joined by separators (see
     :func:`_file_tokens`); no run crosses a separator.  A one-file group
-    returns its elements unchanged.  Otherwise the runs come sorted by
-    (length desc, tokens).
+    returns each distinct element once, in first-seen order.  Otherwise
+    the runs come sorted by (length desc, tokens).
+
+    A stream is walked unless it repeats one already seen or, after a walk
+    that lowered no common length, its text holds every current maximal
+    run: each state's common string lies inside one, so a walk would find
+    it.  A stream that lacks a run lowers that run's state, so testing
+    pauses until a walk again lowers nothing.
     """
     if len(files_tokens) == 1:
         parts = groupby(files_tokens[0], lambda tok: tok >= _SEP_BASE)
-        return [tuple(part) for is_separator, part in parts if not is_separator]
+        return list(dict.fromkeys(tuple(part) for is_separator, part in parts
+                                  if not is_separator))
     # Common runs are the same whichever file the automaton holds; the
     # shortest keeps it smallest.
     base_index = min(range(len(files_tokens)), key=lambda i: len(files_tokens[i]))
     base = files_tokens[base_index]
-    length, link, trans, end = _automaton(base)
+    automaton = length, link, trans, _ = _automaton(base)
     states = len(length)
     by_length_desc = sorted(range(1, states), key=length.__getitem__, reverse=True)
     common = list(length)
-    walked: set[tuple[int, ...]] = set()
+    seen: set[tuple[int, ...]] = set()
+    # The maximal runs of ``common`` (of one token or more) and their
+    # texts, once computed and until a walk lowers ``common``.
+    runs: list[tuple[int, ...]] | None = None
+    texts: list[str] = []
+    testing = False
     for index, tokens in enumerate(files_tokens):
         if index == base_index:
             continue
-        # A stream equal to one already walked has the same matching
+        # A stream equal to one already seen has the same matching
         # statistics, so it cannot lower ``common`` any further.
         key = tuple(tokens)
-        if key in walked:
+        if key in seen:
             continue
-        walked.add(key)
+        seen.add(key)
+        if testing:
+            if runs is None:
+                runs = _maximal_runs(base, automaton, common, 1)
+                texts = list(map(_text, runs))
+            text = _text(tokens)
+            if all(run_text in text for run_text in texts):
+                continue
         # Matching statistics: the longest match ending at each token,
         # recorded at the state that holds it.
         best = [0] * states
@@ -253,15 +296,33 @@ def _common_across(files_tokens: list[list[int]], min_tokens: int) -> list[tuple
             if matched > best[state]:
                 best[state] = matched
         # A match in a state also matches every string of its suffix link.
+        lowered = False
         for v in by_length_desc:
             run = best[v]
             if run:
                 best[link[v]] = length[link[v]]
             if run < common[v]:
                 common[v] = run
-    # common[v] is 0 or the length of the longest common string of state
-    # v.  That string extends left into a suffix-link child and right
-    # along a transition.
+                lowered = True
+        if lowered:
+            runs = None
+        testing = not lowered
+    if runs is None:
+        return _maximal_runs(base, automaton, common, min_tokens)
+    return [run for run in runs if len(run) >= min_tokens]
+
+
+def _maximal_runs(base: list[int], automaton: _Automaton, common: list[int],
+                  min_tokens: int) -> list[tuple[int, ...]]:
+    """The maximal runs of at least ``min_tokens`` that ``common`` holds,
+    sorted by (length desc, tokens).
+
+    ``common[v]`` is 0 or the length of the longest common string of
+    state ``v`` of ``base``'s automaton.  That string extends left into a
+    suffix-link child and right along a transition.
+    """
+    length, link, trans, end = automaton
+    states = len(length)
     left_common = [False] * states
     for w in range(1, states):
         if common[w]:

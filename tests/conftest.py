@@ -109,9 +109,9 @@ def _cpu_time(run: Callable[[object], object], data: object, repeats: int) -> fl
 
 
 def assert_linear_time(label: str, run: Callable[[object], object], small: object,
-                       large: object) -> None:
+                       large: object, bound: float = MAX_DOUBLING_RATIO) -> None:
     """Fail unless ``run(large)``, on an input twice the size of ``small``,
-    costs at most ``MAX_DOUBLING_RATIO`` times ``run(small)``.
+    costs at most ``bound`` times ``run(small)``.
 
     Each input is timed over as many calls as bring the ``small`` timing
     to about ``MIN_TIMING_S``, so timer noise stays small; a run that
@@ -138,6 +138,6 @@ def assert_linear_time(label: str, run: Callable[[object], object], small: objec
             gc.enable()
         seen.append(f"{best[0] * 1e3:.1f} ms at n, {best[1] * 1e3:.1f} ms at 2n "
                     f"(x{best[1] / best[0]:.2f}; {repeats} call(s) per input)")
-        if best[1] / best[0] <= MAX_DOUBLING_RATIO:
+        if best[1] / best[0] <= bound:
             return
     pytest.fail(f"{label}: " + "; ".join(seen))

@@ -23,6 +23,7 @@ from pdfprov.miner import (
     _file_tokens,
     _group_haystacks,
     _mine_elements,
+    _text,
     _tokenize,
     emit_rulepack,
     mine,
@@ -153,6 +154,13 @@ def test_listing_every_file_twice_changes_nothing():
     for threshold in (0.0, 0.5):
         assert mine_all(twice, max_discriminacy=threshold) == mine_all(
             LabeledCorpus(files), max_discriminacy=threshold)
+    # A one-file group whose two objects share one token stream.
+    objects = b"".join(b"%d 0 obj\n<</Type/Foo/Bar 1>>\nendobj\n" % n for n in (1, 2))
+    one = [CorpusFile(b"%PDF-1.4\n" + objects + b"trailer\n<</Size 3>>\n", "Cairo"),
+           CorpusFile(generate(PROFILES[Producer.LUATEX], 1), Producer.LUATEX.value)]
+    once = mine(LabeledCorpus(one), SectionKind.BODY)
+    assert [c.template for c in once["Cairo"]] == ["[0-9]* 0 obj\\n<</Type/Foo/Bar 1>>\\nendobj"]
+    assert mine(LabeledCorpus([one[0], *one]), SectionKind.BODY) == once
 
 
 def test_mining_ignores_metadata_objects():
@@ -284,9 +292,9 @@ def _drop_contained(cands: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
 
 def _reference_common_across(files_tokens: list[list[int]], first_haystacks: list[bytes],
                              min_tokens: int) -> list[tuple[int, ...]]:
-    cands: list[tuple[int, ...]] = [
+    cands: list[tuple[int, ...]] = list(dict.fromkeys(
         tuple(_tokenize(hay)) for hay in first_haystacks if hay
-    ]
+    ))
     for tokens in files_tokens[1:]:
         found: set[tuple[int, ...]] = set()
         for cand in cands:
@@ -334,12 +342,28 @@ def _groups(draw) -> list[list[bytes]]:
 # Repeated streams, the base's included: separators still end every run.
 @example([[b"ab", b"ab"], [b"ab", b"ab"], [b"ab", b"ab"]], 1)
 @example([[b"xab", b"yab"], [b"xab", b"zab"], [b"xab", b"zab"], [b"xab", b"yab"]], 1)
+# A one-file group gives each distinct element once.
+@example([[b"1ab", b"2ab", b"1ab"]], 1)
+# Five files that differ in one token: the third walk lowers nothing, so the
+# fourth and fifth are tested and skipped.  The sixth lacks the run "def":
+# its test fails and its walk lowers the runs found so far.
+@example([[b"abcpdef"], [b"abcqdef"], [b"abcrdef"], [b"abcsdef"], [b"abctdef"],
+          [b"abcpdeyyy"]], 1)
+# Skipped files to the end: the runs found for the test are the result.
+@example([[b"abcpdef", b"b"], [b"abcqdef", b"b"], [b"abcrdef", b"b"], [b"abcsdef", b"b"]], 2)
 @settings(max_examples=300, deadline=None)
 def test_common_across_equals_pairwise_search(group, min_tokens):
     tokenized: dict[bytes, list[int]] = {}
     files_tokens = [_file_tokens(elements, tokenized) for elements in group]
     expected = _reference_common_across(files_tokens, group[0], min_tokens)
     assert _common_across(files_tokens, min_tokens) == expected
+
+
+def test_token_text_is_one_character_per_token():
+    # A file of 55,000 elements or more has separators in the surrogate range.
+    tokens = [0, 97, 255, _NUM, _HEX, _SEP_BASE, 0xD7FF, 0xD800, 0xDFFF, 0xE000, 0x10FFFF]
+    assert _text(tokens) == "".join(map(chr, tokens))
+    assert _text(()) == ""
 
 
 def _two_pass_tokenize(data: bytes) -> list[int]:

@@ -14,6 +14,12 @@ bytes, disjoint from the other files' sets.  The common runs are then the
 object scaffolding alone, so their number does not grow with n and the
 ratio measures the search, not the size of its output.
 
+A group of near-copies, files that differ only in one payload byte, is
+timed at n and 2n files.  Two walks fix its common runs, and each later
+file holds them all, so it is not walked; the larger group may cost at
+most 1.5 times the smaller one, where walking every file costs 1.55-1.85
+times.
+
 Body elements cut each stream payload after its first two bytes, so a
 corpus whose payloads double while the objects stay the same gives the
 miner the same body elements and the same candidates.
@@ -59,6 +65,32 @@ def test_common_run_search_time_is_linear():
     assert_linear_time(
         f"groups of {FILES} files at n={N}", lambda group: _common_across(group, 2),
         _group(N), _group(2 * N),
+    )
+
+
+# Files in the smaller group of near-copies; the larger has twice as many.
+COPIES = 12
+# The largest cost ratio allowed between the two groups of near-copies.
+MAX_COPIES_RATIO = 1.5
+
+
+def _near_copies(files: int) -> list[list[int]]:
+    """``files`` copies of one body that differ only in one payload byte,
+    each copy's own, so no two token streams are equal."""
+    first, *rest = _body(0, N)
+    i = first.index(b"stream\n") + 10
+    return [_file_tokens([first[:i] + bytes([0xC0 + k]) + first[i + 1:], *rest], {})
+            for k in range(files)]
+
+
+def test_near_copies_cost_no_walk_each():
+    # Once two walks have fixed the common runs, every further copy holds
+    # them all and is not walked; walking every copy costs about 2 times.
+    small, large = _near_copies(COPIES), _near_copies(2 * COPIES)
+    assert _common_across(small, 2) == _common_across(large, 2)
+    assert_linear_time(
+        f"{COPIES} near-copies at n={N}", lambda group: _common_across(group, 2),
+        small, large, bound=MAX_COPIES_RATIO,
     )
 
 
