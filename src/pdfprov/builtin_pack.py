@@ -2,8 +2,9 @@
 
 ``builtin.rules``, shipped next to this module, is the pack's only
 definition: published, verifiable facts about the producer tools (header
-magic numbers, trailer key orders, classic-xref presence and a handful of
-body/trailer templates).  It is parsed, validated and compiled by
+magic numbers, trailer key orders and a handful of body/trailer
+templates).  It holds no xref rule: the xref-stream dictionaries that tell
+tools apart are trailer evidence already.  It is parsed, validated and compiled by
 :func:`pdfprov.rules.load_rulepack`, as user and mined packs are.
 """
 

@@ -10,8 +10,7 @@ how many sections nominated it:
 * four empty sections yield no result.
 
 A section's verdict is that candidate set, a frozenset of producer
-names.  Presence matches flagged advisory (the ubiquitous "has a classic
-xref table" fact) never nominate; they only feed OS/distribution inference.
+names: every rule that fired on the section nominates its producer.
 """
 
 from __future__ import annotations
@@ -72,9 +71,8 @@ class OutcomeClass:
 
 
 def section_verdict(matches: Iterable[RuleMatch], section: SectionKind) -> frozenset[str]:
-    """The producers that one section's non-advisory matches nominate."""
-    return frozenset(m.rule.producer for m in matches
-                     if m.rule.section == section and not m.advisory)
+    """The producers that one section's matches nominate."""
+    return frozenset(m.rule.producer for m in matches if m.rule.section == section)
 
 
 def majority_vote(section_verdicts: Mapping[SectionKind, frozenset[str]]) -> Verdict:
@@ -105,8 +103,7 @@ def detect_os(
 
     Tags are rare and an over-claim is worse than silence, so this
     intersects rather than votes: any contradiction, or the absence of
-    OS-tagged matches, yields no claim.  Advisory matches participate;
-    they exist chiefly to carry distribution evidence.
+    OS-tagged matches, yields no claim.
     """
     if verdict.kind is not VerdictKind.PRODUCER:
         return ()
@@ -138,8 +135,8 @@ def detect(pack: Rulepack, sections: PdfSections,
     matches = evaluate_sections(pack, sections, SECTION_ORDER if only is None else set(only))
     verdict = majority_vote({kind: section_verdict(matches[kind], kind) for kind in SECTION_ORDER})
     verdict.os_candidates = detect_os(verdict, matches)
-    # Evidence lists every fired rule, advisory ones included; each fired
-    # rule has one match, and matches come in rule-id order.
+    # Evidence lists every fired rule; each fired rule has one match, and
+    # matches come in rule-id order.
     verdict.evidence = {kind: tuple(m.rule.id for m in matches[kind]) for kind in SECTION_ORDER}
     return verdict
 

@@ -40,6 +40,9 @@ class DeclaredMetadata:
     source: MetadataSource | None = None
     info_producer: str | None = None
     xmp_producer: str | None = None
+    # A trailer holds /Encrypt, so the Info strings are ciphertext and none
+    # was read.
+    encrypted: bool = False
 
 
 # -- PDF string decoding -------------------------------------------------------
@@ -131,12 +134,13 @@ def _xmp_field(raw: bytes, names: tuple[bytes, ...]) -> str | None:
 
 
 def extract_declared(data: bytes, sections: PdfSections) -> DeclaredMetadata:
-    """Read /Producer and /Creator from the Info dictionary and XMP stream."""
-    declared = DeclaredMetadata()
+    """Read /Producer and /Creator from the Info dictionary and XMP stream;
+    an encrypted file's Info strings are not read."""
+    declared = DeclaredMetadata(encrypted=any("/Encrypt" in t.values for t in sections.trailers))
     info_creator = xmp_creator = None
     for obj in sections.objects:
         if obj.obj_num == sections.info_obj_num:
-            values = object_values(data, obj)
+            values = {} if declared.encrypted else object_values(data, obj)
             if "/Producer" in values:
                 declared.info_producer = decode_pdf_string(values["/Producer"])
             if "/Creator" in values:

@@ -2,14 +2,14 @@
 
 The miner looks, per producer and per section, for byte patterns shared
 by every file in the group, in the elements that rules match
-(:func:`rules.element_bytes`: body objects without their stream
-payloads), then generalizes the volatile parts: decimal
-digit runs become ``[0-9]*`` and long hex strings inside angle brackets
-become ``[0-9A-F]*`` (but only where the values actually vary across the
-group; constant runs stay literal).  Every surviving candidate is scored
-for support (fraction of the producer's files it matches, 1.0 by
-construction and re-verified) and discriminacy (worst-case fraction of
-any other producer's files it matches).
+(:func:`rules.element_bytes`: body objects and xref streams without their
+stream payloads, and classic xref tables), then generalizes the volatile
+parts: decimal digit runs become ``[0-9]*`` and long hex strings inside
+angle brackets become ``[0-9A-F]*`` (but only where the values actually
+vary across the group; constant runs stay literal).  Every surviving
+candidate is scored for support (fraction of the producer's files it
+matches, 1.0 by construction and re-verified) and discriminacy
+(worst-case fraction of any other producer's files it matches).
 
 The search works on a token alphabet where digit/hex runs compare equal
 regardless of value.  One suffix automaton (Blumer et al., "The smallest
@@ -135,7 +135,6 @@ class CandidatePattern:
     producer: str
     section: SectionKind
     template: str
-    kind: RuleKind
     support: float
     discriminacy: float
     byte_len: int
@@ -477,9 +476,7 @@ def mine(corpus: LabeledCorpus, section: SectionKind, min_len: int = 8,
 def _mine_elements(all_haystacks: dict[str, list[list[bytes]]], section: SectionKind,
                    min_len: int, max_discriminacy: float) -> dict[str, list[CandidatePattern]]:
     """:func:`mine` over each producer's files, given as their element bytes."""
-    if section is not SectionKind.XREF and all(
-        not any(h) for h in all_haystacks.values()
-    ):
+    if all(not any(h) for h in all_haystacks.values()):
         raise SectionAbsentEverywhere(section.value)
     files = {producer: Counter(map(tuple, haystacks))
              for producer, haystacks in all_haystacks.items()}
@@ -488,23 +485,7 @@ def _mine_elements(all_haystacks: dict[str, list[list[bytes]]], section: Section
     results: dict[str, list[CandidatePattern]] = {}
     for producer, own in all_haystacks.items():
         candidates: list[CandidatePattern] = []
-        if all(not h for h in own):
-            if section is SectionKind.XREF:
-                # The absence of the section is itself the signature.
-                disc = max(
-                    (sum(1 for h in hs if not h) / len(hs)
-                     for p, hs in all_haystacks.items() if p != producer),
-                    default=0.0,
-                )
-                cand = CandidatePattern(producer, section, "^A$", RuleKind.PRESENCE,
-                                        1.0, disc, 1)
-                if disc <= max_discriminacy:
-                    candidates.append(cand)
-            results[producer] = candidates
-            continue
-        if any(not h for h in own):
-            results[producer] = []  # mixed presence: full support is impossible
-            continue
+        # A file with no element has an empty stream, which holds no run.
         file_tokens = [_file_tokens(h, tokenized) for h in own]
         distinct = {hay for elements in files[producer] for hay in elements}
         for tokens in _common_across(file_tokens, min_tokens=2):
@@ -535,8 +516,7 @@ def _mine_elements(all_haystacks: dict[str, list[list[bytes]]], section: Section
                 disc = max(disc, share)
             else:
                 candidates.append(
-                    CandidatePattern(producer, section, template, RuleKind.TEMPLATE,
-                                     1.0, disc, byte_len)
+                    CandidatePattern(producer, section, template, 1.0, disc, byte_len)
                 )
         candidates.sort(key=lambda c: (c.discriminacy, -c.byte_len, c.template))
         results[producer] = candidates
@@ -578,7 +558,7 @@ def emit_rulepack(candidates: dict[str, list[CandidatePattern]], name: str,
             idx = per_section.get(cand.section, 0)
             per_section[cand.section] = idx + 1
             rules.append(Rule(
-                f"{slug}-{cand.section.value}-{idx}", producer, cand.section, cand.kind,
+                f"{slug}-{cand.section.value}-{idx}", producer, cand.section, RuleKind.TEMPLATE,
                 cand.template,
                 frozenset({os_label}) if os_label else frozenset(),
                 frozenset({distro_label}) if distro_label else frozenset(),

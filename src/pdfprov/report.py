@@ -14,7 +14,7 @@ from .detector import FILE_TALLIES, SECTION_TALLIES, OutcomeClass, Status, Verdi
 from .metadata import ConsistencyStatus, DeclaredMetadata
 from .rules import SECTION_ORDER
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 CSV_COLUMNS = [
     "file", "verdict", "producer", "candidates", "votes",
@@ -36,6 +36,11 @@ class ScanReport:
     declared: DeclaredMetadata
     consistency: ConsistencyStatus
     diagnostics: list[str]
+
+    def __post_init__(self) -> None:
+        if self.declared.encrypted:
+            # A new list: the one passed in is often the segmenter's own.
+            self.diagnostics = [*self.diagnostics, "EncryptedInfo"]
 
     @property
     def producer(self) -> str | None:

@@ -6,7 +6,7 @@ and optional OS/distribution tags.  Rule files are plain UTF-8 text:
     rule <id> {
       producer = <name>
       section  = header | body | xref | trailer
-      kind     = magic | keyorder | template | presence
+      kind     = magic | keyorder | template
       os       = [windows, linux, macos]        # optional
       distro   = [texlive, miktex]              # optional
       pattern  = "<byte-regex>"
@@ -24,19 +24,15 @@ its body more than once when the body holds a variable-count repeat
 pattern can take time exponential in the input.  Groups nested too deeply
 for the regex parser are rejected too.
 
+Every rule searches the elements of its section (:func:`element_bytes`).
 Body rules match each non-metadata object's bytes with its stream payload
 cut out after the first two bytes: the dictionary, the ``stream`` and
 ``endstream`` framing with its line ends, and the compression header
 (``x\\xDA`` for zlib at level 9) are a writer's style; the compressed data
-is not.  The miner reads the same elements, so a mined template that spans
-the cut matches in a scan.
-
-Presence rules are special: they match a one-byte pseudo-input that is
-``P`` when the file has at least one classic xref table and ``A`` when it
-has none, so that presence/absence facts ride the same rule mechanism as
-byte patterns.  A presence match on the ``P`` token is flagged advisory:
-nearly every producer emits a table, so the fact isn't treated as a
-nomination by the detector, only as OS/distribution evidence.
+is not.  The xref section's elements are the classic tables and the xref
+stream objects, in file order, each stream cut as a body object is; an xref
+stream is no body element.  The miner reads the same elements, so a mined
+template that spans the cut matches in a scan.
 
 A rule either fires on a section or it does not, and that is all the
 vote reads.  So each rule that fires is reported once, at its first hit:
@@ -72,6 +68,7 @@ class RuleKind(str, Enum):
     MAGIC = "magic"
     KEYORDER = "keyorder"
     TEMPLATE = "template"
+    # No rule file may use it (see _read_field); perfbench/ still reads the name.
     PRESENCE = "presence"
 
 
@@ -161,7 +158,6 @@ class RuleMatch:
     rule: Rule
     element_ref: str
     match_offset: int
-    advisory: bool = False
 
     @property
     def rule_id(self) -> str:
@@ -203,9 +199,13 @@ def _read_field(key: str, value: str, lineno: int) -> Any:
         return m[1].replace('\\"', '"')
     if key in _ENUM_FIELDS:
         try:
-            return _ENUM_FIELDS[key](value)
+            member = _ENUM_FIELDS[key](value)
         except ValueError:
             raise RuleParseError(lineno, f"unknown {key} {value!r}") from None
+        if member is RuleKind.PRESENCE:
+            raise RuleParseError(lineno, "kind 'presence' is no longer supported: "
+                                 "xref rules search xref tables and streams as templates")
+        return member
     if key not in _TAG_FIELDS:
         raise RuleParseError(lineno, f"unknown field {key!r}")
     if not (value.startswith("[") and value.endswith("]")):
@@ -310,7 +310,7 @@ def render_rulepack(rules: list[Rule], header_comment: str = "") -> str:
 _PAYLOAD_KEPT = 2
 
 
-def _body_element(data: bytes, obj: IndirectObject) -> bytes:
+def _object_element(data: bytes, obj: IndirectObject) -> bytes:
     """An object's bytes in ``data`` with its stream payload cut out after its
     first ``_PAYLOAD_KEPT`` bytes; the line end before ``endstream`` stays."""
     p = obj.payload_start
@@ -324,33 +324,36 @@ def element_bytes(sections: PdfSections, kind: SectionKind) -> tuple[list[bytes]
     that names the element at an index; the names are built only when asked.
 
     A body element is one non-metadata object's bytes with its stream
-    payload cut out past the first two bytes (see :func:`_body_element`),
+    payload cut out past the first two bytes (see :func:`_object_element`),
     so rules and the miner see the dictionary, the ``stream``/``endstream``
-    framing and the compression header, never the compressed data.  For
-    the xref section these are the table bytes only (the presence
-    pseudo-input is handled by :func:`match_section` directly).
+    framing and the compression header, never the compressed data.  The
+    xref elements are the classic tables and, cut alike, the xref stream
+    objects, in file order.  An object is an xref stream when a trailer
+    starts at its dictionary: the segmenter makes each ``/Type /XRef``
+    dictionary its revision's trailer.  Such an object is no body element.
     """
     if kind is SectionKind.HEADER:
         comment = sections.binary_comment
         return ([comment] if comment else []), lambda _: "header"
-    if kind is SectionKind.BODY:
-        objects = [obj for obj in sections.objects if not obj.is_metadata]
-        return [_body_element(sections.data, obj) for obj in objects], (
-            lambda i: f"obj:{objects[i].obj_num}:{objects[i].gen_num}")
     data = sections.data
-    if kind is SectionKind.XREF:
-        return [data[t.start : t.end] for t in sections.xref_tables], "xref:{}".format
-    return [data[t.start : t.end] for t in sections.trailers], "trailer:{}".format
+    if kind is SectionKind.TRAILER:
+        return [data[t.start : t.end] for t in sections.trailers], "trailer:{}".format
+    stream_dicts = {t.start for t in sections.trailers}
+    if kind is SectionKind.BODY:
+        objects = [obj for obj in sections.objects
+                   if not obj.is_metadata and obj.dict_start not in stream_dicts]
+        return [_object_element(data, obj) for obj in objects], (
+            lambda i: f"obj:{objects[i].obj_num}:{objects[i].gen_num}")
+    spans = sorted([(t.start, data[t.start : t.end]) for t in sections.xref_tables]
+                   + [(obj.start, _object_element(data, obj)) for obj in sections.objects
+                      if obj.dict_start in stream_dicts])
+    return [element for _, element in spans], "xref:{}".format
 
 
 def section_elements(sections: PdfSections, kind: SectionKind) -> list[tuple[str, bytes]]:
     """Eligible (element_ref, bytes) pairs: :func:`element_bytes`, named."""
     elements, ref = element_bytes(sections, kind)
     return [(ref(i), element) for i, element in enumerate(elements)]
-
-
-def presence_token(sections: PdfSections) -> bytes:
-    return b"P" if sections.xref_tables else b"A"
 
 
 def match_section(
@@ -363,19 +366,15 @@ def match_section(
     rule-id order, one per fired rule, each at its first element and the
     leftmost offset within it.  The vote reads only which rules fired.
     """
-    token = presence_token(sections)
     elements, ref = element_bytes(sections, kind)
     matches: list[RuleMatch] = []
     for rule in pack.for_section(kind):
-        presence = rule.kind is RuleKind.PRESENCE
-        for data in (token,) if presence else elements:
+        for data in elements:
             m = rule.regex.search(data)
             if m is None:
                 continue
             # Equal bytes match alike, so no earlier element has these: index() finds this one.
-            matches.append(RuleMatch(
-                rule, "xref:presence" if presence else ref(elements.index(data)), m.start(),
-                presence and token == b"P"))
+            matches.append(RuleMatch(rule, ref(elements.index(data)), m.start()))
             break
     return matches
 
@@ -400,7 +399,6 @@ __all__ = [
     "render_rulepack",
     "element_bytes",
     "section_elements",
-    "presence_token",
     "match_section",
     "evaluate_sections",
 ]

@@ -97,9 +97,6 @@ _OTHER_RULES = {
         "4 0 obj\\r\\n<</Filter/FlateDecode/Length [0-9]*>>\\r\\nstream\\r\\n", _NONE),
     "trailer-word-double": (
         W, SectionKind.TRAILER, RuleKind.TEMPLATE, "/Prev [0-9]+/XRefStm [0-9]+>>", _NONE),
-    "xref-absent-acrobat-distiller": (AD, SectionKind.XREF, RuleKind.PRESENCE, "^A$", _NONE),
-    "xref-absent-xdvipdfmx": (XD, SectionKind.XREF, RuleKind.PRESENCE, "^A$", _NONE),
-    "xref-present-pdftex-miktex": (PT, SectionKind.XREF, RuleKind.PRESENCE, "^P$", {"miktex"}),
 }
 
 
@@ -133,10 +130,10 @@ def test_pack_composition():
         by_kind[rule.kind] = by_kind.get(rule.kind, 0) + 1
     assert by_kind[RuleKind.MAGIC] == 13
     assert by_kind[RuleKind.KEYORDER] == 13
-    assert by_kind[RuleKind.PRESENCE] == 3
     assert by_kind[RuleKind.TEMPLATE] == 4
-    assert len(pack.rules) == 33
-    assert sum(Counter(r.producer for r in pack.rules).values()) == 33
+    assert RuleKind.PRESENCE not in by_kind
+    assert len(pack.rules) == 30
+    assert sum(Counter(r.producer for r in pack.rules).values()) == 30
 
 
 def test_magic_rules_decode_back_to_source_bytes():
@@ -217,8 +214,11 @@ def test_cairo_skia_share_their_sequence():
 
 
 def test_presence_and_template_rules():
-    rules = [r for r in builtin().rules
-             if r.kind in (RuleKind.PRESENCE, RuleKind.TEMPLATE)]
+    # No presence rule is left, and no xref rule: the xref-stream
+    # dictionaries the absence rules stood for are trailer evidence.
+    assert not _rules_of(RuleKind.PRESENCE)
+    assert not builtin().for_section(SectionKind.XREF)
+    rules = _rules_of(RuleKind.TEMPLATE)
     assert {r.id for r in rules} == set(_OTHER_RULES)
     for rule in rules:
         producer, section, kind, pattern, distro_tags = _OTHER_RULES[rule.id]

@@ -22,7 +22,7 @@ from pdfprov.metadata import consistency_status, extract_declared
 from pdfprov.miner import LabeledCorpus
 from pdfprov.producers import Producer
 from pdfprov.report import CSV_COLUMNS, build_scan_report
-from pdfprov.rules import SECTION_ORDER, match_section
+from pdfprov.rules import SECTION_ORDER, match_section, render_rulepack
 from pdfprov.segmenter import segment
 
 
@@ -47,7 +47,7 @@ def test_scan_word_fixture(tmp_path, capsys):
     code = main(["scan", str(path)])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["verdict"] == {"kind": "producer", "producer": "MicrosoftOfficeWord"}
     assert payload["consistency"] == "consistent"
     assert {s["kind"] for s in payload["sections"]} == {"header", "body", "xref", "trailer"}
@@ -97,8 +97,7 @@ def test_scan_unknown_section_is_an_error_object(tmp_path, capsys):
     assert "hdr" in payload["error"]["message"]
 
 
-# A one-entry classic table: keeps the xref-absence rules quiet without
-# nominating anyone (table presence is advisory).
+# A one-entry classic table, which no builtin rule matches.
 _TINY_XREF = b"xref\n0 1\n0000000000 65535 f \n"
 
 
@@ -274,6 +273,7 @@ def test_batch_header_only_counts_ambiguous_and_no_result(tmp_path, capsys):
 
 
 # The whole table output for the three pdfTeX files above (cells are padded).
+# The builtin pack has no xref rule, so the Xref column is all no result.
 _PDFTEX_TABLES = "\n".join([
     "Files: 3 total, 3 with ground truth",
     "",
@@ -281,14 +281,14 @@ _PDFTEX_TABLES = "\n".join([
     "Detection  Header    Body      Xref      Trailer ",
     "---------  --------  --------  --------  --------",
     "Correct    0 (0%)    3 (100%)  0 (0%)    0 (0%)  ",
-    "Wrong      3 (100%)  0 (0%)    3 (100%)  3 (100%)",
-    "No result  0 (0%)    0 (0%)    0 (0%)    0 (0%)  ",
+    "Wrong      3 (100%)  0 (0%)    0 (0%)    3 (100%)",
+    "No result  0 (0%)    0 (0%)    3 (100%)  0 (0%)  ",
     "",
     "Two-candidate detections",
-    "Detection  Header    Body    Xref      Trailer ",
-    "---------  --------  ------  --------  --------",
-    "Confused   3 (100%)  0 (0%)  0 (0%)    3 (100%)",
-    "Error      0 (0%)    0 (0%)  3 (100%)  0 (0%)  ",
+    "Detection  Header    Body    Xref    Trailer ",
+    "---------  --------  ------  ------  --------",
+    "Confused   3 (100%)  0 (0%)  0 (0%)  3 (100%)",
+    "Error      0 (0%)    0 (0%)  0 (0%)  0 (0%)  ",
     "",
     "File-level (majority vote)",
     "Correct   Wrong   No result  (ambiguous)",
@@ -343,8 +343,10 @@ def test_batch_survives_a_digit_run_past_the_int_limit(tmp_path, capsys):
     code = main(["batch", str(tmp_path), "--format", "csv", "--jobs", "1"])
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert code == 0
+    # No rule fires on the second file: it has no header comment, no body
+    # template and no xref element, and its trailer matches no key order.
     assert [(r["file"], r["verdict"]) for r in rows] == [
-        ("cairo-1.pdf", "producer"), ("huge-startxref.pdf", "ambiguous"),
+        ("cairo-1.pdf", "producer"), ("huge-startxref.pdf", "no_result"),
     ]
 
 
@@ -515,9 +517,32 @@ def test_every_command_segments_each_file_once(corpus_dir, monkeypatch, capsys):
     assert calls == every_file
 
 
+def _encrypted_libreoffice() -> bytes:
+    """The LibreOffice fixture as an encrypted file holds it: an /Encrypt
+    entry in the trailer, and the Info strings ciphertext."""
+    data = generate(PROFILES[Producer.LIBREOFFICE], 1)
+    for old, new in ((b"(LibreOffice 6.4)", b"<9C4E2B77D1A0F35E>"), (b"(Writer)", b"<51F0A3>"),
+                     (b"/Info 5 0 R", b"/Info 5 0 R\n/Encrypt 7 0 R")):
+        assert data.count(old) == 1
+        data = data.replace(old, new)
+    return data
+
+
+def test_scan_reads_no_info_string_of_an_encrypted_file(tmp_path, capsys):
+    path = tmp_path / "encrypted.pdf"
+    path.write_bytes(_encrypted_libreoffice())
+    assert main(["scan", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == {"kind": "producer", "producer": "LibreOffice"}
+    assert report["declared"] == {"producer": None, "creator": None, "source": None}
+    assert report["consistency"] == "unverifiable"
+    assert report["diagnostics"] == ["EncryptedInfo"]
+
+
 def _write_odd_files(directory: Path) -> list[Path]:
     """One file each whose report has an ambiguous verdict, no result, an OS
-    with a distribution, and diagnostics: the fields the fixtures leave empty."""
+    with a distribution, diagnostics, and an Info left unread: the fields
+    the fixtures leave empty."""
     # LuaTeX with pdfTeX's header magic and xref stream: Linux with TeX Live.
     texlive = replace(PROFILES[Producer.LUATEX], header_magic=bytes.fromhex("D0D4C5D8"),
                       trailer=None, xref_stream=PROFILES[Producer.PDFTEX].xref_stream)
@@ -528,6 +553,7 @@ def _write_odd_files(directory: Path) -> list[Path]:
                      + b"trailer\n<</Weird 1/Order 2>>\n",
         "texlive.pdf": generate(texlive, 1),
         "diag.pdf": b"%PDF-1.4\n1 0 obj\n<</A (unclosed\nendobj\n",
+        "encrypted.pdf": _encrypted_libreoffice(),
     }
     for name, data in files.items():
         (directory / name).write_bytes(data)
@@ -556,15 +582,22 @@ def _csv_fields(report: dict) -> dict[str, str]:
     return fields
 
 
+# The builtin pack holds no xref rule; with this one, the xref columns fill.
+_XREF_RULE = ('rule xref-word-table {\n  producer = MicrosoftOfficeWord\n  section = xref\n'
+              '  kind = template\n  pattern = "^xref\\r\\n0 [0-9]+\\r\\n"\n}\n')
+
+
 def test_batch_csv_rows_say_what_scan_json_says(corpus_dir, tmp_path, capsys):
     paths = sorted(corpus_dir.rglob("*.pdf")) + _write_odd_files(tmp_path)
     manifest = tmp_path / "manifest.tsv"
     manifest.write_text("".join(f"{path}\n" for path in paths))
-    assert main(["batch", str(manifest), "--format", "csv"]) == 0
+    pack = tmp_path / "xref.rules"
+    pack.write_text(render_rulepack(builtin().rules) + "\n" + _XREF_RULE, encoding="utf-8")
+    assert main(["batch", str(manifest), "--format", "csv", "--pack", str(pack)]) == 0
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
     assert [row["file"] for row in rows] == sorted(str(path) for path in paths)
     for row in rows:
-        main(["scan", row["file"], "--format", "json"])
+        main(["scan", row["file"], "--format", "json", "--pack", str(pack)])
         fields = _csv_fields(json.loads(capsys.readouterr().out))
         assert set(fields) == set(CSV_COLUMNS) - {"truth", "file_class"}
         assert {c: row[c] for c in fields} == fields, row["file"]

@@ -24,7 +24,7 @@ from pdfprov.cli import main
 from pdfprov.fixtures import emit_corpus
 
 # sha256 of the runs of cli_runs() over the corpus of write_corpus().
-DIGEST = "15c67b8b8361e2dd3f9b7b24a6241a8ec428e335620738bf3116c28e67440a6b"
+DIGEST = "8e64b1f8889e3d91368257c9052d8d638c794910dad9bd6816766bf354096c78"
 
 MANIFEST = "manifest.tsv"
 

@@ -31,11 +31,11 @@ GS = Producer.GHOSTSCRIPT.value
 
 
 def _match(producer: str, section=SectionKind.BODY, rule_id: str = "r",
-           element: str = "obj:1:0", advisory: bool = False,
+           element: str = "obj:1:0",
            os_tags=frozenset(), distro_tags=frozenset()) -> RuleMatch:
     rule = Rule(rule_id, producer, section, RuleKind.TEMPLATE, "", frozenset(os_tags),
                 frozenset(distro_tags))
-    return RuleMatch(rule, element, 0, advisory)
+    return RuleMatch(rule, element, 0)
 
 
 def _verdicts(header=(), body=(), xref=(), trailer=()):
@@ -66,10 +66,10 @@ def test_no_matches_no_candidates():
     assert section_verdict([], SectionKind.XREF) == frozenset()
 
 
-def test_advisory_matches_do_not_nominate():
-    matches = [_match(PT, SectionKind.XREF, "xref-present-pdftex-miktex",
-                      "xref:presence", advisory=True)]
-    assert section_verdict(matches, SectionKind.XREF) == frozenset()
+def test_xref_matches_nominate_like_any_other():
+    matches = [_match(PT, SectionKind.XREF, "pdftex-xref-0", "xref:0"),
+               _match(LT, SectionKind.BODY, "luatex-body-0")]
+    assert section_verdict(matches, SectionKind.XREF) == {PT}
 
 
 # -- majority_vote -----------------------------------------------------------

@@ -102,19 +102,46 @@ def test_empty_group_rejected():
         mine(LabeledCorpus([]), SectionKind.BODY)
 
 
-def test_xref_absence_becomes_presence_candidate():
-    corpus = _corpus(seeds=range(1, 4), producers=[Producer.ACROBAT_DISTILLER])
-    candidates = mine(corpus, SectionKind.XREF)[Producer.ACROBAT_DISTILLER.value]
-    assert [c.kind for c in candidates] == [RuleKind.PRESENCE]
-    assert candidates[0].template == "^A$"
+_XREF_STREAM_PRODUCERS = [Producer.ACROBAT_DISTILLER, Producer.XDVIPDFMX]
 
 
-def test_xref_absence_shared_by_other_producer_is_filtered():
-    corpus = _corpus(seeds=range(1, 4),
-                     producers=[Producer.ACROBAT_DISTILLER, Producer.XDVIPDFMX])
-    candidates = mine(corpus, SectionKind.XREF)
-    assert candidates[Producer.ACROBAT_DISTILLER.value] == []
-    assert candidates[Producer.XDVIPDFMX.value] == []
+def test_xref_mining_gives_templates_over_streams():
+    """Files with no classic table mine their xref streams, each file's one
+    xref element, into templates that match that element."""
+    corpus = _corpus(seeds=range(1, 4), producers=_XREF_STREAM_PRODUCERS)
+    mined = mine(corpus, SectionKind.XREF)
+    emitted = load_rulepack(emit_rulepack(mined, "xref")).rules
+    assert {r.producer for r in emitted} == {p.value for p in _XREF_STREAM_PRODUCERS}
+    assert {(r.section, r.kind) for r in emitted} == {(SectionKind.XREF, RuleKind.TEMPLATE)}
+    for producer in _XREF_STREAM_PRODUCERS:
+        (cand,) = mined[producer.value]
+        assert cand.template.startswith("6 0 obj\\n<</")
+        assert cand.template.endswith(">>\\nstream\\n")
+        assert "/Type/XRef" in cand.template or "/Type /XRef" in cand.template
+        for elements in _group_haystacks(corpus, corpus.groups[producer.value], SectionKind.XREF):
+            (stream,) = elements
+            assert compile_pattern(cand.template).match(stream)
+
+
+def test_xref_stream_framing_shared_by_another_producer_is_filtered():
+    """Both producers end their xref streams alike; that run is kept for
+    one producer alone, and for both only when discriminacy 1 is allowed."""
+    framing = "\\nendstream\\nendobj"
+    alone = _corpus(seeds=range(1, 4), producers=[Producer.ACROBAT_DISTILLER])
+    assert framing in [c.template for c in
+                       mine(alone, SectionKind.XREF)[Producer.ACROBAT_DISTILLER.value]]
+    both = _corpus(seeds=range(1, 4), producers=_XREF_STREAM_PRODUCERS)
+    for threshold, kept in ((0.0, False), (1.0, True)):
+        for cands in mine(both, SectionKind.XREF, max_discriminacy=threshold).values():
+            framings = [c for c in cands if c.template == framing]
+            assert [c.discriminacy for c in framings] == ([1.0] if kept else [])
+
+
+def test_a_corpus_without_any_xref_element_has_no_xref_section():
+    corpus = LabeledCorpus([CorpusFile(b"%PDF-1.4\n1 0 obj\n<<>>\nendobj\n", "Cairo")])
+    with pytest.raises(SectionAbsentEverywhere):
+        mine(corpus, SectionKind.XREF)
+    assert [c.section for c in mine_all(corpus)["Cairo"]] == [SectionKind.BODY]
 
 
 def test_soundness_and_discriminacy_of_mined_pack():
@@ -195,8 +222,8 @@ def test_min_len_floor():
 
 @pytest.mark.parametrize("threshold", [-1.0, 1.5, float("nan"), float("inf")])
 def test_max_discriminacy_outside_zero_to_one_is_rejected(threshold):
-    # Every comparison with nan is false, so nan would admit every template
-    # and no presence rule; -1 would admit nothing.
+    # Every comparison with nan is false, so nan would admit every
+    # template; -1 would admit nothing.
     with pytest.raises(ValueError, match="max_discriminacy"):
         mine(_word_pair(b"1", b"2"), SectionKind.BODY, max_discriminacy=threshold)
     with pytest.raises(ValueError, match="max_discriminacy"):
@@ -216,8 +243,7 @@ def test_emit_empty_is_valid():
 
 
 def test_emit_single_candidate_block():
-    cand = CandidatePattern(WORD, SectionKind.BODY, WORD_TEMPLATE,
-                            RuleKind.TEMPLATE, 1.0, 0.0, 52)
+    cand = CandidatePattern(WORD, SectionKind.BODY, WORD_TEMPLATE, 1.0, 0.0, 52)
     text = emit_rulepack({WORD: [cand]}, "one")
     assert "rule word-body-0 {" in text
     pack = load_rulepack(text)
@@ -431,23 +457,12 @@ def _stream(haystacks: list[bytes]) -> list[int]:
 
 def _reference_mine(all_haystacks: dict[str, list[list[bytes]]], section: SectionKind,
                     min_len: int, max_discriminacy: float) -> dict[str, list[CandidatePattern]]:
-    if section is not SectionKind.XREF and all(not any(h) for h in all_haystacks.values()):
+    if all(not any(h) for h in all_haystacks.values()):
         raise SectionAbsentEverywhere(section.value)
     results: dict[str, list[CandidatePattern]] = {}
     for producer, own in all_haystacks.items():
         others = {p: h for p, h in all_haystacks.items() if p != producer}
         candidates: list[CandidatePattern] = []
-        if all(not h for h in own):
-            if section is SectionKind.XREF:
-                disc = max(
-                    (sum(1 for h in hs if not h) / len(hs) for hs in others.values()),
-                    default=0.0,
-                )
-                if disc <= max_discriminacy:
-                    candidates.append(CandidatePattern(producer, section, "^A$",
-                                                       RuleKind.PRESENCE, 1.0, disc, 1))
-            results[producer] = candidates
-            continue
         if any(not h for h in own):
             results[producer] = []
             continue
@@ -464,7 +479,7 @@ def _reference_mine(all_haystacks: dict[str, list[list[bytes]]], section: Sectio
             disc = max((_share_matching(regex, hs) for hs in others.values()), default=0.0)
             if support < 1.0 or disc > max_discriminacy:
                 continue
-            candidates.append(CandidatePattern(producer, section, template, RuleKind.TEMPLATE,
+            candidates.append(CandidatePattern(producer, section, template,
                                                support, disc, first.end() - first.start()))
         candidates.sort(key=lambda c: (c.discriminacy, -c.byte_len, c.template))
         results[producer] = candidates

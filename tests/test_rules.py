@@ -87,6 +87,9 @@ _RULE = 'rule r1 {\n  producer = Cairo\n  section = body\n  kind = template\n  p
     ("rule r1 {", "# a comment\nr1 {", "line 2: expected 'rule <id> {', got 'r1 {'"),
     ("producer = Cairo", "producer Cairo", "line 2: expected 'key = value', got 'producer Cairo'"),
     ("template", "templat", "line 4: unknown kind 'templat'"),
+    # A pack of the old format fails loudly, not by never firing.
+    ("template", "presence", "line 4: kind 'presence' is no longer supported: "
+                             "xref rules search xref tables and streams as templates"),
     ("  section", "  colour = red\n  section", "line 3: unknown field 'colour'"),
     ("}\n", "}\n\nrule r2 {\n  producer = Cairo\n", "line 8: unterminated rule block"),
 ])
@@ -389,15 +392,49 @@ def test_match_offsets_fall_inside_elements(pack, corpus_bytes):
 
 
 def test_distiller_fixture_header_and_presence(pack):
+    """The xref stream is present in the xref section, as its one element,
+    cut as a body object is, and absent from the body."""
     data = generate(PROFILES[Producer.ACROBAT_DISTILLER], 1)
-    matches = evaluate_sections(pack, segment(data))
+    sections = segment(data)
+    matches = evaluate_sections(pack, sections)
     header_producers = {m.rule.producer for m in matches[SectionKind.HEADER]}
     assert header_producers == {Producer.ACROBAT_DISTILLER.value}
-    presence = [m for m in matches[SectionKind.XREF] if m.rule.kind is RuleKind.PRESENCE]
-    assert {m.rule.producer for m in presence} == {
-        Producer.ACROBAT_DISTILLER.value, Producer.XDVIPDFMX.value,
-    }
-    assert all(not m.advisory for m in presence)  # absence is a real signal
+    assert sections.xref_tables == []
+    (stream,) = [o for o in sections.objects if o.dict_start == sections.trailers[-1].start]
+    raw = data[stream.start : stream.end]
+    assert section_elements(sections, SectionKind.XREF) == [
+        ("xref:0", raw[: stream.payload_start - stream.start + 2]
+         + data[stream.payload_end : stream.end])]
+    assert raw.startswith(b"6 0 obj\n<</DecodeParms") and raw.endswith(b"endstream\nendobj")
+    body = section_elements(sections, SectionKind.BODY)
+    assert f"obj:{stream.obj_num}:0" not in dict(body)
+    assert len(body) == sum(not o.is_metadata for o in sections.objects) - 1
+    assert matches[SectionKind.XREF] == []  # the builtin pack has no xref rule
+
+
+def test_word_fixture_xref_elements_in_file_order():
+    """A hybrid file: its xref stream and, after it, its classic table."""
+    data = generate(PROFILES[Producer.MICROSOFT_OFFICE_WORD], 1)
+    sections = segment(data)
+    (table,) = sections.xref_tables
+    elements = section_elements(sections, SectionKind.XREF)
+    assert [ref for ref, _ in elements] == ["xref:0", "xref:1"]
+    assert elements[0][1].startswith(b"6 0 obj\r\n<</Type/XRef/Size 7/W[1 2 1]")
+    assert elements[0][1].endswith(b">>\r\nstream\r\nbl\r\nendstream\r\nendobj")
+    assert elements[1][1] == data[table.start : table.end]
+    assert data.index(elements[0][1][:20]) < table.start
+    assert "obj:6:0" not in dict(section_elements(sections, SectionKind.BODY))
+
+
+def test_an_xref_rule_fires_on_an_xref_stream():
+    rule = load_rulepack(
+        'rule xref-w {\n  producer = XdviPDFmx\n  section = xref\n  kind = template\n'
+        '  pattern = "/Size [0-9]+ /W \\[1 2 1\\] /Filter"\n}\n'
+    )
+    sections = segment(generate(PROFILES[Producer.XDVIPDFMX], 1))
+    (m,) = match_section(rule, sections, SectionKind.XREF)
+    assert (m.rule_id, m.element_ref) == ("xref-w", "xref:0")
+    assert match_section(rule, sections, SectionKind.BODY) == []
 
 
 def test_zero_rule_pack_matches_nothing(corpus_bytes):
@@ -465,15 +502,11 @@ def test_matches_come_out_by_rule_id_element_and_offset():
 
 def _first_hits(pack, sections, kind):
     """Each rule's first ``finditer`` hit over the section, in rule-id order."""
-    token = b"P" if sections.xref_tables else b"A"
     hits = []
     for rule in sorted(pack.rules, key=lambda r: r.id):
         if rule.section is not kind:
             continue
-        if rule.kind is RuleKind.PRESENCE:
-            targets = [("xref:presence", token)]
-        else:
-            targets = section_elements(sections, kind)
+        targets = section_elements(sections, kind)
         every = [(rule.id, ref, m.start()) for ref, data in targets
                  for m in rule.regex.finditer(data)]
         hits.extend(every[:1])
@@ -495,8 +528,11 @@ def test_each_fired_rule_is_reported_once_at_its_first_hit(pack, which):
 
 
 def _raw_body_elements(sections) -> list[tuple[str, bytes]]:
+    """Whole non-metadata objects, but for xref streams, whose dictionary
+    is a trailer."""
+    trailers = {t.start for t in sections.trailers}
     return [(f"obj:{o.obj_num}:{o.gen_num}", sections.data[o.start : o.end])
-            for o in sections.objects if not o.is_metadata]
+            for o in sections.objects if not o.is_metadata and o.dict_start not in trailers]
 
 
 def _first_hit(rule: Rule, targets: list[tuple[str, bytes]]) -> tuple[str, int] | None:
@@ -587,7 +623,7 @@ def _zero_metadata(data: bytes) -> bytes:
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=32))
+@given(st.integers(min_value=0, max_value=29))
 def test_monotonicity_adding_a_rule_never_removes_matches(index):
     from pdfprov.builtin_pack import builtin
 

@@ -26,7 +26,7 @@ from pdfprov import segmenter
 from pdfprov.builtin_pack import builtin
 from pdfprov.cli import scan_bytes
 from pdfprov.producers import Producer
-from pdfprov.rules import SectionKind, presence_token, section_elements
+from pdfprov.rules import SectionKind, section_elements
 from pdfprov.segmenter import (
     _KEY_RE,
     _MAX_NESTING,
@@ -352,7 +352,7 @@ def test_word_xref_table():
 def test_absent_xref_sets_flag():
     sections = segment(b"%PDF-1.5\n1 0 obj\n<<>>\nendobj\n")
     assert sections.xref_tables == []
-    assert presence_token(sections) == b"A"
+    assert section_elements(sections, SectionKind.XREF) == []
 
 
 def test_two_revisions_two_tables():
