@@ -5,28 +5,32 @@ by every file in the group, in the elements that rules match
 (:func:`rules.element_bytes`: body objects and xref streams without their
 stream payloads, and classic xref tables), then generalizes the volatile
 parts: decimal digit runs become ``[0-9]*`` and long hex strings inside
-angle brackets become ``[0-9A-F]*`` (but only where the values actually
-vary across the group; constant runs stay literal).  Every surviving
-candidate is scored for support (fraction of the producer's files it
-matches, 1.0 by construction and re-verified) and discriminacy
-(worst-case fraction of any other producer's files it matches).
+angle brackets become ``[0-9A-F]*``, or ``[0-9A-Fa-f]*`` where a value
+holds a lowercase digit (but only where the values actually vary across
+the group; constant runs stay literal).  Every surviving candidate is
+scored for support (fraction of the producer's files it matches, 1.0 by
+construction and re-verified) and discriminacy (worst-case fraction of
+any other producer's files it matches).
 
-The search works on a token alphabet where digit/hex runs compare equal
-regardless of value.  One suffix automaton (Blumer et al., "The smallest
-automaton recognizing the subwords of a text", TCS 1985) is built over
-the shortest file's tokens; other token streams are walked through it,
-and the maximal runs common to all files are read off its states.  The
-automaton and the walks take time and memory linear in the group's
+The search works on tokens that compare equal whatever a digit or hex
+run's value.  A token is one character of a ``str``: a byte is its
+Latin-1 character, a digit run is ``_NUM`` and a hex run ``_HEX``, and a
+file's stream is its elements' tokens joined by ``_SEP``.  So a run of
+tokens is a substring.  One suffix automaton (Blumer et al., "The
+smallest automaton recognizing the subwords of a text", TCS 1985) is
+built over the shortest file's stream; other streams are walked through
+it, and the maximal runs common to all files are read off its states.
+The automaton and the walks take time and memory linear in the group's
 total token count.
 
 A walk only ever shortens the common runs, so a stream is not walked if
 it repeats one already seen, or if, after a walk that shortened nothing,
-its text holds every maximal common run found so far (a test scans the
-text once per run): every common string lies inside one of those runs,
-so the walk would find them all.  A stream that lacks a run does shorten
-it, so after such a walk streams are walked untested until a walk again
-shortens nothing.  Mining thus costs in proportion to the distinct
-shapes a producer writes, not to the number of its files.
+it holds every maximal common run found so far as a substring: every
+common string lies inside one of those runs, so the walk would find them
+all.  A stream that lacks a run does shorten it, so after such a walk
+streams are walked untested until a walk again shortens nothing.
+Mining thus costs in proportion to the distinct shapes a producer
+writes, not to the number of its files.
 
 Files of one producer repeat most of their elements, so each distinct
 piece of work is done once: an element's bytes are tokenized once per
@@ -40,12 +44,9 @@ candidate is always scored in full.
 from __future__ import annotations
 
 import re
-import sys
-from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from itertools import groupby
 from pathlib import Path
 
 from .errors import EmptyGroup, SectionAbsentEverywhere
@@ -61,12 +62,15 @@ from .rules import (
 )
 from .segmenter import PdfSections, segment
 
-_NUM = 256
-_HEX = 257
-_SEP_BASE = 258
+# A token is one character: a byte is its Latin-1 character, and these
+# three lie past Latin-1.  A stream is elements' tokens joined by _SEP.
+_NUM = "\u0100"
+_HEX = "\u0101"
+_SEP = "\u0102"
 
-# A long hex run in angle brackets, or a digit run.
-_TOKEN_RE = re.compile(rb"<([0-9A-Fa-f]{16,})>|[0-9]+")
+# A long hex run in angle brackets, and a digit run.
+_HEX_RE = re.compile(r"<[0-9A-Fa-f]{16,}>")
+_NUM_RE = re.compile(r"[0-9]+")
 
 _SLUGS: dict[str, str] = {
     Producer.ACROBAT_DISTILLER.value: "acrobat-distiller",
@@ -101,7 +105,8 @@ class LabeledCorpus:
     format :func:`pdfprov.producers.read_manifest` reads)."""
 
     files: list[CorpusFile]
-    _sections: dict[int, PdfSections] = field(default_factory=dict, repr=False)
+    # Keyed by the file's bytes: segmenting is pure, and an id can be reused.
+    _sections: dict[bytes, PdfSections] = field(default_factory=dict, repr=False)
 
     @property
     def groups(self) -> dict[str, list[CorpusFile]]:
@@ -111,10 +116,10 @@ class LabeledCorpus:
         return grouped
 
     def sections_of(self, f: CorpusFile) -> PdfSections:
-        key = id(f)
-        if key not in self._sections:
-            self._sections[key] = segment(f.data)
-        return self._sections[key]
+        sections = self._sections.get(f.data)
+        if sections is None:
+            sections = self._sections[f.data] = segment(f.data)
+        return sections
 
     @staticmethod
     def from_manifest(path: str | Path) -> "LabeledCorpus":
@@ -143,55 +148,32 @@ class CandidatePattern:
 # -- Tokenization ----------------------------------------------------------
 
 
-def _tokenize(data: bytes) -> list[int]:
-    tokens: list[int] = []
-    pos = 0
-    for m in _TOKEN_RE.finditer(data):
-        start, end = m.span()
-        if m.lastindex:  # a hex run
-            tokens.extend(data[pos : start + 1])  # keep '<'
-            tokens.append(_HEX)
-            pos = end - 1  # '>' belongs to the following literal run
-        else:
-            tokens.extend(data[pos:start])
-            tokens.append(_NUM)
-            pos = end
-    tokens.extend(data[pos:])
-    return tokens
+def _tokenize(data: bytes) -> str:
+    """One element's tokens: each hex run in angle brackets is one _HEX
+    between its brackets, then each digit run is one _NUM."""
+    return _NUM_RE.sub(_NUM, _HEX_RE.sub("<" + _HEX + ">", data.decode("latin-1")))
 
 
-def _file_tokens(haystacks: list[bytes], tokenized: dict[bytes, list[int]]) -> list[int]:
+def _file_tokens(haystacks: list[bytes], tokenized: dict[bytes, str]) -> str:
     """One file's elements as one token stream; ``tokenized`` keeps each
     distinct element's tokens across calls."""
-    tokens: list[int] = []
-    for i, hay in enumerate(haystacks):
-        if i:
-            tokens.append(_SEP_BASE + i)  # unmatchable boundary
-        hay_tokens = tokenized.get(hay)
-        if hay_tokens is None:
-            hay_tokens = tokenized[hay] = _tokenize(hay)
-        tokens.extend(hay_tokens)
-    return tokens
+    parts: list[str] = []
+    for hay in haystacks:
+        tokens = tokenized.get(hay)
+        if tokens is None:
+            tokens = tokenized[hay] = _tokenize(hay)
+        parts.append(tokens)
+    return _SEP.join(parts)
 
 
 # -- Maximal common substrings ----------------------------------------------
 
-_TEXT_CODEC = f"utf-32-{sys.byteorder[0]}e"
-
-
-def _text(tokens: Iterable[int]) -> str:
-    """``"".join(map(chr, tokens))``: one character per token, so that a
-    string search finds token runs.  Decoding the tokens as 4-byte code
-    points is several times faster."""
-    return array("I", tokens).tobytes().decode(_TEXT_CODEC, "surrogatepass")
-
-
 # Per state: the length of its longest string, its suffix link, its
 # transitions and the end position of its first occurrence.
-_Automaton = tuple[list[int], list[int], list[dict[int, int]], list[int]]
+_Automaton = tuple[list[int], list[int], list[dict[str, int]], list[int]]
 
 
-def _automaton(tokens: list[int]) -> _Automaton:
+def _automaton(tokens: str) -> _Automaton:
     """Suffix automaton of ``tokens`` (Blumer et al., TCS 1985).
 
     State 0 is the root; there are at most ``2 * len(tokens)`` states.
@@ -227,24 +209,22 @@ def _automaton(tokens: list[int]) -> _Automaton:
     return length, link, trans, end
 
 
-def _common_across(files_tokens: list[list[int]], min_tokens: int) -> list[tuple[int, ...]]:
+def _common_across(files_tokens: list[str], min_tokens: int) -> list[str]:
     """Maximal token runs of at least ``min_tokens`` found in every file.
 
-    Each stream is one file's elements joined by separators (see
+    Each stream is one file's elements joined by ``_SEP`` (see
     :func:`_file_tokens`); no run crosses a separator.  A one-file group
-    returns each distinct element once, in first-seen order.  Otherwise
-    the runs come sorted by (length desc, tokens).
+    returns each distinct non-empty element once, in first-seen order.
+    Otherwise the runs come sorted by (length desc, tokens).
 
     A stream is walked unless it repeats one already seen or, after a walk
-    that lowered no common length, its text holds every current maximal
-    run: each state's common string lies inside one, so a walk would find
-    it.  A stream that lacks a run lowers that run's state, so testing
-    pauses until a walk again lowers nothing.
+    that lowered no common length, it holds every current maximal run as
+    a substring: each state's common string lies inside one, so a walk
+    would find it.  A stream that lacks a run lowers that run's state, so
+    testing pauses until a walk again lowers nothing.
     """
     if len(files_tokens) == 1:
-        parts = groupby(files_tokens[0], lambda tok: tok >= _SEP_BASE)
-        return list(dict.fromkeys(tuple(part) for is_separator, part in parts
-                                  if not is_separator))
+        return [part for part in dict.fromkeys(files_tokens[0].split(_SEP)) if part]
     # Common runs are the same whichever file the automaton holds; the
     # shortest keeps it smallest.
     base_index = min(range(len(files_tokens)), key=lambda i: len(files_tokens[i]))
@@ -253,34 +233,30 @@ def _common_across(files_tokens: list[list[int]], min_tokens: int) -> list[tuple
     states = len(length)
     by_length_desc = sorted(range(1, states), key=length.__getitem__, reverse=True)
     common = list(length)
-    seen: set[tuple[int, ...]] = set()
-    # The maximal runs of ``common`` (of one token or more) and their
-    # texts, once computed and until a walk lowers ``common``.
-    runs: list[tuple[int, ...]] | None = None
-    texts: list[str] = []
+    seen: set[str] = set()
+    # The maximal runs of ``common`` (of one token or more), once computed
+    # and until a walk lowers ``common``.
+    runs: list[str] | None = None
     testing = False
     for index, tokens in enumerate(files_tokens):
         if index == base_index:
             continue
         # A stream equal to one already seen has the same matching
         # statistics, so it cannot lower ``common`` any further.
-        key = tuple(tokens)
-        if key in seen:
+        if tokens in seen:
             continue
-        seen.add(key)
+        seen.add(tokens)
         if testing:
             if runs is None:
                 runs = _maximal_runs(base, automaton, common, 1)
-                texts = list(map(_text, runs))
-            text = _text(tokens)
-            if all(run_text in text for run_text in texts):
+            if all(run in tokens for run in runs):
                 continue
         # Matching statistics: the longest match ending at each token,
         # recorded at the state that holds it.
         best = [0] * states
         state = matched = 0
         for tok in tokens:
-            if tok >= _SEP_BASE:
+            if tok == _SEP:
                 state = matched = 0
                 continue
             nxt = trans[state].get(tok)
@@ -311,8 +287,8 @@ def _common_across(files_tokens: list[list[int]], min_tokens: int) -> list[tuple
     return [run for run in runs if len(run) >= min_tokens]
 
 
-def _maximal_runs(base: list[int], automaton: _Automaton, common: list[int],
-                  min_tokens: int) -> list[tuple[int, ...]]:
+def _maximal_runs(base: str, automaton: _Automaton, common: list[int],
+                  min_tokens: int) -> list[str]:
     """The maximal runs of at least ``min_tokens`` that ``common`` holds,
     sorted by (length desc, tokens).
 
@@ -326,7 +302,7 @@ def _maximal_runs(base: list[int], automaton: _Automaton, common: list[int],
     for w in range(1, states):
         if common[w]:
             left_common[link[w]] = True
-    runs: list[tuple[int, ...]] = []
+    runs: list[str] = []
     for v in range(1, states):
         run = common[v]
         if run < min_tokens:
@@ -335,7 +311,7 @@ def _maximal_runs(base: list[int], automaton: _Automaton, common: list[int],
             continue
         if any(common[u] > run for u in trans[v].values()):
             continue
-        runs.append(tuple(base[end[v] - run + 1 : end[v] + 1]))
+        runs.append(base[end[v] - run + 1 : end[v] + 1])
     runs.sort(key=lambda r: (-len(r), r))
     return runs
 
@@ -364,52 +340,45 @@ def escape_literal(chunk: bytes) -> str:
     return "".join(out)
 
 
-def _occurrence_regex(tokens: tuple[int, ...]) -> re.Pattern[bytes]:
-    parts: list[bytes] = []
-    for tok in tokens:
-        if tok == _NUM:
-            parts.append(b"([0-9]+)")
-        elif tok == _HEX:
-            parts.append(b"([0-9A-Fa-f]{16,})")
-        else:
-            parts.append(re.escape(bytes([tok])))
-    return re.compile(b"".join(parts), re.DOTALL)
+# A run split at these is its literal pieces with the slots between them.
+_SLOT_RE = re.compile(f"([{_NUM}{_HEX}])")
+_SLOT_PROBES = {_NUM: b"([0-9]+)", _HEX: b"([0-9A-Fa-f]{16,})"}
 
 
-def _build_template(tokens: tuple[int, ...], haystacks: Iterable[bytes]) -> str | None:
+def _build_template(run: str, haystacks: Iterable[bytes]) -> str | None:
     """Turn a common token run into regex source, generalizing the digit
     and hex slots whose values vary across the group's ``haystacks`` (each
-    distinct element once suffices)."""
-    slots = sum(1 for t in tokens if t in (_NUM, _HEX))
-    values: list[set[bytes]] = [set() for _ in range(slots)]
+    distinct element once suffices).
+
+    The run splits at its ``_NUM`` and ``_HEX`` characters into literal
+    pieces.  A probe of those pieces, with a group around each slot, reads
+    every value each slot takes in the haystacks.
+    """
+    pieces = _SLOT_RE.split(run)
+    literals = [piece.encode("latin-1") for piece in pieces[::2]]
+    slots = pieces[1::2]
+    values: list[set[bytes]] = [set() for _ in slots]
     if slots:
-        probe = _occurrence_regex(tokens)
+        probe = re.compile(b"".join(
+            re.escape(literal) + _SLOT_PROBES[slot] for literal, slot in zip(literals, slots)
+        ) + re.escape(literals[-1]))
         for hay in haystacks:
             for m in probe.finditer(hay):
                 for seen, value in zip(values, m.groups()):
                     seen.add(value)
-        if any(not v for v in values):
+        if not all(values):
             return None  # never observed as a whole; not a real common run
-    parts: list[str] = []
-    literal: list[int] = []
-    slot = 0
-    for tok in tokens:
-        if tok < 256:
-            literal.append(tok)
-            continue
-        if literal:
-            parts.append(escape_literal(bytes(literal)))
-            literal = []
-        seen = values[slot]
-        slot += 1
+    parts = [escape_literal(literals[0])]
+    for slot, seen, literal in zip(slots, values, literals[1:]):
         if len(seen) == 1:
             parts.append(next(iter(seen)).decode("ascii"))
-        elif tok == _NUM:
+        elif slot == _NUM:
             parts.append("[0-9]*")
+        elif any(value != value.upper() for value in seen):
+            parts.append("[0-9A-Fa-f]*")
         else:
             parts.append("[0-9A-F]*")
-    if literal:
-        parts.append(escape_literal(bytes(literal)))
+        parts.append(escape_literal(literal))
     return "".join(parts)
 
 
@@ -480,7 +449,7 @@ def _mine_elements(all_haystacks: dict[str, list[list[bytes]]], section: Section
         raise SectionAbsentEverywhere(section.value)
     files = {producer: Counter(map(tuple, haystacks))
              for producer, haystacks in all_haystacks.items()}
-    tokenized: dict[bytes, list[int]] = {}
+    tokenized: dict[bytes, str] = {}
 
     results: dict[str, list[CandidatePattern]] = {}
     for producer, own in all_haystacks.items():
@@ -488,8 +457,8 @@ def _mine_elements(all_haystacks: dict[str, list[list[bytes]]], section: Section
         # A file with no element has an empty stream, which holds no run.
         file_tokens = [_file_tokens(h, tokenized) for h in own]
         distinct = {hay for elements in files[producer] for hay in elements}
-        for tokens in _common_across(file_tokens, min_tokens=2):
-            template = _build_template(tokens, distinct)
+        for run in _common_across(file_tokens, min_tokens=2):
+            template = _build_template(run, distinct)
             if template is None:
                 continue
             regex = compile_pattern(template)

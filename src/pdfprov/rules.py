@@ -366,9 +366,12 @@ def match_section(
     rule-id order, one per fired rule, each at its first element and the
     leftmost offset within it.  The vote reads only which rules fired.
     """
+    rules = pack.for_section(kind)
+    if not rules:
+        return []  # finding the xref streams alone is a pass over every object
     elements, ref = element_bytes(sections, kind)
     matches: list[RuleMatch] = []
-    for rule in pack.for_section(kind):
+    for rule in rules:
         for data in elements:
             m = rule.regex.search(data)
             if m is None:

@@ -17,13 +17,12 @@ from pdfprov.miner import (
     LabeledCorpus,
     _HEX,
     _NUM,
-    _SEP_BASE,
+    _SEP,
     _build_template,
     _common_across,
     _file_tokens,
     _group_haystacks,
     _mine_elements,
-    _text,
     _tokenize,
     emit_rulepack,
     mine,
@@ -55,6 +54,16 @@ def test_a_fixture_manifest_reads_back_each_profiles_labels(tmp_path):
     assert [(f.data, f.producer, f.os, f.distro) for f in corpus.files] == expected
 
 
+def test_sections_follow_the_files_bytes_not_its_identity():
+    # Once a file is dropped, a new file may reuse its id, but not its sections.
+    corpus = LabeledCorpus([CorpusFile(generate(PROFILES[Producer.CAIRO], 1), "Cairo")])
+    corpus.sections_of(corpus.files[0])
+    corpus.files.clear()
+    corpus.files.append(CorpusFile(generate(PROFILES[Producer.PDFTEX], 1), "PdfTeX"))
+    new = corpus.files[0]
+    assert corpus.sections_of(new).data == new.data
+
+
 def _word_pair(length_a: bytes, length_b: bytes) -> LabeledCorpus:
     def blob(n: bytes, filler: bytes) -> bytes:
         return (b"%PDF-1.7\r\n%\xB5\xB5\xB5\xB5\r\n"
@@ -78,6 +87,21 @@ def test_constant_runs_stay_literal():
     corpus = _word_pair(b"2413", b"2413")
     candidates = mine(corpus, SectionKind.BODY)[WORD]
     assert any("Length 2413>>" in c.template for c in candidates)
+
+
+def _trailers(ids: list[bytes]) -> list[list[bytes]]:
+    return [[b"<< /Size 7 /ID [<%s><%s>] /Root 1 0 R >>" % (i, i)] for i in ids]
+
+
+@pytest.mark.parametrize("ids, slot", [
+    ([b"0123456789abcdef0123456789abcdef", b"fedcba9876543210fedcba9876543210"], "[0-9A-Fa-f]*"),
+    ([b"0123456789ABCDEF0123456789ABCDEF", b"FEDCBA9876543210FEDCBA9876543210"], "[0-9A-F]*"),
+], ids=["lowercase", "uppercase"])
+def test_a_varying_hex_slot_matches_the_case_it_was_read_in(ids, slot):
+    # The tokenizer reads hex runs of either case; a lowercase value needs
+    # a slot that matches lowercase, or the template misses its own files.
+    (cand,) = _mine_elements({"P": _trailers(ids)}, SectionKind.TRAILER, 8, 0.0)["P"]
+    assert cand.template == f"<< /Size 7 /ID \\[<{slot}><{slot}>\\] /Root 1 0 R >>"
 
 
 def test_single_file_group_has_full_support():
@@ -274,12 +298,12 @@ def test_group_labels_tag_rules():
 # costs about |a|*|b|/alphabet per pair, so it only serves as the oracle.
 
 
-def _maximal_common(a: tuple[int, ...], b: list[int]) -> set[tuple[int, ...]]:
+def _maximal_common(a: str, b: str) -> set[str]:
     """All maximal token substrings of ``a`` that occur in ``b``."""
-    positions: dict[int, list[int]] = {}
+    positions: dict[str, list[int]] = {}
     for j, tok in enumerate(b):
         positions.setdefault(tok, []).append(j)
-    out: set[tuple[int, ...]] = set()
+    out: set[str] = set()
     prev: dict[int, int] = {}
     rows: list[dict[int, int]] = []
     for tok in a:
@@ -292,37 +316,26 @@ def _maximal_common(a: tuple[int, ...], b: list[int]) -> set[tuple[int, ...]]:
         nxt = rows[i + 1] if i + 1 < len(rows) else {}
         for j, run in row.items():
             if (j + 1) not in nxt:  # not extendable to the right
-                out.add(tuple(a[i - run + 1 : i + 1]))
+                out.add(a[i - run + 1 : i + 1])
     return out
 
 
-def _contains(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
-    n, m = len(big), len(small)
-    if m > n:
-        return False
-    first = small[0]
-    for i in range(n - m + 1):
-        if big[i] == first and big[i : i + m] == small:
-            return True
-    return False
-
-
-def _drop_contained(cands: set[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _drop_contained(cands: set[str]) -> list[str]:
     ordered = sorted(cands, key=lambda c: (-len(c), c))
-    kept: list[tuple[int, ...]] = []
+    kept: list[str] = []
     for cand in ordered:
-        if not any(_contains(k, cand) for k in kept):
+        if not any(cand in k for k in kept):
             kept.append(cand)
     return kept
 
 
-def _reference_common_across(files_tokens: list[list[int]], first_haystacks: list[bytes],
-                             min_tokens: int) -> list[tuple[int, ...]]:
-    cands: list[tuple[int, ...]] = list(dict.fromkeys(
-        tuple(_tokenize(hay)) for hay in first_haystacks if hay
+def _reference_common_across(files_tokens: list[str], first_haystacks: list[bytes],
+                             min_tokens: int) -> list[str]:
+    cands: list[str] = list(dict.fromkeys(
+        _one_pass_tokenize(hay) for hay in first_haystacks if hay
     ))
     for tokens in files_tokens[1:]:
-        found: set[tuple[int, ...]] = set()
+        found: set[str] = set()
         for cand in cands:
             found |= _maximal_common(cand, tokens)
         cands = [c for c in _drop_contained(found) if len(c) >= min_tokens]
@@ -379,44 +392,38 @@ def _groups(draw) -> list[list[bytes]]:
 @example([[b"abcpdef", b"b"], [b"abcqdef", b"b"], [b"abcrdef", b"b"], [b"abcsdef", b"b"]], 2)
 @settings(max_examples=300, deadline=None)
 def test_common_across_equals_pairwise_search(group, min_tokens):
-    tokenized: dict[bytes, list[int]] = {}
+    tokenized: dict[bytes, str] = {}
     files_tokens = [_file_tokens(elements, tokenized) for elements in group]
     expected = _reference_common_across(files_tokens, group[0], min_tokens)
     assert _common_across(files_tokens, min_tokens) == expected
 
 
-def test_token_text_is_one_character_per_token():
-    # A file of 55,000 elements or more has separators in the surrogate range.
-    tokens = [0, 97, 255, _NUM, _HEX, _SEP_BASE, 0xD7FF, 0xD800, 0xDFFF, 0xE000, 0x10FFFF]
-    assert _text(tokens) == "".join(map(chr, tokens))
-    assert _text(()) == ""
+# A long hex run in angle brackets, or a digit run.
+_TOKEN_RE = re.compile(rb"<([0-9A-Fa-f]{16,})>|[0-9]+")
 
 
-def _two_pass_tokenize(data: bytes) -> list[int]:
-    """The tokenizer as two scans: hex runs in angle brackets, then digit runs."""
-    tokens: list[int] = []
-
-    def literal(chunk: bytes) -> None:
-        pos = 0
-        for m in re.finditer(rb"[0-9]+", chunk):
-            tokens.extend(chunk[pos : m.start()])
-            tokens.append(_NUM)
-            pos = m.end()
-        tokens.extend(chunk[pos:])
-
+def _one_pass_tokenize(data: bytes) -> str:
+    """The tokenizer as one scan that takes each hex or digit run in turn."""
+    tokens: list[str] = []
     pos = 0
-    for m in re.finditer(rb"<([0-9A-Fa-f]{16,})>", data):
-        literal(data[pos : m.start() + 1])  # keep '<'
-        tokens.append(_HEX)
-        pos = m.end() - 1  # '>' belongs to the following literal run
-    literal(data[pos:])
-    return tokens
+    for m in _TOKEN_RE.finditer(data):
+        start, end = m.span()
+        if m.lastindex:  # a hex run
+            tokens.append(data[pos : start + 1].decode("latin-1"))  # keep '<'
+            tokens.append(_HEX)
+            pos = end - 1  # '>' belongs to the following literal run
+        else:
+            tokens.append(data[pos:start].decode("latin-1"))
+            tokens.append(_NUM)
+            pos = end
+    tokens.append(data[pos:].decode("latin-1"))
+    return "".join(tokens)
 
 
 # Angle brackets, digit runs and hex runs of every length around the
 # 16-digit floor, so brackets, digits and hex runs abut in every order.
 _TOKEN_PIECES = st.one_of(
-    st.sampled_from([b"<", b">", b"x"]),
+    st.sampled_from([b"<", b">", b"x", b"\xff"]),
     st.text("0123456789", min_size=1, max_size=4).map(str.encode),
     st.text("0123456789ABCDEFabcdef", min_size=1, max_size=20).map(str.encode),
 )
@@ -425,9 +432,11 @@ _TOKEN_PIECES = st.one_of(
 @given(st.lists(_TOKEN_PIECES, max_size=12).map(b"".join))
 @example(b"<0123456789abcdef><0123456789ABCDEF>")
 @example(b"12<0123456789abcdef0>34")
+# Every byte is one token, its Latin-1 character, and none is a slot.
+@example(bytes(range(256)))
 @settings(max_examples=500, deadline=None)
-def test_tokenize_equals_the_two_pass_tokenizer(data):
-    assert _tokenize(data) == _two_pass_tokenize(data)
+def test_tokenize_equals_the_one_pass_tokenizer(data):
+    assert _tokenize(data) == _one_pass_tokenize(data)
 
 
 # -- Reference candidate loop ---------------------------------------------------
@@ -446,13 +455,8 @@ def _share_matching(regex: re.Pattern[bytes], haystacks_per_file: list[list[byte
     return hits / len(haystacks_per_file)
 
 
-def _stream(haystacks: list[bytes]) -> list[int]:
-    tokens: list[int] = []
-    for i, hay in enumerate(haystacks):
-        if i:
-            tokens.append(_SEP_BASE + i)
-        tokens.extend(_tokenize(hay))
-    return tokens
+def _stream(haystacks: list[bytes]) -> str:
+    return _SEP.join(map(_one_pass_tokenize, haystacks))
 
 
 def _reference_mine(all_haystacks: dict[str, list[list[bytes]]], section: SectionKind,

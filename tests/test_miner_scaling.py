@@ -52,7 +52,7 @@ def _body(file_index: int, objects: int) -> list[bytes]:
     return elements
 
 
-def _group(objects: int) -> list[list[int]]:
+def _group(objects: int) -> list[str]:
     return [_file_tokens(_body(k, objects), {}) for k in range(FILES)]
 
 
@@ -74,7 +74,7 @@ COPIES = 12
 MAX_COPIES_RATIO = 1.5
 
 
-def _near_copies(files: int) -> list[list[int]]:
+def _near_copies(files: int) -> list[str]:
     """``files`` copies of one body that differ only in one payload byte,
     each copy's own, so no two token streams are equal."""
     first, *rest = _body(0, N)

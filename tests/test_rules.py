@@ -443,6 +443,19 @@ def test_zero_rule_pack_matches_nothing(corpus_bytes):
     assert all(v == [] for v in evaluate_sections(empty, segment(data)).values())
 
 
+def test_a_section_without_rules_builds_no_elements(pack, corpus_bytes, monkeypatch):
+    # The builtin pack has no xref rule, and finding the xref streams
+    # walks every object.
+    assert pack.for_section(SectionKind.XREF) == []
+    sections = segment(corpus_bytes[Producer.MICROSOFT_OFFICE_WORD][0])
+
+    def no_elements(*_):
+        raise AssertionError("elements built for a section without rules")
+
+    monkeypatch.setattr("pdfprov.rules.element_bytes", no_elements)
+    assert match_section(pack, sections, SectionKind.XREF) == []
+
+
 def test_libreoffice_trailer_matched_by_keyorder(pack):
     data = b"%PDF-1.4\n%\xC3\xA4\xC3\xBC\xC3\xB6\xC3\x9F\n" + LIBREOFFICE_TRAILER
     matches = evaluate_sections(pack, segment(data))
