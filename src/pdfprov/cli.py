@@ -5,7 +5,9 @@ producer was named, 2 for an ambiguous verdict, 3 when no section
 matched anything.  Every command returns 1, with a machine-readable error
 object on stdout, for an error it cannot record as a row: ``main()`` is
 the one place that catches it.  ``batch`` and ``audit`` record a file
-that cannot be read or scanned as a row and go on.
+that cannot be read or scanned as a row and go on.  ``--sections`` keeps
+only those sections' rules of the pack; a library caller passes
+``scan_bytes`` such a filtered ``Rulepack`` instead.
 """
 
 from __future__ import annotations
@@ -42,15 +44,13 @@ def _load_pack(path: str | None) -> Rulepack:
     return load_rulepack(Path(path).read_text(encoding="utf-8"))
 
 
-def _parse_sections(value: str | None) -> list[SectionKind] | None:
-    if not value:
-        return None
-    kinds = []
-    for item in value.split(","):
-        item = item.strip()
-        if item:
-            kinds.append(SectionKind(item))
-    return kinds or None
+def _parse_sections(value: str | None) -> set[SectionKind]:
+    return {SectionKind(item.strip()) for item in (value or "").split(",") if item.strip()}
+
+
+def _keep_sections(pack: Rulepack, kinds: set[SectionKind]) -> Rulepack:
+    """``pack`` with only its rules of the sections in ``kinds``; all of it if none."""
+    return Rulepack([r for r in pack.rules if r.section in kinds]) if kinds else pack
 
 
 def _error_object(path: str, exc: Exception) -> dict:
@@ -61,11 +61,10 @@ def _error_object(path: str, exc: Exception) -> dict:
     }
 
 
-def scan_bytes(label: str, data: bytes, pack: Rulepack,
-               only: list[SectionKind] | None = None) -> ScanReport:
+def scan_bytes(label: str, data: bytes, pack: Rulepack) -> ScanReport:
     """Run the full per-file pipeline and assemble a report."""
     sections = segment(data)
-    verdict = detect(pack, sections, only)
+    verdict = detect(pack, sections)
     declared = extract_declared(data, sections=sections)
     status, _ = consistency_status(declared, verdict)
     return ScanReport(label, verdict, declared, status, sections.diagnostics)
@@ -75,9 +74,9 @@ def scan_bytes(label: str, data: bytes, pack: Rulepack,
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    only = _parse_sections(args.sections)
+    kinds = _parse_sections(args.sections)
     data = sys.stdin.buffer.read() if args.path == "-" else Path(args.path).read_bytes()
-    report = scan_bytes(args.path, data, _load_pack(args.pack), only)
+    report = scan_bytes(args.path, data, _keep_sections(_load_pack(args.pack), kinds))
     if args.format == "table":
         print(_scan_table(report))
     else:
@@ -117,7 +116,8 @@ def _batch_inputs(source: str) -> list[tuple[str, Path, str | None]]:
     """(label, path, manifest-truth) triples, sorted by label."""
     src = Path(source)
     if src.is_dir():
-        entries = [(str(path.relative_to(src)), path, None) for path in src.rglob("*.pdf")]
+        entries = [(str(path.relative_to(src)), path, None) for path in src.rglob("*")
+                   if path.name.lower().endswith(".pdf") and path.is_file()]
     else:
         entries = [(cols[0], src.parent / cols[0], cols[1] if len(cols) > 1 and cols[1] else None)
                    for _, cols in read_manifest(src)]
@@ -125,13 +125,12 @@ def _batch_inputs(source: str) -> list[tuple[str, Path, str | None]]:
     return entries
 
 
-def _scan_entries(entries: list[tuple[str, Path, str | None]], pack: Rulepack,
-                  only: list[SectionKind] | None
+def _scan_entries(entries: list[tuple[str, Path, str | None]], pack: Rulepack
                   ) -> Iterator[tuple[str, str | None, ScanReport | Exception]]:
     """(label, truth, the report or the error that stopped the scan) per entry."""
     for label, path, truth in entries:
         try:
-            result: ScanReport | Exception = scan_bytes(label, path.read_bytes(), pack, only)
+            result: ScanReport | Exception = scan_bytes(label, path.read_bytes(), pack)
         except (PdfProvError, OSError) as exc:
             result = exc
         yield label, truth, result
@@ -140,11 +139,11 @@ def _scan_entries(entries: list[tuple[str, Path, str | None]], pack: Rulepack,
 def cmd_batch(args: argparse.Namespace) -> int:
     pack = _load_pack(args.pack)
     entries = _batch_inputs(args.source)
-    only = _parse_sections(args.sections)
+    pack = _keep_sections(pack, _parse_sections(args.sections))
     stats = BatchStats()
     rows: list[list[str]] = []
     file_dicts: list[dict] = []
-    for label, truth, report in _scan_entries(entries, pack, only):
+    for label, truth, report in _scan_entries(entries, pack):
         if isinstance(report, Exception):
             error = f"{type(report).__name__}: {report}"
             stats.add_error(label, error)
@@ -190,7 +189,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     entries = _batch_inputs(args.path) if src.is_dir() else [(str(src), src, None)]
     reports: list[dict] = []
     counts = {"consistent": 0, "inconsistent": 0, "unverifiable": 0, "error": 0}
-    for label, _, report in _scan_entries(entries, pack, None):
+    for label, _, report in _scan_entries(entries, pack):
         if isinstance(report, Exception):
             counts["error"] += 1
             reports.append(_error_object(label, report))

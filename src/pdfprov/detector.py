@@ -19,13 +19,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .rules import (
-    SECTION_ORDER,
-    RuleMatch,
-    Rulepack,
-    SectionKind,
-    evaluate_sections,
-)
+from .rules import SECTION_ORDER, RuleMatch, Rulepack, SectionKind, evaluate_sections
 from .segmenter import PdfSections
 
 
@@ -129,10 +123,9 @@ def detect_os(
     return tuple((o, d) for o in sorted(os_common) for d in distros)
 
 
-def detect(pack: Rulepack, sections: PdfSections,
-           only: Iterable[SectionKind] | None = None) -> Verdict:
-    """Match the sections in ``only`` (default: all four), vote and infer OS."""
-    matches = evaluate_sections(pack, sections, SECTION_ORDER if only is None else set(only))
+def detect(pack: Rulepack, sections: PdfSections) -> Verdict:
+    """Match, vote and infer OS; a section ``pack`` has no rule for nominates nobody."""
+    matches = evaluate_sections(pack, sections)
     verdict = majority_vote({kind: section_verdict(matches[kind], kind) for kind in SECTION_ORDER})
     verdict.os_candidates = detect_os(verdict, matches)
     # Evidence lists every fired rule; each fired rule has one match, and

@@ -7,13 +7,14 @@ those producers are told apart by header/xref/trailer signals alone).
 ``xref_stream`` is the dictionary of the xref-stream object 6, or None.
 ``trailer`` is what follows the classic xref table up to the last
 ``startxref``, or None; a classic table is written exactly when there is a
-trailer.  A producer's variant is ``dataclasses.replace`` with other templates.
+trailer.  A producer's variant is ``dataclasses.replace`` with other templates
+or other Info strings (``producer_string``, ``creator_string``).
 
 Fixtures are skeletal on purpose: a catalog, one page, one uncompressed
 content stream and an Info dictionary.  All published signals live in
 this skeleton; page content would only add noise.  ``generate`` is a pure
-function of (profile, seed, strings): outputs are byte-identical across
-runs, with the seed varying stream lengths and /ID values only.
+function of (profile, seed): outputs are byte-identical across runs, with
+the seed varying stream lengths and /ID values only.
 """
 
 from __future__ import annotations
@@ -174,16 +175,12 @@ def _stream_content(rnd: random.Random, seed: int) -> bytes:
     return bytes([0x41 + seed % 26]) + bytes(rnd.randrange(0x41, 0x5B) for _ in range(length - 1))
 
 
-def generate(profile: ProducerProfile, seed: int,
-             producer_string: str | None = None,
-             creator_string: str | None = None) -> bytes:
+def generate(profile: ProducerProfile, seed: int) -> bytes:
     """Render one fixture PDF for ``profile``, deterministic in ``seed``."""
     rnd = random.Random(f"{profile.producer.value}:{seed}")
     e = profile.eol
-    strings = (profile.producer_string if producer_string is None else producer_string,
-               profile.creator_string if creator_string is None else creator_string)
     producer, creator = (text.encode("latin-1", "replace").replace(b"\\", b"\\\\")
-                         for text in strings)
+                         for text in (profile.producer_string, profile.creator_string))
     content = _stream_content(rnd, seed)
     file_id = bytes(rnd.choice(b"0123456789ABCDEF") for _ in range(32))
     size = b"6" if profile.xref_stream is None else b"7"
@@ -228,8 +225,7 @@ def generate(profile: ProducerProfile, seed: int,
     return b"".join(parts)
 
 
-def emit_corpus(directory: str | Path, seeds: range = range(1, 11),
-                producers: list[Producer] | None = None) -> Path:
+def emit_corpus(directory: str | Path, seeds: range = range(1, 11)) -> Path:
     """Write the fixture corpus plus a tab-separated manifest.
 
     Returns the manifest path.  Layout: ``<dir>/<tool>/<tool>-<seed>.pdf``.
@@ -237,15 +233,13 @@ def emit_corpus(directory: str | Path, seeds: range = range(1, 11),
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     lines: list[str] = []
-    for producer in producers or list(Producer):
-        profile = PROFILES[producer]
+    for producer, profile in PROFILES.items():
         slug = producer.value.lower()
         (directory / slug).mkdir(exist_ok=True)
         for seed in seeds:
             relpath = f"{slug}/{slug}-{seed:03d}.pdf"
             (directory / relpath).write_bytes(generate(profile, seed))
-            lines.append(manifest_line(relpath, profile.producer.value, profile.os_label,
-                                       profile.distro_label))
+            lines.append(manifest_line(relpath, producer.value, profile.os_label, profile.distro_label))
     manifest = directory / "manifest.tsv"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest

@@ -43,7 +43,7 @@ section's matches come out in rule-id order.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Collection
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from re import _constants, _parser
@@ -187,6 +187,8 @@ def _read_field(key: str, value: str, lineno: int) -> Any:
     """The value of one ``key = value`` line, checked against its field."""
     value = value.strip()
     if key == "producer":
+        if not value:
+            raise RuleParseError(lineno, "producer must not be empty")
         return value
     if key == "pattern":
         m = _QUOTED_RE.match(value)
@@ -382,12 +384,9 @@ def match_section(
     return matches
 
 
-def evaluate_sections(pack: Rulepack, sections: PdfSections,
-                      only: Collection[SectionKind] = SECTION_ORDER
-                      ) -> dict[SectionKind, list[RuleMatch]]:
-    """Each section's matches; a section not in ``only`` is not matched and has none."""
-    return {kind: match_section(pack, sections, kind) if kind in only else []
-            for kind in SECTION_ORDER}
+def evaluate_sections(pack: Rulepack, sections: PdfSections) -> dict[SectionKind, list[RuleMatch]]:
+    """Each section's matches; a section the pack has no rule for has none."""
+    return {kind: match_section(pack, sections, kind) for kind in SECTION_ORDER}
 
 
 __all__ = [

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -350,10 +351,9 @@ def test_criterion_7_miner_rediscovery(corpus_bytes):
 
 def test_criterion_8_consistency_audit():
     pack = builtin()
-    matching = generate(PROFILES[Producer.LIBREOFFICE], 5,
-                        producer_string="LibreOffice 6.1")
-    mismatched = generate(PROFILES[Producer.GHOSTSCRIPT], 5,
-                          producer_string="LibreOffice 6.1")
+    claims_libreoffice = {"producer_string": "LibreOffice 6.1"}
+    matching = generate(replace(PROFILES[Producer.LIBREOFFICE], **claims_libreoffice), 5)
+    mismatched = generate(replace(PROFILES[Producer.GHOSTSCRIPT], **claims_libreoffice), 5)
     stripped = _mutate_metadata(generate(PROFILES[Producer.GHOSTSCRIPT], 6), 0x00)
     statuses = [ConsistencyStatus(scan_bytes("audit.pdf", data, pack).consistency)
                 for data in (matching, mismatched, stripped)]

@@ -33,9 +33,9 @@ def corpus_dir(tmp_path_factory) -> Path:
     return directory
 
 
-def _write_fixture(tmp_path: Path, producer: Producer, seed: int = 1, **kw) -> Path:
+def _write_fixture(tmp_path: Path, producer: Producer, seed: int = 1) -> Path:
     path = tmp_path / f"{producer.value.lower()}-{seed}.pdf"
-    path.write_bytes(generate(PROFILES[producer], seed, **kw))
+    path.write_bytes(generate(PROFILES[producer], seed))
     return path
 
 
@@ -314,6 +314,29 @@ def test_batch_unknown_section_is_an_error_object(corpus_dir, capsys):
     assert "hdr" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("argv, error_type, named", [
+    # scan checks --sections, then reads its input, then loads --pack.
+    (["scan", "missing.pdf", "--pack", "missing.rules", "--sections", "hdr"], "ValueError", "hdr"),
+    (["scan", "missing.pdf", "--pack", "missing.rules", "--sections", "header"],
+     "FileNotFoundError", "missing.pdf"),
+    (["scan", "cairo-1.pdf", "--pack", "missing.rules", "--sections", "header"],
+     "FileNotFoundError", "missing.rules"),
+    # batch loads --pack, then reads its manifest or directory, then checks --sections.
+    (["batch", "missing.tsv", "--pack", "missing.rules", "--sections", "hdr"],
+     "FileNotFoundError", "missing.rules"),
+    (["batch", "missing.tsv", "--sections", "hdr"], "FileNotFoundError", "missing.tsv"),
+    (["batch", ".", "--sections", "hdr"], "ValueError", "hdr"),
+])
+def test_scan_and_batch_report_their_first_error(argv, error_type, named, tmp_path,
+                                                 monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write_fixture(tmp_path, Producer.CAIRO)
+    assert main(argv) == EXIT_ERROR
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == error_type
+    assert named in error["message"]
+
+
 def test_batch_empty_corpus(tmp_path, capsys):
     manifest = tmp_path / "manifest.tsv"
     manifest.write_text("")
@@ -422,6 +445,19 @@ def test_batch_and_audit_list_a_directory_in_one_order(tmp_path, capsys):
     assert [r["file"] for r in json.loads(capsys.readouterr().out)["files"]] == expected
 
 
+def test_a_directorys_pdfs_are_its_files_named_pdf_in_any_case(tmp_path, capsys):
+    fixture = generate(PROFILES[Producer.CAIRO], 1)
+    (tmp_path / "sub.pdf").mkdir()  # a directory, not a PDF
+    for name in ("a.pdf", "B.PDF", "notes.txt", str(Path("sub.pdf", "c.Pdf"))):
+        (tmp_path / name).write_bytes(fixture)
+    expected = ["B.PDF", "a.pdf", str(Path("sub.pdf", "c.Pdf"))]
+    assert main(["batch", str(tmp_path), "--format", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [(r["file"], r["producer"]) for r in rows] == [(name, "Cairo") for name in expected]
+    assert main(["audit", str(tmp_path), "--format", "json"]) == 0
+    assert [r["file"] for r in json.loads(capsys.readouterr().out)["files"]] == expected
+
+
 # -- audit ---------------------------------------------------------------------
 
 
@@ -430,10 +466,10 @@ def test_audit_three_statuses(tmp_path, capsys):
     consistent = tmp_path / "libreoffice-1.pdf"
     inconsistent = tmp_path / "claims-libreoffice.pdf"
     inconsistent.write_bytes(
-        generate(PROFILES[Producer.GHOSTSCRIPT], 2, producer_string="LibreOffice 6.1")
+        generate(replace(PROFILES[Producer.GHOSTSCRIPT], producer_string="LibreOffice 6.1"), 2)
     )
     stripped = tmp_path / "stripped.pdf"
-    stripped.write_bytes(generate(PROFILES[Producer.GHOSTSCRIPT], 3, producer_string=""))
+    stripped.write_bytes(generate(replace(PROFILES[Producer.GHOSTSCRIPT], producer_string=""), 3))
     code = main(["audit", str(tmp_path), "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
@@ -453,7 +489,7 @@ def _xmp_object(num: int, producer: str) -> bytes:
 
 def test_audit_and_metadata_truth_use_the_tool_the_audit_graded(tmp_path, capsys):
     # Info names no known tool, so the audit grades against the XMP one.
-    data = generate(PROFILES[Producer.GHOSTSCRIPT], 1, producer_string="Acme Converter 2.0")
+    data = generate(replace(PROFILES[Producer.GHOSTSCRIPT], producer_string="Acme Converter 2.0"), 1)
     data = data.replace(b"5 0 obj", _xmp_object(9, "GPL Ghostscript 9.26") + b"5 0 obj", 1)
     (tmp_path / "gs-xmp.pdf").write_bytes(data)
     assert main(["audit", str(tmp_path), "--format", "json"]) == 0

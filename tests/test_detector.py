@@ -20,7 +20,8 @@ from pdfprov import rules
 from pdfprov.builtin_pack import builtin
 from pdfprov.fixtures import PROFILES, generate
 from pdfprov.producers import Producer
-from pdfprov.rules import Rule, RuleKind, RuleMatch, SECTION_ORDER, SectionKind
+from pdfprov.rules import (Rule, RuleKind, RuleMatch, Rulepack, SECTION_ORDER, SectionKind,
+                           load_rulepack)
 from pdfprov.segmenter import segment
 
 W = Producer.MICROSOFT_OFFICE_WORD.value
@@ -116,21 +117,27 @@ def test_vote_conservation(corpus_bytes):
         assert all(v <= 4 for v in verdict.votes.values())
 
 
-def test_detect_matches_only_the_requested_sections(monkeypatch):
-    pack, sections = builtin(), segment(generate(PROFILES[Producer.LIBREOFFICE], 1))
+def test_a_pack_filtered_to_two_sections_matches_only_them(monkeypatch):
+    # The builtin pack has no xref rule; one over the classic table gives it one.
+    xref_rule = load_rulepack('rule xref-word {\n  producer = MicrosoftOfficeWord\n'
+                              '  section = xref\n  kind = template\n  pattern = "^xref"\n}\n')
+    pack = Rulepack(builtin().rules + xref_rule.rules)
+    sections = segment(generate(PROFILES[Producer.MICROSOFT_OFFICE_WORD], 1))
     full = detect(pack, sections)
-    matched = []
-    match_section = rules.match_section
-    monkeypatch.setattr(rules, "match_section",
-                        lambda *args: matched.append(args[2]) or match_section(*args))
-    for only in itertools.combinations(SECTION_ORDER, 2):
-        matched.clear()
-        verdict = detect(pack, sections, only)
-        assert matched == list(only)
+    assert all(full.evidence[kind] for kind in SECTION_ORDER)
+    searched = []
+    element_bytes = rules.element_bytes
+    monkeypatch.setattr(rules, "element_bytes",
+                        lambda *args: searched.append(args[1]) or element_bytes(*args))
+    for pair in itertools.combinations(SECTION_ORDER, 2):
+        searched.clear()
+        verdict = detect(Rulepack([r for r in pack.rules if r.section in pair]), sections)
+        # No element of another section is even built.
+        assert searched == list(pair)
         assert verdict.section_verdicts == {
-            kind: full.section_verdicts[kind] if kind in only else frozenset()
+            kind: full.section_verdicts[kind] if kind in pair else frozenset()
             for kind in SECTION_ORDER}
-        assert verdict.evidence == {kind: full.evidence[kind] if kind in only else ()
+        assert verdict.evidence == {kind: full.evidence[kind] if kind in pair else ()
                                     for kind in SECTION_ORDER}
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
+from dataclasses import replace
 
 from pdfprov.detector import VerdictKind, detect
 from pdfprov.fixtures import PROFILES, emit_corpus, generate
@@ -67,16 +69,14 @@ def test_self_detection_across_seeds(corpus_bytes, pack):
 
 
 def test_emit_corpus_layout(tmp_path):
-    manifest = emit_corpus(tmp_path, seeds=range(1, 3),
-                           producers=[Producer.CAIRO, Producer.SKIA_PDF])
-    lines = manifest.read_text().splitlines()
-    assert len(lines) == 4
-    first = lines[0].split("\t")
-    assert first[1] == Producer.CAIRO.value
-    assert (tmp_path / first[0]).is_file()
+    manifest = emit_corpus(tmp_path, seeds=range(1, 3))
+    rows = [line.split("\t") for line in manifest.read_text().splitlines()]
+    assert [row[1] for row in rows] == [p.value for p in Producer for _ in (1, 2)]
+    for (path, *_), (producer, seed) in zip(rows, itertools.product(Producer, (1, 2))):
+        assert (tmp_path / path).read_bytes() == generate(PROFILES[producer], seed)
 
 
-# The producer_string overrides the tests pass to generate, and one
+# The Info strings the tests give profiles with ``replace``, and one
 # creator_string that needs escaping.
 _OVERRIDES = [
     (Producer.GHOSTSCRIPT, {"producer_string": "LibreOffice 6.1"}),
@@ -100,6 +100,6 @@ def test_every_fixture_byte_is_pinned():
             digest.update(generate(profile, seed))
     for producer, overrides in _OVERRIDES:
         for seed in (1, 2, 3):
-            digest.update(generate(PROFILES[producer], seed, **overrides))
+            digest.update(generate(replace(PROFILES[producer], **overrides), seed))
     assert digest.hexdigest() == (
         "f153470dabebe2bf96ab5269e6021917a354c29a0e6cab7c53b23142afeebbba")

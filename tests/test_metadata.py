@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -35,7 +36,7 @@ GS = Producer.GHOSTSCRIPT
 
 
 def test_info_producer_extracted():
-    data = generate(PROFILES[GS], 1, producer_string="GPL Ghostscript 9.26")
+    data = generate(replace(PROFILES[GS], producer_string="GPL Ghostscript 9.26"), 1)
     declared = extract_declared(data, segment(data))
     assert declared.producer == "GPL Ghostscript 9.26"
     assert declared.source is MetadataSource.INFO
@@ -281,7 +282,7 @@ def test_normalize_idempotent_over_display_names():
 
 
 def test_consistent_when_declared_matches_detection(pack):
-    data = generate(PROFILES[Producer.LIBREOFFICE], 2, producer_string="LibreOffice 6.1")
+    data = generate(replace(PROFILES[Producer.LIBREOFFICE], producer_string="LibreOffice 6.1"), 2)
     report = scan_bytes("lo.pdf", data, pack)
     assert ConsistencyStatus(report.consistency) is ConsistencyStatus.CONSISTENT
     assert normalize_producer_string(report.declared.producer) == Producer.LIBREOFFICE.value
@@ -289,14 +290,14 @@ def test_consistent_when_declared_matches_detection(pack):
 
 def test_inconsistent_when_declared_is_another_tool(pack):
     # Ghostscript coding style, LibreOffice claim.
-    data = generate(PROFILES[GS], 2, producer_string="LibreOffice 6.1")
+    data = generate(replace(PROFILES[GS], producer_string="LibreOffice 6.1"), 2)
     report = scan_bytes("gs.pdf", data, pack)
     assert report.producer == GS.value
     assert ConsistencyStatus(report.consistency) is ConsistencyStatus.INCONSISTENT
 
 
 def test_unverifiable_when_declared_unmappable(pack):
-    data = generate(PROFILES[GS], 2, producer_string="VeryPDF")
+    data = generate(replace(PROFILES[GS], producer_string="VeryPDF"), 2)
     report = scan_bytes("gs.pdf", data, pack)
     assert report.producer == GS.value
     assert ConsistencyStatus(report.consistency) is ConsistencyStatus.UNVERIFIABLE
@@ -352,7 +353,7 @@ def test_status_totality(pack):
     declared_options = [None, "GPL Ghostscript 9.26", "LibreOffice 6.1", "mystery tool"]
     for declared_str, verdict in itertools.product(declared_options,
                                                    [detected_producer, no_result]):
-        data = generate(PROFILES[GS], 1, producer_string=declared_str or "")
+        data = generate(replace(PROFILES[GS], producer_string=declared_str or ""), 1)
         declared = extract_declared(data, segment(data))
         if declared_str is None:
             declared.producer = None
@@ -361,8 +362,8 @@ def test_status_totality(pack):
 
 
 def test_detection_is_independent_of_declared_metadata(pack):
-    base = generate(PROFILES[GS], 3, producer_string="GPL Ghostscript 9.26")
-    renamed = generate(PROFILES[GS], 3, producer_string="NotGhostscript 1.0")
+    base = generate(replace(PROFILES[GS], producer_string="GPL Ghostscript 9.26"), 3)
+    renamed = generate(replace(PROFILES[GS], producer_string="NotGhostscript 1.0"), 3)
     assert len(base) != 0
     verdict_a = detect(pack, segment(base))
     verdict_b = detect(pack, segment(renamed))

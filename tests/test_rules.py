@@ -86,6 +86,9 @@ _RULE = 'rule r1 {\n  producer = Cairo\n  section = body\n  kind = template\n  p
     ("  kind", "  distro = [texlive, tetex]\n  kind", "line 4: unknown distro tag 'tetex'"),
     ("rule r1 {", "# a comment\nr1 {", "line 2: expected 'rule <id> {', got 'r1 {'"),
     ("producer = Cairo", "producer Cairo", "line 2: expected 'key = value', got 'producer Cairo'"),
+    # An empty producer would be a vote for the name "".
+    ("producer = Cairo", "producer =", "line 2: producer must not be empty"),
+    ("producer = Cairo", "producer =   # none", "line 2: producer must not be empty"),
     ("template", "templat", "line 4: unknown kind 'templat'"),
     # A pack of the old format fails loudly, not by never firing.
     ("template", "presence", "line 4: kind 'presence' is no longer supported: "
@@ -213,7 +216,7 @@ def test_the_quoted_value_pattern_agrees_with_the_character_loops(line):
             _loop_parse_quoted, value.strip(), 3)
 
 
-@pytest.mark.parametrize("producer", ["C#Writer", " Skia", "Skia ", "Sk\nia", "Sk\x85ia"])
+@pytest.mark.parametrize("producer", ["C#Writer", " Skia", "Skia ", "Sk\nia", "Sk\x85ia", ""])
 def test_the_writer_refuses_a_producer_that_would_not_read_back(producer):
     rules = [Rule("r", "Cairo", SectionKind.BODY, RuleKind.TEMPLATE, "a"),
              Rule("bad", producer, SectionKind.BODY, RuleKind.TEMPLATE, "a")]
