@@ -26,7 +26,7 @@ from .errors import EmptyGroup, PdfProvError
 from .metadata import consistency_status, declared_tool, extract_declared
 from .producers import read_manifest
 from .report import CSV_COLUMNS, SCHEMA_VERSION, BatchStats, ScanReport, csv_error_row, csv_row
-from .rules import Rulepack, SectionKind, load_rulepack
+from .rules import SECTION_ORDER, Rulepack, SectionKind, load_rulepack
 from .segmenter import segment
 
 EXIT_PRODUCER = 0
@@ -49,7 +49,10 @@ def _parse_sections(value: str | None) -> set[SectionKind]:
 
 
 def _keep_sections(pack: Rulepack, kinds: set[SectionKind]) -> Rulepack:
-    """``pack`` with only its rules of the sections in ``kinds``; all of it if none."""
+    """``pack`` with only its rules of the sections in ``kinds``, all of it if none;
+    a section in ``kinds`` that ``pack`` has no rule for is a ValueError."""
+    if missing := [k.value for k in SECTION_ORDER if k in kinds and not pack.for_section(k)]:
+        raise ValueError(f"--sections names {', '.join(missing)}, which the pack has no rule for")
     return Rulepack([r for r in pack.rules if r.section in kinds]) if kinds else pack
 
 

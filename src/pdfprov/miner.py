@@ -7,10 +7,10 @@ stream payloads, and classic xref tables), then generalizes the volatile
 parts: decimal digit runs become ``[0-9]*`` and long hex strings inside
 angle brackets become ``[0-9A-F]*``, or ``[0-9A-Fa-f]*`` where a value
 holds a lowercase digit (but only where the values actually vary across
-the group; constant runs stay literal).  Every surviving candidate is
-scored for support (fraction of the producer's files it matches, 1.0 by
-construction and re-verified) and discriminacy (worst-case fraction of
-any other producer's files it matches).
+the group; constant runs stay literal).  A candidate is kept only if it
+matches every one of the producer's files, and is scored for
+discriminacy (worst-case fraction of any other producer's files it
+matches).
 
 The search works on tokens that compare equal whatever a digit or hex
 run's value.  A token is one character of a ``str``: a byte is its
@@ -53,7 +53,6 @@ from .errors import EmptyGroup, SectionAbsentEverywhere
 from .producers import Producer, read_manifest
 from .rules import (
     Rule,
-    RuleKind,
     SectionKind,
     SECTION_ORDER,
     compile_pattern,
@@ -140,7 +139,6 @@ class CandidatePattern:
     producer: str
     section: SectionKind
     template: str
-    support: float
     discriminacy: float
     byte_len: int
 
@@ -426,10 +424,10 @@ def mine(corpus: LabeledCorpus, section: SectionKind, min_len: int = 8,
          max_discriminacy: float = 0.0) -> dict[str, list[CandidatePattern]]:
     """Mine one section across the whole corpus.
 
-    Returns, per producer, the candidates with full support, discriminacy
-    at or below the threshold (a share, 0 to 1), and a concrete match of
-    at least ``min_len`` bytes, sorted by (discriminacy, length desc,
-    template).
+    Returns, per producer, the candidates that match every file of the
+    producer, with discriminacy at or below the threshold (a share, 0 to
+    1) and a concrete match of at least ``min_len`` bytes, sorted by
+    (discriminacy, length desc, template).
     """
     check_thresholds(min_len, max_discriminacy)
     groups = corpus.groups
@@ -474,7 +472,7 @@ def _mine_elements(all_haystacks: dict[str, list[list[bytes]]], section: Section
                 continue
             matches = _matcher(regex)
             if not all(map(matches, files[producer])):
-                continue  # support below 1.0
+                continue  # some own file lacks it
             disc = 0.0
             for other, other_files in files.items():
                 if other == producer:
@@ -484,9 +482,7 @@ def _mine_elements(all_haystacks: dict[str, list[list[bytes]]], section: Section
                     break
                 disc = max(disc, share)
             else:
-                candidates.append(
-                    CandidatePattern(producer, section, template, 1.0, disc, byte_len)
-                )
+                candidates.append(CandidatePattern(producer, section, template, disc, byte_len))
         candidates.sort(key=lambda c: (c.discriminacy, -c.byte_len, c.template))
         results[producer] = candidates
     return results
@@ -527,8 +523,7 @@ def emit_rulepack(candidates: dict[str, list[CandidatePattern]], name: str,
             idx = per_section.get(cand.section, 0)
             per_section[cand.section] = idx + 1
             rules.append(Rule(
-                f"{slug}-{cand.section.value}-{idx}", producer, cand.section, RuleKind.TEMPLATE,
-                cand.template,
+                f"{slug}-{cand.section.value}-{idx}", producer, cand.section, cand.template,
                 frozenset({os_label}) if os_label else frozenset(),
                 frozenset({distro_label}) if distro_label else frozenset(),
             ))

@@ -6,7 +6,6 @@ and optional OS/distribution tags.  Rule files are plain UTF-8 text:
     rule <id> {
       producer = <name>
       section  = header | body | xref | trailer
-      kind     = magic | keyorder | template
       os       = [windows, linux, macos]        # optional
       distro   = [texlive, miktex]              # optional
       pattern  = "<byte-regex>"
@@ -64,11 +63,8 @@ class SectionKind(str, Enum):
 SECTION_ORDER = (SectionKind.HEADER, SectionKind.BODY, SectionKind.XREF, SectionKind.TRAILER)
 
 
+# A rule has no kind; the reader refuses this one, and perfbench/ names it (ROADMAP item 9).
 class RuleKind(str, Enum):
-    MAGIC = "magic"
-    KEYORDER = "keyorder"
-    TEMPLATE = "template"
-    # No rule file may use it (see _read_field); perfbench/ still reads the name.
     PRESENCE = "presence"
 
 
@@ -128,11 +124,11 @@ class Rule:
     id: str
     producer: str
     section: SectionKind
-    kind: RuleKind
     pattern: str
     os_tags: frozenset[str] = frozenset()
     distro_tags: frozenset[str] = frozenset()
     regex: re.Pattern[bytes] = field(compare=False, hash=False, repr=False, default=None)  # type: ignore[assignment]
+    kind = None  # not a field: perfbench/ still reads it (ROADMAP item 9)
 
 
 @dataclass
@@ -174,8 +170,7 @@ _QUOTED_RE = re.compile(r'"((?:[^"\\]++|\\.)*+)(")?', re.S)
 # A line's text before its comment, which a '#' outside a quoted value starts;
 # a line with no '#' is all text, and testing for one costs less than a match.
 _CODE_RE = re.compile(rf'(?:[^"#]++|{_QUOTED_RE.pattern})*+', re.S)
-# The fields whose value is one of a fixed set: an enum, or a list of tags.
-_ENUM_FIELDS: dict[str, type[Enum]] = {"section": SectionKind, "kind": RuleKind}
+# The fields whose value is a list of tags from a fixed set.
 _TAG_FIELDS = {"os": {o.value for o in OpSys}, "distro": {d.value for d in Distro}}
 
 
@@ -199,15 +194,18 @@ def _read_field(key: str, value: str, lineno: int) -> Any:
         if rest := value[m.end() :].strip():
             raise RuleParseError(lineno, f"unexpected trailing text {rest!r}")
         return m[1].replace('\\"', '"')
-    if key in _ENUM_FIELDS:
+    if key == "section":
         try:
-            member = _ENUM_FIELDS[key](value)
+            return SectionKind(value)
         except ValueError:
-            raise RuleParseError(lineno, f"unknown {key} {value!r}") from None
-        if member is RuleKind.PRESENCE:
+            raise RuleParseError(lineno, f"unknown section {value!r}") from None
+    if key == "kind":  # an older file's line: checked, then ignored
+        if value == RuleKind.PRESENCE:
             raise RuleParseError(lineno, "kind 'presence' is no longer supported: "
                                  "xref rules search xref tables and streams as templates")
-        return member
+        if value not in ("magic", "keyorder", "template"):
+            raise RuleParseError(lineno, f"unknown kind {value!r}")
+        return None
     if key not in _TAG_FIELDS:
         raise RuleParseError(lineno, f"unknown field {key!r}")
     if not (value.startswith("[") and value.endswith("]")):
@@ -254,11 +252,11 @@ def load_rulepack(text: str, name: str = "") -> Rulepack:
 
 
 def _finish_rule(fields: dict[str, Any], lineno: int) -> Rule:
-    for required in ("producer", "section", "kind", "pattern"):
+    for required in ("producer", "section", "pattern"):
         if required not in fields:
             raise RuleParseError(lineno, f"rule {fields['id']!r} is missing {required!r}")
-    return Rule(fields["id"], fields["producer"], fields["section"], fields["kind"],
-                fields["pattern"], fields.get("os", frozenset()), fields.get("distro", frozenset()),
+    return Rule(fields["id"], fields["producer"], fields["section"], fields["pattern"],
+                fields.get("os", frozenset()), fields.get("distro", frozenset()),
                 compile_pattern(fields["pattern"], fields["id"]))
 
 
@@ -293,7 +291,6 @@ def render_rulepack(rules: list[Rule], header_comment: str = "") -> str:
             f"rule {rule.id} {{",
             _field_line(rule, "producer", rule.producer, rule.producer),
             _field_line(rule, "section", rule.section, rule.section.value),
-            _field_line(rule, "kind", rule.kind, rule.kind.value),
         ]
         for key, tags in (("os", rule.os_tags), ("distro", rule.distro_tags)):
             if tags:

@@ -64,7 +64,6 @@ TABLE_RULE_WORD_BODY = (
     'rule word-body-1 {\n'
     '  producer = MicrosoftOfficeWord\n'
     '  section  = body\n'
-    '  kind     = template\n'
     '  pattern  = "4 0 obj\\r\\n<</Filter/FlateDecode/Length [0-9]*>>\\r\\nstream\\r\\n"\n'
     '}\n'
 )

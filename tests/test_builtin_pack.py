@@ -7,6 +7,7 @@ signature are derived from the loaded pack's own rules.
 
 from __future__ import annotations
 
+import hashlib
 import re
 from collections import Counter
 from importlib import resources
@@ -15,9 +16,9 @@ from pdfprov.builtin_pack import builtin
 from pdfprov.fixtures import PROFILES, generate
 from pdfprov.producers import Producer
 from pdfprov.rules import (
-    RuleKind,
     SECTION_ORDER,
     SectionKind,
+    load_rulepack,
     match_section,
     render_rulepack,
 )
@@ -84,20 +85,25 @@ _KEYORDER_RULES = {
     "trailer-pdflatex": (PL, True, ("/Root", "/Info", "/ID", "/Size"), _NONE),
 }
 
-# rule id -> (producer, section, kind, pattern, distro tags).
+# The one trailer rule that is a template, not a key order.
+_WORD_DOUBLE = "trailer-word-double"
+
+# rule id -> (producer, section, pattern, distro tags).
 _OTHER_RULES = {
     "body-pdftex-stream": (
-        PT, SectionKind.BODY, RuleKind.TEMPLATE,
-        "obj\\n<</Length [0-9]+ +/Filter/FlateDecode>>\\nstream\\n", _NONE),
+        PT, SectionKind.BODY, "obj\\n<</Length [0-9]+ +/Filter/FlateDecode>>\\nstream\\n", _NONE),
     "body-luatex-stream": (
-        LT, SectionKind.BODY, RuleKind.TEMPLATE,
+        LT, SectionKind.BODY,
         "obj\\n<<\\n/Length [0-9]+ +\\n/Filter /FlateDecode\\n>>\\nstream\\n", _NONE),
     "body-word-stream": (
-        W, SectionKind.BODY, RuleKind.TEMPLATE,
+        W, SectionKind.BODY,
         "4 0 obj\\r\\n<</Filter/FlateDecode/Length [0-9]*>>\\r\\nstream\\r\\n", _NONE),
-    "trailer-word-double": (
-        W, SectionKind.TRAILER, RuleKind.TEMPLATE, "/Prev [0-9]+/XRefStm [0-9]+>>", _NONE),
+    _WORD_DOUBLE: (W, SectionKind.TRAILER, "/Prev [0-9]+/XRefStm [0-9]+>>", _NONE),
 }
+
+# sha256 of the repr of every rule's (id, producer, section, pattern, sorted
+# os tags, sorted distro tags), in file order: the whole pack, pinned.
+_PACK_DIGEST = "394a7f25255798935ad39eb5d031eb29a6201ac64dd65602d7ec5508c4db2f21"
 
 
 def _magic_bytes(pattern: str) -> bytes:
@@ -115,8 +121,12 @@ def _keyorder_keys(pattern: str) -> tuple[str, ...]:
     )
 
 
-def _rules_of(kind: RuleKind):
-    return [r for r in builtin().rules if r.kind is kind]
+def _rules_of(section: SectionKind):
+    return [r for r in builtin().rules if r.section is section]
+
+
+def _keyorder_rules():
+    return [r for r in _rules_of(SectionKind.TRAILER) if r.id != _WORD_DOUBLE]
 
 
 def _shipped_text() -> str:
@@ -125,19 +135,22 @@ def _shipped_text() -> str:
 
 def test_pack_composition():
     pack = builtin()
-    by_kind = {}
-    for rule in pack.rules:
-        by_kind[rule.kind] = by_kind.get(rule.kind, 0) + 1
-    assert by_kind[RuleKind.MAGIC] == 13
-    assert by_kind[RuleKind.KEYORDER] == 13
-    assert by_kind[RuleKind.TEMPLATE] == 4
-    assert RuleKind.PRESENCE not in by_kind
+    by_section = Counter(r.section.value for r in pack.rules)
+    assert [by_section[s.value] for s in SECTION_ORDER] == [13, 3, 0, 14]
     assert len(pack.rules) == 30
-    assert sum(Counter(r.producer for r in pack.rules).values()) == 30
+    rows = [(r.id, r.producer, r.section.value, r.pattern, tuple(sorted(r.os_tags)),
+             tuple(sorted(r.distro_tags))) for r in pack.rules]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == _PACK_DIGEST
+
+
+def test_the_pack_with_legacy_kind_lines_loads_to_the_same_rules():
+    legacy = re.sub(r"(?m)^(  section  = .*\n)", r"\1  kind     = template\n", _shipped_text())
+    assert legacy.count("kind") == 30
+    assert load_rulepack(legacy).rules == builtin().rules
 
 
 def test_magic_rules_decode_back_to_source_bytes():
-    rules = _rules_of(RuleKind.MAGIC)
+    rules = _rules_of(SectionKind.HEADER)
     assert [r.id for r in rules] == list(_HEADER_RULES)
     for rule in rules:
         producer, magic, os_tags, distro_tags = _HEADER_RULES[rule.id]
@@ -152,7 +165,7 @@ def test_magic_rules_decode_back_to_source_bytes():
 
 def test_shared_magic_values():
     grouped: dict[bytes, set[str]] = {}
-    for rule in _rules_of(RuleKind.MAGIC):
+    for rule in _rules_of(SectionKind.HEADER):
         grouped.setdefault(_magic_bytes(rule.pattern), set()).add(rule.producer)
     assert grouped[bytes.fromhex("D0D4C5D8")] == {PT, LT}
     # Eleven distinct values across thirteen rules.
@@ -168,7 +181,7 @@ def test_distiller_header_rule_is_unique_and_exact():
 
 
 def test_luatex_long_magic_rows_and_tags():
-    rules = [r for r in _rules_of(RuleKind.MAGIC)
+    rules = [r for r in _rules_of(SectionKind.HEADER)
              if _magic_bytes(r.pattern) == bytes.fromhex("CCD5C1D4C5D8D0C4C6")]
     assert len(rules) == 2
     assert all(r.producer == LT for r in rules)
@@ -178,7 +191,7 @@ def test_luatex_long_magic_rows_and_tags():
 
 
 def test_keyorder_rules_render_their_key_sequences():
-    rules = _rules_of(RuleKind.KEYORDER)
+    rules = _keyorder_rules()
     assert [r.id for r in rules] == list(_KEYORDER_RULES)
     for rule in rules:
         producer, classic, keys, distro_tags = _KEYORDER_RULES[rule.id]
@@ -196,7 +209,7 @@ def test_keyorder_rules_render_their_key_sequences():
 
 def _keyorder_groups() -> dict[tuple[bool, tuple[str, ...]], set[str]]:
     grouped: dict[tuple[bool, tuple[str, ...]], set[str]] = {}
-    for rule in _rules_of(RuleKind.KEYORDER):
+    for rule in _keyorder_rules():
         key = (rule.pattern.startswith("^trailer"), _keyorder_keys(rule.pattern))
         grouped.setdefault(key, set()).add(rule.producer)
     return grouped
@@ -207,23 +220,21 @@ def test_four_way_shared_classic_sequence():
 
 
 def test_cairo_skia_share_their_sequence():
-    cairo = next(r for r in _rules_of(RuleKind.KEYORDER) if r.producer == CA)
+    cairo = next(r for r in _keyorder_rules() if r.producer == CA)
     key = (True, _keyorder_keys(cairo.pattern))
     assert key[1] == ("/Size", "/Root", "/Info")
     assert _keyorder_groups()[key] == {CA, SK}
 
 
 def test_presence_and_template_rules():
-    # No presence rule is left, and no xref rule: the xref-stream
-    # dictionaries the absence rules stood for are trailer evidence.
-    assert not _rules_of(RuleKind.PRESENCE)
-    assert not builtin().for_section(SectionKind.XREF)
-    rules = _rules_of(RuleKind.TEMPLATE)
+    # No xref rule is left: the xref-stream dictionaries the old presence
+    # rules stood for are trailer evidence.
+    assert not _rules_of(SectionKind.XREF)
+    rules = _rules_of(SectionKind.BODY) + [r for r in builtin().rules if r.id == _WORD_DOUBLE]
     assert {r.id for r in rules} == set(_OTHER_RULES)
     for rule in rules:
-        producer, section, kind, pattern, distro_tags = _OTHER_RULES[rule.id]
-        assert (rule.producer, rule.section, rule.kind, rule.pattern) == (
-            producer, section, kind, pattern)
+        producer, section, pattern, distro_tags = _OTHER_RULES[rule.id]
+        assert (rule.producer, rule.section, rule.pattern) == (producer, section, pattern)
         assert rule.os_tags == frozenset()
         assert rule.distro_tags == distro_tags
 
@@ -265,7 +276,7 @@ def test_no_dead_rules(corpus_bytes):
 def test_profiles_agree_with_signature_data():
     """Fixture profiles must embody the transcribed signature facts."""
     magic_by_producer: dict[str, set[bytes]] = {}
-    for rule in _rules_of(RuleKind.MAGIC):
+    for rule in _rules_of(SectionKind.HEADER):
         magic_by_producer.setdefault(rule.producer, set()).add(_magic_bytes(rule.pattern))
     for producer, profile in PROFILES.items():
         assert profile.header_magic in magic_by_producer[producer.value]

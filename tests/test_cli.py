@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from pdfprov import builtin, cli
-from pdfprov.cli import EXIT_ERROR, main
+from pdfprov.cli import EXIT_ERROR, EXIT_PRODUCER, main
 from pdfprov.detector import detect_os, majority_vote, section_verdict
 from pdfprov.fixtures import PROFILES, emit_corpus, generate
 from pdfprov.metadata import consistency_status, extract_declared
@@ -154,7 +154,7 @@ def test_scan_custom_pack(tmp_path, capsys):
     pack_path = tmp_path / "tiny.rules"
     pack_path.write_text(
         'rule gs-header {\n  producer = Ghostscript\n  section = header\n'
-        '  kind = magic\n  pattern = "^\\xC7\\xEC\\x8F\\xA2"\n}\n'
+        '  pattern = "^\\xC7\\xEC\\x8F\\xA2"\n}\n'
     )
     path = _write_fixture(tmp_path, Producer.GHOSTSCRIPT)
     code = main(["scan", str(path), "--pack", str(pack_path)])
@@ -168,7 +168,7 @@ def test_scan_pack_with_a_nested_repeat_is_an_error_object(tmp_path, capsys):
     pack_path = tmp_path / "nested.rules"
     pack_path.write_text(
         'rule runaway {\n  producer = Ghostscript\n  section = body\n'
-        '  kind = template\n  pattern = "(a+)+b"\n}\n'
+        '  pattern = "(a+)+b"\n}\n'
     )
     path = _write_fixture(tmp_path, Producer.GHOSTSCRIPT)
     code = main(["scan", str(path), "--pack", str(pack_path)])
@@ -182,7 +182,7 @@ def test_scan_pack_with_a_nested_repeat_is_an_error_object(tmp_path, capsys):
 def test_a_pack_nested_too_deeply_is_an_error_object(tmp_path, capsys, command):
     pack_path = tmp_path / "deep.rules"
     pack_path.write_text(
-        'rule deep {\n  producer = Ghostscript\n  section = body\n  kind = template\n'
+        'rule deep {\n  producer = Ghostscript\n  section = body\n'
         '  pattern = "' + "(" * 1000 + "a" + ")" * 1000 + '"\n}\n'
     )
     path = _write_fixture(tmp_path, Producer.GHOSTSCRIPT)
@@ -312,6 +312,34 @@ def test_batch_unknown_section_is_an_error_object(corpus_dir, capsys):
     assert payload["file"] == str(corpus_dir)
     assert payload["error"]["type"] == "ValueError"
     assert "hdr" in payload["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["scan", "batch"])
+@pytest.mark.parametrize("sections", ["xref", "header,xref"])
+def test_a_section_the_pack_has_no_rule_for_is_an_error_object(command, sections, tmp_path,
+                                                               capsys):
+    # The builtin pack has no xref rule: a scan of the xref section could
+    # only say no_result, as a file that matched nothing does.
+    path = _write_fixture(tmp_path, Producer.MICROSOFT_OFFICE_WORD)
+    target = str(path) if command == "scan" else str(tmp_path)
+    assert main([command, target, "--sections", sections]) == EXIT_ERROR
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["file"] == target
+    assert payload["error"] == {"type": "ValueError",
+                                "message": "--sections names xref, which the pack has no rule for"}
+
+
+@pytest.mark.parametrize("command", ["scan", "batch"])
+def test_sections_may_name_xref_with_a_pack_that_has_an_xref_rule(command, tmp_path, capsys):
+    pack = tmp_path / "xref.rules"
+    pack.write_text(_XREF_RULE, encoding="utf-8")
+    path = _write_fixture(tmp_path, Producer.MICROSOFT_OFFICE_WORD)
+    target = str(path) if command == "scan" else str(tmp_path)
+    assert main([command, target, "--sections", "xref", "--pack", str(pack),
+                 "--format", "json"]) == EXIT_PRODUCER
+    payload = json.loads(capsys.readouterr().out)
+    report = payload if command == "scan" else payload["files"][0]
+    assert report["votes"] == {"MicrosoftOfficeWord": 1}
 
 
 @pytest.mark.parametrize("argv, error_type, named", [
@@ -620,7 +648,7 @@ def _csv_fields(report: dict) -> dict[str, str]:
 
 # The builtin pack holds no xref rule; with this one, the xref columns fill.
 _XREF_RULE = ('rule xref-word-table {\n  producer = MicrosoftOfficeWord\n  section = xref\n'
-              '  kind = template\n  pattern = "^xref\\r\\n0 [0-9]+\\r\\n"\n}\n')
+              '  pattern = "^xref\\r\\n0 [0-9]+\\r\\n"\n}\n')
 
 
 def test_batch_csv_rows_say_what_scan_json_says(corpus_dir, tmp_path, capsys):

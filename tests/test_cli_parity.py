@@ -24,7 +24,7 @@ from pdfprov.cli import main
 from pdfprov.fixtures import emit_corpus
 
 # sha256 of the runs of cli_runs() over the corpus of write_corpus().
-DIGEST = "8e64b1f8889e3d91368257c9052d8d638c794910dad9bd6816766bf354096c78"
+DIGEST = "a53621d1d40f1c00a11cfd30b78fbbd8dccdc69434b7ae9c2a35c820a56d211b"
 
 MANIFEST = "manifest.tsv"
 
@@ -46,6 +46,7 @@ def cli_runs(paths: list[str]) -> list[list[str]]:
         runs.append(["batch", MANIFEST, "--format", fmt])
     runs.append(["batch", ".", "--truth", "metadata", "--format", "csv"])
     runs.append(["batch", MANIFEST, "--sections", "body,xref", "--format", "csv"])
+    runs.append(["batch", MANIFEST, "--sections", "body", "--format", "csv"])
     runs.append(["audit", ".", "--format", "json"])
     runs.append(["audit", ".", "--format", "table"])
     runs.append(["mine", MANIFEST])

@@ -20,7 +20,7 @@ from pdfprov import rules
 from pdfprov.builtin_pack import builtin
 from pdfprov.fixtures import PROFILES, generate
 from pdfprov.producers import Producer
-from pdfprov.rules import (Rule, RuleKind, RuleMatch, Rulepack, SECTION_ORDER, SectionKind,
+from pdfprov.rules import (Rule, RuleMatch, Rulepack, SECTION_ORDER, SectionKind,
                            load_rulepack)
 from pdfprov.segmenter import segment
 
@@ -34,8 +34,7 @@ GS = Producer.GHOSTSCRIPT.value
 def _match(producer: str, section=SectionKind.BODY, rule_id: str = "r",
            element: str = "obj:1:0",
            os_tags=frozenset(), distro_tags=frozenset()) -> RuleMatch:
-    rule = Rule(rule_id, producer, section, RuleKind.TEMPLATE, "", frozenset(os_tags),
-                frozenset(distro_tags))
+    rule = Rule(rule_id, producer, section, "", frozenset(os_tags), frozenset(distro_tags))
     return RuleMatch(rule, element, 0)
 
 
@@ -120,7 +119,7 @@ def test_vote_conservation(corpus_bytes):
 def test_a_pack_filtered_to_two_sections_matches_only_them(monkeypatch):
     # The builtin pack has no xref rule; one over the classic table gives it one.
     xref_rule = load_rulepack('rule xref-word {\n  producer = MicrosoftOfficeWord\n'
-                              '  section = xref\n  kind = template\n  pattern = "^xref"\n}\n')
+                              '  section = xref\n  pattern = "^xref"\n}\n')
     pack = Rulepack(builtin().rules + xref_rule.rules)
     sections = segment(generate(PROFILES[Producer.MICROSOFT_OFFICE_WORD], 1))
     full = detect(pack, sections)

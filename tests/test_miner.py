@@ -30,7 +30,7 @@ from pdfprov.miner import (
     uniform_group_labels,
 )
 from pdfprov.producers import Producer
-from pdfprov.rules import RuleKind, SectionKind, compile_pattern, load_rulepack
+from pdfprov.rules import SectionKind, compile_pattern, load_rulepack
 
 WORD = Producer.MICROSOFT_OFFICE_WORD.value
 WORD_TEMPLATE = "4 0 obj\\r\\n<</Filter/FlateDecode/Length [0-9]*>>\\r\\nstream\\r\\n"
@@ -76,11 +76,19 @@ def _word_pair(length_a: bytes, length_b: bytes) -> LabeledCorpus:
     ])
 
 
+def _match_every_file(candidates, corpus: LabeledCorpus, producer: str,
+                      section: SectionKind) -> bool:
+    """Whether each candidate's regex matches an element of every file of ``producer``."""
+    files = _group_haystacks(corpus, corpus.groups[producer], section)
+    return all(any(map(compile_pattern(c.template).search, elements))
+               for c in candidates for elements in files)
+
+
 def test_word_template_rediscovered_from_two_files():
     corpus = _word_pair(b"2413", b"187")
     candidates = mine(corpus, SectionKind.BODY)[WORD]
     assert any(c.template == WORD_TEMPLATE for c in candidates)
-    assert all(c.support == 1.0 for c in candidates)
+    assert _match_every_file(candidates, corpus, WORD, SectionKind.BODY)
 
 
 def test_constant_runs_stay_literal():
@@ -108,7 +116,7 @@ def test_single_file_group_has_full_support():
     corpus = LabeledCorpus([CorpusFile(generate(PROFILES[Producer.CAIRO], 1), "Cairo")])
     candidates = mine(corpus, SectionKind.TRAILER)["Cairo"]
     assert candidates, "a lone file should still yield its own substrings"
-    assert all(c.support == 1.0 for c in candidates)
+    assert _match_every_file(candidates, corpus, "Cairo", SectionKind.TRAILER)
 
 
 def test_disjoint_files_yield_no_candidates():
@@ -136,7 +144,7 @@ def test_xref_mining_gives_templates_over_streams():
     mined = mine(corpus, SectionKind.XREF)
     emitted = load_rulepack(emit_rulepack(mined, "xref")).rules
     assert {r.producer for r in emitted} == {p.value for p in _XREF_STREAM_PRODUCERS}
-    assert {(r.section, r.kind) for r in emitted} == {(SectionKind.XREF, RuleKind.TEMPLATE)}
+    assert {r.section for r in emitted} == {SectionKind.XREF}
     for producer in _XREF_STREAM_PRODUCERS:
         (cand,) = mined[producer.value]
         assert cand.template.startswith("6 0 obj\\n<</")
@@ -267,7 +275,7 @@ def test_emit_empty_is_valid():
 
 
 def test_emit_single_candidate_block():
-    cand = CandidatePattern(WORD, SectionKind.BODY, WORD_TEMPLATE, 1.0, 0.0, 52)
+    cand = CandidatePattern(WORD, SectionKind.BODY, WORD_TEMPLATE, 0.0, 52)
     text = emit_rulepack({WORD: [cand]}, "one")
     assert "rule word-body-0 {" in text
     pack = load_rulepack(text)
@@ -278,8 +286,9 @@ def test_emission_roundtrip_preserves_pattern_count():
     corpus = _corpus(seeds=range(1, 6))
     candidates = mine_all(corpus)
     total = sum(len(c) for c in candidates.values())
-    pack = load_rulepack(emit_rulepack(candidates, "mined", uniform_group_labels(corpus)))
-    assert len(pack.rules) == total
+    text = emit_rulepack(candidates, "mined", uniform_group_labels(corpus))
+    assert len(load_rulepack(text).rules) == total
+    assert not re.search(r"(?m)^\s*kind\b", text)  # a rule has no kind
 
 
 def test_group_labels_tag_rules():
@@ -479,12 +488,11 @@ def _reference_mine(all_haystacks: dict[str, list[list[bytes]]], section: Sectio
             first = next(filter(None, (regex.search(hay) for hay in own[0])), None)
             if first is None or first.end() - first.start() < min_len:
                 continue
-            support = _share_matching(regex, own)
             disc = max((_share_matching(regex, hs) for hs in others.values()), default=0.0)
-            if support < 1.0 or disc > max_discriminacy:
+            if _share_matching(regex, own) < 1.0 or disc > max_discriminacy:
                 continue
             candidates.append(CandidatePattern(producer, section, template,
-                                               support, disc, first.end() - first.start()))
+                                               disc, first.end() - first.start()))
         candidates.sort(key=lambda c: (c.discriminacy, -c.byte_len, c.template))
         results[producer] = candidates
     return results

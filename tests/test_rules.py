@@ -25,7 +25,6 @@ from pdfprov.rules import (
     _read_field,
     _strip_comment,
     Rule,
-    RuleKind,
     Rulepack,
     SECTION_ORDER,
     SectionKind,
@@ -48,7 +47,6 @@ def test_load_word_body_rule():
     rule = pack.rules[0]
     assert rule.producer == Producer.MICROSOFT_OFFICE_WORD.value
     assert rule.section is SectionKind.BODY
-    assert rule.kind is RuleKind.TEMPLATE
 
 
 def test_empty_rule_file_is_a_valid_empty_pack():
@@ -89,7 +87,9 @@ _RULE = 'rule r1 {\n  producer = Cairo\n  section = body\n  kind = template\n  p
     # An empty producer would be a vote for the name "".
     ("producer = Cairo", "producer =", "line 2: producer must not be empty"),
     ("producer = Cairo", "producer =   # none", "line 2: producer must not be empty"),
+    # A legacy kind line is ignored, but only if it names a kind that was.
     ("template", "templat", "line 4: unknown kind 'templat'"),
+    ("template", "banana", "line 4: unknown kind 'banana'"),
     # A pack of the old format fails loudly, not by never firing.
     ("template", "presence", "line 4: kind 'presence' is no longer supported: "
                              "xref rules search xref tables and streams as templates"),
@@ -103,20 +103,29 @@ def test_rule_file_errors_name_their_line(old, new, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("kind_line", ["  kind = magic\n", "  kind = keyorder\n",
+                                       "  kind     = template  # legacy\n", ""])
+def test_a_legacy_kind_line_is_read_and_ignored(kind_line):
+    # A rule has no kind: an older pack's kind line changes nothing it loads to.
+    (rule,) = load_rulepack(_RULE.replace("  kind = template\n", kind_line)).rules
+    assert rule == Rule("r1", "Cairo", SectionKind.BODY, "abc")
+    assert "kind" not in render_rulepack([rule])
+
+
 def test_quote_escape_and_non_byte_character_in_a_pattern():
     (rule,) = load_rulepack('rule q {\n  producer = Cairo\n  section = body\n'
-                            '  kind = template\n  pattern = "a\\"b"\n}\n').rules
+                            '  pattern = "a\\"b"\n}\n').rules
     assert rule.pattern == 'a"b'
     assert rule.regex.fullmatch(b'a"b')
     with pytest.raises(PatternCompileError) as err:
         load_rulepack('rule euro {\n  producer = Cairo\n  section = body\n'
-                      '  kind = template\n  pattern = "\u20ac"\n}\n')
+                      '  pattern = "\u20ac"\n}\n')
     assert str(err.value).startswith("rule 'euro': non-byte character in pattern: ")
 
 
 def test_bad_pattern_reports_rule_id():
     text = ('rule broken {\n  producer = Cairo\n  section = body\n'
-            '  kind = template\n  pattern = "([unclosed"\n}\n')
+            '  pattern = "([unclosed"\n}\n')
     with pytest.raises(PatternCompileError) as err:
         load_rulepack(text)
     assert err.value.rule_id == "broken"
@@ -124,7 +133,7 @@ def test_bad_pattern_reports_rule_id():
 
 def test_comments_and_hash_inside_pattern():
     text = ('# a comment\nrule r1 {  # trailing comment\n  producer = Cairo\n'
-            '  section = body\n  kind = template\n  pattern = "a#b"  # not a comment inside\n}\n')
+            '  section = body\n  pattern = "a#b"  # not a comment inside\n}\n')
     pack = load_rulepack(text)
     assert pack.rules[0].pattern == "a#b"
     assert pack.rules[0].regex.search(b"xa#by")
@@ -218,8 +227,8 @@ def test_the_quoted_value_pattern_agrees_with_the_character_loops(line):
 
 @pytest.mark.parametrize("producer", ["C#Writer", " Skia", "Skia ", "Sk\nia", "Sk\x85ia", ""])
 def test_the_writer_refuses_a_producer_that_would_not_read_back(producer):
-    rules = [Rule("r", "Cairo", SectionKind.BODY, RuleKind.TEMPLATE, "a"),
-             Rule("bad", producer, SectionKind.BODY, RuleKind.TEMPLATE, "a")]
+    rules = [Rule("r", "Cairo", SectionKind.BODY, "a"),
+             Rule("bad", producer, SectionKind.BODY, "a")]
     with pytest.raises(ValueError) as err:
         render_rulepack(rules)
     assert str(err.value) == f"rule 'bad': producer {producer!r} would not read back as written"
@@ -230,20 +239,20 @@ def test_the_writer_refuses_a_producer_that_would_not_read_back(producer):
     ("a\n", "is not a rule id"), ("r", "is already written"),
 ])
 def test_the_writer_refuses_an_id_that_would_not_read_back(rule_id, reason):
-    rules = [Rule("r", "Cairo", SectionKind.BODY, RuleKind.TEMPLATE, "a"),
-             Rule(rule_id, "Skia", SectionKind.BODY, RuleKind.TEMPLATE, "a")]
+    rules = [Rule("r", "Cairo", SectionKind.BODY, "a"),
+             Rule(rule_id, "Skia", SectionKind.BODY, "a")]
     with pytest.raises(ValueError) as err:
         render_rulepack(rules)
     assert str(err.value) == f"rule {rule_id!r} of producer 'Skia': the id {reason}"
 
 
 @pytest.mark.parametrize("key, rule", [
-    ("os", Rule("r", "Cairo", SectionKind.BODY, RuleKind.TEMPLATE, "a", frozenset({"beos"}))),
-    ("os", Rule("r", "Cairo", SectionKind.BODY, RuleKind.TEMPLATE, "a", frozenset({"linux#"}))),
-    ("distro", Rule("r", "Cairo", SectionKind.BODY, RuleKind.TEMPLATE, "a",
+    ("os", Rule("r", "Cairo", SectionKind.BODY, "a", frozenset({"beos"}))),
+    ("os", Rule("r", "Cairo", SectionKind.BODY, "a", frozenset({"linux#"}))),
+    ("distro", Rule("r", "Cairo", SectionKind.BODY, "a",
                     distro_tags=frozenset({"texlive, miktex"}))),
-    ("pattern", Rule("r", "Cairo", SectionKind.BODY, RuleKind.TEMPLATE, 'a\\"')),
-    ("pattern", Rule("r", "Cairo", SectionKind.BODY, RuleKind.TEMPLATE, "a\nb")),
+    ("pattern", Rule("r", "Cairo", SectionKind.BODY, 'a\\"')),
+    ("pattern", Rule("r", "Cairo", SectionKind.BODY, "a\nb")),
 ])
 def test_the_writer_refuses_tags_and_patterns_that_would_not_read_back(key, rule):
     with pytest.raises(ValueError, match=f"^rule 'r': {key} .* would not read back as written$"):
@@ -262,14 +271,14 @@ def _rule_lists(draw) -> list[Rule]:
     def tags(valid: list[str]) -> frozenset[str]:
         return draw(st.frozensets(st.sampled_from(valid + ["a#b", "a, b"]), max_size=2))
     return [Rule(f"r{i}", draw(_BARE_VALUES), draw(st.sampled_from(SectionKind)),
-                 draw(st.sampled_from(RuleKind)), "".join(draw(st.lists(_PATTERN_ATOMS, max_size=6))),
+                 "".join(draw(st.lists(_PATTERN_ATOMS, max_size=6))),
                  tags(["linux", "windows", "macos"]), tags(["texlive", "miktex"]))
             for i in range(draw(st.integers(0, 2)))]
 
 
 @settings(max_examples=500, deadline=None)
 @given(_rule_lists())
-@example([Rule("r", 'C"Writer', SectionKind.BODY, RuleKind.TEMPLATE, 'a"b\\\\"#',
+@example([Rule("r", 'C"Writer', SectionKind.BODY, 'a"b\\\\"#',
                frozenset({"linux"}), frozenset({"texlive", "miktex"}))])
 def test_rules_the_writer_accepts_read_back_as_written(rules):
     try:
@@ -282,7 +291,7 @@ def test_rules_the_writer_accepts_read_back_as_written(rules):
 
 def test_extension_packs_may_name_unknown_producers():
     text = ('rule new-tool {\n  producer = SomeNewTool\n  section = header\n'
-            '  kind = magic\n  pattern = "^\\xAA\\xBB"\n}\n')
+            '  pattern = "^\\xAA\\xBB"\n}\n')
     pack = load_rulepack(text)
     assert pack.rules[0].producer == "SomeNewTool"
     sections = segment(b"%PDF-1.4\n%\xAA\xBB\xCC\xDD\n")
@@ -431,7 +440,7 @@ def test_word_fixture_xref_elements_in_file_order():
 
 def test_an_xref_rule_fires_on_an_xref_stream():
     rule = load_rulepack(
-        'rule xref-w {\n  producer = XdviPDFmx\n  section = xref\n  kind = template\n'
+        'rule xref-w {\n  producer = XdviPDFmx\n  section = xref\n'
         '  pattern = "/Size [0-9]+ /W \\[1 2 1\\] /Filter"\n}\n'
     )
     sections = segment(generate(PROFILES[Producer.XDVIPDFMX], 1))
@@ -493,9 +502,9 @@ def test_match_order_is_stable(pack, corpus_bytes):
 
 _ZZ_BEFORE_AA = (
     'rule zz-obj-keyword {\n  producer = Zed\n  section = body\n'
-    '  kind = template\n  pattern = "obj"\n}\n'
+    '  pattern = "obj"\n}\n'
     'rule aa-type-key {\n  producer = Ay\n  section = body\n'
-    '  kind = template\n  pattern = "/Type"\n}\n'
+    '  pattern = "/Type"\n}\n'
 )
 
 
@@ -580,7 +589,7 @@ def test_a_rule_across_the_cut_fires_in_scan():
     """A mined template may span the cut; matching reads the same cut
     elements that mining does, so it fires."""
     rule = load_rulepack(
-        'rule across-cut {\n  producer = PdfTeX\n  section = body\n  kind = template\n'
+        'rule across-cut {\n  producer = PdfTeX\n  section = body\n'
         '  pattern = ">>\\nstream\\nx\\xDA\\nendstream\\nendobj"\n}\n'
     )
     obj = b"4 0 obj\n<</Length 6>>\nstream\nx\xda\x01\x02\x03\x04\nendstream\nendobj\n"
@@ -601,9 +610,9 @@ def test_a_body_match_names_the_object_it_fired_on():
     """Metadata objects are no body elements, so a ref built from an
     element's index alone would name an object before the right one."""
     pack = load_rulepack(
-        'rule catalog {\n  producer = PdfTeX\n  section = body\n  kind = template\n'
+        'rule catalog {\n  producer = PdfTeX\n  section = body\n'
         '  pattern = "/Type/Catalog"\n}\n'
-        'rule pages {\n  producer = PdfTeX\n  section = body\n  kind = template\n'
+        'rule pages {\n  producer = PdfTeX\n  section = body\n'
         '  pattern = "/Kids"\n}\n'
     )
     sections = segment(_METADATA_FIRST)
