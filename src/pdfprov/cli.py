@@ -4,7 +4,8 @@ Exit codes for ``scan`` are a stable pipeline contract: 0 when a single
 producer was named, 2 for an ambiguous verdict, 3 when no section
 matched anything.  Every command returns 1, with a machine-readable error
 object on stdout, for an error it cannot record as a row: ``main()`` is
-the one place that catches it.  ``batch`` and ``audit`` record a file
+the one place that catches it.  A closed stdout ends the command with 1
+and nothing on stderr.  ``batch`` and ``audit`` record a file
 that cannot be read or scanned as a row and go on.  ``--sections`` keeps
 only those sections' rules of the pack; a library caller passes
 ``scan_bytes`` such a filtered ``Rulepack`` instead.
@@ -16,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from collections.abc import Iterator
 from pathlib import Path
@@ -314,11 +316,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            status = args.func(args)
+        except BrokenPipeError:
+            raise
+        except (PdfProvError, OSError, ValueError) as exc:
+            print(json.dumps(_error_object(getattr(args, args.error_file) or "", exc), indent=2))
+            status = EXIT_ERROR
+        sys.stdout.flush()
+        return status
     except BrokenPipeError:
-        raise  # stdout is closed: no error object can reach it
-    except (PdfProvError, OSError, ValueError) as exc:
-        print(json.dumps(_error_object(getattr(args, args.error_file) or "", exc), indent=2))
+        # stdout is closed, so no report or error object can reach it.
+        # Pointing it at os.devnull keeps the final flush from raising.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_ERROR
 
 

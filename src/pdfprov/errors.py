@@ -3,7 +3,7 @@
 Parsing is deliberately tolerant: most structural oddities are recorded as
 diagnostics on the parsed result instead of raised.  Only conditions that
 make an operation meaningless (not a PDF at all, unusable rule file, empty
-mining group) surface as exceptions.
+mining corpus) surface as exceptions.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ class PatternCompileError(PdfProvError):
 
 
 class EmptyGroup(PdfProvError):
-    """A mining corpus contains a producer with no files."""
+    """A mining corpus holds no files."""
 
 
 class SectionAbsentEverywhere(PdfProvError):

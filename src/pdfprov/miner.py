@@ -7,8 +7,8 @@ stream payloads, and classic xref tables), then generalizes the volatile
 parts: decimal digit runs become ``[0-9]*`` and long hex strings inside
 angle brackets become ``[0-9A-F]*``, or ``[0-9A-Fa-f]*`` where a value
 holds a lowercase digit (but only where the values actually vary across
-the group; constant runs stay literal).  A candidate is kept only if it
-matches every one of the producer's files, and is scored for
+the group; constant runs stay literal).  Every candidate matches every
+one of the producer's files by construction, and is scored for
 discriminacy (worst-case fraction of any other producer's files it
 matches).
 
@@ -23,12 +23,16 @@ it, and the maximal runs common to all files are read off its states.
 The automaton and the walks take time and memory linear in the group's
 total token count.
 
-A walk only ever shortens the common runs, so a stream is not walked if
-it repeats one already seen, or if, after a walk that shortened nothing,
-it holds every maximal common run found so far as a substring: every
-common string lies inside one of those runs, so the walk would find them
-all.  A stream that lacks a run does shorten it, so after such a walk
-streams are walked untested until a walk again shortens nothing.
+A walk only ever shortens the common runs, so after a walk that
+shortened nothing, a stream is not walked if it holds every maximal
+common run found so far, in the order of their first occurrences in the
+shortest stream: every common string lies inside one of those runs, so
+the walk would find them all.  One pass over the stream tests that.  A
+stream that lacks a run does shorten it, so after such a walk streams
+are walked untested until a walk again shortens nothing.  A stream that
+repeats one already walked shortens nothing: the test skips it if it
+holds the runs in that order, and otherwise its walk turns testing back
+on.
 Mining thus costs in proportion to the distinct shapes a producer
 writes, not to the number of its files.
 
@@ -36,15 +40,13 @@ Files of one producer repeat most of their elements, so each distinct
 piece of work is done once: an element's bytes are tokenized once per
 section, a template's probe scans each distinct element of the group
 once, and a candidate searches each distinct element at most once.
-Scoring stops at the first own file a candidate misses, or at the
-first other producer whose share exceeds the threshold; a kept
-candidate is always scored in full.
+Scoring stops at the first other producer whose share exceeds the
+threshold; a kept candidate is always scored in full.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -215,11 +217,11 @@ def _common_across(files_tokens: list[str], min_tokens: int) -> list[str]:
     returns each distinct non-empty element once, in first-seen order.
     Otherwise the runs come sorted by (length desc, tokens).
 
-    A stream is walked unless it repeats one already seen or, after a walk
-    that lowered no common length, it holds every current maximal run as
-    a substring: each state's common string lies inside one, so a walk
-    would find it.  A stream that lacks a run lowers that run's state, so
-    testing pauses until a walk again lowers nothing.
+    After a walk that lowered no common length, a stream is not walked if
+    it holds every current maximal run, in the base's order: each state's
+    common string lies inside one, so a walk would find it.  A stream
+    that lacks a run lowers that run's state, so testing pauses until a
+    walk again lowers nothing.
     """
     if len(files_tokens) == 1:
         return [part for part in dict.fromkeys(files_tokens[0].split(_SEP)) if part]
@@ -231,23 +233,24 @@ def _common_across(files_tokens: list[str], min_tokens: int) -> list[str]:
     states = len(length)
     by_length_desc = sorted(range(1, states), key=length.__getitem__, reverse=True)
     common = list(length)
-    seen: set[str] = set()
-    # The maximal runs of ``common`` (of one token or more), once computed
-    # and until a walk lowers ``common``.
+    # The maximal runs of ``common`` in base order, once computed and until
+    # a walk lowers ``common``.
     runs: list[str] | None = None
     testing = False
     for index, tokens in enumerate(files_tokens):
         if index == base_index:
             continue
-        # A stream equal to one already seen has the same matching
-        # statistics, so it cannot lower ``common`` any further.
-        if tokens in seen:
-            continue
-        seen.add(tokens)
         if testing:
             if runs is None:
-                runs = _maximal_runs(base, automaton, common, 1)
-            if all(run in tokens for run in runs):
+                runs = _maximal_runs(base, automaton, common)
+            # Each run is sought from where the one before it was found, so
+            # a near-copy of the base is tested in one pass.
+            pos = 0
+            for wanted in runs:
+                pos = tokens.find(wanted, pos)
+                if pos < 0:
+                    break
+            else:
                 continue
         # Matching statistics: the longest match ending at each token,
         # recorded at the state that holds it.
@@ -281,18 +284,18 @@ def _common_across(files_tokens: list[str], min_tokens: int) -> list[str]:
             runs = None
         testing = not lowered
     if runs is None:
-        return _maximal_runs(base, automaton, common, min_tokens)
-    return [run for run in runs if len(run) >= min_tokens]
+        runs = _maximal_runs(base, automaton, common)
+    return sorted((run for run in runs if len(run) >= min_tokens), key=lambda r: (-len(r), r))
 
 
-def _maximal_runs(base: str, automaton: _Automaton, common: list[int],
-                  min_tokens: int) -> list[str]:
-    """The maximal runs of at least ``min_tokens`` that ``common`` holds,
-    sorted by (length desc, tokens).
+def _maximal_runs(base: str, automaton: _Automaton, common: list[int]) -> list[str]:
+    """The maximal runs that ``common`` holds, in the order of their first
+    occurrences in ``base``.
 
     ``common[v]`` is 0 or the length of the longest common string of
     state ``v`` of ``base``'s automaton.  That string extends left into a
-    suffix-link child and right along a transition.
+    suffix-link child and right along a transition.  No maximal run lies
+    inside another, so no two first occurrences end at the same token.
     """
     length, link, trans, end = automaton
     states = len(length)
@@ -300,18 +303,17 @@ def _maximal_runs(base: str, automaton: _Automaton, common: list[int],
     for w in range(1, states):
         if common[w]:
             left_common[link[w]] = True
-    runs: list[str] = []
+    by_end: dict[int, str] = {}
     for v in range(1, states):
         run = common[v]
-        if run < min_tokens:
+        if not run:
             continue
         if run == length[v] and left_common[v]:
             continue
         if any(common[u] > run for u in trans[v].values()):
             continue
-        runs.append(base[end[v] - run + 1 : end[v] + 1])
-    runs.sort(key=lambda r: (-len(r), r))
-    return runs
+        by_end[end[v]] = base[end[v] - run + 1 : end[v] + 1]
+    return [by_end[e] for e in sorted(by_end)]
 
 
 # -- Template construction ---------------------------------------------------
@@ -343,14 +345,16 @@ _SLOT_RE = re.compile(f"([{_NUM}{_HEX}])")
 _SLOT_PROBES = {_NUM: b"([0-9]+)", _HEX: b"([0-9A-Fa-f]{16,})"}
 
 
-def _build_template(run: str, haystacks: Iterable[bytes]) -> str | None:
+def _build_template(run: str, haystacks: Iterable[bytes]) -> str:
     """Turn a common token run into regex source, generalizing the digit
     and hex slots whose values vary across the group's ``haystacks`` (each
     distinct element once suffices).
 
     The run splits at its ``_NUM`` and ``_HEX`` characters into literal
     pieces.  A probe of those pieces, with a group around each slot, reads
-    every value each slot takes in the haystacks.
+    every value each slot takes in the haystacks.  Every file of the group
+    holds the run, so the probe matches in each, and the template accepts
+    every value it read.
     """
     pieces = _SLOT_RE.split(run)
     literals = [piece.encode("latin-1") for piece in pieces[::2]]
@@ -362,17 +366,15 @@ def _build_template(run: str, haystacks: Iterable[bytes]) -> str | None:
         ) + re.escape(literals[-1]))
         for hay in haystacks:
             for m in probe.finditer(hay):
-                for seen, value in zip(values, m.groups()):
-                    seen.add(value)
-        if not all(values):
-            return None  # never observed as a whole; not a real common run
+                for observed, value in zip(values, m.groups()):
+                    observed.add(value)
     parts = [escape_literal(literals[0])]
-    for slot, seen, literal in zip(slots, values, literals[1:]):
-        if len(seen) == 1:
-            parts.append(next(iter(seen)).decode("ascii"))
+    for slot, observed, literal in zip(slots, values, literals[1:]):
+        if len(observed) == 1:
+            parts.append(next(iter(observed)).decode("ascii"))
         elif slot == _NUM:
             parts.append("[0-9]*")
-        elif any(value != value.upper() for value in seen):
+        elif any(value != value.upper() for value in observed):
             parts.append("[0-9A-Fa-f]*")
         else:
             parts.append("[0-9A-F]*")
@@ -383,17 +385,12 @@ def _build_template(run: str, haystacks: Iterable[bytes]) -> str | None:
 # -- Mining -------------------------------------------------------------------
 
 
-def _group_haystacks(corpus: LabeledCorpus, group: list[CorpusFile],
-                     section: SectionKind) -> list[list[bytes]]:
-    return [element_bytes(corpus.sections_of(f), section)[0] for f in group]
-
-
-def _matcher(regex: re.Pattern[bytes]) -> Callable[[tuple[bytes, ...]], bool]:
+def _matcher(regex: re.Pattern[bytes]) -> Callable[[list[bytes]], bool]:
     """Whether any element of a file matches ``regex``; each distinct
     element is searched at most once."""
     found: dict[bytes, bool] = {}
 
-    def matches(elements: tuple[bytes, ...]) -> bool:
+    def matches(elements: list[bytes]) -> bool:
         for hay in elements:
             hit = found.get(hay)
             if hit is None:
@@ -403,13 +400,6 @@ def _matcher(regex: re.Pattern[bytes]) -> Callable[[tuple[bytes, ...]], bool]:
         return False
 
     return matches
-
-
-def _fraction_matching(matches: Callable[[tuple[bytes, ...]], bool],
-                       files: Counter[tuple[bytes, ...]]) -> float:
-    """The share of ``files`` (each distinct file once, with its count)
-    that ``matches``."""
-    return sum(n for elements, n in files.items() if matches(elements)) / files.total()
 
 
 def check_thresholds(min_len: int, max_discriminacy: float) -> None:
@@ -434,7 +424,7 @@ def mine(corpus: LabeledCorpus, section: SectionKind, min_len: int = 8,
     if not groups:
         raise EmptyGroup("corpus has no files")
     all_haystacks = {
-        producer: _group_haystacks(corpus, group, section)
+        producer: [element_bytes(corpus.sections_of(f), section)[0] for f in group]
         for producer, group in groups.items()
     }
     return _mine_elements(all_haystacks, section, min_len, max_discriminacy)
@@ -445,8 +435,6 @@ def _mine_elements(all_haystacks: dict[str, list[list[bytes]]], section: Section
     """:func:`mine` over each producer's files, given as their element bytes."""
     if all(not any(h) for h in all_haystacks.values()):
         raise SectionAbsentEverywhere(section.value)
-    files = {producer: Counter(map(tuple, haystacks))
-             for producer, haystacks in all_haystacks.items()}
     tokenized: dict[bytes, str] = {}
 
     results: dict[str, list[CandidatePattern]] = {}
@@ -454,30 +442,22 @@ def _mine_elements(all_haystacks: dict[str, list[list[bytes]]], section: Section
         candidates: list[CandidatePattern] = []
         # A file with no element has an empty stream, which holds no run.
         file_tokens = [_file_tokens(h, tokenized) for h in own]
-        distinct = {hay for elements in files[producer] for hay in elements}
+        distinct = {hay for elements in own for hay in elements}
         for run in _common_across(file_tokens, min_tokens=2):
             template = _build_template(run, distinct)
-            if template is None:
-                continue
             regex = compile_pattern(template)
-            first = None
-            for hay in own[0]:
-                first = regex.search(hay)
-                if first:
-                    break
-            if first is None:
-                continue
+            # Every own file holds the run, so its template matches in
+            # each; a run with no match here is a bug, and raises.
+            first = next(filter(None, map(regex.search, own[0])))
             byte_len = first.end() - first.start()
             if byte_len < min_len:
                 continue
             matches = _matcher(regex)
-            if not all(map(matches, files[producer])):
-                continue  # some own file lacks it
             disc = 0.0
-            for other, other_files in files.items():
+            for other, other_files in all_haystacks.items():
                 if other == producer:
                     continue
-                share = _fraction_matching(matches, other_files)
+                share = sum(map(matches, other_files)) / len(other_files)
                 if share > max_discriminacy:
                     break
                 disc = max(disc, share)

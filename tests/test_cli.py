@@ -863,3 +863,27 @@ def test_importing_the_package_loads_only_the_builtin_pack_modules():
     loaded = _modules_after("import pdfprov.cli")
     assert "pdfprov.cli" in loaded
     assert not loaded & {"pdfprov.miner", "pdfprov.fixtures"}
+
+
+# -- closed stdout ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("command, target", [
+    ("scan", "cairo/cairo-001.pdf"),
+    ("batch", "manifest.tsv"),
+])
+def test_a_closed_stdout_ends_quietly_with_exit_1(corpus_dir, command, target):
+    # As in `pdfprov scan F | head -0`: the reader is gone before the first
+    # write, so no report reaches it, and no traceback may reach stderr.
+    src = Path(__file__).resolve().parents[1] / "src"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run([sys.executable, "-m", "pdfprov.cli", command,
+                                 str(corpus_dir / target)],
+                                stdout=write_end, stderr=subprocess.PIPE,
+                                env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    finally:
+        os.close(write_end)
+    assert result.stderr == b""
+    assert result.returncode == EXIT_ERROR

@@ -21,7 +21,6 @@ from pdfprov.miner import (
     _build_template,
     _common_across,
     _file_tokens,
-    _group_haystacks,
     _mine_elements,
     _tokenize,
     emit_rulepack,
@@ -30,7 +29,7 @@ from pdfprov.miner import (
     uniform_group_labels,
 )
 from pdfprov.producers import Producer
-from pdfprov.rules import SectionKind, compile_pattern, load_rulepack
+from pdfprov.rules import SectionKind, compile_pattern, element_bytes, load_rulepack
 
 WORD = Producer.MICROSOFT_OFFICE_WORD.value
 WORD_TEMPLATE = "4 0 obj\\r\\n<</Filter/FlateDecode/Length [0-9]*>>\\r\\nstream\\r\\n"
@@ -76,10 +75,16 @@ def _word_pair(length_a: bytes, length_b: bytes) -> LabeledCorpus:
     ])
 
 
+def _group_elements(corpus: LabeledCorpus, producer: str,
+                    section: SectionKind) -> list[list[bytes]]:
+    """Each file of ``producer`` as its ``section`` elements."""
+    return [element_bytes(corpus.sections_of(f), section)[0] for f in corpus.groups[producer]]
+
+
 def _match_every_file(candidates, corpus: LabeledCorpus, producer: str,
                       section: SectionKind) -> bool:
     """Whether each candidate's regex matches an element of every file of ``producer``."""
-    files = _group_haystacks(corpus, corpus.groups[producer], section)
+    files = _group_elements(corpus, producer, section)
     return all(any(map(compile_pattern(c.template).search, elements))
                for c in candidates for elements in files)
 
@@ -150,7 +155,7 @@ def test_xref_mining_gives_templates_over_streams():
         assert cand.template.startswith("6 0 obj\\n<</")
         assert cand.template.endswith(">>\\nstream\\n")
         assert "/Type/XRef" in cand.template or "/Type /XRef" in cand.template
-        for elements in _group_haystacks(corpus, corpus.groups[producer.value], SectionKind.XREF):
+        for elements in _group_elements(corpus, producer.value, SectionKind.XREF):
             (stream,) = elements
             assert compile_pattern(cand.template).match(stream)
 
@@ -183,12 +188,12 @@ def test_soundness_and_discriminacy_of_mined_pack():
         for producer, candidates in mine(corpus, section).items():
             for cand in candidates:
                 regex = compile_pattern(cand.template)
-                own = _group_haystacks(corpus, groups[producer], section)
+                own = _group_elements(corpus, producer, section)
                 assert _share_matching(regex, own) == 1.0
-                for other, files in groups.items():
+                for other in groups:
                     if other == producer:
                         continue
-                    hay = _group_haystacks(corpus, files, section)
+                    hay = _group_elements(corpus, other, section)
                     assert _share_matching(regex, hay) == 0.0
 
 
@@ -405,6 +410,25 @@ def test_common_across_equals_pairwise_search(group, min_tokens):
     files_tokens = [_file_tokens(elements, tokenized) for elements in group]
     expected = _reference_common_across(files_tokens, group[0], min_tokens)
     assert _common_across(files_tokens, min_tokens) == expected
+
+
+@given(_groups())
+# Two files hold "a1b" and "a2b": the slot varies, so it is generalized.
+@example([[b"a1b"], [b"a2b"]])
+# A slot whose value is one in every file stays literal.
+@example([[b"xa1b", b"c"], [b"ya1b"]])
+@settings(max_examples=300, deadline=None)
+def test_every_common_run_templates_to_a_match_in_every_file(group):
+    # The candidate loop checks no own file and skips no run: each run of
+    # the search must give a template that matches an element of every file.
+    tokenized: dict[bytes, str] = {}
+    files_tokens = [_file_tokens(elements, tokenized) for elements in group]
+    distinct = {hay for elements in group for hay in elements}
+    for run in _common_across(files_tokens, 1):
+        template = _build_template(run, distinct)
+        assert isinstance(template, str)
+        regex = compile_pattern(template)
+        assert all(any(map(regex.search, elements)) for elements in group), template
 
 
 # A long hex run in angle brackets, or a digit run.

@@ -20,6 +20,15 @@ file holds them all, so it is not walked; the larger group may cost at
 most 1.5 times the smaller one, where walking every file costs 1.55-1.85
 times.
 
+Near-copies whose own bytes recur through the whole file are timed at n
+and 2n tokens.  Each file differs from the others at every 25th token, so
+the common runs are the n/25 stretches between, and every file past the
+third is tested for them, not walked.  The test seeks each run from where
+the one before it was found, one pass over the file; seeking each from
+the start cost 2.75-3.2 times per doubling.  At 12,000 tokens and more the
+automaton itself leaves the CPU caches and costs about 2.4 times, so the
+family stays at 4,000 tokens, with 128 files to keep the tests' share up.
+
 Body elements cut each stream payload after its first two bytes, so a
 corpus whose payloads double while the objects stay the same gives the
 miner the same body elements and the same candidates.
@@ -91,6 +100,34 @@ def test_near_copies_cost_no_walk_each():
     assert_linear_time(
         f"{COPIES} near-copies at n={N}", lambda group: _common_across(group, 2),
         small, large, bound=MAX_COPIES_RATIO,
+    )
+
+
+# Tokens of each near-copy at n, the files in the group, and the spacing
+# of each file's own byte.
+SPREAD_TOKENS = 4_000
+SPREAD_COPIES = 128
+SPREAD_EVERY = 25
+
+
+def _spread_copies(tokens: int) -> list[str]:
+    """``SPREAD_COPIES`` copies of one ``tokens``-token element, each with
+    its own byte at every ``SPREAD_EVERY``-th token."""
+    rng = random.Random(0)
+    element = bytearray(rng.choice(b"abcdefghijklmnopqrstuvwxyz/<>[] ") for _ in range(tokens))
+    files = []
+    for k in range(SPREAD_COPIES):
+        element[::SPREAD_EVERY] = bytes([0x80 + k]) * len(element[::SPREAD_EVERY])
+        files.append(_file_tokens([bytes(element)], {}))
+    return files
+
+
+def test_near_copies_are_tested_in_one_pass():
+    small, large = _spread_copies(SPREAD_TOKENS), _spread_copies(2 * SPREAD_TOKENS)
+    assert len(_common_across(small, 2)) == SPREAD_TOKENS // SPREAD_EVERY
+    assert_linear_time(
+        f"{SPREAD_COPIES} near-copies of {SPREAD_TOKENS} tokens",
+        lambda group: _common_across(group, 2), small, large,
     )
 
 
