@@ -240,7 +240,6 @@ def cmd_mine(args: argparse.Namespace) -> int:
         candidates = mine(corpus, SectionKind(args.section), args.min_len,
                           args.max_discriminacy)
     text = emit_rulepack(candidates, args.name, uniform_group_labels(corpus))
-    load_rulepack(text)  # emitted packs must always re-load
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:

@@ -245,7 +245,10 @@ def load_rulepack(text: str, name: str = "") -> Rulepack:
         m = _FIELD_RE.match(line)
         if not m:
             raise RuleParseError(lineno, f"expected 'key = value', got {line!r}")
-        current[m[1]] = _read_field(m[1], m[2], lineno)
+        value = _read_field(m[1], m[2], lineno)
+        if m[1] in current:
+            raise RuleParseError(lineno, f"rule {current['id']!r} sets {m[1]!r} twice")
+        current[m[1]] = value
     if current is not None:
         raise RuleParseError(current_line, "unterminated rule block")
     return Rulepack(rules)

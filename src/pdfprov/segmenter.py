@@ -27,9 +27,9 @@ pattern lexes.  An object's dictionary is first matched as one run of flat
 entries, which marks its last ``/Type`` and ``/Length`` keys, whose values
 are read if they are a name and a direct integer.  A ``>>`` after the run
 closes the dictionary; else the walk resumes where the run stopped, with
-no bound set yet, as from the ``<<``, and its keys win.  Objects keep no
-values: :func:`object_values` lexes a dictionary on demand, and an xref
-stream's is lexed whole for its trailer.
+no bound searched for yet, as from the ``<<``, and its keys win.  Objects
+keep no values: :func:`object_values` lexes a dictionary on demand, and an
+xref stream's is lexed whole for its trailer.
 
 Segmentation takes time linear in the input size.  One forward pass lexes
 the objects, and the xref tables and trailers in the gaps between them.
@@ -47,15 +47,19 @@ only in the gaps that the header search stepped over.  Each table and
 trailer ends, at the latest, at the next such keyword or at the gap's end,
 which is the next object, so no two elements share a byte.
 
-Each object's ``endobj`` search stops at the next object header, and so
-does every token of its dictionary: a literal or hex string or an array
-not closed before it ends there, as malformed (a trailer's bound is the
-next keyword or object).  A recovery inside a dictionary, past a nested
-malformed one, the nesting floor, an unclosed token or an array still open
-at a ``>>``, stops at that bound, and so do the arrays and dictionaries
-around it.  A dictionary that no ``>>`` closes before the bound, and a
-payload that no ``endstream`` ends, end at the object's own ``endobj``: the
-last before the bound.
+Each object's ``endobj`` search stops at the next object header.  Its
+dictionary has one bound: the first object header at or after the first
+token that needs one, searched for once and only then (a trailer's bound
+is the next keyword or object).  So a dictionary that lexes cleanly
+searches nothing, and every later token stops at that header too, even one
+inside a comment: the search does not lex.  A literal or hex string or an
+array not closed before the bound ends there, as malformed.  A recovery
+inside a dictionary, past a nested malformed one, the nesting floor, an
+unclosed token or an array still open at a ``>>``, stops at that bound,
+and so do the arrays and dictionaries around it.  A dictionary that no
+``>>`` closes before its bound ends at the object's own ``endobj``, the
+last before the bound, and a payload that no ``endstream`` ends, at the
+last before the next header.
 
 All functions here are pure; the same input bytes always produce a
 structurally identical result.
@@ -257,53 +261,42 @@ _MAX_NESTING = 64
 class _Stop:
     """Where the lexing of one top-level dictionary gives up.
 
-    No match of the lexer reads past ``at``.  With a fixed ``bound``,
-    ``at`` is that bound.  Without one, it stays at the end of the input
-    while the dictionary lexes cleanly, and the first recovery, past a
-    malformed dictionary or the nesting floor, moves it to the next object
-    header after the failure.  Every enclosing array and dictionary then
-    ends there too.  A literal or hex string or an array must close before
-    the same limit, so an unclosed one is scanned no further.
+    No match of the lexer reads past ``at``.  A trailer's and an
+    :func:`object_values` dictionary's bound is fixed.  An object's is
+    searched for once, when a token first needs it: a recovery past a
+    malformed dictionary or the nesting floor, or a string or array that
+    must close before the bound.  It is the first object header at or after
+    that token, so it never lies behind the lexer.  Until then ``at`` stays
+    at the end of the input.  Every enclosing array and dictionary of a
+    recovery ends at the bound too, and an unclosed string or array is
+    scanned no further.
     """
 
-    __slots__ = ("at", "bound", "_searched", "_header")
+    __slots__ = ("at", "searched")
 
-    def __init__(self, data: bytes, bound: int | None = None) -> None:
-        self.at = len(data) if bound is None else bound
-        self.bound = bound
-        # The first object header at or after index _searched: also the
-        # first at or after any later index up to its start.
-        self._searched = len(data) + 1
-        self._header: re.Match[bytes] | None = None
-
-    def header(self, data: bytes, i: int) -> re.Match[bytes] | None:
-        """The first object header at or after ``i``; one search serves
-        every later ``i`` up to the header it found."""
-        m = self._header
-        if self._searched > i or (m is not None and m.start() < i):
-            m = self._header = _find_header(data, i)
-            self._searched = i
-        return m
+    def __init__(self, data: bytes, at: int | None = None) -> None:
+        self.at = len(data) if at is None else at
+        self.searched = at is not None
 
     def limit(self, data: bytes, i: int) -> int:
-        """The fixed bound, or else the first object header at or after ``i``."""
-        if self.bound is not None:
-            return self.bound
-        m = self.header(data, i)
-        return m.start() if m else len(data)
+        """The bound; the first call, from the lexer's index ``i``,
+        searches for it."""
+        if not self.searched:
+            m = _find_header(data, i)
+            self.at = m.start() if m else len(data)
+            self.searched = True
+        return self.at
 
     def recover(self, data: bytes, i: int) -> int:
-        """Index past the ``>>`` that balances an open ``<<``, or ``at``."""
+        """Index past the ``>>`` that balances an open ``<<``, or the bound."""
         end = self.balance(data, i)
         return max(i, self.at) if end is None else end
 
     def balance(self, data: bytes, i: int) -> int | None:
         """Index past the ``>>`` that balances an open ``<<`` before the
         bound, or None when none does."""
-        self.bound = self.limit(data, i)
-        self.at = min(self.at, self.bound)
         depth = 1
-        for m in _ANGLES_RE.finditer(data, i, self.at):
+        for m in _ANGLES_RE.finditer(data, i, self.limit(data, i)):
             depth += 1 if m.group() == b"<<" else -1
             if depth == 0:
                 return m.end()
@@ -325,12 +318,11 @@ def _skip_value(data: bytes, i: int, stop: _Stop, depth: int = 0) -> int:
     # array at a ">>", ends as malformed, and so do the dictionaries around it.
     b = data[i]
     if b == 0x5B:  # '['
-        limit = stop.limit(data, i)
-        i = _skip_ws(data, i + 1, stop.at)
+        i = _skip_ws(data, i + 1, stop.limit(data, i))
         while i < stop.at:
             if data[i] == 0x5D:
                 return i + 1
-            if i >= limit or data.startswith(b">>", i):
+            if data.startswith(b">>", i):
                 return stop.recover(data, i)
             i = _skip_ws(data, _skip_value(data, i, stop, depth + 1), stop.at)
         return i
@@ -348,7 +340,8 @@ def _scan_dict(data: bytes, i: int, stop: _Stop, depth: int = 0) -> tuple[int, d
     the closing ``>>`` and ``values`` maps each top-level key, in source
     order, to the raw bytes of its value.  A malformed dictionary, or one
     still open at ``stop.at``, is not ``closed``: it ends where the lexer
-    stopped, and the caller finds its end with ``stop.recover``.
+    stopped, and the caller finds its end, at the latest at the one bound
+    of the top-level dictionary, ``stop.limit``.
     """
     values: dict[str, bytes] = {}
     # The items of an array at the floor's depth lie past it, so there the
@@ -480,7 +473,7 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[Trail
         start, obj_num, gen_num = m.start(2), int(m[2]), int(m[3])
         i = m.end()
         p = i if m.start(11) >= 0 else -1  # where the payload starts
-        kind = dstart = dend = pstart = pend = stop = length = None
+        kind = dstart = dend = pstart = pend = length = None
         if m.start(4) >= 0:
             dstart = m.start(4)
             if m.start(7) >= m.start(6) >= 0:  # only a name is /Metadata or /XRef
@@ -534,8 +527,7 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[Trail
         m = t = _OBJECT_RE.match(data, i)
         if searched := (k := t.start(2)) < 0:
             k = t.end()
-            m = stop.header(data, k) if stop else _find_header(data, k)
-            m = m and _OBJECT_RE.match(data, m.start())
+            m = (h := _find_header(data, k)) and _OBJECT_RE.match(data, h.start())
         if t.start(1) >= 0:
             end = t.end(1)
         else:

@@ -94,6 +94,10 @@ _RULE = 'rule r1 {\n  producer = Cairo\n  section = body\n  kind = template\n  p
     ("template", "presence", "line 4: kind 'presence' is no longer supported: "
                              "xref rules search xref tables and streams as templates"),
     ("  section", "  colour = red\n  section", "line 3: unknown field 'colour'"),
+    # A field set twice is refused, not read as its last line.
+    ("producer = Cairo", "producer = Cairo\n  producer = Quartz", "line 3: rule 'r1' sets 'producer' twice"),
+    ('"abc"\n', '"abc"\n  pattern = "abd"\n', "line 6: rule 'r1' sets 'pattern' twice"),
+    ("template", "template\n  kind = magic", "line 5: rule 'r1' sets 'kind' twice"),
     ("}\n", "}\n\nrule r2 {\n  producer = Cairo\n", "line 8: unterminated rule block"),
 ])
 def test_rule_file_errors_name_their_line(old, new, message):

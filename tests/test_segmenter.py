@@ -849,12 +849,11 @@ def _walk_skip_value(data, i, stop, depth=0):
         return end if closed else stop.recover(data, end)
     b = data[i]
     if b == 0x5B:  # '['
-        limit = stop.limit(data, i)
-        i = _skip_ws(data, i + 1, stop.at)
+        i = _skip_ws(data, i + 1, stop.limit(data, i))
         while i < stop.at:
             if data[i] == 0x5D:
                 return i + 1
-            if i >= limit or data.startswith(b">>", i):
+            if data.startswith(b">>", i):
                 return stop.recover(data, i)
             i = _skip_ws(data, _walk_skip_value(data, i, stop, depth + 1), stop.at)
         return i
@@ -1024,9 +1023,9 @@ def _searched_lex_objects(data):
         obj_num, gen_num = int(m.group(1)), int(m.group(2))
         i = _skip_ws(data, data.index(b"obj", m.end(2)) + 3, n)
         values, dstart, dend, pstart, pend = {}, None, None, None, None
-        stop = _Stop(data)
         if data.startswith(b"<<", i):
             dstart = i
+            stop = _Stop(data)
             i, values, closed = segmenter._scan_dict(data, _skip_ws(data, i + 2, n), stop)
             if not closed:
                 end = stop.balance(data, i)
@@ -1060,7 +1059,7 @@ def _searched_lex_objects(data):
             else:
                 e = i - 2 if data.startswith(b"\r\n", i - 2) else i - (data[i - 1] in b"\r\n")
                 pstart, pend, i = p, max(e, p), i + 9
-        m = stop.header(data, i)
+        m = _find_header(data, i)
         cut = m.start() if m else n
         end = data.find(b"endobj", i, cut)
         if end < 0:
@@ -1133,6 +1132,54 @@ _TAIL_CASES = {
 def test_anchored_object_loop_named_cases(body):
     data = b"%PDF-1.4\n" + body
     assert _lexed_objects(data) == _searched_lex_objects(data)
+
+
+# A comment that holds an object header, passed before the dictionary first
+# needs its bound, ahead of an array, a literal string and a hex string that
+# need it: the bound is searched for from each, so none of them is cut.
+_PASSED_HEADER_CASES = {
+    "comment-holding-a-header-before-an-array": b"1 0 obj\n<</A 1 %2 0 obj\n/B [<</C 1>>]>>\nendobj\n",
+    "comment-holding-a-header-before-a-string": b"1 0 obj\n<</A 1 %2 0 obj\n/B (a(b(c)))>>\nendobj\n",
+    "comment-holding-a-header-before-a-hex-string": b"1 0 obj\n<</A 1 %2 0 obj\n/B <obj>>>\nendobj\n",
+}
+
+
+@pytest.mark.parametrize("body", list(_PASSED_HEADER_CASES.values()), ids=list(_PASSED_HEADER_CASES))
+def test_a_header_the_lexer_passed_is_no_bound(body):
+    data = b"%PDF-1.4\n" + body
+    sections = segment(data)
+    (obj,) = sections.objects
+    assert sections.diagnostics == []
+    assert obj.dict_end == data.index(b">>\nendobj") + 2
+    assert _lexed_objects(data) == _searched_lex_objects(data)
+
+
+def test_a_header_after_the_first_token_that_needs_a_bound_is_the_bound():
+    # The string needs the bound first, and the first header after it lies in
+    # a comment: the search does not lex, so the dictionary ends there,
+    # malformed, and the header starts an object.
+    data = b"%PDF-1.4\n1 0 obj\n<</B (a(b(c))) %2 0 obj\n/A 1>>\nendobj\n"
+    sections = segment(data)
+    assert [(o.obj_num, o.dict_end) for o in sections.objects] == [(1, data.index(b"2 0 obj")), (2, None)]
+    assert "MalformedDictionary obj 1 0" in sections.diagnostics
+    assert _lexed_objects(data) == _searched_lex_objects(data)
+
+
+def test_the_bound_is_searched_for_only_when_a_token_needs_it():
+    # A nested dictionary goes to the walk, which closes it with no bound:
+    # no search runs through the payload after it.
+    def header_searches(dictionary):
+        payload = b"x" * (1 << 20)
+        data = (b"%PDF-1.4\n1 0 obj\n" + dictionary % len(payload) + b"\nstream\n" + payload
+                + b"\nendstream\nendobj\n2 0 obj\n<</Type/Font>>\nendobj\n")
+        with mock.patch.object(segmenter, "_find_header", wraps=segmenter._find_header) as find:
+            sections = segment(data)
+        assert sections.diagnostics == []
+        assert sections.objects[0].payload_end - sections.objects[0].payload_start == len(payload)
+        return find.call_count
+
+    nested = header_searches(b"<</Length %d/Resources<</Font<</F1 2 0 R>>>>>>")
+    assert nested <= header_searches(b"<</Length %d/F1 2 0 R>>")
 
 
 def test_anchored_object_loop_matches_the_searches():

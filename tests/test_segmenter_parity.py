@@ -26,6 +26,9 @@ Families:
 
 Run this file as a script (``PYTHONPATH=src:tests python
 tests/test_segmenter_parity.py``) to print each family's current digest.
+With ``--per-input`` it prints a ``family index sha1`` line for each input
+instead, so that a ``diff`` of two trees' outputs lists the inputs that
+moved.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
+import sys
 from collections.abc import Iterator
 from dataclasses import asdict
 
@@ -143,14 +147,20 @@ def _render(sections) -> dict:
     return out
 
 
-def family_digest(inputs: Iterator[bytes]) -> str:
-    digest = hashlib.sha256()
+def _outputs(inputs: Iterator[bytes]) -> Iterator[bytes]:
+    """The rendered ``segment()`` output of each input, one line each."""
     for data in inputs:
         try:
             out = repr(_render(segment(data)))
         except NotAPdf as exc:
             out = f"NotAPdf: {exc}"
-        digest.update(out.encode("utf-8") + b"\n")
+        yield out.encode("utf-8") + b"\n"
+
+
+def family_digest(inputs: Iterator[bytes]) -> str:
+    digest = hashlib.sha256()
+    for out in _outputs(inputs):
+        digest.update(out)
     return digest.hexdigest()
 
 
@@ -160,5 +170,10 @@ def test_segment_output_matches_its_digest(family):
 
 
 if __name__ == "__main__":
-    for name, family in FAMILIES.items():
-        print(f"{name}: {family_digest(family())}")
+    if sys.argv[1:] == ["--per-input"]:
+        for name, family in FAMILIES.items():
+            for index, out in enumerate(_outputs(family())):
+                print(name, index, hashlib.sha1(out).hexdigest())
+    else:
+        for name, family in FAMILIES.items():
+            print(f"{name}: {family_digest(family())}")
