@@ -47,7 +47,12 @@ def _load_pack(path: str | None) -> Rulepack:
 
 
 def _parse_sections(value: str | None) -> set[SectionKind]:
-    return {SectionKind(item.strip()) for item in (value or "").split(",") if item.strip()}
+    names = [item.strip() for item in (value or "").split(",") if item.strip()]
+    known = [kind.value for kind in SECTION_ORDER]
+    if unknown := [name for name in names if name not in known]:
+        raise ValueError(f"--sections names {unknown[0]}, which is not a section "
+                         f"({', '.join(known)})")
+    return {SectionKind(name) for name in names}
 
 
 def _keep_sections(pack: Rulepack, kinds: set[SectionKind]) -> Rulepack:

@@ -36,18 +36,18 @@ on.
 Mining thus costs in proportion to the distinct shapes a producer
 writes, not to the number of its files.
 
-Files of one producer repeat most of their elements, so each distinct
-piece of work is done once: an element's bytes are tokenized once per
-section, a template's probe scans each distinct element of the group
-once, and a candidate searches each distinct element at most once.
-Scoring stops at the first other producer whose share exceeds the
-threshold; a kept candidate is always scored in full.
+Files of one producer repeat most of their elements, so an element's
+bytes are tokenized once per section, and a template's probe scans each
+distinct element of the group once.  A candidate searches each other
+file's elements only up to its first hit, and scoring stops at the first
+other producer whose share exceeds the threshold; a kept candidate is
+always scored in full.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -385,23 +385,6 @@ def _build_template(run: str, haystacks: Iterable[bytes]) -> str:
 # -- Mining -------------------------------------------------------------------
 
 
-def _matcher(regex: re.Pattern[bytes]) -> Callable[[list[bytes]], bool]:
-    """Whether any element of a file matches ``regex``; each distinct
-    element is searched at most once."""
-    found: dict[bytes, bool] = {}
-
-    def matches(elements: list[bytes]) -> bool:
-        for hay in elements:
-            hit = found.get(hay)
-            if hit is None:
-                hit = found[hay] = regex.search(hay) is not None
-            if hit:
-                return True
-        return False
-
-    return matches
-
-
 def check_thresholds(min_len: int, max_discriminacy: float) -> None:
     """Reject mining thresholds that :func:`mine` cannot honour."""
     if min_len < 4:
@@ -452,12 +435,11 @@ def _mine_elements(all_haystacks: dict[str, list[list[bytes]]], section: Section
             byte_len = first.end() - first.start()
             if byte_len < min_len:
                 continue
-            matches = _matcher(regex)
             disc = 0.0
             for other, other_files in all_haystacks.items():
                 if other == producer:
                     continue
-                share = sum(map(matches, other_files)) / len(other_files)
+                share = sum(any(map(regex.search, f)) for f in other_files) / len(other_files)
                 if share > max_discriminacy:
                     break
                 disc = max(disc, share)

@@ -14,14 +14,18 @@ and optional OS/distribution tags.  Rule files are plain UTF-8 text:
 A '#' outside a quoted value starts a comment.  The pattern is quoted, and
 only ``\\"`` in it is unescaped; the producer and the tags are bare, so
 they may hold no '#' and no leading or trailing space (:func:`render_rulepack`
-refuses such a value).  Patterns operate on raw bytes and support literals,
-\\xNN escapes, \\r \\n \\t, character classes, repetition (``*`` ``+``
-``?`` ``{m,n}``), alternation, grouping and the ``^``/``$`` anchors.
-Lookaround and backreferences are rejected, and so is a repeat that may run
-its body more than once when the body holds a variable-count repeat
-(``(a+)+``, ``(?:a*){2,5}``, ``(a?)*``): a backtracking search of such a
-pattern can take time exponential in the input.  Groups nested too deeply
-for the regex parser are rejected too.
+refuses such a value).  Patterns operate on raw bytes, in a dialect that
+:func:`compile_pattern` checks against one grammar before ``re`` sees them.
+A piece is a literal byte, an escape (``\\xNN``, ``\\r``, ``\\n``, ``\\t``,
+an escaped special; no backreference) or a character class, with an
+optional ``*``, ``+``, ``?`` or ``{m,n}``.  A pattern is pieces, ``|``, and
+the ``^``/``$`` anchors, and groups ``(...)`` or ``(?:...)`` of pieces and
+``|``; a group nests in no other and takes at most a ``?``.  So lookaround,
+inline flags, named groups and backreferences are refused, and so are
+lazy and possessive quantifiers and a repeated group such as ``(ab)+`` or
+``(a|ab)*``: no search of a pattern in the dialect takes time exponential
+in its input.  A run of overlapping repeats, such as ``a*a*b``, can still
+take polynomial time.
 
 Every rule searches the elements of its section (:func:`element_bytes`).
 Body rules match each non-metadata object's bytes with its stream payload
@@ -45,7 +49,6 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
-from re import _constants, _parser
 from typing import Any
 
 from .errors import PatternCompileError, RuleParseError
@@ -68,53 +71,31 @@ class RuleKind(str, Enum):
     PRESENCE = "presence"
 
 
-# An escape (group 1: the escaped character), a character class, skipped
-# since "(?" or "\1" in it is no group, or "(?" (group 2: the next character).
-# A class never closed runs to the end, so no "[" is scanned twice.
-_CONSTRUCT_RE = re.compile(r"\\(.)|\[\^?\]?(?:\\.|[^\]\\])*\]?|\(\?(.?)", re.S)
-_REPEATS = (_constants.MAX_REPEAT, _constants.MIN_REPEAT, _constants.POSSESSIVE_REPEAT)
-
-
-def _nests_repeats(items: _parser.SubPattern, repeated: bool = False) -> bool:
-    """Whether a variable-count repeat lies inside a repeat that may run
-    its body more than once.  ``repeated`` says ``items`` is inside one."""
-    for op, av in items:
-        if op in _REPEATS:
-            low, high, body = av
-            if (repeated and low != high) or _nests_repeats(body, repeated or high > 1):
-                return True
-        elif op is _constants.SUBPATTERN:
-            if _nests_repeats(av[-1], repeated):
-                return True
-        elif op is _constants.BRANCH:
-            if any(_nests_repeats(branch, repeated) for branch in av[1]):
-                return True
-    return False
+# The dialect of the module docstring, as one grammar.  Each alternative
+# starts on its own character and each repeat is possessive, so a match
+# takes time linear in the pattern.
+_PIECE = (r"(?:\\(?:x[0-9A-Fa-f]{2}|[^1-9x])|\[\^?\]?(?:\\.|[^\]\\])*+\]|[^\\\[\](){}|*+?^$])"
+          r"(?:[*+?]|\{(?:[0-9]++(?:,[0-9]*+)?|,[0-9]++)\})?")
+_DIALECT_RE = re.compile(rf"(?:{_PIECE}|[|^$]|\((?:\?:)?(?:{_PIECE}|\|)*+\)\??)*+", re.S)
 
 
 def compile_pattern(source: str, rule_id: str = "<pattern>") -> re.Pattern[bytes]:
-    """Compile a byte-regex source string; '.' matches any byte."""
-    if any(m[1] in "123456789" if m[1] else m[2] not in (None, ":")
-           for m in _CONSTRUCT_RE.finditer(source)):
-        raise PatternCompileError(rule_id, "lookaround and backreferences are not supported")
+    """Compile a byte-regex source string in the rule dialect; '.' matches any byte.
+
+    A pattern outside the dialect is refused at the offset where it leaves
+    it, and the error quotes up to 20 characters from there."""
+    end = _DIALECT_RE.match(source).end()  # type: ignore[union-attr]
+    if end < len(source):
+        raise PatternCompileError(
+            rule_id, f"not in the rule dialect from offset {end}: {source[end : end + 20]!r}")
     try:
         raw = source.encode("latin-1")
     except UnicodeEncodeError as exc:
         raise PatternCompileError(rule_id, f"non-byte character in pattern: {exc}") from None
     try:
-        regex = re.compile(raw, re.DOTALL)
-        # A repeat can only hold another inside a group.
-        nested = b"(" in raw and _nests_repeats(_parser.parse(raw, re.DOTALL))
-    except re.error as exc:
+        return re.compile(raw, re.DOTALL)
+    except (re.error, OverflowError) as exc:  # Overflow: a repeat count of 2**32 - 1 or more
         raise PatternCompileError(rule_id, str(exc)) from None
-    except RecursionError:
-        # The parser recurses once per group level.
-        raise PatternCompileError(rule_id, "groups nest too deeply") from None
-    if nested:
-        raise PatternCompileError(
-            rule_id, "a repeated group may not hold a variable-count repeat"
-        )
-    return regex
 
 
 @dataclass(frozen=True)

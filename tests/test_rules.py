@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import warnings
+import re
 from collections import Counter
+from re import _constants, _parser
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +21,7 @@ from conftest import (
 )
 from pdfprov.errors import NotAPdf, PatternCompileError, RuleParseError
 from pdfprov.fixtures import PROFILES, generate
+from pdfprov.miner import escape_literal
 from pdfprov.producers import Producer
 from pdfprov.rules import (
     _read_field,
@@ -313,12 +315,21 @@ def test_hex_escapes_are_literal_bytes():
     assert not regex.search(b"B")
 
 
+def _dialect_error(pattern: str, offset: int) -> str:
+    return f"not in the rule dialect from offset {offset}: {pattern[offset : offset + 20]!r}"
+
+
+def _refused_at(source: str, offset: int) -> None:
+    with pytest.raises(PatternCompileError) as err:
+        compile_pattern(source)
+    assert err.value.reason == _dialect_error(source, offset)
+
+
 def test_dialect_rejects_lookaround_and_backrefs():
-    for pattern in ["a(?=b)", "(?=a)", "a(?<=b)", r"(a)\1", "(?P<n>a)", "(?i)a", "(?#c)a",
-                    r"x\9", r"\((?!a)"]:
-        with pytest.raises(PatternCompileError) as err:
-            compile_pattern(pattern)
-        assert "lookaround and backreferences" in err.value.reason, pattern
+    for pattern, offset in [("a(?=b)", 1), ("(?=a)", 0), ("a(?<=b)", 1), (r"(a)\1", 3),
+                            ("(?P<n>a)", 0), ("(?i)a", 0), ("(?#c)a", 0), (r"x\9", 1),
+                            (r"\((?!a)", 2)]:
+        _refused_at(pattern, offset)
 
 
 @pytest.mark.parametrize(
@@ -329,17 +340,21 @@ def test_dialect_accepts_group_syntax_that_is_escaped_or_in_a_class(pattern, dat
     assert compile_pattern(pattern).fullmatch(data)
 
 
-def _reject_unclosed(source: str) -> None:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", FutureWarning)  # "Possible nested set"
-        with pytest.raises(PatternCompileError, match="unterminated character set"):
-            compile_pattern(source)
-
-
 def test_dialect_check_time_is_linear():
-    # No "[" closes, so a check that sought each one's "]" would rescan the
-    # rest of the pattern from every one.
-    assert_linear_time("unclosed classes at n=5000", _reject_unclosed, "[a" * 5000, "[a" * 10000)
+    for unit, tail in [
+        # No "[" closes, so a check that sought each one's "]" would rescan
+        # the rest of the pattern from every one.
+        ("[a", ""),
+        # A group nests in nothing: the first "(x|" is refused at the next "(".
+        ("(x|", ""),
+        # These are in the dialect up to the ")" that ends them.
+        ("a|", ")"),
+        ("\\\\", ")"),
+        ("(?:a)?", ")"),
+    ]:
+        small, large = ((unit * n + tail, len(unit) * n if tail else 0) for n in (5000, 10000))
+        assert_linear_time(f"{unit!r} x n + {tail!r} at n=5000", lambda case: _refused_at(*case),
+                           small, large)
 
 
 @pytest.mark.parametrize(
@@ -349,19 +364,124 @@ def test_dialect_rejects_a_variable_repeat_inside_a_repeated_group(pattern):
     with pytest.raises(PatternCompileError) as err:
         compile_pattern(pattern, "nested")
     assert err.value.rule_id == "nested"
-    assert "variable-count repeat" in err.value.reason
+    # Each is refused at the quantifier after its group.
+    assert err.value.reason == _dialect_error(pattern, pattern.rindex(")") + 1)
 
 
 @pytest.mark.parametrize(
-    "pattern", ["(ab)+", "(a{3})*", "(/K[0-9]*)?", "(a|ab)*", "\\(a+\\)+", "[(]a+[)]+"]
+    "pattern", ["(ab)+", "(a{3})*", "(a|ab)*", "(a|a)*b", "(?:a|aa)+b", "(a|ab)*c"]
+)
+def test_dialect_refuses_any_repeated_group(pattern):
+    # (a|a)*b is the exponential shape of Davis et al., FSE 2018.
+    _refused_at(pattern, pattern.rindex(")") + 1)
+
+
+@pytest.mark.parametrize("pattern, offset", [
+    ("a*?", 2), ("a++", 2), ("a{2}?", 4),  # lazy and possessive repeats
+    ("((a))", 0), ("(a(?:b))", 0),  # nested groups
+    ("a]", 1), ("a{", 1), ("a}", 1), ("{2}", 0),  # a bare "]", "{" or "}"
+    ("(^a)", 0), ("a\\", 1),
+])
+def test_dialect_refuses_lazy_and_possessive_repeats_nested_groups_and_bare_brackets(
+        pattern, offset):
+    _refused_at(pattern, offset)
+
+
+def test_a_repeat_count_too_large_for_re_is_a_pattern_error():
+    with pytest.raises(PatternCompileError) as err:
+        compile_pattern("a{1,4294967296}", "big")
+    assert str(err.value) == "rule 'big': the repetition number is too large"
+
+
+@pytest.mark.parametrize(
+    "pattern", ["(/K[0-9]*)?", "\\(a+\\)+", "[(]a+[)]+", "(a|bc)?x", "a{,3}", "a|b"]
 )
 def test_dialect_accepts_repeats_of_one_level(pattern):
     compile_pattern(pattern)
 
 
 def test_dialect_accepts_classes_repetition_alternation_anchors():
-    regex = compile_pattern("^(foo|ba[rz]){1,2}[0-9]*$")
-    assert regex.search(b"foobaz42")
+    regex = compile_pattern("^(foo|ba[rz])?[0-9]*$")
+    assert regex.search(b"baz42") and regex.search(b"42")
+    _refused_at("^(foo|ba[rz]){1,2}[0-9]*$", 13)
+
+
+# The reference: the regex module's own parser, which rules.py does not use.
+_FORBIDDEN_OPS = {_constants.ASSERT, _constants.ASSERT_NOT, _constants.GROUPREF,
+                  _constants.GROUPREF_EXISTS, _constants.ATOMIC_GROUP, _constants.MIN_REPEAT,
+                  _constants.POSSESSIVE_REPEAT}
+
+
+def _tree(items, depth: int = 0):
+    """Each (op, av, group depth) of a parsed pattern, nested ones too."""
+    for op, av in items:
+        yield op, av, depth
+        if op is _constants.SUBPATTERN:
+            yield from _tree(av[-1], depth + 1)
+        elif op is _constants.BRANCH:
+            for branch in av[1]:
+                yield from _tree(branch, depth)
+        elif op is _constants.MAX_REPEAT:
+            yield from _tree(av[2], depth)
+
+
+_TOKENS = ["a", ".", "\\x41", "\\(", "[ab]", "[^/]", "|", "^", "$"]
+_QUANTIFIERS = ["*", "+", "?", "{2}", "{1,3}", "*?"]
+# A unit is a token, a group of units or a unit with a quantifier, so that
+# groups in groups and repeated groups come up often; any token may stand
+# anywhere, so patterns just outside the dialect come up too.
+_UNITS = st.recursive(
+    st.one_of(st.sampled_from(_TOKENS),
+              st.sampled_from(_TOKENS + _QUANTIFIERS + ["(", "(?:", ")", "(?=", "\\1", "]"])),
+    lambda units: st.one_of(
+        st.builds("{}{})".format, st.sampled_from(["(", "(?:"]),
+                  st.lists(units, max_size=4).map("".join)),
+        st.builds("{}{}".format, units, st.sampled_from(_QUANTIFIERS)),
+    ),
+    max_leaves=10,
+)
+
+
+@given(st.lists(_UNITS, max_size=6).map("".join))
+@example("(a|ab)?x[ab]*")
+@example("(?:\\x41{1,3}|.)?$|^[^/]+")
+@settings(max_examples=500, deadline=None)
+def test_every_pattern_the_dialect_accepts_has_a_safe_parse_tree(source):
+    try:
+        compile_pattern(source)
+    except PatternCompileError:
+        return
+    nodes = list(_tree(_parser.parse(source.encode("latin-1"), re.DOTALL)))
+    assert not {op for op, _, _ in nodes} & _FORBIDDEN_OPS
+    assert all(depth == 0 for op, _, depth in nodes if op is _constants.SUBPATTERN)
+    for op, av, _ in nodes:
+        if op is _constants.MAX_REPEAT and any(
+                inner in (_constants.SUBPATTERN, _constants.BRANCH) for inner, _, _ in _tree(av[2])):
+            assert av[1] <= 1, source
+
+
+_SLOTS = {"[0-9]*": st.text("0123456789", max_size=4),
+          "[0-9A-F]*": st.text("0123456789ABCDEF", max_size=4),
+          "[0-9A-Fa-f]*": st.text("0123456789ABCDEFabcdef", max_size=4)}
+
+
+@st.composite
+def _templates(draw) -> tuple[str, bytes]:
+    """A template as the miner writes one, literal pieces with slots
+    between them, and bytes it must match in full."""
+    source, data = [escape_literal(first := draw(st.binary(max_size=12)))], [first]
+    for slot in draw(st.lists(st.sampled_from(sorted(_SLOTS)), max_size=3)):
+        literal = draw(st.binary(max_size=12))
+        source += [slot, escape_literal(literal)]
+        data += [draw(_SLOTS[slot]).encode("ascii"), literal]
+    return "".join(source), b"".join(data)
+
+
+@given(_templates())
+@settings(max_examples=300, deadline=None)
+def test_mined_templates_are_in_the_dialect(template):
+    source, data = template
+    assert compile_pattern(source).fullmatch(data)
 
 
 # -- match_section ---------------------------------------------------------
