@@ -114,8 +114,8 @@ def _scan_table(report: ScanReport) -> str:
         ))
     lines.append(f"declared:    {d['declared']['producer'] or '-'}")
     lines.append(f"consistency: {d['consistency']}")
-    if d["diagnostics"]:
-        lines.append("diagnostics: " + "; ".join(d["diagnostics"]))
+    if report.diagnostics:
+        lines.append("diagnostics: " + "; ".join(map(str, report.diagnostics)))
     return "\n".join(lines)
 
 

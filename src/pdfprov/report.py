@@ -2,7 +2,11 @@
 
 A scan report holds the verdict and the declared metadata it reports; its
 JSON (schema version ``SCHEMA_VERSION``), CSV row and table are renderings
-of them.
+of them.  Its diagnostics are the segmenter's, one per code, ordered by
+offset, then by code, with ``EncryptedInfo`` among them when a trailer holds
+``/Encrypt``.  JSON gives each as ``{"code", "offset", "count"}``; the CSV
+cell and the table give ``code@offset``, with ``xN`` after it when the code
+occurred N > 1 times.
 """
 
 from __future__ import annotations
@@ -13,8 +17,9 @@ from dataclasses import dataclass, field
 from .detector import FILE_TALLIES, SECTION_TALLIES, OutcomeClass, Status, Verdict, VerdictKind
 from .metadata import ConsistencyStatus, DeclaredMetadata
 from .rules import SECTION_ORDER
+from .segmenter import Diagnostic, ordered
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 CSV_COLUMNS = [
     "file", "verdict", "producer", "candidates", "votes",
@@ -35,12 +40,12 @@ class ScanReport:
     verdict: Verdict
     declared: DeclaredMetadata
     consistency: ConsistencyStatus
-    diagnostics: list[str]
+    diagnostics: list[Diagnostic]
 
     def __post_init__(self) -> None:
-        if self.declared.encrypted:
+        if (offset := self.declared.encrypted) is not None:
             # A new list: the one passed in is often the segmenter's own.
-            self.diagnostics = [*self.diagnostics, "EncryptedInfo"]
+            self.diagnostics = ordered([*self.diagnostics, Diagnostic("EncryptedInfo", offset, 1)])
 
     @property
     def producer(self) -> str | None:
@@ -70,7 +75,8 @@ class ScanReport:
                 "source": declared.source.value if declared.source else None,
             },
             "consistency": self.consistency.value,
-            "diagnostics": list(self.diagnostics),
+            "diagnostics": [{"code": d.code, "offset": d.offset, "count": d.count}
+                            for d in self.diagnostics],
         }
 
     def to_json(self) -> str:
@@ -99,7 +105,7 @@ def csv_row(report: ScanReport, truth: str = "", file_class: str = "") -> list[s
         report.consistency.value,
         truth,
         file_class,
-        ";".join(report.diagnostics),
+        ";".join(map(str, report.diagnostics)),
     ]
 
 

@@ -61,6 +61,22 @@ and so do the arrays and dictionaries around it.  A dictionary that no
 last before the bound, and a payload that no ``endstream`` ends, at the
 last before the next header.
 
+What goes wrong is counted, not described.  Each :class:`Diagnostic` is one
+code, where it first occurred and how many times it did, so a file holds at
+most one entry per code, however many of its objects or xref entries are
+bad.  The codes and their offsets:
+
+- ``HeaderVersionMissing``: the ``%PDF`` magic, with no version after it;
+- ``ShortBinaryComment``: the ``%`` of a binary comment with under four
+  high bytes;
+- ``MalformedDictionary``: the start of an object whose dictionary no
+  ``>>`` closes, or whose walk recovered from a malformed value;
+- ``TruncatedObject``: the start of an object that no ``endobj`` ends;
+- ``XrefTruncatedSubsection`` and ``MalformedXrefEntry``: the xref entry
+  where a subsection ends early, or that does not fit the entry grammar;
+- ``MalformedTrailer``: the ``trailer`` keyword of a trailer dictionary no
+  ``>>`` closes.
+
 All functions here are pure; the same input bytes always produce a
 structurally identical result.
 """
@@ -68,6 +84,7 @@ structurally identical result.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import NotAPdf
@@ -164,6 +181,31 @@ _KEYWORD_RE = re.compile(
 )
 
 
+@dataclass(frozen=True, slots=True)
+class Diagnostic:
+    """One diagnostic code of a file: the offset of its first occurrence and
+    the number of its occurrences."""
+
+    code: str
+    offset: int
+    count: int
+
+    def __str__(self) -> str:
+        """``code@offset``, and ``xN`` after it when the count N is above 1."""
+        return f"{self.code}@{self.offset}" + (f"x{self.count}" if self.count > 1 else "")
+
+
+def ordered(diagnostics: Iterable[Diagnostic]) -> list[Diagnostic]:
+    """``diagnostics`` by offset, then by code."""
+    return sorted(diagnostics, key=lambda d: (d.offset, d.code))
+
+
+def _note(diags: dict[str, list[int]], code: str, offset: int) -> None:
+    """Count one occurrence of ``code`` in ``diags``, which maps each code to
+    its first offset and its count."""
+    diags.setdefault(code, [offset, 0])[1] += 1
+
+
 # Not frozen: a frozen dataclass takes over twice as long to build.
 @dataclass(slots=True)
 class IndirectObject:
@@ -213,7 +255,11 @@ class TrailerDict:
 @dataclass
 class PdfSections:
     """The segmented view of one PDF file: its elements are offsets into
-    ``data``, the segmented bytes object itself, not a copy."""
+    ``data``, the segmented bytes object itself, not a copy.
+
+    ``diagnostics`` holds one :class:`Diagnostic` per code that occurred,
+    ordered by offset, then by code.
+    """
 
     data: bytes = field(repr=False)
     # The comment line after the %PDF line, without its "%", if any.
@@ -222,7 +268,7 @@ class PdfSections:
     # Each classic cross-reference table, in file order.
     xref_tables: list[XrefTable]
     trailers: list[TrailerDict]
-    diagnostics: list[str] = field(default_factory=list)
+    diagnostics: list[Diagnostic] = field(default_factory=list)
     # Object number of the Info dictionary: the /Info reference of the
     # last trailer that has one.
     info_obj_num: int | None = None
@@ -272,11 +318,13 @@ class _Stop:
     scanned no further.
     """
 
-    __slots__ = ("at", "searched")
+    __slots__ = ("at", "searched", "recovered")
 
     def __init__(self, data: bytes, at: int | None = None) -> None:
         self.at = len(data) if at is None else at
         self.searched = at is not None
+        # Whether a recovery ran: the dictionary is malformed, closed or not.
+        self.recovered = False
 
     def limit(self, data: bytes, i: int) -> int:
         """The bound; the first call, from the lexer's index ``i``,
@@ -289,6 +337,7 @@ class _Stop:
 
     def recover(self, data: bytes, i: int) -> int:
         """Index past the ``>>`` that balances an open ``<<``, or the bound."""
+        self.recovered = True
         end = self.balance(data, i)
         return max(i, self.at) if end is None else end
 
@@ -392,27 +441,26 @@ def _find_header(data: bytes, i: int = 0) -> re.Match[bytes] | None:
 
 def parse_header(data: bytes) -> bytes | None:
     """The binary comment on the line after the %PDF line, if any."""
-    return _parse_header_with_diags(data)[0]
+    return _parse_header(data, {})
 
 
-def _parse_header_with_diags(data: bytes) -> tuple[bytes | None, list[str]]:
+def _parse_header(data: bytes, diags: dict[str, list[int]]) -> bytes | None:
     if not data:
         raise NotAPdf("empty input")
     window = data[:MAGIC_SCAN_WINDOW]
-    diags: list[str] = []
     m = _HEADER_RE.search(window)
     if m is None:
         m = _MAGIC_RE.search(window)
         if m is None:
             raise NotAPdf(f"no %PDF magic in the first {MAGIC_SCAN_WINDOW} bytes")
-        diags.append("HeaderVersionMissing")
+        _note(diags, "HeaderVersionMissing", m.start())
     i = _skip_eol(data, _line_end(data, m.end(), len(data)))
     comment: bytes | None = None
     if i < len(data) and data[i] == 0x25:  # '%'
         comment = data[i + 1 : _line_end(data, i + 1, len(data))] or None
         if comment and (len(comment) < 4 or sum(1 for b in comment if b >= 0x80) < 4):
-            diags.append("ShortBinaryComment")
-    return comment, diags
+            _note(diags, "ShortBinaryComment", i)
+    return comment
 
 
 def _line_end(data: bytes, i: int, end: int) -> int:
@@ -436,16 +484,14 @@ def _skip_eol(data: bytes, i: int) -> int:
     return i
 
 
-def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[TrailerDict], list[str]]:
+def _lex(data: bytes, diags: dict[str, list[int]]
+         ) -> tuple[list[IndirectObject], list[XrefTable], list[TrailerDict]]:
     """One forward pass over the body: the objects, and the xref tables and
-    trailers in the gaps between them, each in file order, and their
-    diagnostics: the objects' first, then the tables', then the trailers'."""
+    trailers in the gaps between them, each in file order; their diagnostics
+    are counted in ``diags``."""
     objects: list[IndirectObject] = []
     tables: list[XrefTable] = []
     trailers: list[TrailerDict] = []
-    diags: list[str] = []
-    xref_diags: list[str] = []
-    trailer_diags: list[str] = []
     n = len(data)
     end = 0  # where the last object ended: the start of the next gap
     m = (h := _find_header(data)) and _OBJECT_RE.match(data, h.start())
@@ -463,9 +509,9 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[Trail
                 nxt = _KEYWORD_RE.search(data, kw.end(), gap_end)
                 bound = nxt.start() if nxt else gap_end
                 if kw.group() == b"xref":
-                    if table := _lex_xref_table(data, kw.start(), bound, xref_diags):
+                    if table := _lex_xref_table(data, kw.start(), bound, diags):
                         tables.append(table)
-                elif trailer := _lex_trailer(data, kw.start(), bound, trailer_diags):
+                elif trailer := _lex_trailer(data, kw.start(), bound, diags):
                     trailers.append(trailer)
                 kw = nxt
         if m is None:
@@ -497,7 +543,8 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[Trail
                         end = data.rfind(b"endobj", dstart, stop.at)
                         end = max(i, stop.at) if end < 0 else end
                     i = end
-                    diags.append(f"MalformedDictionary obj {obj_num} {gen_num}")
+                if not closed or stop.recovered:
+                    _note(diags, "MalformedDictionary", start)
                 dend = i
                 p = s.end() if (s := _STREAM_RE.match(data, i)) else -1
         if p >= 0:
@@ -534,7 +581,7 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[Trail
             cut = m.start(2) if m else n
             end = data.find(b"endobj", k, cut)
             if end < 0:
-                diags.append(f"TruncatedObject obj {obj_num} {gen_num}")
+                _note(diags, "TruncatedObject", start)
                 end = cut
             else:
                 end += len(b"endobj")
@@ -544,7 +591,7 @@ def _lex(data: bytes) -> tuple[list[IndirectObject], list[XrefTable], list[Trail
         if kind == b"/XRef":
             # An xref stream's dictionary is its revision's trailer.
             trailers.append(TrailerDict(dstart, dend, object_values(data, obj)))
-    return objects, tables, trailers, diags + xref_diags + trailer_diags
+    return objects, tables, trailers
 
 
 def object_values(data: bytes, obj: IndirectObject) -> dict[str, bytes]:
@@ -556,7 +603,7 @@ def object_values(data: bytes, obj: IndirectObject) -> dict[str, bytes]:
     return _scan_dict(data, _skip_ws(data, obj.dict_start + 2, end), _Stop(data, end))[1]
 
 
-def _lex_xref_table(data: bytes, start: int, bound: int, diags: list[str]) -> XrefTable | None:
+def _lex_xref_table(data: bytes, start: int, bound: int, diags: dict[str, list[int]]) -> XrefTable | None:
     """The classic xref table at the ``xref`` keyword at ``start``, which
     ends by ``bound``; None when it holds no entry."""
     i = _skip_eol(data, _line_end(data, start + len(b"xref"), bound))
@@ -578,9 +625,9 @@ def _lex_xref_table(data: bytes, start: int, bound: int, diags: list[str]) -> Xr
                 # A digit-led line is a width-violating entry: skip it.
                 # Anything else means the table ended early.
                 if not data[i : min(i + 1, bound)].isdigit():
-                    diags.append(f"XrefTruncatedSubsection at offset {i}")
+                    _note(diags, "XrefTruncatedSubsection", i)
                     break
-                diags.append(f"MalformedXrefEntry at offset {i}")
+                _note(diags, "MalformedXrefEntry", i)
                 nl = _skip_eol(data, _line_end(data, i, bound))
                 if nl == i:
                     break
@@ -594,7 +641,7 @@ def _lex_xref_table(data: bytes, start: int, bound: int, diags: list[str]) -> Xr
     return XrefTable(start, i) if total else None
 
 
-def _lex_trailer(data: bytes, start: int, bound: int, diags: list[str]) -> TrailerDict | None:
+def _lex_trailer(data: bytes, start: int, bound: int, diags: dict[str, list[int]]) -> TrailerDict | None:
     """The trailer dictionary after the ``trailer`` keyword at ``start``,
     which ends by ``bound``; None when no ``<<`` follows the keyword."""
     i = _skip_ws(data, start + len(b"trailer"), bound)
@@ -604,7 +651,7 @@ def _lex_trailer(data: bytes, start: int, bound: int, diags: list[str]) -> Trail
     end, values, closed = _scan_dict(data, _skip_ws(data, i + 2, bound), stop)
     if not closed:
         end = stop.recover(data, end)
-        diags.append(f"MalformedTrailer at offset {start}")
+        _note(diags, "MalformedTrailer", start)
         values = {}
     return TrailerDict(start, end, values)
 
@@ -628,14 +675,16 @@ def segment(data: bytes) -> PdfSections:
 
     Raises :class:`NotAPdf` when no %PDF magic is found near the start.
     """
-    binary_comment, diags = _parse_header_with_diags(data)
-    objects, tables, trailers, body_diags = _lex(data)
+    diags: dict[str, list[int]] = {}
+    binary_comment = _parse_header(data, diags)
+    objects, tables, trailers = _lex(data, diags)
     return PdfSections(
         data=data,
         binary_comment=binary_comment,
         objects=objects,
         xref_tables=tables,
         trailers=trailers,
-        diagnostics=diags + body_diags,
+        # Most files have none: sorting an empty list costs 2% of a small file's segment().
+        diagnostics=ordered(Diagnostic(code, *entry) for code, entry in diags.items()) if diags else [],
         info_obj_num=_flag_metadata(objects, trailers),
     )

@@ -27,7 +27,7 @@ from pdfprov.miner import (
 )
 from pdfprov.producers import Producer
 from pdfprov.rules import SECTION_ORDER, SectionKind, load_rulepack, match_section
-from pdfprov.segmenter import segment
+from pdfprov.segmenter import Diagnostic, segment
 
 AD = Producer.ACROBAT_DISTILLER.value
 W = Producer.MICROSOFT_OFFICE_WORD.value
@@ -188,7 +188,8 @@ def test_criterion_3_xref_grammar():
     ok = ok and len(raw) - len(b"xref\n0 5\n") == 5 * 20
     # A 9-digit offset breaks the fixed width.
     short = segment(b"%PDF-1.4\n" + table_bytes.replace(b"0000000017", b"000000017"))
-    ok = ok and any(d.startswith("MalformedXrefEntry") for d in short.diagnostics)
+    entry_at = len(b"%PDF-1.4\nxref\n0 5\n0000000010 65535 f \n")
+    ok = ok and short.diagnostics == [Diagnostic("MalformedXrefEntry", entry_at, 1)]
     _report("3 xref entry grammar", ok)
 
 

@@ -23,7 +23,7 @@ from pdfprov.miner import LabeledCorpus
 from pdfprov.producers import Producer
 from pdfprov.report import CSV_COLUMNS, build_scan_report
 from pdfprov.rules import SECTION_ORDER, match_section, render_rulepack
-from pdfprov.segmenter import segment
+from pdfprov.segmenter import Diagnostic, segment
 
 
 @pytest.fixture(scope="module")
@@ -47,10 +47,35 @@ def test_scan_word_fixture(tmp_path, capsys):
     code = main(["scan", str(path)])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert payload["schema"] == 2
+    assert payload["schema"] == 3
     assert payload["verdict"] == {"kind": "producer", "producer": "MicrosoftOfficeWord"}
     assert payload["consistency"] == "consistent"
     assert {s["kind"] for s in payload["sections"]} == {"header", "body", "xref", "trailer"}
+
+
+# No version after the magic, then two objects whose dictionaries and
+# objects never close before a third: three codes, two of them counted twice.
+_MULTI_CODE = (b"%PDF\n1 0 obj\n<</A (x\n2 0 obj\n<</A (y\n3 0 obj\n<<>>\nendobj\n"
+               b"trailer\n<</Size 4/Encrypt 9 0 R>>\n")
+
+
+def test_scan_reports_each_diagnostic_code_once_with_its_count(tmp_path, capsys):
+    path = tmp_path / "multi.pdf"
+    path.write_bytes(_MULTI_CODE)
+    report = cli.scan_bytes(str(path), _MULTI_CODE, builtin())
+    assert report.diagnostics == [
+        Diagnostic("HeaderVersionMissing", 0, 1), Diagnostic("MalformedDictionary", 5, 2),
+        Diagnostic("TruncatedObject", 5, 2), Diagnostic("EncryptedInfo", _MULTI_CODE.index(b"trailer"), 1),
+    ]
+    # JSON gives each as code, offset and count, and reads back to the list.
+    assert [Diagnostic(**d) for d in json.loads(report.to_json())["diagnostics"]] == report.diagnostics
+    cell = ("HeaderVersionMissing@0;MalformedDictionary@5x2;TruncatedObject@5x2;"
+            f"EncryptedInfo@{_MULTI_CODE.index(b'trailer')}")
+    main(["batch", str(tmp_path), "--format", "csv"])
+    (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    assert row["diagnostics"] == cell
+    main(["scan", str(path), "--format", "table"])
+    assert "diagnostics: " + cell.replace(";", "; ") in capsys.readouterr().out.splitlines()
 
 
 def test_scan_report_roundtrip(tmp_path, capsys):
@@ -136,7 +161,7 @@ def test_scan_table_lines_for_each_verdict_and_diagnostics(tmp_path, capsys):
         "tex.pdf": (b"%PDF-1.5\n%\xD0\xD4\xC5\xD8\n1 0 obj\n<</Pages 2 0 R>>\nendobj\n"
                     + _TINY_XREF + b"trailer\n<</Weird 1>>\n", "ambiguous:   LuaTeX, PdfTeX"),
         "diag.pdf": (b"%PDF-1.4\n1 0 obj\n<</A (unclosed\nendobj\n",
-                     "diagnostics: MalformedDictionary obj 1 0"),
+                     "diagnostics: MalformedDictionary@9"),
     }
     for name, (data, line) in cases.items():
         (tmp_path / name).write_bytes(data)
@@ -604,7 +629,9 @@ def test_scan_reads_no_info_string_of_an_encrypted_file(tmp_path, capsys):
     assert report["verdict"] == {"kind": "producer", "producer": "LibreOffice"}
     assert report["declared"] == {"producer": None, "creator": None, "source": None}
     assert report["consistency"] == "unverifiable"
-    assert report["diagnostics"] == ["EncryptedInfo"]
+    # At the trailer that holds /Encrypt, the only one.
+    assert report["diagnostics"] == [
+        {"code": "EncryptedInfo", "offset": _encrypted_libreoffice().index(b"trailer"), "count": 1}]
 
 
 def _write_odd_files(directory: Path) -> list[Path]:
@@ -642,7 +669,8 @@ def _csv_fields(report: dict) -> dict[str, str]:
         "declared_creator": declared["creator"] or "",
         "declared_source": declared["source"] or "",
         "consistency": report["consistency"],
-        "diagnostics": ";".join(report["diagnostics"]),
+        "diagnostics": ";".join(f"{d['code']}@{d['offset']}" + (f"x{d['count']}" if d["count"] > 1 else "")
+                                for d in report["diagnostics"]),
     }
     for section in report["sections"]:
         fields[f"{section['kind']}_candidates"] = ";".join(section["candidates"])

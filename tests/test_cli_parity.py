@@ -24,7 +24,7 @@ from pdfprov.cli import main
 from pdfprov.fixtures import emit_corpus
 
 # sha256 of the runs of cli_runs() over the corpus of write_corpus().
-DIGEST = "a53621d1d40f1c00a11cfd30b78fbbd8dccdc69434b7ae9c2a35c820a56d211b"
+DIGEST = "52143ad8fb5993ca814d38ad971324d9a9463ae90e00469d8c2e9084751c11ef"
 
 MANIFEST = "manifest.tsv"
 

@@ -28,6 +28,7 @@ from pdfprov.cli import scan_bytes
 from pdfprov.producers import Producer
 from pdfprov.rules import SectionKind, section_elements
 from pdfprov.segmenter import (
+    Diagnostic,
     _KEY_RE,
     _MAX_NESTING,
     _KEYWORD_RE,
@@ -80,10 +81,11 @@ def test_header_word_magic_crlf():
     [
         pytest.param(b"%PDF-1.4\n%\xE2\xE3\xCF\xD3\n", b"\xE2\xE3\xCF\xD3", [], id="versioned"),
         pytest.param(b"%PDF\n%\xE2\xE3\xCF\xD3\n", b"\xE2\xE3\xCF\xD3",
-                     ["HeaderVersionMissing"], id="no-version"),
+                     [Diagnostic("HeaderVersionMissing", 0, 1)], id="no-version"),
         pytest.param(b"%PDF-x %PDF-1.4\n%\xE2\xE3\xCF\xD3\n", b"\xE2\xE3\xCF\xD3", [],
                      id="versioned-after-plain"),
-        pytest.param(b"%PDF-1.\n%\xE2\n", b"\xE2", ["HeaderVersionMissing", "ShortBinaryComment"],
+        pytest.param(b"%PDF-1.\n%\xE2\n", b"\xE2",
+                     [Diagnostic("HeaderVersionMissing", 0, 1), Diagnostic("ShortBinaryComment", 8, 1)],
                      id="cut-version-short-comment"),
         pytest.param(b"%PDF-1.4\n%\n1 0 obj\n<<>>\nendobj\n", None, [], id="empty-comment"),
     ],
@@ -114,7 +116,7 @@ def test_header_short_comment_recorded_and_flagged():
     data = b"%PDF-1.4\n%\xE2\xE3\n1 0 obj\n<<>>\nendobj\n"
     sections = segment(data)
     assert sections.binary_comment == b"\xE2\xE3"
-    assert "ShortBinaryComment" in sections.diagnostics
+    assert sections.diagnostics == [Diagnostic("ShortBinaryComment", data.index(b"%\xE2"), 1)]
 
 
 # -- objects ---------------------------------------------------------------
@@ -149,7 +151,7 @@ def test_truncated_object_recorded_not_fatal():
     sections = segment(data)
     (obj,) = sections.objects
     assert _raw(sections, obj) == data[len(b"%PDF-1.4\n"):]
-    assert sections.diagnostics == ["TruncatedObject obj 9 0"]
+    assert sections.diagnostics == [Diagnostic("TruncatedObject", len(b"%PDF-1.4\n"), 1)]
 
 
 # -- stream payloads -----------------------------------------------------------
@@ -285,7 +287,7 @@ def test_nested_dict_keys_stay_out_of_top_level():
 # that no ">>" closes ends at the tail's endobj, and so does a value in it
 # that never closes: no value reads past its dictionary.
 _TAIL = b"\nendobj\n"
-_MALFORMED = ["MalformedDictionary obj 1 0"]
+_MALFORMED = [Diagnostic("MalformedDictionary", len(b"%PDF-1.4\n"), 1)]
 
 
 @pytest.mark.parametrize(
@@ -364,7 +366,8 @@ def test_two_revisions_two_tables():
 def test_malformed_entry_skipped_with_diagnostic():
     data = b"xref\n0 2\n0000000017 00000 n \n17 0 n\n"
     sections = _fragment(data)
-    assert any(d.startswith("MalformedXrefEntry") for d in sections.diagnostics)
+    assert sections.diagnostics == [
+        Diagnostic("MalformedXrefEntry", len(b"%PDF-1.4\n") + data.index(b"\n17 0 n") + 1, 1)]
     # The skipped line stays inside the table.
     assert [_raw(sections, t) for t in sections.xref_tables] == [data]
 
@@ -378,7 +381,7 @@ def test_understated_table_does_not_swallow_the_trailer():
             b"0000000000 65535 f \n0000000017 00000 n \n"
             b"trailer\n<</Size 5/Root 1 0 R>>\n")
     sections = segment(data)
-    assert any(d.startswith("XrefTruncatedSubsection") for d in sections.diagnostics)
+    assert sections.diagnostics == [Diagnostic("XrefTruncatedSubsection", data.index(b"trailer"), 1)]
     assert [_raw(sections, t) for t in sections.xref_tables] == [
         data[len(b"%PDF-1.4\n") : data.index(b"trailer")]]
     assert list(sections.trailers[0].values) == ["/Size", "/Root"]
@@ -401,12 +404,16 @@ def _entry_by_entry(data: bytes) -> PdfSections:
         return segment(data)
 
 
+# Where the table after "%PDF-1.4\nxref\n" starts.
+_TABLE_AT = len(b"%PDF-1.4\nxref\n")
 # case -> (the table after "xref\n", how much of it the table keeps, diagnostics)
 _RUN_CASES = {
     "count-covers-the-run": (b"0 3\n" + _FREE + _USED * 2, None, []),
     "count-understates-the-run": (b"0 2\n" + _FREE + _USED * 2, b"0 2\n" + _FREE + _USED, []),
-    "count-overstates-the-run": (b"0 5\n" + _FREE + _USED, None, ["XrefTruncatedSubsection"]),
-    "malformed-entry-mid-run": (b"0 4\n" + _FREE + b"17 0 n\n" + _USED * 2, None, ["MalformedXrefEntry"]),
+    "count-overstates-the-run": (b"0 5\n" + _FREE + _USED, None,
+                                 [Diagnostic("XrefTruncatedSubsection", _TABLE_AT + 44, 1)]),
+    "malformed-entry-mid-run": (b"0 4\n" + _FREE + b"17 0 n\n" + _USED * 2, None,
+                                [Diagnostic("MalformedXrefEntry", _TABLE_AT + 24, 1)]),
     "mixed-eol-widths": (b"0 7\n" + b"".join(_EOL_ENTRIES), None, []),
     "two-subsections": (b"0 2\n" + _FREE + _USED + b"5 3\n" + _USED * 3, None, []),
     "understated-then-a-subsection": (
@@ -423,7 +430,7 @@ def test_an_entry_run_reads_what_single_entries_read(table, kept, diagnostics):
     # A count that understates its run leaves the rest of the run out.
     assert [_raw(sections, t) for t in sections.xref_tables] == [
         b"xref\n" + (table if kept is None else kept)]
-    assert [d.split()[0] for d in sections.diagnostics] == diagnostics
+    assert sections.diagnostics == diagnostics
 
 
 def test_entry_runs_match_single_entries_on_random_tables():
@@ -523,7 +530,7 @@ def test_malformed_object_dictionary_stops_at_the_next_object():
     # No ">>" closes the dictionary before the next object, so it ends at the
     # object's own endobj.
     assert _raw(sections, first) == b"1 0 obj\n<</Type/Catalog/Pages>>\nendobj"
-    assert sections.diagnostics == ["MalformedDictionary obj 1 0"]
+    assert sections.diagnostics == [Diagnostic("MalformedDictionary", broken.index(b"1 0 obj"), 1)]
 
 
 def test_nesting_floor_recovery_stops_at_the_next_object():
@@ -539,7 +546,7 @@ def test_nesting_floor_recovery_stops_at_the_next_object():
     # object ends at its own endobj before it.
     assert _raw(sections, sections.objects[0]).endswith(b"]>>\nendobj")
     assert sections.objects[0].end < broken.index(b"2 0 obj")
-    assert sections.diagnostics == ["MalformedDictionary obj 1 0"]
+    assert sections.diagnostics == [Diagnostic("MalformedDictionary", broken.index(b"1 0 obj"), 1)]
 
 
 def test_unclosed_array_ends_at_the_dictionary_end():
@@ -556,7 +563,7 @@ def test_unclosed_array_ends_at_the_dictionary_end():
     # ends at the object's own endobj, which is not cut off.
     assert _raw(sections, kids).endswith(b"endobj")
     assert kids.end < broken.index(b"3 0 obj")
-    assert sections.diagnostics == ["MalformedDictionary obj 2 0"]
+    assert sections.diagnostics == [Diagnostic("MalformedDictionary", broken.index(b"2 0 obj"), 1)]
     assert scan_bytes("broken.pdf", broken, builtin()).consistency == "consistent"
 
 
@@ -574,7 +581,7 @@ def test_unclosed_literal_string_ends_at_the_dictionary_end():
     assert object_values(broken, pages)["/T"] == b"(a/Kids[3 0 R]/Count 1>>"
     assert _raw(sections, pages).endswith(b"endobj")
     assert pages.end < broken.index(b"3 0 obj")
-    assert sections.diagnostics == ["MalformedDictionary obj 2 0"]
+    assert sections.diagnostics == [Diagnostic("MalformedDictionary", broken.index(b"2 0 obj"), 1)]
     assert scan_bytes("broken.pdf", broken, builtin()).consistency == "consistent"
 
 
@@ -588,7 +595,7 @@ def test_a_string_does_not_run_past_the_next_object_header(string):
     # The dictionary ends at the object's own endobj, short of the header.
     assert _object_values(data) == [{"/A": string}, {"/B": b"/y"}]
     assert _raw(sections, first) == b"1 0 obj\n<</A " + string + b"endobj"
-    assert sections.diagnostics == ["MalformedDictionary obj 1 0"]
+    assert sections.diagnostics == [Diagnostic("MalformedDictionary", len(b"%PDF-1.4\n"), 1)]
 
 
 def test_a_broken_xref_stream_value_does_not_take_in_the_next_trailer():
@@ -609,7 +616,7 @@ def test_an_unclosed_array_ends_at_the_next_object_header():
     sections = segment(data)
     assert [o.obj_num for o in sections.objects] == list(range(1, 2001))
     assert _object_values(data)[:2] == [{"/A": b"[1 "}] * 2
-    assert sections.diagnostics[:2] == ["MalformedDictionary obj 1 0", "MalformedDictionary obj 2 0"]
+    assert sections.diagnostics == [Diagnostic("MalformedDictionary", len(b"%PDF-1.4\n"), 2000)]
 
 
 def test_an_unclosed_hex_string_does_not_run_past_the_next_object_header():
@@ -618,9 +625,22 @@ def test_an_unclosed_hex_string_does_not_run_past_the_next_object_header():
     assert [o.obj_num for o in sections.objects] == [1, 2, 3]
     assert _object_values(data) == [{"/A": b"<\n"}, {"/A": b"<4F\n"}, {"/B": b"1"}]
     assert sections.diagnostics == [
-        "MalformedDictionary obj 1 0", "TruncatedObject obj 1 0",
-        "MalformedDictionary obj 2 0", "TruncatedObject obj 2 0",
+        Diagnostic("MalformedDictionary", len(b"%PDF-1.4\n"), 2),
+        Diagnostic("TruncatedObject", len(b"%PDF-1.4\n"), 2),
     ]
+
+
+def test_a_dictionary_that_recovered_and_then_closed_is_malformed():
+    # The array of /C is still open at a ">>", so the walk recovers at it and
+    # /C reads "[ >>"; the dictionary then closes.  The recovery alone tells
+    # that the dictionary was malformed.
+    data = (b"%PDF-1.4\n1 0 obj\n<</A <</B 1 >> /C [ >> /Length 2 >>\nstream\nab\nendstream\nendobj\n"
+            b"trailer\n<</Root 1 0 R/Size 2>>\n")
+    sections = segment(data)
+    (obj,) = sections.objects
+    assert object_values(data, obj) == {"/A": b"<</B 1 >>", "/C": b"[ >>", "/Length": b"2"}
+    assert data[obj.payload_start : obj.payload_end] == b"ab"
+    assert sections.diagnostics == [Diagnostic("MalformedDictionary", len(b"%PDF-1.4\n"), 1)]
 
 
 @pytest.mark.parametrize(
@@ -645,7 +665,7 @@ def test_a_trailer_string_does_not_run_past_the_next_trailer(string):
     first, second = sections.trailers
     assert _raw(sections, first) == b"trailer\n<</Info " + string and first.values == {}
     assert _raw(sections, second) == b"trailer\n<</Size 3>>" and second.values == {"/Size": b"3"}
-    assert sections.diagnostics == ["MalformedTrailer at offset 9"]
+    assert sections.diagnostics == [Diagnostic("MalformedTrailer", len(b"%PDF-1.4\n"), 1)]
 
 
 def test_nesting_floor_recovery_in_a_trailer_stops_at_the_next_object():
@@ -781,7 +801,7 @@ _FRAGMENTS = [b"xref", b"xrefs", b"trailer", b"Atrailer", b"trailer1", b"1 0 obj
 @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=40))
 def test_gap_keyword_search_matches_lookbehind_regexes(parts):
     data = b"".join(parts)
-    objects = _lex(data)[0]
+    objects = _lex(data, {})[0]
     ends = [0] + [o.end for o in objects]
     starts = [o.start for o in objects] + [len(data)]
     hits = [m for start, stop in zip(ends, starts) for m in _KEYWORD_RE.finditer(data, start, stop)]
@@ -1014,8 +1034,9 @@ def test_flat_objects_take_no_dictionary_walk():
 
 def _searched_lex_objects(data):
     """The object loop before it read heads and tails in place, kept as its
-    oracle: each object's end and the next header are searched for."""
-    objects, diags = [], []
+    oracle: each object's end and the next header are searched for.  Its
+    diagnostics map each code to its first offset and its count."""
+    objects, diags = [], {}
     n = len(data)
     m = _find_header(data)
     while m:
@@ -1033,7 +1054,8 @@ def _searched_lex_objects(data):
                     end = data.rfind(b"endobj", dstart, stop.at)
                     end = max(i, stop.at) if end < 0 else end
                 i = end
-                diags.append(f"MalformedDictionary obj {obj_num} {gen_num}")
+            if not closed or stop.recovered:
+                diags.setdefault("MalformedDictionary", [start, 0])[1] += 1
             dend = i
         j = _skip_ws(data, i, n)
         if data.startswith(b"stream", j):
@@ -1063,7 +1085,7 @@ def _searched_lex_objects(data):
         cut = m.start() if m else n
         end = data.find(b"endobj", i, cut)
         if end < 0:
-            diags.append(f"TruncatedObject obj {obj_num} {gen_num}")
+            diags.setdefault("TruncatedObject", [start, 0])[1] += 1
             end = cut
         else:
             end += 6
@@ -1076,8 +1098,10 @@ def _searched_lex_objects(data):
 
 def _lexed_objects(data):
     """The objects of the one-pass lexer and their diagnostics."""
-    objects, _, _, diags = _lex(data)
-    return objects, [d for d in diags if " obj " in d]
+    diags: dict[str, list[int]] = {}
+    objects = _lex(data, diags)[0]
+    return objects, {code: entry for code, entry in diags.items()
+                     if code in ("MalformedDictionary", "TruncatedObject")}
 
 
 _OBJECT_PARTS = [
@@ -1161,7 +1185,8 @@ def test_a_header_after_the_first_token_that_needs_a_bound_is_the_bound():
     data = b"%PDF-1.4\n1 0 obj\n<</B (a(b(c))) %2 0 obj\n/A 1>>\nendobj\n"
     sections = segment(data)
     assert [(o.obj_num, o.dict_end) for o in sections.objects] == [(1, data.index(b"2 0 obj")), (2, None)]
-    assert "MalformedDictionary obj 1 0" in sections.diagnostics
+    assert sections.diagnostics == [Diagnostic("MalformedDictionary", len(b"%PDF-1.4\n"), 1),
+                                    Diagnostic("TruncatedObject", len(b"%PDF-1.4\n"), 1)]
     assert _lexed_objects(data) == _searched_lex_objects(data)
 
 

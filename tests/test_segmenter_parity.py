@@ -116,9 +116,9 @@ FAMILIES = {
 # sha256 of each family's segment() output.
 DIGESTS = {
     "fixtures": "4689b619f3752bad09c4764c8e6575a3dde7f99dac35ac2d7e5f2d01032bd361",
-    "token-soups": "bed8002de1c6b6f8f14f2cdda2d4385050c4ca2cbd5ca03e238f062c3a543887",
-    "mutants": "2cc704b531e20a5ed9e30799c7795fa949fffd71b1f56d6d4bea0c539d578138",
-    "nesting-floor": "e29a2a7738a04e10a34f38b90c87103c18b710a31aede5ecc64b4776fb3127ae",
+    "token-soups": "e48f9f690335f6b06d2b43f487d82eb0aa18601263bce44dbc6b0b698d873e7e",
+    "mutants": "0b0a4ab9d87ae863a5e146d93af19ebcf76d859764b2da74e06a6676edec76e9",
+    "nesting-floor": "b290ab9dd5409a71fd38833b7a58cd22d0d9e1e339c0aec3e70af1281e9bb323",
 }
 
 

@@ -42,9 +42,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_linear_time
+from pdfprov.builtin_pack import builtin
+from pdfprov.cli import scan_bytes
 from pdfprov.fixtures import PROFILES, generate
 from pdfprov.producers import Producer
-from pdfprov.segmenter import segment
+from pdfprov.segmenter import Diagnostic, segment
 from test_segmenter_parity import TOKENS
 
 
@@ -148,6 +150,49 @@ def test_segment_builds_one_tracked_object_per_object(n):
         gc.enable()
     assert len(sections.objects) == n and not sections.diagnostics
     assert tracked <= n + 64, f"segment() left {tracked} tracked objects for {n} objects"
+
+
+# -- one diagnostic per code --------------------------------------------------------
+
+def _bad_xref_entries(k: int) -> tuple[bytes, int]:
+    head = b"%PDF-1.4\n" + b"xref\n0 %d\n0000000000 65535 f \n" % (k + 1)
+    return head + b"17 0 n\n" * k, len(head)
+
+
+# Hostile shapes with one diagnostic per repetition: objects that never
+# close, and an xref table whose entries, all but the first, break the
+# entry grammar.  Each gives (the input, where its first bad element starts).
+_BAD_ELEMENTS = {
+    "no-endobj": lambda k: (b"%PDF-1.4\n" + _objects(k, b"<</Type/Annot/Rect [0 0 1 1]>>\n"),
+                            len(b"%PDF-1.4\n")),
+    "malformed-xref-entries": _bad_xref_entries,
+}
+_BAD_CASES = [("no-endobj", "TruncatedObject", 2000), ("malformed-xref-entries", "MalformedXrefEntry", 20000)]
+
+
+@pytest.mark.parametrize("family, code, n", _BAD_CASES, ids=[c[0] for c in _BAD_CASES])
+def test_bad_elements_give_one_counted_diagnostic(family, code, n):
+    for k in (n, 2 * n):
+        data, first = _BAD_ELEMENTS[family](k)
+        assert segment(data).diagnostics == [Diagnostic(code, first, k)]
+
+
+@pytest.mark.parametrize("family, code, n", _BAD_CASES, ids=[c[0] for c in _BAD_CASES])
+def test_a_report_does_not_grow_with_its_bad_elements(family, code, n):
+    def json_length(k):
+        return len(scan_bytes("hostile.pdf", _BAD_ELEMENTS[family](k)[0], builtin()).to_json())
+
+    # Only the count's digits may grow: the code and its offset stay.
+    assert json_length(2 * n) - json_length(n) <= len(str(2 * n)) - len(str(n))
+
+
+def test_diagnostic_codes_come_out_in_offset_order():
+    # A malformed xref entry, then an object whose dictionary is malformed.
+    data = b"%PDF-1.4\nxref\n0 2\n0000000000 65535 f \n17 0 n\n1 0 obj\n<</A 1 x>>\nendobj\n"
+    assert segment(data).diagnostics == [
+        Diagnostic("MalformedXrefEntry", data.index(b"17 0 n"), 1),
+        Diagnostic("MalformedDictionary", data.index(b"1 0 obj"), 1),
+    ]
 
 
 # -- no two elements share a byte -------------------------------------------------
