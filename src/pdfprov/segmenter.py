@@ -75,7 +75,7 @@ bad.  The codes and their offsets:
 - ``XrefTruncatedSubsection`` and ``MalformedXrefEntry``: the xref entry
   where a subsection ends early, or that does not fit the entry grammar;
 - ``MalformedTrailer``: the ``trailer`` keyword of a trailer dictionary no
-  ``>>`` closes.
+  ``>>`` closes, or whose walk recovered.
 
 All functions here are pure; the same input bytes always produce a
 structurally identical result.
@@ -651,8 +651,9 @@ def _lex_trailer(data: bytes, start: int, bound: int, diags: dict[str, list[int]
     end, values, closed = _scan_dict(data, _skip_ws(data, i + 2, bound), stop)
     if not closed:
         end = stop.recover(data, end)
-        _note(diags, "MalformedTrailer", start)
         values = {}
+    if stop.recovered:
+        _note(diags, "MalformedTrailer", start)
     return TrailerDict(start, end, values)
 
 

@@ -643,6 +643,17 @@ def test_a_dictionary_that_recovered_and_then_closed_is_malformed():
     assert sections.diagnostics == [Diagnostic("MalformedDictionary", len(b"%PDF-1.4\n"), 1)]
 
 
+def test_a_trailer_that_recovered_and_then_closed_is_malformed():
+    # As for an object's dictionary: the array of /A is still open at a ">>",
+    # the walk recovers there, and the trailer then closes and keeps its values.
+    data = b"%PDF-1.4\n1 0 obj\n<<>>\nendobj\ntrailer\n<</A [ >> /Size 2>>\n"
+    sections = segment(data)
+    (trailer,) = sections.trailers
+    assert trailer.values == {"/A": b"[ >>", "/Size": b"2"}
+    # At the "trailer" keyword.
+    assert sections.diagnostics == [Diagnostic("MalformedTrailer", 29, 1)]
+
+
 @pytest.mark.parametrize(
     "body",
     [b"<</A (x trailer1 0 obj y)>>\n", b"<</A (x (trailer1 0 obj) y)>>\n", b"<</A 1>> x1 0 obj "],

@@ -118,7 +118,7 @@ DIGESTS = {
     "fixtures": "4689b619f3752bad09c4764c8e6575a3dde7f99dac35ac2d7e5f2d01032bd361",
     "token-soups": "e48f9f690335f6b06d2b43f487d82eb0aa18601263bce44dbc6b0b698d873e7e",
     "mutants": "0b0a4ab9d87ae863a5e146d93af19ebcf76d859764b2da74e06a6676edec76e9",
-    "nesting-floor": "b290ab9dd5409a71fd38833b7a58cd22d0d9e1e339c0aec3e70af1281e9bb323",
+    "nesting-floor": "aeb0ee0bdd7095a8aaa77ad091869ff89aa2fc4107ab681f1f11ca8fca657c95",
 }
 
 
