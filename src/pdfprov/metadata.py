@@ -40,9 +40,6 @@ class DeclaredMetadata:
     source: MetadataSource | None = None
     info_producer: str | None = None
     xmp_producer: str | None = None
-    # The offset of the first trailer that holds /Encrypt, or None: with one,
-    # the Info strings are ciphertext and none was read.
-    encrypted: int | None = None
 
 
 # -- PDF string decoding -------------------------------------------------------
@@ -135,13 +132,13 @@ def _xmp_field(raw: bytes, names: tuple[bytes, ...]) -> str | None:
 
 def extract_declared(data: bytes, sections: PdfSections) -> DeclaredMetadata:
     """Read /Producer and /Creator from the Info dictionary and XMP stream;
-    an encrypted file's Info strings are not read."""
-    declared = DeclaredMetadata(
-        encrypted=next((t.start for t in sections.trailers if "/Encrypt" in t.values), None))
+    no Info string is read when ``sections.diagnostics`` holds ``EncryptedInfo``."""
+    declared = DeclaredMetadata()
+    encrypted = any(d.code == "EncryptedInfo" for d in sections.diagnostics)
     info_creator = xmp_creator = None
     for obj in sections.objects:
         if obj.obj_num == sections.info_obj_num:
-            values = {} if declared.encrypted is not None else object_values(data, obj)
+            values = {} if encrypted else object_values(data, obj)
             if "/Producer" in values:
                 declared.info_producer = decode_pdf_string(values["/Producer"])
             if "/Creator" in values:

@@ -2,11 +2,10 @@
 
 A scan report holds the verdict and the declared metadata it reports; its
 JSON (schema version ``SCHEMA_VERSION``), CSV row and table are renderings
-of them.  Its diagnostics are the segmenter's, one per code, ordered by
-offset, then by code, with ``EncryptedInfo`` among them when a trailer holds
-``/Encrypt``.  JSON gives each as ``{"code", "offset", "count"}``; the CSV
-cell and the table give ``code@offset``, with ``xN`` after it when the code
-occurred N > 1 times.
+of them.  Its diagnostics are the segmenter's list, passed through as it
+is: one per code, ordered by offset, then by code.  JSON gives each as
+``{"code", "offset", "count"}``; the CSV cell and the table give
+``code@offset``, with ``xN`` after it when the code occurred N > 1 times.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from dataclasses import dataclass, field
 from .detector import FILE_TALLIES, SECTION_TALLIES, OutcomeClass, Status, Verdict, VerdictKind
 from .metadata import ConsistencyStatus, DeclaredMetadata
 from .rules import SECTION_ORDER
-from .segmenter import Diagnostic, ordered
+from .segmenter import Diagnostic
 
 SCHEMA_VERSION = 3
 
@@ -41,11 +40,6 @@ class ScanReport:
     declared: DeclaredMetadata
     consistency: ConsistencyStatus
     diagnostics: list[Diagnostic]
-
-    def __post_init__(self) -> None:
-        if (offset := self.declared.encrypted) is not None:
-            # A new list: the one passed in is often the segmenter's own.
-            self.diagnostics = ordered([*self.diagnostics, Diagnostic("EncryptedInfo", offset, 1)])
 
     @property
     def producer(self) -> str | None:

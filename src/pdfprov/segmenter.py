@@ -75,7 +75,10 @@ bad.  The codes and their offsets:
 - ``XrefTruncatedSubsection`` and ``MalformedXrefEntry``: the xref entry
   where a subsection ends early, or that does not fit the entry grammar;
 - ``MalformedTrailer``: the ``trailer`` keyword of a trailer dictionary no
-  ``>>`` closes, or whose walk recovered.
+  ``>>`` closes, or whose walk recovered;
+- ``EncryptedInfo``: the first trailer, classic or xref-stream, that holds
+  ``/Encrypt``, counted once per such trailer: its Info strings are
+  ciphertext.
 
 All functions here are pure; the same input bytes always produce a
 structurally identical result.
@@ -84,7 +87,6 @@ structurally identical result.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import NotAPdf
@@ -193,11 +195,6 @@ class Diagnostic:
     def __str__(self) -> str:
         """``code@offset``, and ``xN`` after it when the count N is above 1."""
         return f"{self.code}@{self.offset}" + (f"x{self.count}" if self.count > 1 else "")
-
-
-def ordered(diagnostics: Iterable[Diagnostic]) -> list[Diagnostic]:
-    """``diagnostics`` by offset, then by code."""
-    return sorted(diagnostics, key=lambda d: (d.offset, d.code))
 
 
 def _note(diags: dict[str, list[int]], code: str, offset: int) -> None:
@@ -657,10 +654,14 @@ def _lex_trailer(data: bytes, start: int, bound: int, diags: dict[str, list[int]
     return TrailerDict(start, end, values)
 
 
-def _flag_metadata(objects: list[IndirectObject], trailers: list[TrailerDict]) -> int | None:
-    """Mark the Info target as metadata; return its number, if any."""
+def _flag_metadata(objects: list[IndirectObject], trailers: list[TrailerDict],
+                   diags: dict[str, list[int]]) -> int | None:
+    """Mark the Info target as metadata and return its number, if any; count
+    each trailer that holds ``/Encrypt`` in ``diags``."""
     info_num: int | None = None
     for trailer in trailers:  # later revisions win
+        if "/Encrypt" in trailer.values:
+            _note(diags, "EncryptedInfo", trailer.start)
         # "/info" tolerates one producer's lowercase spelling of the key.
         rm = _REF_RE.match((trailer.values.get("/Info") or trailer.values.get("/info") or b"").strip())
         if rm and (num := _to_int(rm.group(1))) is not None:
@@ -679,13 +680,16 @@ def segment(data: bytes) -> PdfSections:
     diags: dict[str, list[int]] = {}
     binary_comment = _parse_header(data, diags)
     objects, tables, trailers = _lex(data, diags)
+    info_obj_num = _flag_metadata(objects, trailers, diags)
     return PdfSections(
         data=data,
         binary_comment=binary_comment,
         objects=objects,
         xref_tables=tables,
         trailers=trailers,
-        # Most files have none: sorting an empty list costs 2% of a small file's segment().
-        diagnostics=ordered(Diagnostic(code, *entry) for code, entry in diags.items()) if diags else [],
-        info_obj_num=_flag_metadata(objects, trailers),
+        # By offset, then by code.  Most files have none: sorting an empty
+        # list costs 2% of a small file's segment().
+        diagnostics=sorted((Diagnostic(code, *entry) for code, entry in diags.items()),
+                           key=lambda d: (d.offset, d.code)) if diags else [],
+        info_obj_num=info_obj_num,
     )

@@ -454,6 +454,43 @@ def test_element_spans_lie_within_the_file(corpus_bytes):
             assert 0 <= element.start <= element.end <= len(blobs[0])
 
 
+# A classic table's "xref" line (not "startxref"), and a subsection header,
+# which 20-byte entries follow.
+_ORACLE_XREF_RE = re.compile(rb"(?<![A-Za-z])xref(?:\r\n|\r|\n)")
+_ORACLE_SUBSECTION_RE = re.compile(rb"(\d+) (\d+)[ \t]*(?:\r\n|\r|\n)")
+
+
+def _in_use_entries(data: bytes) -> list[tuple[int, int]]:
+    """``(object number, offset)`` of each in-use entry of each classic xref
+    table in ``data``, read by subsection headers and 20-byte entries."""
+    entries = []
+    for kw in _ORACLE_XREF_RE.finditer(data):
+        i = kw.end()
+        while sub := _ORACLE_SUBSECTION_RE.match(data, i):
+            first, count = int(sub[1]), int(sub[2])
+            i = sub.end()
+            for k in range(count):
+                entry = data[i : i + 20]
+                if entry[17:18] == b"n":
+                    entries.append((first + k, int(entry[:10])))
+                i += 20
+    return entries
+
+
+def test_each_in_use_xref_entry_starts_an_object_of_its_number():
+    # The file's own cross-reference says where each object starts; the
+    # segmenter finds objects by their headers and never reads it.
+    entries, misses = 0, []
+    for seed in range(1, 60):
+        for producer, profile in PROFILES.items():
+            data = generate(profile, seed)
+            starts = {(o.obj_num, o.start) for o in segment(data).objects}
+            in_use = _in_use_entries(data)
+            entries += len(in_use)
+            misses += [(producer.value, seed, entry) for entry in in_use if entry not in starts]
+    assert (entries, misses) == (2419, [])
+
+
 # -- trailers ---------------------------------------------------------------
 
 
@@ -733,6 +770,34 @@ def test_only_those_objects_flagged():
     flags = {o.obj_num: o.is_metadata for o in sections.objects}
     assert flags == {1: False, 9: True}
     assert sections.info_obj_num == 9
+
+
+_INFO = b"9 0 obj <</Producer <9C4E2B>>> endobj\n"
+
+
+@pytest.mark.parametrize(
+    "trailer, mark",
+    [(b"trailer\n<</Size 10/Info 9 0 R/Encrypt 8 0 R>>\n", b"trailer"),
+     (b"6 0 obj\n<</Type /XRef /Size 10 /Info 9 0 R /Encrypt 8 0 R /Length 2>>\nstream\nxx\n"
+      b"endstream\nendobj\n", b"<</Type /XRef")],
+    ids=["classic", "xref-stream"],
+)
+def test_a_trailer_that_holds_encrypt_is_encrypted_info(trailer, mark):
+    # At the trailer's start: the "trailer" keyword, or the "<<" of the xref
+    # stream's dictionary.
+    data = b"%PDF-1.4\n" + _INFO + trailer
+    sections = segment(data)
+    assert sections.diagnostics == [Diagnostic("EncryptedInfo", data.index(mark), 1)]
+    assert sections.info_obj_num == 9
+
+
+def test_encrypted_info_counts_each_trailer_that_holds_encrypt():
+    data = (b"%PDF-1.4\n" + _INFO + b"trailer\n<</Size 10/Info 9 0 R/Encrypt 8 0 R>>\n"
+            b"trailer\n<</Size 10/Info 9 0 R>>\n" + b"trailer\n<</Size 11/Encrypt 8 0 R>>\n")
+    diagnostics = [Diagnostic("EncryptedInfo", data.index(b"trailer"), 2)]
+    assert segment(data).diagnostics == diagnostics
+    # The report passes the segmenter's list through.
+    assert scan_bytes("two.pdf", data, builtin()).diagnostics == diagnostics
 
 
 def test_span_coverage_and_determinism(corpus_bytes):
